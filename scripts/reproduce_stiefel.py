@@ -3,39 +3,19 @@
 
 Builds U(n)/U(n-k), verifies the deformation family A_t with exact zero
 residuals, reduces the candidate metric cone, and sweeps the remaining
-parameters for uniqueness.  Equivalent to `go-metric-lab reproduce-theorem`.
+parameters for uniqueness.  Forwards its arguments to
+`go-metric-lab reproduce-theorem`, so the flags and exit codes are the same.
 
     python scripts/reproduce_stiefel.py 4 2 --resolution 1/2 --jobs 2
 """
 
-import argparse
-import json
 import sys
-from fractions import Fraction
 
-from go_metric_lab import stiefel
+from go_metric_lab import cli
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("n", type=int)
-    ap.add_argument("k", type=int)
-    ap.add_argument("--resolution", default="1/4")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--offdiagonal-samples", type=int, default=200)
-    args = ap.parse_args()
-    report = stiefel.reproduce_report(
-        args.n, args.k, resolution=Fraction(args.resolution),
-        seed=args.seed, jobs=args.jobs,
-        offdiagonal_samples=args.offdiagonal_samples)
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    print()
-    grid = report["uniqueness"]["grid"]
-    ok = (grid["survivors_all_in_family"]
-          and all(c["verdict"] == "verified-on-family"
-                  for c in report["family_certificates"].values()))
-    return 0 if ok else 1
+def main(argv=None) -> int:
+    return cli.main(["reproduce-theorem", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ Subcommands:
 Spaces are either the builtin "stiefel N K" or a JSON file carrying a
 serialized algebra plus an h-basis.  Exit codes: 0 pass/verified, 1
 falsified, 2 input error.  Reports are deterministic functions of the
-inputs, the seed, and the mode; GO_METRIC_LAB_SEED supplies a fallback
-seed.
+inputs and the seed; GO_METRIC_LAB_SEED supplies a fallback seed.  All
+arithmetic is exact: `--mode` accepts only "exact" and reports say so.
 """
 
 from __future__ import annotations
@@ -31,20 +31,15 @@ from . import isotropy, lie_core, metric as metric_mod, stiefel
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT_ERROR = 2
+MODE = "exact"                # the only arithmetic; stamped into reports
 
 
 @dataclass
 class RunConfig:
-    mode: str = "exact"
     seed: int = 0
-    tol: float = 1e-9
     out: Optional[str] = None
     jobs: int = 1
     verbose: bool = False
-
-    @property
-    def tol_or_none(self) -> Optional[float]:
-        return None if self.mode == "exact" else self.tol
 
 
 def _default_seed() -> int:
@@ -52,9 +47,16 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(mode=args.mode, seed=args.seed, tol=args.tol,
-                     out=args.out, jobs=args.jobs, verbose=args.verbose)
+    return RunConfig(seed=args.seed, out=args.out, jobs=args.jobs,
+                     verbose=args.verbose)
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
@@ -95,11 +97,16 @@ def _load_space(spec_args: List[str], cfg: RunConfig):
                 f"column {exc.colno}: {exc.msg}") from exc
         try:
             g = lie_core.from_json_dict(data["algebra"])
+            failed = [c for c in lie_core.validate_algebra(g).checks
+                      if not c.passed]
+            if failed:
+                detail = f": {failed[0].detail}" if failed[0].detail else ""
+                raise ValueError(
+                    f"algebra fails the {failed[0].name} check{detail}")
             split = decomp_mod.split_from_json_dict(g, data)
-            action = isotropy.isotropy_action(split, cfg.tol_or_none)
-            dec = isotropy.decompose_isotypic(action, seed=cfg.seed,
-                                              tol=cfg.tol_or_none)
-        except (KeyError, ValueError, ArithmeticError) as exc:
+            action = isotropy.isotropy_action(split)
+            dec = isotropy.decompose_isotypic(action, seed=cfg.seed)
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InputError(f"bad space file {path}: {exc}") from exc
         return dec, None
     raise InputError("space must be 'stiefel N K' or one JSON file path")
@@ -109,7 +116,7 @@ def cmd_decompose(args) -> int:
     cfg = _config_from_args(args)
     dec, _ = _load_space(args.space, cfg)
     report = isotropy.decomposition_report(dec)
-    report["mode"] = cfg.mode
+    report["mode"] = MODE
     _emit(cfg, report)
     return EXIT_PASS
 
@@ -117,7 +124,6 @@ def cmd_decompose(args) -> int:
 def cmd_check_go(args) -> int:
     cfg = _config_from_args(args)
     dec, space = _load_space(args.space, cfg)
-    tol = cfg.tol_or_none
 
     witness = None
     if args.family_t is not None:
@@ -132,14 +138,14 @@ def cmd_check_go(args) -> int:
         try:
             with open(args.metric) as fh:
                 data = json.load(fh)
-            a = metric_mod.metric_from_json_dict(dec, data, tol)
+            a = metric_mod.metric_from_json_dict(dec, data)
         except OSError as exc:
             raise InputError(f"cannot read {args.metric}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(
                 f"malformed JSON in {args.metric}: line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}") from exc
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad metric file: {exc}") from exc
     else:
         raise InputError("provide a metric file or --family-t")
@@ -150,11 +156,10 @@ def cmd_check_go(args) -> int:
     if strategy == "family" and witness is None:
         raise InputError("family strategy needs --family-t")
     cert = go_mod.go_check(a, strategy=strategy, count=args.count,
-                           seed=cfg.seed, witness_map=witness, tol=tol)
-    payload = go_mod.certificate_to_json_dict(cert, tol=tol)
-    payload["normalizer_equivariant"] = metric_mod.check_normalizer_equivariance(
-        a, tol=tol)
-    payload["mode"] = cfg.mode
+                           seed=cfg.seed, witness_map=witness)
+    payload = go_mod.certificate_to_json_dict(cert)
+    payload["normalizer_equivariant"] = metric_mod.check_normalizer_equivariance(a)
+    payload["mode"] = MODE
     _emit(cfg, payload)
     return EXIT_PASS if cert.verdict != "falsified" else EXIT_FALSIFIED
 
@@ -168,25 +173,26 @@ def cmd_reproduce_theorem(args) -> int:
             offdiagonal_samples=args.offdiagonal_samples)
     except lie_core.InvalidDimensionError as exc:
         raise InputError(str(exc)) from exc
-    report["mode"] = cfg.mode
+    report["mode"] = MODE
     _emit(cfg, report)
+    scan = report["uniqueness"]
     verified = all(c["verdict"] == "verified-on-family"
                    for c in report["family_certificates"].values())
-    unique = (report["uniqueness"]["grid"]["survivors_all_in_family"]
-              and report["uniqueness"]["grid"]["n_survivors"] > 0)
+    unique = (scan["grid"]["survivors_all_in_family"]
+              and scan["grid"]["n_survivors"] > 0
+              and scan.get("off_diagonal", {}).get("n_survivors", 0) == 0)
     return EXIT_PASS if (verified and unique) else EXIT_FALSIFIED
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["exact", "float"], default="exact")
+    common.add_argument("--mode", choices=[MODE], default=MODE,
+                        help="arithmetic; only exact is supported")
     common.add_argument("--seed", type=int, default=_default_seed())
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="zero tolerance in float mode")
     common.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for scans")
+    common.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for scans (at most the CPU count)")
     common.add_argument("--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from . import lie_core, linalg
 from .lie_core import MatrixLieAlgebra
@@ -30,32 +30,25 @@ class NonReductiveError(ValueError):
 class Subalgebra:
     parent: MatrixLieAlgebra
     basis_coords: List[Vec]
-    closure: Dict[Tuple[int, int], Vec] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
         return len(self.basis_coords)
 
 
-def subalgebra(g: MatrixLieAlgebra, coords: List[Vec],
-               tol: Optional[float] = None) -> Subalgebra:
+def subalgebra(g: MatrixLieAlgebra, coords: List[Vec]) -> Subalgebra:
     """Wrap a spanning set as a subalgebra, verifying independence and closure."""
-    if coords and linalg.rank(coords, tol) != len(coords):
+    if coords and linalg.rank(coords) != len(coords):
         raise NotSubalgebraError("spanning vectors are linearly dependent")
-    h = Subalgebra(parent=g, basis_coords=[list(v) for v in coords])
     cols = linalg.transpose(coords) if coords else []
     for i in range(len(coords)):
         for j in range(len(coords)):
             br = lie_core.bracket(g, coords[i], coords[j])
-            if linalg.vec_is_zero(br, tol):
-                h.closure[(i, j)] = linalg.zero_vec(len(coords))
-                continue
-            sol = linalg.solve_consistent(cols, br, tol)
-            if sol is None:
+            if (not linalg.vec_is_zero(br)
+                    and linalg.solve_consistent(cols, br) is None):
                 raise NotSubalgebraError(
                     f"[h_{i}, h_{j}] falls outside the span")
-            h.closure[(i, j)] = sol
-    return h
+    return Subalgebra(parent=g, basis_coords=[list(v) for v in coords])
 
 
 def diagonal_u_nk(g: MatrixLieAlgebra, k: int) -> Subalgebra:
@@ -90,25 +83,18 @@ class ReductiveSplit:
     def dim_m(self) -> int:
         return len(self.m_basis)
 
-    def coords_in_m(self, x: Vec, tol: Optional[float] = None) -> Vec:
+    def coords_in_m(self, x: Vec) -> Vec:
         """Coordinates over the m basis; requires x in m (exact)."""
         g = self.algebra
         coords = [lie_core.inner(g, x, b) / self.gram_m[j][j]
                   for j, b in enumerate(self.m_basis)]
         resid = list(x)
         for c, b in zip(coords, self.m_basis):
-            if not linalg.is_zero(c, tol):
+            if c != 0:
                 resid = linalg.vec_sub(resid, linalg.vec_scale(c, b))
-        if not linalg.vec_is_zero(resid, tol):
+        if not linalg.vec_is_zero(resid):
             raise ValueError("vector is not in m")
         return coords
-
-    def coords_in_h(self, x: Vec, tol: Optional[float] = None) -> Vec:
-        cols = linalg.transpose(self.h.basis_coords)
-        sol = linalg.solve_consistent(cols, x, tol)
-        if sol is None:
-            raise ValueError("vector is not in h")
-        return sol
 
     def m_to_g(self, mcoords: Vec) -> Vec:
         out = linalg.zero_vec(self.algebra.dim)
@@ -125,15 +111,14 @@ class ReductiveSplit:
         return out
 
 
-def reductive_split(g: MatrixLieAlgebra, h: Subalgebra,
-                    tol: Optional[float] = None) -> ReductiveSplit:
+def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
     """Exact B-orthogonal complement of h plus reductivity verification."""
     if h.parent is not g:
         raise ValueError("subalgebra belongs to a different algebra")
     rows = [linalg.mat_vec(g.gram, hv) for hv in h.basis_coords]
-    m_basis = linalg.nullspace(rows, g.dim, tol) if rows else linalg.identity(g.dim)
-    m_basis = linalg.gram_schmidt(m_basis, g.gram, tol)
-    h_orth = linalg.gram_schmidt(h.basis_coords, g.gram, tol)
+    m_basis = linalg.nullspace(rows, g.dim) if rows else linalg.identity(g.dim)
+    m_basis = linalg.gram_schmidt(m_basis, g.gram)
+    h_orth = linalg.gram_schmidt(h.basis_coords, g.gram)
     if len(h_orth) + len(m_basis) != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
 
@@ -156,7 +141,7 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra,
     for hv in h.basis_coords:
         for mv in m_basis:
             br = lie_core.bracket(g, hv, mv)
-            if not linalg.vec_is_zero(linalg.mat_vec(proj_h, br), tol):
+            if not linalg.vec_is_zero(linalg.mat_vec(proj_h, br)):
                 raise NonReductiveError("[h, m] leaves m; split is not reductive")
     return split
 

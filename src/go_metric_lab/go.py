@@ -3,7 +3,7 @@
 A metric A is geodesic-orbit iff every X in m admits a in h with
 [a + X, AX] = 0.  Since a -> [a, AX] is linear, the best witness for a
 fixed X is an exact least-squares problem over h; the squared residual is
-an exact rational in exact mode.  Sampling strategies can only falsify or
+an exact rational.  Sampling strategies can only falsify or
 report "passed-sampling".  Full verification ("verified-on-family") needs a
 linear closed-form witness map: the defect X -> [a(X) + X, AX] is then a
 quadratic form, so exact vanishing on all basis vectors and pairwise sums
@@ -26,6 +26,7 @@ Rule codes "3.2"/"3.4"/"3.5"/"3.6" are stable wire-format tags.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,26 +37,23 @@ from .isotropy import IsotypicalDecomposition, Subspace
 from .linalg import Mat, Vec, ZERO, ONE
 from .metric import MetricEndomorphism, MetricFamily
 
-FALSIFY_REL = 1e-6          # float-mode falsification scale factor
-
 
 # ---------------------------------------------------------------------------
 # the pointwise criterion
 # ---------------------------------------------------------------------------
 
-def as_m_coords(split, x: Vec, tol: Optional[float] = None) -> Vec:
+def as_m_coords(split, x: Vec) -> Vec:
     """Accept m-coordinates or g-coordinates of a vector in m."""
     if len(x) == split.dim_m:
         return list(x)
     if len(x) == split.algebra.dim:
-        return split.coords_in_m(x, tol)   # raises if outside m
+        return split.coords_in_m(x)   # raises if outside m
     raise lie_core.DimensionMismatchError(
         f"vector length {len(x)} matches neither m ({split.dim_m}) "
         f"nor g ({split.algebra.dim})")
 
 
-def go_solve_at(a_metric: MetricEndomorphism, x: Vec,
-                tol: Optional[float] = None) -> Tuple[Vec, object]:
+def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     """Best witness a in h for the vector X: minimizes ||[a + X, AX]||_B.
 
     Returns (a over the h basis, squared residual).  Also asserts the
@@ -63,28 +61,26 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec,
     """
     split = a_metric.decomp.action.split
     g = split.algebra
-    x_m = as_m_coords(split, x, tol)
+    x_m = as_m_coords(split, x)
     ax_m = linalg.mat_vec(a_metric.matrix, x_m)
     x_g = split.m_to_g(x_m)
     ax_g = split.m_to_g(ax_m)
     c_g = lie_core.bracket(g, x_g, ax_g)
-    if not linalg.vec_is_zero(linalg.mat_vec(split.proj_h, c_g), tol):
+    if not linalg.vec_is_zero(linalg.mat_vec(split.proj_h, c_g)):
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
-    c_m = split.coords_in_m(c_g, tol)
-    cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g), tol)
+    c_m = split.coords_in_m(c_g)
+    cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g))
             for hv in split.h.basis_coords]
     rhs = [-c for c in c_m]
-    a_h, res_sq = linalg.least_squares(cols, rhs, split.gram_m, tol)
-    return a_h, res_sq
+    return linalg.least_squares(cols, rhs, split.gram_m)
 
 
-def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec,
-                   tol: Optional[float] = None):
+def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
     """Squared residual ||[a + X, AX]||_B^2 for a supplied witness a."""
     split = a_metric.decomp.action.split
     g = split.algebra
-    x_m = as_m_coords(split, x, tol)
+    x_m = as_m_coords(split, x)
     ax_g = split.m_to_g(linalg.mat_vec(a_metric.matrix, x_m))
     lhs = lie_core.bracket(
         g, linalg.vec_add(split.h_to_g(a_h), split.m_to_g(x_m)), ax_g)
@@ -99,7 +95,7 @@ def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec,
 class Witness:
     x_m: Vec
     a_h: Vec
-    residual_sq: object
+    residual_sq: Fraction
 
 
 @dataclass
@@ -140,20 +136,9 @@ def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
     return probes
 
 
-def _falsified(res_sq, x_m: Vec, ax_m: Vec, gram: Mat,
-               tol: Optional[float]) -> bool:
-    if tol is None:
-        return res_sq > 0
-    scale = (linalg.gram_dot(gram, x_m, x_m)
-             * linalg.gram_dot(gram, ax_m, ax_m)) ** 0.5
-    threshold = max(FALSIFY_REL ** 2 * scale, (10 * tol) ** 2)
-    return res_sq > threshold
-
-
 def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
              count: int = 100, seed: int = 0,
              witness_map: Optional[Callable[[Vec], Vec]] = None,
-             tol: Optional[float] = None,
              keep_witnesses: bool = True,
              probes: Optional[List[Vec]] = None) -> GOCertificate:
     """Decide the GO property as far as the chosen strategy allows.
@@ -165,12 +150,11 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
     return "verified-on-family".
     """
     decomp = a_metric.decomp
-    gram = decomp.action.gram
 
     if strategy == "family":
         if witness_map is None:
             raise ValueError("family strategy needs a witness map")
-        return _family_check(a_metric, witness_map, count, seed, tol)
+        return _family_check(a_metric, witness_map, count, seed)
 
     if strategy == "basis":
         if probes is None:
@@ -187,10 +171,9 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
     cert = GOCertificate(verdict="passed-sampling", strategy=strategy,
                          count=len(probes), seed=used_seed)
     for x in probes:
-        a_h, res_sq = go_solve_at(a_metric, x, tol)
-        ax_m = linalg.mat_vec(a_metric.matrix, x)
+        a_h, res_sq = go_solve_at(a_metric, x)
         w = Witness(x_m=x, a_h=a_h, residual_sq=res_sq)
-        if _falsified(res_sq, x, ax_m, gram, tol):
+        if res_sq > 0:
             cert.verdict = "falsified"
             cert.falsifier = w
             return cert
@@ -201,8 +184,7 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
 
 def _family_check(a_metric: MetricEndomorphism,
                   witness_map: Callable[[Vec], Vec],
-                  count: int, seed: int,
-                  tol: Optional[float]) -> GOCertificate:
+                  count: int, seed: int) -> GOCertificate:
     decomp = a_metric.decomp
     dim = decomp.dim
     cert = GOCertificate(verdict="verified-on-family", strategy="family",
@@ -210,7 +192,7 @@ def _family_check(a_metric: MetricEndomorphism,
 
     def residual(x: Vec) -> Witness:
         a_h = witness_map(x)
-        res = go_residual_sq(a_metric, x, a_h, tol)
+        res = go_residual_sq(a_metric, x, a_h)
         return Witness(x_m=x, a_h=a_h, residual_sq=res)
 
     basis = [linalg.unit_vec(dim, i) for i in range(dim)]
@@ -218,13 +200,13 @@ def _family_check(a_metric: MetricEndomorphism,
     for i, j in itertools.combinations(range(dim), 2):
         lhs = witness_map(linalg.vec_add(basis[i], basis[j]))
         rhs = linalg.vec_add(witness_map(basis[i]), witness_map(basis[j]))
-        if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs), tol):
+        if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs)):
             raise ValueError("witness map is not additive on basis pairs")
     for i in range(dim):
         for c in (Fraction(2), Fraction(-1)):
             lhs = witness_map(linalg.vec_scale(c, basis[i]))
             rhs = linalg.vec_scale(c, witness_map(basis[i]))
-            if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs), tol):
+            if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs)):
                 raise ValueError("witness map is not homogeneous")
 
     probes = list(basis)
@@ -237,13 +219,11 @@ def _family_check(a_metric: MetricEndomorphism,
     cert.count = len(probes)
     for x in probes:
         w = residual(x)
-        if not linalg.is_zero(w.residual_sq, None if tol is None else (10 * tol) ** 2):
+        if w.residual_sq != 0:
             # the supplied witness fails here; only a failing minimizer
             # falsifies the metric itself
-            a_best, best_sq = go_solve_at(a_metric, x, tol)
-            gram = a_metric.decomp.action.gram
-            ax = linalg.mat_vec(a_metric.matrix, x)
-            if _falsified(best_sq, x, ax, gram, tol):
+            a_best, best_sq = go_solve_at(a_metric, x)
+            if best_sq > 0:
                 cert.verdict = "falsified"
                 cert.falsifier = Witness(x_m=x, a_h=a_best, residual_sq=best_sq)
                 return cert
@@ -622,7 +602,6 @@ class ScanSpec:
     seed: int = 0
     survivor_random_probes: int = 20
     jobs: int = 1
-    prescreen: bool = True
     max_grid_points: int = 2_000_000
 
 
@@ -883,24 +862,22 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         points.extend(_random_points(family, spec, ops))
     probes = basis_probe_vectors(decomp)
     tensors = _ScanTensors(family, ops, probes)
-    if spec.prescreen and points:
-        flags = tensors.flag(points)
-    else:
-        flags = [-1] * len(points)
+    flags = tensors.flag(points) if points else []
     _WORKER_CTX.update({"family": family, "ops": ops, "spec": spec,
                         "tensors": tensors})
     tasks = [(i, pt, flags[i]) for i, pt in enumerate(points)]
     results: List[Tuple[int, dict]] = []
-    if spec.jobs > 1:
+    workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         try:
             import concurrent.futures as cf
             import multiprocessing as mp
             # workers inherit _WORKER_CTX through fork; anything else
             # falls back to the sequential path
             ctx = mp.get_context("fork")
-            with cf.ProcessPoolExecutor(max_workers=spec.jobs,
+            with cf.ProcessPoolExecutor(max_workers=workers,
                                         mp_context=ctx) as pool:
-                chunk = max(1, len(tasks) // (spec.jobs * 8) or 1)
+                chunk = max(1, len(tasks) // (workers * 8))
                 results = list(pool.map(_evaluate_scan_point, tasks,
                                         chunksize=chunk))
         except (OSError, ImportError, ValueError):
@@ -926,25 +903,24 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
 # serialization
 # ---------------------------------------------------------------------------
 
-def _witness_json(w: Witness, tol: Optional[float] = None) -> dict:
-    conv = (linalg.frac_to_str if tol is None else float)
+def _witness_json(w: Witness) -> dict:
+    conv = linalg.frac_to_str
     return {"x": [conv(c) for c in w.x_m],
             "a": [conv(c) for c in w.a_h],
             "residual_sq": conv(w.residual_sq)}
 
 
-def certificate_to_json_dict(cert: GOCertificate, max_witnesses: int = 200,
-                             tol: Optional[float] = None) -> dict:
+def certificate_to_json_dict(cert: GOCertificate,
+                             max_witnesses: int = 200) -> dict:
     out = {
         "verdict": cert.verdict,
         "strategy": cert.strategy,
         "count": cert.count,
         "seed": cert.seed,
-        "witnesses": [_witness_json(w, tol)
-                      for w in cert.witnesses[:max_witnesses]],
+        "witnesses": [_witness_json(w) for w in cert.witnesses[:max_witnesses]],
     }
     if cert.falsifier is not None:
-        out["falsifier"] = _witness_json(cert.falsifier, tol)
+        out["falsifier"] = _witness_json(cert.falsifier)
     return out
 
 

@@ -1,7 +1,7 @@
 """Isotropy action on m: irreducible pieces, isotypical summands, ideals.
 
 The action of h on m is carried by the matrices of ad(a)|_m over the m
-basis.  Decomposition strategy (exact mode):
+basis.  Decomposition strategy, all in exact rational arithmetic:
 
 * the trivial summand S0 is the joint kernel of the action, computed
   directly as an exact nullspace;
@@ -15,9 +15,6 @@ basis.  Decomposition strategy (exact mode):
   one-dimensional, which for a B-skew action is equivalent to admitting no
   proper invariant subspace.  The full commutant dimension (1, 2 or 4)
   records the real/complex/quaternionic type.
-
-Float mode replaces the exact eigenspace machinery with numpy spectral
-clustering at a relative tolerance and refuses ambiguous clusterings.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from .linalg import Mat, Vec, ZERO, ONE
 
 
 class DecompositionError(ArithmeticError):
-    """Splitting could not be completed (or certified) in the current mode."""
+    """Splitting could not be completed (or certified)."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,30 +49,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, v: Vec, gram: Mat, tol: Optional[float] = None) -> Optional[Vec]:
+    def coords_of(self, v: Vec, gram: Mat) -> Optional[Vec]:
         """Coordinates of v over the basis, or None if v falls outside."""
         coords = [linalg.gram_dot(gram, v, b) / nu
                   for b, nu in zip(self.basis, self.norms)]
         resid = list(v)
         for c, b in zip(coords, self.basis):
-            if not linalg.is_zero(c, tol):
+            if c != 0:
                 resid = linalg.vec_sub(resid, linalg.vec_scale(c, b))
-        if not linalg.vec_is_zero(resid, tol):
+        if not linalg.vec_is_zero(resid):
             return None
         return coords
 
-    def project(self, v: Vec, gram: Mat) -> Vec:
-        out = linalg.zero_vec(len(v))
-        for b, nu in zip(self.basis, self.norms):
-            c = linalg.gram_dot(gram, v, b) / nu
-            if c != 0:
-                out = linalg.vec_add(out, linalg.vec_scale(c, b))
-        return out
 
-
-def make_subspace(vectors: Sequence[Vec], gram: Mat,
-                  tol: Optional[float] = None) -> Subspace:
-    basis = linalg.gram_schmidt(list(vectors), gram, tol)
+def make_subspace(vectors: Sequence[Vec], gram: Mat) -> Subspace:
+    basis = linalg.gram_schmidt(list(vectors), gram)
     norms = [linalg.gram_dot(gram, b, b) for b in basis]
     return Subspace(basis=basis, norms=norms)
 
@@ -110,7 +98,7 @@ class IsotropyAction:
         return self.split.gram_m
 
 
-def isotropy_action(split: ReductiveSplit, tol: Optional[float] = None) -> IsotropyAction:
+def isotropy_action(split: ReductiveSplit) -> IsotropyAction:
     """Build and verify the action matrices (reductivity and B-skewness)."""
     g = split.algebra
     ops = []
@@ -118,36 +106,35 @@ def isotropy_action(split: ReductiveSplit, tol: Optional[float] = None) -> Isotr
         cols = []
         for b in split.m_basis:
             br = lie_core.bracket(g, a, b)
-            cols.append(split.coords_in_m(br, tol))
+            cols.append(split.coords_in_m(br))
         m = linalg.transpose(cols)
         skew = linalg.mat_add(linalg.mat_mul(linalg.transpose(m), split.gram_m),
                               linalg.mat_mul(split.gram_m, m))
-        if not linalg.mat_is_zero(skew, tol):
+        if not linalg.mat_is_zero(skew):
             raise ArithmeticError("ad(a)|_m is not B-skew")
         ops.append(m)
     return IsotropyAction(split=split, ad_ops=ops)
 
 
-def restrict_op(op: Mat, sub: Subspace, gram: Mat,
-                tol: Optional[float] = None) -> Optional[Mat]:
+def restrict_op(op: Mat, sub: Subspace, gram: Mat) -> Optional[Mat]:
     """Matrix of op on the subspace basis; None if the subspace moves."""
     cols = []
     for b in sub.basis:
         w = linalg.mat_vec(op, b)
-        coords = sub.coords_of(w, gram, tol)
+        coords = sub.coords_of(w, gram)
         if coords is None:
             return None
         cols.append(coords)
     return linalg.transpose(cols)
 
 
-def _restrict_action(action: IsotropyAction, sub: Optional[Subspace],
-                     tol: Optional[float] = None) -> Tuple[List[Mat], List[Fraction]]:
+def _restrict_action(action: IsotropyAction, sub: Optional[Subspace]
+                     ) -> Tuple[List[Mat], List[Fraction]]:
     if sub is None:
         return action.ad_ops, [action.gram[i][i] for i in range(action.dim)]
     ops = []
     for op in action.ad_ops:
-        r = restrict_op(op, sub, action.gram, tol)
+        r = restrict_op(op, sub, action.gram)
         if r is None:
             raise ValueError("subspace is not invariant under the action")
         ops.append(r)
@@ -226,47 +213,17 @@ def commutant_full_ops(ops: List[Mat], d: int) -> List[Mat]:
     return [[sol[r * d:(r + 1) * d] for r in range(d)] for sol in sols]
 
 
-def commutant_sym(action: IsotropyAction, subspace: Optional[Subspace] = None,
-                  tol: Optional[float] = None) -> List[Mat]:
+def commutant_sym(action: IsotropyAction,
+                  subspace: Optional[Subspace] = None) -> List[Mat]:
     """Symmetric equivariant operators on an invariant subspace of m."""
-    ops, norms = _restrict_action(action, subspace, tol)
-    if tol is None:
-        return commutant_sym_ops(ops, norms)
-    return _commutant_sym_float(ops, norms, tol)
+    return commutant_sym_ops(*_restrict_action(action, subspace))
 
 
-def _commutant_sym_float(ops: List[Mat], norms: List[float], tol: float) -> List[Mat]:
-    import numpy as np
-    d = len(norms)
-    idx = _sym_param_index(d)
-    rows = []
-    for m in ops:
-        arr = np.array(m, dtype=float)
-        for r in range(d):
-            for c in range(d):
-                row = np.zeros(len(idx))
-                for k in range(d):
-                    if arr[k, c] != 0.0:
-                        w = 1.0 if r <= k else norms[k] / norms[r]
-                        row[idx[(r, k) if r <= k else (k, r)]] += w * arr[k, c]
-                    if arr[r, k] != 0.0:
-                        w = 1.0 if k <= c else norms[c] / norms[k]
-                        row[idx[(k, c) if k <= c else (c, k)]] -= arr[r, k] * w
-                rows.append(row)
-    if not rows:
-        mat = np.zeros((0, len(idx)))
-    else:
-        mat = np.array(rows)
-    _, s, vt = np.linalg.svd(mat) if mat.size else (None, np.array([]), np.eye(len(idx)))
-    ns = [vt[i] for i in range(len(vt)) if i >= len(s) or s[i] <= tol * max(1.0, s[0] if len(s) else 1.0)]
-    return [_sym_op_from_params([float(x) for x in sol], norms, d) for sol in ns]
-
-
-def intertwiners(action: IsotropyAction, sub_a: Subspace, sub_b: Subspace,
-                 tol: Optional[float] = None) -> List[Mat]:
+def intertwiners(action: IsotropyAction, sub_a: Subspace,
+                 sub_b: Subspace) -> List[Mat]:
     """Basis of equivariant maps sub_a -> sub_b (matrices d_b x d_a)."""
-    ops_a, _ = _restrict_action(action, sub_a, tol)
-    ops_b, _ = _restrict_action(action, sub_b, tol)
+    ops_a, _ = _restrict_action(action, sub_a)
+    ops_b, _ = _restrict_action(action, sub_b)
     da, db = sub_a.dim, sub_b.dim
     rows = []
     for ma, mb in zip(ops_a, ops_b):
@@ -284,16 +241,7 @@ def intertwiners(action: IsotropyAction, sub_a: Subspace, sub_b: Subspace,
                         row[p] = row.get(p, ZERO) - mb[r][k]
                 if row:
                     rows.append(row)
-    if tol is None:
-        sols = linalg.sparse_nullspace(rows, da * db)
-    else:
-        dense = []
-        for row in rows:
-            v = [0.0] * (da * db)
-            for k, c in row.items():
-                v[k] = float(c)
-            dense.append(v)
-        sols = linalg.nullspace(dense, da * db, tol) if dense else linalg.identity(da * db)
+    sols = linalg.sparse_nullspace(rows, da * db)
     return [[sol[r * da:(r + 1) * da] for r in range(db)] for sol in sols]
 
 
@@ -410,7 +358,6 @@ class IsotypicalDecomposition:
     summands: List[IsotypicalSummand]
     s0: IsotypicalSummand
     seed: int
-    tol: Optional[float] = None
     _sym_commutant: Optional[List[Mat]] = field(default=None, repr=False)
 
     @property
@@ -420,45 +367,40 @@ class IsotypicalDecomposition:
     def sym_commutant_basis(self) -> List[Mat]:
         """Basis of symmetric equivariant operators on all of m (cached)."""
         if self._sym_commutant is None:
-            self._sym_commutant = commutant_sym(self.action, tol=self.tol)
+            self._sym_commutant = commutant_sym(self.action)
         return self._sym_commutant
 
     def nontrivial_summands(self) -> List[IsotypicalSummand]:
         return [s for s in self.summands if s is not self.s0]
 
 
-def joint_kernel(ops: List[Mat], gram: Mat, dim: int,
-                 tol: Optional[float] = None) -> Subspace:
+def joint_kernel(ops: List[Mat], gram: Mat, dim: int) -> Subspace:
     rows = [row for op in ops for row in op]
-    basis = linalg.nullspace(rows, dim, tol) if rows else linalg.identity(dim)
-    return make_subspace(basis, gram, tol)
+    basis = linalg.nullspace(rows, dim) if rows else linalg.identity(dim)
+    return make_subspace(basis, gram)
 
 
-def ad_on_m(split: ReductiveSplit, z_g: Vec,
-            tol: Optional[float] = None) -> Mat:
+def ad_on_m(split: ReductiveSplit, z_g: Vec) -> Mat:
     """Matrix of ad(z)|_m over the m basis; z must preserve m."""
     g = split.algebra
-    cols = [split.coords_in_m(lie_core.bracket(g, z_g, b), tol)
+    cols = [split.coords_in_m(lie_core.bracket(g, z_g, b))
             for b in split.m_basis]
     return linalg.transpose(cols)
 
 
-def squared_ad_candidates(action: IsotropyAction, s0: Subspace,
-                          tol: Optional[float] = None) -> List[Mat]:
+def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> List[Mat]:
     """Operators -(ad Z|_m)^2 for Z over the S0 basis; symmetric, equivariant."""
     split = action.split
     out = []
     for z_m in s0.basis:
-        adz = ad_on_m(split, split.m_to_g(z_m), tol)
+        adz = ad_on_m(split, split.m_to_g(z_m))
         out.append(linalg.mat_scale(Fraction(-1), linalg.mat_mul(adz, adz)))
     return out
 
 
-def decompose_isotypic(action: IsotropyAction, seed: int = 0,
-                       tol: Optional[float] = None) -> IsotypicalDecomposition:
+def decompose_isotypic(action: IsotropyAction,
+                       seed: int = 0) -> IsotypicalDecomposition:
     """Split m into S0 and isotypical summands of equivalent submodules."""
-    if tol is not None:
-        return _decompose_isotypic_float(action, seed, tol)
     dim = action.dim
     gram = action.gram
     s0_space = joint_kernel(action.ad_ops, gram, dim)
@@ -527,7 +469,6 @@ def decompose_isotypic(action: IsotropyAction, seed: int = 0,
         summand = IsotypicalSummand(class_id=0, members=[modules[idx] for idx in cls],
                                     space=space)
         for (a, b) in itertools.permutations(range(len(cls)), 2):
-            key = (cls[a], cls[b]) if (cls[a], cls[b]) in inter_cache else None
             phis = inter_cache.get((cls[a], cls[b]))
             if phis is None:
                 phis = intertwiners(action, modules[cls[a]].space,
@@ -545,93 +486,7 @@ def decompose_isotypic(action: IsotropyAction, seed: int = 0,
     if total != dim:
         raise DecompositionError("summand dimensions do not add up")
     return IsotypicalDecomposition(action=action, summands=summands,
-                                   s0=s0_summand, seed=seed, tol=None)
-
-
-def _decompose_isotypic_float(action: IsotropyAction, seed: int,
-                              tol: float) -> IsotypicalDecomposition:
-    """Float-mode decomposition via spectral clustering of a generic element."""
-    import numpy as np
-    dim = action.dim
-    gram = action.gram
-    s0_space = joint_kernel(action.ad_ops, gram, dim, tol)
-    members_s0 = [Submodule(space=make_subspace([b], gram, tol), trivial=True,
-                            commutant_sym_dim=1, commutant_dim=1)
-                  for b in s0_space.basis]
-    s0_summand = IsotypicalSummand(class_id=0, members=members_s0, space=s0_space)
-
-    pieces: List[Subspace] = []
-    if s0_space.dim < dim:
-        rows = [linalg.mat_vec(gram, b) for b in s0_space.basis]
-        rest = make_subspace(linalg.nullspace(rows, dim, tol) if rows
-                             else linalg.identity(dim), gram, tol)
-        work = [rest]
-        rng = random.Random(f"float-pieces:{seed}")
-        while work:
-            piece = work.pop()
-            ops_p, norms_p = _restrict_action(action, piece, tol)
-            csym = _commutant_sym_float(ops_p, [float(n) for n in norms_p], tol)
-            if len(csym) <= 1:
-                pieces.append(piece)
-                continue
-            combo = np.zeros((piece.dim, piece.dim))
-            for s in csym:
-                combo += rng.randint(-9, 9) * np.array(s, dtype=float)
-            scale = np.array([float(n) ** 0.5 for n in piece.norms])
-            sym = (combo * scale[:, None] / scale[None, :])
-            sym = (sym + sym.T) / 2
-            evals, evecs = np.linalg.eigh(sym)
-            spread = max(1.0, float(abs(evals).max()))
-            clusters: List[List[int]] = []
-            for i, lam in enumerate(evals):
-                if clusters and abs(lam - evals[clusters[-1][-1]]) <= 1e-7 * spread:
-                    clusters[-1].append(i)
-                else:
-                    clusters.append([i])
-            for a, b in zip(clusters, clusters[1:]):
-                gap = evals[b[0]] - evals[a[-1]]
-                if gap <= 10 * 1e-7 * spread:
-                    raise DecompositionError(
-                        f"ambiguous eigenvalue clustering: gap {gap:g} near tolerance")
-            if len(clusters) < 2:
-                pieces.append(piece)
-                continue
-            for cl in clusters:
-                vecs = []
-                for i in cl:
-                    v = evecs[:, i] / scale
-                    w = [0.0] * dim
-                    for c, b in zip(v, piece.basis):
-                        w = linalg.vec_add(w, linalg.vec_scale(float(c), b))
-                    vecs.append(w)
-                work.append(make_subspace(vecs, gram, tol))
-    modules = [Submodule(space=p, trivial=False, commutant_sym_dim=1,
-                         commutant_dim=len(intertwiners(action, p, p, tol)))
-               for p in pieces]
-
-    classes: List[List[int]] = []
-    for i, mod in enumerate(modules):
-        placed = False
-        for cls in classes:
-            rep = cls[0]
-            if modules[rep].dim == mod.dim and intertwiners(
-                    action, modules[rep].space, mod.space, tol):
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-    summands = [s0_summand]
-    for cls in classes:
-        space = make_subspace([v for idx in cls for v in modules[idx].space.basis],
-                              gram, tol)
-        summands.append(IsotypicalSummand(
-            class_id=0, members=[modules[idx] for idx in cls], space=space))
-    summands[1:] = sorted(summands[1:], key=lambda s: (s.members[0].dim, -s.dim))
-    for cid, s in enumerate(summands):
-        s.class_id = cid
-    return IsotypicalDecomposition(action=action, summands=summands,
-                                   s0=s0_summand, seed=seed, tol=tol)
+                                   s0=s0_summand, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +499,7 @@ class IdealSplit:
     simples: List[Subspace]
 
 
-def s0_bracket_ops(split: ReductiveSplit, s0: Subspace,
-                   tol: Optional[float] = None) -> List[Mat]:
+def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Mat]:
     """Adjoint operators of S0 acting on itself, over the S0 basis."""
     g = split.algebra
     ops = []
@@ -655,8 +509,8 @@ def s0_bracket_ops(split: ReductiveSplit, s0: Subspace,
         for w_m in s0.basis:
             w = split.m_to_g(w_m)
             br = lie_core.bracket(g, z, w)
-            br_m = split.coords_in_m(br, tol)
-            coords = s0.coords_of(br_m, split.gram_m, tol)
+            br_m = split.coords_in_m(br)
+            coords = s0.coords_of(br_m, split.gram_m)
             if coords is None:
                 raise ArithmeticError("S0 is not closed under the bracket")
             cols.append(coords)
@@ -665,45 +519,44 @@ def s0_bracket_ops(split: ReductiveSplit, s0: Subspace,
 
 
 def split_ideals(split: ReductiveSplit, s0: Subspace,
-                 seed: int = 0, tol: Optional[float] = None) -> IdealSplit:
-    """S0 = center (+) simple ideals, B-orthogonally (exact mode)."""
-    ops = s0_bracket_ops(split, s0, tol)
+                 seed: int = 0) -> IdealSplit:
+    """S0 = center (+) simple ideals, B-orthogonally."""
+    ops = s0_bracket_ops(split, s0)
     d = s0.dim
     rows = [row for op in ops for row in op]
-    center_local = linalg.nullspace(rows, d, tol) if rows else linalg.identity(d)
+    center_local = linalg.nullspace(rows, d) if rows else linalg.identity(d)
 
     def to_ambient(vecs: List[Vec]) -> List[Vec]:
         out = []
         for v in vecs:
             w = linalg.zero_vec(len(s0.basis[0]))
             for c, b in zip(v, s0.basis):
-                if not linalg.is_zero(c, tol):
+                if c != 0:
                     w = linalg.vec_add(w, linalg.vec_scale(c, b))
             out.append(w)
         return out
 
     gram = split.gram_m
-    center = make_subspace(to_ambient(center_local), gram, tol)
+    center = make_subspace(to_ambient(center_local), gram)
     if center.dim == d:
         return IdealSplit(center=center, simples=[])
 
     norms_local = [linalg.gram_dot(gram, b, b) for b in s0.basis]
     gram_local = [[linalg.gram_dot(gram, a, b) for b in s0.basis] for a in s0.basis]
     rows_c = [linalg.mat_vec(gram_local, v) for v in center_local]
-    semi_local = (linalg.nullspace(rows_c, d, tol) if rows_c
+    semi_local = (linalg.nullspace(rows_c, d) if rows_c
                   else linalg.identity(d))
-    semi = make_subspace(to_ambient(semi_local), gram, tol)
     # pieces of the adjoint action of S0 on its semisimple part
-    local_sub = make_subspace(semi_local, gram_local, tol)
+    local_sub = make_subspace(semi_local, gram_local)
     pieces = minimal_invariant_pieces(ops, gram_local, local_sub, seed=seed)
     simples = []
     for piece in pieces:
-        amb = make_subspace(to_ambient(piece.basis), gram, tol)
+        amb = make_subspace(to_ambient(piece.basis), gram)
         # simple ideals are non-abelian
         g_alg = split.algebra
         vecs = [split.m_to_g(v) for v in amb.basis]
         nonabelian = any(
-            not linalg.vec_is_zero(lie_core.bracket(g_alg, x, y), tol)
+            not linalg.vec_is_zero(lie_core.bracket(g_alg, x, y))
             for i, x in enumerate(vecs) for y in vecs[i + 1:])
         if not nonabelian:
             raise DecompositionError("minimal ideal of the semisimple part is abelian")

@@ -13,14 +13,14 @@ B(X, Y) = -Trace(XY) with the complex trace, i.e. -Trace(XrYr)/2 on the real
 embedding; the canonical basis is B-orthogonal with squared lengths 2 (and 4
 on the diagonal eb_ll).
 
-Vectors over an algebra are plain coordinate lists (Fraction entries in
-exact mode, floats in float mode); all operations validate lengths.
+Vectors over an algebra are plain coordinate lists of Fraction entries; all
+operations validate lengths.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -160,7 +160,7 @@ def build_un(n: int) -> MatrixLieAlgebra:
 
 
 def bracket(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Vec:
-    """[x, y] through the structure table; exact in rational mode."""
+    """[x, y] through the structure table."""
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionMismatchError(
             f"expected coordinate length {g.dim}, got {len(x)} and {len(y)}")
@@ -229,7 +229,7 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> ValidationReport:
+def validate_algebra(g: MatrixLieAlgebra) -> ValidationReport:
     """Check closure, antisymmetry, Jacobi, Gram properties, ad-invariance.
 
     Returns a per-property report with the first counterexample on failure;
@@ -253,7 +253,7 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
                     break
                 tab = table_bracket(i, j)
                 diff = [coords[k] - tab.get(k, ZERO) for k in range(dim)]
-                if not linalg.vec_is_zero(diff, tol):
+                if not linalg.vec_is_zero(diff):
                     ok, detail = False, (f"table mismatch at "
                                          f"[{g.labels[i]}, {g.labels[j]}]")
                     break
@@ -265,8 +265,7 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
     for (i, j), entry in g.structure.items():
         rev = g.structure.get((j, i), {})
         keys = set(entry) | set(rev)
-        if any(not linalg.is_zero(entry.get(k, ZERO) + rev.get(k, ZERO), tol)
-               for k in keys):
+        if any(entry.get(k, ZERO) + rev.get(k, ZERO) != 0 for k in keys):
             ok, detail = False, f"c[{i}][{j}] != -c[{j}][{i}]"
             break
     report.checks.append(CheckResult("antisymmetry", ok, detail))
@@ -289,7 +288,7 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
                              table_apply(table_bracket(k, i), j)):
                     for l, c in term.items():
                         acc[l] = acc.get(l, ZERO) + c
-                if any(not linalg.is_zero(c, tol) for c in acc.values()):
+                if any(c != 0 for c in acc.values()):
                     ok, detail = False, f"Jacobi fails on triple ({i},{j},{k})"
                     break
             if not ok:
@@ -301,10 +300,10 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
     ok, detail = True, ""
     for i in range(dim):
         for j in range(dim):
-            if not linalg.is_zero(g.gram[i][j] - g.gram[j][i], tol):
+            if g.gram[i][j] != g.gram[j][i]:
                 ok, detail = False, f"gram[{i}][{j}] asymmetric"
                 break
-            if i != j and not linalg.is_zero(g.gram[i][j], tol):
+            if i != j and g.gram[i][j] != 0:
                 ok, detail = False, (f"basis not B-orthogonal at "
                                      f"({g.labels[i]}, {g.labels[j]})")
                 break
@@ -312,7 +311,7 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
             break
     report.checks.append(CheckResult("orthogonality", ok, detail))
     report.checks.append(CheckResult(
-        "positive_definite", linalg.sym_positive_definite(g.gram, tol), ""))
+        "positive_definite", linalg.sym_positive_definite(g.gram), ""))
 
     # ad-invariance: B([z,x],y) + B(x,[z,y]) = 0 on basis triples
     ok, detail = True, ""
@@ -328,7 +327,7 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
                 for k, c in table_bracket(z, j).items():
                     if k == i:
                         s += c * gd[i]
-                if not linalg.is_zero(s, tol):
+                if s != 0:
                     ok, detail = False, f"ad-invariance fails on ({z},{i},{j})"
                     break
             if not ok:
@@ -340,7 +339,7 @@ def validate_algebra(g: MatrixLieAlgebra, tol: Optional[float] = None) -> Valida
 
 
 # ---------------------------------------------------------------------------
-# serialization and backend conversion
+# serialization
 # ---------------------------------------------------------------------------
 
 def to_json_dict(g: MatrixLieAlgebra) -> dict:
@@ -371,14 +370,3 @@ def from_json_dict(data: dict) -> MatrixLieAlgebra:
         gram[i][j] = Fraction(p, q)
     return MatrixLieAlgebra(n=int(data["n"]), labels=labels,
                             structure=structure, gram=gram, basis=None)
-
-
-def algebra_to_float(g: MatrixLieAlgebra) -> MatrixLieAlgebra:
-    """Float-backend copy of the algebra (tables and Gram as floats)."""
-    structure = {ij: {k: float(c) for k, c in entry.items()}
-                 for ij, entry in g.structure.items()}
-    gram = [[float(c) for c in row] for row in g.gram]
-    basis = None
-    if g.basis is not None:
-        basis = [[[float(c) for c in row] for row in b] for b in g.basis]
-    return replace(g, structure=structure, gram=gram, basis=basis)

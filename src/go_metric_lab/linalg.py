@@ -1,9 +1,7 @@
-"""Small dense/sparse linear algebra over exact rationals and floats.
+"""Small dense/sparse linear algebra over exact rationals.
 
-Every routine is generic over the scalar backend: entries are either
-`fractions.Fraction` (exact mode, `tol=None`) or `float` (tolerance mode,
-`tol` a positive float).  Exact mode never rounds; float mode never compares
-against literal zero.
+Entries are `fractions.Fraction` (integers mix in freely); nothing rounds,
+and every zero test is a comparison with exact zero.
 
 Matrices are lists of row lists; vectors are plain lists.  Bilinear forms are
 passed as Gram matrices (usually diagonal, but nothing assumes it).
@@ -20,17 +18,6 @@ Mat = List[List]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def is_zero(x, tol: Optional[float] = None) -> bool:
-    """Zero test: exact for rationals, |x| <= tol for floats."""
-    if tol is None:
-        return x == 0
-    return abs(x) <= tol
-
-
-def frac(p, q=1) -> Fraction:
-    return Fraction(p, q)
 
 
 def zero_vec(n: int) -> Vec:
@@ -55,8 +42,8 @@ def vec_scale(c, x: Vec) -> Vec:
     return [c * a for a in x]
 
 
-def vec_is_zero(x: Vec, tol: Optional[float] = None) -> bool:
-    return all(is_zero(a, tol) for a in x)
+def vec_is_zero(x: Vec) -> bool:
+    return all(a == 0 for a in x)
 
 
 def dot(x: Vec, y: Vec):
@@ -119,24 +106,20 @@ def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def mat_is_zero(m: Mat, tol: Optional[float] = None) -> bool:
-    return all(vec_is_zero(row, tol) for row in m)
+def mat_is_zero(m: Mat) -> bool:
+    return all(vec_is_zero(row) for row in m)
 
 
-def mat_eq(a: Mat, b: Mat, tol: Optional[float] = None) -> bool:
-    return mat_is_zero(mat_sub(a, b), tol)
+def mat_eq(a: Mat, b: Mat) -> bool:
+    return mat_is_zero(mat_sub(a, b))
 
 
 # ---------------------------------------------------------------------------
 # dense row reduction
 # ---------------------------------------------------------------------------
 
-def rref(rows: Mat, tol: Optional[float] = None) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns).
-
-    Float mode picks the largest-magnitude pivot in each column and treats
-    entries within `tol` as zero.
-    """
+def rref(rows: Mat) -> Tuple[Mat, List[int]]:
+    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -146,19 +129,14 @@ def rref(rows: Mat, tol: Optional[float] = None) -> Tuple[Mat, List[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        if tol is None:
-            pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        else:
-            pr = max(range(r, nrows), key=lambda i: abs(m[i][c]))
-            if abs(m[pr][c]) <= tol:
-                pr = None
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
         m[r] = [x / piv for x in m[r]]
         for i in range(nrows):
-            if i != r and not is_zero(m[i][c], tol):
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -166,15 +144,14 @@ def rref(rows: Mat, tol: Optional[float] = None) -> Tuple[Mat, List[int]]:
     return m[:r] + [[ZERO] * ncols for _ in range(nrows - r)], pivots
 
 
-def nullspace(rows: Mat, ncols: Optional[int] = None,
-              tol: Optional[float] = None) -> List[Vec]:
+def nullspace(rows: Mat, ncols: Optional[int] = None) -> List[Vec]:
     """Basis of {x : rows @ x = 0}, one vector per free column."""
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty system")
         return identity(ncols)
     ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows, tol)
+    red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -187,13 +164,13 @@ def nullspace(rows: Mat, ncols: Optional[int] = None,
     return basis
 
 
-def solve_consistent(a: Mat, b: Vec, tol: Optional[float] = None) -> Optional[Vec]:
+def solve_consistent(a: Mat, b: Vec) -> Optional[Vec]:
     """One solution of a @ x = b (free variables set to 0), or None."""
     if not a:
         return []
     ncols = len(a[0])
     aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug, tol)
+    red, pivots = rref(aug)
     x = [ZERO] * ncols
     for r, pc in enumerate(pivots):
         if pc == ncols:
@@ -202,23 +179,20 @@ def solve_consistent(a: Mat, b: Vec, tol: Optional[float] = None) -> Optional[Ve
     return x
 
 
-def rank(rows: Mat, tol: Optional[float] = None) -> int:
-    return len(rref(rows, tol)[1])
+def rank(rows: Mat) -> int:
+    return len(rref(rows)[1])
 
 
-def span_contains(basis: List[Vec], v: Vec, tol: Optional[float] = None) -> bool:
-    if vec_is_zero(v, tol):
+def span_contains(basis: List[Vec], v: Vec) -> bool:
+    if vec_is_zero(v):
         return True
     if not basis:
         return False
-    a = transpose(basis)
-    return solve_consistent(a, v, tol) is not None
+    return solve_consistent(transpose(basis), v) is not None
 
 
-def same_span(basis_a: List[Vec], basis_b: List[Vec],
-              tol: Optional[float] = None) -> bool:
-    return (len(rref(basis_a, tol)[1]) == len(rref(basis_b, tol)[1])
-            == len(rref(basis_a + basis_b, tol)[1]))
+def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
+    return rank(basis_a) == rank(basis_b) == rank(basis_a + basis_b)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +254,11 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
 # least squares w.r.t. a Gram matrix
 # ---------------------------------------------------------------------------
 
-def least_squares(columns: List[Vec], rhs: Vec, gram: Mat,
-                  tol: Optional[float] = None) -> Tuple[Vec, object]:
+def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fraction]:
     """Minimize ||sum_j x_j col_j - rhs||^2 in the `gram` inner product.
 
     Returns (x, residual_norm_sq).  The normal equations are always
-    consistent; free directions are set to zero.  Exact in rational mode.
+    consistent; free directions are set to zero.
     """
     p = len(columns)
     if p == 0:
@@ -293,12 +266,12 @@ def least_squares(columns: List[Vec], rhs: Vec, gram: Mat,
     normal = [[gram_dot(gram, columns[i], columns[j]) for j in range(p)]
               for i in range(p)]
     b = [gram_dot(gram, columns[i], rhs) for i in range(p)]
-    x = solve_consistent(normal, b, tol)
+    x = solve_consistent(normal, b)
     if x is None:
         raise ArithmeticError("normal equations inconsistent")
     fit = zero_vec(len(rhs))
     for xj, col in zip(x, columns):
-        if not is_zero(xj, None if tol is None else 0.0):
+        if xj != 0:
             fit = vec_add(fit, vec_scale(xj, col))
     res = vec_sub(rhs, fit)
     return x, gram_dot(gram, res, res)
@@ -308,8 +281,7 @@ def least_squares(columns: List[Vec], rhs: Vec, gram: Mat,
 # Gram-Schmidt without normalization (keeps rational entries rational)
 # ---------------------------------------------------------------------------
 
-def gram_schmidt(vectors: List[Vec], gram: Mat,
-                 tol: Optional[float] = None) -> List[Vec]:
+def gram_schmidt(vectors: List[Vec], gram: Mat) -> List[Vec]:
     """B-orthogonalize, dropping dependent vectors; no normalization."""
     basis: List[Vec] = []
     norms: List = []
@@ -317,9 +289,9 @@ def gram_schmidt(vectors: List[Vec], gram: Mat,
         w = list(v)
         for u, nu in zip(basis, norms):
             c = gram_dot(gram, w, u) / nu
-            if not is_zero(c, tol):
+            if c != 0:
                 w = vec_sub(w, vec_scale(c, u))
-        if not vec_is_zero(w, tol):
+        if not vec_is_zero(w):
             basis.append(w)
             norms.append(gram_dot(gram, w, w))
     return basis
@@ -329,19 +301,14 @@ def gram_schmidt(vectors: List[Vec], gram: Mat,
 # positive definiteness (Sylvester, fraction-free)
 # ---------------------------------------------------------------------------
 
-def sym_positive_definite(m: Mat, tol: Optional[float] = None) -> bool:
+def sym_positive_definite(m: Mat) -> bool:
     """Positive definiteness of a symmetric matrix.
 
-    Exact mode checks all leading principal minors via Bareiss pivots; float
-    mode checks the smallest eigenvalue of the symmetrized matrix.
+    Checks all leading principal minors via Bareiss pivots.
     """
     n = len(m)
     if n == 0:
         return True
-    if tol is not None:
-        import numpy as np
-        arr = np.array([[float(x) for x in row] for row in m])
-        return bool(np.linalg.eigvalsh((arr + arr.T) / 2).min() > tol)
     a = [[Fraction(x) for x in row] for row in m]
     prev = ONE
     for k in range(n):

@@ -37,47 +37,49 @@ class MetricEndomorphism:
         return len(self.matrix)
 
 
-def _pd_check(matrix: Mat, gram: Mat, tol: Optional[float] = None) -> bool:
+def _pd_check(matrix: Mat, gram: Mat) -> bool:
     # bilinear form of the metric: G A must be symmetric positive definite
     ga = linalg.mat_mul(gram, matrix)
-    sym_defect = linalg.mat_sub(ga, linalg.transpose(ga))
-    if not linalg.mat_is_zero(sym_defect, tol):
+    if not linalg.mat_eq(ga, linalg.transpose(ga)):
         return False
-    return linalg.sym_positive_definite(ga, tol)
+    return linalg.sym_positive_definite(ga)
 
 
-def from_parameters(decomp: IsotypicalDecomposition, params: Sequence,
-                    tol: Optional[float] = None) -> MetricEndomorphism:
-    """A = sum params_j * S_j over the symmetric commutant basis."""
+def from_parameters(decomp: IsotypicalDecomposition,
+                    params: Sequence) -> MetricEndomorphism:
+    """A = sum params_j * S_j over the symmetric commutant basis.
+
+    Parameters are converted to Fractions first (a float converts to its
+    exact binary value), so the matrix is always rational.
+    """
     basis = decomp.sym_commutant_basis()
     if len(params) != len(basis):
         raise ValueError(
             f"expected {len(basis)} parameters, got {len(params)}")
+    params = [Fraction(p) for p in params]
     d = decomp.dim
     a = linalg.zeros(d, d)
     for p, s in zip(params, basis):
-        if not linalg.is_zero(p, tol):
+        if p != 0:
             a = linalg.mat_add(a, linalg.mat_scale(p, s))
-    return MetricEndomorphism(
-        decomp=decomp, matrix=a, params=[Fraction(p) if tol is None else p
-                                         for p in params],
-        is_pd=_pd_check(a, decomp.action.gram, tol))
+    return MetricEndomorphism(decomp=decomp, matrix=a, params=params,
+                              is_pd=_pd_check(a, decomp.action.gram))
 
 
-def from_matrix(decomp: IsotypicalDecomposition, matrix: Mat,
-                tol: Optional[float] = None) -> MetricEndomorphism:
+def from_matrix(decomp: IsotypicalDecomposition,
+                matrix: Mat) -> MetricEndomorphism:
     """Wrap an explicit matrix, solving for its commutant coordinates."""
     basis = decomp.sym_commutant_basis()
     d = decomp.dim
     cols = [[s[i][j] for s in basis] for i in range(d) for j in range(d)]
     rhs = [matrix[i][j] for i in range(d) for j in range(d)]
-    params = linalg.solve_consistent(cols, rhs, tol)
+    params = linalg.solve_consistent(cols, rhs)
     if params is None:
         raise NotEquivariantError(
             "matrix is not a symmetric equivariant endomorphism")
     return MetricEndomorphism(decomp=decomp, matrix=[list(r) for r in matrix],
                               params=params,
-                              is_pd=_pd_check(matrix, decomp.action.gram, tol))
+                              is_pd=_pd_check(matrix, decomp.action.gram))
 
 
 def identity_metric(decomp: IsotypicalDecomposition) -> MetricEndomorphism:
@@ -88,54 +90,59 @@ def identity_metric(decomp: IsotypicalDecomposition) -> MetricEndomorphism:
 # eigenstructure
 # ---------------------------------------------------------------------------
 
-def eigenstructure(a: MetricEndomorphism, tol: Optional[float] = None
-                   ) -> List[Tuple[object, Subspace]]:
+def eigenstructure(a: MetricEndomorphism) -> List[Tuple[object, Subspace]]:
     """B-orthogonal eigenspace decomposition of A on m.
 
-    Exact when the spectrum is rational (certified); otherwise falls back
-    to floating point.  Eigenspaces are verified invariant under the
-    isotropy action.
+    Exact when the spectrum is rational (certified).  An irrational spectrum
+    falls back to floating point (see `_float_eigenstructure`).  Eigenspaces
+    are verified invariant under the isotropy action either way.
     """
     gram = a.decomp.action.gram
-    d = a.dim
-    norms = [gram[i][i] for i in range(d)]
-    out: List[Tuple[object, Subspace]] = []
-    check_tol = tol
-    if tol is None:
-        split = linalg.eigen_split(a.matrix, isotropy._float_hints(a.matrix, norms))
-        if split is not None:
-            for lam, basis in split:
-                out.append((lam, isotropy.make_subspace(basis, gram)))
-    if not out:
-        # irrational spectrum (or float mode): numpy clustering
-        import numpy as np
-        ftol = tol if tol is not None else 1e-9
-        check_tol = ftol
-        scale = np.array([float(nu) ** 0.5 for nu in norms])
-        arr = np.array([[float(x) for x in row] for row in a.matrix])
-        sym = arr * scale[:, None] / scale[None, :]
-        evals, evecs = np.linalg.eigh((sym + sym.T) / 2)
-        clusters: List[List[int]] = []
-        for i, lam in enumerate(evals):
-            if clusters and abs(lam - evals[clusters[-1][0]]) <= 1e-7 * max(1.0, abs(lam)):
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        fgram = [[float(x) for x in row] for row in gram]
-        for cl in clusters:
-            basis = [[float(evecs[j, i]) / scale[j] for j in range(d)] for i in cl]
-            out.append((float(evals[cl[0]]),
-                        isotropy.make_subspace(basis, fgram, ftol)))
-        gram = fgram
-        float_ops = [[[float(x) for x in row] for row in op]
-                     for op in a.decomp.action.ad_ops]
-        ops = float_ops
-    else:
-        ops = a.decomp.action.ad_ops
+    norms = [gram[i][i] for i in range(a.dim)]
+    split = linalg.eigen_split(a.matrix, isotropy._float_hints(a.matrix, norms))
+    if split is None:
+        return _float_eigenstructure(a.matrix, norms, a.decomp.action.ad_ops)
+    out = [(lam, isotropy.make_subspace(basis, gram)) for lam, basis in split]
     for _, space in out:
-        for op in ops:
-            if isotropy.restrict_op(op, space, gram, check_tol) is None:
+        for op in a.decomp.action.ad_ops:
+            if isotropy.restrict_op(op, space, gram) is None:
                 raise ArithmeticError("eigenspace is not isotropy invariant")
+    return out
+
+
+def _float_eigenstructure(matrix: Mat, norms: List[Fraction], ops: List[Mat]
+                          ) -> List[Tuple[float, Subspace]]:
+    """numpy eigenspaces of A for a diagonal Gram matrix with these norms.
+
+    Eigenvectors come B-orthonormal from `eigh` of the symmetrized matrix;
+    eigenvalues within a relative `tol` share one eigenspace, and an
+    eigenspace moved by an isotropy operator by more than `tol` (relative
+    to the operator) raises.
+    """
+    import numpy as np
+    tol = 1e-7
+    scale = np.sqrt(np.array(norms, dtype=float))
+    sym = np.array(matrix, dtype=float) * scale[:, None] / scale[None, :]
+    evals, evecs = np.linalg.eigh((sym + sym.T) / 2)
+    vecs = evecs / scale[:, None]          # columns are B-orthonormal
+    clusters: List[List[int]] = []
+    for i, lam in enumerate(evals):
+        if clusters and abs(lam - evals[clusters[-1][0]]) <= tol * max(1.0, abs(lam)):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    fops = [np.array(op, dtype=float) for op in ops]
+    out = []
+    for cl in clusters:
+        v = vecs[:, cl]
+        for op in fops:
+            w = op @ v
+            resid = w - v @ (v.T @ (scale[:, None] ** 2 * w))
+            if np.abs(resid).max() > tol * max(1.0, np.abs(op).max()):
+                raise ArithmeticError("eigenspace is not isotropy invariant")
+        out.append((float(evals[cl[0]]), Subspace(
+            basis=[[float(x) for x in v[:, j]] for j in range(len(cl))],
+            norms=[1.0] * len(cl))))
     return out
 
 
@@ -143,26 +150,24 @@ def eigenstructure(a: MetricEndomorphism, tol: Optional[float] = None
 # normalizer equivariance (necessary condition for the GO property)
 # ---------------------------------------------------------------------------
 
-def normalizer_ops(decomp: IsotypicalDecomposition,
-                   tol: Optional[float] = None) -> List[Mat]:
+def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Mat]:
     """ad(Z)|_m for Z over a basis of h (+) S0, the normalizer algebra."""
     action = decomp.action
     ops = list(action.ad_ops)
     for z_m in decomp.s0.space.basis:
-        ops.append(isotropy.ad_on_m(action.split, action.split.m_to_g(z_m), tol))
+        ops.append(isotropy.ad_on_m(action.split, action.split.m_to_g(z_m)))
     return ops
 
 
 def check_normalizer_equivariance(a: MetricEndomorphism,
-                                  ops: Optional[List[Mat]] = None,
-                                  tol: Optional[float] = None) -> bool:
+                                  ops: Optional[List[Mat]] = None) -> bool:
     """True iff A commutes with the normalizer action on m."""
     if ops is None:
-        ops = normalizer_ops(a.decomp, tol)
+        ops = normalizer_ops(a.decomp)
     for op in ops:
         comm = linalg.mat_sub(linalg.mat_mul(a.matrix, op),
                               linalg.mat_mul(op, a.matrix))
-        if not linalg.mat_is_zero(comm, tol):
+        if not linalg.mat_is_zero(comm):
             return False
     return True
 
@@ -360,27 +365,26 @@ def family_basis_ops(family: MetricFamily) -> List[Mat]:
     return ops
 
 
-def instantiate(family: MetricFamily, values: Sequence,
-                tol: Optional[float] = None) -> MetricEndomorphism:
+def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
     ops = family_basis_ops(family)
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
     dim = family.decomp.dim
     a = linalg.zeros(dim, dim)
     for v, op in zip(values, ops):
-        if not linalg.is_zero(v, tol):
+        if v != 0:
             a = linalg.mat_add(a, linalg.mat_scale(v, op))
-    return from_matrix(family.decomp, a, tol)
+    return from_matrix(family.decomp, a)
 
 
-def coords_in_family(family: MetricFamily, a: MetricEndomorphism,
-                     tol: Optional[float] = None) -> Optional[Vec]:
+def coords_in_family(family: MetricFamily,
+                     a: MetricEndomorphism) -> Optional[Vec]:
     """Parameter values reproducing A, or None when A is outside the family."""
     ops = family_basis_ops(family)
     dim = family.decomp.dim
     cols = [[op[i][j] for op in ops] for i in range(dim) for j in range(dim)]
     rhs = [a.matrix[i][j] for i in range(dim) for j in range(dim)]
-    return linalg.solve_consistent(cols, rhs, tol)
+    return linalg.solve_consistent(cols, rhs)
 
 
 def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
@@ -416,37 +420,34 @@ def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
 # serialization and the block view
 # ---------------------------------------------------------------------------
 
-def block_view(a: MetricEndomorphism, tol: Optional[float] = None) -> List[dict]:
+def block_view(a: MetricEndomorphism) -> List[dict]:
     """Per-summand restriction of A: scalar where scalar, else the matrix."""
     gram = a.decomp.action.gram
     out = []
     for summand in a.decomp.summands:
-        r = isotropy.restrict_op(a.matrix, summand.space, gram, tol)
+        r = isotropy.restrict_op(a.matrix, summand.space, gram)
         if r is None:
             raise ArithmeticError("metric does not preserve a summand")
         d = summand.dim
         lam = r[0][0]
-        scalar = all(
-            linalg.is_zero(r[i][j] - (lam if i == j else ZERO), tol)
-            for i in range(d) for j in range(d))
+        scalar = all(r[i][j] == (lam if i == j else ZERO)
+                     for i in range(d) for j in range(d))
         entry = {"summand": summand.class_id, "dim": d}
         if scalar:
-            entry["scalar"] = linalg.frac_to_str(lam) if tol is None else float(lam)
+            entry["scalar"] = linalg.frac_to_str(lam)
         else:
-            entry["matrix"] = [[linalg.frac_to_str(x) if tol is None else float(x)
-                                for x in row] for row in r]
+            entry["matrix"] = [[linalg.frac_to_str(x) for x in row] for row in r]
         out.append(entry)
     return out
 
 
-def metric_to_json_dict(a: MetricEndomorphism, tol: Optional[float] = None) -> dict:
-    params = [linalg.frac_to_str(p) if tol is None else float(p)
-              for p in a.params]
-    return {"params": params, "blocks": block_view(a, tol), "pd": a.is_pd}
+def metric_to_json_dict(a: MetricEndomorphism) -> dict:
+    params = [linalg.frac_to_str(p) for p in a.params]
+    return {"params": params, "blocks": block_view(a), "pd": a.is_pd}
 
 
-def metric_from_json_dict(decomp: IsotypicalDecomposition, data: dict,
-                          tol: Optional[float] = None) -> MetricEndomorphism:
+def metric_from_json_dict(decomp: IsotypicalDecomposition,
+                          data: dict) -> MetricEndomorphism:
     params = [linalg.frac_from_str(p) if isinstance(p, str) else p
               for p in data["params"]]
-    return from_parameters(decomp, params, tol)
+    return from_parameters(decomp, params)

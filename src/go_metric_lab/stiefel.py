@@ -135,17 +135,12 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
 # the S1 rotation and the deformation family
 # ---------------------------------------------------------------------------
 
-def s1_projection(space: StiefelSpace, x_m: Vec) -> Vec:
-    return space.s1.space.project(x_m, space.split.gram_m)
-
-
-def tilde_map(space: StiefelSpace, x_m: Vec,
-              tol: Optional[float] = None) -> Vec:
+def tilde_map(space: StiefelSpace, x_m: Vec) -> Vec:
     """(a, b) -> (b, -a) on each (e_ij, eb_ij) coordinate pair of S1."""
     if len(x_m) != space.dim_m:
         raise lie_core.DimensionMismatchError(
             f"expected m-coordinates of length {space.dim_m}")
-    if space.s1.space.coords_of(x_m, space.split.gram_m, tol) is None:
+    if space.s1.space.coords_of(x_m, space.split.gram_m) is None:
         raise ValueError("vector is not in S1")
     out = linalg.zero_vec(space.dim_m)
     for ei, bi in space.s1_pairs:
@@ -180,17 +175,6 @@ def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
         return linalg.vec_scale(r * (1 - t), space.a_dir_h)
 
     return a_of
-
-
-@dataclass
-class StiefelGOFamily:
-    space: StiefelSpace
-
-    def metric(self, t) -> MetricEndomorphism:
-        return metric_at(self.space, t)
-
-    def witness(self, x_m: Vec, t) -> Vec:
-        return witness_map(self.space, t)(x_m)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +360,7 @@ def uniqueness_scan(space: StiefelSpace,
                                    random_count=offdiagonal_samples,
                                    seed=spec.seed,
                                    survivor_random_probes=spec.survivor_random_probes,
-                                   jobs=spec.jobs, prescreen=spec.prescreen)
+                                   jobs=spec.jobs)
         off_result = go_mod.search_go(space.decomp, full, off_spec,
                                       include_grid=False)
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from go_metric_lab import cli
 
 
@@ -165,6 +167,32 @@ def test_space_file_with_non_subalgebra_exits_2(tmp_path, capsys):
     assert "bad space file" in capsys.readouterr().err
 
 
+def test_space_file_with_broken_jacobi_exits_2(tmp_path, capsys):
+    # the antisymmetric mutation of test_validate_detects_broken_jacobi
+    import dataclasses
+    from go_metric_lab import lie_core
+    g = lie_core.build_un(2)
+    tampered = {k: dict(v) for k, v in g.structure.items()}
+    key = next(k for k in tampered if k[0] < k[1])
+    tampered[key] = {k: c + 2 for k, c in tampered[key].items()}
+    tampered[(key[1], key[0])] = {k: -c for k, c in tampered[key].items()}
+    bad = dataclasses.replace(g, structure=tampered, basis=None)
+    payload = {"algebra": lie_core.to_json_dict(bad),
+               "h_basis": [["0/1", "0/1", "0/1", "1/1"]]}   # eb_22
+    path = tmp_path / "bad_algebra.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad space file" in err and "algebra fails the jacobi check" in err
+
+
+def test_space_file_with_wrong_json_types_exits_2(tmp_path, capsys):
+    path = tmp_path / "list_algebra.json"
+    path.write_text(json.dumps({"algebra": [1, 2], "h_basis": []}))
+    assert run_cli(["decompose", str(path)]) == 2
+    assert "bad space file" in capsys.readouterr().err
+
+
 def test_same_seed_reports_identical(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -174,3 +202,57 @@ def test_same_seed_reports_identical(tmp_path):
                         "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "float"],
+    ["--tol", "1e-9"],
+    ["--jobs", "0"],
+    ["--jobs", "-3"],
+])
+def test_rejected_flags_exit_2(args, capsys):
+    assert run_cli(["decompose", "stiefel", "2", "1", *args]) == 2
+
+
+def test_mode_exact_still_accepted(tmp_path):
+    out = tmp_path / "dec.json"
+    assert run_cli(["decompose", "stiefel", "2", "1", "--mode", "exact",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == "exact"
+
+
+def _reproduce_script_main(argv):
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "reproduce_stiefel.py"
+    spec = importlib.util.spec_from_file_location("reproduce_stiefel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda argv: run_cli(["reproduce-theorem", *argv]),
+    _reproduce_script_main,
+], ids=["cli", "script"])
+@pytest.mark.parametrize("off_survivors,code", [(0, 0), (1, 1)])
+def test_reproduce_exit_code_counts_offdiagonal_survivors(
+        entry, off_survivors, code, tmp_path, monkeypatch):
+    from go_metric_lab import stiefel
+
+    def fake_report(n, k, **kwargs):
+        return {
+            "space": {"n": n, "k": k},
+            "seed": 0,
+            "family_identities": {"center_rotates_s1": True},
+            "family_certificates": {"1": {"verdict": "verified-on-family"}},
+            "uniqueness": {
+                "grid": {"n_survivors": 4, "survivors_all_in_family": True},
+                "off_diagonal": {"n_survivors": off_survivors},
+            },
+        }
+
+    monkeypatch.setattr(stiefel, "reproduce_report", fake_report)
+    out = tmp_path / "rep.json"
+    assert entry(["3", "2", "--out", str(out)]) == code
+    assert json.loads(out.read_text())["mode"] == "exact"

@@ -175,15 +175,6 @@ def test_simple_ideal_is_nonabelian_ideal(space):
     assert nonzero
 
 
-def test_float_mode_agrees_on_dimensions(space):
-    sp = space(3, 2)
-    dec_f = decompose_isotypic(sp.action, tol=1e-9)
-    assert dec_f.s0.dim == 4
-    dims = sorted(m.dim for s in dec_f.summands if s is not dec_f.s0
-                  for m in s.members)
-    assert dims == [2, 2]
-
-
 def test_decomposition_report_shape(space):
     sp = space(4, 2)
     report = isotropy.decomposition_report(sp.decomp)
@@ -228,16 +219,6 @@ def test_torus_isotropy_has_empty_trivial_summand(un):
     dec = decompose_isotypic(act)
     assert dec.s0.dim == 0
     assert [ [m.dim for m in s.members] for s in dec.nontrivial_summands()] == [[2]]
-
-
-def test_float_mode_larger_instance(space):
-    sp = space(4, 2)
-    dec_f = decompose_isotypic(sp.action, tol=1e-9)
-    assert dec_f.s0.dim == 4
-    dims = sorted(m.dim for s in dec_f.summands if s is not dec_f.s0
-                  for m in s.members)
-    assert dims == [4, 4]
-    assert len(dec_f.sym_commutant_basis()) == 14
 
 
 def test_commutant_dimension_matches_block_count_formula(space):

@@ -288,22 +288,3 @@ def test_json_round_trip(un):
     # labels follow the documented 1-based pattern
     assert all(l.startswith(("e_", "eb_")) for l in data["basis_labels"])
 
-
-def test_float_backend_agrees_with_exact(un):
-    g = un(3)
-    gf = lie_core.algebra_to_float(g)
-    rng = random.Random(11)
-    for _ in range(20):
-        x = lie_core.random_vector(g, rng)
-        y = lie_core.random_vector(g, rng)
-        exact = bracket(g, x, y)
-        approx = bracket(gf, [float(c) for c in x], [float(c) for c in y])
-        assert max(abs(float(e) - a) for e, a in zip(exact, approx)) < 1e-12
-        assert abs(float(inner(g, x, y))
-                   - inner(gf, [float(c) for c in x], [float(c) for c in y])) < 1e-12
-
-
-def test_validate_float_mode(un):
-    gf = lie_core.algebra_to_float(un(2))
-    report = validate_algebra(gf, tol=1e-9)
-    assert report.ok

@@ -89,9 +89,7 @@ def test_sym_positive_definite():
     assert linalg.sym_positive_definite(frac_matrix([[2, 1], [1, 2]]))
     assert not linalg.sym_positive_definite(frac_matrix([[1, 2], [2, 1]]))
     assert not linalg.sym_positive_definite(frac_matrix([[0, 0], [0, 1]]))
-    assert linalg.sym_positive_definite([], None)
-    # float route
-    assert linalg.sym_positive_definite([[2.0, 1.0], [1.0, 2.0]], tol=1e-9)
+    assert linalg.sym_positive_definite([])
 
 
 def test_minimal_polynomial_diagonal():

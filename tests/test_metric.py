@@ -159,6 +159,17 @@ def test_metric_json_round_trip(space):
     assert back.matrix == a.matrix
 
 
+def test_metric_json_numbers_build_a_rational_matrix(space):
+    # JSON numbers convert to their exact binary value before any arithmetic
+    sp = space(3, 1)
+    a = stiefel.metric_at(sp, Fraction(1, 2))
+    data = metric.metric_to_json_dict(a)
+    data["params"] = [float(Fraction(p)) for p in data["params"]]
+    back = metric.metric_from_json_dict(sp.decomp, data)
+    assert back.matrix == a.matrix
+    assert all(isinstance(x, Fraction) for row in back.matrix for x in row)
+
+
 def test_eigenstructure_on_three_dim_m(space):
     # diag(1, 1, 2) on the 3-dim tangent space of (2,1)
     sp = space(2, 1)
@@ -188,3 +199,17 @@ def test_eigenstructure_float_fallback_for_irrational_spectrum(space):
     dims = sorted(spc.dim for _, spc in eig)
     assert sum(dims) == sp.dim_m
     assert all(isinstance(lam, float) for lam, _ in eig)
+
+
+def test_eigenstructure_float_fallback_checks_isotropy_invariance(space):
+    # a non-equivariant A with eigenvalues 1, (3 +/- sqrt 5)/2: the
+    # irrational eigenlines sit inside one rotated (e_13, eb_13) plane of S1
+    sp = space(3, 2)
+    e, eb = sp.s1_pairs[0]
+    amat = linalg.identity(sp.dim_m)
+    amat[e][eb] = amat[eb][e] = Fraction(1)
+    amat[eb][eb] = Fraction(2)
+    a = metric.MetricEndomorphism(decomp=sp.decomp, matrix=amat, params=None,
+                                  is_pd=True)
+    with pytest.raises(ArithmeticError, match="not isotropy invariant"):
+        eigenstructure(a)
