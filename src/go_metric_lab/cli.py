@@ -12,14 +12,18 @@ serialized algebra plus an h-basis.  Exit codes: 0 pass/verified, 1
 falsified, 2 input error.  Reports are deterministic functions of the
 inputs and the seed; GO_METRIC_LAB_SEED supplies a fallback seed.  All
 arithmetic is exact: `--mode` accepts only "exact" and reports say so.
+`--verbose` prints one "stage NAME: SECONDS s" line per stage to stderr
+and leaves the report untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -57,6 +61,16 @@ def _positive_int(text: str) -> int:
 def _config_from_args(args) -> RunConfig:
     return RunConfig(seed=args.seed, out=args.out, jobs=args.jobs,
                      verbose=args.verbose)
+
+
+@contextlib.contextmanager
+def _stage(cfg: RunConfig, name: str):
+    """Time one stage; under --verbose, report it on stderr."""
+    start = time.perf_counter()
+    yield
+    if cfg.verbose:
+        print(f"stage {name}: {time.perf_counter() - start:.3f} s",
+              file=sys.stderr)
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
@@ -114,8 +128,10 @@ def _load_space(spec_args: List[str], cfg: RunConfig):
 
 def cmd_decompose(args) -> int:
     cfg = _config_from_args(args)
-    dec, _ = _load_space(args.space, cfg)
-    report = isotropy.decomposition_report(dec)
+    with _stage(cfg, "build"):
+        dec, _ = _load_space(args.space, cfg)
+    with _stage(cfg, "report"):
+        report = isotropy.decomposition_report(dec)
     report["mode"] = MODE
     _emit(cfg, report)
     return EXIT_PASS
@@ -123,7 +139,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_check_go(args) -> int:
     cfg = _config_from_args(args)
-    dec, space = _load_space(args.space, cfg)
+    with _stage(cfg, "build"):
+        dec, space = _load_space(args.space, cfg)
 
     witness = None
     if args.family_t is not None:
@@ -155,8 +172,9 @@ def cmd_check_go(args) -> int:
     strategy = args.strategy
     if strategy == "family" and witness is None:
         raise InputError("family strategy needs --family-t")
-    cert = go_mod.go_check(a, strategy=strategy, count=args.count,
-                           seed=cfg.seed, witness_map=witness)
+    with _stage(cfg, "check"):
+        cert = go_mod.go_check(a, strategy=strategy, count=args.count,
+                               seed=cfg.seed, witness_map=witness)
     payload = go_mod.certificate_to_json_dict(cert)
     payload["normalizer_equivariant"] = metric_mod.check_normalizer_equivariance(a)
     payload["mode"] = MODE
@@ -170,7 +188,8 @@ def cmd_reproduce_theorem(args) -> int:
         report = stiefel.reproduce_report(
             args.n, args.k, resolution=Fraction(args.resolution),
             seed=cfg.seed, jobs=cfg.jobs,
-            offdiagonal_samples=args.offdiagonal_samples)
+            offdiagonal_samples=args.offdiagonal_samples,
+            stage=lambda name: _stage(cfg, name))
     except lie_core.InvalidDimensionError as exc:
         raise InputError(str(exc)) from exc
     report["mode"] = MODE
@@ -193,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the JSON report here instead of stdout")
     common.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for scans (at most the CPU count)")
-    common.add_argument("--verbose", action="store_true")
+    common.add_argument("--verbose", action="store_true",
+                        help="print stage timings to stderr")
 
     parser = argparse.ArgumentParser(
         prog="go-metric-lab",

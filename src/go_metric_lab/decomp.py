@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import List
+from functools import cached_property
+from typing import List, Tuple
 
 from . import lie_core, linalg
 from .lie_core import MatrixLieAlgebra
-from .linalg import Mat, Vec
+from .linalg import Mat, Sparse, Vec, ZERO
 
 
 class NotSubalgebraError(ValueError):
@@ -68,6 +69,34 @@ def diagonal_u_nk(g: MatrixLieAlgebra, k: int) -> Subalgebra:
 
 
 @dataclass
+class BracketTable:
+    """[m_a, m_b] for every pair of m-basis vectors, split along g = h (+) m.
+
+    `m[a][b]` holds the m-coordinates of the bracket and `h[a][b]` its
+    h-component in g-coordinates, both sparse; each is empty when that
+    part vanishes.  Everything bilinear on m then contracts against these
+    tables instead of bracketing in g.
+    """
+
+    m: List[List[Sparse]]
+    h: List[List[Sparse]]
+
+    def bracket(self, x: Sparse, y: Sparse) -> Tuple[Sparse, Sparse]:
+        """[X, Y] for sparse m-coordinates: (m-coordinates, h-component)."""
+        acc_m: dict = {}
+        acc_h: dict = {}
+        for a, xa in x:
+            row_m, row_h = self.m[a], self.h[a]
+            for b, yb in y:
+                f = xa * yb
+                for k, c in row_m[b]:
+                    acc_m[k] = acc_m.get(k, ZERO) + f * c
+                for k, c in row_h[b]:
+                    acc_h[k] = acc_h.get(k, ZERO) + f * c
+        return linalg.sparse_from(acc_m), linalg.sparse_from(acc_h)
+
+
+@dataclass
 class ReductiveSplit:
     """g = h (+) m with exact B-orthogonal projection matrices."""
 
@@ -83,18 +112,43 @@ class ReductiveSplit:
     def dim_m(self) -> int:
         return len(self.m_basis)
 
-    def coords_in_m(self, x: Vec) -> Vec:
-        """Coordinates over the m basis; requires x in m (exact)."""
+    @cached_property
+    def norms_m(self) -> Vec:
+        """Diagonal of the (B-orthogonal) m-basis Gram matrix."""
+        return [self.gram_m[j][j] for j in range(self.dim_m)]
+
+    def _m_part(self, x: Vec) -> Tuple[Vec, Vec]:
+        """(coordinates of the m-component of x, the h-component of x)."""
         g = self.algebra
-        coords = [lie_core.inner(g, x, b) / self.gram_m[j][j]
-                  for j, b in enumerate(self.m_basis)]
+        coords = [lie_core.inner(g, x, b) / nu
+                  for b, nu in zip(self.m_basis, self.norms_m)]
         resid = list(x)
         for c, b in zip(coords, self.m_basis):
             if c != 0:
                 resid = linalg.vec_sub(resid, linalg.vec_scale(c, b))
+        return coords, resid
+
+    def coords_in_m(self, x: Vec) -> Vec:
+        """Coordinates over the m basis; requires x in m (exact)."""
+        coords, resid = self._m_part(x)
         if not linalg.vec_is_zero(resid):
             raise ValueError("vector is not in m")
         return coords
+
+    @cached_property
+    def bracket_table(self) -> BracketTable:
+        """The m x m bracket table, built on first use and kept."""
+        dim = self.dim_m
+        table = BracketTable(m=[[[] for _ in range(dim)] for _ in range(dim)],
+                             h=[[[] for _ in range(dim)] for _ in range(dim)])
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                coords, resid = self._m_part(lie_core.bracket(
+                    self.algebra, self.m_basis[a], self.m_basis[b]))
+                for part, vec in ((table.m, coords), (table.h, resid)):
+                    part[a][b] = linalg.sparse(vec)
+                    part[b][a] = [(k, -c) for k, c in part[a][b]]
+        return table
 
     def m_to_g(self, mcoords: Vec) -> Vec:
         out = linalg.zero_vec(self.algebra.dim)

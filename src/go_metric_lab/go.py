@@ -59,32 +59,39 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     Returns (a over the h basis, squared residual).  Also asserts the
     structural fact that [X, AX] has no h-component.
     """
-    split = a_metric.decomp.action.split
-    g = split.algebra
-    x_m = as_m_coords(split, x)
-    ax_m = linalg.mat_vec(a_metric.matrix, x_m)
-    x_g = split.m_to_g(x_m)
-    ax_g = split.m_to_g(ax_m)
-    c_g = lie_core.bracket(g, x_g, ax_g)
-    if not linalg.vec_is_zero(linalg.mat_vec(split.proj_h, c_g)):
+    action = a_metric.decomp.action
+    split = action.split
+    dim = split.dim_m
+    xs = linalg.sparse(as_m_coords(split, x))
+    ax = linalg.sparse_mat_vec(linalg.sparse_columns(a_metric.matrix), xs)
+    c_m, c_h = split.bracket_table.bracket(xs, ax)
+    if c_h:
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
-    c_m = split.coords_in_m(c_g)
-    cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g))
-            for hv in split.h.basis_coords]
-    rhs = [-c for c in c_m]
+    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)
+            for ad in action.ad_columns]
+    rhs = linalg.dense([(i, -c) for i, c in c_m], dim)
     return linalg.least_squares(cols, rhs, split.gram_m)
 
 
 def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
     """Squared residual ||[a + X, AX]||_B^2 for a supplied witness a."""
-    split = a_metric.decomp.action.split
-    g = split.algebra
-    x_m = as_m_coords(split, x)
-    ax_g = split.m_to_g(linalg.mat_vec(a_metric.matrix, x_m))
-    lhs = lie_core.bracket(
-        g, linalg.vec_add(split.h_to_g(a_h), split.m_to_g(x_m)), ax_g)
-    return lie_core.inner(g, lhs, lhs)
+    action = a_metric.decomp.action
+    split = action.split
+    xs = linalg.sparse(as_m_coords(split, x))
+    ax = linalg.sparse_mat_vec(linalg.sparse_columns(a_metric.matrix), xs)
+    c_m, c_h = split.bracket_table.bracket(xs, ax)
+    lhs = linalg.dense(c_m, split.dim_m)
+    for a_i, ad in zip(a_h, action.ad_columns):
+        if a_i != 0:
+            for k, c in linalg.sparse_mat_vec(ad, ax):
+                lhs[k] += a_i * c
+    # h and m are B-orthogonal, so the two parts add in the norm
+    res = sum((c * c * nu for c, nu in zip(lhs, split.norms_m)), ZERO)
+    if c_h:
+        h_g = linalg.dense(c_h, split.algebra.dim)
+        res += lie_core.inner(split.algebra, h_g, h_g)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -624,35 +631,37 @@ class _ScanTensors:
     family parameters, so per probe X everything reduces to tensors
     contracted against the parameter vector: exact contractions confirm a
     single flagged probe cheaply, float contractions screen all points at
-    once.  Containment of every bracket in m is verified exactly when the
-    tensors are built, and carries over each contraction by linearity.
+    once.  The tensors are read off the split's m x m bracket table and the
+    isotropy action.  Containment of every [X, Op_c X] in m (a zero
+    h-component) is verified exactly here, and carries over each
+    contraction by linearity.
     """
 
     def __init__(self, family: MetricFamily, ops: List[Mat],
                  probes: List[Vec]):
-        split = family.decomp.action.split
-        g = split.algebra
-        dim = family.decomp.dim
+        action = family.decomp.action
+        split = action.split
+        table = split.bracket_table
         self.gram_m = split.gram_m
-        self.norms = [split.gram_m[i][i] for i in range(dim)]
+        self.norms = split.norms_m
         self.nh = split.h.dim
         self.probes = probes
+        self.op_columns = [linalg.sparse_columns(op) for op in ops]
         # sparse rows: probe -> param -> [(index, value)] of [X, Op_c X]_m
         self.bx: List[List[List[Tuple[int, Fraction]]]] = []
         self.hx: List[List[List[List[Tuple[int, Fraction]]]]] = []
         for x in probes:
-            ox = [linalg.mat_vec(op, x) for op in ops]
-            ox_g = [split.m_to_g(o) for o in ox]
-            x_g = split.m_to_g(x)
-
-            def sparse(vec: Vec) -> List[Tuple[int, Fraction]]:
-                return [(i, c) for i, c in enumerate(vec) if c != 0]
-
-            self.bx.append([sparse(split.coords_in_m(
-                lie_core.bracket(g, x_g, og))) for og in ox_g])
-            self.hx.append([[sparse(split.coords_in_m(
-                lie_core.bracket(g, hv, og))) for og in ox_g]
-                for hv in split.h.basis_coords])
+            xs = linalg.sparse(x)
+            ox = [linalg.sparse_mat_vec(cols, xs) for cols in self.op_columns]
+            rows = []
+            for o in ox:
+                b_m, b_h = table.bracket(xs, o)
+                if b_h:
+                    raise ValueError("vector is not in m")
+                rows.append(b_m)
+            self.bx.append(rows)
+            self.hx.append([[linalg.sparse_mat_vec(ad, o) for o in ox]
+                            for ad in action.ad_columns])
 
     def _contract(self, rows, values) -> Vec:
         out = linalg.zero_vec(len(self.norms))
@@ -727,8 +736,20 @@ def _grid_points(family: MetricFamily, spec: ScanSpec) -> List[Tuple]:
     return list(itertools.product(spec.grid, repeat=n))
 
 
+def _family_matrix(op_columns: List[List[linalg.Sparse]], values: Sequence,
+                   dim: int) -> Mat:
+    """sum_c values_c Op_c, from the sparse columns of the family ops."""
+    amat = linalg.zeros(dim, dim)
+    for v, cols in zip(values, op_columns):
+        if v != 0:
+            for j, col in enumerate(cols):
+                for i, c in col:
+                    amat[i][j] += v * c
+    return amat
+
+
 def _random_points(family: MetricFamily, spec: ScanSpec,
-                   ops: List[Mat]) -> List[Tuple]:
+                   op_columns: List[List[linalg.Sparse]]) -> List[Tuple]:
     """Seeded lattice samples of the full cone, off the diagonal.
 
     Scalar classes and operator diagonals draw from the positive grid;
@@ -750,7 +771,7 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                      if kind == "off"]
     if not off_positions:
         return []
-    gram = family.decomp.action.gram
+    norms = family.decomp.action.norms
     dim = family.decomp.dim
     # keep draws near the cone: few off-diagonal entries, each a fraction
     # of the smallest diagonal weight drawn
@@ -776,11 +797,7 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                             if rng.random() < p_nonzero else ZERO)
         if all(vals[i] == 0 for i in off_positions):
             vals[rng.choice(off_positions)] = rng.choice(sym_small)
-        amat = linalg.zeros(dim, dim)
-        for v, op in zip(vals, ops):
-            if v != 0:
-                amat = linalg.mat_add(amat, linalg.mat_scale(v, op))
-        if metric_mod._pd_check(amat, gram):
+        if metric_mod._pd_check(_family_matrix(op_columns, vals, dim), norms):
             points.append(tuple(vals))
     return points
 
@@ -793,7 +810,6 @@ def _diagonal_family_pd(family: MetricFamily) -> bool:
 def _evaluate_scan_point(task: Tuple[int, Tuple, int]) -> Tuple[int, dict]:
     idx, values, flag = task
     family: MetricFamily = _WORKER_CTX["family"]
-    ops: List[Mat] = _WORKER_CTX["ops"]
     spec: ScanSpec = _WORKER_CTX["spec"]
     tensors: _ScanTensors = _WORKER_CTX["tensors"]
     decomp = family.decomp
@@ -809,11 +825,9 @@ def _evaluate_scan_point(task: Tuple[int, Tuple, int]) -> Tuple[int, dict]:
     if _diagonal_family_pd(family):
         pd = all(v > 0 for v in values)
     else:
-        amat_pd = linalg.zeros(dim, dim)
-        for v, op in zip(values, ops):
-            if v != 0:
-                amat_pd = linalg.mat_add(amat_pd, linalg.mat_scale(v, op))
-        pd = metric_mod._pd_check(amat_pd, decomp.action.gram)
+        pd = metric_mod._pd_check(
+            _family_matrix(tensors.op_columns, values, dim),
+            decomp.action.norms)
     if not pd:
         entry["status"] = "not-pd"
         return idx, entry
@@ -828,12 +842,9 @@ def _evaluate_scan_point(task: Tuple[int, Tuple, int]) -> Tuple[int, dict]:
         if res_sq > 0:
             return idx, falsified_entry(x, res_sq)
     if spec.survivor_random_probes:
-        amat = linalg.zeros(dim, dim)
-        for v, op in zip(values, ops):
-            if v != 0:
-                amat = linalg.mat_add(amat, linalg.mat_scale(v, op))
-        a = MetricEndomorphism(decomp=decomp, matrix=amat, params=None,
-                               is_pd=True)
+        a = MetricEndomorphism(
+            decomp=decomp, matrix=_family_matrix(tensors.op_columns, values, dim),
+            params=None, is_pd=True)
         cert = go_check(a, strategy="random",
                         count=spec.survivor_random_probes,
                         seed=spec.seed * 1_000_003 + idx,
@@ -858,13 +869,11 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     points: List[Tuple] = []
     if include_grid:
         points.extend(_grid_points(family, spec))
+    tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp))
     if spec.random_count:
-        points.extend(_random_points(family, spec, ops))
-    probes = basis_probe_vectors(decomp)
-    tensors = _ScanTensors(family, ops, probes)
+        points.extend(_random_points(family, spec, tensors.op_columns))
     flags = tensors.flag(points) if points else []
-    _WORKER_CTX.update({"family": family, "ops": ops, "spec": spec,
-                        "tensors": tensors})
+    _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors})
     tasks = [(i, pt, flags[i]) for i, pt in enumerate(points)]
     results: List[Tuple[int, dict]] = []
     workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))

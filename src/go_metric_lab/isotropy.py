@@ -23,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lie_core, linalg
@@ -96,6 +97,15 @@ class IsotropyAction:
     @property
     def gram(self) -> Mat:
         return self.split.gram_m
+
+    @property
+    def norms(self) -> Vec:
+        return self.split.norms_m
+
+    @cached_property
+    def ad_columns(self) -> List[List[linalg.Sparse]]:
+        """Sparse columns of each ad(a)|_m: column b is [a, m_b] over m."""
+        return [linalg.sparse_columns(op) for op in self.ad_ops]
 
 
 def isotropy_action(split: ReductiveSplit) -> IsotropyAction:

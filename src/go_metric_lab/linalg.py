@@ -196,6 +196,43 @@ def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# sparse vectors: (index, value) lists in index order, zeros left out
+# ---------------------------------------------------------------------------
+
+Sparse = List[Tuple[int, Fraction]]
+
+
+def sparse(v: Vec) -> Sparse:
+    return [(i, c) for i, c in enumerate(v) if c != 0]
+
+
+def sparse_from(acc: dict) -> Sparse:
+    """The nonzero entries of an {index: value} accumulator."""
+    return [(i, c) for i, c in sorted(acc.items()) if c != 0]
+
+
+def dense(v: Sparse, n: int) -> Vec:
+    out = zero_vec(n)
+    for i, c in v:
+        out[i] = c
+    return out
+
+
+def sparse_columns(m: Mat) -> List[Sparse]:
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j] != 0]
+            for j in range(len(m[0]) if m else 0)]
+
+
+def sparse_mat_vec(columns: List[Sparse], x: Sparse) -> Sparse:
+    """M x for a matrix given by its sparse columns."""
+    acc: dict = {}
+    for j, xj in x:
+        for i, c in columns[j]:
+            acc[i] = acc.get(i, ZERO) + xj * c
+    return sparse_from(acc)
+
+
+# ---------------------------------------------------------------------------
 # sparse row reduction (for the large equivariance systems)
 # ---------------------------------------------------------------------------
 

@@ -37,9 +37,10 @@ class MetricEndomorphism:
         return len(self.matrix)
 
 
-def _pd_check(matrix: Mat, gram: Mat) -> bool:
-    # bilinear form of the metric: G A must be symmetric positive definite
-    ga = linalg.mat_mul(gram, matrix)
+def _pd_check(matrix: Mat, norms: Sequence) -> bool:
+    # bilinear form of the metric: G A must be symmetric positive definite;
+    # the m-basis Gram G is the diagonal `norms`, so G A scales rows
+    ga = [[nu * c for c in row] for nu, row in zip(norms, matrix)]
     if not linalg.mat_eq(ga, linalg.transpose(ga)):
         return False
     return linalg.sym_positive_definite(ga)
@@ -63,7 +64,7 @@ def from_parameters(decomp: IsotypicalDecomposition,
         if p != 0:
             a = linalg.mat_add(a, linalg.mat_scale(p, s))
     return MetricEndomorphism(decomp=decomp, matrix=a, params=params,
-                              is_pd=_pd_check(a, decomp.action.gram))
+                              is_pd=_pd_check(a, decomp.action.norms))
 
 
 def from_matrix(decomp: IsotypicalDecomposition,
@@ -79,7 +80,7 @@ def from_matrix(decomp: IsotypicalDecomposition,
             "matrix is not a symmetric equivariant endomorphism")
     return MetricEndomorphism(decomp=decomp, matrix=[list(r) for r in matrix],
                               params=params,
-                              is_pd=_pd_check(matrix, decomp.action.gram))
+                              is_pd=_pd_check(matrix, decomp.action.norms))
 
 
 def identity_metric(decomp: IsotypicalDecomposition) -> MetricEndomorphism:

@@ -21,9 +21,11 @@ normalizer action leaves only scalars on S1.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from . import decomp as decomp_mod
 from . import go as go_mod
@@ -35,6 +37,10 @@ from .metric import MetricEndomorphism, MetricFamily
 
 class NotPositiveDefiniteError(ValueError):
     """Family parameter outside the positive cone."""
+
+
+# stage(name) wraps one pipeline stage; nullcontext(name) does nothing
+Stage = Callable[[str], ContextManager]
 
 
 @dataclass
@@ -325,7 +331,8 @@ def grassmannian_cross_check(space: StiefelSpace) -> bool:
 
 def uniqueness_scan(space: StiefelSpace,
                     spec: Optional[go_mod.ScanSpec] = None,
-                    offdiagonal_samples: int = 200) -> dict:
+                    offdiagonal_samples: int = 200,
+                    stage: Stage = contextlib.nullcontext) -> dict:
     """Grid the reduced diagonal cone, sample the full cone, classify.
 
     The exhaustive grid covers every parameter left after the reduction
@@ -333,10 +340,18 @@ def uniqueness_scan(space: StiefelSpace,
     samples exercise the off-diagonal directions that no grid of feasible
     size could sweep.  Survivors are classified against the deformation
     family; falsified points carry exact positive squared residuals.
+    `stage(name)` wraps the "reduce" and "scan" stages.
     """
     spec = spec or go_mod.ScanSpec()
-    family, trace = go_mod.reduce_family(space.decomp, seed=spec.seed)
+    with stage("reduce"):
+        family, trace = go_mod.reduce_family(space.decomp, seed=spec.seed)
+    with stage("scan"):
+        return _scan_report(space, spec, family, trace, offdiagonal_samples)
 
+
+def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
+                 family: MetricFamily, trace: go_mod.ReductionTrace,
+                 offdiagonal_samples: int) -> dict:
     diag = diagonal_family(space)
     grid_result = go_mod.search_go(space.decomp, diag, spec, include_grid=True)
 
@@ -403,20 +418,28 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
                      seed: int = 0, jobs: int = 1,
                      t_values: Sequence = (Fraction(1, 2), 1, 2, 3),
                      n_samples: int = 100,
-                     offdiagonal_samples: int = 200) -> dict:
-    """Build the space, verify the family, and run the uniqueness scan."""
+                     offdiagonal_samples: int = 200,
+                     stage: Stage = contextlib.nullcontext) -> dict:
+    """Build the space, verify the family, and run the uniqueness scan.
+
+    `stage(name)` wraps the "build", "verify", "reduce" and "scan" stages,
+    in that order; it sees no report data.
+    """
     if not (1 <= k < n <= 6):
         raise lie_core.InvalidDimensionError(
             f"supported range is 1 <= k < n <= 6, got ({n}, {k})")
-    space = build_stiefel(n, k)
-    family_report = verify_family(space, t_values, n_samples=n_samples,
-                                  seed=seed)
+    with stage("build"):
+        space = build_stiefel(n, k)
+    with stage("verify"):
+        family_report = verify_family(space, t_values, n_samples=n_samples,
+                                      seed=seed)
     resolution = Fraction(resolution)
     lo, hi = Fraction(lo), Fraction(hi)
     steps = int((hi - lo) / resolution)
     grid = [lo + i * resolution for i in range(steps + 1)]
     spec = go_mod.ScanSpec(grid=grid, seed=seed, jobs=jobs)
-    scan = uniqueness_scan(space, spec, offdiagonal_samples=offdiagonal_samples)
+    scan = uniqueness_scan(space, spec, offdiagonal_samples=offdiagonal_samples,
+                           stage=stage)
     certs = {t: go_mod.certificate_to_json_dict(c, max_witnesses=3)
              for t, c in family_report["certificates"].items()}
     return {

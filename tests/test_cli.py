@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -256,3 +258,32 @@ def test_reproduce_exit_code_counts_offdiagonal_survivors(
     out = tmp_path / "rep.json"
     assert entry(["3", "2", "--out", str(out)]) == code
     assert json.loads(out.read_text())["mode"] == "exact"
+
+
+STAGE_LINE = re.compile(r"^stage (\w+): \d+\.\d{3} s$")
+
+
+def _stages(err):
+    lines = err.splitlines()
+    assert all(STAGE_LINE.match(line) for line in lines), lines
+    return [STAGE_LINE.match(line).group(1) for line in lines]
+
+
+def test_verbose_prints_stage_lines_and_keeps_reports(tmp_path, capsys):
+    golden = pathlib.Path(__file__).parent / "golden"
+    out = tmp_path / "rep.json"
+    assert run_cli(["reproduce-theorem", "3", "2", "--resolution", "1",
+                    "--offdiagonal-samples", "10", "--seed", "123",
+                    "--out", str(out), "--verbose"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _stages(captured.err) == ["build", "verify", "reduce", "scan"]
+    assert out.read_bytes() == (golden / "reproduce_theorem_3_2.json").read_bytes()
+
+    assert run_cli(["decompose", "stiefel", "2", "1"]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert run_cli(["decompose", "stiefel", "2", "1", "--verbose"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert _stages(loud.err) == ["build", "report"]
