@@ -98,14 +98,11 @@ class BracketTable:
 
 @dataclass
 class ReductiveSplit:
-    """g = h (+) m with exact B-orthogonal projection matrices."""
+    """g = h (+) m with a B-orthogonal m basis."""
 
     algebra: MatrixLieAlgebra
     h: Subalgebra
     m_basis: List[Vec]
-    proj_h: Mat
-    proj_m: Mat
-    h_orth: List[Vec]             # B-orthogonalized copy of the h basis
     gram_m: Mat
 
     @property
@@ -157,13 +154,6 @@ class ReductiveSplit:
                 out = linalg.vec_add(out, linalg.vec_scale(c, b))
         return out
 
-    def h_to_g(self, hcoords: Vec) -> Vec:
-        out = linalg.zero_vec(self.algebra.dim)
-        for c, b in zip(hcoords, self.h.basis_coords):
-            if c != 0:
-                out = linalg.vec_add(out, linalg.vec_scale(c, b))
-        return out
-
 
 def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
     """Exact B-orthogonal complement of h plus reductivity verification."""
@@ -172,30 +162,16 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
     rows = [linalg.mat_vec(g.gram, hv) for hv in h.basis_coords]
     m_basis = linalg.nullspace(rows, g.dim) if rows else linalg.identity(g.dim)
     m_basis = linalg.gram_schmidt(m_basis, g.gram)
-    h_orth = linalg.gram_schmidt(h.basis_coords, g.gram)
-    if len(h_orth) + len(m_basis) != g.dim:
+    if h.dim + len(m_basis) != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
 
-    proj_h = linalg.zeros(g.dim, g.dim)
-    for u in h_orth:
-        nu = linalg.gram_dot(g.gram, u, u)
-        gu = linalg.mat_vec(g.gram, u)
-        for a in range(g.dim):
-            if u[a] == 0:
-                continue
-            fa = u[a] / nu
-            for b in range(g.dim):
-                proj_h[a][b] += fa * gu[b]
-    proj_m = linalg.mat_sub(linalg.identity(g.dim), proj_h)
-
     gram_m = [[lie_core.inner(g, a, b) for b in m_basis] for a in m_basis]
-    split = ReductiveSplit(algebra=g, h=h, m_basis=m_basis, proj_h=proj_h,
-                           proj_m=proj_m, h_orth=h_orth, gram_m=gram_m)
+    split = ReductiveSplit(algebra=g, h=h, m_basis=m_basis, gram_m=gram_m)
 
     for hv in h.basis_coords:
         for mv in m_basis:
-            br = lie_core.bracket(g, hv, mv)
-            if not linalg.vec_is_zero(linalg.mat_vec(proj_h, br)):
+            _, h_part = split._m_part(lie_core.bracket(g, hv, mv))
+            if not linalg.vec_is_zero(h_part):
                 raise NonReductiveError("[h, m] leaves m; split is not reductive")
     return split
 
@@ -205,11 +181,10 @@ def project(split: ReductiveSplit, x: Vec, target: str) -> Vec:
     if len(x) != split.algebra.dim:
         raise lie_core.DimensionMismatchError(
             f"expected length {split.algebra.dim}, got {len(x)}")
-    if target == "h":
-        return linalg.mat_vec(split.proj_h, x)
-    if target == "m":
-        return linalg.mat_vec(split.proj_m, x)
-    raise ValueError(f"target must be 'h' or 'm', got {target!r}")
+    if target not in ("h", "m"):
+        raise ValueError(f"target must be 'h' or 'm', got {target!r}")
+    _, h_part = split._m_part(x)
+    return h_part if target == "h" else linalg.vec_sub(x, h_part)
 
 
 # ---------------------------------------------------------------------------

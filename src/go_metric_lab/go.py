@@ -624,17 +624,20 @@ _WORKER_CTX: dict = {}
 
 
 class _ScanTensors:
-    """Per-probe bracket tensors shared by the float screen and the exact
-    confirmations.
+    """Per-probe bracket tensors for the exact residuals of one scan.
 
     The defect [X, AX] and the witness columns [h_i, AX] are linear in the
     family parameters, so per probe X everything reduces to tensors
-    contracted against the parameter vector: exact contractions confirm a
-    single flagged probe cheaply, float contractions screen all points at
-    once.  The tensors are read off the split's m x m bracket table and the
-    isotropy action.  Containment of every [X, Op_c X] in m (a zero
-    h-component) is verified exactly here, and carries over each
-    contraction by linearity.
+    contracted against the parameter vector.  The tensors are read off the
+    split's m x m bracket table and the isotropy action.  Containment of
+    every [X, Op_c X] in m (a zero h-component) is verified exactly here,
+    and carries over each contraction by linearity.
+
+    A probe reads only the parameters in its support (a nonzero `bx` or
+    `hx` row), and its least-squares residual is homogeneous of degree 2
+    in them.  `residual_sq` therefore solves once per (probe, projective
+    class of the supported values) and rescales; the memo lives as long
+    as the tensors, which is one scan.
     """
 
     def __init__(self, family: MetricFamily, ops: List[Mat],
@@ -643,13 +646,14 @@ class _ScanTensors:
         split = action.split
         table = split.bracket_table
         self.gram_m = split.gram_m
-        self.norms = split.norms_m
-        self.nh = split.h.dim
+        self.dim = split.dim_m
         self.probes = probes
         self.op_columns = [linalg.sparse_columns(op) for op in ops]
         # sparse rows: probe -> param -> [(index, value)] of [X, Op_c X]_m
         self.bx: List[List[List[Tuple[int, Fraction]]]] = []
         self.hx: List[List[List[List[Tuple[int, Fraction]]]]] = []
+        self.support: List[List[int]] = []
+        self.memo: Dict[Tuple, Fraction] = {}
         for x in probes:
             xs = linalg.sparse(x)
             ox = [linalg.sparse_mat_vec(cols, xs) for cols in self.op_columns]
@@ -659,68 +663,38 @@ class _ScanTensors:
                 if b_h:
                     raise ValueError("vector is not in m")
                 rows.append(b_m)
+            hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]
+                     for ad in action.ad_columns]
             self.bx.append(rows)
-            self.hx.append([[linalg.sparse_mat_vec(ad, o) for o in ox]
-                            for ad in action.ad_columns])
+            self.hx.append(hrows)
+            self.support.append([c for c in range(len(ops))
+                                 if rows[c] or any(h[c] for h in hrows)])
 
-    def _contract(self, rows, values) -> Vec:
-        out = linalg.zero_vec(len(self.norms))
-        for v, row in zip(values, rows):
+    def _contract(self, rows, support: List[int], values: Sequence) -> Vec:
+        out = linalg.zero_vec(self.dim)
+        for c, v in zip(support, values):
             if v != 0:
-                for i, c in row:
-                    out[i] += v * c
+                for i, coef in rows[c]:
+                    out[i] += v * coef
         return out
 
-    def exact_residual(self, values: Sequence, probe_idx: int
-                       ) -> Tuple[Vec, Vec, object]:
-        """(X, best witness a, exact squared residual) for one probe."""
-        defect = self._contract(self.bx[probe_idx], values)
-        cols = [self._contract(rows, values) for rows in self.hx[probe_idx]]
-        a_h, res_sq = linalg.least_squares(
-            cols, [-c for c in defect], self.gram_m)
-        return self.probes[probe_idx], a_h, res_sq
-
-    def flag(self, values: List[Tuple]) -> List[int]:
-        """First failing probe index per point by float screening, or -1."""
-        import numpy as np
-        v = np.array([[float(c) for c in vals] for vals in values])
-        n = len(values)
-        w = np.array([float(x) for x in self.norms])
-        flags = np.full(n, -1, dtype=int)
-        active = np.arange(n)
-        dim = len(self.norms)
-
-        def to_f(rows):
-            out = np.zeros((len(rows), dim))
-            for r, row in enumerate(rows):
-                for i, c in row:
-                    out[r, i] = float(c)
-            return out
-
-        for p in range(len(self.probes)):
-            if active.size == 0:
-                break
-            va = v[active]
-            bxp = to_f(self.bx[p])
-            defect = va @ bxp
-            if self.nh:
-                cols = np.stack([va @ to_f(rows) for rows in self.hx[p]],
-                                axis=1)
-                wcols = cols * w
-                nmat = np.einsum("nid,njd->nij", wcols, cols)
-                rhs = -np.einsum("nid,nd->ni", wcols, defect)
-                ridge = (np.trace(nmat, axis1=1, axis2=2) / self.nh + 1e-12)
-                nmat = nmat + (1e-12 * ridge)[:, None, None] * np.eye(self.nh)
-                sol = np.linalg.solve(nmat, rhs[..., None])[..., 0]
-                fit = np.einsum("ni,nid->nd", sol, cols) + defect
-            else:
-                fit = defect
-            res = np.einsum("nd,d,nd->n", fit, w, fit)
-            scale = np.einsum("nd,d,nd->n", defect, w, defect) + 1.0
-            hit = res > np.maximum(1e-16, 1e-12 * scale)
-            flags[active[hit]] = p
-            active = active[~hit]
-        return [int(f) for f in flags]
+    def residual_sq(self, values: Sequence, p: int) -> Fraction:
+        """Exact squared residual of probe p at the parameter point."""
+        support = self.support[p]
+        vals = [Fraction(values[c]) for c in support]
+        lead = next((v for v in vals if v != 0), None)
+        if lead is None:
+            return ZERO
+        key = (p, tuple(v / lead for v in vals))
+        res = self.memo.get(key)
+        if res is None:
+            defect = self._contract(self.bx[p], support, key[1])
+            cols = [self._contract(rows, support, key[1])
+                    for rows in self.hx[p]]
+            _, res = linalg.least_squares(cols, [-c for c in defect],
+                                          self.gram_m)
+            self.memo[key] = res
+        return lead * lead * res
 
 
 def _grid_points(family: MetricFamily, spec: ScanSpec) -> List[Tuple]:
@@ -807,8 +781,8 @@ def _diagonal_family_pd(family: MetricFamily) -> bool:
             and all(b.space.dim == 1 for b in family.operator_blocks))
 
 
-def _evaluate_scan_point(task: Tuple[int, Tuple, int]) -> Tuple[int, dict]:
-    idx, values, flag = task
+def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
+    idx, values = task
     family: MetricFamily = _WORKER_CTX["family"]
     spec: ScanSpec = _WORKER_CTX["spec"]
     tensors: _ScanTensors = _WORKER_CTX["tensors"]
@@ -822,29 +796,26 @@ def _evaluate_scan_point(task: Tuple[int, Tuple, int]) -> Tuple[int, dict]:
         entry["residual_sq"] = linalg.frac_to_str(res_sq)
         return entry
 
+    amat = None
     if _diagonal_family_pd(family):
         pd = all(v > 0 for v in values)
     else:
-        pd = metric_mod._pd_check(
-            _family_matrix(tensors.op_columns, values, dim),
-            decomp.action.norms)
+        amat = _family_matrix(tensors.op_columns, values, dim)
+        pd = metric_mod._pd_check(amat, decomp.action.norms)
     if not pd:
         entry["status"] = "not-pd"
         return idx, entry
 
-    if flag >= 0:
-        # exact confirmation of the probe the float screen flagged
-        x, _, res_sq = tensors.exact_residual(values, flag)
-        if res_sq > 0:
-            return idx, falsified_entry(x, res_sq)
-    for p in range(len(tensors.probes)):
-        x, _, res_sq = tensors.exact_residual(values, p)
+    # the first failing probe in probe order is the reported falsifier
+    for p, x in enumerate(tensors.probes):
+        res_sq = tensors.residual_sq(values, p)
         if res_sq > 0:
             return idx, falsified_entry(x, res_sq)
     if spec.survivor_random_probes:
-        a = MetricEndomorphism(
-            decomp=decomp, matrix=_family_matrix(tensors.op_columns, values, dim),
-            params=None, is_pd=True)
+        if amat is None:
+            amat = _family_matrix(tensors.op_columns, values, dim)
+        a = MetricEndomorphism(decomp=decomp, matrix=amat,
+                               params=None, is_pd=True)
         cert = go_check(a, strategy="random",
                         count=spec.survivor_random_probes,
                         seed=spec.seed * 1_000_003 + idx,
@@ -872,9 +843,8 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp))
     if spec.random_count:
         points.extend(_random_points(family, spec, tensors.op_columns))
-    flags = tensors.flag(points) if points else []
     _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors})
-    tasks = [(i, pt, flags[i]) for i, pt in enumerate(points)]
+    tasks = list(enumerate(points))
     results: List[Tuple[int, dict]] = []
     workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:

@@ -185,12 +185,6 @@ def inner(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Fraction:
     return linalg.gram_dot(g.gram, x, y)
 
 
-def ad_matrix(g: MatrixLieAlgebra, z: Vec) -> Mat:
-    """Matrix of ad(z) = [z, .] on the algebra basis."""
-    cols = [bracket(g, z, linalg.unit_vec(g.dim, j)) for j in range(g.dim)]
-    return linalg.transpose(cols)
-
-
 def random_vector_of_len(dim: int, rng: random.Random, max_num: int = 9,
                          denominators: Tuple[int, ...] = (1, 2, 3)) -> Vec:
     """Seeded random rational coordinate vector with small entries."""

@@ -188,9 +188,22 @@ def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
 # ---------------------------------------------------------------------------
 
 def _bracket_m(space: StiefelSpace, x_m: Vec, y_m: Vec) -> Vec:
-    split = space.split
-    return split.coords_in_m(lie_core.bracket(
-        space.algebra, split.m_to_g(x_m), split.m_to_g(y_m)))
+    """[X, Y] over the m basis, read off the split's bracket table."""
+    c_m, c_h = space.split.bracket_table.bracket(linalg.sparse(x_m),
+                                                 linalg.sparse(y_m))
+    if c_h:
+        raise ValueError("vector is not in m")
+    return linalg.dense(c_m, space.dim_m)
+
+
+def _act_h(space: StiefelSpace, a_h: Vec, x_m: Vec) -> Vec:
+    """[a, X] over the m basis for a in h, from the isotropy operators."""
+    out = linalg.zero_vec(space.dim_m)
+    for c, op in zip(a_h, space.action.ad_ops):
+        if c != 0:
+            out = linalg.vec_add(out,
+                                 linalg.vec_scale(c, linalg.mat_vec(op, x_m)))
+    return out
 
 
 def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
@@ -205,8 +218,6 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     g = space.algebra
     out = {}
     s1_basis = space.s1.space.basis
-    a_dir_g = split.h_to_g(space.a_dir_h)
-    z0_g = split.m_to_g(space.z0_m)
 
     ok = all(linalg.vec_is_zero(linalg.vec_add(
         _bracket_m(space, space.z0_m, v), linalg.vec_scale(2, tilde_map(space, v))))
@@ -214,7 +225,7 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     out["center_rotates_s1"] = ok           # [z0, v] = -2 tilde(v)
 
     ok = all(linalg.vec_is_zero(linalg.vec_sub(
-        split.coords_in_m(lie_core.bracket(g, a_dir_g, split.m_to_g(v))),
+        _act_h(space, space.a_dir_h, v),
         linalg.vec_scale(2, tilde_map(space, v))))
         for v in s1_basis)
     out["witness_rotates_s1"] = ok          # [sum_{i>k} eb_ii, v] = 2 tilde(v)
@@ -236,14 +247,13 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
                     ok = False
     out["eb_acts_per_module"] = ok
 
-    s0_g = [split.m_to_g(v) for v in space.decomp.s0.space.basis]
-    ok = all(linalg.vec_is_zero(lie_core.bracket(g, a_dir_g, w)) for w in s0_g)
-    ok = ok and all(linalg.vec_is_zero(lie_core.bracket(g, z0_g, w))
-                    for w in s0_g)
-    hb = [split.h_to_g(linalg.unit_vec(split.h.dim, i))
-          for i in range(split.h.dim)]
-    ok = ok and all(linalg.vec_is_zero(lie_core.bracket(g, a, w))
-                    for a in hb for w in s0_g)
+    s0 = space.decomp.s0.space.basis
+    z0 = linalg.sparse(space.z0_m)
+    ok = all(linalg.vec_is_zero(_act_h(space, space.a_dir_h, w)) for w in s0)
+    ok = ok and not any(part for w in s0 for part in
+                        split.bracket_table.bracket(z0, linalg.sparse(w)))
+    ok = ok and all(linalg.vec_is_zero(linalg.mat_vec(op, w))
+                    for op in space.action.ad_ops for w in s0)
     out["witness_commutes_with_s0"] = ok    # [a_t, S0] = [z0, S0] = [h, S0] = 0
     return out
 
@@ -355,18 +365,15 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
     diag = diagonal_family(space)
     grid_result = go_mod.search_go(space.decomp, diag, spec, include_grid=True)
 
-    survivors_ok = True
-    ops = metric_mod.family_basis_ops(diag)
+    op_columns = [linalg.sparse_columns(op)
+                  for op in metric_mod.family_basis_ops(diag)]
     for entry in grid_result.survivors:
         values = [linalg.frac_from_str(s) for s in entry["params"]]
-        amat = linalg.zeros(space.dim_m, space.dim_m)
-        for v, op in zip(values, ops):
-            amat = linalg.mat_add(amat, linalg.mat_scale(v, op))
+        amat = go_mod._family_matrix(op_columns, values, space.dim_m)
         a = MetricEndomorphism(decomp=space.decomp, matrix=amat,
                                params=None, is_pd=True)
-        if not is_deformation_point(space, a):
-            survivors_ok = False
         entry["deformation_point"] = is_deformation_point(space, a)
+    survivors_ok = all(e["deformation_point"] for e in grid_result.survivors)
 
     off_result = None
     if offdiagonal_samples:

@@ -152,7 +152,7 @@ def test_criterion_6_proof_invariant(space):
             ax = linalg.mat_vec(a.matrix, x)
             c_g = lie_core.bracket(sp.algebra, sp.split.m_to_g(x),
                                    sp.split.m_to_g(ax))
-            assert linalg.vec_is_zero(linalg.mat_vec(sp.split.proj_h, c_g))
+            assert linalg.vec_is_zero(decomp.project(sp.split, c_g, "h"))
             checked += 1
     assert checked == 1000
 

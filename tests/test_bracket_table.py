@@ -42,7 +42,7 @@ def oracle_solve(a_metric, x_m):
     g = split.algebra
     ax_g = split.m_to_g(linalg.mat_vec(a_metric.matrix, x_m))
     c_g = lie_core.bracket(g, split.m_to_g(x_m), ax_g)
-    assert linalg.vec_is_zero(linalg.mat_vec(split.proj_h, c_g))
+    assert linalg.vec_is_zero(decomp.project(split, c_g, "h"))
     cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g))
             for hv in split.h.basis_coords]
     rhs = [-c for c in split.coords_in_m(c_g)]
@@ -53,8 +53,11 @@ def oracle_residual_sq(a_metric, x_m, a_h):
     split = a_metric.decomp.action.split
     g = split.algebra
     ax_g = split.m_to_g(linalg.mat_vec(a_metric.matrix, x_m))
-    lhs = lie_core.bracket(
-        g, linalg.vec_add(split.h_to_g(a_h), split.m_to_g(x_m)), ax_g)
+    a_g = linalg.zero_vec(g.dim)
+    for c, b in zip(a_h, split.h.basis_coords):
+        if c != 0:
+            a_g = linalg.vec_add(a_g, linalg.vec_scale(c, b))
+    lhs = lie_core.bracket(g, linalg.vec_add(a_g, split.m_to_g(x_m)), ax_g)
     return lie_core.inner(g, lhs, lhs)
 
 

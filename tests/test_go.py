@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from go_metric_lab import go, lie_core, linalg, metric, stiefel
+from go_metric_lab import decomp, go, lie_core, linalg, metric, stiefel
 from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
@@ -106,7 +106,7 @@ def test_proof_invariant_h_component_vanishes(space):
         c_g = lie_core.bracket(sp.algebra, sp.split.m_to_g(x),
                                sp.split.m_to_g(ax))
         assert linalg.vec_is_zero(
-            linalg.mat_vec(sp.split.proj_h, c_g))
+            decomp.project(sp.split, c_g, "h"))
 
 
 def test_go_check_identity_passes_basis(space):
@@ -299,6 +299,68 @@ def test_search_go_caps_workers_at_cpu_count(space, monkeypatch):
     assert all(w <= os.cpu_count() for w in recorded)
     spec.jobs = 1
     assert search_go(sp.decomp, diag, spec) == result
+
+
+# the (3,2) grid of the theorem workload: 1/4, 5/4, 9/4, 13/4
+_GRID_32 = [Fraction(1, 4) + i for i in range(4)]
+
+
+def _first_failing_probe(a, probes):
+    for x in probes:
+        _, res_sq = go_solve_at(a, x)
+        if res_sq > 0:
+            return x, res_sq
+    raise AssertionError("no probe fails")
+
+
+def test_scan_reports_first_failing_probe(space):
+    # go_solve_at on the instantiated metric shares no code with the scan
+    # tensors, so it re-derives the canonical falsifier independently
+    sp = space(3, 2)
+    spec = ScanSpec(grid=_GRID_32, seed=3, random_count=10,
+                    survivor_random_probes=0)
+    probes = basis_probe_vectors(sp.decomp)
+    diag = stiefel.diagonal_family(sp)
+    full = metric.full_family(sp.decomp)
+    runs = [(diag, search_go(sp.decomp, diag, spec)),
+            (full, search_go(sp.decomp, full, spec, include_grid=False))]
+    assert all(result.falsified for _, result in runs)
+    for family, result in runs:
+        for entry in result.falsified:
+            a = metric.instantiate(
+                family, [linalg.frac_from_str(s) for s in entry["params"]])
+            x, res_sq = _first_failing_probe(a, probes)
+            assert entry["falsifier_x"] == [linalg.frac_to_str(c) for c in x]
+            assert entry["residual_sq"] == linalg.frac_to_str(res_sq)
+
+
+def test_scan_with_int_grid_matches_fraction_grid(space):
+    # the residual memo divides by the leading value; ints must stay exact
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    ints = search_go(sp.decomp, diag, ScanSpec(grid=[1, 2, 3]))
+    fracs = search_go(sp.decomp, diag,
+                      ScanSpec(grid=[Fraction(v) for v in (1, 2, 3)]))
+    assert ints.survivors == fracs.survivors
+    assert ints.falsified == fracs.falsified
+
+
+def test_scan_solves_once_per_projective_class(space, monkeypatch):
+    # falsified points share (probe, projective class) keys, so most of
+    # them are answered from the memo without a least-squares solve
+    sp = space(3, 2)
+    calls = []
+    least_squares = linalg.least_squares
+
+    def counted(*args):
+        calls.append(args)
+        return least_squares(*args)
+
+    monkeypatch.setattr(linalg, "least_squares", counted)
+    result = search_go(sp.decomp, stiefel.diagonal_family(sp),
+                       ScanSpec(grid=_GRID_32, survivor_random_probes=0))
+    assert len(result.falsified) == 240
+    assert len(calls) < len(result.falsified)
 
 
 def test_grid_rejects_offdiagonal_family(space):

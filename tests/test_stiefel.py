@@ -115,6 +115,17 @@ def test_witness_identities_all_spaces(space):
         assert all(ids.values()), (nk, ids)
 
 
+def test_witness_bracket_rejects_h_component(space):
+    # [e_13, eb_13] has a component along eb_33, which lies in h
+    sp = space(3, 2)
+    labels = [sp.algebra.labels[next(j for j, c in enumerate(v) if c != 0)]
+              for v in sp.split.m_basis]
+    x = linalg.unit_vec(sp.dim_m, labels.index("e_1_3"))
+    y = linalg.unit_vec(sp.dim_m, labels.index("eb_1_3"))
+    with pytest.raises(ValueError, match="not in m"):
+        stiefel._bracket_m(sp, x, y)
+
+
 def test_module_bracket_lands_in_s0(space):
     # [e_{i,k+1}, e_{j,k+1}] = -e_ij for i != j <= k
     sp = space(4, 2)
