@@ -51,10 +51,25 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -172,6 +187,8 @@ def cmd_check_go(args) -> int:
     strategy = args.strategy
     if strategy == "family" and witness is None:
         raise InputError("family strategy needs --family-t")
+    if strategy == "random" and args.count == 0:
+        raise InputError("--count must be at least 1 for the random strategy")
     with _stage(cfg, "check"):
         cert = go_mod.go_check(a, strategy=strategy, count=args.count,
                                seed=cfg.seed, witness_map=witness)
@@ -186,7 +203,7 @@ def cmd_reproduce_theorem(args) -> int:
     cfg = _config_from_args(args)
     try:
         report = stiefel.reproduce_report(
-            args.n, args.k, resolution=Fraction(args.resolution),
+            args.n, args.k, resolution=args.resolution,
             seed=cfg.seed, jobs=cfg.jobs,
             offdiagonal_samples=args.offdiagonal_samples,
             stage=lambda name: _stage(cfg, name))
@@ -210,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_default_seed())
     common.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--jobs", type=_positive_int, default=1,
+    common.add_argument("--jobs", type=int_at_least(1), default=1,
                         help="worker processes for scans (at most the CPU count)")
     common.add_argument("--verbose", action="store_true",
                         help="print stage timings to stderr")
@@ -237,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the builtin deformation metric at this t")
     p.add_argument("--strategy", choices=["basis", "random", "family"],
                    default="basis")
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=int_at_least(0), default=100,
                    help="sample count for random/family strategies")
     p.set_defaults(func=cmd_check_go)
 
@@ -245,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify and scan the Stiefel deformation family")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--resolution", type=str, default="1/4",
+    p.add_argument("--resolution", type=_positive_fraction, default="1/4",
                    help="grid step on [1/4, 4] for the uniqueness scan")
-    p.add_argument("--offdiagonal-samples", type=int, default=200)
+    p.add_argument("--offdiagonal-samples", type=int_at_least(0), default=200)
     p.set_defaults(func=cmd_reproduce_theorem)
     return parser
 

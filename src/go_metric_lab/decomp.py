@@ -95,15 +95,27 @@ class BracketTable:
                     acc_h[k] = acc_h.get(k, ZERO) + f * c
         return linalg.sparse_from(acc_m), linalg.sparse_from(acc_h)
 
+    def bracket_in_m(self, x: Sparse, y: Sparse) -> Sparse:
+        """[X, Y] over m for a pair whose bracket must stay in m."""
+        c_m, c_h = self.bracket(x, y)
+        if c_h:
+            raise ValueError("vector is not in m")
+        return c_m
+
 
 @dataclass
 class ReductiveSplit:
-    """g = h (+) m with a B-orthogonal m basis."""
+    """g = h (+) m with a B-orthogonal m basis.
+
+    `ad_h[i]` is the matrix of ad(h_i)|_m over the m basis, read off the
+    reductivity check; `isotropy.isotropy_action` verifies and keeps it.
+    """
 
     algebra: MatrixLieAlgebra
     h: Subalgebra
     m_basis: List[Vec]
     gram_m: Mat
+    ad_h: List[Mat]
 
     @property
     def dim_m(self) -> int:
@@ -114,15 +126,21 @@ class ReductiveSplit:
         """Diagonal of the (B-orthogonal) m-basis Gram matrix."""
         return [self.gram_m[j][j] for j in range(self.dim_m)]
 
+    @cached_property
+    def _sparse_m_basis(self) -> List[Sparse]:
+        return [linalg.sparse(b) for b in self.m_basis]
+
     def _m_part(self, x: Vec) -> Tuple[Vec, Vec]:
         """(coordinates of the m-component of x, the h-component of x)."""
-        g = self.algebra
-        coords = [lie_core.inner(g, x, b) / nu
+        gram = self.algebra.gram         # diagonal: checked by reductive_split
+        gx = [(i, c * gram[i][i]) for i, c in enumerate(x) if c != 0]
+        coords = [linalg.sparse_dot(b, gx) / nu
                   for b, nu in zip(self.m_basis, self.norms_m)]
         resid = list(x)
-        for c, b in zip(coords, self.m_basis):
+        for c, b in zip(coords, self._sparse_m_basis):
             if c != 0:
-                resid = linalg.vec_sub(resid, linalg.vec_scale(c, b))
+                for i, bi in b:
+                    resid[i] -= c * bi
         return coords, resid
 
     def coords_in_m(self, x: Vec) -> Vec:
@@ -156,23 +174,35 @@ class ReductiveSplit:
 
 
 def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
-    """Exact B-orthogonal complement of h plus reductivity verification."""
+    """Exact B-orthogonal complement of h plus reductivity verification.
+
+    The basis of g must be B-orthogonal (`lie_core.validate_algebra`
+    checks it), so every form here is a diagonal norm vector.
+    """
     if h.parent is not g:
         raise ValueError("subalgebra belongs to a different algebra")
-    rows = [linalg.mat_vec(g.gram, hv) for hv in h.basis_coords]
+    if any(g.gram[i][j] != 0 for i in range(g.dim) for j in range(g.dim)
+           if i != j):
+        raise ValueError("the basis of g is not B-orthogonal")
+    norms = [g.gram[i][i] for i in range(g.dim)]
+    rows = [[c * nu for c, nu in zip(hv, norms)] for hv in h.basis_coords]
     m_basis = linalg.nullspace(rows, g.dim) if rows else linalg.identity(g.dim)
-    m_basis = linalg.gram_schmidt(m_basis, g.gram)
+    m_basis = linalg.gram_schmidt(m_basis, norms)
     if h.dim + len(m_basis) != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
 
-    gram_m = [[lie_core.inner(g, a, b) for b in m_basis] for a in m_basis]
-    split = ReductiveSplit(algebra=g, h=h, m_basis=m_basis, gram_m=gram_m)
+    gram_m = [[linalg.norm_dot(norms, a, b) for b in m_basis] for a in m_basis]
+    split = ReductiveSplit(algebra=g, h=h, m_basis=m_basis, gram_m=gram_m,
+                           ad_h=[])
 
     for hv in h.basis_coords:
+        cols = []
         for mv in m_basis:
-            _, h_part = split._m_part(lie_core.bracket(g, hv, mv))
+            coords, h_part = split._m_part(lie_core.bracket(g, hv, mv))
             if not linalg.vec_is_zero(h_part):
                 raise NonReductiveError("[h, m] leaves m; split is not reductive")
+            cols.append(coords)
+        split.ad_h.append(linalg.transpose(cols))
     return split
 
 

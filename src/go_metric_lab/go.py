@@ -122,13 +122,13 @@ class GOCertificate:
 def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
     """All m-basis vectors, then pairwise sums (cross-summand pairs first)."""
     dim = decomp.dim
-    gram = decomp.action.gram
+    norms = decomp.action.norms
     block_of = []
     for i in range(dim):
         v = linalg.unit_vec(dim, i)
         home = None
         for s in decomp.summands:
-            if s.space.coords_of(v, gram) is not None:
+            if s.space.coords_of(v, norms) is not None:
                 home = s.class_id
                 break
         block_of.append(home)
@@ -454,7 +454,7 @@ def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
             for v_g in member_g:
                 w = lie_core.bracket(g, x_g, v_g)
                 w_m = split.coords_in_m(w)
-                coords = member.space.coords_of(w_m, split.gram_m)
+                coords = member.space.coords_of(w_m, split.norms_m)
                 if coords is None:
                     ok = False
                     break
@@ -515,7 +515,7 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
         for x_m in candidates:
             if linalg.vec_is_zero(x_m):
                 continue
-            x_coords = member.space.coords_of(x_m, split.gram_m)
+            x_coords = member.space.coords_of(x_m, split.norms_m)
             if x_coords is None:
                 continue
             x_g = split.m_to_g(x_m)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import lie_core, linalg
+from . import linalg
 from .decomp import ReductiveSplit
 from .linalg import Mat, Vec, ZERO, ONE
 
@@ -41,7 +41,11 @@ class DecompositionError(ArithmeticError):
 
 @dataclass
 class Subspace:
-    """Subspace of m with a B-orthogonal basis in m-coordinates."""
+    """Subspace of m with a B-orthogonal basis in m-coordinates.
+
+    Ambient forms are passed as norm vectors: the diagonal of the Gram
+    matrix of a B-orthogonal ambient basis.
+    """
 
     basis: List[Vec]
     norms: List[Fraction]
@@ -50,23 +54,29 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, v: Vec, gram: Mat) -> Optional[Vec]:
+    @cached_property
+    def sparse_basis(self) -> List[linalg.Sparse]:
+        return [linalg.sparse(b) for b in self.basis]
+
+    def coords_of(self, v: Vec, norms: Vec) -> Optional[Vec]:
         """Coordinates of v over the basis, or None if v falls outside."""
-        coords = [linalg.gram_dot(gram, v, b) / nu
+        resid = {i: c for i, c in enumerate(v) if c != 0}
+        gv = [(i, c * norms[i]) for i, c in resid.items()]
+        coords = [linalg.sparse_dot(b, gv) / nu
                   for b, nu in zip(self.basis, self.norms)]
-        resid = list(v)
-        for c, b in zip(coords, self.basis):
+        for c, b in zip(coords, self.sparse_basis):
             if c != 0:
-                resid = linalg.vec_sub(resid, linalg.vec_scale(c, b))
-        if not linalg.vec_is_zero(resid):
+                for i, bi in b:
+                    resid[i] = resid.get(i, ZERO) - c * bi
+        if any(r != 0 for r in resid.values()):
             return None
         return coords
 
 
-def make_subspace(vectors: Sequence[Vec], gram: Mat) -> Subspace:
-    basis = linalg.gram_schmidt(list(vectors), gram)
-    norms = [linalg.gram_dot(gram, b, b) for b in basis]
-    return Subspace(basis=basis, norms=norms)
+def make_subspace(vectors: Sequence[Vec], norms: Vec) -> Subspace:
+    basis = linalg.gram_schmidt(list(vectors), norms)
+    return Subspace(basis=basis,
+                    norms=[linalg.norm_dot(norms, b, b) for b in basis])
 
 
 def subspace_leading_index(sub: Subspace) -> Tuple:
@@ -109,29 +119,25 @@ class IsotropyAction:
 
 
 def isotropy_action(split: ReductiveSplit) -> IsotropyAction:
-    """Build and verify the action matrices (reductivity and B-skewness)."""
-    g = split.algebra
-    ops = []
-    for a in split.h.basis_coords:
-        cols = []
-        for b in split.m_basis:
-            br = lie_core.bracket(g, a, b)
-            cols.append(split.coords_in_m(br))
-        m = linalg.transpose(cols)
-        skew = linalg.mat_add(linalg.mat_mul(linalg.transpose(m), split.gram_m),
-                              linalg.mat_mul(split.gram_m, m))
-        if not linalg.mat_is_zero(skew):
-            raise ArithmeticError("ad(a)|_m is not B-skew")
-        ops.append(m)
-    return IsotropyAction(split=split, ad_ops=ops)
+    """The action matrices of the split's reductivity check, verified B-skew.
+
+    B-skewness on the diagonal m-norms nu reads
+    nu_r A[r][c] + nu_c A[c][r] = 0 entrywise.
+    """
+    nu = split.norms_m
+    for op in split.ad_h:
+        for r, row in enumerate(op):
+            for c, x in enumerate(row):
+                if x != 0 and nu[r] * x + nu[c] * op[c][r] != 0:
+                    raise ArithmeticError("ad(a)|_m is not B-skew")
+    return IsotropyAction(split=split, ad_ops=list(split.ad_h))
 
 
-def restrict_op(op: Mat, sub: Subspace, gram: Mat) -> Optional[Mat]:
+def restrict_op(op: Mat, sub: Subspace, norms: Vec) -> Optional[Mat]:
     """Matrix of op on the subspace basis; None if the subspace moves."""
     cols = []
-    for b in sub.basis:
-        w = linalg.mat_vec(op, b)
-        coords = sub.coords_of(w, gram)
+    for b in sub.sparse_basis:
+        coords = sub.coords_of([linalg.sparse_dot(row, b) for row in op], norms)
         if coords is None:
             return None
         cols.append(coords)
@@ -141,10 +147,10 @@ def restrict_op(op: Mat, sub: Subspace, gram: Mat) -> Optional[Mat]:
 def _restrict_action(action: IsotropyAction, sub: Optional[Subspace]
                      ) -> Tuple[List[Mat], List[Fraction]]:
     if sub is None:
-        return action.ad_ops, [action.gram[i][i] for i in range(action.dim)]
+        return action.ad_ops, list(action.norms)
     ops = []
     for op in action.ad_ops:
-        r = restrict_op(op, sub, action.gram)
+        r = restrict_op(op, sub, action.norms)
         if r is None:
             raise ValueError("subspace is not invariant under the action")
         ops.append(r)
@@ -276,7 +282,7 @@ def _split_by_operator(op: Mat, norms: List[Fraction]) -> Optional[List[List[Vec
     return [basis for _, basis in split]
 
 
-def minimal_invariant_pieces(ops: List[Mat], gram: Mat, start: Subspace,
+def minimal_invariant_pieces(ops: List[Mat], norms: Vec, start: Subspace,
                              extra_ops: Sequence[Mat] = (),
                              seed: int = 0,
                              random_tries: int = 24) -> List[Subspace]:
@@ -292,7 +298,7 @@ def minimal_invariant_pieces(ops: List[Mat], gram: Mat, start: Subspace,
         piece = work.pop()
         ops_p = []
         for op in ops:
-            r = restrict_op(op, piece, gram)
+            r = restrict_op(op, piece, norms)
             if r is None:
                 raise DecompositionError("piece lost invariance during split")
             ops_p.append(r)
@@ -300,19 +306,16 @@ def minimal_invariant_pieces(ops: List[Mat], gram: Mat, start: Subspace,
         if len(csym) == 1:
             done.append(piece)
             continue
-        candidates: List[Mat] = []
-        for ex in extra_ops:
-            r = restrict_op(ex, piece, gram)
-            if r is not None:
-                candidates.append(r)
-        candidates.extend(csym)
-        for _ in range(random_tries):
-            combo = linalg.zeros(piece.dim, piece.dim)
-            for s in csym:
-                combo = linalg.mat_add(combo, linalg.mat_scale(
-                    Fraction(rng.randint(-9, 9)), s))
-            candidates.append(combo)
-        for cand in candidates:
+        # candidates are built only until one splits the piece; the random
+        # coefficients are drawn up front so every piece sees the same stream
+        draws = [[Fraction(rng.randint(-9, 9)) for _ in csym]
+                 for _ in range(random_tries)]
+        restricted = (restrict_op(ex, piece, norms) for ex in extra_ops)
+        combos = ([[sum((c * s[i][j] for c, s in zip(coeffs, csym)), ZERO)
+                    for j in range(piece.dim)] for i in range(piece.dim)]
+                  for coeffs in draws)
+        for cand in itertools.chain((r for r in restricted if r is not None),
+                                    csym, combos):
             parts = _split_by_operator(cand, piece.norms)
             if parts is None:
                 continue
@@ -324,7 +327,7 @@ def minimal_invariant_pieces(ops: List[Mat], gram: Mat, start: Subspace,
                         if c != 0:
                             w = linalg.vec_add(w, linalg.vec_scale(c, b))
                     ambient.append(w)
-                work.append(make_subspace(ambient, gram))
+                work.append(make_subspace(ambient, norms))
             break
         else:
             raise DecompositionError(
@@ -384,27 +387,32 @@ class IsotypicalDecomposition:
         return [s for s in self.summands if s is not self.s0]
 
 
-def joint_kernel(ops: List[Mat], gram: Mat, dim: int) -> Subspace:
+def joint_kernel(ops: List[Mat], norms: Vec, dim: int) -> Subspace:
     rows = [row for op in ops for row in op]
     basis = linalg.nullspace(rows, dim) if rows else linalg.identity(dim)
-    return make_subspace(basis, gram)
+    return make_subspace(basis, norms)
 
 
-def ad_on_m(split: ReductiveSplit, z_g: Vec) -> Mat:
-    """Matrix of ad(z)|_m over the m basis; z must preserve m."""
-    g = split.algebra
-    cols = [split.coords_in_m(lie_core.bracket(g, z_g, b))
-            for b in split.m_basis]
-    return linalg.transpose(cols)
+def _ad_columns(split: ReductiveSplit, z_m: Vec) -> List[linalg.Sparse]:
+    """Sparse columns [z, m_b] of ad(z)|_m for z in m; z must preserve m."""
+    z = linalg.sparse(z_m)
+    return [split.bracket_table.bracket_in_m(z, [(b, ONE)])
+            for b in range(split.dim_m)]
+
+
+def ad_on_m(split: ReductiveSplit, z_m: Vec) -> Mat:
+    """Matrix of ad(z)|_m over the m basis for z in m; z must preserve m."""
+    return linalg.transpose([linalg.dense(col, split.dim_m)
+                             for col in _ad_columns(split, z_m)])
 
 
 def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> List[Mat]:
     """Operators -(ad Z|_m)^2 for Z over the S0 basis; symmetric, equivariant."""
-    split = action.split
     out = []
     for z_m in s0.basis:
-        adz = ad_on_m(split, split.m_to_g(z_m))
-        out.append(linalg.mat_scale(Fraction(-1), linalg.mat_mul(adz, adz)))
+        cols = _ad_columns(action.split, z_m)
+        out.append(linalg.transpose([linalg.dense(linalg.sparse_mat_vec(
+            cols, [(k, -c) for k, c in col]), action.dim) for col in cols]))
     return out
 
 
@@ -412,10 +420,10 @@ def decompose_isotypic(action: IsotropyAction,
                        seed: int = 0) -> IsotypicalDecomposition:
     """Split m into S0 and isotypical summands of equivalent submodules."""
     dim = action.dim
-    gram = action.gram
-    s0_space = joint_kernel(action.ad_ops, gram, dim)
+    norms = action.norms
+    s0_space = joint_kernel(action.ad_ops, norms, dim)
 
-    members_s0 = [Submodule(space=make_subspace([b], gram), trivial=True,
+    members_s0 = [Submodule(space=make_subspace([b], norms), trivial=True,
                             commutant_sym_dim=1, commutant_dim=1)
                   for b in s0_space.basis]
     s0_summand = IsotypicalSummand(class_id=0, members=members_s0, space=s0_space)
@@ -427,11 +435,11 @@ def decompose_isotypic(action: IsotropyAction,
     if s0_space.dim == dim:
         rest_pieces: List[Subspace] = []
     else:
-        rows = [linalg.mat_vec(gram, b) for b in s0_space.basis]
+        rows = [[c * nu for c, nu in zip(b, norms)] for b in s0_space.basis]
         rest = make_subspace(linalg.nullspace(rows, dim) if rows
-                             else linalg.identity(dim), gram)
+                             else linalg.identity(dim), norms)
         extra = squared_ad_candidates(action, s0_space)
-        rest_pieces = minimal_invariant_pieces(action.ad_ops, gram, rest,
+        rest_pieces = minimal_invariant_pieces(action.ad_ops, norms, rest,
                                                extra_ops=extra, seed=seed)
 
     modules: List[Submodule] = []
@@ -475,7 +483,7 @@ def decompose_isotypic(action: IsotropyAction,
     summands = [s0_summand]
     for cls in classes:
         space = make_subspace([v for idx in cls for v in modules[idx].space.basis],
-                              gram)
+                              norms)
         summand = IsotypicalSummand(class_id=0, members=[modules[idx] for idx in cls],
                                     space=space)
         for (a, b) in itertools.permutations(range(len(cls)), 2):
@@ -511,16 +519,13 @@ class IdealSplit:
 
 def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Mat]:
     """Adjoint operators of S0 acting on itself, over the S0 basis."""
-    g = split.algebra
     ops = []
-    for z_m in s0.basis:
-        z = split.m_to_g(z_m)
+    for z in s0.sparse_basis:
         cols = []
-        for w_m in s0.basis:
-            w = split.m_to_g(w_m)
-            br = lie_core.bracket(g, z, w)
-            br_m = split.coords_in_m(br)
-            coords = s0.coords_of(br_m, split.gram_m)
+        for w in s0.sparse_basis:
+            br_m = linalg.dense(split.bracket_table.bracket_in_m(z, w),
+                                split.dim_m)
+            coords = s0.coords_of(br_m, split.norms_m)
             if coords is None:
                 raise ArithmeticError("S0 is not closed under the bracket")
             cols.append(coords)
@@ -546,28 +551,26 @@ def split_ideals(split: ReductiveSplit, s0: Subspace,
             out.append(w)
         return out
 
-    gram = split.gram_m
-    center = make_subspace(to_ambient(center_local), gram)
+    norms = split.norms_m
+    center = make_subspace(to_ambient(center_local), norms)
     if center.dim == d:
         return IdealSplit(center=center, simples=[])
 
-    norms_local = [linalg.gram_dot(gram, b, b) for b in s0.basis]
-    gram_local = [[linalg.gram_dot(gram, a, b) for b in s0.basis] for a in s0.basis]
-    rows_c = [linalg.mat_vec(gram_local, v) for v in center_local]
+    # S0 coordinates: the S0 basis is B-orthogonal with norms s0.norms
+    rows_c = [[c * nu for c, nu in zip(v, s0.norms)] for v in center_local]
     semi_local = (linalg.nullspace(rows_c, d) if rows_c
                   else linalg.identity(d))
     # pieces of the adjoint action of S0 on its semisimple part
-    local_sub = make_subspace(semi_local, gram_local)
-    pieces = minimal_invariant_pieces(ops, gram_local, local_sub, seed=seed)
+    local_sub = make_subspace(semi_local, s0.norms)
+    pieces = minimal_invariant_pieces(ops, s0.norms, local_sub, seed=seed)
     simples = []
     for piece in pieces:
-        amb = make_subspace(to_ambient(piece.basis), gram)
+        amb = make_subspace(to_ambient(piece.basis), norms)
         # simple ideals are non-abelian
-        g_alg = split.algebra
-        vecs = [split.m_to_g(v) for v in amb.basis]
+        vecs = amb.sparse_basis
         nonabelian = any(
-            not linalg.vec_is_zero(lie_core.bracket(g_alg, x, y))
-            for i, x in enumerate(vecs) for y in vecs[i + 1:])
+            part for i, x in enumerate(vecs) for y in vecs[i + 1:]
+            for part in split.bracket_table.bracket(x, y))
         if not nonabelian:
             raise DecompositionError("minimal ideal of the semisimple part is abelian")
         simples.append(amb)

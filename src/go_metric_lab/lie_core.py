@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .linalg import Mat, Vec, ZERO, ONE
+from .linalg import Mat, Vec, ZERO
 
 
 class InvalidDimensionError(ValueError):
@@ -71,36 +71,51 @@ def _zeros(n: int) -> Mat:
     return [[ZERO] * n for _ in range(n)]
 
 
-def _embed(re_part: Mat, im_part: Mat) -> Mat:
-    """Real 2n x 2n embedding of the complex matrix re + i*im."""
-    n = len(re_part)
-    out = _zeros(2 * n)
+# A basis matrix as {(row, col): (re, im)}: complex integer entries, at most two.
+SparseComplex = Dict[Tuple[int, int], Tuple[int, int]]
+
+
+def _canonical_entries(n: int) -> Tuple[List[str], List[SparseComplex]]:
+    labels, entries = [], []
     for i in range(n):
-        for j in range(n):
-            out[i][j] = re_part[i][j]
-            out[i][j + n] = -im_part[i][j]
-            out[i + n][j] = im_part[i][j]
-            out[i + n][j + n] = re_part[i][j]
+        for j in range(i + 1, n):
+            labels.append(f"e_{i + 1}_{j + 1}")
+            entries.append({(i, j): (1, 0), (j, i): (-1, 0)})
+    for l in range(n):
+        for m in range(l, n):
+            labels.append(f"eb_{l + 1}_{m + 1}")
+            entries.append({(l, m): (0, 1), (m, l): (0, 1)} if l != m
+                           else {(l, l): (0, 2)})
+    return labels, entries
+
+
+def _embed_entries(n: int, x: SparseComplex) -> Mat:
+    """Real 2n x 2n embedding of a sparse complex matrix."""
+    out = _zeros(2 * n)
+    for (r, c), (re, im) in x.items():
+        out[r][c] = out[r + n][c + n] = Fraction(re)
+        out[r][c + n] = Fraction(-im)
+        out[r + n][c] = Fraction(im)
     return out
 
 
-def _canonical_basis(n: int) -> Tuple[List[str], List[Mat]]:
-    labels, mats = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = _zeros(n)
-            re[i][j] = ONE
-            re[j][i] = -ONE
-            labels.append(f"e_{i + 1}_{j + 1}")
-            mats.append(_embed(re, _zeros(n)))
-    for l in range(n):
-        for m in range(l, n):
-            im = _zeros(n)
-            im[l][m] += ONE
-            im[m][l] += ONE
-            labels.append(f"eb_{l + 1}_{m + 1}")
-            mats.append(_embed(_zeros(n), im))
-    return labels, mats
+def _sparse_commutator(x: SparseComplex, y: SparseComplex) -> SparseComplex:
+    """XY - YX on sparse complex matrices."""
+    out: SparseComplex = {}
+    for sign, left, right in ((1, x, y), (-1, y, x)):
+        for (r, k), (a, b) in left.items():
+            for (k2, c), (p, q) in right.items():
+                if k == k2:
+                    re, im = out.get((r, c), (0, 0))
+                    out[(r, c)] = (re + sign * (a * p - b * q),
+                                   im + sign * (a * q + b * p))
+    return out
+
+
+def _sparse_trace_form(x: SparseComplex, y: SparseComplex) -> Fraction:
+    """B(X, Y) = -Re Trace(XY) on sparse complex matrices."""
+    return Fraction(-sum(a * p - b * q for (r, k), (a, b) in x.items()
+                         for (k2, c), (p, q) in y.items() if k == k2 and r == c))
 
 
 def trace_form(x_mat: Mat, y_mat: Mat) -> Fraction:
@@ -140,23 +155,40 @@ def _gram_diag(g: MatrixLieAlgebra) -> List[Fraction]:
 
 
 def build_un(n: int) -> MatrixLieAlgebra:
-    """The compact algebra u(n) with canonical basis and exact tables."""
+    """The compact algebra u(n) with canonical basis and exact tables.
+
+    Structure constants and the Gram matrix come from sparse products of
+    the basis matrices; a skew-Hermitian Z has coordinates Re Z_ij on
+    e_ij, Im Z_lm on eb_lm and Im Z_ll / 2 on eb_ll.  The dense matrices
+    stay on the algebra as the oracle of `validate_algebra`.
+    """
     if n < 1:
         raise InvalidDimensionError(f"u(n) needs n >= 1, got n={n}")
-    labels, mats = _canonical_basis(n)
+    labels, entries = _canonical_entries(n)
     dim = len(labels)
-    gram = [[trace_form(mats[i], mats[j]) for j in range(dim)] for i in range(dim)]
-    g = MatrixLieAlgebra(n=n, labels=labels, structure={}, gram=gram, basis=mats)
+    gram = [[_sparse_trace_form(entries[i], entries[j]) for j in range(dim)]
+            for i in range(dim)]
+    index = {}
+    for k, label in enumerate(labels):
+        kind, i, j = label.split("_")
+        index[(kind, int(i) - 1, int(j) - 1)] = k
     structure: BracketTable = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            coords = expand_in_basis(g, commutator(mats[i], mats[j]))
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            coords: Dict[int, Fraction] = {}
+            for (r, c), (re, im) in _sparse_commutator(entries[i],
+                                                       entries[j]).items():
+                if r < c:
+                    coords[index[("e", r, c)]] = Fraction(re)
+                    coords[index[("eb", r, c)]] = Fraction(im)
+                elif r == c:
+                    coords[index[("eb", r, r)]] = Fraction(im, 2)
+            entry = {k: coords[k] for k in sorted(coords) if coords[k] != 0}
             if entry:
                 structure[(i, j)] = entry
                 structure[(j, i)] = {k: -c for k, c in entry.items()}
-    g.structure.update(structure)
-    return g
+    return MatrixLieAlgebra(n=n, labels=labels, structure=structure, gram=gram,
+                            basis=[_embed_entries(n, e) for e in entries])
 
 
 def bracket(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Vec:

@@ -3,8 +3,9 @@
 Entries are `fractions.Fraction` (integers mix in freely); nothing rounds,
 and every zero test is a comparison with exact zero.
 
-Matrices are lists of row lists; vectors are plain lists.  Bilinear forms are
-passed as Gram matrices (usually diagonal, but nothing assumes it).
+Matrices are lists of row lists; vectors are plain lists.  Least squares
+takes its bilinear form as a Gram matrix; Gram-Schmidt takes the diagonal
+of a B-orthogonal basis's Gram matrix, its norm vector.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def gram_dot(gram: Mat, x: Vec, y: Vec):
                 if gij != 0:
                     t += gij * yj
         s += xi * t
+    return s
+
+
+def norm_dot(norms: Vec, x: Vec, y: Vec):
+    """<x, y> = sum_i x_i y_i norms_i for a diagonal Gram matrix."""
+    s = ZERO
+    for xi, yi, nu in zip(x, y, norms):
+        if xi != 0 and yi != 0:
+            s += xi * yi * nu
     return s
 
 
@@ -223,6 +233,16 @@ def sparse_columns(m: Mat) -> List[Sparse]:
             for j in range(len(m[0]) if m else 0)]
 
 
+def sparse_dot(x: Vec, y: Sparse):
+    """<x, y> for a dense x and a sparse y."""
+    s = ZERO
+    for i, c in y:
+        xi = x[i]
+        if xi != 0:
+            s += xi * c
+    return s
+
+
 def sparse_mat_vec(columns: List[Sparse], x: Sparse) -> Sparse:
     """M x for a matrix given by its sparse columns."""
     acc: dict = {}
@@ -318,19 +338,22 @@ def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fractio
 # Gram-Schmidt without normalization (keeps rational entries rational)
 # ---------------------------------------------------------------------------
 
-def gram_schmidt(vectors: List[Vec], gram: Mat) -> List[Vec]:
-    """B-orthogonalize, dropping dependent vectors; no normalization."""
+def gram_schmidt(vectors: List[Vec], norms: Vec) -> List[Vec]:
+    """B-orthogonalize, dropping dependent vectors; no normalization.
+
+    `norms` is the diagonal Gram matrix of the ambient coordinates.
+    """
     basis: List[Vec] = []
-    norms: List = []
+    basis_norms: List = []
     for v in vectors:
         w = list(v)
-        for u, nu in zip(basis, norms):
-            c = gram_dot(gram, w, u) / nu
+        for u, nu in zip(basis, basis_norms):
+            c = norm_dot(norms, w, u) / nu
             if c != 0:
                 w = vec_sub(w, vec_scale(c, u))
         if not vec_is_zero(w):
             basis.append(w)
-            norms.append(gram_dot(gram, w, w))
+            basis_norms.append(norm_dot(norms, w, w))
     return basis
 
 

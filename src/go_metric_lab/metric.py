@@ -98,15 +98,14 @@ def eigenstructure(a: MetricEndomorphism) -> List[Tuple[object, Subspace]]:
     falls back to floating point (see `_float_eigenstructure`).  Eigenspaces
     are verified invariant under the isotropy action either way.
     """
-    gram = a.decomp.action.gram
-    norms = [gram[i][i] for i in range(a.dim)]
+    norms = a.decomp.action.norms
     split = linalg.eigen_split(a.matrix, isotropy._float_hints(a.matrix, norms))
     if split is None:
         return _float_eigenstructure(a.matrix, norms, a.decomp.action.ad_ops)
-    out = [(lam, isotropy.make_subspace(basis, gram)) for lam, basis in split]
+    out = [(lam, isotropy.make_subspace(basis, norms)) for lam, basis in split]
     for _, space in out:
         for op in a.decomp.action.ad_ops:
-            if isotropy.restrict_op(op, space, gram) is None:
+            if isotropy.restrict_op(op, space, norms) is None:
                 raise ArithmeticError("eigenspace is not isotropy invariant")
     return out
 
@@ -156,7 +155,7 @@ def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Mat]:
     action = decomp.action
     ops = list(action.ad_ops)
     for z_m in decomp.s0.space.basis:
-        ops.append(isotropy.ad_on_m(action.split, action.split.m_to_g(z_m)))
+        ops.append(isotropy.ad_on_m(action.split, z_m))
     return ops
 
 
@@ -423,10 +422,9 @@ def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
 
 def block_view(a: MetricEndomorphism) -> List[dict]:
     """Per-summand restriction of A: scalar where scalar, else the matrix."""
-    gram = a.decomp.action.gram
     out = []
     for summand in a.decomp.summands:
-        r = isotropy.restrict_op(a.matrix, summand.space, gram)
+        r = isotropy.restrict_op(a.matrix, summand.space, a.decomp.action.norms)
         if r is None:
             raise ArithmeticError("metric does not preserve a summand")
         d = summand.dim

@@ -107,7 +107,7 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
         if not linalg.same_span(member.basis, canonical):
             raise ArithmeticError(
                 f"module {i} does not match its coordinate form")
-        modules.append(isotropy.make_subspace(canonical, split.gram_m))
+        modules.append(isotropy.make_subspace(canonical, split.norms_m))
 
     s1_pairs = []
     for i in range(1, k + 1):
@@ -146,7 +146,7 @@ def tilde_map(space: StiefelSpace, x_m: Vec) -> Vec:
     if len(x_m) != space.dim_m:
         raise lie_core.DimensionMismatchError(
             f"expected m-coordinates of length {space.dim_m}")
-    if space.s1.space.coords_of(x_m, space.split.gram_m) is None:
+    if space.s1.space.coords_of(x_m, space.split.norms_m) is None:
         raise ValueError("vector is not in S1")
     out = linalg.zero_vec(space.dim_m)
     for ei, bi in space.s1_pairs:
@@ -156,10 +156,10 @@ def tilde_map(space: StiefelSpace, x_m: Vec) -> Vec:
 
 
 def center_coefficient(space: StiefelSpace, x_m: Vec) -> Fraction:
-    """Coefficient r of the center direction z0 inside X."""
-    gram = space.split.gram_m
-    return (linalg.gram_dot(gram, x_m, space.z0_m)
-            / linalg.gram_dot(gram, space.z0_m, space.z0_m))
+    """Coefficient r = <X, z0> / <z0, z0> of the center direction z0 in X."""
+    nu = space.split.norms_m
+    z0 = [(i, c * nu[i]) for i, c in enumerate(space.z0_m) if c != 0]
+    return linalg.sparse_dot(x_m, z0) / linalg.sparse_dot(space.z0_m, z0)
 
 
 def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
@@ -189,11 +189,8 @@ def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
 
 def _bracket_m(space: StiefelSpace, x_m: Vec, y_m: Vec) -> Vec:
     """[X, Y] over the m basis, read off the split's bracket table."""
-    c_m, c_h = space.split.bracket_table.bracket(linalg.sparse(x_m),
-                                                 linalg.sparse(y_m))
-    if c_h:
-        raise ValueError("vector is not in m")
-    return linalg.dense(c_m, space.dim_m)
+    return linalg.dense(space.split.bracket_table.bracket_in_m(
+        linalg.sparse(x_m), linalg.sparse(y_m)), space.dim_m)
 
 
 def _act_h(space: StiefelSpace, a_h: Vec, x_m: Vec) -> Vec:
@@ -301,7 +298,6 @@ def diagonal_family(space: StiefelSpace) -> MetricFamily:
 
 def is_deformation_point(space: StiefelSpace, a: MetricEndomorphism) -> bool:
     """True iff A is a positive multiple of some A_t (t > 0)."""
-    gram = space.split.gram_m
     su_and_s1: List[Vec] = [v for s in space.ideals.simples for v in s.basis]
     su_and_s1 += list(space.s1.space.basis)
     lam = None
@@ -318,8 +314,7 @@ def is_deformation_point(space: StiefelSpace, a: MetricEndomorphism) -> bool:
         if next(iter(vals)) != lam:
             return False
     av = linalg.mat_vec(a.matrix, space.z0_m)
-    mu = linalg.gram_dot(gram, av, space.z0_m) / linalg.gram_dot(
-        gram, space.z0_m, space.z0_m)
+    mu = center_coefficient(space, av)
     if not linalg.vec_is_zero(linalg.vec_sub(
             av, linalg.vec_scale(mu, space.z0_m))):
         return False
@@ -332,7 +327,7 @@ def grassmannian_cross_check(space: StiefelSpace) -> bool:
     s1 = space.s1.space
     restricted = []
     for op in ops:
-        r = isotropy.restrict_op(op, s1, space.split.gram_m)
+        r = isotropy.restrict_op(op, s1, space.split.norms_m)
         if r is None:
             return False
         restricted.append(r)

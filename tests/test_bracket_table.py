@@ -1,10 +1,12 @@
 """The per-split m x m bracket table against a g-coordinate oracle.
 
-The scan tensors, `go_solve_at` and `go_residual_sq` read brackets off
-`ReductiveSplit.bracket_table` and the sparse isotropy columns.  The oracle
-below computes the same quantities the long way: m-coordinates to
-g-coordinates, bracket in g through the structure table, back to
-m-coordinates.  Results must agree as exact Fractions.
+The scan tensors, `go_solve_at`, `go_residual_sq`, `ad_on_m` and the
+brackets inside S0 read brackets off `ReductiveSplit.bracket_table` and the
+sparse isotropy columns; the isotropy operators come from the reductivity
+check of the split.  The oracle below computes the same quantities the
+long way: m-coordinates to g-coordinates, bracket in g through the
+structure table, back to m-coordinates.  Results must agree as exact
+Fractions.
 """
 
 import random
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from go_metric_lab import decomp, go, lie_core, linalg, metric, stiefel
+from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
 
 
 # ---------------------------------------------------------------------------
@@ -184,3 +186,68 @@ def test_table_is_the_only_bracket_work_of_a_tensor_build(space, monkeypatch):
     calls.update(bracket=0, coords_in_m=0)
     go._ScanTensors(family, ops, probes)
     assert calls == {"bracket": 0, "coords_in_m": 0}
+
+
+# ---------------------------------------------------------------------------
+# the construction layer: isotropy operators and brackets inside S0
+# ---------------------------------------------------------------------------
+
+def _oracle_ad(split, z_g):
+    """ad(z)|_m over the m basis, bracketing in g."""
+    g = split.algebra
+    return linalg.transpose([split.coords_in_m(lie_core.bracket(g, z_g, b))
+                             for b in split.m_basis])
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+def test_construction_operators_match_oracle(space, n, k):
+    sp = space(n, k)
+    split = sp.split
+    s0 = sp.decomp.s0.space
+    assert sp.action.ad_ops == [_oracle_ad(split, hv)
+                                for hv in split.h.basis_coords]
+    squares = isotropy.squared_ad_candidates(sp.action, s0)
+    for z_m, sq in zip(s0.basis, squares):
+        adz = _oracle_ad(split, split.m_to_g(z_m))
+        assert isotropy.ad_on_m(split, z_m) == adz
+        assert sq == linalg.mat_scale(Fraction(-1), linalg.mat_mul(adz, adz))
+    for z_m, op in zip(s0.basis, isotropy.s0_bracket_ops(split, s0)):
+        adz = _oracle_ad(split, split.m_to_g(z_m))
+        assert op == linalg.transpose(
+            [s0.coords_of(linalg.mat_vec(adz, w), split.norms_m)
+             for w in s0.basis])
+
+
+def test_construction_reads_tables_not_brackets(space, monkeypatch):
+    sp = space(4, 2)
+    split = decomp.reductive_split(sp.algebra, sp.split.h)
+    split.bracket_table
+    s0 = sp.decomp.s0.space
+    calls = _count_calls(monkeypatch)
+    action = isotropy.isotropy_action(split)
+    isotropy.squared_ad_candidates(action, s0)
+    isotropy.s0_bracket_ops(split, s0)
+    assert calls == {"bracket": 0, "coords_in_m": 0}
+
+
+def _perturbed_un(n, label, norm):
+    g = lie_core.build_un(n)
+    i = g.index(label)
+    g.gram[i][i] = Fraction(norm)
+    return g
+
+
+def test_isotropy_action_rejects_a_non_skew_action():
+    # e_1_3 spans half of a module of U(3)/U(1); a wrong norm there breaks
+    # the ad-invariance of the form but keeps the split reductive
+    g = _perturbed_un(3, "e_1_3", 3)
+    split = decomp.reductive_split(g, decomp.diagonal_u_nk(g, 2))
+    with pytest.raises(ArithmeticError, match="not B-skew"):
+        isotropy.isotropy_action(split)
+
+
+def test_reductive_split_rejects_a_non_orthogonal_basis():
+    g = lie_core.build_un(2)
+    g.gram[0][1] = g.gram[1][0] = Fraction(1)
+    with pytest.raises(ValueError, match="not B-orthogonal"):
+        decomp.reductive_split(g, decomp.diagonal_u_nk(g, 1))

@@ -287,3 +287,70 @@ def test_verbose_prints_stage_lines_and_keeps_reports(tmp_path, capsys):
     loud = capsys.readouterr()
     assert loud.out == quiet.out
     assert _stages(loud.err) == ["build", "report"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--strategy", "random", "--count", "0"],
+    ["--strategy", "random", "--count", "-4"],
+    ["--strategy", "family", "--count", "-4"],
+    ["--strategy", "basis", "--count", "-1"],
+])
+def test_check_go_rejects_bad_count(args, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert run_cli(["check-go", "stiefel", "2", "1", "--family-t", "2",
+                    *args, "--out", str(out)]) == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_go_random_with_one_probe_still_runs(tmp_path):
+    out = tmp_path / "cert.json"
+    assert run_cli(["check-go", "stiefel", "2", "1", "--family-t", "2",
+                    "--strategy", "random", "--count", "1",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == 1
+
+
+@pytest.mark.parametrize("entry", [
+    lambda argv: run_cli(["reproduce-theorem", *argv]),
+    _reproduce_script_main,
+], ids=["cli", "script"])
+@pytest.mark.parametrize("args,flag", [
+    (["--resolution", "-1"], "--resolution"),
+    (["--resolution", "0"], "--resolution"),
+    (["--resolution", "1/0"], "--resolution"),
+    (["--resolution", "half"], "--resolution"),
+    (["--offdiagonal-samples", "-3"], "--offdiagonal-samples"),
+])
+def test_reproduce_rejects_bad_grid_and_sample_flags(entry, args, flag,
+                                                     tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert entry(["2", "1", *args, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _validate_un_main(argv):
+    import importlib.util
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "validate_un.py"
+    spec = importlib.util.spec_from_file_location("validate_un", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv)
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_validate_un_rejects_max_n_below_one(max_n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _validate_un_main(["--max-n", max_n])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
+def test_validate_un_times_build_and_validation_apart(capsys):
+    assert _validate_un_main(["--max-n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for n, line in enumerate(lines, start=1):
+        assert re.fullmatch(rf"u\({n}\): dim +{n * n}  ok  "
+                            r"\(build \d+\.\d{3}s, validate \d+\.\d{2}s\)", line)

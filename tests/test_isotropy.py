@@ -60,7 +60,7 @@ def test_submodules_are_invariant(space):
         for member in summand.members:
             for op in dec.action.ad_ops:
                 assert isotropy.restrict_op(op, member.space,
-                                            dec.action.gram) is not None
+                                            dec.action.norms) is not None
 
 
 def test_summands_pairwise_orthogonal(space):
@@ -170,7 +170,7 @@ def test_simple_ideal_is_nonabelian_ideal(space):
         for y in vecs:
             br = lie_core.bracket(g, x, y)
             br_m = sp.split.coords_in_m(br)
-            assert s.coords_of(br_m, sp.split.gram_m) is not None
+            assert s.coords_of(br_m, sp.split.norms_m) is not None
             nonzero = nonzero or not linalg.vec_is_zero(br)
     assert nonzero
 

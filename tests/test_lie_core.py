@@ -151,6 +151,94 @@ def test_structure_matches_delta_pattern(n, un):
             assert got_map == {k: Fraction(v) for k, v in expect.items()}, (la, lb)
 
 
+# oracle 3: the whole table expanded from the dense matrix realization
+def commutator_table(g):
+    """g.structure and g.gram rebuilt from the matrices g.basis.
+
+    Commutators of the real-embedded matrices, expanded over the basis with
+    B(X, Y) = -Trace(XY)/2; pairs (i, j), (j, i) for i < j in order and
+    coordinates ascending, as `build_un` lays them out.
+    """
+    mats = [[[int(x) for x in row] for row in b] for b in g.basis]
+    entries = [[(r, c, x) for r, row in enumerate(m) for c, x in enumerate(row)
+                if x] for m in mats]
+
+    def times(a, b):
+        out = {}
+        for r, k, x in entries[a]:
+            for k2, c, y in entries[b]:
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + x * y
+        return out
+
+    def form(z, k):
+        """B(Z, b_k) for Z given by its nonzero entries."""
+        return Fraction(-sum(v * mats[k][c][r] for (r, c), v in z.items()), 2)
+
+    gram = [[form(dict(((r, c), x) for r, c, x in entries[i]), j)
+             for j in range(g.dim)] for i in range(g.dim)]
+    table = {}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            comm = times(i, j)
+            for key, v in times(j, i).items():
+                comm[key] = comm.get(key, 0) - v
+            coords = {}
+            for k in range(g.dim):
+                c = form(comm, k) / gram[k][k]
+                if c != 0:
+                    coords[k] = c
+            rebuilt = {}
+            for k, c in coords.items():
+                for r, col, x in entries[k]:
+                    rebuilt[(r, col)] = rebuilt.get((r, col), 0) + c * x
+            assert ({key: v for key, v in comm.items() if v}
+                    == {key: v for key, v in rebuilt.items() if v})
+            if coords:
+                table[(i, j)] = coords
+                table[(j, i)] = {k: -c for k, c in coords.items()}
+    return table, gram
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_table_matches_matrix_commutators(n, un):
+    g = un(n)
+    table, gram = commutator_table(g)
+    assert list(g.structure) == list(table)
+    for key, entry in table.items():
+        assert list(g.structure[key].items()) == list(entry.items()), key
+        assert all(type(c) is Fraction for c in g.structure[key].values())
+    assert g.gram == gram
+    assert all(type(c) is Fraction for row in g.gram for c in row)
+
+
+# sha256 prefixes of the serialized u(n) built by expanding matrix commutators
+COMMUTATOR_BUILD_HASHES = {2: "b6c6f0d263fb7d7f", 3: "f628423ef85c27c4",
+                           4: "649eb665adabf0ad", 5: "e2633c732a5f0349",
+                           6: "8088b69face9d1d9"}
+
+
+@pytest.mark.parametrize("n", sorted(COMMUTATOR_BUILD_HASHES))
+def test_algebra_hash_is_unchanged(n, un):
+    from go_metric_lab import decomp
+    assert decomp.algebra_hash(un(n)) == COMMUTATOR_BUILD_HASHES[n]
+
+
+def test_build_un_does_no_matrix_arithmetic(monkeypatch):
+    calls = []
+    for name in ("commutator", "expand_in_basis", "trace_form"):
+        real = getattr(lie_core, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(lie_core, name, counted)
+    g = lie_core.build_un(6)
+    assert g.dim == 36 and len(g.basis) == 36
+    assert calls == []
+
+
 def test_build_un_dimensions_and_gram(un):
     g3 = un(3)
     assert g3.dim == 9

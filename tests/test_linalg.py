@@ -72,7 +72,7 @@ def test_least_squares_weighted():
 def test_gram_schmidt_orthogonalizes():
     gram = frac_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
     vecs = frac_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    basis = linalg.gram_schmidt(vecs, gram)
+    basis = linalg.gram_schmidt(vecs, [gram[i][i] for i in range(3)])
     assert len(basis) == 3
     for i in range(3):
         for j in range(i + 1, 3):
@@ -80,9 +80,8 @@ def test_gram_schmidt_orthogonalizes():
 
 
 def test_gram_schmidt_drops_dependent():
-    gram = linalg.identity(2)
     vecs = frac_matrix([[1, 1], [2, 2], [1, 0]])
-    assert len(linalg.gram_schmidt(vecs, gram)) == 2
+    assert len(linalg.gram_schmidt(vecs, [1, 1])) == 2
 
 
 def test_sym_positive_definite():

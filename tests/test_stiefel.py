@@ -97,6 +97,19 @@ def test_center_coefficient(space):
     assert center_coefficient(sp, sp.s1.space.basis[0]) == 0
 
 
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+def test_center_coefficient_matches_gram_formula(n, k, space):
+    sp = space(n, k)
+    gram = sp.split.gram_m
+    rng = random.Random(7)
+    for _ in range(20):
+        x = lie_core.random_vector_of_len(sp.dim_m, rng)
+        r = center_coefficient(sp, x)
+        assert type(r) is Fraction
+        assert r == (linalg.gram_dot(gram, x, sp.z0_m)
+                     / linalg.gram_dot(gram, sp.z0_m, sp.z0_m))
+
+
 def test_metric_at_pd_iff_positive(space):
     sp = space(3, 1)
     assert metric_at(sp, Fraction(1, 4)).is_pd
@@ -142,7 +155,7 @@ def test_module_bracket_lands_in_s0(space):
             sign = -1 if i < j else 1            # e_ji = -e_ij
             assert br == g.vector((f"e_{lo}_{hi}", sign))
             br_m = sp.split.coords_in_m(br)
-            assert sp.decomp.s0.space.coords_of(br_m, sp.split.gram_m) is not None
+            assert sp.decomp.s0.space.coords_of(br_m, sp.split.norms_m) is not None
 
 
 def test_verify_family_rejects_nonpositive_t(space):
