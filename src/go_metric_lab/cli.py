@@ -38,6 +38,10 @@ EXIT_INPUT_ERROR = 2
 MODE = "exact"                # the only arithmetic; stamped into reports
 
 
+class InputError(Exception):
+    pass
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -48,7 +52,11 @@ class RunConfig:
 
 def _default_seed() -> int:
     env = os.environ.get("GO_METRIC_LAB_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise InputError(
+            f"GO_METRIC_LAB_SEED must be an integer, got {env!r}") from None
 
 
 def int_at_least(low: int):
@@ -95,10 +103,6 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-class InputError(Exception):
-    pass
 
 
 def _load_space(spec_args: List[str], cfg: RunConfig):
@@ -248,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide the GO property of a metric")
     p.add_argument("space", nargs="+",
                    help="'stiefel N K' or a space JSON file")
-    p.add_argument("--metric", type=str, default=None,
-                   help="metric JSON file (params over the commutant basis)")
-    p.add_argument("--family-t", type=str, default=None,
-                   help="use the builtin deformation metric at this t")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--metric", type=str, default=None,
+                        help="metric JSON file (params over the commutant basis)")
+    source.add_argument("--family-t", type=str, default=None,
+                        help="use the builtin deformation metric at this t")
     p.add_argument("--strategy", choices=["basis", "random", "family"],
                    default="basis")
     p.add_argument("--count", type=int_at_least(0), default=100,
@@ -270,17 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT_ERROR if exc.code not in (0,) else 0
-    try:
+        parser = build_parser()         # reads GO_METRIC_LAB_SEED
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_INPUT_ERROR if exc.code not in (0,) else 0
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, ArithmeticError) as exc:
+    except (InputError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -166,11 +166,7 @@ class ReductiveSplit:
         return table
 
     def m_to_g(self, mcoords: Vec) -> Vec:
-        out = linalg.zero_vec(self.algebra.dim)
-        for c, b in zip(mcoords, self.m_basis):
-            if c != 0:
-                out = linalg.vec_add(out, linalg.vec_scale(c, b))
-        return out
+        return linalg.combine(mcoords, self.m_basis, self.algebra.dim)
 
 
 def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:

@@ -25,6 +25,7 @@ Rule codes "3.2"/"3.4"/"3.5"/"3.6" are stable wire-format tags.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -63,7 +64,7 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     split = action.split
     dim = split.dim_m
     xs = linalg.sparse(as_m_coords(split, x))
-    ax = linalg.sparse_mat_vec(linalg.sparse_columns(a_metric.matrix), xs)
+    ax = linalg.sparse_mat_vec(a_metric.columns, xs)
     c_m, c_h = split.bracket_table.bracket(xs, ax)
     if c_h:
         raise ArithmeticError("[X, AX] acquired an h-component; "
@@ -79,19 +80,19 @@ def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
     action = a_metric.decomp.action
     split = action.split
     xs = linalg.sparse(as_m_coords(split, x))
-    ax = linalg.sparse_mat_vec(linalg.sparse_columns(a_metric.matrix), xs)
+    ax = linalg.sparse_mat_vec(a_metric.columns, xs)
     c_m, c_h = split.bracket_table.bracket(xs, ax)
-    lhs = linalg.dense(c_m, split.dim_m)
+    lhs = dict(c_m)
     for a_i, ad in zip(a_h, action.ad_columns):
         if a_i != 0:
             for k, c in linalg.sparse_mat_vec(ad, ax):
-                lhs[k] += a_i * c
-    # h and m are B-orthogonal, so the two parts add in the norm
-    res = sum((c * c * nu for c, nu in zip(lhs, split.norms_m)), ZERO)
-    if c_h:
-        h_g = linalg.dense(c_h, split.algebra.dim)
-        res += lie_core.inner(split.algebra, h_g, h_g)
-    return res
+                lhs[k] = lhs.get(k, ZERO) + a_i * c
+    # h and m are B-orthogonal, so the two parts add in the norm; the
+    # basis of g is B-orthogonal too (checked by the split)
+    nu = split.norms_m
+    gram = split.algebra.gram
+    return (sum((c * c * nu[k] for k, c in lhs.items()), ZERO)
+            + sum((c * c * gram[i][i] for i, c in c_h), ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +114,6 @@ class GOCertificate:
     seed: Optional[int] = None
     witnesses: List[Witness] = field(default_factory=list)
     falsifier: Optional[Witness] = None
-
-    @property
-    def is_go_candidate(self) -> bool:
-        return self.verdict != "falsified"
 
 
 def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
@@ -197,35 +194,27 @@ def _family_check(a_metric: MetricEndomorphism,
     cert = GOCertificate(verdict="verified-on-family", strategy="family",
                          count=0, seed=seed)
 
-    def residual(x: Vec) -> Witness:
-        a_h = witness_map(x)
-        res = go_residual_sq(a_metric, x, a_h)
-        return Witness(x_m=x, a_h=a_h, residual_sq=res)
-
     basis = [linalg.unit_vec(dim, i) for i in range(dim)]
+    images = [witness_map(b) for b in basis]
+    pairs = list(itertools.combinations(range(dim), 2))
+    sums = [linalg.vec_add(basis[i], basis[j]) for i, j in pairs]
     # the witness map must be linear for polarization to close the argument
-    for i, j in itertools.combinations(range(dim), 2):
-        lhs = witness_map(linalg.vec_add(basis[i], basis[j]))
-        rhs = linalg.vec_add(witness_map(basis[i]), witness_map(basis[j]))
-        if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs)):
-            raise ValueError("witness map is not additive on basis pairs")
-    for i in range(dim):
-        for c in (Fraction(2), Fraction(-1)):
-            lhs = witness_map(linalg.vec_scale(c, basis[i]))
-            rhs = linalg.vec_scale(c, witness_map(basis[i]))
-            if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs)):
-                raise ValueError("witness map is not homogeneous")
+    if not all(linalg.vec_is_zero(linalg.vec_sub(
+            witness_map(v), linalg.vec_add(images[i], images[j])))
+            for (i, j), v in zip(pairs, sums)):
+        raise ValueError("witness map is not additive on basis pairs")
+    if not all(linalg.vec_is_zero(linalg.vec_sub(
+            witness_map(linalg.vec_scale(c, b)), linalg.vec_scale(c, a)))
+            for b, a in zip(basis, images) for c in (Fraction(2), Fraction(-1))):
+        raise ValueError("witness map is not homogeneous")
 
-    probes = list(basis)
-    for i, j in itertools.combinations(range(dim), 2):
-        v = linalg.unit_vec(dim, i)
-        v[j] = ONE
-        probes.append(v)
+    probes = basis + sums
     rng = random.Random(f"go-family:{seed}")
     probes.extend(lie_core.random_vector_of_len(dim, rng) for _ in range(count))
     cert.count = len(probes)
     for x in probes:
-        w = residual(x)
+        a_h = witness_map(x)
+        w = Witness(x_m=x, a_h=a_h, residual_sq=go_residual_sq(a_metric, x, a_h))
         if w.residual_sq != 0:
             # the supplied witness fails here; only a failing minimizer
             # falsifies the metric itself
@@ -262,29 +251,46 @@ class ReductionTrace:
         return [s for s in self.steps if s.tag == tag and s.fired]
 
 
-def _label_coords(g, vec_g: Vec) -> Dict[str, str]:
-    return {g.labels[i]: linalg.frac_to_str(c)
-            for i, c in enumerate(vec_g) if c != 0}
+# Vectors of g are kept split along g = h (+) m: m-coordinates plus an
+# h-part, read off the bracket table and the isotropy columns.  The
+# g-coordinates of a witness are formed only to serialize it.
+
+def _label_coords(split, x_m: Vec, h_g: linalg.Sparse = ()) -> Dict[str, str]:
+    """Witness wire format: labels of the g-coordinates of h_g + x_m."""
+    vec = split.m_to_g(x_m)
+    for i, c in h_g:
+        vec[i] += c
+    return {split.algebra.labels[i]: linalg.frac_to_str(c)
+            for i, c in enumerate(vec) if c != 0}
 
 
-def _g_basis_of(split, space: Subspace) -> List[Vec]:
-    return [split.m_to_g(v) for v in space.basis]
+def _bracket(action, x_m: Vec, y_m: Vec, a_h: Vec = ()
+             ) -> Tuple[Vec, linalg.Sparse]:
+    """[a + X, Y] for a in h (h-coordinates) and X, Y in m: the
+    m-coordinates and the sparse h-component in g-coordinates."""
+    ys = linalg.sparse(y_m)
+    c_m, c_h = action.split.bracket_table.bracket(linalg.sparse(x_m), ys)
+    w = linalg.dense(c_m, len(y_m))
+    for a, ad in zip(a_h, action.ad_columns):
+        if a != 0:
+            for k, c in linalg.sparse_mat_vec(ad, ys):
+                w[k] += a * c
+    return w, c_h
 
 
-def _project_onto_space(g, basis_g: List[Vec], norms: List, w: Vec) -> Vec:
-    out = linalg.zero_vec(len(w))
-    for b, nu in zip(basis_g, norms):
-        c = lie_core.inner(g, w, b) / nu
+def _outside(space: Subspace, norms: Vec, w_m: Vec) -> Vec:
+    """w minus its B-orthogonal projection onto the subspace."""
+    for b, nb in zip(space.basis, space.norms):
+        c = linalg.norm_dot(norms, w_m, b) / nb
         if c != 0:
-            out = linalg.vec_add(out, linalg.vec_scale(c, b))
-    return out
+            w_m = linalg.vec_sub(w_m, linalg.vec_scale(c, b))
+    return w_m
 
 
 def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
                   ) -> Tuple[MetricFamily, ReductionTrace]:
     """Apply the reduction rules in order 3.4, 3.5, 3.6, 3.2."""
     split = decomp.action.split
-    g = split.algebra
     family = metric_mod.full_family(decomp)
     trace = ReductionTrace()
 
@@ -301,10 +307,10 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
             space=s, class_id=next_class, label=label))
         next_class += 1
     # recomputed facts backing the rule: S0 is the normalizer complement
-    center_ok = all(
-        linalg.vec_is_zero(lie_core.bracket(g, zc, sv))
-        for zc in _g_basis_of(split, ideals.center)
-        for sv in _g_basis_of(split, decomp.s0.space))
+    center_ok = not any(
+        part for zc in ideals.center.sparse_basis
+        for sv in decomp.s0.space.sparse_basis
+        for part in split.bracket_table.bracket(zc, sv))
     trace.steps.append(RuleApplication(
         tag="3.4", rule="biinvariant-on-trivial-summand", target="S0",
         fired=True,
@@ -329,8 +335,11 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
             b for b in family.intertwiner_blocks if b.summand_index != si]
         trace.steps.append(RuleApplication(
             tag="3.5", rule="diagonalize-summand", target=label, fired=True,
-            witnesses=[{"member": l + 1, "x": _label_coords(g, xg)}
-                       for l, xg in witnesses]))
+            witnesses=[{"member": l + 1,
+                        "x": _label_coords(split, x_m, linalg.sparse(
+                            linalg.combine(a_h, split.h.basis_coords,
+                                           split.algebra.dim)))}
+                       for l, (a_h, x_m) in witnesses]))
 
     # --- 3.6: scalar summands via orthogonal intertwiner brackets ------
     for si, summand in enumerate(decomp.summands):
@@ -354,57 +363,51 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
 
     # --- 3.2: merge scalar classes through bracket projections ---------
     # candidate scalar subspaces: every scalar block plus 1-dim center
-    nodes: List[Tuple[Subspace, Optional[int], str]] = []
-    for b in family.scalar_blocks:
-        nodes.append((b.space, b.class_id, b.label))
-    for b in list(family.operator_blocks):
-        if b.space.dim == 1:
-            nodes.append((b.space, None, b.label))
+    nodes: List[Tuple[Subspace, Optional[int], str]] = [
+        (b.space, b.class_id, b.label) for b in family.scalar_blocks]
+    nodes += [(b.space, None, b.label) for b in family.operator_blocks
+              if b.space.dim == 1]
     edges = []
     merged_pairs = []
 
-    def node_class(idx: int) -> Optional[int]:
-        return nodes[idx][1]
+    def class_of(idx: int) -> int:
+        """A node's class; a 1-dim operator block turns into a scalar block."""
+        space, cid, label = nodes[idx]
+        if cid is None:
+            family.operator_blocks = [b for b in family.operator_blocks
+                                      if b.label != label]
+            cid = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
+            family.scalar_blocks.append(metric_mod.ScalarBlock(
+                space=space, class_id=cid, label=label))
+            nodes[idx] = (space, cid, label)
+        return cid
 
-    def promote_center(idx: int) -> int:
-        """Turn a 1-dim operator block into a scalar block when merged."""
-        space, _, label = nodes[idx]
-        family.operator_blocks = [b for b in family.operator_blocks
-                                  if b.label != label]
-        new_id = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
-        family.scalar_blocks.append(metric_mod.ScalarBlock(
-            space=space, class_id=new_id, label=label))
-        nodes[idx] = (space, new_id, label)
-        return new_id
-
-    bases_g = [(_g_basis_of(split, sp), sp.norms) for sp, _, _ in nodes]
+    spaces = [sp for sp, _, _ in nodes]
     for i, j in itertools.combinations(range(len(nodes)), 2):
-        wit = _prop32_pair_witness(g, bases_g[i], bases_g[j])
+        wit = _prop32_pair_witness(decomp.action, spaces[i], spaces[j])
         if wit is None:
             continue
-        x_g, y_g, w_g, w_perp = wit
+        x, y, (w_m, w_h), w_perp = wit
         edges.append({"pair": [nodes[i][2], nodes[j][2]],
-                      "x": _label_coords(g, x_g), "y": _label_coords(g, y_g),
-                      "bracket": _label_coords(g, w_g),
-                      "outside_component": _label_coords(g, w_perp)})
-        ci = node_class(i) if node_class(i) is not None else promote_center(i)
-        cj = node_class(j) if node_class(j) is not None else promote_center(j)
-        if family.merge(ci, cj):
+                      "x": _label_coords(split, x),
+                      "y": _label_coords(split, y),
+                      "bracket": _label_coords(split, w_m, w_h),
+                      "outside_component": _label_coords(split, w_perp, w_h)})
+        if family.merge(class_of(i), class_of(j)):
             merged_pairs.append([nodes[i][2], nodes[j][2]])
     for i, j, k in itertools.permutations(range(len(nodes)), 3):
         if i > j:
             continue
-        wit = _prop32_triple_witness(g, bases_g[i], bases_g[j], bases_g[k])
+        wit = _prop32_triple_witness(decomp.action, spaces[i], spaces[j],
+                                     spaces[k])
         if wit is None:
             continue
-        x_g, y_g, w_g = wit
+        x, y, (w_m, w_h) = wit
         edges.append({"triple": [nodes[i][2], nodes[j][2], nodes[k][2]],
-                      "x": _label_coords(g, x_g), "y": _label_coords(g, y_g),
-                      "bracket": _label_coords(g, w_g)})
-        ids = []
-        for idx in (i, j, k):
-            ids.append(node_class(idx) if node_class(idx) is not None
-                       else promote_center(idx))
+                      "x": _label_coords(split, x),
+                      "y": _label_coords(split, y),
+                      "bracket": _label_coords(split, w_m, w_h)})
+        ids = [class_of(idx) for idx in (i, j, k)]
         for other in ids[1:]:
             if family.merge(ids[0], other):
                 merged_pairs.append([nodes[i][2], nodes[j][2], nodes[k][2]])
@@ -416,62 +419,58 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
 
 
 def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
-                      ) -> Optional[List[Tuple[int, Vec]]]:
+                      ) -> Optional[List[Tuple[int, Tuple[Vec, Vec]]]]:
     """Per-member perpendicular vectors X with ad(X) injective on the member
-    and vanishing on its siblings; None when some member has no witness."""
-    split = decomp.action.split
-    g = split.algebra
-    summand = decomp.summands[si]
-    members = summand.members
-    summand_g = _g_basis_of(split, summand.space)
+    and vanishing on its siblings; None when some member has no witness.
 
-    candidates: List[Vec] = list(split.h.basis_coords)
-    candidates += _g_basis_of(split, decomp.s0.space)
-    for sj, other in enumerate(decomp.summands):
-        if sj != si and other is not decomp.s0:
-            candidates += _g_basis_of(split, other.space)
+    Candidates X = (h-coordinates, m-coordinates): the h basis, the bases of
+    S0 and of the other summands, then 100 seeded integer combinations of
+    those, each built only when the search reaches it (the coefficients are
+    drawn up front, so the random stream does not depend on the search).
+    """
+    action = decomp.action
+    dim_h, dim = action.split.h.dim, decomp.dim
+    nu = action.norms
+    members = decomp.summands[si].members
+    pool = [(linalg.unit_vec(dim_h, i), linalg.zero_vec(dim))
+            for i in range(dim_h)]
+    pool += [(linalg.zero_vec(dim_h), b) for b in decomp.s0.space.basis]
+    pool += [(linalg.zero_vec(dim_h), b) for sj, s in enumerate(decomp.summands)
+             if sj != si and s is not decomp.s0 for b in s.space.basis]
     rng = random.Random(f"rule35:{seed}")
-    pool = list(candidates)
-    for _ in range(100):
-        combo = linalg.zero_vec(g.dim)
-        for v in pool:
-            combo = linalg.vec_add(combo, linalg.vec_scale(
-                Fraction(rng.randint(-3, 3)), v))
-        candidates.append(combo)
+    draws = [[Fraction(rng.randint(-3, 3)) for _ in pool] for _ in range(100)]
+
+    @functools.lru_cache(maxsize=None)
+    def combo(q: int) -> Tuple[Vec, Vec]:
+        return (linalg.combine(draws[q], [a for a, _ in pool], dim_h),
+                linalg.combine(draws[q], [x for _, x in pool], dim))
 
     out = []
     for l, member in enumerate(members):
-        member_g = _g_basis_of(split, member.space)
         found = None
-        for x_g in candidates:
-            if linalg.vec_is_zero(x_g):
+        for a_h, x_m in itertools.chain(pool, map(combo, range(len(draws)))):
+            # X must be nonzero and B-perpendicular to the summand (h is to m)
+            if ((linalg.vec_is_zero(a_h) and linalg.vec_is_zero(x_m))
+                    or any(linalg.norm_dot(nu, x_m, s) != 0
+                           for s in decomp.summands[si].space.basis)):
                 continue
-            # X must be B-perpendicular to the whole summand
-            if any(lie_core.inner(g, x_g, s) != 0 for s in summand_g):
-                continue
-            ok = True
             cols = []
-            for v_g in member_g:
-                w = lie_core.bracket(g, x_g, v_g)
-                w_m = split.coords_in_m(w)
-                coords = member.space.coords_of(w_m, split.norms_m)
+            for v in member.space.basis:
+                w_m, w_h = _bracket(action, x_m, v, a_h)
+                if w_h:
+                    raise ValueError("vector is not in m")
+                coords = member.space.coords_of(w_m, nu)
                 if coords is None:
-                    ok = False
                     break
                 cols.append(coords)
-            if not ok or linalg.rank(cols) != member.space.dim:
+            if linalg.rank(cols) != member.space.dim:
                 continue
-            for lm, other in enumerate(members):
-                if lm == l:
-                    continue
-                for v_g in _g_basis_of(split, other.space):
-                    if not linalg.vec_is_zero(lie_core.bracket(g, x_g, v_g)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = x_g
+            brackets = (_bracket(action, x_m, v, a_h)
+                        for lm, other in enumerate(members) if lm != l
+                        for v in other.space.basis)
+            if all(not w_h and linalg.vec_is_zero(w_m)
+                   for w_m, w_h in brackets):
+                found = (a_h, x_m)
                 break
         if found is None:
             return None
@@ -486,114 +485,80 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
     For each member l a vector X_l must make phi -> [X_l, phi(X_l)]
     projected outside the summand injective on every intertwiner space
     (covers all nonzero phi), with the images for different target members
-    pairwise B-orthogonal (bilinear, so basis pairs suffice).
+    pairwise B-orthogonal (bilinear, so basis pairs suffice).  An image is
+    kept as its m-coordinates followed by the g-coordinates of its h-part:
+    h (+) m -> g is injective and B-orthogonal, so rank and B carry over
+    with the norm vector `norms` below.
     """
-    split = decomp.action.split
-    g = split.algebra
+    action = decomp.action
+    split = action.split
+    nu = action.norms
+    g_dim = split.algebra.dim
+    norms = list(nu) + [split.algebra.gram[i][i] for i in range(g_dim)]
     summand = decomp.summands[si]
     members = summand.members
-    r = len(members)
-    summand_g = _g_basis_of(split, summand.space)
-    summand_norms = summand.space.norms
-
-    def perp_part(w: Vec) -> Vec:
-        return linalg.vec_sub(
-            w, _project_onto_space(g, summand_g, summand_norms, w))
 
     out = []
     rng = random.Random(f"rule36:{seed}")
     for l, member in enumerate(members):
-        base = [list(v) for v in member.space.basis]
-        candidates = list(base)
-        for _ in range(20):
-            combo = linalg.zero_vec(decomp.dim)
-            for v in base:
-                combo = linalg.vec_add(combo, linalg.vec_scale(
-                    Fraction(rng.randint(-3, 3)), v))
-            candidates.append(combo)
+        base = member.space.basis
+        candidates = list(base) + [
+            linalg.combine([Fraction(rng.randint(-3, 3)) for _ in base],
+                           base, decomp.dim) for _ in range(20)]
         found = None
         for x_m in candidates:
             if linalg.vec_is_zero(x_m):
                 continue
-            x_coords = member.space.coords_of(x_m, split.norms_m)
+            x_coords = member.space.coords_of(x_m, nu)
             if x_coords is None:
                 continue
-            x_g = split.m_to_g(x_m)
             images: Dict[int, List[Vec]] = {}
-            ok = True
-            for m in range(r):
+            for m in range(len(members)):
                 if m == l:
                     continue
                 phis = summand.intertwiner_bases.get((l, m), [])
-                if not phis:
-                    ok = False
-                    break
                 rems = []
                 for phi in phis:
-                    phi_x = linalg.mat_vec(phi, x_coords)
-                    img_m = linalg.zero_vec(decomp.dim)
-                    for c, b in zip(phi_x, members[m].space.basis):
-                        if c != 0:
-                            img_m = linalg.vec_add(img_m, linalg.vec_scale(c, b))
-                    rem = perp_part(lie_core.bracket(g, x_g, split.m_to_g(img_m)))
-                    rems.append(rem)
-                if linalg.rank(rems) != len(phis):
-                    ok = False
+                    img = linalg.combine(linalg.mat_vec(phi, x_coords),
+                                         members[m].space.basis, decomp.dim)
+                    w_m, w_h = _bracket(action, x_m, img)
+                    rems.append(_outside(summand.space, nu, w_m)
+                                + linalg.dense(w_h, g_dim))
+                if not phis or linalg.rank(rems) != len(phis):
                     break
                 images[m] = rems
-            if not ok:
-                continue
-            for m1, m2 in itertools.combinations(sorted(images), 2):
-                for w1 in images[m1]:
-                    for w2 in images[m2]:
-                        if lie_core.inner(g, w1, w2) != 0:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+            else:
+                if all(linalg.norm_dot(norms, w1, w2) == 0
+                       for m1, m2 in itertools.combinations(sorted(images), 2)
+                       for w1 in images[m1] for w2 in images[m2]):
+                    found = x_m
                     break
-            if ok:
-                found = x_m
-                break
         if found is None:
             return None
-        out.append({"member": l + 1,
-                    "x": _label_coords(g, split.m_to_g(found))})
+        out.append({"member": l + 1, "x": _label_coords(split, found)})
     return out
 
 
-def _prop32_pair_witness(g, basis_a, basis_b):
+def _prop32_pair_witness(action, space_a: Subspace, space_b: Subspace):
     """Basis pair whose bracket projects outside the two subspaces."""
-    vecs_a, norms_a = basis_a
-    vecs_b, norms_b = basis_b
-    for x in vecs_a:
-        for y in vecs_b:
-            w = lie_core.bracket(g, x, y)
-            if linalg.vec_is_zero(w):
-                continue
-            w_perp = linalg.vec_sub(
-                w, _project_onto_space(g, vecs_a, norms_a, w))
-            w_perp = linalg.vec_sub(
-                w_perp, _project_onto_space(g, vecs_b, norms_b, w_perp))
-            if not linalg.vec_is_zero(w_perp):
-                return x, y, w, w_perp
+    for x in space_a.basis:
+        for y in space_b.basis:
+            w_m, w_h = _bracket(action, x, y)
+            w_perp = _outside(space_b, action.norms,
+                              _outside(space_a, action.norms, w_m))
+            if w_h or not linalg.vec_is_zero(w_perp):
+                return x, y, (w_m, w_h), w_perp
     return None
 
 
-def _prop32_triple_witness(g, basis_a, basis_b, basis_c):
+def _prop32_triple_witness(action, space_a: Subspace, space_b: Subspace,
+                           space_c: Subspace):
     """Basis pair of (a, b) whose bracket has a component in c."""
-    vecs_a, _ = basis_a
-    vecs_b, _ = basis_b
-    vecs_c, norms_c = basis_c
-    for x in vecs_a:
-        for y in vecs_b:
-            w = lie_core.bracket(g, x, y)
-            if linalg.vec_is_zero(w):
-                continue
-            if not linalg.vec_is_zero(
-                    _project_onto_space(g, vecs_c, norms_c, w)):
-                return x, y, w
+    for x in space_a.basis:
+        for y in space_b.basis:
+            w_m, w_h = _bracket(action, x, y)
+            if _outside(space_c, action.norms, w_m) != w_m:
+                return x, y, (w_m, w_h)
     return None
 
 

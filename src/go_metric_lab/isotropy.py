@@ -19,6 +19,7 @@ basis.  Decomposition strategy, all in exact rational arithmetic:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -320,14 +321,9 @@ def minimal_invariant_pieces(ops: List[Mat], norms: Vec, start: Subspace,
             if parts is None:
                 continue
             for part in parts:
-                ambient = []
-                for v in part:
-                    w = linalg.zero_vec(len(piece.basis[0]))
-                    for c, b in zip(v, piece.basis):
-                        if c != 0:
-                            w = linalg.vec_add(w, linalg.vec_scale(c, b))
-                    ambient.append(w)
-                work.append(make_subspace(ambient, norms))
+                work.append(make_subspace(
+                    [linalg.combine(v, piece.basis, len(norms)) for v in part],
+                    norms))
             break
         else:
             raise DecompositionError(
@@ -382,6 +378,25 @@ class IsotypicalDecomposition:
         if self._sym_commutant is None:
             self._sym_commutant = commutant_sym(self.action)
         return self._sym_commutant
+
+    @cached_property
+    def sym_commutant_entries(self) -> List[Dict[Tuple[int, int], Fraction]]:
+        """Nonzero entries {(row, col): value} of each commutant basis operator."""
+        return [{(i, j): c for i, row in enumerate(s) for j, c in enumerate(row)
+                 if c != 0} for s in self.sym_commutant_basis()]
+
+    @cached_property
+    def sym_commutant_free(self) -> List[Tuple[int, int]]:
+        """Per basis operator, a position where it is 1 and every other is 0.
+
+        The basis comes from an exact nullspace (`commutant_sym_ops`), so
+        the free column of each basis vector supplies one.
+        """
+        owners = collections.Counter(
+            pos for entries in self.sym_commutant_entries for pos in entries)
+        return [next(pos for pos, c in entries.items()
+                     if c == 1 and owners[pos] == 1)
+                for entries in self.sym_commutant_entries]
 
     def nontrivial_summands(self) -> List[IsotypicalSummand]:
         return [s for s in self.summands if s is not self.s0]
@@ -542,14 +557,7 @@ def split_ideals(split: ReductiveSplit, s0: Subspace,
     center_local = linalg.nullspace(rows, d) if rows else linalg.identity(d)
 
     def to_ambient(vecs: List[Vec]) -> List[Vec]:
-        out = []
-        for v in vecs:
-            w = linalg.zero_vec(len(s0.basis[0]))
-            for c, b in zip(v, s0.basis):
-                if c != 0:
-                    w = linalg.vec_add(w, linalg.vec_scale(c, b))
-            out.append(w)
-        return out
+        return [linalg.combine(v, s0.basis, split.dim_m) for v in vecs]
 
     norms = split.norms_m
     center = make_subspace(to_ambient(center_local), norms)

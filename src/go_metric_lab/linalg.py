@@ -91,6 +91,17 @@ def zeros(nrows: int, ncols: int) -> Mat:
     return [[ZERO] * ncols for _ in range(nrows)]
 
 
+def combine(coeffs: Sequence, vecs: Sequence[Vec], n: int) -> Vec:
+    """sum_i coeffs_i vecs_i, a vector of length n; zero terms are skipped."""
+    out = zero_vec(n)
+    for c, v in zip(coeffs, vecs):
+        if c != 0:
+            for i, x in enumerate(v):
+                if x != 0:
+                    out[i] += c * x
+    return out
+
+
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return [dot(row, v) for row in m]
 
@@ -326,11 +337,7 @@ def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fractio
     x = solve_consistent(normal, b)
     if x is None:
         raise ArithmeticError("normal equations inconsistent")
-    fit = zero_vec(len(rhs))
-    for xj, col in zip(x, columns):
-        if xj != 0:
-            fit = vec_add(fit, vec_scale(xj, col))
-    res = vec_sub(rhs, fit)
+    res = vec_sub(rhs, combine(x, columns, len(rhs)))
     return x, gram_dot(gram, res, res)
 
 
@@ -358,26 +365,34 @@ def gram_schmidt(vectors: List[Vec], norms: Vec) -> List[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# positive definiteness (Sylvester, fraction-free)
+# positive definiteness (Sylvester, sparse LDL^T)
 # ---------------------------------------------------------------------------
 
 def sym_positive_definite(m: Mat) -> bool:
     """Positive definiteness of a symmetric matrix.
 
-    Checks all leading principal minors via Bareiss pivots.
+    Sparse elimination without pivoting on {col: value} rows; rows with a
+    zero multiplier are left alone.  The k-th pivot is the ratio of the
+    (k+1)-th to the k-th leading principal minor, so every pivot is
+    positive iff every leading principal minor is (Sylvester).
     """
-    n = len(m)
-    if n == 0:
-        return True
-    a = [[Fraction(x) for x in row] for row in m]
-    prev = ONE
-    for k in range(n):
-        if a[k][k] <= 0:
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in m]
+    for k, pivot_row in enumerate(rows):
+        d = pivot_row.get(k, ZERO)
+        if d <= 0:
             return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
+        tail = [(j, v) for j, v in pivot_row.items() if j > k]
+        for row in rows[k + 1:]:
+            f = row.pop(k, None)
+            if f is None:
+                continue
+            f /= d
+            for j, v in tail:
+                nv = row.get(j, ZERO) - f * v
+                if nv == 0:
+                    row.pop(j, None)
+                else:
+                    row[j] = nv
     return True
 
 

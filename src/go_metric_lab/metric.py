@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import isotropy, linalg
@@ -36,14 +37,17 @@ class MetricEndomorphism:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @cached_property
+    def columns(self) -> List[linalg.Sparse]:
+        """Sparse columns of the matrix, built on first use and kept."""
+        return linalg.sparse_columns(self.matrix)
+
 
 def _pd_check(matrix: Mat, norms: Sequence) -> bool:
     # bilinear form of the metric: G A must be symmetric positive definite;
     # the m-basis Gram G is the diagonal `norms`, so G A scales rows
     ga = [[nu * c for c in row] for nu, row in zip(norms, matrix)]
-    if not linalg.mat_eq(ga, linalg.transpose(ga)):
-        return False
-    return linalg.sym_positive_definite(ga)
+    return ga == linalg.transpose(ga) and linalg.sym_positive_definite(ga)
 
 
 def from_parameters(decomp: IsotypicalDecomposition,
@@ -58,24 +62,34 @@ def from_parameters(decomp: IsotypicalDecomposition,
         raise ValueError(
             f"expected {len(basis)} parameters, got {len(params)}")
     params = [Fraction(p) for p in params]
-    d = decomp.dim
-    a = linalg.zeros(d, d)
-    for p, s in zip(params, basis):
-        if p != 0:
-            a = linalg.mat_add(a, linalg.mat_scale(p, s))
+    a = _commutant_matrix(decomp, params)
     return MetricEndomorphism(decomp=decomp, matrix=a, params=params,
                               is_pd=_pd_check(a, decomp.action.norms))
 
 
+def _commutant_matrix(decomp: IsotypicalDecomposition, params: Vec) -> Mat:
+    """sum_q params_q S_q over the symmetric commutant basis."""
+    a = linalg.zeros(decomp.dim, decomp.dim)
+    for p, entries in zip(params, decomp.sym_commutant_entries):
+        if p != 0:
+            for (i, j), c in entries.items():
+                a[i][j] += p * c
+    return a
+
+
 def from_matrix(decomp: IsotypicalDecomposition,
                 matrix: Mat) -> MetricEndomorphism:
-    """Wrap an explicit matrix, solving for its commutant coordinates."""
-    basis = decomp.sym_commutant_basis()
+    """Wrap an explicit matrix, reading off its commutant coordinates.
+
+    Each basis operator S_q is 1 at its free position, where every other
+    basis operator is 0, so params_q = M[free_q]; the sum of params_q S_q
+    is rebuilt and compared with M exactly.
+    """
     d = decomp.dim
-    cols = [[s[i][j] for s in basis] for i in range(d) for j in range(d)]
-    rhs = [matrix[i][j] for i in range(d) for j in range(d)]
-    params = linalg.solve_consistent(cols, rhs)
-    if params is None:
+    if len(matrix) != d or any(len(row) != d for row in matrix):
+        raise NotEquivariantError(f"expected a {d} x {d} matrix")
+    params = [Fraction(matrix[i][j]) for i, j in decomp.sym_commutant_free]
+    if _commutant_matrix(decomp, params) != [list(row) for row in matrix]:
         raise NotEquivariantError(
             "matrix is not a symmetric equivariant endomorphism")
     return MetricEndomorphism(decomp=decomp, matrix=[list(r) for r in matrix],
@@ -275,67 +289,55 @@ class MetricFamily:
         }
 
 
+def add_outer(op: Mat, u: Vec, gv: Vec, f) -> None:
+    """op += f u (x) gv for gv = G v: the map X -> f <v, X> u."""
+    for r, ur in enumerate(u):
+        if ur != 0:
+            for c, gc in enumerate(gv):
+                if gc != 0:
+                    op[r][c] += f * ur * gc
+
+
 def _line_projector(space: Subspace, gram: Mat, dim: int) -> List[Mat]:
     """Symmetric unit operators supported on the subspace, as m-matrices.
 
     The off-diagonal unit b_i (x) Gb_j + b_j (x) Gb_i needs one common
     coefficient to stay B-symmetric when the basis norms differ.
     """
-    d = space.dim
     units = []
     gb = [linalg.mat_vec(gram, b) for b in space.basis]
-    for i in range(d):
-        for j in range(i, d):
-            op = linalg.zeros(dim, dim)
-            bi, bj = space.basis[i], space.basis[j]
-            scale = ONE / space.norms[i] if i == j else ONE
-            for r in range(dim):
-                if bi[r] != 0:
-                    for c in range(dim):
-                        op[r][c] += scale * bi[r] * gb[j][c]
-                if i != j and bj[r] != 0:
-                    for c in range(dim):
-                        op[r][c] += scale * bj[r] * gb[i][c]
-            units.append(op)
+    for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
+        op = linalg.zeros(dim, dim)
+        scale = ONE / space.norms[i] if i == j else ONE
+        add_outer(op, space.basis[i], gb[j], scale)
+        if i != j:
+            add_outer(op, space.basis[j], gb[i], scale)
+        units.append(op)
     return units
 
 
 def projector(space: Subspace, gram: Mat, dim: int) -> Mat:
     op = linalg.zeros(dim, dim)
     for b, nu in zip(space.basis, space.norms):
-        gb = linalg.mat_vec(gram, b)
-        for r in range(dim):
-            if b[r] != 0:
-                for c in range(dim):
-                    op[r][c] += b[r] * gb[c] / nu
+        add_outer(op, b, linalg.mat_vec(gram, b), ONE / nu)
     return op
 
 
 def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
                          blk: IntertwinerBlock, phi: Mat) -> Mat:
     """phi: member_a -> member_b embedded in m plus its B-adjoint."""
-    gram = decomp.action.gram
-    dim = decomp.dim
     summand = decomp.summands[blk.summand_index]
     sub_a = summand.members[blk.member_a].space
     sub_b = summand.members[blk.member_b].space
-    op = linalg.zeros(dim, dim)
+    op = linalg.zeros(decomp.dim, decomp.dim)
 
     def add_embedded(phi_ab: Mat, src: Subspace, dst: Subspace):
-        # coords extraction rows for src, embedding columns for dst
-        g_src = [linalg.mat_vec(gram, b) for b in src.basis]
-        for r in range(dim):
-            for bi in range(dst.dim):
-                if dst.basis[bi][r] == 0:
-                    continue
-                for aj in range(src.dim):
-                    coef = phi_ab[bi][aj]
-                    if coef == 0:
-                        continue
-                    f = dst.basis[bi][r] * coef / src.norms[aj]
-                    for c in range(dim):
-                        if g_src[aj][c] != 0:
-                            op[r][c] += f * g_src[aj][c]
+        # src coordinates read by <src_j, X> / nu_j, embedded along dst
+        for aj, b in enumerate(src.basis):
+            gb = linalg.mat_vec(decomp.action.gram, b)
+            for bi, d in enumerate(dst.basis):
+                if phi_ab[bi][aj] != 0:
+                    add_outer(op, d, gb, phi_ab[bi][aj] / src.norms[aj])
 
     add_embedded(phi, sub_a, sub_b)
     # B-adjoint phi*: member_b -> member_a, phi*_[i][j] = nu_b_j / nu_a_i * phi[j][i]
@@ -369,11 +371,8 @@ def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
     ops = family_basis_ops(family)
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
-    dim = family.decomp.dim
-    a = linalg.zeros(dim, dim)
-    for v, op in zip(values, ops):
-        if v != 0:
-            a = linalg.mat_add(a, linalg.mat_scale(v, op))
+    a = [linalg.combine(values, [op[i] for op in ops], family.decomp.dim)
+         for i in range(family.decomp.dim)]
     return from_matrix(family.decomp, a)
 
 

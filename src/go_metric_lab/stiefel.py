@@ -52,6 +52,7 @@ class StiefelSpace:
     action: isotropy.IsotropyAction
     decomp: IsotypicalDecomposition
     ideals: isotropy.IdealSplit
+    m_labels: List[str]                # label in g of each m-basis vector
     modules: List[Subspace]            # canonical m_1 .. m_k
     s1_pairs: List[Tuple[int, int]]    # (e, eb) m-coordinate index pairs
     z0_m: Vec                          # sum eb_ii, i <= k, in m-coords
@@ -73,6 +74,12 @@ def _canonical_module_indices(space_labels: List[str], n: int, k: int,
     return [space_labels.index(w) for w in wanted]
 
 
+def _require(condition: bool, message: str) -> None:
+    """Structural fact the witness map and the A_t line rest on."""
+    if not condition:
+        raise ArithmeticError(message)
+
+
 def build_stiefel(n: int, k: int) -> StiefelSpace:
     """Assemble and verify the full structure for U(n)/U(n-k)."""
     if not 1 <= k < n:
@@ -81,22 +88,22 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
     g = lie_core.build_un(n)
     h = decomp_mod.diagonal_u_nk(g, k)
     split = decomp_mod.reductive_split(g, h)
-    assert split.dim_m == 2 * n * k - k * k
+    _require(split.dim_m == 2 * n * k - k * k, "dim m is not 2nk - k^2")
     action = isotropy.isotropy_action(split)
     dec = isotropy.decompose_isotypic(action)
-    assert dec.s0.dim == k * k
+    _require(dec.s0.dim == k * k, "dim S0 is not k^2")
 
     nontrivial = dec.nontrivial_summands()
-    assert len(nontrivial) == 1, "expected a single nontrivial summand"
+    _require(len(nontrivial) == 1, "expected a single nontrivial summand")
     s1 = nontrivial[0]
-    assert len(s1.members) == k
-    assert all(m.dim == 2 * (n - k) for m in s1.members)
+    _require(len(s1.members) == k, "expected k modules in S1")
+    _require(all(m.dim == 2 * (n - k) for m in s1.members), "dim m_i != 2(n-k)")
 
     # m-basis labels (the split of u(n) over unit vectors keeps labels)
     m_labels = []
     for v in split.m_basis:
         nz = [i for i, c in enumerate(v) if c != 0]
-        assert len(nz) == 1 and v[nz[0]] == 1, "m basis is not coordinate-aligned"
+        _require(len(nz) == 1 and v[nz[0]] == 1, "m basis is not coordinate-aligned")
         m_labels.append(g.labels[nz[0]])
 
     modules = []
@@ -120,9 +127,11 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
         z0_m[m_labels.index(f"eb_{i}_{i}")] = ONE
 
     ideals = isotropy.split_ideals(split, dec.s0.space)
-    assert ideals.center.dim == 1
-    assert linalg.same_span(ideals.center.basis, [z0_m])
-    assert len(ideals.simples) == (1 if k >= 2 else 0)
+    _require(ideals.center.dim == 1
+             and linalg.same_span(ideals.center.basis, [z0_m]),
+             "the center of S0 does not span z0")
+    _require(len(ideals.simples) == (1 if k >= 2 else 0),
+             "expected su(k) as the only simple ideal of S0")
 
     h_labels = []
     for v in h.basis_coords:
@@ -133,7 +142,8 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
         a_dir_h[h_labels.index(f"eb_{i}_{i}")] = ONE
 
     return StiefelSpace(n=n, k=k, algebra=g, split=split, action=action,
-                        decomp=dec, ideals=ideals, modules=modules,
+                        decomp=dec, ideals=ideals, m_labels=m_labels,
+                        modules=modules,
                         s1_pairs=s1_pairs, z0_m=z0_m, a_dir_h=a_dir_h)
 
 
@@ -155,30 +165,38 @@ def tilde_map(space: StiefelSpace, x_m: Vec) -> Vec:
     return out
 
 
-def center_coefficient(space: StiefelSpace, x_m: Vec) -> Fraction:
-    """Coefficient r = <X, z0> / <z0, z0> of the center direction z0 in X."""
+def _z0_weights(space: StiefelSpace) -> Tuple[linalg.Sparse, Fraction]:
+    """(G z0 as a sparse vector, <z0, z0>): r(X) = <X, G z0> / <z0, z0>."""
     nu = space.split.norms_m
     z0 = [(i, c * nu[i]) for i, c in enumerate(space.z0_m) if c != 0]
-    return linalg.sparse_dot(x_m, z0) / linalg.sparse_dot(space.z0_m, z0)
+    return z0, linalg.sparse_dot(space.z0_m, z0)
+
+
+def center_coefficient(space: StiefelSpace, x_m: Vec) -> Fraction:
+    """Coefficient r = <X, z0> / <z0, z0> of the center direction z0 in X."""
+    z0, z0_sq = _z0_weights(space)
+    return linalg.sparse_dot(x_m, z0) / z0_sq
 
 
 def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
-    """A_t = Id away from the center, t on the center; PD iff t > 0."""
+    """A_t = Id + (t - 1) P_z, P_z the B-orthogonal projector onto the
+    center; PD iff t > 0."""
     t = Fraction(t)
-    gram = space.split.gram_m
-    pz = metric_mod.projector(space.ideals.center, gram, space.dim_m)
-    amat = linalg.mat_add(linalg.identity(space.dim_m),
-                          linalg.mat_scale(t - 1, pz))
+    amat = linalg.identity(space.dim_m)
+    for b, nb in zip(space.ideals.center.basis, space.ideals.center.norms):
+        gb = [c * nu for c, nu in zip(b, space.split.norms_m)]
+        metric_mod.add_outer(amat, b, gb, (t - 1) / nb)
     return metric_mod.from_matrix(space.decomp, amat)
 
 
 def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
     """X -> a_t = r (1 - t) sum_{i>k} eb_ii, linear in X."""
-    t = Fraction(t)
+    z0, z0_sq = _z0_weights(space)
+    scale = (1 - Fraction(t)) / z0_sq
 
     def a_of(x_m: Vec) -> Vec:
-        r = center_coefficient(space, x_m)
-        return linalg.vec_scale(r * (1 - t), space.a_dir_h)
+        return linalg.vec_scale(linalg.sparse_dot(x_m, z0) * scale,
+                                space.a_dir_h)
 
     return a_of
 
@@ -194,13 +212,12 @@ def _bracket_m(space: StiefelSpace, x_m: Vec, y_m: Vec) -> Vec:
 
 
 def _act_h(space: StiefelSpace, a_h: Vec, x_m: Vec) -> Vec:
-    """[a, X] over the m basis for a in h, from the isotropy operators."""
-    out = linalg.zero_vec(space.dim_m)
-    for c, op in zip(a_h, space.action.ad_ops):
-        if c != 0:
-            out = linalg.vec_add(out,
-                                 linalg.vec_scale(c, linalg.mat_vec(op, x_m)))
-    return out
+    """[a, X] over the m basis for a in h, from the sparse isotropy columns."""
+    xs = linalg.sparse(x_m)
+    terms = [(c, linalg.dense(linalg.sparse_mat_vec(cols, xs), space.dim_m))
+             for c, cols in zip(a_h, space.action.ad_columns) if c != 0]
+    return linalg.combine([c for c, _ in terms], [v for _, v in terms],
+                          space.dim_m)
 
 
 def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
@@ -212,7 +229,6 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     others, and the witness direction commutes with all of S0.
     """
     split = space.split
-    g = space.algebra
     out = {}
     s1_basis = space.s1.space.basis
 
@@ -229,12 +245,9 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
 
     # eb_ii acts on m_i by -2*tilde and kills m_j, j != i
     ok = True
-    m_labels = []
-    for v in split.m_basis:
-        nz = [i for i, c in enumerate(v) if c != 0]
-        m_labels.append(g.labels[nz[0]])
     for i in range(1, space.k + 1):
-        ebii = linalg.unit_vec(space.dim_m, m_labels.index(f"eb_{i}_{i}"))
+        ebii = linalg.unit_vec(space.dim_m,
+                               space.m_labels.index(f"eb_{i}_{i}"))
         for mj, module in enumerate(space.modules, start=1):
             for v in module.basis:
                 br = _bracket_m(space, ebii, v)
@@ -249,8 +262,8 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     ok = all(linalg.vec_is_zero(_act_h(space, space.a_dir_h, w)) for w in s0)
     ok = ok and not any(part for w in s0 for part in
                         split.bracket_table.bracket(z0, linalg.sparse(w)))
-    ok = ok and all(linalg.vec_is_zero(linalg.mat_vec(op, w))
-                    for op in space.action.ad_ops for w in s0)
+    ok = ok and not any(linalg.sparse_mat_vec(cols, linalg.sparse(w))
+                        for cols in space.action.ad_columns for w in s0)
     out["witness_commutes_with_s0"] = ok    # [a_t, S0] = [z0, S0] = [h, S0] = 0
     return out
 
@@ -267,7 +280,8 @@ def verify_family(space: StiefelSpace, t_values: Sequence,
         if t <= 0:
             raise NotPositiveDefiniteError(f"A_t needs t > 0, got t={t}")
         a_t = metric_at(space, t)
-        assert a_t.is_pd
+        if not a_t.is_pd:
+            raise ArithmeticError(f"A_t is not positive definite at t={t}")
         cert = go_mod.go_check(a_t, strategy="family", count=n_samples,
                                seed=seed, witness_map=witness_map(space, t))
         certs[str(t)] = cert

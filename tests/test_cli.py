@@ -111,6 +111,14 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert args.seed == 17
 
 
+def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GO_METRIC_LAB_SEED", "abc")
+    out = tmp_path / "dec.json"
+    assert run_cli(["decompose", "stiefel", "2", "1", "--out", str(out)]) == 2
+    assert "GO_METRIC_LAB_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "dec.json"
     proc = subprocess.run(
@@ -206,14 +214,20 @@ def test_same_seed_reports_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+DECOMPOSE_2_1 = ["decompose", "stiefel", "2", "1"]
+
+
 @pytest.mark.parametrize("args", [
-    ["--mode", "float"],
-    ["--tol", "1e-9"],
-    ["--jobs", "0"],
-    ["--jobs", "-3"],
+    DECOMPOSE_2_1 + ["--mode", "float"],
+    DECOMPOSE_2_1 + ["--tol", "1e-9"],
+    DECOMPOSE_2_1 + ["--jobs", "0"],
+    DECOMPOSE_2_1 + ["--jobs", "-3"],
+    # one metric source at a time; the metric file is never read
+    ["check-go", "stiefel", "2", "1", "--metric", "BAD.json",
+     "--family-t", "2", "--strategy", "family"],
 ])
 def test_rejected_flags_exit_2(args, capsys):
-    assert run_cli(["decompose", "stiefel", "2", "1", *args]) == 2
+    assert run_cli(args) == 2
 
 
 def test_mode_exact_still_accepted(tmp_path):

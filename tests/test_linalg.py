@@ -91,6 +91,68 @@ def test_sym_positive_definite():
     assert linalg.sym_positive_definite([])
 
 
+def bareiss_positive_definite(m):
+    """Dense oracle: every leading principal minor positive, by Bareiss."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    prev = Fraction(1)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+        prev = a[k][k]
+    return True
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _gram_of(rows, n, shift=0):
+    """B^T B + shift I for the rows of B: PSD, PD when shift > 0."""
+    return [[sum((r[i] * r[j] for r in rows), Fraction(0))
+             + (shift if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def _pd_cases(rng):
+    n = rng.randint(2, 7)
+    full = [[_random_rational(rng) for _ in range(n)] for _ in range(n + 1)]
+    low = [[_random_rational(rng) for _ in range(n)] for _ in range(n - 1)]
+    pd = _gram_of(full, n, shift=Fraction(1, rng.randint(1, 5)))
+    indefinite = [row[:] for row in pd]
+    indefinite[n - 1][n - 1] = -sum(abs(x) for x in pd[n - 1]) - 1
+    b1 = _gram_of([[_random_rational(rng) for _ in range(2)] for _ in range(3)],
+                  2, shift=1)
+    b2 = _gram_of(low[:2], n, shift=rng.choice([0, 1]))
+    block = [row + [Fraction(0)] * n for row in b1] + [
+        [Fraction(0)] * 2 + row for row in b2]
+    return {"pd": (pd, True), "singular psd": (_gram_of(low, n), False),
+            "indefinite": (indefinite, False), "block diagonal": (block, None),
+            "dense": ([[_random_rational(rng) for _ in range(n)]
+                       for _ in range(n)], None)}
+
+
+def test_sym_positive_definite_matches_bareiss():
+    rng = random.Random("sym-pd-oracle")
+    seen = {}
+    for _ in range(150):
+        for kind, (m, expect) in _pd_cases(rng).items():
+            if kind == "dense":           # symmetrize a random matrix
+                m = [[m[i][j] + m[j][i] for j in range(len(m))]
+                     for i in range(len(m))]
+            verdict = linalg.sym_positive_definite(m)
+            assert verdict == bareiss_positive_definite(m), (kind, m)
+            if expect is not None:
+                assert verdict == expect, (kind, m)
+            assert kind != "indefinite" or m[0][0] > 0
+            seen.setdefault(kind, set()).add(verdict)
+    assert seen["block diagonal"] == seen["dense"] == {True, False}
+    for m in ([], [[Fraction(3)]], [[Fraction(0)]], [[Fraction(-1, 2)]]):
+        assert linalg.sym_positive_definite(m) == bareiss_positive_definite(m)
+
+
 def test_minimal_polynomial_diagonal():
     op = frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 3]])
     poly = linalg.minimal_polynomial(op)

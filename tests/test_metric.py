@@ -1,5 +1,6 @@
 """Metric endomorphisms: parameterization, blocks, spectra, equivariance."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -53,6 +54,82 @@ def test_from_matrix_rejects_non_equivariant(space):
     bad[0][1] = Fraction(1)              # mixes S1 coordinates arbitrarily
     with pytest.raises(metric.NotEquivariantError):
         metric.from_matrix(sp.decomp, bad)
+
+
+def oracle_params(dec, matrix):
+    """Commutant coordinates by a dense d^2 x p solve, or None."""
+    basis = dec.sym_commutant_basis()
+    d = dec.dim
+    cols = [[s[i][j] for s in basis] for i in range(d) for j in range(d)]
+    return linalg.solve_consistent(
+        cols, [matrix[i][j] for i in range(d) for j in range(d)])
+
+
+def _space_file_decomposition(n, k):
+    from go_metric_lab import decomp, isotropy
+    g = lie_core.build_un(n)
+    split = decomp.reductive_split(g, decomp.diagonal_u_nk(g, k))
+    data = json.loads(json.dumps({"algebra": lie_core.to_json_dict(g),
+                                  **decomp.split_to_json_dict(split)}))
+    g2 = lie_core.from_json_dict(data["algebra"])
+    action = isotropy.isotropy_action(decomp.split_from_json_dict(g2, data))
+    return isotropy.decompose_isotypic(action)
+
+
+def _sample_matrices(dec, rng, count):
+    """Identity plus seeded points of the full family."""
+    out = [linalg.identity(dec.dim)]
+    ops = metric.family_basis_ops(full_family(dec))
+    for _ in range(count):
+        a = linalg.zeros(dec.dim, dec.dim)
+        for op in ops:
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            if c:
+                a = linalg.mat_add(a, linalg.mat_scale(c, op))
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (3, 0)],
+                         ids=["3-2", "4-2", "4-3", "space-file-3-2"])
+def test_from_matrix_params_match_dense_solve(space, n, k):
+    rng = random.Random(f"from-matrix:{n}:{k}")
+    if k == 0:
+        dec = _space_file_decomposition(3, 2)
+        mats = _sample_matrices(dec, rng, 3)
+    else:
+        sp = space(n, k)
+        dec = sp.decomp
+        mats = _sample_matrices(dec, rng, 3)
+        mats += [stiefel.metric_at(sp, t).matrix
+                 for t in (Fraction(1, 2), Fraction(3), Fraction(-2))]
+    for m in mats:
+        a = metric.from_matrix(dec, m)
+        assert a.params == oracle_params(dec, m)
+        assert all(type(p) is Fraction for p in a.params)
+        assert from_parameters(dec, a.params).matrix == m
+
+
+def test_from_matrix_rejects_matrices_outside_the_commutant(space):
+    from go_metric_lab import isotropy
+    sp = space(3, 2)
+    # symmetric, but one S1 coordinate is weighted apart from its module
+    bumped = linalg.identity(sp.dim_m)
+    i = sp.s1_pairs[0][0]
+    bumped[i][i] += 1
+    # ad(z0) commutes with the isotropy action but is B-skew
+    skew = linalg.mat_add(linalg.identity(sp.dim_m),
+                          isotropy.ad_on_m(sp.split, sp.z0_m))
+    assert metric.check_normalizer_equivariance(
+        metric.MetricEndomorphism(sp.decomp, skew, None, False),
+        ops=sp.action.ad_ops)
+    assert skew != linalg.transpose(skew)
+    for bad in (bumped, skew):
+        assert oracle_params(sp.decomp, bad) is None
+        with pytest.raises(metric.NotEquivariantError):
+            metric.from_matrix(sp.decomp, bad)
+    with pytest.raises(metric.NotEquivariantError):
+        metric.from_matrix(sp.decomp, linalg.identity(sp.dim_m - 1))
 
 
 def test_equivariance_and_symmetry_exact(space):

@@ -165,6 +165,26 @@ def test_verify_family_rejects_nonpositive_t(space):
         verify_family(space(2, 1), [Fraction(-1)])
 
 
+def test_verify_family_raises_on_a_non_pd_metric(space, monkeypatch):
+    # the PD precondition of the certificate survives python -O
+    sp = space(2, 1)
+    monkeypatch.setattr(stiefel, "metric_at", lambda space, t: metric.from_matrix(
+        space.decomp, linalg.mat_scale(Fraction(-1), linalg.identity(space.dim_m))))
+    with pytest.raises(ArithmeticError, match="not positive definite"):
+        verify_family(sp, [Fraction(2)])
+
+
+def test_witness_map_matches_center_coefficient(space):
+    sp = space(4, 2)
+    rng = random.Random("witness-map")
+    for t in (Fraction(1, 3), Fraction(5, 2)):
+        w = stiefel.witness_map(sp, t)
+        for _ in range(10):
+            x = lie_core.random_vector_of_len(sp.dim_m, rng)
+            r = stiefel.center_coefficient(sp, x)
+            assert w(x) == linalg.vec_scale(r * (1 - t), sp.a_dir_h)
+
+
 def test_verify_family_t1_reduces_to_zero_witness(space):
     sp = space(3, 1)
     w = stiefel.witness_map(sp, 1)
