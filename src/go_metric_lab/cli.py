@@ -216,8 +216,9 @@ def cmd_reproduce_theorem(args) -> int:
     report["mode"] = MODE
     _emit(cfg, report)
     scan = report["uniqueness"]
-    verified = all(c["verdict"] == "verified-on-family"
-                   for c in report["family_certificates"].values())
+    verified = (all(c["verdict"] == "verified-on-family"
+                    for c in report["family_certificates"].values())
+                and report["family_all_t"]["verified"])
     unique = (scan["grid"]["survivors_all_in_family"]
               and scan["grid"]["n_survivors"] > 0
               and scan.get("off_diagonal", {}).get("n_survivors", 0) == 0)

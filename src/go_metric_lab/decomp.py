@@ -64,7 +64,9 @@ def diagonal_u_nk(g: MatrixLieAlgebra, k: int) -> Subalgebra:
         if int(i) >= k + 1 and int(j) >= k + 1:
             coords.append(linalg.unit_vec(g.dim, idx))
     h = subalgebra(g, coords)
-    assert h.dim == (n - k) ** 2
+    if h.dim != (n - k) ** 2:
+        raise ArithmeticError(
+            f"u({n - k}) has dimension {h.dim}, expected {(n - k) ** 2}")
     return h
 
 

@@ -751,6 +751,7 @@ def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
     family: MetricFamily = _WORKER_CTX["family"]
     spec: ScanSpec = _WORKER_CTX["spec"]
     tensors: _ScanTensors = _WORKER_CTX["tensors"]
+    prove: Optional[Callable[[Sequence], bool]] = _WORKER_CTX["prove"]
     decomp = family.decomp
     dim = decomp.dim
     entry = {"params": [linalg.frac_to_str(v) for v in values]}
@@ -776,7 +777,8 @@ def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
         res_sq = tensors.residual_sq(values, p)
         if res_sq > 0:
             return idx, falsified_entry(x, res_sq)
-    if spec.survivor_random_probes:
+    proved = prove is not None and prove(values)
+    if spec.survivor_random_probes and not proved:
         if amat is None:
             amat = _family_matrix(tensors.op_columns, values, dim)
         a = MetricEndomorphism(decomp=decomp, matrix=amat,
@@ -789,13 +791,24 @@ def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
             return idx, falsified_entry(cert.falsifier.x_m,
                                         cert.falsifier.residual_sq)
     entry["status"] = "survived"
+    if prove is not None:
+        entry["proved"] = proved
     return idx, entry
 
 
 def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
               spec: Optional[ScanSpec] = None,
-              include_grid: bool = True) -> ScanResult:
+              include_grid: bool = True,
+              prove: Optional[Callable[[Sequence], bool]] = None
+              ) -> ScanResult:
     """Instantiate the family over a seeded scan, filter PD, run go_check.
+
+    A point that passes every basis probe is a survivor candidate.  It
+    then runs `spec.survivor_random_probes` seeded random probes, unless
+    `prove(values)` is True: the caller holds a proof that the metric at
+    those parameters is GO, and sampling could add nothing.  With `prove`
+    given, each survivor entry records its answer under "proved"; it is
+    asked once per candidate, after the basis probes.
 
     Deterministic for a fixed seed and independent of the worker count:
     points are indexed before dispatch and merged in index order.
@@ -808,7 +821,8 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp))
     if spec.random_count:
         points.extend(_random_points(family, spec, tensors.op_columns))
-    _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors})
+    _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors,
+                        "prove": prove})
     tasks = list(enumerate(points))
     results: List[Tuple[int, dict]] = []
     workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))

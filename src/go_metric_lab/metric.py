@@ -289,37 +289,45 @@ class MetricFamily:
         }
 
 
-def add_outer(op: Mat, u: Vec, gv: Vec, f) -> None:
-    """op += f u (x) gv for gv = G v: the map X -> f <v, X> u."""
-    for r, ur in enumerate(u):
-        if ur != 0:
-            for c, gc in enumerate(gv):
-                if gc != 0:
-                    op[r][c] += f * ur * gc
+def add_outer(op: Mat, u: linalg.Sparse, v: linalg.Sparse, norms: Vec,
+              f) -> None:
+    """op += f u (x) G v for sparse u, v and G = diag(norms): the map
+    X -> f <v, X> u."""
+    for r, ur in u:
+        row = op[r]
+        fu = f * ur
+        for c, vc in v:
+            row[c] += fu * vc * norms[c]
 
 
-def _line_projector(space: Subspace, gram: Mat, dim: int) -> List[Mat]:
+def _add_projector(op: Mat, space: Subspace, norms: Vec) -> None:
+    for b, nb in zip(space.sparse_basis, space.norms):
+        add_outer(op, b, b, norms, ONE / nb)
+
+
+def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Mat]:
     """Symmetric unit operators supported on the subspace, as m-matrices.
 
     The off-diagonal unit b_i (x) Gb_j + b_j (x) Gb_i needs one common
     coefficient to stay B-symmetric when the basis norms differ.
     """
     units = []
-    gb = [linalg.mat_vec(gram, b) for b in space.basis]
+    basis = space.sparse_basis
     for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
         op = linalg.zeros(dim, dim)
         scale = ONE / space.norms[i] if i == j else ONE
-        add_outer(op, space.basis[i], gb[j], scale)
+        add_outer(op, basis[i], basis[j], norms, scale)
         if i != j:
-            add_outer(op, space.basis[j], gb[i], scale)
+            add_outer(op, basis[j], basis[i], norms, scale)
         units.append(op)
     return units
 
 
-def projector(space: Subspace, gram: Mat, dim: int) -> Mat:
+def projector(space: Subspace, norms: Vec, dim: int) -> Mat:
+    """B-orthogonal projector onto the subspace; `norms` is the m-basis
+    norm vector."""
     op = linalg.zeros(dim, dim)
-    for b, nu in zip(space.basis, space.norms):
-        add_outer(op, b, linalg.mat_vec(gram, b), ONE / nu)
+    _add_projector(op, space, norms)
     return op
 
 
@@ -329,15 +337,15 @@ def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
     summand = decomp.summands[blk.summand_index]
     sub_a = summand.members[blk.member_a].space
     sub_b = summand.members[blk.member_b].space
+    norms = decomp.action.norms
     op = linalg.zeros(decomp.dim, decomp.dim)
 
     def add_embedded(phi_ab: Mat, src: Subspace, dst: Subspace):
         # src coordinates read by <src_j, X> / nu_j, embedded along dst
-        for aj, b in enumerate(src.basis):
-            gb = linalg.mat_vec(decomp.action.gram, b)
-            for bi, d in enumerate(dst.basis):
+        for aj, b in enumerate(src.sparse_basis):
+            for bi, d in enumerate(dst.sparse_basis):
                 if phi_ab[bi][aj] != 0:
-                    add_outer(op, d, gb, phi_ab[bi][aj] / src.norms[aj])
+                    add_outer(op, d, b, norms, phi_ab[bi][aj] / src.norms[aj])
 
     add_embedded(phi, sub_a, sub_b)
     # B-adjoint phi*: member_b -> member_a, phi*_[i][j] = nu_b_j / nu_a_i * phi[j][i]
@@ -350,17 +358,17 @@ def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
 def family_basis_ops(family: MetricFamily) -> List[Mat]:
     """Matrices multiplying each free parameter, in parameter order."""
     decomp = family.decomp
-    gram = decomp.action.gram
+    norms = decomp.action.norms
     dim = decomp.dim
     ops: List[Mat] = []
     for c in family.classes():
         op = linalg.zeros(dim, dim)
         for b in family.scalar_blocks:
             if family.find(b.class_id) == c:
-                op = linalg.mat_add(op, projector(b.space, gram, dim))
+                _add_projector(op, b.space, norms)
         ops.append(op)
     for b in family.operator_blocks:
-        ops.extend(_line_projector(b.space, gram, dim))
+        ops.extend(_line_projector(b.space, norms, dim))
     for b in family.intertwiner_blocks:
         for phi in b.phis:
             ops.append(_intertwiner_pair_op(decomp, b, phi))

@@ -13,10 +13,12 @@ together with its closed-form witness map
 
 where z0 = sum_{i<=k} eb_ii spans the center.  Verification checks the
 bracket identities behind the witness on spanning sets and then certifies
-[a_t + X, A_t X] = 0 exactly.  The uniqueness scan reduces the candidate
-cone, sweeps the remaining diagonal cone on an exhaustive grid, samples
-the full cone off the diagonal, and cross-checks that the enlarged
-normalizer action leaves only scalars on S1.
+[a_t + X, A_t X] = 0 exactly, at each requested t and, by interpolation
+in t, for every t > 0.  The uniqueness scan reduces the candidate cone,
+sweeps the remaining diagonal cone on an exhaustive grid (proving the
+survivors on the deformation line by the all-t certificate), samples the
+full cone off the diagonal, and cross-checks that the enlarged normalizer
+action leaves only scalars on S1.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import decomp as decomp_mod
 from . import go as go_mod
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Vec, ONE
+from .linalg import Vec, ONE, ZERO
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -183,9 +185,9 @@ def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
     center; PD iff t > 0."""
     t = Fraction(t)
     amat = linalg.identity(space.dim_m)
-    for b, nb in zip(space.ideals.center.basis, space.ideals.center.norms):
-        gb = [c * nu for c, nu in zip(b, space.split.norms_m)]
-        metric_mod.add_outer(amat, b, gb, (t - 1) / nb)
+    center = space.ideals.center
+    for b, nb in zip(center.sparse_basis, center.norms):
+        metric_mod.add_outer(amat, b, b, space.split.norms_m, (t - 1) / nb)
     return metric_mod.from_matrix(space.decomp, amat)
 
 
@@ -268,9 +270,65 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     return out
 
 
+# F_t(X) = [a_t(X) + X, A_t X] is a polynomial in t of at most this degree:
+# witness_map and metric_at are both affine in t
+FAMILY_T_DEGREE = 2
+# where the all-t certificate tops up when fewer t are certified
+TOP_UP_T = (Fraction(1), Fraction(2), Fraction(3))
+
+
+def _family_certificate(space: StiefelSpace, t: Fraction, n_samples: int,
+                        seed: int) -> go_mod.GOCertificate:
+    """Polarization certificate of [a_t + X, A_t X] = 0 at one t."""
+    a_t = metric_at(space, t)
+    if not a_t.is_pd:
+        raise ArithmeticError(f"A_t is not positive definite at t={t}")
+    return go_mod.go_check(a_t, strategy="family", count=n_samples,
+                           seed=seed, witness_map=witness_map(space, t))
+
+
+def _all_t_verdict(certificates: Dict[Fraction, Optional[go_mod.GOCertificate]]
+                   ) -> dict:
+    """Interpolation in t over per-t certificates (None: no certificate).
+
+    A polynomial of degree at most FAMILY_T_DEGREE that vanishes at
+    FAMILY_T_DEGREE + 1 distinct t vanishes for every t.  Fewer distinct t
+    are below the degree bound and prove nothing; a t whose check fails
+    contradicts the claim.
+    """
+    proved = sorted(t for t, c in certificates.items()
+                    if c is not None and c.verdict == "verified-on-family")
+    return {"verified": (len(proved) == len(certificates)
+                         and len(proved) > FAMILY_T_DEGREE),
+            "degree_bound": FAMILY_T_DEGREE,
+            "t_values": [str(t) for t in proved]}
+
+
+def certify_all_t(space: StiefelSpace,
+                  certificates: Dict[str, go_mod.GOCertificate]) -> dict:
+    """One certificate of [a_t + X, A_t X] = 0 for every t > 0.
+
+    The per-t polarization certificates already computed carry it when
+    they cover FAMILY_T_DEGREE + 1 distinct t; otherwise count-0 family
+    checks at t = 1, 2, 3 top them up.  A top-up whose witness map fails
+    leaves the certificate unverified.
+    """
+    certs = {Fraction(t): c for t, c in certificates.items()}
+    for t in TOP_UP_T:
+        if len(certs) > FAMILY_T_DEGREE:
+            break
+        if t not in certs:
+            try:
+                certs[t] = _family_certificate(space, t, n_samples=0, seed=0)
+            except ValueError:
+                certs[t] = None
+    return _all_t_verdict(certs)
+
+
 def verify_family(space: StiefelSpace, t_values: Sequence,
                   n_samples: int = 100, seed: int = 0) -> dict:
-    """Certify [a_t + X, A_t X] = 0 exactly for each t; report identities."""
+    """Certify [a_t + X, A_t X] = 0 exactly for each t and for all t > 0;
+    report identities.  "certificates" holds the requested t only."""
     identities = check_witness_identities(space)
     if not all(identities.values()):
         raise ArithmeticError(f"witness identities failed: {identities}")
@@ -279,13 +337,9 @@ def verify_family(space: StiefelSpace, t_values: Sequence,
         t = Fraction(t)
         if t <= 0:
             raise NotPositiveDefiniteError(f"A_t needs t > 0, got t={t}")
-        a_t = metric_at(space, t)
-        if not a_t.is_pd:
-            raise ArithmeticError(f"A_t is not positive definite at t={t}")
-        cert = go_mod.go_check(a_t, strategy="family", count=n_samples,
-                               seed=seed, witness_map=witness_map(space, t))
-        certs[str(t)] = cert
-    return {"identities": identities, "certificates": certs}
+        certs[str(t)] = _family_certificate(space, t, n_samples, seed)
+    return {"identities": identities, "certificates": certs,
+            "all_t": certify_all_t(space, certs)}
 
 
 # ---------------------------------------------------------------------------
@@ -310,29 +364,42 @@ def diagonal_family(space: StiefelSpace) -> MetricFamily:
     return family
 
 
+def _eigenvalue(columns: List[linalg.Sparse], v: linalg.Sparse
+                ) -> Optional[Fraction]:
+    """mu with A v = mu v for A given by its sparse columns, else None."""
+    av = linalg.sparse_mat_vec(columns, v)
+    lead, c = v[0]
+    mu = dict(av).get(lead, ZERO) / c
+    return mu if av == [(i, mu * x) for i, x in v if mu != 0] else None
+
+
+def _is_deformation(space: StiefelSpace, columns: List[linalg.Sparse]) -> bool:
+    """True iff A, given by its sparse columns, is lambda A_t (lambda, t > 0):
+    one eigenvalue lambda on su(k) (+) S1 and an eigenvalue on z0."""
+    vectors = [v for s in space.ideals.simples for v in s.sparse_basis]
+    vectors += space.s1.space.sparse_basis
+    lams = {_eigenvalue(columns, v) for v in vectors}
+    mu = _eigenvalue(columns, linalg.sparse(space.z0_m))
+    lam = lams.pop() if len(lams) == 1 else None
+    return lam is not None and lam > 0 and mu is not None and mu > 0
+
+
 def is_deformation_point(space: StiefelSpace, a: MetricEndomorphism) -> bool:
     """True iff A is a positive multiple of some A_t (t > 0)."""
-    su_and_s1: List[Vec] = [v for s in space.ideals.simples for v in s.basis]
-    su_and_s1 += list(space.s1.space.basis)
-    lam = None
-    for v in su_and_s1:
-        av = linalg.mat_vec(a.matrix, v)
-        coeffs = {i: av[i] / v[i] for i in range(len(v)) if v[i] != 0}
-        vals = set(coeffs.values())
-        if len(vals) != 1:
-            return False
-        if not linalg.vec_is_zero(linalg.vec_sub(
-                av, linalg.vec_scale(next(iter(vals)), v))):
-            return False
-        lam = next(iter(vals)) if lam is None else lam
-        if next(iter(vals)) != lam:
-            return False
-    av = linalg.mat_vec(a.matrix, space.z0_m)
-    mu = center_coefficient(space, av)
-    if not linalg.vec_is_zero(linalg.vec_sub(
-            av, linalg.vec_scale(mu, space.z0_m))):
-        return False
-    return lam is not None and lam > 0 and mu > 0
+    return _is_deformation(space, a.columns)
+
+
+def _deformation_test(space: StiefelSpace, family: MetricFamily
+                      ) -> Callable[[Sequence], bool]:
+    """values -> is the family's metric at these parameters lambda A_t."""
+    op_columns = [linalg.sparse_columns(op)
+                  for op in metric_mod.family_basis_ops(family)]
+
+    def in_family(values: Sequence) -> bool:
+        return _is_deformation(space, linalg.sparse_columns(
+            go_mod._family_matrix(op_columns, values, space.dim_m)))
+
+    return in_family
 
 
 def grassmannian_cross_check(space: StiefelSpace) -> bool:
@@ -351,7 +418,8 @@ def grassmannian_cross_check(space: StiefelSpace) -> bool:
 def uniqueness_scan(space: StiefelSpace,
                     spec: Optional[go_mod.ScanSpec] = None,
                     offdiagonal_samples: int = 200,
-                    stage: Stage = contextlib.nullcontext) -> dict:
+                    stage: Stage = contextlib.nullcontext,
+                    all_t: Optional[dict] = None) -> dict:
     """Grid the reduced diagonal cone, sample the full cone, classify.
 
     The exhaustive grid covers every parameter left after the reduction
@@ -359,30 +427,34 @@ def uniqueness_scan(space: StiefelSpace,
     samples exercise the off-diagonal directions that no grid of feasible
     size could sweep.  Survivors are classified against the deformation
     family; falsified points carry exact positive squared residuals.
-    `stage(name)` wraps the "reduce" and "scan" stages.
+    With a verified all-t certificate (`certify_all_t`), a grid survivor
+    that is lambda A_t is GO by that proof, since lambda A_t takes the
+    witness of A_t, and skips its random probes; every other survivor is
+    sampled.  `stage(name)` wraps the "reduce" and "scan" stages.
     """
     spec = spec or go_mod.ScanSpec()
     with stage("reduce"):
         family, trace = go_mod.reduce_family(space.decomp, seed=spec.seed)
     with stage("scan"):
-        return _scan_report(space, spec, family, trace, offdiagonal_samples)
+        return _scan_report(space, spec, family, trace, offdiagonal_samples,
+                            bool(all_t and all_t["verified"]))
 
 
 def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
                  family: MetricFamily, trace: go_mod.ReductionTrace,
-                 offdiagonal_samples: int) -> dict:
+                 offdiagonal_samples: int, family_proved: bool) -> dict:
     diag = diagonal_family(space)
-    grid_result = go_mod.search_go(space.decomp, diag, spec, include_grid=True)
-
-    op_columns = [linalg.sparse_columns(op)
-                  for op in metric_mod.family_basis_ops(diag)]
-    for entry in grid_result.survivors:
-        values = [linalg.frac_from_str(s) for s in entry["params"]]
-        amat = go_mod._family_matrix(op_columns, values, space.dim_m)
-        a = MetricEndomorphism(decomp=space.decomp, matrix=amat,
-                               params=None, is_pd=True)
-        entry["deformation_point"] = is_deformation_point(space, a)
-    survivors_ok = all(e["deformation_point"] for e in grid_result.survivors)
+    in_family = _deformation_test(space, diag)
+    prove = in_family if family_proved else None
+    grid_result = go_mod.search_go(space.decomp, diag, spec,
+                                   include_grid=True, prove=prove)
+    survivors = grid_result.survivors
+    if prove is None:
+        survivors_ok = all(in_family([linalg.frac_from_str(s)
+                                      for s in e["params"]])
+                           for e in survivors)
+    else:
+        survivors_ok = all(e["proved"] for e in survivors)
 
     off_result = None
     if offdiagonal_samples:
@@ -403,7 +475,9 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
         "trace": go_mod.trace_to_json_dict(trace),
         "grid": {
             "n_points": grid_result.n_points,
-            "n_survivors": len(grid_result.survivors),
+            "n_survivors": len(survivors),
+            "n_survivors_proved": sum(e.get("proved", False)
+                                      for e in survivors),
             "n_falsified": len(grid_result.falsified),
             "param_labels": diag.param_labels(),
             "survivors_all_in_family": survivors_ok,
@@ -455,7 +529,7 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
     grid = [lo + i * resolution for i in range(steps + 1)]
     spec = go_mod.ScanSpec(grid=grid, seed=seed, jobs=jobs)
     scan = uniqueness_scan(space, spec, offdiagonal_samples=offdiagonal_samples,
-                           stage=stage)
+                           stage=stage, all_t=family_report["all_t"])
     certs = {t: go_mod.certificate_to_json_dict(c, max_witnesses=3)
              for t, c in family_report["certificates"].items()}
     return {
@@ -465,5 +539,6 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
         "seed": seed,
         "family_identities": family_report["identities"],
         "family_certificates": certs,
+        "family_all_t": family_report["all_t"],
         "uniqueness": scan,
     }

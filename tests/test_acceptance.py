@@ -163,18 +163,18 @@ def test_criterion_7_normalizer_consistency(space):
     for n, k in [(3, 2), (4, 2)]:
         sp = space(n, k)
         dec = sp.decomp
-        gram = sp.action.gram
+        norms = sp.action.norms
         candidates = [
             metric.identity_metric(dec),
             stiefel.metric_at(sp, Fraction(1, 2)),
             stiefel.metric_at(sp, 3),
         ]
         # unequal weights on the two equivalent modules (fails equivariance)
-        p1 = metric.projector(sp.s1.members[0].space, gram, sp.dim_m)
+        p1 = metric.projector(sp.s1.members[0].space, norms, sp.dim_m)
         candidates.append(metric.from_matrix(
             dec, linalg.mat_add(linalg.identity(sp.dim_m), p1)))
         # equal on modules, different from su(k) (passes equivariance)
-        ps1 = metric.projector(sp.s1.space, gram, sp.dim_m)
+        ps1 = metric.projector(sp.s1.space, norms, sp.dim_m)
         candidates.append(metric.from_matrix(
             dec, linalg.mat_add(linalg.identity(sp.dim_m), ps1)))
         # off-diagonal intertwiner component

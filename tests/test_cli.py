@@ -69,7 +69,7 @@ def test_check_go_identity_params_exit_zero(tmp_path, space):
 def test_check_go_falsified_exit_one(tmp_path, space):
     from go_metric_lab import linalg, metric
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.gram, sp.dim_m)
+    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
     amat = linalg.mat_add(linalg.identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     mfile = tmp_path / "bad_metric.json"
@@ -262,6 +262,7 @@ def test_reproduce_exit_code_counts_offdiagonal_survivors(
             "seed": 0,
             "family_identities": {"center_rotates_s1": True},
             "family_certificates": {"1": {"verdict": "verified-on-family"}},
+            "family_all_t": {"verified": True},
             "uniqueness": {
                 "grid": {"n_survivors": 4, "survivors_all_in_family": True},
                 "off_diagonal": {"n_survivors": off_survivors},
@@ -272,6 +273,22 @@ def test_reproduce_exit_code_counts_offdiagonal_survivors(
     out = tmp_path / "rep.json"
     assert entry(["3", "2", "--out", str(out)]) == code
     assert json.loads(out.read_text())["mode"] == "exact"
+
+
+def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
+    from go_metric_lab import stiefel
+    monkeypatch.setattr(stiefel, "_all_t_verdict", lambda certs: {
+        "verified": False, "degree_bound": 2, "t_values": []})
+    out = tmp_path / "rep.json"
+    assert run_cli(["reproduce-theorem", "2", "1", "--resolution", "2",
+                    "--offdiagonal-samples", "0", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["family_all_t"]["verified"]
+    assert all(c["verdict"] == "verified-on-family"
+               for c in report["family_certificates"].values())
+    grid = report["uniqueness"]["grid"]
+    assert grid["survivors_all_in_family"] and grid["n_survivors"] > 0
+    assert grid["n_survivors_proved"] == 0      # no proof: sampled instead
 
 
 STAGE_LINE = re.compile(r"^stage (\w+): \d+\.\d{3} s$")

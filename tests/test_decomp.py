@@ -28,6 +28,15 @@ def test_diagonal_rejects_bad_k(un):
         diagonal_u_nk(un(3), 3)
 
 
+def test_diagonal_raises_on_a_wrong_dimension(un, monkeypatch):
+    # the dimension check survives python -O
+    g = un(3)
+    monkeypatch.setattr(decomp, "subalgebra", lambda g, coords: decomp.Subalgebra(
+        parent=g, basis_coords=coords[:-1]))
+    with pytest.raises(ArithmeticError, match="dimension 3, expected 4"):
+        diagonal_u_nk(g, 1)
+
+
 def test_split_whole_algebra(un):
     g = un(2)
     sp = reductive_split(g, subalgebra(g, linalg.identity(g.dim)))

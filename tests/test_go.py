@@ -53,8 +53,7 @@ def test_identity_metric_zero_witness(space):
 def test_non_go_metric_positive_residual(space):
     # weight 2 on S1 only: lambda != lambda-tilde; X = e_12 + e_13 falsifies
     sp = space(3, 2)
-    gram = sp.action.gram
-    p_s1 = metric.projector(sp.s1.space, gram, sp.dim_m)
+    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
     amat = linalg.mat_add(linalg.identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     assert a.is_pd
@@ -119,7 +118,7 @@ def test_go_check_identity_passes_basis(space):
 
 def test_go_check_falsifies_unequal_weights(space):
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.gram, sp.dim_m)
+    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
     amat = linalg.mat_add(linalg.identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     cert = go_check(a, strategy="basis")
@@ -399,10 +398,10 @@ def test_falsified_metrics_leave_the_reduced_family(space):
     # equivariance or sits outside the reduced cone
     sp = space(3, 2)
     family, _ = reduce_family(sp.decomp)
-    p_s1 = metric.projector(sp.s1.space, sp.action.gram, sp.dim_m)
+    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
     cases = [metric.from_matrix(sp.decomp, linalg.mat_add(
         linalg.identity(sp.dim_m), p_s1))]
-    p1 = metric.projector(sp.s1.members[0].space, sp.action.gram, sp.dim_m)
+    p1 = metric.projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     cases.append(metric.from_matrix(sp.decomp, linalg.mat_add(
         linalg.identity(sp.dim_m), p1)))
     for a in cases:
@@ -438,7 +437,7 @@ def test_family_strategy_flags_wrong_witness_on_go_metric(space):
 def test_family_strategy_falsifies_non_go_metric(space):
     # zero witness map on a non-GO metric: the metric is falsified
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.gram, sp.dim_m)
+    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp, linalg.mat_add(
         linalg.identity(sp.dim_m), p_s1))
 

@@ -187,8 +187,7 @@ def test_eigenstructure_of_deformation(space):
 def test_eigenstructure_diagonal_example(space):
     sp = space(3, 2)
     s1 = sp.decomp.nontrivial_summands()[0]
-    gram = sp.action.gram
-    p1 = metric.projector(s1.members[0].space, gram, sp.dim_m)
+    p1 = metric.projector(s1.members[0].space, sp.action.norms, sp.dim_m)
     amat = linalg.mat_add(linalg.identity(sp.dim_m), p1)
     a = metric.from_matrix(sp.decomp, amat)
     eig = eigenstructure(a)
@@ -202,7 +201,7 @@ def test_normalizer_equivariance_cases(space):
     assert check_normalizer_equivariance(stiefel.metric_at(sp, 2))
     # distinct eigenvalues on the two equivalent members: must fail
     s1 = dec.nontrivial_summands()[0]
-    p1 = metric.projector(s1.members[0].space, dec.action.gram, dec.dim)
+    p1 = metric.projector(s1.members[0].space, dec.action.norms, dec.dim)
     a = metric.from_matrix(dec, linalg.mat_add(linalg.identity(dec.dim), p1))
     assert not check_normalizer_equivariance(a)
 
@@ -212,6 +211,76 @@ def test_full_family_matches_commutant_dimension(space):
         sp = space(*nk)
         fam = full_family(sp.decomp)
         assert fam.n_params == len(sp.decomp.sym_commutant_basis())
+
+
+def _dense_gram_family_ops(family):
+    """Oracle: the family operators built from the dense m-basis Gram."""
+    dec = family.decomp
+    gram, dim = dec.action.gram, dec.dim
+
+    def outer(op, u, gv, f):
+        for r in range(dim):
+            for c in range(dim):
+                op[r][c] += f * u[r] * gv[c]
+
+    def proj(space):
+        op = linalg.zeros(dim, dim)
+        for b, nu in zip(space.basis, space.norms):
+            outer(op, b, linalg.mat_vec(gram, b), 1 / nu)
+        return op
+
+    ops = []
+    for c in family.classes():
+        op = linalg.zeros(dim, dim)
+        for b in family.scalar_blocks:
+            if family.find(b.class_id) == c:
+                op = linalg.mat_add(op, proj(b.space))
+        ops.append(op)
+    for blk in family.operator_blocks:
+        sp = blk.space
+        gb = [linalg.mat_vec(gram, b) for b in sp.basis]
+        for i in range(sp.dim):
+            for j in range(i, sp.dim):
+                op = linalg.zeros(dim, dim)
+                scale = 1 / sp.norms[i] if i == j else Fraction(1)
+                outer(op, sp.basis[i], gb[j], scale)
+                if i != j:
+                    outer(op, sp.basis[j], gb[i], scale)
+                ops.append(op)
+    for blk in family.intertwiner_blocks:
+        summand = dec.summands[blk.summand_index]
+        sub_a = summand.members[blk.member_a].space
+        sub_b = summand.members[blk.member_b].space
+        for phi in blk.phis:
+            op = linalg.zeros(dim, dim)
+            phi_star = [[sub_b.norms[j] * phi[j][i] / sub_a.norms[i]
+                         for j in range(sub_b.dim)] for i in range(sub_a.dim)]
+            for m, src, dst in ((phi, sub_a, sub_b), (phi_star, sub_b, sub_a)):
+                for aj, b in enumerate(src.basis):
+                    gb = linalg.mat_vec(gram, b)
+                    for bi, d in enumerate(dst.basis):
+                        outer(op, d, gb, m[bi][aj] / src.norms[aj])
+            ops.append(op)
+    return ops
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+def test_family_ops_match_the_dense_gram_construction(space, n, k):
+    sp = space(n, k)
+    for family in (stiefel.diagonal_family(sp), full_family(sp.decomp)):
+        ops = metric.family_basis_ops(family)
+        assert ops == _dense_gram_family_ops(family)
+        assert all(type(x) is Fraction for op in ops for row in op for x in row)
+    for sub in (sp.s1.space, sp.ideals.center, sp.decomp.s0.space):
+        assert (metric.projector(sub, sp.action.norms, sp.dim_m)
+                == _dense_gram_family_ops(_scalar_family(sp.decomp, sub))[0])
+
+
+def _scalar_family(dec, sub):
+    family = metric.MetricFamily(decomp=dec)
+    family.scalar_blocks.append(metric.ScalarBlock(space=sub, class_id=0,
+                                                   label="x"))
+    return family
 
 
 def test_family_instantiation_round_trip(space):
@@ -252,7 +321,7 @@ def test_eigenstructure_on_three_dim_m(space):
     sp = space(2, 1)
     amat = linalg.mat_add(
         linalg.identity(sp.dim_m),
-        metric.projector(sp.decomp.s0.space, sp.action.gram, sp.dim_m))
+        metric.projector(sp.decomp.s0.space, sp.action.norms, sp.dim_m))
     a = metric.from_matrix(sp.decomp, amat)
     eig = eigenstructure(a)
     assert sorted((lam, spc.dim) for lam, spc in eig) == [(1, 2), (2, 1)]

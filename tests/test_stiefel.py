@@ -1,5 +1,6 @@
 """Stiefel pipeline: structure, rotation map, family checks, scans."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,7 +119,7 @@ def test_metric_at_pd_iff_positive(space):
         sp.decomp,
         linalg.mat_add(linalg.identity(sp.dim_m),
                        linalg.mat_scale(Fraction(-2), metric.projector(
-                           sp.ideals.center, sp.action.gram, sp.dim_m))))
+                           sp.ideals.center, sp.action.norms, sp.dim_m))))
     assert not a_neg.is_pd                      # this is A_t at t = -1
 
 
@@ -209,7 +210,7 @@ def test_deformation_point_classifier(space):
     assert stiefel.is_deformation_point(
         sp, metric.from_matrix(sp.decomp, linalg.mat_scale(
             Fraction(3), metric_at(sp, Fraction(1, 2)).matrix)))
-    p1 = metric.projector(sp.s1.members[0].space, sp.action.gram, sp.dim_m)
+    p1 = metric.projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp,
                            linalg.mat_add(linalg.identity(sp.dim_m), p1))
     assert not stiefel.is_deformation_point(sp, a)
@@ -280,3 +281,139 @@ def test_uniqueness_scan_53_coarse(space):
     assert grid["n_survivors"] == 4            # all four scalars tied, z free
     assert grid["survivors_all_in_family"]
     assert rep["off_diagonal"]["n_falsified"] == 10
+
+
+# ---------------------------------------------------------------------------
+# the all-t certificate and proved grid survivors
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_all_t_certificate_reuses_the_requested_t(space, monkeypatch):
+    sp = space(3, 2)
+    checks = _count_calls(monkeypatch, go, "go_check")
+    rep = verify_family(sp, [Fraction(1, 2), 1, 2, 3], n_samples=5)
+    assert rep["all_t"] == {"verified": True, "degree_bound": 2,
+                            "t_values": ["1/2", "1", "2", "3"]}
+    assert len(checks) == 4                     # no exact work beyond the t asked
+    assert sorted(rep["certificates"]) == ["1", "1/2", "2", "3"]
+
+
+def test_all_t_certificate_tops_up_below_three_t(space, monkeypatch):
+    sp = space(3, 2)
+    checks = _count_calls(monkeypatch, go, "go_check")
+    rep = verify_family(sp, [Fraction(1, 2), 2], n_samples=5)
+    assert rep["all_t"] == {"verified": True, "degree_bound": 2,
+                            "t_values": ["1/2", "1", "2"]}
+    assert len(checks) == 3
+    assert checks[2][1]["count"] == 0           # the top-up at t = 1
+    assert sorted(rep["certificates"]) == ["1/2", "2"]
+
+
+def test_two_t_values_are_below_the_degree_bound(space):
+    sp = space(3, 2)
+    certs = verify_family(sp, [Fraction(1, 2), 2], n_samples=0)["certificates"]
+    verdict = stiefel._all_t_verdict({Fraction(t): c for t, c in certs.items()})
+    assert all(c.verdict == "verified-on-family" for c in certs.values())
+    assert verdict == {"verified": False, "degree_bound": 2,
+                       "t_values": ["1/2", "2"]}
+
+
+def test_witness_without_the_one_minus_t_factor_fails_all_t(space, monkeypatch):
+    # a_t(X) = r(X) sum_{i>k} eb_ii: the t = 0 witness at every t
+    sp = space(3, 2)
+    z0, z0_sq = stiefel._z0_weights(sp)
+    monkeypatch.setattr(stiefel, "witness_map", lambda space, t: (
+        lambda x: linalg.vec_scale(linalg.sparse_dot(x, z0) / z0_sq,
+                                   space.a_dir_h)))
+    assert stiefel.certify_all_t(sp, {}) == {
+        "verified": False, "degree_bound": 2, "t_values": []}
+
+
+def test_theorem_grid_survivors_make_no_least_squares_solve(monkeypatch):
+    # the (3,2) resolution-1 grid: 16 survivors, each lambda A_t; sampling
+    # them took 20 probes, 320 go_solve_at calls
+    solves = _count_calls(monkeypatch, go, "go_solve_at")
+    rep = stiefel.reproduce_report(3, 2, resolution=Fraction(1), seed=123,
+                                   offdiagonal_samples=0, n_samples=10)
+    assert len(solves) == 0
+    grid = rep["uniqueness"]["grid"]
+    assert rep["family_all_t"]["verified"]
+    assert grid["n_survivors"] == grid["n_survivors_proved"] == 16
+    assert grid["survivors_all_in_family"]
+
+
+_GRID_32 = [Fraction(1, 4) + i for i in range(4)]
+
+
+def _without_proved(result):
+    return [{k: v for k, v in e.items() if k != "proved"}
+            for e in result.survivors]
+
+
+def test_proved_scan_equals_the_sampled_scan(space):
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    spec = go.ScanSpec(grid=_GRID_32, seed=7)
+    proved = go.search_go(sp.decomp, diag, spec,
+                          prove=stiefel._deformation_test(sp, diag))
+    sampled = go.search_go(sp.decomp, diag, spec)
+    assert all(e["proved"] for e in proved.survivors)
+    assert all("proved" not in e for e in sampled.survivors)
+    assert _without_proved(proved) == sampled.survivors
+    assert (proved.falsified, proved.n_points, proved.notes) == (
+        sampled.falsified, sampled.n_points, sampled.notes)
+
+    all_t = verify_family(sp, [1, 2, 3], n_samples=0)["all_t"]
+    rep = stiefel.uniqueness_scan(sp, spec, offdiagonal_samples=5,
+                                  all_t=all_t)
+    ref = stiefel.uniqueness_scan(sp, spec, offdiagonal_samples=5)
+    assert (rep["grid"].pop("n_survivors_proved"),
+            ref["grid"].pop("n_survivors_proved")) == (16, 0)
+    assert rep == ref
+
+
+def test_unproved_survivors_run_their_seeded_probes(space, monkeypatch):
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    spec = go.ScanSpec(grid=_GRID_32, seed=7, survivor_random_probes=2)
+    in_family = stiefel._deformation_test(sp, diag)
+    # accept only the survivors whose center weight is 1/4
+    prove = lambda values: values[-1] == Fraction(1, 4) and in_family(values)
+    checks = _count_calls(monkeypatch, go, "go_check")
+    partly = go.search_go(sp.decomp, diag, spec, prove=prove)
+    sampled_seeds = sorted(kw["seed"] for _, kw in checks)
+    del checks[:]
+    unproved = go.search_go(sp.decomp, diag, spec)
+    assert len(checks) == len(unproved.survivors) == 16
+    index = {p: i for i, p in enumerate(itertools.product(
+        [linalg.frac_to_str(v) for v in _GRID_32], repeat=4))}
+    seeds = {tuple(e["params"]): 7 * 1_000_003 + index[tuple(e["params"])]
+             for e in unproved.survivors}
+    assert sorted(kw["seed"] for _, kw in checks) == sorted(seeds.values())
+    assert sampled_seeds == sorted(
+        seeds[tuple(e["params"])] for e in partly.survivors if not e["proved"])
+    assert sum(e["proved"] for e in partly.survivors) == 4
+    assert _without_proved(partly) == unproved.survivors
+
+
+def test_proved_scan_is_the_same_across_jobs(space):
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    prove = stiefel._deformation_test(sp, diag)
+    runs = [go.search_go(sp.decomp, diag,
+                         go.ScanSpec(grid=[Fraction(1), Fraction(3)], seed=5,
+                                     jobs=jobs), prove=prove)
+            for jobs in (1, 2)]
+    assert runs[0] == runs[1]
+    assert all(e["proved"] for e in runs[0].survivors)
