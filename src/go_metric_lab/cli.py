@@ -9,9 +9,10 @@ Subcommands:
 
 Spaces are either the builtin "stiefel N K" or a JSON file carrying a
 serialized algebra plus an h-basis.  Exit codes: 0 pass/verified, 1
-falsified, 2 input error.  Reports are deterministic functions of the
-inputs and the seed; GO_METRIC_LAB_SEED supplies a fallback seed.  All
-arithmetic is exact: `--mode` accepts only "exact" and reports say so.
+falsified (reproduce-theorem: any part of the claim not verified, a
+failing witness map included), 2 input error.  Reports are deterministic
+functions of the inputs and the seed; GO_METRIC_LAB_SEED supplies a
+fallback seed.  All arithmetic is exact: `--mode` accepts only "exact".
 `--verbose` prints one "stage NAME: SECONDS s" line per stage to stderr
 and leaves the report untouched.
 """
@@ -213,6 +214,9 @@ def cmd_reproduce_theorem(args) -> int:
             stage=lambda name: _stage(cfg, name))
     except lie_core.InvalidDimensionError as exc:
         raise InputError(str(exc)) from exc
+    except go_mod.WitnessMapError as exc:
+        print(f"error: family not verified: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
     report["mode"] = MODE
     _emit(cfg, report)
     scan = report["uniqueness"]

@@ -99,6 +99,10 @@ def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
 # certificates
 # ---------------------------------------------------------------------------
 
+class WitnessMapError(ValueError):
+    """A witness map is not linear or fails where the metric itself passes."""
+
+
 @dataclass
 class Witness:
     x_m: Vec
@@ -143,15 +147,15 @@ def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
 def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
              count: int = 100, seed: int = 0,
              witness_map: Optional[Callable[[Vec], Vec]] = None,
-             keep_witnesses: bool = True,
-             probes: Optional[List[Vec]] = None) -> GOCertificate:
+             keep_witnesses: bool = True) -> GOCertificate:
     """Decide the GO property as far as the chosen strategy allows.
 
     basis: probe every m-basis vector and every pairwise sum.
     random: probe `count` seeded random rational vectors.
     family: verify a supplied linear witness map exactly (spanning set plus
     polarization pairs plus `count` random probes); only this strategy may
-    return "verified-on-family".
+    return "verified-on-family", and it raises `WitnessMapError` when the
+    map is not linear or fails at a vector where the metric passes.
     """
     decomp = a_metric.decomp
 
@@ -161,8 +165,7 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
         return _family_check(a_metric, witness_map, count, seed)
 
     if strategy == "basis":
-        if probes is None:
-            probes = basis_probe_vectors(decomp)
+        probes = basis_probe_vectors(decomp)
         used_seed = None
     elif strategy == "random":
         rng = random.Random(f"go-random:{seed}")
@@ -202,11 +205,11 @@ def _family_check(a_metric: MetricEndomorphism,
     if not all(linalg.vec_is_zero(linalg.vec_sub(
             witness_map(v), linalg.vec_add(images[i], images[j])))
             for (i, j), v in zip(pairs, sums)):
-        raise ValueError("witness map is not additive on basis pairs")
+        raise WitnessMapError("witness map is not additive on basis pairs")
     if not all(linalg.vec_is_zero(linalg.vec_sub(
             witness_map(linalg.vec_scale(c, b)), linalg.vec_scale(c, a)))
             for b, a in zip(basis, images) for c in (Fraction(2), Fraction(-1))):
-        raise ValueError("witness map is not homogeneous")
+        raise WitnessMapError("witness map is not homogeneous")
 
     probes = basis + sums
     rng = random.Random(f"go-family:{seed}")
@@ -223,7 +226,7 @@ def _family_check(a_metric: MetricEndomorphism,
                 cert.verdict = "falsified"
                 cert.falsifier = Witness(x_m=x, a_h=a_best, residual_sq=best_sq)
                 return cert
-            raise ValueError(
+            raise WitnessMapError(
                 "witness map fails on a vector the metric itself passes")
         cert.witnesses.append(w)
     return cert
@@ -574,7 +577,9 @@ class ScanSpec:
     seed: int = 0
     survivor_random_probes: int = 20
     jobs: int = 1
-    max_grid_points: int = 2_000_000
+
+
+MAX_GRID_POINTS = 2_000_000        # exhaustive grids larger than this refuse
 
 
 @dataclass
@@ -669,7 +674,7 @@ def _grid_points(family: MetricFamily, spec: ScanSpec) -> List[Tuple]:
                          "use random_count for the full cone")
     n = family.n_params
     total = len(spec.grid) ** n
-    if total > spec.max_grid_points:
+    if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points exceeds the cap; "
                          "coarsen the grid or reduce the family first")
     return list(itertools.product(spec.grid, repeat=n))

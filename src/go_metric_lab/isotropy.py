@@ -9,8 +9,8 @@ basis.  Decomposition strategy, all in exact rational arithmetic:
   operators with rational spectra.  Squared-bracket operators -ad(Z)^2 for
   Z in S0 are tried first (their spectra are rational on every instance we
   target and their eigenspaces come out in coordinate form), then commutant
-  basis elements, then seeded random combinations.  Candidate eigenvalues
-  are suggested in floating point and certified exactly before use;
+  basis elements, then seeded random combinations.  Eigenvalues are the
+  rational roots of the exact minimal polynomial (`linalg.rational_roots`);
 * a piece is certified irreducible when its symmetric commutant is exactly
   one-dimensional, which for a B-skew action is equivalent to admitting no
   proper invariant subspace.  The full commutant dimension (1, 2 or 4)
@@ -266,27 +266,12 @@ def intertwiners(action: IsotropyAction, sub_a: Subspace,
 # splitting engine
 # ---------------------------------------------------------------------------
 
-def _float_hints(op: Mat, norms: List[Fraction]) -> List[float]:
-    import numpy as np
-    d = len(norms)
-    scale = [float(nu) ** 0.5 for nu in norms]
-    arr = np.array([[float(op[i][j]) * scale[i] / scale[j] for j in range(d)]
-                    for i in range(d)])
-    return [float(x) for x in np.linalg.eigvalsh((arr + arr.T) / 2)]
-
-
-def _split_by_operator(op: Mat, norms: List[Fraction]) -> Optional[List[List[Vec]]]:
-    """Exact eigenspace split of a symmetric operator; None if it refuses."""
-    split = linalg.eigen_split(op, _float_hints(op, norms))
-    if split is None or len(split) < 2:
-        return None
-    return [basis for _, basis in split]
+RANDOM_TRIES = 24     # seeded random commutant combinations tried per piece
 
 
 def minimal_invariant_pieces(ops: List[Mat], norms: Vec, start: Subspace,
                              extra_ops: Sequence[Mat] = (),
-                             seed: int = 0,
-                             random_tries: int = 24) -> List[Subspace]:
+                             seed: int = 0) -> List[Subspace]:
     """Split an invariant subspace into minimal invariant pieces, exactly.
 
     `extra_ops` are ambient symmetric equivariant operators tried first as
@@ -310,17 +295,18 @@ def minimal_invariant_pieces(ops: List[Mat], norms: Vec, start: Subspace,
         # candidates are built only until one splits the piece; the random
         # coefficients are drawn up front so every piece sees the same stream
         draws = [[Fraction(rng.randint(-9, 9)) for _ in csym]
-                 for _ in range(random_tries)]
+                 for _ in range(RANDOM_TRIES)]
         restricted = (restrict_op(ex, piece, norms) for ex in extra_ops)
         combos = ([[sum((c * s[i][j] for c, s in zip(coeffs, csym)), ZERO)
                     for j in range(piece.dim)] for i in range(piece.dim)]
                   for coeffs in draws)
         for cand in itertools.chain((r for r in restricted if r is not None),
                                     csym, combos):
-            parts = _split_by_operator(cand, piece.norms)
-            if parts is None:
+            # exact eigenspaces of a symmetric candidate; None: not rational
+            split = linalg.eigen_split(cand)
+            if split is None or len(split) < 2:
                 continue
-            for part in parts:
+            for _, part in split:
                 work.append(make_subspace(
                     [linalg.combine(v, piece.basis, len(norms)) for v in part],
                     norms))

@@ -217,16 +217,18 @@ def inner(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Fraction:
     return linalg.gram_dot(g.gram, x, y)
 
 
-def random_vector_of_len(dim: int, rng: random.Random, max_num: int = 9,
-                         denominators: Tuple[int, ...] = (1, 2, 3)) -> Vec:
+RANDOM_MAX_NUM, RANDOM_DENOMINATORS = 9, (1, 2, 3)  # entries p/q, |p| <= 9
+
+
+def random_vector_of_len(dim: int, rng: random.Random) -> Vec:
     """Seeded random rational coordinate vector with small entries."""
-    return [Fraction(rng.randint(-max_num, max_num), rng.choice(denominators))
+    return [Fraction(rng.randint(-RANDOM_MAX_NUM, RANDOM_MAX_NUM),
+                     rng.choice(RANDOM_DENOMINATORS))
             for _ in range(dim)]
 
 
-def random_vector(g: MatrixLieAlgebra, rng: random.Random,
-                  max_num: int = 9, denominators: Tuple[int, ...] = (1, 2, 3)) -> Vec:
-    return random_vector_of_len(g.dim, rng, max_num, denominators)
+def random_vector(g: MatrixLieAlgebra, rng: random.Random) -> Vec:
+    return random_vector_of_len(g.dim, rng)
 
 
 # ---------------------------------------------------------------------------

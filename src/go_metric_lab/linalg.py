@@ -435,13 +435,10 @@ def _cyclic_minpoly(op: Mat, v: Vec) -> List[Fraction]:
     krylov = [list(v)]
     while True:
         nxt = mat_vec(op, krylov[-1])
-        a = transpose(krylov)
-        sol = solve_consistent(a, nxt)
+        sol = solve_consistent(transpose(krylov), nxt)
         if sol is not None:
             # nxt = sum sol_i krylov_i  ->  x^d - sum sol_i x^i
-            d = len(krylov)
-            poly = [-s for s in sol] + [ONE]
-            return poly
+            return [-s for s in sol] + [ONE]
         krylov.append(nxt)
         if len(krylov) > n:
             raise ArithmeticError("Krylov space exceeded dimension")
@@ -457,91 +454,125 @@ def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
     return out
 
 
-def poly_eval(poly: Sequence[Fraction], x) :
-    acc = ZERO
+def _primitive(poly: Sequence) -> List[int]:
+    """The coprime integer polynomial that is a positive multiple of poly."""
+    den = math.lcm(*(Fraction(c).denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def poly_divmod(a: Sequence, b: Sequence) -> Tuple[List[Fraction], List[Fraction]]:
+    """(quotient, remainder) of a / b, low degree first; b's leading
+    coefficient is nonzero.  The remainder carries no high-degree zeros."""
+    rem = [Fraction(c) for c in a]
+    quot = [ZERO] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        quot[shift] = f = rem[-1] / b[-1]
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _sign_at(poly: Sequence[int], num: int, den: int) -> int:
+    """Sign of poly(num / den) for den > 0, in integer arithmetic."""
+    acc, scale = 0, 1
     for c in reversed(poly):
-        acc = acc * x + c
-    return acc
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
-def rational_roots(poly: Sequence[Fraction],
-                   float_hints: Optional[Sequence[float]] = None) -> Optional[List[Fraction]]:
-    """All roots of a squarefree rational polynomial, if they are rational.
+def rational_roots(poly: Sequence[Fraction]) -> List[Fraction]:
+    """Every rational root of a rational polynomial (low degree first,
+    nonzero leading coefficient), sorted, with no cap on the coefficients.
 
-    Float hints (approximate eigenvalues) are snapped to nearby small
-    rationals and certified exactly; returns None when the polynomial does
-    not split over the rationals.
+    Cleared of denominators, poly is a primitive integer polynomial with
+    leading coefficient L > 0, so every rational root is j/L for an integer
+    j, with |j| below the Cauchy bound L + max |coefficient|.  A Sturm chain
+    counts the distinct real roots between (2a - 1)/(2L) and (2b + 1)/(2L),
+    ends that are never roots (their reduced denominator does not divide
+    L); bisection over j narrows each interval holding a root to one
+    lattice point, which is tested exactly.
     """
-    deg = len(poly) - 1
-    if deg == 0:
+    ints = _primitive(poly)
+    if len(ints) < 2:
         return []
-    candidates: List[Fraction] = []
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    lead = ints[-1]
+    chain = [ints, [i * c for i, c in enumerate(ints)][1:]]
+    while True:
+        rem = poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
 
-    def consider(x: Fraction):
-        if x not in candidates and poly_eval(poly, x) == 0:
-            candidates.append(x)
+    def variations(j: int) -> int:
+        # sign changes along the chain at (2j + 1) / (2L)
+        signs = [s for s in (_sign_at(p, 2 * j + 1, 2 * lead) for p in chain)
+                 if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    if float_hints is not None:
-        for h in float_hints:
-            for limit in (1, 16, 4096, 10 ** 6, 10 ** 12):
-                consider(Fraction(h).limit_denominator(limit))
-    # rational root theorem fallback for small coefficients
-    if len(candidates) < deg:
-        den = 1
-        for c in poly:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in poly]
-        lead, const = ints[-1], next((c for c in ints if c != 0), 0)
-        if const != 0 and abs(const) <= 10 ** 6 and abs(lead) <= 10 ** 6:
-            for p in _divisors(abs(const)):
-                for q in _divisors(abs(lead)):
-                    consider(Fraction(p, q))
-                    consider(Fraction(-p, q))
-    if len(candidates) == deg:
-        return sorted(candidates)
-    return None
-
-
-def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    bound = lead + max(abs(c) for c in ints[:-1])
+    roots: List[Fraction] = []
+    # (lo, hi, variations below lo, variations above hi), leftmost on top
+    work = [(-bound, bound, variations(-bound - 1), variations(bound))]
+    while work:
+        lo, hi, v_lo, v_hi = work.pop()
+        if v_lo == v_hi:
+            continue
+        if lo < hi:
+            mid = (lo + hi) // 2
+            v_mid = variations(mid)
+            work += [(mid + 1, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+        elif _sign_at(ints, lo, lead) == 0:
+            roots.append(Fraction(lo, lead))
+    return roots
 
 
-def eigen_split(op: Mat, float_hints: Optional[Sequence[float]] = None
-                ) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
+def rational_eigenspaces(op: Mat) -> Tuple[List[Tuple[Fraction, List[Vec]]],
+                                           List[Fraction]]:
+    """Rational eigenspaces of a matrix and what its spectrum leaves over.
+
+    Returns ([(lam, basis of ker(op - lam))] for the rational roots lam of
+    the minimal polynomial, sorted, and the monic leftover factor of the
+    minimal polynomial with those roots divided out, low degree first.
+    """
+    n = len(op)
+    minp = minimal_polynomial(op)
+    leftover, out = minp, []
+    for lam in rational_roots(minp):
+        leftover = poly_divmod(leftover, [-lam, ONE])[0]
+        shifted = [[op[i][j] - (lam if i == j else ZERO) for j in range(n)]
+                   for i in range(n)]
+        out.append((lam, nullspace(shifted, n)))
+    return out, leftover
+
+
+def eigen_split(op: Mat) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
     """Exact eigenspace decomposition of a diagonalizable rational matrix.
 
     Returns [(eigenvalue, eigenbasis)] sorted by eigenvalue, or None when
-    the minimal polynomial does not split over the rationals.  The caller
-    is responsible for `op` being diagonalizable (symmetric w.r.t. some
-    inner product); completeness is verified.
+    the minimal polynomial is not a product of distinct rational linear
+    factors.  The caller is responsible for `op` being diagonalizable
+    (symmetric w.r.t. some inner product); completeness is verified.
     """
-    n = len(op)
-    if n == 0:
-        return []
-    minp = minimal_polynomial(op)
-    roots = rational_roots(minp, float_hints)
-    if roots is None:
-        return None
-    out = []
-    total = 0
-    for lam in roots:
-        shifted = [[op[i][j] - (lam if i == j else ZERO) for j in range(n)]
-                   for i in range(n)]
-        basis = nullspace(shifted, n)
-        if basis:
-            out.append((lam, basis))
-            total += len(basis)
-    if total != n:
+    out, leftover = rational_eigenspaces(op)
+    if len(leftover) > 1 or sum(len(b) for _, b in out) != len(op):
         return None
     return out
+
+
+def poly_kernel(op: Mat, poly: Sequence[Fraction]) -> List[Vec]:
+    """Basis of the kernel of poly(op); poly is low degree first."""
+    n = len(op)
+    columns = [_apply_poly(op, poly, unit_vec(n, j)) for j in range(n)]
+    return nullspace(transpose(columns), n)
 
 
 def frac_to_str(x) -> str:

@@ -106,57 +106,23 @@ def identity_metric(decomp: IsotypicalDecomposition) -> MetricEndomorphism:
 # ---------------------------------------------------------------------------
 
 def eigenstructure(a: MetricEndomorphism) -> List[Tuple[object, Subspace]]:
-    """B-orthogonal eigenspace decomposition of A on m.
+    """B-orthogonal eigenspace decomposition of A on m, exact.
 
-    Exact when the spectrum is rational (certified).  An irrational spectrum
-    falls back to floating point (see `_float_eigenstructure`).  Eigenspaces
-    are verified invariant under the isotropy action either way.
+    [(eigenvalue, eigenspace)] over the rational eigenvalues, sorted; if the
+    minimal polynomial does not split over Q, then also (q, ker q(A)) for
+    its monic leftover factor q, as a coefficient tuple low degree first.
+    A is checked once to commute with the isotropy action, so every
+    eigenspace is isotropy invariant.
     """
-    norms = a.decomp.action.norms
-    split = linalg.eigen_split(a.matrix, isotropy._float_hints(a.matrix, norms))
-    if split is None:
-        return _float_eigenstructure(a.matrix, norms, a.decomp.action.ad_ops)
-    out = [(lam, isotropy.make_subspace(basis, norms)) for lam, basis in split]
-    for _, space in out:
-        for op in a.decomp.action.ad_ops:
-            if isotropy.restrict_op(op, space, norms) is None:
-                raise ArithmeticError("eigenspace is not isotropy invariant")
-    return out
-
-
-def _float_eigenstructure(matrix: Mat, norms: List[Fraction], ops: List[Mat]
-                          ) -> List[Tuple[float, Subspace]]:
-    """numpy eigenspaces of A for a diagonal Gram matrix with these norms.
-
-    Eigenvectors come B-orthonormal from `eigh` of the symmetrized matrix;
-    eigenvalues within a relative `tol` share one eigenspace, and an
-    eigenspace moved by an isotropy operator by more than `tol` (relative
-    to the operator) raises.
-    """
-    import numpy as np
-    tol = 1e-7
-    scale = np.sqrt(np.array(norms, dtype=float))
-    sym = np.array(matrix, dtype=float) * scale[:, None] / scale[None, :]
-    evals, evecs = np.linalg.eigh((sym + sym.T) / 2)
-    vecs = evecs / scale[:, None]          # columns are B-orthonormal
-    clusters: List[List[int]] = []
-    for i, lam in enumerate(evals):
-        if clusters and abs(lam - evals[clusters[-1][0]]) <= tol * max(1.0, abs(lam)):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    fops = [np.array(op, dtype=float) for op in ops]
-    out = []
-    for cl in clusters:
-        v = vecs[:, cl]
-        for op in fops:
-            w = op @ v
-            resid = w - v @ (v.T @ (scale[:, None] ** 2 * w))
-            if np.abs(resid).max() > tol * max(1.0, np.abs(op).max()):
-                raise ArithmeticError("eigenspace is not isotropy invariant")
-        out.append((float(evals[cl[0]]), Subspace(
-            basis=[[float(x) for x in v[:, j]] for j in range(len(cl))],
-            norms=[1.0] * len(cl))))
+    action = a.decomp.action
+    if not check_normalizer_equivariance(a, action.ad_ops):
+        raise ArithmeticError("eigenspace is not isotropy invariant")
+    split, leftover = linalg.rational_eigenspaces(a.matrix)
+    out = [(lam, isotropy.make_subspace(basis, action.norms))
+           for lam, basis in split]
+    if len(leftover) > 1:
+        out.append((tuple(leftover), isotropy.make_subspace(
+            linalg.poly_kernel(a.matrix, leftover), action.norms)))
     return out
 
 

@@ -283,8 +283,11 @@ def _family_certificate(space: StiefelSpace, t: Fraction, n_samples: int,
     a_t = metric_at(space, t)
     if not a_t.is_pd:
         raise ArithmeticError(f"A_t is not positive definite at t={t}")
-    return go_mod.go_check(a_t, strategy="family", count=n_samples,
-                           seed=seed, witness_map=witness_map(space, t))
+    try:
+        return go_mod.go_check(a_t, strategy="family", count=n_samples,
+                               seed=seed, witness_map=witness_map(space, t))
+    except go_mod.WitnessMapError as exc:
+        raise go_mod.WitnessMapError(f"at t={t}: {exc}") from exc
 
 
 def _all_t_verdict(certificates: Dict[Fraction, Optional[go_mod.GOCertificate]]
@@ -320,7 +323,7 @@ def certify_all_t(space: StiefelSpace,
         if t not in certs:
             try:
                 certs[t] = _family_certificate(space, t, n_samples=0, seed=0)
-            except ValueError:
+            except go_mod.WitnessMapError:
                 certs[t] = None
     return _all_t_verdict(certs)
 
@@ -503,8 +506,10 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
 # consolidated pipeline
 # ---------------------------------------------------------------------------
 
+GRID_LO, GRID_HI = Fraction(1, 4), Fraction(4)    # the scan grid's ends
+
+
 def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
-                     lo=Fraction(1, 4), hi=Fraction(4),
                      seed: int = 0, jobs: int = 1,
                      t_values: Sequence = (Fraction(1, 2), 1, 2, 3),
                      n_samples: int = 100,
@@ -512,6 +517,7 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
                      stage: Stage = contextlib.nullcontext) -> dict:
     """Build the space, verify the family, and run the uniqueness scan.
 
+    The scan grid steps by `resolution` from GRID_LO to GRID_HI.
     `stage(name)` wraps the "build", "verify", "reduce" and "scan" stages,
     in that order; it sees no report data.
     """
@@ -524,9 +530,8 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
         family_report = verify_family(space, t_values, n_samples=n_samples,
                                       seed=seed)
     resolution = Fraction(resolution)
-    lo, hi = Fraction(lo), Fraction(hi)
-    steps = int((hi - lo) / resolution)
-    grid = [lo + i * resolution for i in range(steps + 1)]
+    steps = int((GRID_HI - GRID_LO) / resolution)
+    grid = [GRID_LO + i * resolution for i in range(steps + 1)]
     spec = go_mod.ScanSpec(grid=grid, seed=seed, jobs=jobs)
     scan = uniqueness_scan(space, spec, offdiagonal_samples=offdiagonal_samples,
                            stage=stage, all_t=family_report["all_t"])

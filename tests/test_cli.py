@@ -291,6 +291,25 @@ def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
     assert grid["n_survivors_proved"] == 0      # no proof: sampled instead
 
 
+def test_reproduce_exits_1_naming_t_when_the_witness_map_fails(
+        tmp_path, monkeypatch, capsys):
+    # a_t(X) = r(X) sum_{i>k} eb_ii without the (1 - t) factor fails at the
+    # first requested t, 1/2, where A_t itself passes
+    from go_metric_lab import linalg, stiefel
+
+    def t_free(space, t):
+        z0, z0_sq = stiefel._z0_weights(space)
+        return lambda x: linalg.vec_scale(
+            linalg.sparse_dot(x, z0) / z0_sq, space.a_dir_h)
+
+    monkeypatch.setattr(stiefel, "witness_map", t_free)
+    out = tmp_path / "rep.json"
+    assert run_cli(["reproduce-theorem", "2", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "at t=1/2" in err and "witness map fails" in err
+    assert not out.exists()
+
+
 STAGE_LINE = re.compile(r"^stage (\w+): \d+\.\d{3} s$")
 
 

@@ -434,6 +434,27 @@ def test_family_strategy_flags_wrong_witness_on_go_metric(space):
         go_check(a_t, strategy="family", witness_map=wrong)
 
 
+def test_witness_map_failures_raise_witness_map_error(space):
+    sp = space(3, 1)
+    a_t = stiefel.metric_at(sp, 2)
+    d = sp.a_dir_h
+
+    def r(x):
+        return stiefel.center_coefficient(sp, x)
+
+    maps = {
+        "not additive": lambda x: linalg.vec_scale(x[0] * x[1], d),
+        # additive on basis pairs (1 + 1 = 2), but 2 e_i maps to 4
+        "not homogeneous": lambda x: linalg.vec_scale(
+            sum(c * c for c in x), d),
+        "fails on a vector": lambda x: linalg.vec_scale(r(x) * 7, d),
+    }
+    assert issubclass(go.WitnessMapError, ValueError)
+    for text, witness in maps.items():
+        with pytest.raises(go.WitnessMapError, match=text):
+            go_check(a_t, strategy="family", witness_map=witness)
+
+
 def test_family_strategy_falsifies_non_go_metric(space):
     # zero witness map on a non-GO metric: the metric is falsified
     sp = space(3, 2)

@@ -182,8 +182,39 @@ def test_eigen_split_with_multiplicity():
 def test_rational_roots_with_hints():
     # (x - 1/2)(x - 3)
     poly = [Fraction(3, 2), Fraction(-7, 2), Fraction(1)]
-    roots = linalg.rational_roots(poly, float_hints=[0.5000000001, 2.9999999])
+    roots = linalg.rational_roots(poly)
     assert roots == [Fraction(1, 2), Fraction(3)]
+
+
+def test_eigen_split_finds_the_eigenvalue_zero():
+    split = linalg.eigen_split(frac_matrix([[0, 0], [0, 1]]))
+    assert split == [(0, [[1, 0]]), (1, [[0, 1]])]
+
+
+def _linear_product(factors):
+    # prod (q x - p), low degree first
+    poly = [Fraction(1)]
+    for p, q in factors:
+        poly = linalg._poly_mul(poly, [Fraction(-p), Fraction(q)])
+    return poly
+
+
+def test_rational_roots_have_no_coefficient_cap():
+    assert linalg.rational_roots(_linear_product([(1000003, 1), (2, 1)])) == [
+        2, 1000003]
+    assert linalg.rational_roots(_linear_product([(1, 1000003), (5, 1)])) == [
+        Fraction(1, 1000003), 5]
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 12)),
+                max_size=5),
+       st.booleans())
+def test_rational_roots_are_exactly_the_rational_factors(factors, irrational):
+    poly = _linear_product(factors)
+    if irrational:
+        poly = linalg._poly_mul(poly, [Fraction(-2), Fraction(0), Fraction(1)])
+    assert linalg.rational_roots(poly) == sorted(
+        {Fraction(p, q) for p, q in factors})
 
 
 def test_frac_string_round_trip():

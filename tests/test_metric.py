@@ -328,8 +328,8 @@ def test_eigenstructure_on_three_dim_m(space):
 
 
 def test_eigenstructure_float_fallback_for_irrational_spectrum(space):
-    # an intertwiner component makes the S1 eigenvalues 4 +/- sqrt(2): the
-    # exact route refuses and the float clustering takes over
+    # an intertwiner component makes the S1 eigenvalues 4 +/- sqrt(2): their
+    # sum of eigenspaces is ker(x^2 - 8x + 14)(A), labelled by that factor
     sp = space(3, 2)
     dec = sp.decomp
     fam = metric.full_family(dec)
@@ -342,9 +342,7 @@ def test_eigenstructure_float_fallback_for_irrational_spectrum(space):
     a = metric.from_matrix(dec, amat)
     assert a.is_pd
     eig = eigenstructure(a)
-    dims = sorted(spc.dim for _, spc in eig)
-    assert sum(dims) == sp.dim_m
-    assert all(isinstance(lam, float) for lam, _ in eig)
+    assert [(lam, spc.dim) for lam, spc in eig] == [(4, 4), ((14, -8, 1), 4)]
 
 
 def test_eigenstructure_float_fallback_checks_isotropy_invariance(space):
