@@ -9,6 +9,7 @@ is checked at the algebra level only.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,17 +39,24 @@ class Subalgebra:
 
 
 def subalgebra(g: MatrixLieAlgebra, coords: List[Vec]) -> Subalgebra:
-    """Wrap a spanning set as a subalgebra, verifying independence and closure."""
-    if coords and linalg.rank(coords) != len(coords):
+    """Wrap a spanning set as a subalgebra, verifying independence and closure.
+
+    The span is row-reduced once; a bracket lies in it iff subtracting its
+    pivot coordinates times the reduced rows leaves zero.
+    """
+    red, pivots = linalg.rref(coords)
+    if len(pivots) != len(coords):
         raise NotSubalgebraError("spanning vectors are linearly dependent")
-    cols = linalg.transpose(coords) if coords else []
-    for i in range(len(coords)):
-        for j in range(len(coords)):
-            br = lie_core.bracket(g, coords[i], coords[j])
-            if (not linalg.vec_is_zero(br)
-                    and linalg.solve_consistent(cols, br) is None):
-                raise NotSubalgebraError(
-                    f"[h_{i}, h_{j}] falls outside the span")
+    rows = [(p, linalg.sparse(r)) for p, r in zip(pivots, red)]
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        rest = dict(linalg.sparse(lie_core.bracket(g, coords[i], coords[j])))
+        for p, row in rows:
+            c = rest.get(p)
+            if c:
+                for k, v in row:
+                    rest[k] = rest.get(k, ZERO) - c * v
+        if any(rest.values()):
+            raise NotSubalgebraError(f"[h_{i}, h_{j}] falls outside the span")
     return Subalgebra(parent=g, basis_coords=[list(v) for v in coords])
 
 

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -594,7 +596,7 @@ _WORKER_CTX: dict = {}
 
 
 class _ScanTensors:
-    """Per-probe bracket tensors for the exact residuals of one scan.
+    """Per-probe bracket tensors and residual tables for one scan.
 
     The defect [X, AX] and the witness columns [h_i, AX] are linear in the
     family parameters, so per probe X everything reduces to tensors
@@ -606,12 +608,19 @@ class _ScanTensors:
     A probe reads only the parameters in its support (a nonzero `bx` or
     `hx` row), and its least-squares residual is homogeneous of degree 2
     in them.  `residual_sq` therefore solves once per (probe, projective
-    class of the supported values) and rescales; the memo lives as long
-    as the tensors, which is one scan.
+    class of the supported values) and rescales.
+
+    Parameter values are interned as value ids: the positions of `grid`
+    first, then each new value passed to `intern`.  A point is a tuple of
+    ids, and each probe keeps a table from the ids on its support to the
+    report string of its exact residual ("" when the probe passes), so a
+    point's walk is one tuple lookup per probe and `residual_sq` runs once
+    per table entry.  Memo and tables live as long as the tensors, which
+    is one scan.
     """
 
     def __init__(self, family: MetricFamily, ops: List[Mat],
-                 probes: List[Vec]):
+                 probes: List[Vec], grid: Sequence = ()):
         action = family.decomp.action
         split = action.split
         table = split.bracket_table
@@ -639,6 +648,34 @@ class _ScanTensors:
             self.hx.append(hrows)
             self.support.append([c for c in range(len(ops))
                                  if rows[c] or any(h[c] for h in hrows)])
+        # value id -> value, its report string, and whether it is positive
+        self.values: List[Fraction] = []
+        self.strings: List[str] = []
+        self.positive: List[bool] = []
+        self._ids: Dict[Fraction, int] = {}
+        for v in grid:
+            self._add(Fraction(v))
+        # probes with an empty support pass everywhere and are not walked
+        self._walk = [(p, operator.itemgetter(*sup), {})
+                      for p, sup in enumerate(self.support) if sup]
+        self._probe_strings: Dict[int, List[str]] = {}
+
+    def _add(self, value: Fraction) -> int:
+        i = len(self.values)
+        self._ids.setdefault(value, i)
+        self.values.append(value)
+        self.strings.append(linalg.frac_to_str(value))
+        self.positive.append(value > 0)
+        return i
+
+    def intern(self, value) -> int:
+        """The value id of a parameter value, added on first sight."""
+        value = Fraction(value)
+        i = self._ids.get(value)
+        return self._add(value) if i is None else i
+
+    def point_values(self, ids: Sequence[int]) -> List[Fraction]:
+        return [self.values[i] for i in ids]
 
     def _contract(self, rows, support: List[int], values: Sequence) -> Vec:
         out = linalg.zero_vec(self.dim)
@@ -666,8 +703,33 @@ class _ScanTensors:
             self.memo[key] = res
         return lead * lead * res
 
+    def first_failure(self, ids: Tuple[int, ...]
+                      ) -> Optional[Tuple[int, str]]:
+        """(probe, residual string) of the first probe in probe order with
+        a positive residual at the point, or None when every probe passes."""
+        for p, key_of, table in self._walk:
+            key = key_of(ids)
+            res = table.get(key)
+            if res is None:
+                res_sq = self.residual_sq(self.point_values(ids), p)
+                res = table[key] = (linalg.frac_to_str(res_sq)
+                                    if res_sq > 0 else "")
+            if res:
+                return p, res
+        return None
 
-def _grid_points(family: MetricFamily, spec: ScanSpec) -> List[Tuple]:
+    def probe_strings(self, p: int) -> List[str]:
+        """A fresh copy of probe p's coordinate strings."""
+        strings = self._probe_strings.get(p)
+        if strings is None:
+            strings = self._probe_strings[p] = [linalg.frac_to_str(c)
+                                                for c in self.probes[p]]
+        return list(strings)
+
+
+def _grid_points(family: MetricFamily, spec: ScanSpec
+                 ) -> Iterator[Tuple[int, ...]]:
+    """The grid's points as tuples of value ids (grid positions), lazily."""
     if family.intertwiner_blocks or any(
             b.space.dim > 1 for b in family.operator_blocks):
         raise ValueError("exhaustive grids need a diagonal family; "
@@ -677,7 +739,7 @@ def _grid_points(family: MetricFamily, spec: ScanSpec) -> List[Tuple]:
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points exceeds the cap; "
                          "coarsen the grid or reduce the family first")
-    return list(itertools.product(spec.grid, repeat=n))
+    return itertools.product(range(len(spec.grid)), repeat=n)
 
 
 def _family_matrix(op_columns: List[List[linalg.Sparse]], values: Sequence,
@@ -751,26 +813,27 @@ def _diagonal_family_pd(family: MetricFamily) -> bool:
             and all(b.space.dim == 1 for b in family.operator_blocks))
 
 
-def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
-    idx, values = task
+def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
+    idx, ids = task
     family: MetricFamily = _WORKER_CTX["family"]
     spec: ScanSpec = _WORKER_CTX["spec"]
     tensors: _ScanTensors = _WORKER_CTX["tensors"]
     prove: Optional[Callable[[Sequence], bool]] = _WORKER_CTX["prove"]
     decomp = family.decomp
     dim = decomp.dim
-    entry = {"params": [linalg.frac_to_str(v) for v in values]}
+    entry = {"params": [tensors.strings[i] for i in ids]}
 
-    def falsified_entry(x: Vec, res_sq) -> dict:
+    def falsified_entry(x: List[str], res_sq: str) -> dict:
         entry["status"] = "falsified"
-        entry["falsifier_x"] = [linalg.frac_to_str(c) for c in x]
-        entry["residual_sq"] = linalg.frac_to_str(res_sq)
+        entry["falsifier_x"] = x
+        entry["residual_sq"] = res_sq
         return entry
 
-    amat = None
-    if _diagonal_family_pd(family):
-        pd = all(v > 0 for v in values)
+    values = amat = None
+    if _WORKER_CTX["diagonal_pd"]:
+        pd = all(tensors.positive[i] for i in ids)
     else:
+        values = tensors.point_values(ids)
         amat = _family_matrix(tensors.op_columns, values, dim)
         pd = metric_mod._pd_check(amat, decomp.action.norms)
     if not pd:
@@ -778,10 +841,12 @@ def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
         return idx, entry
 
     # the first failing probe in probe order is the reported falsifier
-    for p, x in enumerate(tensors.probes):
-        res_sq = tensors.residual_sq(values, p)
-        if res_sq > 0:
-            return idx, falsified_entry(x, res_sq)
+    failure = tensors.first_failure(ids)
+    if failure is not None:
+        p, res_sq = failure
+        return idx, falsified_entry(tensors.probe_strings(p), res_sq)
+    if values is None:
+        values = tensors.point_values(ids)
     proved = prove is not None and prove(values)
     if spec.survivor_random_probes and not proved:
         if amat is None:
@@ -793,8 +858,9 @@ def _evaluate_scan_point(task: Tuple[int, Tuple]) -> Tuple[int, dict]:
                         seed=spec.seed * 1_000_003 + idx,
                         keep_witnesses=False)
         if cert.verdict == "falsified":
-            return idx, falsified_entry(cert.falsifier.x_m,
-                                        cert.falsifier.residual_sq)
+            conv = linalg.frac_to_str
+            return idx, falsified_entry([conv(c) for c in cert.falsifier.x_m],
+                                        conv(cert.falsifier.residual_sq))
     entry["status"] = "survived"
     if prove is not None:
         entry["proved"] = proved
@@ -815,37 +881,49 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     given, each survivor entry records its answer under "proved"; it is
     asked once per candidate, after the basis probes.
 
+    Points travel as tuples of value ids (see `_ScanTensors`): the grid is
+    generated lazily from grid positions, and random points are interned
+    as they are drawn.  The basis probes are answered from per-probe
+    tables, so each (probe, supported values) is evaluated once per scan
+    and per worker process.
+
     Deterministic for a fixed seed and independent of the worker count:
     points are indexed before dispatch and merged in index order.
     """
     spec = spec or ScanSpec()
     ops = metric_mod.family_basis_ops(family)
-    points: List[Tuple] = []
-    if include_grid:
-        points.extend(_grid_points(family, spec))
-    tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp))
+    grid = _grid_points(family, spec) if include_grid else ()
+    n_points = len(spec.grid) ** family.n_params if include_grid else 0
+    tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp),
+                           spec.grid)
+    drawn: List[Tuple[int, ...]] = []
     if spec.random_count:
-        points.extend(_random_points(family, spec, tensors.op_columns))
+        drawn = [tuple(map(tensors.intern, vals)) for vals in
+                 _random_points(family, spec, tensors.op_columns)]
+        n_points += len(drawn)
     _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors,
-                        "prove": prove})
-    tasks = list(enumerate(points))
-    results: List[Tuple[int, dict]] = []
-    workers = min(spec.jobs, os.cpu_count() or 1, len(tasks))
+                        "prove": prove,
+                        "diagonal_pd": _diagonal_family_pd(family)})
+    tasks = enumerate(itertools.chain(grid, drawn))
+    results: Optional[List[Tuple[int, dict]]] = None
+    workers = min(spec.jobs, os.cpu_count() or 1, n_points)
     if workers > 1:
         try:
             import concurrent.futures as cf
             import multiprocessing as mp
-            # workers inherit _WORKER_CTX through fork; anything else
-            # falls back to the sequential path
+            # workers inherit _WORKER_CTX through fork and fill their own
+            # tables; anything else falls back to the sequential path
             ctx = mp.get_context("fork")
             with cf.ProcessPoolExecutor(max_workers=workers,
                                         mp_context=ctx) as pool:
-                chunk = max(1, len(tasks) // (workers * 8))
+                chunk = max(1, n_points // (workers * 8))
                 results = list(pool.map(_evaluate_scan_point, tasks,
                                         chunksize=chunk))
         except (OSError, ImportError, ValueError):
-            results = [_evaluate_scan_point(t) for t in tasks]
-    else:
+            # a pool that failed part-way may have taken tasks already
+            grid = _grid_points(family, spec) if include_grid else ()
+            tasks = enumerate(itertools.chain(grid, drawn))
+    if results is None:
         results = [_evaluate_scan_point(t) for t in tasks]
     results.sort(key=lambda r: r[0])
     survivors, falsified = [], []
@@ -859,7 +937,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     if n_pd == 0:
         notes.append("no positive definite points in the scan")
     return ScanResult(survivors=survivors, falsified=falsified,
-                      n_points=len(points), notes=notes)
+                      n_points=n_points, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -521,9 +521,9 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
     `stage(name)` wraps the "build", "verify", "reduce" and "scan" stages,
     in that order; it sees no report data.
     """
-    if not (1 <= k < n <= 6):
+    if not (1 <= k < n <= 8):
         raise lie_core.InvalidDimensionError(
-            f"supported range is 1 <= k < n <= 6, got ({n}, {k})")
+            f"supported range is 1 <= k < n <= 8, got ({n}, {k})")
     with stage("build"):
         space = build_stiefel(n, k)
     with stage("verify"):

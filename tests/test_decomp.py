@@ -110,6 +110,43 @@ def test_non_subalgebra_detected(un):
         subalgebra(g, coords)
 
 
+def _su(g):
+    """su(n) in u(n): every basis vector but the diagonal ones, plus the
+    differences eb_1_1 - eb_i_i, so the span is not a coordinate subspace."""
+    n = g.n
+    diagonal = {f"eb_{i}_{i}" for i in range(1, n + 1)}
+    coords = [g.vector((lab, 1)) for lab in g.labels if lab not in diagonal]
+    coords += [g.vector(("eb_1_1", 1), (f"eb_{i}_{i}", -1))
+               for i in range(2, n + 1)]
+    return coords
+
+
+def test_su4_is_a_subalgebra_and_u4_minus_one_element_is_not(un):
+    g = un(4)
+    assert subalgebra(g, _su(g)).dim == 15
+    for drop in range(g.dim):
+        coords = [linalg.unit_vec(g.dim, i) for i in range(g.dim) if i != drop]
+        with pytest.raises(NotSubalgebraError, match="outside the span"):
+            subalgebra(g, coords)
+
+
+def test_subalgebra_reduces_the_span_once(un, monkeypatch):
+    # closure is tested against the pivots of one reduction, so the check
+    # makes no solve per bracket
+    calls = {"rref": 0, "solve_consistent": 0}
+    for name in calls:
+        fn = getattr(linalg, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    g = un(5)
+    assert diagonal_u_nk(g, 1).dim == 16
+    assert subalgebra(g, _su(g)).dim == 24
+    assert calls == {"rref": 2, "solve_consistent": 0}
+
+
 def test_split_json_round_trip(un):
     g = un(3)
     sp = reductive_split(g, diagonal_u_nk(g, 1))

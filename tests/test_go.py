@@ -1,5 +1,6 @@
 """Pointwise criterion, certificates, reduction rules, and scans."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -360,6 +361,97 @@ def test_scan_solves_once_per_projective_class(space, monkeypatch):
                        ScanSpec(grid=_GRID_32, survivor_random_probes=0))
     assert len(result.falsified) == 240
     assert len(calls) < len(result.falsified)
+
+
+def _oracle_scan(decomp_, family, spec, include_grid=True):
+    """The per-point Fraction walk: every point carries its values, PD is
+    the matrix check, and every probe asks the projective-class memo of
+    fresh tensors, with no value ids and no tables."""
+    conv = linalg.frac_to_str
+    tensors = go._ScanTensors(family, metric.family_basis_ops(family),
+                              basis_probe_vectors(decomp_))
+    points = (list(itertools.product(spec.grid, repeat=family.n_params))
+              if include_grid else [])
+    if spec.random_count:
+        points += go._random_points(family, spec, tensors.op_columns)
+    survivors, falsified = [], []
+    for idx, values in enumerate(points):
+        amat = go._family_matrix(tensors.op_columns, values, decomp_.dim)
+        if not metric._pd_check(amat, decomp_.action.norms):
+            continue
+        entry = {"params": [conv(v) for v in values]}
+        residuals = ((x, tensors.residual_sq(values, p))
+                     for p, x in enumerate(tensors.probes))
+        failure = next(((x, r) for x, r in residuals if r > 0), None)
+        if failure is None and spec.survivor_random_probes:
+            cert = go_check(metric.MetricEndomorphism(
+                                decomp=decomp_, matrix=amat, params=None,
+                                is_pd=True),
+                            strategy="random",
+                            count=spec.survivor_random_probes,
+                            seed=spec.seed * 1_000_003 + idx,
+                            keep_witnesses=False)
+            if cert.verdict == "falsified":
+                failure = (cert.falsifier.x_m, cert.falsifier.residual_sq)
+        if failure is None:
+            entry["status"] = "survived"
+            survivors.append(entry)
+        else:
+            entry.update(status="falsified",
+                         falsifier_x=[conv(c) for c in failure[0]],
+                         residual_sq=conv(failure[1]))
+            falsified.append(entry)
+    notes = ([] if survivors or falsified
+             else ["no positive definite points in the scan"])
+    return go.ScanResult(survivors=survivors, falsified=falsified,
+                         n_points=len(points), notes=notes)
+
+
+@pytest.mark.parametrize("grid", [
+    _GRID_32,
+    [1, 2, 3],
+    # not-pd points, and a repeated value that gets two value ids
+    [Fraction(-1), 0, Fraction(1, 2), 1, Fraction(1, 2)],
+], ids=["quarter", "int", "nonpositive-repeated"])
+def test_scan_tables_match_fraction_walk(space, grid):
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    spec = ScanSpec(grid=grid, seed=11, survivor_random_probes=3)
+    result = search_go(sp.decomp, diag, spec)
+    assert result == _oracle_scan(sp.decomp, diag, spec)
+    assert result.falsified and result.survivors
+
+
+def test_scan_tables_match_fraction_walk_on_random_points(space):
+    sp = space(3, 2)
+    full = metric.full_family(sp.decomp)
+    spec = ScanSpec(grid=_GRID_32, seed=2, random_count=12,
+                    survivor_random_probes=3)
+    result = search_go(sp.decomp, full, spec, include_grid=False)
+    assert result == _oracle_scan(sp.decomp, full, spec, include_grid=False)
+    assert result.n_points == 12 and result.falsified
+
+
+def test_scan_evaluates_each_probe_once_per_supported_values(space,
+                                                              monkeypatch):
+    # a probe reads at most a few of the 4 parameters, so its table has at
+    # most |grid|^|support| entries, each filled by one exact evaluation
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    support = go._ScanTensors(diag, metric.family_basis_ops(diag),
+                              basis_probe_vectors(sp.decomp)).support
+    calls = []
+    residual_sq = go._ScanTensors.residual_sq
+
+    def counted(self, values, p):
+        calls.append(p)
+        return residual_sq(self, values, p)
+
+    monkeypatch.setattr(go._ScanTensors, "residual_sq", counted)
+    result = search_go(sp.decomp, diag, ScanSpec(grid=_GRID_32))
+    assert result.n_points == 256
+    assert len(calls) <= sum(len(_GRID_32) ** len(s) for s in support)
+    assert len(calls) < result.n_points
 
 
 def test_grid_rejects_offdiagonal_family(space):

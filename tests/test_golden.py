@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of CLI reports against committed golden files.
 
-The files under tests/golden/ pin the exact bytes of four reports.  A change
+The files under tests/golden/ pin the exact bytes of five reports.  A change
 that is meant to keep behaviour (same verdicts, certificates and reports)
 must leave them untouched.  A change that alters a report on purpose
 regenerates them with
@@ -52,6 +52,11 @@ CASES = {
     "reproduce_theorem_3_2.json":
         lambda w: ["reproduce-theorem", "3", "2", "--resolution", "1",
                    "--offdiagonal-samples", "10", "--seed", "123"],
+    # two workers: the scan's merge must not depend on the worker count
+    "reproduce_theorem_4_2_jobs2.json":
+        lambda w: ["reproduce-theorem", "4", "2", "--resolution", "1",
+                   "--offdiagonal-samples", "4", "--seed", "7",
+                   "--jobs", "2"],
 }
 
 

@@ -257,7 +257,7 @@ def test_reproduce_report_range_check():
     with pytest.raises(lie_core.InvalidDimensionError):
         stiefel.reproduce_report(6, 6)
     with pytest.raises(lie_core.InvalidDimensionError):
-        stiefel.reproduce_report(7, 1)
+        stiefel.reproduce_report(9, 1)
 
 
 def test_uniqueness_scan_k1_all_grid_points_survive(space):
