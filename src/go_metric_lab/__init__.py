@@ -10,15 +10,13 @@ family of the normal metric is verified with exactly-zero residuals and a
 grid scan certifies that nothing else survives.
 """
 
-from .lie_core import (MatrixLieAlgebra, build_un, bracket, inner,
-                       validate_algebra)
+from .lie_core import MatrixLieAlgebra, build_un, bracket, validate_algebra
 from .decomp import diagonal_u_nk, reductive_split, project
 from .isotropy import (IsotypicalDecomposition, commutant_sym,
                        decompose_isotypic, intertwiners, isotropy_action,
                        split_ideals)
 from .metric import (MetricEndomorphism, MetricFamily,
-                     check_normalizer_equivariance, eigenstructure,
-                     from_parameters)
+                     check_normalizer_equivariance, from_parameters)
 from .go import (GOCertificate, ScanSpec, go_check, go_solve_at,
                  reduce_family, search_go)
 from .stiefel import (StiefelSpace, build_stiefel, metric_at, tilde_map,
@@ -27,12 +25,12 @@ from .stiefel import (StiefelSpace, build_stiefel, metric_at, tilde_map,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MatrixLieAlgebra", "build_un", "bracket", "inner", "validate_algebra",
+    "MatrixLieAlgebra", "build_un", "bracket", "validate_algebra",
     "diagonal_u_nk", "reductive_split", "project",
     "IsotypicalDecomposition", "commutant_sym", "decompose_isotypic",
     "intertwiners", "isotropy_action", "split_ideals",
     "MetricEndomorphism", "MetricFamily", "check_normalizer_equivariance",
-    "eigenstructure", "from_parameters",
+    "from_parameters",
     "GOCertificate", "ScanSpec", "go_check", "go_solve_at", "reduce_family",
     "search_go",
     "StiefelSpace", "build_stiefel", "metric_at", "tilde_map",

@@ -37,7 +37,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Mat, Vec, ZERO, ONE
+from .linalg import Vec, ZERO, ONE
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -153,23 +153,30 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
     """Decide the GO property as far as the chosen strategy allows.
 
     basis: probe every m-basis vector and every pairwise sum.
-    random: probe `count` seeded random rational vectors.
+    random: probe `count` >= 1 seeded random rational vectors.
     family: verify a supplied linear witness map exactly (spanning set plus
-    polarization pairs plus `count` random probes); only this strategy may
-    return "verified-on-family", and it raises `WitnessMapError` when the
-    map is not linear or fails at a vector where the metric passes.
+    polarization pairs plus `count` >= 0 random probes); only this strategy
+    may return "verified-on-family", and it raises `WitnessMapError` when
+    the map is not linear or fails at a vector where the metric passes.
+    A count out of range raises ValueError.
     """
     decomp = a_metric.decomp
 
     if strategy == "family":
         if witness_map is None:
             raise ValueError("family strategy needs a witness map")
+        if count < 0:
+            raise ValueError(f"count must be at least 0, got {count}")
         return _family_check(a_metric, witness_map, count, seed)
 
     if strategy == "basis":
         probes = basis_probe_vectors(decomp)
         used_seed = None
     elif strategy == "random":
+        if count < 1:
+            # a sample of no probes certifies nothing
+            raise ValueError(f"count must be at least 1 for the random "
+                             f"strategy, got {count}")
         rng = random.Random(f"go-random:{seed}")
         probes = [lie_core.random_vector_of_len(decomp.dim, rng)
                   for _ in range(count)]
@@ -619,7 +626,7 @@ class _ScanTensors:
     is one scan.
     """
 
-    def __init__(self, family: MetricFamily, ops: List[Mat],
+    def __init__(self, family: MetricFamily, ops: List[metric_mod.Columns],
                  probes: List[Vec], grid: Sequence = ()):
         action = family.decomp.action
         split = action.split
@@ -627,7 +634,7 @@ class _ScanTensors:
         self.gram_m = split.gram_m
         self.dim = split.dim_m
         self.probes = probes
-        self.op_columns = [linalg.sparse_columns(op) for op in ops]
+        self.op_columns = ops
         # sparse rows: probe -> param -> [(index, value)] of [X, Op_c X]_m
         self.bx: List[List[List[Tuple[int, Fraction]]]] = []
         self.hx: List[List[List[List[Tuple[int, Fraction]]]]] = []
@@ -742,20 +749,8 @@ def _grid_points(family: MetricFamily, spec: ScanSpec
     return itertools.product(range(len(spec.grid)), repeat=n)
 
 
-def _family_matrix(op_columns: List[List[linalg.Sparse]], values: Sequence,
-                   dim: int) -> Mat:
-    """sum_c values_c Op_c, from the sparse columns of the family ops."""
-    amat = linalg.zeros(dim, dim)
-    for v, cols in zip(values, op_columns):
-        if v != 0:
-            for j, col in enumerate(cols):
-                for i, c in col:
-                    amat[i][j] += v * c
-    return amat
-
-
 def _random_points(family: MetricFamily, spec: ScanSpec,
-                   op_columns: List[List[linalg.Sparse]]) -> List[Tuple]:
+                   op_columns: List[metric_mod.Columns]) -> List[Tuple]:
     """Seeded lattice samples of the full cone, off the diagonal.
 
     Scalar classes and operator diagonals draw from the positive grid;
@@ -803,7 +798,8 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                             if rng.random() < p_nonzero else ZERO)
         if all(vals[i] == 0 for i in off_positions):
             vals[rng.choice(off_positions)] = rng.choice(sym_small)
-        if metric_mod._pd_check(_family_matrix(op_columns, vals, dim), norms):
+        if metric_mod._pd_check(metric_mod.family_matrix(op_columns, vals, dim),
+                                norms):
             points.append(tuple(vals))
     return points
 
@@ -834,7 +830,7 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
         pd = all(tensors.positive[i] for i in ids)
     else:
         values = tensors.point_values(ids)
-        amat = _family_matrix(tensors.op_columns, values, dim)
+        amat = metric_mod.family_matrix(tensors.op_columns, values, dim)
         pd = metric_mod._pd_check(amat, decomp.action.norms)
     if not pd:
         entry["status"] = "not-pd"
@@ -850,7 +846,7 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     proved = prove is not None and prove(values)
     if spec.survivor_random_probes and not proved:
         if amat is None:
-            amat = _family_matrix(tensors.op_columns, values, dim)
+            amat = metric_mod.family_matrix(tensors.op_columns, values, dim)
         a = MetricEndomorphism(decomp=decomp, matrix=amat,
                                params=None, is_pd=True)
         cert = go_check(a, strategy="random",

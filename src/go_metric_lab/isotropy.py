@@ -210,26 +210,6 @@ def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
     return [_sym_op_from_params(p, norms, d) for p in sols]
 
 
-def commutant_full_ops(ops: List[Mat], d: int) -> List[Mat]:
-    """Basis of all operators commuting with every op (division-algebra check)."""
-    rows = []
-    for m in ops:
-        for r in range(d):
-            for c in range(d):
-                row: Dict[int, Fraction] = {}
-                for k in range(d):
-                    if m[k][c] != 0:
-                        p = r * d + k
-                        row[p] = row.get(p, ZERO) + m[k][c]
-                    if m[r][k] != 0:
-                        p = k * d + c
-                        row[p] = row.get(p, ZERO) - m[r][k]
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, d * d)
-    return [[sol[r * d:(r + 1) * d] for r in range(d)] for sol in sols]
-
-
 def commutant_sym(action: IsotropyAction,
                   subspace: Optional[Subspace] = None) -> List[Mat]:
     """Symmetric equivariant operators on an invariant subspace of m."""
@@ -241,7 +221,13 @@ def intertwiners(action: IsotropyAction, sub_a: Subspace,
     """Basis of equivariant maps sub_a -> sub_b (matrices d_b x d_a)."""
     ops_a, _ = _restrict_action(action, sub_a)
     ops_b, _ = _restrict_action(action, sub_b)
-    da, db = sub_a.dim, sub_b.dim
+    return _equivariant_maps(ops_a, ops_b, sub_a.dim, sub_b.dim)
+
+
+def _equivariant_maps(ops_a: List[Mat], ops_b: List[Mat], da: int,
+                      db: int) -> List[Mat]:
+    """Basis of the d_b x d_a matrices phi with phi ma = mb phi for every
+    pair (ma, mb); with ops_a = ops_b, the full commutant."""
     rows = []
     for ma, mb in zip(ops_a, ops_b):
         # phi @ ma - mb @ phi = 0, phi indexed (r, c) -> r * da + c
@@ -447,7 +433,7 @@ def decompose_isotypic(action: IsotropyAction,
     for piece in rest_pieces:
         ops_p, _ = _restrict_action(action, piece)
         cs = commutant_sym_ops(ops_p, piece.norms)
-        cf = commutant_full_ops(ops_p, piece.dim)
+        cf = _equivariant_maps(ops_p, ops_p, piece.dim, piece.dim)
         if len(cs) != 1:
             raise DecompositionError("piece failed the irreducibility certificate")
         if len(cf) not in (1, 2, 4):

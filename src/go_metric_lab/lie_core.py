@@ -67,10 +67,6 @@ class MatrixLieAlgebra:
         return v
 
 
-def _zeros(n: int) -> Mat:
-    return [[ZERO] * n for _ in range(n)]
-
-
 # A basis matrix as {(row, col): (re, im)}: complex integer entries, at most two.
 SparseComplex = Dict[Tuple[int, int], Tuple[int, int]]
 
@@ -91,7 +87,7 @@ def _canonical_entries(n: int) -> Tuple[List[str], List[SparseComplex]]:
 
 def _embed_entries(n: int, x: SparseComplex) -> Mat:
     """Real 2n x 2n embedding of a sparse complex matrix."""
-    out = _zeros(2 * n)
+    out = linalg.zeros(2 * n, 2 * n)
     for (r, c), (re, im) in x.items():
         out[r][c] = out[r + n][c + n] = Fraction(re)
         out[r][c + n] = Fraction(-im)
@@ -209,14 +205,6 @@ def bracket(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Vec:
     return out
 
 
-def inner(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Fraction:
-    """B(x, y) over the basis Gram matrix."""
-    if len(x) != g.dim or len(y) != g.dim:
-        raise DimensionMismatchError(
-            f"expected coordinate length {g.dim}, got {len(x)} and {len(y)}")
-    return linalg.gram_dot(g.gram, x, y)
-
-
 RANDOM_MAX_NUM, RANDOM_DENOMINATORS = 9, (1, 2, 3)  # entries p/q, |p| <= 9
 
 
@@ -225,10 +213,6 @@ def random_vector_of_len(dim: int, rng: random.Random) -> Vec:
     return [Fraction(rng.randint(-RANDOM_MAX_NUM, RANDOM_MAX_NUM),
                      rng.choice(RANDOM_DENOMINATORS))
             for _ in range(dim)]
-
-
-def random_vector(g: MatrixLieAlgebra, rng: random.Random) -> Vec:
-    return random_vector_of_len(g.dim, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return [[dot(row, col) for col in bt] for row in a]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
 
@@ -129,10 +125,6 @@ def transpose(m: Mat) -> Mat:
 
 def mat_is_zero(m: Mat) -> bool:
     return all(vec_is_zero(row) for row in m)
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return mat_is_zero(mat_sub(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +194,6 @@ def solve_consistent(a: Mat, b: Vec) -> Optional[Vec]:
 
 def rank(rows: Mat) -> int:
     return len(rref(rows)[1])
-
-
-def span_contains(basis: List[Vec], v: Vec) -> bool:
-    if vec_is_zero(v):
-        return True
-    if not basis:
-        return False
-    return solve_consistent(transpose(basis), v) is not None
 
 
 def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
@@ -535,44 +519,24 @@ def rational_roots(poly: Sequence[Fraction]) -> List[Fraction]:
     return roots
 
 
-def rational_eigenspaces(op: Mat) -> Tuple[List[Tuple[Fraction, List[Vec]]],
-                                           List[Fraction]]:
-    """Rational eigenspaces of a matrix and what its spectrum leaves over.
+def eigen_split(op: Mat) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
+    """Exact eigenspace decomposition of a rational matrix.
 
-    Returns ([(lam, basis of ker(op - lam))] for the rational roots lam of
-    the minimal polynomial, sorted, and the monic leftover factor of the
-    minimal polynomial with those roots divided out, low degree first.
+    Returns [(eigenvalue, eigenbasis)] sorted by eigenvalue, over the
+    rational roots of the minimal polynomial, or None when the eigenspaces
+    do not span: an irrational root or a Jordan block leaves the dimensions
+    short of n, and full span already means the minimal polynomial is a
+    product of distinct rational linear factors.
     """
     n = len(op)
-    minp = minimal_polynomial(op)
-    leftover, out = minp, []
-    for lam in rational_roots(minp):
-        leftover = poly_divmod(leftover, [-lam, ONE])[0]
+    out = []
+    for lam in rational_roots(minimal_polynomial(op)):
         shifted = [[op[i][j] - (lam if i == j else ZERO) for j in range(n)]
                    for i in range(n)]
         out.append((lam, nullspace(shifted, n)))
-    return out, leftover
-
-
-def eigen_split(op: Mat) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
-    """Exact eigenspace decomposition of a diagonalizable rational matrix.
-
-    Returns [(eigenvalue, eigenbasis)] sorted by eigenvalue, or None when
-    the minimal polynomial is not a product of distinct rational linear
-    factors.  The caller is responsible for `op` being diagonalizable
-    (symmetric w.r.t. some inner product); completeness is verified.
-    """
-    out, leftover = rational_eigenspaces(op)
-    if len(leftover) > 1 or sum(len(b) for _, b in out) != len(op):
+    if sum(len(b) for _, b in out) != n:
         return None
     return out
-
-
-def poly_kernel(op: Mat, poly: Sequence[Fraction]) -> List[Vec]:
-    """Basis of the kernel of poly(op); poly is low degree first."""
-    n = len(op)
-    columns = [_apply_poly(op, poly, unit_vec(n, j)) for j in range(n)]
-    return nullspace(transpose(columns), n)
 
 
 def frac_to_str(x) -> str:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -95,35 +95,6 @@ def from_matrix(decomp: IsotypicalDecomposition,
     return MetricEndomorphism(decomp=decomp, matrix=[list(r) for r in matrix],
                               params=params,
                               is_pd=_pd_check(matrix, decomp.action.norms))
-
-
-def identity_metric(decomp: IsotypicalDecomposition) -> MetricEndomorphism:
-    return from_matrix(decomp, linalg.identity(decomp.dim))
-
-
-# ---------------------------------------------------------------------------
-# eigenstructure
-# ---------------------------------------------------------------------------
-
-def eigenstructure(a: MetricEndomorphism) -> List[Tuple[object, Subspace]]:
-    """B-orthogonal eigenspace decomposition of A on m, exact.
-
-    [(eigenvalue, eigenspace)] over the rational eigenvalues, sorted; if the
-    minimal polynomial does not split over Q, then also (q, ker q(A)) for
-    its monic leftover factor q, as a coefficient tuple low degree first.
-    A is checked once to commute with the isotropy action, so every
-    eigenspace is isotropy invariant.
-    """
-    action = a.decomp.action
-    if not check_normalizer_equivariance(a, action.ad_ops):
-        raise ArithmeticError("eigenspace is not isotropy invariant")
-    split, leftover = linalg.rational_eigenspaces(a.matrix)
-    out = [(lam, isotropy.make_subspace(basis, action.norms))
-           for lam, basis in split]
-    if len(leftover) > 1:
-        out.append((tuple(leftover), isotropy.make_subspace(
-            linalg.poly_kernel(a.matrix, leftover), action.norms)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +226,34 @@ class MetricFamily:
         }
 
 
-def add_outer(op: Mat, u: linalg.Sparse, v: linalg.Sparse, norms: Vec,
+# Family operators are kept as sparse columns, one (row, value) list per
+# column; while a family is built, each column is a {row: value} dict.
+Columns = List[linalg.Sparse]
+
+
+def _finish(op: List[dict]) -> Columns:
+    return [linalg.sparse_from(col) for col in op]
+
+
+def add_outer(op: List[dict], u: linalg.Sparse, v: linalg.Sparse, norms: Vec,
               f) -> None:
     """op += f u (x) G v for sparse u, v and G = diag(norms): the map
-    X -> f <v, X> u."""
-    for r, ur in u:
-        row = op[r]
-        fu = f * ur
-        for c, vc in v:
-            row[c] += fu * vc * norms[c]
+    X -> f <v, X> u, added into column c as f v_c norms_c u."""
+    for c, vc in v:
+        w = f * vc * norms[c]
+        col = op[c]
+        for r, ur in u:
+            col[r] = col.get(r, ZERO) + w * ur
 
 
-def _add_projector(op: Mat, space: Subspace, norms: Vec) -> None:
+def _add_projector(op: List[dict], space: Subspace, norms: Vec) -> None:
+    """op += the B-orthogonal projector onto the subspace."""
     for b, nb in zip(space.sparse_basis, space.norms):
         add_outer(op, b, b, norms, ONE / nb)
 
 
-def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Mat]:
-    """Symmetric unit operators supported on the subspace, as m-matrices.
+def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Columns]:
+    """Symmetric unit operators supported on the subspace.
 
     The off-diagonal unit b_i (x) Gb_j + b_j (x) Gb_i needs one common
     coefficient to stay B-symmetric when the basis norms differ.
@@ -280,31 +261,23 @@ def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Mat]:
     units = []
     basis = space.sparse_basis
     for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
-        op = linalg.zeros(dim, dim)
+        op: List[dict] = [{} for _ in range(dim)]
         scale = ONE / space.norms[i] if i == j else ONE
         add_outer(op, basis[i], basis[j], norms, scale)
         if i != j:
             add_outer(op, basis[j], basis[i], norms, scale)
-        units.append(op)
+        units.append(_finish(op))
     return units
 
 
-def projector(space: Subspace, norms: Vec, dim: int) -> Mat:
-    """B-orthogonal projector onto the subspace; `norms` is the m-basis
-    norm vector."""
-    op = linalg.zeros(dim, dim)
-    _add_projector(op, space, norms)
-    return op
-
-
 def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
-                         blk: IntertwinerBlock, phi: Mat) -> Mat:
+                         blk: IntertwinerBlock, phi: Mat) -> Columns:
     """phi: member_a -> member_b embedded in m plus its B-adjoint."""
     summand = decomp.summands[blk.summand_index]
     sub_a = summand.members[blk.member_a].space
     sub_b = summand.members[blk.member_b].space
     norms = decomp.action.norms
-    op = linalg.zeros(decomp.dim, decomp.dim)
+    op: List[dict] = [{} for _ in range(decomp.dim)]
 
     def add_embedded(phi_ab: Mat, src: Subspace, dst: Subspace):
         # src coordinates read by <src_j, X> / nu_j, embedded along dst
@@ -318,21 +291,22 @@ def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
     phi_star = [[sub_b.norms[j] * phi[j][i] / sub_a.norms[i]
                  for j in range(sub_b.dim)] for i in range(sub_a.dim)]
     add_embedded(phi_star, sub_b, sub_a)
-    return op
+    return _finish(op)
 
 
-def family_basis_ops(family: MetricFamily) -> List[Mat]:
-    """Matrices multiplying each free parameter, in parameter order."""
+def family_basis_ops(family: MetricFamily) -> List[Columns]:
+    """The operator multiplying each free parameter, in parameter order,
+    as sparse columns."""
     decomp = family.decomp
     norms = decomp.action.norms
     dim = decomp.dim
-    ops: List[Mat] = []
+    ops: List[Columns] = []
     for c in family.classes():
-        op = linalg.zeros(dim, dim)
+        op: List[dict] = [{} for _ in range(dim)]
         for b in family.scalar_blocks:
             if family.find(b.class_id) == c:
                 _add_projector(op, b.space, norms)
-        ops.append(op)
+        ops.append(_finish(op))
     for b in family.operator_blocks:
         ops.extend(_line_projector(b.space, norms, dim))
     for b in family.intertwiner_blocks:
@@ -341,23 +315,23 @@ def family_basis_ops(family: MetricFamily) -> List[Mat]:
     return ops
 
 
+def family_matrix(ops: List[Columns], values: Sequence, dim: int) -> Mat:
+    """sum_c values_c Op_c as a dense matrix, from the family operators."""
+    amat = linalg.zeros(dim, dim)
+    for v, cols in zip(values, ops):
+        if v != 0:
+            for j, col in enumerate(cols):
+                for i, c in col:
+                    amat[i][j] += v * c
+    return amat
+
+
 def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
     ops = family_basis_ops(family)
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
-    a = [linalg.combine(values, [op[i] for op in ops], family.decomp.dim)
-         for i in range(family.decomp.dim)]
-    return from_matrix(family.decomp, a)
-
-
-def coords_in_family(family: MetricFamily,
-                     a: MetricEndomorphism) -> Optional[Vec]:
-    """Parameter values reproducing A, or None when A is outside the family."""
-    ops = family_basis_ops(family)
-    dim = family.decomp.dim
-    cols = [[op[i][j] for op in ops] for i in range(dim) for j in range(dim)]
-    rhs = [a.matrix[i][j] for i in range(dim) for j in range(dim)]
-    return linalg.solve_consistent(cols, rhs)
+    return from_matrix(family.decomp,
+                       family_matrix(ops, values, family.decomp.dim))
 
 
 def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:

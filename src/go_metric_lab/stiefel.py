@@ -33,7 +33,7 @@ from . import decomp as decomp_mod
 from . import go as go_mod
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Vec, ONE, ZERO
+from .linalg import Mat, Vec, ONE, ZERO
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -84,9 +84,9 @@ def _require(condition: bool, message: str) -> None:
 
 def build_stiefel(n: int, k: int) -> StiefelSpace:
     """Assemble and verify the full structure for U(n)/U(n-k)."""
-    if not 1 <= k < n:
+    if not 1 <= k < n <= 8:
         raise lie_core.InvalidDimensionError(
-            f"need 1 <= k < n, got (n, k) = ({n}, {k})")
+            f"supported range is 1 <= k < n <= 8, got ({n}, {k})")
     g = lie_core.build_un(n)
     h = decomp_mod.diagonal_u_nk(g, k)
     split = decomp_mod.reductive_split(g, h)
@@ -167,34 +167,21 @@ def tilde_map(space: StiefelSpace, x_m: Vec) -> Vec:
     return out
 
 
-def _z0_weights(space: StiefelSpace) -> Tuple[linalg.Sparse, Fraction]:
-    """(G z0 as a sparse vector, <z0, z0>): r(X) = <X, G z0> / <z0, z0>."""
-    nu = space.split.norms_m
-    z0 = [(i, c * nu[i]) for i, c in enumerate(space.z0_m) if c != 0]
-    return z0, linalg.sparse_dot(space.z0_m, z0)
-
-
-def center_coefficient(space: StiefelSpace, x_m: Vec) -> Fraction:
-    """Coefficient r = <X, z0> / <z0, z0> of the center direction z0 in X."""
-    z0, z0_sq = _z0_weights(space)
-    return linalg.sparse_dot(x_m, z0) / z0_sq
-
-
 def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
     """A_t = Id + (t - 1) P_z, P_z the B-orthogonal projector onto the
-    center; PD iff t > 0."""
-    t = Fraction(t)
-    amat = linalg.identity(space.dim_m)
-    center = space.ideals.center
-    for b, nb in zip(center.sparse_basis, center.norms):
-        metric_mod.add_outer(amat, b, b, space.split.norms_m, (t - 1) / nb)
-    return metric_mod.from_matrix(space.decomp, amat)
+    center; PD iff t > 0.  The class projectors of the diagonal family sum
+    to Id - P_z, so A_t is that family at (1, ..., 1, t)."""
+    family = diagonal_family(space)
+    return metric_mod.instantiate(
+        family, [ONE] * (family.n_params - 1) + [Fraction(t)])
 
 
 def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
-    """X -> a_t = r (1 - t) sum_{i>k} eb_ii, linear in X."""
-    z0, z0_sq = _z0_weights(space)
-    scale = (1 - Fraction(t)) / z0_sq
+    """X -> a_t = r (1 - t) sum_{i>k} eb_ii, linear in X, where
+    r = <X, z0> / <z0, z0> = <X, G z0> / <z0, z0>."""
+    nu = space.split.norms_m
+    z0 = [(i, c * nu[i]) for i, c in enumerate(space.z0_m) if c != 0]
+    scale = (1 - Fraction(t)) / linalg.sparse_dot(space.z0_m, z0)
 
     def a_of(x_m: Vec) -> Vec:
         return linalg.vec_scale(linalg.sparse_dot(x_m, z0) * scale,
@@ -367,40 +354,33 @@ def diagonal_family(space: StiefelSpace) -> MetricFamily:
     return family
 
 
-def _eigenvalue(columns: List[linalg.Sparse], v: linalg.Sparse
-                ) -> Optional[Fraction]:
-    """mu with A v = mu v for A given by its sparse columns, else None."""
-    av = linalg.sparse_mat_vec(columns, v)
+def _eigenvalue(amat: Mat, v: linalg.Sparse) -> Optional[Fraction]:
+    """mu with A v = mu v for a sparse v, else None."""
+    av = linalg.sparse([linalg.sparse_dot(row, v) for row in amat])
     lead, c = v[0]
     mu = dict(av).get(lead, ZERO) / c
     return mu if av == [(i, mu * x) for i, x in v if mu != 0] else None
 
 
-def _is_deformation(space: StiefelSpace, columns: List[linalg.Sparse]) -> bool:
-    """True iff A, given by its sparse columns, is lambda A_t (lambda, t > 0):
-    one eigenvalue lambda on su(k) (+) S1 and an eigenvalue on z0."""
+def _is_deformation(space: StiefelSpace, amat: Mat) -> bool:
+    """True iff A is lambda A_t (lambda, t > 0): one eigenvalue lambda on
+    su(k) (+) S1 and an eigenvalue on z0."""
     vectors = [v for s in space.ideals.simples for v in s.sparse_basis]
     vectors += space.s1.space.sparse_basis
-    lams = {_eigenvalue(columns, v) for v in vectors}
-    mu = _eigenvalue(columns, linalg.sparse(space.z0_m))
+    lams = {_eigenvalue(amat, v) for v in vectors}
+    mu = _eigenvalue(amat, linalg.sparse(space.z0_m))
     lam = lams.pop() if len(lams) == 1 else None
     return lam is not None and lam > 0 and mu is not None and mu > 0
-
-
-def is_deformation_point(space: StiefelSpace, a: MetricEndomorphism) -> bool:
-    """True iff A is a positive multiple of some A_t (t > 0)."""
-    return _is_deformation(space, a.columns)
 
 
 def _deformation_test(space: StiefelSpace, family: MetricFamily
                       ) -> Callable[[Sequence], bool]:
     """values -> is the family's metric at these parameters lambda A_t."""
-    op_columns = [linalg.sparse_columns(op)
-                  for op in metric_mod.family_basis_ops(family)]
+    ops = metric_mod.family_basis_ops(family)
 
     def in_family(values: Sequence) -> bool:
-        return _is_deformation(space, linalg.sparse_columns(
-            go_mod._family_matrix(op_columns, values, space.dim_m)))
+        return _is_deformation(
+            space, metric_mod.family_matrix(ops, values, space.dim_m))
 
     return in_family
 
@@ -521,9 +501,6 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
     `stage(name)` wraps the "build", "verify", "reduce" and "scan" stages,
     in that order; it sees no report data.
     """
-    if not (1 <= k < n <= 8):
-        raise lie_core.InvalidDimensionError(
-            f"supported range is 1 <= k < n <= 8, got ({n}, {k})")
     with stage("build"):
         space = build_stiefel(n, k)
     with stage("verify"):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from go_metric_lab import (cli, decomp, go, isotropy, lie_core, linalg,
                            metric, stiefel)
+from oracles import dense_op, identity_metric, mat_add, projector
 
 SPACES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)]
 
@@ -165,25 +166,26 @@ def test_criterion_7_normalizer_consistency(space):
         dec = sp.decomp
         norms = sp.action.norms
         candidates = [
-            metric.identity_metric(dec),
+            identity_metric(dec),
             stiefel.metric_at(sp, Fraction(1, 2)),
             stiefel.metric_at(sp, 3),
         ]
         # unequal weights on the two equivalent modules (fails equivariance)
-        p1 = metric.projector(sp.s1.members[0].space, norms, sp.dim_m)
+        p1 = projector(sp.s1.members[0].space, norms, sp.dim_m)
         candidates.append(metric.from_matrix(
-            dec, linalg.mat_add(linalg.identity(sp.dim_m), p1)))
+            dec, mat_add(linalg.identity(sp.dim_m), p1)))
         # equal on modules, different from su(k) (passes equivariance)
-        ps1 = metric.projector(sp.s1.space, norms, sp.dim_m)
+        ps1 = projector(sp.s1.space, norms, sp.dim_m)
         candidates.append(metric.from_matrix(
-            dec, linalg.mat_add(linalg.identity(sp.dim_m), ps1)))
+            dec, mat_add(linalg.identity(sp.dim_m), ps1)))
         # off-diagonal intertwiner component
         fam = metric.full_family(dec)
         blk = fam.intertwiner_blocks[0]
-        mix = metric._intertwiner_pair_op(dec, blk, blk.phis[0])
+        mix = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[0]),
+                       dec.dim)
         candidates.append(metric.from_matrix(
-            dec, linalg.mat_add(linalg.mat_scale(Fraction(4), linalg.identity(sp.dim_m)),
-                                mix)))
+            dec, mat_add(linalg.mat_scale(Fraction(4), linalg.identity(sp.dim_m)),
+                         mix)))
         # random commutant points
         basis = dec.sym_commutant_basis()
         while sum(1 for a in candidates if a.is_pd) < len(candidates) or \

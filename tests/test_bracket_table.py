@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
+from oracles import dense_op, inner
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +29,7 @@ def _sparse(vec):
 def oracle_tensors(family, ops, probes):
     split = family.decomp.action.split
     g = split.algebra
+    ops = [dense_op(cols, split.dim_m) for cols in ops]
     bx, hx = [], []
     for x in probes:
         ox_g = [split.m_to_g(linalg.mat_vec(op, x)) for op in ops]
@@ -60,7 +62,7 @@ def oracle_residual_sq(a_metric, x_m, a_h):
         if c != 0:
             a_g = linalg.vec_add(a_g, linalg.vec_scale(c, b))
     lhs = lie_core.bracket(g, linalg.vec_add(a_g, split.m_to_g(x_m)), ax_g)
-    return lie_core.inner(g, lhs, lhs)
+    return inner(g, lhs, lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,8 @@ def test_go_solve_rejects_non_equivariant_metric(space):
 def test_scan_tensors_reject_op_outside_commutant(space):
     sp = space(3, 2)
     family = stiefel.diagonal_family(sp)
-    ops = metric.family_basis_ops(family) + [_bumped(sp, "e_1_3")]
+    ops = metric.family_basis_ops(family) + [
+        linalg.sparse_columns(_bumped(sp, "e_1_3"))]
     with pytest.raises(ValueError, match="not in m"):
         go._ScanTensors(family, ops, go.basis_probe_vectors(sp.decomp))
 

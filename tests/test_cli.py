@@ -55,8 +55,9 @@ def test_check_go_family_exit_zero(tmp_path):
 
 def test_check_go_identity_params_exit_zero(tmp_path, space):
     from go_metric_lab import metric
+    from oracles import identity_metric
     sp = space(3, 2)
-    a_id = metric.identity_metric(sp.decomp)
+    a_id = identity_metric(sp.decomp)
     mfile = tmp_path / "id.json"
     mfile.write_text(json.dumps(metric.metric_to_json_dict(a_id)))
     out = tmp_path / "cert.json"
@@ -68,9 +69,10 @@ def test_check_go_identity_params_exit_zero(tmp_path, space):
 
 def test_check_go_falsified_exit_one(tmp_path, space):
     from go_metric_lab import linalg, metric
+    from oracles import mat_add, projector
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    amat = linalg.mat_add(linalg.identity(sp.dim_m), p_s1)
+    p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
+    amat = mat_add(linalg.identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     mfile = tmp_path / "bad_metric.json"
     mfile.write_text(json.dumps(metric.metric_to_json_dict(a)))
@@ -102,6 +104,23 @@ def test_reproduce_theorem_berger_note(tmp_path):
 
 def test_reproduce_theorem_rejects_out_of_range(capsys):
     assert run_cli(["reproduce-theorem", "6", "6"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "stiefel", "9", "2"],
+    ["check-go", "stiefel", "9", "2", "--family-t", "2"],
+    ["reproduce-theorem", "9", "2"],
+], ids=["decompose", "check-go", "reproduce-theorem"])
+def test_stiefel_above_n_8_exits_2_before_building(args, capsys, monkeypatch):
+    # one range check guards every command, ahead of any construction
+    from go_metric_lab import lie_core
+
+    def no_build(n):
+        raise AssertionError(f"u({n}) was built")
+
+    monkeypatch.setattr(lie_core, "build_un", no_build)
+    assert run_cli(args) == 2
+    assert "1 <= k < n <= 8" in capsys.readouterr().err
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):
@@ -152,11 +171,12 @@ def test_decompose_from_space_file(tmp_path):
 
 def test_check_go_from_space_file(tmp_path):
     from go_metric_lab import decomp, isotropy, lie_core, metric
+    from oracles import identity_metric
     path = _space_file(tmp_path, 3, 1)
     g = lie_core.build_un(3)
     split = decomp.reductive_split(g, decomp.diagonal_u_nk(g, 1))
     dec = isotropy.decompose_isotypic(isotropy.isotropy_action(split))
-    a_id = metric.identity_metric(dec)
+    a_id = identity_metric(dec)
     mfile = tmp_path / "metric.json"
     mfile.write_text(json.dumps(metric.metric_to_json_dict(a_id)))
     out = tmp_path / "cert.json"
@@ -293,14 +313,14 @@ def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
 
 def test_reproduce_exits_1_naming_t_when_the_witness_map_fails(
         tmp_path, monkeypatch, capsys):
-    # a_t(X) = r(X) sum_{i>k} eb_ii without the (1 - t) factor fails at the
-    # first requested t, 1/2, where A_t itself passes
-    from go_metric_lab import linalg, stiefel
+    # a_t(X) = r(X) sum_{i>k} eb_ii without the (1 - t) factor, which is
+    # the map at t = 0, fails at the first requested t, 1/2, where A_t
+    # itself passes
+    from go_metric_lab import stiefel
+    witness_map = stiefel.witness_map
 
     def t_free(space, t):
-        z0, z0_sq = stiefel._z0_weights(space)
-        return lambda x: linalg.vec_scale(
-            linalg.sparse_dot(x, z0) / z0_sq, space.a_dir_h)
+        return witness_map(space, 0)
 
     monkeypatch.setattr(stiefel, "witness_map", t_free)
     out = tmp_path / "rep.json"

@@ -11,6 +11,8 @@ from go_metric_lab import decomp, go, lie_core, linalg, metric, stiefel
 from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
+from oracles import (center_coefficient, coords_in_family, identity_metric,
+                     mat_add, projector)
 
 
 def _m_index(space, label):
@@ -43,7 +45,7 @@ def test_worked_witness_example(space):
 
 def test_identity_metric_zero_witness(space):
     sp = space(3, 2)
-    a_id = metric.identity_metric(sp.decomp)
+    a_id = identity_metric(sp.decomp)
     rng = random.Random(4)
     for _ in range(10):
         x = lie_core.random_vector_of_len(sp.dim_m, rng)
@@ -54,8 +56,8 @@ def test_identity_metric_zero_witness(space):
 def test_non_go_metric_positive_residual(space):
     # weight 2 on S1 only: lambda != lambda-tilde; X = e_12 + e_13 falsifies
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    amat = linalg.mat_add(linalg.identity(sp.dim_m), p_s1)
+    p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
+    amat = mat_add(linalg.identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     assert a.is_pd
     x = linalg.zero_vec(sp.dim_m)
@@ -72,7 +74,7 @@ def test_non_go_metric_positive_residual(space):
 
 def test_go_solve_rejects_vector_outside_m(space):
     sp = space(3, 1)
-    a_id = metric.identity_metric(sp.decomp)
+    a_id = identity_metric(sp.decomp)
     bad = sp.algebra.vector(("eb_2_2", 1))       # lies in h
     with pytest.raises(ValueError):
         go_solve_at(a_id, bad)
@@ -111,7 +113,7 @@ def test_proof_invariant_h_component_vanishes(space):
 
 def test_go_check_identity_passes_basis(space):
     sp = space(3, 2)
-    cert = go_check(metric.identity_metric(sp.decomp), strategy="basis")
+    cert = go_check(identity_metric(sp.decomp), strategy="basis")
     assert cert.verdict == "passed-sampling"
     assert all(w.residual_sq == 0 for w in cert.witnesses)
     assert all(linalg.vec_is_zero(w.a_h) for w in cert.witnesses)
@@ -119,8 +121,8 @@ def test_go_check_identity_passes_basis(space):
 
 def test_go_check_falsifies_unequal_weights(space):
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    amat = linalg.mat_add(linalg.identity(sp.dim_m), p_s1)
+    p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
+    amat = mat_add(linalg.identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     cert = go_check(a, strategy="basis")
     assert cert.verdict == "falsified"
@@ -147,7 +149,7 @@ def test_family_strategy_rejects_nonlinear_witness(space):
     a_t = stiefel.metric_at(sp, 2)
 
     def crooked(x):
-        r = stiefel.center_coefficient(sp, x)
+        r = center_coefficient(sp, x)
         return linalg.vec_scale(r * r, sp.a_dir_h)     # quadratic in X
 
     with pytest.raises(ValueError):
@@ -161,6 +163,22 @@ def test_random_strategy_deterministic(space):
     c2 = go_check(a, strategy="random", count=10, seed=42)
     assert [w.x_m for w in c1.witnesses] == [w.x_m for w in c2.witnesses]
     assert c1.verdict == c2.verdict == "passed-sampling"
+
+
+@pytest.mark.parametrize("strategy,count",
+                         [("random", 0), ("random", -3), ("family", -1)])
+def test_go_check_rejects_counts_out_of_range(space, strategy, count):
+    # a sample of no probes certifies nothing; a library call must not
+    # report passed-sampling for it
+    sp = space(3, 2)
+    t = Fraction(2)
+    with pytest.raises(ValueError, match="count must be at least"):
+        go_check(stiefel.metric_at(sp, t), strategy=strategy, count=count,
+                 witness_map=stiefel.witness_map(sp, t))
+    # the family strategy proves by polarization; zero extra samples is fine
+    cert = go_check(stiefel.metric_at(sp, t), strategy="family", count=0,
+                    witness_map=stiefel.witness_map(sp, t))
+    assert cert.verdict == "verified-on-family"
 
 
 def test_basis_probe_count(space):
@@ -212,7 +230,7 @@ def test_reduce_family_preserves_deformation_metrics(space):
     family, _ = reduce_family(sp.decomp)
     for t in (Fraction(1, 2), Fraction(1), Fraction(3)):
         a_t = stiefel.metric_at(sp, t)
-        coords = metric.coords_in_family(family, a_t)
+        coords = coords_in_family(family, a_t)
         assert coords is not None, f"A_t left the reduced family at t={t}"
 
 
@@ -376,7 +394,7 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
         points += go._random_points(family, spec, tensors.op_columns)
     survivors, falsified = [], []
     for idx, values in enumerate(points):
-        amat = go._family_matrix(tensors.op_columns, values, decomp_.dim)
+        amat = metric.family_matrix(tensors.op_columns, values, decomp_.dim)
         if not metric._pd_check(amat, decomp_.action.norms):
             continue
         entry = {"params": [conv(v) for v in values]}
@@ -490,17 +508,17 @@ def test_falsified_metrics_leave_the_reduced_family(space):
     # equivariance or sits outside the reduced cone
     sp = space(3, 2)
     family, _ = reduce_family(sp.decomp)
-    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    cases = [metric.from_matrix(sp.decomp, linalg.mat_add(
+    p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
+    cases = [metric.from_matrix(sp.decomp, mat_add(
         linalg.identity(sp.dim_m), p_s1))]
-    p1 = metric.projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
-    cases.append(metric.from_matrix(sp.decomp, linalg.mat_add(
+    p1 = projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
+    cases.append(metric.from_matrix(sp.decomp, mat_add(
         linalg.identity(sp.dim_m), p1)))
     for a in cases:
         cert = go_check(a, strategy="basis", keep_witnesses=False)
         assert cert.verdict == "falsified"
         ne = metric.check_normalizer_equivariance(a)
-        outside = metric.coords_in_family(family, a) is None
+        outside = coords_in_family(family, a) is None
         assert (not ne) or outside
 
 
@@ -519,7 +537,7 @@ def test_family_strategy_flags_wrong_witness_on_go_metric(space):
     a_t = stiefel.metric_at(sp, 2)
 
     def wrong(x):
-        return linalg.vec_scale(stiefel.center_coefficient(sp, x) * 7,
+        return linalg.vec_scale(center_coefficient(sp, x) * 7,
                                 sp.a_dir_h)
 
     with pytest.raises(ValueError, match="witness map fails"):
@@ -532,7 +550,7 @@ def test_witness_map_failures_raise_witness_map_error(space):
     d = sp.a_dir_h
 
     def r(x):
-        return stiefel.center_coefficient(sp, x)
+        return center_coefficient(sp, x)
 
     maps = {
         "not additive": lambda x: linalg.vec_scale(x[0] * x[1], d),
@@ -550,8 +568,8 @@ def test_witness_map_failures_raise_witness_map_error(space):
 def test_family_strategy_falsifies_non_go_metric(space):
     # zero witness map on a non-GO metric: the metric is falsified
     sp = space(3, 2)
-    p_s1 = metric.projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    a = metric.from_matrix(sp.decomp, linalg.mat_add(
+    p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
+    a = metric.from_matrix(sp.decomp, mat_add(
         linalg.identity(sp.dim_m), p_s1))
 
     def zero(x):

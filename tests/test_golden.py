@@ -33,11 +33,11 @@ def _space_file(workdir, n, k):
 
 
 def _identity_metric_file(workdir, n, k):
-    from go_metric_lab import metric, stiefel
+    from go_metric_lab import linalg, metric, stiefel
     sp = stiefel.build_stiefel(n, k)
     path = workdir / f"identity_{n}_{k}.json"
-    path.write_text(json.dumps(
-        metric.metric_to_json_dict(metric.identity_metric(sp.decomp))))
+    path.write_text(json.dumps(metric.metric_to_json_dict(
+        metric.from_matrix(sp.decomp, linalg.identity(sp.dim_m)))))
     return path
 
 

@@ -173,6 +173,12 @@ def test_eigen_split_refuses_irrational():
     assert linalg.eigen_split(op) is None
 
 
+def test_eigen_split_refuses_a_jordan_block():
+    # minimal polynomial (x - 1)^2: the one eigenvalue is rational, but its
+    # eigenspace has dimension 1 of 2
+    assert linalg.eigen_split(frac_matrix([[1, 1], [0, 1]])) is None
+
+
 def test_eigen_split_with_multiplicity():
     op = frac_matrix([[5, 0, 0], [0, 5, 0], [0, 0, 7]])
     split = linalg.eigen_split(op)
@@ -228,9 +234,9 @@ def test_span_contains_its_combinations(coeffs):
     basis = frac_matrix([[1, 0, 2, 0], [0, 1, 1, 1]])
     v = linalg.vec_add(linalg.vec_scale(Fraction(coeffs[0]), basis[0]),
                        linalg.vec_scale(Fraction(coeffs[1]), basis[1]))
-    assert linalg.span_contains(basis, v)
+    assert linalg.same_span(basis, basis + [v])
     outside = [Fraction(coeffs[2]), Fraction(coeffs[3]), Fraction(0), Fraction(1)]
     # outside unless it happens to solve the system
     cols = linalg.transpose(basis)
     expect = linalg.solve_consistent(cols, outside) is not None
-    assert linalg.span_contains(basis, outside) == expect
+    assert linalg.same_span(basis, basis + [outside]) == expect

@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from go_metric_lab import lie_core, linalg, metric, stiefel
-from go_metric_lab.metric import (check_normalizer_equivariance, eigenstructure,
+from go_metric_lab import isotropy, lie_core, linalg, metric, stiefel
+from go_metric_lab.metric import (check_normalizer_equivariance,
                                   from_parameters, full_family, instantiate)
+from oracles import (coords_in_family, dense_gram_family_ops, dense_op,
+                     identity_metric, mat_add, projector)
 
 
 def test_identity_from_parameters(space):
     sp = space(3, 2)
     dec = sp.decomp
-    a_id = metric.identity_metric(dec)
+    a_id = identity_metric(dec)
     params = a_id.params
     a2 = from_parameters(dec, params)
     assert a2.matrix == linalg.identity(dec.dim)
@@ -36,7 +38,7 @@ def test_deformation_metric_from_parameters(space):
 def test_negative_identity_coefficient_flags_pd(space):
     sp = space(3, 2)
     dec = sp.decomp
-    a_id = metric.identity_metric(dec)
+    a_id = identity_metric(dec)
     params = [-p for p in a_id.params]
     a = from_parameters(dec, params)
     assert not a.is_pd
@@ -79,13 +81,14 @@ def _space_file_decomposition(n, k):
 def _sample_matrices(dec, rng, count):
     """Identity plus seeded points of the full family."""
     out = [linalg.identity(dec.dim)]
-    ops = metric.family_basis_ops(full_family(dec))
+    ops = [dense_op(cols, dec.dim)
+           for cols in metric.family_basis_ops(full_family(dec))]
     for _ in range(count):
         a = linalg.zeros(dec.dim, dec.dim)
         for op in ops:
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             if c:
-                a = linalg.mat_add(a, linalg.mat_scale(c, op))
+                a = mat_add(a, linalg.mat_scale(c, op))
         out.append(a)
     return out
 
@@ -118,7 +121,7 @@ def test_from_matrix_rejects_matrices_outside_the_commutant(space):
     i = sp.s1_pairs[0][0]
     bumped[i][i] += 1
     # ad(z0) commutes with the isotropy action but is B-skew
-    skew = linalg.mat_add(linalg.identity(sp.dim_m),
+    skew = mat_add(linalg.identity(sp.dim_m),
                           isotropy.ad_on_m(sp.split, sp.z0_m))
     assert metric.check_normalizer_equivariance(
         metric.MetricEndomorphism(sp.decomp, skew, None, False),
@@ -140,8 +143,7 @@ def test_equivariance_and_symmetry_exact(space):
     params = [Fraction(rng.randint(-3, 3)) for _ in basis]
     a = from_parameters(dec, params)
     for op in dec.action.ad_ops:
-        assert linalg.mat_eq(linalg.mat_mul(a.matrix, op),
-                             linalg.mat_mul(op, a.matrix))
+        assert linalg.mat_mul(a.matrix, op) == linalg.mat_mul(op, a.matrix)
     gram = dec.action.gram
     for _ in range(10):
         x = lie_core.random_vector_of_len(dec.dim, rng)
@@ -168,41 +170,51 @@ def test_block_structure_across_summands(space):
                     assert linalg.gram_dot(gram, ax, y) == 0
 
 
+def eigenstructure(a):
+    """[(eigenvalue, eigenspace dimension)] of A from `linalg.eigen_split`;
+    each eigenspace of an equivariant A is isotropy invariant."""
+    action = a.decomp.action
+    split = linalg.eigen_split(a.matrix)
+    assert split is not None
+    out = []
+    for lam, basis in split:
+        space = isotropy.make_subspace(basis, action.norms)
+        for op in action.ad_ops:
+            assert isotropy.restrict_op(op, space, action.norms) is not None
+        out.append((lam, space.dim))
+    return out
+
+
 def test_eigenstructure_identity(space):
     sp = space(3, 1)
-    a_id = metric.identity_metric(sp.decomp)
-    eig = eigenstructure(a_id)
-    assert len(eig) == 1
-    lam, spc = eig[0]
-    assert lam == 1 and spc.dim == sp.dim_m
+    a_id = identity_metric(sp.decomp)
+    assert eigenstructure(a_id) == [(1, sp.dim_m)]
 
 
 def test_eigenstructure_of_deformation(space):
     sp = space(3, 2)
     a_t = stiefel.metric_at(sp, 3)
-    eig = eigenstructure(a_t)
-    assert [(lam, spc.dim) for lam, spc in eig] == [(1, 7), (3, 1)]
+    assert eigenstructure(a_t) == [(1, 7), (3, 1)]
 
 
 def test_eigenstructure_diagonal_example(space):
     sp = space(3, 2)
     s1 = sp.decomp.nontrivial_summands()[0]
-    p1 = metric.projector(s1.members[0].space, sp.action.norms, sp.dim_m)
-    amat = linalg.mat_add(linalg.identity(sp.dim_m), p1)
+    p1 = projector(s1.members[0].space, sp.action.norms, sp.dim_m)
+    amat = mat_add(linalg.identity(sp.dim_m), p1)
     a = metric.from_matrix(sp.decomp, amat)
-    eig = eigenstructure(a)
-    assert [(lam, spc.dim) for lam, spc in eig] == [(1, 6), (2, 2)]
+    assert eigenstructure(a) == [(1, 6), (2, 2)]
 
 
 def test_normalizer_equivariance_cases(space):
     sp = space(3, 2)
     dec = sp.decomp
-    assert check_normalizer_equivariance(metric.identity_metric(dec))
+    assert check_normalizer_equivariance(identity_metric(dec))
     assert check_normalizer_equivariance(stiefel.metric_at(sp, 2))
     # distinct eigenvalues on the two equivalent members: must fail
     s1 = dec.nontrivial_summands()[0]
-    p1 = metric.projector(s1.members[0].space, dec.action.norms, dec.dim)
-    a = metric.from_matrix(dec, linalg.mat_add(linalg.identity(dec.dim), p1))
+    p1 = projector(s1.members[0].space, dec.action.norms, dec.dim)
+    a = metric.from_matrix(dec, mat_add(linalg.identity(dec.dim), p1))
     assert not check_normalizer_equivariance(a)
 
 
@@ -213,67 +225,19 @@ def test_full_family_matches_commutant_dimension(space):
         assert fam.n_params == len(sp.decomp.sym_commutant_basis())
 
 
-def _dense_gram_family_ops(family):
-    """Oracle: the family operators built from the dense m-basis Gram."""
-    dec = family.decomp
-    gram, dim = dec.action.gram, dec.dim
-
-    def outer(op, u, gv, f):
-        for r in range(dim):
-            for c in range(dim):
-                op[r][c] += f * u[r] * gv[c]
-
-    def proj(space):
-        op = linalg.zeros(dim, dim)
-        for b, nu in zip(space.basis, space.norms):
-            outer(op, b, linalg.mat_vec(gram, b), 1 / nu)
-        return op
-
-    ops = []
-    for c in family.classes():
-        op = linalg.zeros(dim, dim)
-        for b in family.scalar_blocks:
-            if family.find(b.class_id) == c:
-                op = linalg.mat_add(op, proj(b.space))
-        ops.append(op)
-    for blk in family.operator_blocks:
-        sp = blk.space
-        gb = [linalg.mat_vec(gram, b) for b in sp.basis]
-        for i in range(sp.dim):
-            for j in range(i, sp.dim):
-                op = linalg.zeros(dim, dim)
-                scale = 1 / sp.norms[i] if i == j else Fraction(1)
-                outer(op, sp.basis[i], gb[j], scale)
-                if i != j:
-                    outer(op, sp.basis[j], gb[i], scale)
-                ops.append(op)
-    for blk in family.intertwiner_blocks:
-        summand = dec.summands[blk.summand_index]
-        sub_a = summand.members[blk.member_a].space
-        sub_b = summand.members[blk.member_b].space
-        for phi in blk.phis:
-            op = linalg.zeros(dim, dim)
-            phi_star = [[sub_b.norms[j] * phi[j][i] / sub_a.norms[i]
-                         for j in range(sub_b.dim)] for i in range(sub_a.dim)]
-            for m, src, dst in ((phi, sub_a, sub_b), (phi_star, sub_b, sub_a)):
-                for aj, b in enumerate(src.basis):
-                    gb = linalg.mat_vec(gram, b)
-                    for bi, d in enumerate(dst.basis):
-                        outer(op, d, gb, m[bi][aj] / src.norms[aj])
-            ops.append(op)
-    return ops
-
-
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
 def test_family_ops_match_the_dense_gram_construction(space, n, k):
     sp = space(n, k)
     for family in (stiefel.diagonal_family(sp), full_family(sp.decomp)):
         ops = metric.family_basis_ops(family)
-        assert ops == _dense_gram_family_ops(family)
-        assert all(type(x) is Fraction for op in ops for row in op for x in row)
+        assert ops == [linalg.sparse_columns(op)
+                       for op in dense_gram_family_ops(family)]
+        assert all(type(x) is Fraction
+                   for op in ops for col in op for _, x in col)
     for sub in (sp.s1.space, sp.ideals.center, sp.decomp.s0.space):
-        assert (metric.projector(sub, sp.action.norms, sp.dim_m)
-                == _dense_gram_family_ops(_scalar_family(sp.decomp, sub))[0])
+        assert (metric.family_basis_ops(_scalar_family(sp.decomp, sub))[0]
+                == linalg.sparse_columns(
+                    projector(sub, sp.action.norms, sp.dim_m)))
 
 
 def _scalar_family(dec, sub):
@@ -289,7 +253,7 @@ def test_family_instantiation_round_trip(space):
     rng = random.Random(9)
     values = [Fraction(rng.randint(1, 4)) for _ in range(fam.n_params)]
     a = instantiate(fam, values)
-    coords = metric.coords_in_family(fam, a)
+    coords = coords_in_family(fam, a)
     assert coords is not None
     a2 = instantiate(fam, coords)
     assert a2.matrix == a.matrix
@@ -319,41 +283,27 @@ def test_metric_json_numbers_build_a_rational_matrix(space):
 def test_eigenstructure_on_three_dim_m(space):
     # diag(1, 1, 2) on the 3-dim tangent space of (2,1)
     sp = space(2, 1)
-    amat = linalg.mat_add(
+    amat = mat_add(
         linalg.identity(sp.dim_m),
-        metric.projector(sp.decomp.s0.space, sp.action.norms, sp.dim_m))
+        projector(sp.decomp.s0.space, sp.action.norms, sp.dim_m))
     a = metric.from_matrix(sp.decomp, amat)
-    eig = eigenstructure(a)
-    assert sorted((lam, spc.dim) for lam, spc in eig) == [(1, 2), (2, 1)]
+    assert sorted(eigenstructure(a)) == [(1, 2), (2, 1)]
 
 
-def test_eigenstructure_float_fallback_for_irrational_spectrum(space):
-    # an intertwiner component makes the S1 eigenvalues 4 +/- sqrt(2): their
-    # sum of eigenspaces is ker(x^2 - 8x + 14)(A), labelled by that factor
+def test_eigen_split_is_none_on_an_irrational_spectrum(space):
+    # an intertwiner component makes the S1 eigenvalues 4 +/- sqrt(2): the
+    # rational eigenspace (4, on the untouched coordinates) has dimension 4
+    # of 8, so the split does not span and is refused
     sp = space(3, 2)
     dec = sp.decomp
     fam = metric.full_family(dec)
     blk = fam.intertwiner_blocks[0]
-    mix = metric._intertwiner_pair_op(dec, blk, blk.phis[0])
-    mix2 = metric._intertwiner_pair_op(dec, blk, blk.phis[1])
+    mix = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[0]), dec.dim)
+    mix2 = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[1]), dec.dim)
     amat = linalg.mat_scale(Fraction(4), linalg.identity(sp.dim_m))
-    amat = linalg.mat_add(amat, mix)
-    amat = linalg.mat_add(amat, mix2)
+    amat = mat_add(amat, mix)
+    amat = mat_add(amat, mix2)
     a = metric.from_matrix(dec, amat)
     assert a.is_pd
-    eig = eigenstructure(a)
-    assert [(lam, spc.dim) for lam, spc in eig] == [(4, 4), ((14, -8, 1), 4)]
-
-
-def test_eigenstructure_float_fallback_checks_isotropy_invariance(space):
-    # a non-equivariant A with eigenvalues 1, (3 +/- sqrt 5)/2: the
-    # irrational eigenlines sit inside one rotated (e_13, eb_13) plane of S1
-    sp = space(3, 2)
-    e, eb = sp.s1_pairs[0]
-    amat = linalg.identity(sp.dim_m)
-    amat[e][eb] = amat[eb][e] = Fraction(1)
-    amat[eb][eb] = Fraction(2)
-    a = metric.MetricEndomorphism(decomp=sp.decomp, matrix=amat, params=None,
-                                  is_pd=True)
-    with pytest.raises(ArithmeticError, match="not isotropy invariant"):
-        eigenstructure(a)
+    assert linalg.minimal_polynomial(amat) == [-56, 46, -12, 1]   # (x-4)(x^2-8x+14)
+    assert linalg.eigen_split(amat) is None

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from go_metric_lab import go, lie_core, linalg, metric, stiefel
 from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
-                                   center_coefficient, metric_at, tilde_map,
-                                   verify_family)
+                                   metric_at, tilde_map, verify_family)
+from oracles import center_coefficient, mat_add, projector
 
 
 def test_build_examples(space):
@@ -29,6 +29,8 @@ def test_build_rejects_bad_range():
         build_stiefel(3, 3)
     with pytest.raises(lie_core.InvalidDimensionError):
         build_stiefel(3, 0)
+    with pytest.raises(lie_core.InvalidDimensionError, match="n <= 8"):
+        build_stiefel(9, 2)
 
 
 def test_modules_match_coordinate_spans(space):
@@ -91,24 +93,30 @@ def _cached_space():
     return _SPACE
 
 
+# the witness map at t = 0 is X -> r(X) a_dir_h, r the center coefficient
+# <X, z0> / <z0, z0>
+
 def test_center_coefficient(space):
     sp = space(3, 2)
+    r_of = stiefel.witness_map(sp, 0)
     x = linalg.vec_scale(Fraction(5, 2), sp.z0_m)
-    assert center_coefficient(sp, x) == Fraction(5, 2)
-    assert center_coefficient(sp, sp.s1.space.basis[0]) == 0
+    assert r_of(x) == linalg.vec_scale(Fraction(5, 2), sp.a_dir_h)
+    assert linalg.vec_is_zero(r_of(sp.s1.space.basis[0]))
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
 def test_center_coefficient_matches_gram_formula(n, k, space):
     sp = space(n, k)
     gram = sp.split.gram_m
+    r_of = stiefel.witness_map(sp, 0)
     rng = random.Random(7)
     for _ in range(20):
         x = lie_core.random_vector_of_len(sp.dim_m, rng)
-        r = center_coefficient(sp, x)
-        assert type(r) is Fraction
-        assert r == (linalg.gram_dot(gram, x, sp.z0_m)
-                     / linalg.gram_dot(gram, sp.z0_m, sp.z0_m))
+        a = r_of(x)
+        assert all(type(c) is Fraction for c in a)
+        r = (linalg.gram_dot(gram, x, sp.z0_m)
+             / linalg.gram_dot(gram, sp.z0_m, sp.z0_m))
+        assert a == linalg.vec_scale(r, sp.a_dir_h)
 
 
 def test_metric_at_pd_iff_positive(space):
@@ -117,9 +125,9 @@ def test_metric_at_pd_iff_positive(space):
     assert metric_at(sp, 1).matrix == linalg.identity(sp.dim_m)
     a_neg = metric.from_matrix(
         sp.decomp,
-        linalg.mat_add(linalg.identity(sp.dim_m),
-                       linalg.mat_scale(Fraction(-2), metric.projector(
-                           sp.ideals.center, sp.action.norms, sp.dim_m))))
+        mat_add(linalg.identity(sp.dim_m),
+                linalg.mat_scale(Fraction(-2), projector(
+                    sp.ideals.center, sp.action.norms, sp.dim_m))))
     assert not a_neg.is_pd                      # this is A_t at t = -1
 
 
@@ -182,7 +190,7 @@ def test_witness_map_matches_center_coefficient(space):
         w = stiefel.witness_map(sp, t)
         for _ in range(10):
             x = lie_core.random_vector_of_len(sp.dim_m, rng)
-            r = stiefel.center_coefficient(sp, x)
+            r = center_coefficient(sp, x)
             assert w(x) == linalg.vec_scale(r * (1 - t), sp.a_dir_h)
 
 
@@ -206,14 +214,14 @@ def test_verify_family_exact_zeros(n, k, space):
 
 def test_deformation_point_classifier(space):
     sp = space(3, 2)
-    assert stiefel.is_deformation_point(sp, metric_at(sp, Fraction(7, 3)))
-    assert stiefel.is_deformation_point(
-        sp, metric.from_matrix(sp.decomp, linalg.mat_scale(
-            Fraction(3), metric_at(sp, Fraction(1, 2)).matrix)))
-    p1 = metric.projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
+    assert stiefel._is_deformation(sp, metric_at(sp, Fraction(7, 3)).matrix)
+    assert stiefel._is_deformation(sp, metric.from_matrix(
+        sp.decomp, linalg.mat_scale(
+            Fraction(3), metric_at(sp, Fraction(1, 2)).matrix)).matrix)
+    p1 = projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp,
-                           linalg.mat_add(linalg.identity(sp.dim_m), p1))
-    assert not stiefel.is_deformation_point(sp, a)
+                           mat_add(linalg.identity(sp.dim_m), p1))
+    assert not stiefel._is_deformation(sp, a.matrix)
 
 
 def test_grassmannian_cross_check(space):
@@ -332,10 +340,9 @@ def test_two_t_values_are_below_the_degree_bound(space):
 def test_witness_without_the_one_minus_t_factor_fails_all_t(space, monkeypatch):
     # a_t(X) = r(X) sum_{i>k} eb_ii: the t = 0 witness at every t
     sp = space(3, 2)
-    z0, z0_sq = stiefel._z0_weights(sp)
-    monkeypatch.setattr(stiefel, "witness_map", lambda space, t: (
-        lambda x: linalg.vec_scale(linalg.sparse_dot(x, z0) / z0_sq,
-                                   space.a_dir_h)))
+    witness_map = stiefel.witness_map
+    monkeypatch.setattr(stiefel, "witness_map",
+                        lambda space, t: witness_map(space, 0))
     assert stiefel.certify_all_t(sp, {}) == {
         "verified": False, "degree_bound": 2, "t_values": []}
 
