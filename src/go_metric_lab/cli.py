@@ -192,8 +192,10 @@ def cmd_check_go(args) -> int:
     strategy = args.strategy
     if strategy == "family" and witness is None:
         raise InputError("family strategy needs --family-t")
-    if strategy == "random" and args.count == 0:
-        raise InputError("--count must be at least 1 for the random strategy")
+    try:
+        go_mod.check_sample_count(strategy, args.count)
+    except ValueError as exc:
+        raise InputError(f"bad --count: {exc}") from exc
     with _stage(cfg, "check"):
         cert = go_mod.go_check(a, strategy=strategy, count=args.count,
                                seed=cfg.seed, witness_map=witness)

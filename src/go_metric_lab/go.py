@@ -32,8 +32,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -146,6 +146,19 @@ def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
     return probes
 
 
+def check_sample_count(strategy: str, count: int) -> None:
+    """Raise ValueError when `count` is out of range for the strategy.
+
+    A random sample of no probes certifies nothing, so "random" needs at
+    least 1; "family" adds `count` >= 0 random probes to its proof, and
+    "basis" ignores the count.
+    """
+    least = {"random": 1, "family": 0}.get(strategy)
+    if least is not None and count < least:
+        raise ValueError(f"count must be at least {least} for the {strategy} "
+                         f"strategy, got {count}")
+
+
 def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
              count: int = 100, seed: int = 0,
              witness_map: Optional[Callable[[Vec], Vec]] = None,
@@ -158,25 +171,20 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
     polarization pairs plus `count` >= 0 random probes); only this strategy
     may return "verified-on-family", and it raises `WitnessMapError` when
     the map is not linear or fails at a vector where the metric passes.
-    A count out of range raises ValueError.
+    A count out of range raises ValueError (see `check_sample_count`).
     """
     decomp = a_metric.decomp
+    check_sample_count(strategy, count)
 
     if strategy == "family":
         if witness_map is None:
             raise ValueError("family strategy needs a witness map")
-        if count < 0:
-            raise ValueError(f"count must be at least 0, got {count}")
         return _family_check(a_metric, witness_map, count, seed)
 
     if strategy == "basis":
         probes = basis_probe_vectors(decomp)
         used_seed = None
     elif strategy == "random":
-        if count < 1:
-            # a sample of no probes certifies nothing
-            raise ValueError(f"count must be at least 1 for the random "
-                             f"strategy, got {count}")
         rng = random.Random(f"go-random:{seed}")
         probes = [lie_core.random_vector_of_len(decomp.dim, rng)
                   for _ in range(count)]
@@ -602,15 +610,25 @@ class ScanResult:
 _WORKER_CTX: dict = {}
 
 
+class _Probe(NamedTuple):
+    """One probe's tensors, as sparse rows."""
+    bx: List[linalg.Sparse]            # param c -> [X, Op_c X]_m
+    hx: List[List[linalg.Sparse]]      # h_i -> param c -> [h_i, Op_c X]
+    support: List[int]                 # params with a nonzero row
+
+
 class _ScanTensors:
     """Per-probe bracket tensors and residual tables for one scan.
 
     The defect [X, AX] and the witness columns [h_i, AX] are linear in the
     family parameters, so per probe X everything reduces to tensors
     contracted against the parameter vector.  The tensors are read off the
-    split's m x m bracket table and the isotropy action.  Containment of
-    every [X, Op_c X] in m (a zero h-component) is verified exactly here,
-    and carries over each contraction by linearity.
+    split's m x m bracket table and the isotropy action.  A probe's
+    tensors are built when a walk first reaches it (`_probe`), and most
+    points fail at one of the first few probes.  Containment of every
+    [X, Op_c X] in m (a zero h-component) is verified exactly in that
+    build, before the probe is used, and carries over each contraction by
+    linearity.
 
     A probe reads only the parameters in its support (a nonzero `bx` or
     `hx` row), and its least-squares residual is homogeneous of degree 2
@@ -622,39 +640,21 @@ class _ScanTensors:
     ids, and each probe keeps a table from the ids on its support to the
     report string of its exact residual ("" when the probe passes), so a
     point's walk is one tuple lookup per probe and `residual_sq` runs once
-    per table entry.  Memo and tables live as long as the tensors, which
-    is one scan.
+    per table entry.  Tensors, memo and tables live as long as the
+    `_ScanTensors`, which is one scan.
     """
 
     def __init__(self, family: MetricFamily, ops: List[metric_mod.Columns],
                  probes: List[Vec], grid: Sequence = ()):
-        action = family.decomp.action
-        split = action.split
-        table = split.bracket_table
-        self.gram_m = split.gram_m
-        self.dim = split.dim_m
+        self.action = family.decomp.action
+        self.gram_m = self.action.split.gram_m
+        self.dim = self.action.split.dim_m
         self.probes = probes
         self.op_columns = ops
-        # sparse rows: probe -> param -> [(index, value)] of [X, Op_c X]_m
-        self.bx: List[List[List[Tuple[int, Fraction]]]] = []
-        self.hx: List[List[List[List[Tuple[int, Fraction]]]]] = []
-        self.support: List[List[int]] = []
+        self._built: List[Optional[_Probe]] = [None] * len(probes)
+        self._walked: List[Tuple[int, Callable, Dict]] = []
+        self._reached = 0
         self.memo: Dict[Tuple, Fraction] = {}
-        for x in probes:
-            xs = linalg.sparse(x)
-            ox = [linalg.sparse_mat_vec(cols, xs) for cols in self.op_columns]
-            rows = []
-            for o in ox:
-                b_m, b_h = table.bracket(xs, o)
-                if b_h:
-                    raise ValueError("vector is not in m")
-                rows.append(b_m)
-            hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]
-                     for ad in action.ad_columns]
-            self.bx.append(rows)
-            self.hx.append(hrows)
-            self.support.append([c for c in range(len(ops))
-                                 if rows[c] or any(h[c] for h in hrows)])
         # value id -> value, its report string, and whether it is positive
         self.values: List[Fraction] = []
         self.strings: List[str] = []
@@ -662,10 +662,44 @@ class _ScanTensors:
         self._ids: Dict[Fraction, int] = {}
         for v in grid:
             self._add(Fraction(v))
-        # probes with an empty support pass everywhere and are not walked
-        self._walk = [(p, operator.itemgetter(*sup), {})
-                      for p, sup in enumerate(self.support) if sup]
         self._probe_strings: Dict[int, List[str]] = {}
+
+    def _probe(self, p: int) -> _Probe:
+        """Probe p's tensors, built on first use."""
+        probe = self._built[p]
+        if probe is None:
+            probe = self._built[p] = self._build(p)
+        return probe
+
+    def _walk(self) -> Iterator[Tuple[int, Callable, Dict]]:
+        """(probe, key_of, table) in probe order: `key_of` reads the ids on
+        the probe's support, and `table` maps them to the residual string.
+        A probe gets its tensors and entry when a walk first reaches it; a
+        probe with an empty support passes everywhere and is skipped."""
+        yield from self._walked         # the entries of the probes reached
+        for p in range(self._reached, len(self.probes)):
+            support = self._probe(p).support
+            self._reached = p + 1
+            if support:
+                entry = (p, operator.itemgetter(*support), {})
+                self._walked.append(entry)
+                yield entry
+
+    def _build(self, p: int) -> _Probe:
+        xs = linalg.sparse(self.probes[p])
+        ox = [linalg.sparse_mat_vec(cols, xs) for cols in self.op_columns]
+        table = self.action.split.bracket_table
+        rows = []
+        for o in ox:
+            b_m, b_h = table.bracket(xs, o)
+            if b_h:
+                raise ValueError("vector is not in m")
+            rows.append(b_m)
+        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]
+                 for ad in self.action.ad_columns]
+        support = [c for c in range(len(ox))
+                   if rows[c] or any(h[c] for h in hrows)]
+        return _Probe(bx=rows, hx=hrows, support=support)
 
     def _add(self, value: Fraction) -> int:
         i = len(self.values)
@@ -694,17 +728,17 @@ class _ScanTensors:
 
     def residual_sq(self, values: Sequence, p: int) -> Fraction:
         """Exact squared residual of probe p at the parameter point."""
-        support = self.support[p]
-        vals = [Fraction(values[c]) for c in support]
+        probe = self._probe(p)
+        vals = [Fraction(values[c]) for c in probe.support]
         lead = next((v for v in vals if v != 0), None)
         if lead is None:
             return ZERO
         key = (p, tuple(v / lead for v in vals))
         res = self.memo.get(key)
         if res is None:
-            defect = self._contract(self.bx[p], support, key[1])
-            cols = [self._contract(rows, support, key[1])
-                    for rows in self.hx[p]]
+            defect = self._contract(probe.bx, probe.support, key[1])
+            cols = [self._contract(rows, probe.support, key[1])
+                    for rows in probe.hx]
             _, res = linalg.least_squares(cols, [-c for c in defect],
                                           self.gram_m)
             self.memo[key] = res
@@ -714,7 +748,7 @@ class _ScanTensors:
                       ) -> Optional[Tuple[int, str]]:
         """(probe, residual string) of the first probe in probe order with
         a positive residual at the point, or None when every probe passes."""
-        for p, key_of, table in self._walk:
+        for p, key_of, table in self._walk():
             key = key_of(ids)
             res = table.get(key)
             if res is None:
@@ -757,7 +791,9 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     operator off-diagonals and intertwiner coordinates draw from the
     symmetric lattice with at least one forced nonzero, so every sample
     leaves the diagonal subcone.  Rejection-samples until positive
-    definite (the off-diagonal lattice mostly falls outside the cone).
+    definite (the off-diagonal lattice mostly falls outside the cone):
+    every returned sample is proved positive definite exactly, on the
+    `Fraction` values returned, and the scan does not check it again.
     """
     rng = random.Random(f"scan-random:{spec.seed}")
     n_classes = len(family.classes())
@@ -804,11 +840,6 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     return points
 
 
-def _diagonal_family_pd(family: MetricFamily) -> bool:
-    return (not family.intertwiner_blocks
-            and all(b.space.dim == 1 for b in family.operator_blocks))
-
-
 def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     idx, ids = task
     family: MetricFamily = _WORKER_CTX["family"]
@@ -816,7 +847,6 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     tensors: _ScanTensors = _WORKER_CTX["tensors"]
     prove: Optional[Callable[[Sequence], bool]] = _WORKER_CTX["prove"]
     decomp = family.decomp
-    dim = decomp.dim
     entry = {"params": [tensors.strings[i] for i in ids]}
 
     def falsified_entry(x: List[str], res_sq: str) -> dict:
@@ -825,14 +855,11 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
         entry["residual_sq"] = res_sq
         return entry
 
-    values = amat = None
-    if _WORKER_CTX["diagonal_pd"]:
-        pd = all(tensors.positive[i] for i in ids)
-    else:
-        values = tensors.point_values(ids)
-        amat = metric_mod.family_matrix(tensors.op_columns, values, dim)
-        pd = metric_mod._pd_check(amat, decomp.action.norms)
-    if not pd:
+    # grid points come from a diagonal family (`_grid_points` refuses any
+    # other), where positive definite means every value is positive; the
+    # drawn points after them were proved positive definite when drawn
+    if idx < _WORKER_CTX["n_grid"] and not all(tensors.positive[i]
+                                               for i in ids):
         entry["status"] = "not-pd"
         return idx, entry
 
@@ -841,12 +868,11 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     if failure is not None:
         p, res_sq = failure
         return idx, falsified_entry(tensors.probe_strings(p), res_sq)
-    if values is None:
-        values = tensors.point_values(ids)
+    values = tensors.point_values(ids)
     proved = prove is not None and prove(values)
     if spec.survivor_random_probes and not proved:
-        if amat is None:
-            amat = metric_mod.family_matrix(tensors.op_columns, values, dim)
+        amat = metric_mod.family_matrix(tensors.op_columns, values,
+                                        decomp.dim)
         a = MetricEndomorphism(decomp=decomp, matrix=amat,
                                params=None, is_pd=True)
         cert = go_check(a, strategy="random",
@@ -881,7 +907,11 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     generated lazily from grid positions, and random points are interned
     as they are drawn.  The basis probes are answered from per-probe
     tables, so each (probe, supported values) is evaluated once per scan
-    and per worker process.
+    and per worker process.  A probe's tensors are built when a walk
+    first reaches it, in each worker process, and its containment check
+    raises ValueError then.  Random points are proved positive definite
+    once, when drawn; a grid point is positive definite when all its
+    values are positive, because grids need a diagonal family.
 
     Deterministic for a fixed seed and independent of the worker count:
     points are indexed before dispatch and merged in index order.
@@ -889,17 +919,16 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     spec = spec or ScanSpec()
     ops = metric_mod.family_basis_ops(family)
     grid = _grid_points(family, spec) if include_grid else ()
-    n_points = len(spec.grid) ** family.n_params if include_grid else 0
+    n_grid = len(spec.grid) ** family.n_params if include_grid else 0
     tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp),
                            spec.grid)
     drawn: List[Tuple[int, ...]] = []
     if spec.random_count:
         drawn = [tuple(map(tensors.intern, vals)) for vals in
                  _random_points(family, spec, tensors.op_columns)]
-        n_points += len(drawn)
+    n_points = n_grid + len(drawn)
     _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors,
-                        "prove": prove,
-                        "diagonal_pd": _diagonal_family_pd(family)})
+                        "prove": prove, "n_grid": n_grid})
     tasks = enumerate(itertools.chain(grid, drawn))
     results: Optional[List[Tuple[int, dict]]] = None
     workers = min(spec.jobs, os.cpu_count() or 1, n_points)
@@ -907,8 +936,10 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         try:
             import concurrent.futures as cf
             import multiprocessing as mp
-            # workers inherit _WORKER_CTX through fork and fill their own
-            # tables; anything else falls back to the sequential path
+            # workers inherit _WORKER_CTX through fork and build their own
+            # probe tensors and tables; a failure, such as the containment
+            # ValueError, falls back to the sequential path, which raises
+            # it again
             ctx = mp.get_context("fork")
             with cf.ProcessPoolExecutor(max_workers=workers,
                                         mp_context=ctx) as pool:

@@ -78,9 +78,10 @@ def test_scan_tensors_match_oracle(space, n, k, which):
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
     tensors = go._ScanTensors(family, ops, probes)
+    built = [tensors._probe(p) for p in range(len(probes))]
     bx, hx = oracle_tensors(family, ops, probes)
-    assert tensors.bx == bx
-    assert tensors.hx == hx
+    assert [probe.bx for probe in built] == bx
+    assert [probe.hx for probe in built] == hx
 
 
 def _non_go_diagonal_point(sp):
@@ -146,8 +147,11 @@ def test_scan_tensors_reject_op_outside_commutant(space):
     family = stiefel.diagonal_family(sp)
     ops = metric.family_basis_ops(family) + [
         linalg.sparse_columns(_bumped(sp, "e_1_3"))]
+    probes = go.basis_probe_vectors(sp.decomp)
+    tensors = go._ScanTensors(family, ops, probes)
     with pytest.raises(ValueError, match="not in m"):
-        go._ScanTensors(family, ops, go.basis_probe_vectors(sp.decomp))
+        for p in range(len(probes)):
+            tensors._probe(p)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +191,9 @@ def test_table_is_the_only_bracket_work_of_a_tensor_build(space, monkeypatch):
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
     calls.update(bracket=0, coords_in_m=0)
-    go._ScanTensors(family, ops, probes)
+    tensors = go._ScanTensors(family, ops, probes)
+    for p in range(len(probes)):
+        tensors._probe(p)
     assert calls == {"bracket": 0, "coords_in_m": 0}
 
 

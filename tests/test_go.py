@@ -384,10 +384,13 @@ def test_scan_solves_once_per_projective_class(space, monkeypatch):
 def _oracle_scan(decomp_, family, spec, include_grid=True):
     """The per-point Fraction walk: every point carries its values, PD is
     the matrix check, and every probe asks the projective-class memo of
-    fresh tensors, with no value ids and no tables."""
+    fresh tensors, all built before the walk, with no value ids and no
+    tables."""
     conv = linalg.frac_to_str
     tensors = go._ScanTensors(family, metric.family_basis_ops(family),
                               basis_probe_vectors(decomp_))
+    for p in range(len(tensors.probes)):
+        tensors._probe(p)
     points = (list(itertools.product(spec.grid, repeat=family.n_params))
               if include_grid else [])
     if spec.random_count:
@@ -456,8 +459,9 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
     # most |grid|^|support| entries, each filled by one exact evaluation
     sp = space(3, 2)
     diag = stiefel.diagonal_family(sp)
-    support = go._ScanTensors(diag, metric.family_basis_ops(diag),
-                              basis_probe_vectors(sp.decomp)).support
+    probes = basis_probe_vectors(sp.decomp)
+    tensors = go._ScanTensors(diag, metric.family_basis_ops(diag), probes)
+    support = [tensors._probe(p).support for p in range(len(probes))]
     calls = []
     residual_sq = go._ScanTensors.residual_sq
 
@@ -470,6 +474,93 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
     assert result.n_points == 256
     assert len(calls) <= sum(len(_GRID_32) ** len(s) for s in support)
     assert len(calls) < result.n_points
+
+
+def _count_builds(monkeypatch):
+    built = []
+    build = go._ScanTensors._build
+
+    def counted(self, p):
+        built.append(p)
+        return build(self, p)
+
+    monkeypatch.setattr(go._ScanTensors, "_build", counted)
+    return built
+
+
+def test_scan_builds_probe_tensors_on_first_reach(space, monkeypatch):
+    # every off-diagonal sample fails at an early probe, so the probes
+    # past the last first failure are never built
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    probes = basis_probe_vectors(sp.decomp)
+    spec = ScanSpec(grid=_GRID_32, seed=1, random_count=16,
+                    survivor_random_probes=3)
+    built = _count_builds(monkeypatch)
+    result = search_go(sp.decomp, full, spec, include_grid=False)
+    strings = [[linalg.frac_to_str(c) for c in x] for x in probes]
+    last = max(strings.index(e["falsifier_x"]) for e in result.falsified)
+    assert len(result.falsified) == result.n_points == 16
+    assert built == list(range(last + 1))
+    assert last + 1 < len(probes)
+    assert result == _oracle_scan(sp.decomp, full, spec, include_grid=False)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_rejects_op_outside_commutant_on_first_reach(space, monkeypatch,
+                                                          jobs):
+    # half of e_13 <-> eb_13 added to the operator of the first parameter:
+    # B-symmetric (equal norms), but [e_13, eb_13] has an h-part, so the
+    # basis probe e_13 brackets out of m; a worker's raise is raised again
+    # by the sequential fallback
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    i, j = _m_index(sp, "e_1_3"), _m_index(sp, "eb_1_3")
+    ops = metric.family_basis_ops(full)
+    bumped = [dict(col) for col in ops[0]]
+    for a, b in ((i, j), (j, i)):
+        bumped[a][b] = bumped[a].get(b, 0) + Fraction(1, 2)
+    ops[0] = [sorted(col.items()) for col in bumped]
+    monkeypatch.setattr(metric, "family_basis_ops", lambda family: ops)
+    built = _count_builds(monkeypatch)
+    probes = basis_probe_vectors(sp.decomp)
+    with pytest.raises(ValueError, match="not in m"):
+        search_go(sp.decomp, full,
+                  ScanSpec(grid=_GRID_32, seed=1, random_count=16, jobs=jobs),
+                  include_grid=False)
+    assert probes[built[-1]] == linalg.unit_vec(sp.dim_m, i)
+    assert built == list(range(built[-1] + 1))
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+def test_drawn_samples_are_proved_positive_definite_once(space, monkeypatch,
+                                                         n, k):
+    # _random_points proves each draw PD (one check per draw) or rejects
+    # it; the scan does not check an accepted draw again
+    sp = space(n, k)
+    full = metric.full_family(sp.decomp)
+    spec = ScanSpec(grid=_GRID_32, seed=4, random_count=12,
+                    survivor_random_probes=3)
+    calls = {"pd": 0, "draws": 0}
+    pd_check, random_points = metric._pd_check, go._random_points
+
+    def counted_pd(*args):
+        calls["pd"] += 1
+        return pd_check(*args)
+
+    def counted_draws(*args):
+        before = calls["pd"]
+        points = random_points(*args)
+        calls["draws"] += calls["pd"] - before
+        return points
+
+    monkeypatch.setattr(metric, "_pd_check", counted_pd)
+    monkeypatch.setattr(go, "_random_points", counted_draws)
+    result = search_go(sp.decomp, full, spec, include_grid=False)
+    assert result.n_points == 12
+    assert calls["pd"] == calls["draws"] >= result.n_points
+    monkeypatch.undo()
+    assert result == _oracle_scan(sp.decomp, full, spec, include_grid=False)
 
 
 def test_grid_rejects_offdiagonal_family(space):
