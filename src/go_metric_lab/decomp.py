@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import List, Tuple
 
@@ -78,6 +80,24 @@ def diagonal_u_nk(g: MatrixLieAlgebra, k: int) -> Subalgebra:
     return h
 
 
+def _integers(v: Sparse, den: int) -> List[Tuple[int, int]]:
+    """den * v as integer entries; den must clear every denominator of v."""
+    if den == 1:
+        return [(i, c.numerator) for i, c in v]
+    return [(i, c.numerator * (den // c.denominator)) for i, c in v]
+
+
+def _cleared(v: Sparse) -> Tuple[int, List[Tuple[int, int]]]:
+    """(D, D v as integer entries), D the lcm of v's denominators."""
+    den = math.lcm(*[c.denominator for _, c in v])
+    return den, _integers(v, den)
+
+
+def _over(acc: dict, den: int) -> Sparse:
+    """The nonzero entries of an integer accumulator, each divided by den."""
+    return [(k, Fraction(c, den)) for k, c in sorted(acc.items()) if c]
+
+
 @dataclass
 class BracketTable:
     """[m_a, m_b] for every pair of m-basis vectors, split along g = h (+) m.
@@ -85,25 +105,48 @@ class BracketTable:
     `m[a][b]` holds the m-coordinates of the bracket and `h[a][b]` its
     h-component in g-coordinates, both sparse; each is empty when that
     part vanishes.  Everything bilinear on m then contracts against these
-    tables instead of bracketing in g.
+    tables instead of bracketing in g.  The contraction runs on integers:
+    the tables are kept once more as integer rows over one common
+    denominator, the arguments' denominators are cleared per call, and
+    each result entry is one exact `Fraction` of the integer sum.
     """
 
     m: List[List[Sparse]]
     h: List[List[Sparse]]
 
+    @cached_property
+    def _integer_rows(self) -> Tuple[int, List[list]]:
+        """(D, rows): D is the lcm of every denominator in the table, and
+        `rows[a][b]` is (D m[a][b], D h[a][b]) as integer entries, or None
+        when [m_a, m_b] = 0."""
+        den = math.lcm(*[c.denominator for part in (self.m, self.h)
+                         for row in part for entry in row for _, c in entry])
+        rows = [[(_integers(em, den), _integers(eh, den)) if em or eh else None
+                 for em, eh in zip(row_m, row_h)]
+                for row_m, row_h in zip(self.m, self.h)]
+        return den, rows
+
     def bracket(self, x: Sparse, y: Sparse) -> Tuple[Sparse, Sparse]:
         """[X, Y] for sparse m-coordinates: (m-coordinates, h-component)."""
+        den, rows = self._integer_rows
+        dx, xs = _cleared(x)
+        dy, ys = _cleared(y)
         acc_m: dict = {}
         acc_h: dict = {}
-        for a, xa in x:
-            row_m, row_h = self.m[a], self.h[a]
-            for b, yb in y:
+        for a, xa in xs:
+            row = rows[a]
+            for b, yb in ys:
+                entry = row[b]
+                if entry is None:
+                    continue
                 f = xa * yb
-                for k, c in row_m[b]:
-                    acc_m[k] = acc_m.get(k, ZERO) + f * c
-                for k, c in row_h[b]:
-                    acc_h[k] = acc_h.get(k, ZERO) + f * c
-        return linalg.sparse_from(acc_m), linalg.sparse_from(acc_h)
+                em, eh = entry
+                for k, c in em:
+                    acc_m[k] = acc_m.get(k, 0) + f * c
+                for k, c in eh:
+                    acc_h[k] = acc_h.get(k, 0) + f * c
+        den *= dx * dy
+        return _over(acc_m, den), _over(acc_h, den)
 
     def bracket_in_m(self, x: Sparse, y: Sparse) -> Sparse:
         """[X, Y] over m for a pair whose bracket must stay in m."""
@@ -144,8 +187,7 @@ class ReductiveSplit:
         """(coordinates of the m-component of x, the h-component of x)."""
         gram = self.algebra.gram         # diagonal: checked by reductive_split
         gx = [(i, c * gram[i][i]) for i, c in enumerate(x) if c != 0]
-        coords = [linalg.sparse_dot(b, gx) / nu
-                  for b, nu in zip(self.m_basis, self.norms_m)]
+        coords = linalg.orthogonal_coords(self.m_basis, self.norms_m, gx)
         resid = list(x)
         for c, b in zip(coords, self._sparse_m_basis):
             if c != 0:

@@ -63,8 +63,7 @@ class Subspace:
         """Coordinates of v over the basis, or None if v falls outside."""
         resid = {i: c for i, c in enumerate(v) if c != 0}
         gv = [(i, c * norms[i]) for i, c in resid.items()]
-        coords = [linalg.sparse_dot(b, gv) / nu
-                  for b, nu in zip(self.basis, self.norms)]
+        coords = linalg.orthogonal_coords(self.basis, self.norms, gv)
         for c, b in zip(coords, self.sparse_basis):
             if c != 0:
                 for i, bi in b:
@@ -170,16 +169,6 @@ def _sym_param_index(d: int) -> Dict[Tuple[int, int], int]:
     return idx
 
 
-def _sym_op_from_params(params: Vec, norms: List[Fraction], d: int) -> Mat:
-    idx = _sym_param_index(d)
-    s = linalg.zeros(d, d)
-    for (i, j), p in idx.items():
-        s[i][j] = params[p]
-        if i != j:
-            s[j][i] = params[p] * norms[i] / norms[j]
-    return s
-
-
 def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
     """Basis of B-symmetric operators commuting with every op (exact)."""
     d = len(norms)
@@ -207,7 +196,19 @@ def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
                 if row:
                     rows.append(row)
     sols = linalg.sparse_nullspace(rows, len(idx))
-    return [_sym_op_from_params(p, norms, d) for p in sols]
+    # S[i][j] = p and S[j][i] = p nu_i / nu_j, from the nonzero parameters
+    entries = list(idx)
+    out = []
+    for params in sols:
+        s = linalg.zeros(d, d)
+        for p, v in enumerate(params):
+            if v != 0:
+                i, j = entries[p]
+                s[i][j] = v
+                if i != j:
+                    s[j][i] = v * norms[i] / norms[j]
+        out.append(s)
+    return out
 
 
 def commutant_sym(action: IsotropyAction,

@@ -238,6 +238,16 @@ def sparse_dot(x: Vec, y: Sparse):
     return s
 
 
+def orthogonal_coords(basis: List[Vec], norms: Vec, gx: Sparse) -> Vec:
+    """<b, x> / <b, b> for each b of an orthogonal basis, given G x sparse
+    and the norms <b, b>; a zero product is ZERO without a division."""
+    coords = []
+    for b, nu in zip(basis, norms):
+        dot = sparse_dot(b, gx)
+        coords.append(dot / nu if dot else ZERO)
+    return coords
+
+
 def sparse_mat_vec(columns: List[Sparse], x: Sparse) -> Sparse:
     """M x for a matrix given by its sparse columns."""
     acc: dict = {}

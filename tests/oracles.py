@@ -3,7 +3,9 @@
 Each helper is the plain dense or direct form of something the package
 computes sparsely, or no longer needs at run time: the trace form over
 the full Gram matrix, dense projectors and family operators built from
-the dense m-basis Gram, and family coordinates by one dense solve.
+the dense m-basis Gram, family coordinates by one dense solve, the bracket
+table contracted in `Fraction`s, and commutant operators filled in from
+every parameter.
 """
 
 from fractions import Fraction
@@ -107,3 +109,30 @@ def coords_in_family(family, a):
     cols = [[op[i][j] for op in ops] for i in range(dim) for j in range(dim)]
     rhs = [a.matrix[i][j] for i in range(dim) for j in range(dim)]
     return linalg.solve_consistent(cols, rhs)
+
+
+def fraction_bracket(table, x, y):
+    """`BracketTable.bracket` contracted entry by entry in `Fraction`s."""
+    acc_m, acc_h = {}, {}
+    for a, xa in x:
+        row_m, row_h = table.m[a], table.h[a]
+        for b, yb in y:
+            f = xa * yb
+            for k, c in row_m[b]:
+                acc_m[k] = acc_m.get(k, linalg.ZERO) + f * c
+            for k, c in row_h[b]:
+                acc_h[k] = acc_h.get(k, linalg.ZERO) + f * c
+    return linalg.sparse_from(acc_m), linalg.sparse_from(acc_h)
+
+
+def sym_op_from_params(params, norms, d):
+    """The B-symmetric d x d operator of a commutant parameter vector:
+    parameters run over the upper triangle (i <= j) row by row, and
+    S[j][i] = S[i][j] nu_i / nu_j."""
+    entries = [(i, j) for i in range(d) for j in range(i, d)]
+    s = linalg.zeros(d, d)
+    for (i, j), p in zip(entries, params):
+        s[i][j] = p
+        if i != j:
+            s[j][i] = p * norms[i] / norms[j]
+    return s

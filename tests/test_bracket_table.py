@@ -6,7 +6,9 @@ sparse isotropy columns; the isotropy operators come from the reductivity
 check of the split.  The oracle below computes the same quantities the
 long way: m-coordinates to g-coordinates, bracket in g through the
 structure table, back to m-coordinates.  Results must agree as exact
-Fractions.
+Fractions.  The table contracts in integers over its common denominator;
+every Stiefel table has denominator 1, so a u(3) with one rescaled basis
+vector supplies a table with non-integer entries.
 """
 
 import random
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
-from oracles import dense_op, inner
+from oracles import dense_op, fraction_bracket, inner
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +110,89 @@ def test_solve_and_residual_match_oracle(space, n, k):
                     == oracle_residual_sq(a, x, other))
             falsified += a is non_go and res_sq > 0
     assert falsified > 0    # the diagonal point really is not GO
+
+
+# ---------------------------------------------------------------------------
+# integer contraction
+# ---------------------------------------------------------------------------
+
+def _rescaled_un(n, label, scale):
+    """u(n) with one basis vector multiplied by `scale`.  The basis stays
+    B-orthogonal, but the structure constants, and with them the m x m
+    table, acquire denominators."""
+    g = lie_core.build_un(n)
+    lam = [Fraction(scale) if lab == label else Fraction(1)
+           for lab in g.labels]
+    structure = {(a, b): {k: lam[a] * lam[b] * c / lam[k]
+                          for k, c in entry.items()}
+                 for (a, b), entry in g.structure.items()}
+    gram = [[lam[a] * lam[b] * c for b, c in enumerate(row)]
+            for a, row in enumerate(g.gram)]
+    basis = [linalg.mat_scale(s, mat) for s, mat in zip(lam, g.basis)]
+    return lie_core.MatrixLieAlgebra(n=n, labels=g.labels, structure=structure,
+                                     gram=gram, basis=basis)
+
+
+def _oracle_bracket(split, x, y):
+    """[X, Y] in g-coordinates, split into (m-coordinates, h-component)."""
+    dim = split.dim_m
+    c_g = lie_core.bracket(split.algebra, split.m_to_g(linalg.dense(x, dim)),
+                           split.m_to_g(linalg.dense(y, dim)))
+    c_h = decomp.project(split, c_g, "h")
+    return (_sparse(split.coords_in_m(linalg.vec_sub(c_g, c_h))),
+            _sparse(c_h))
+
+
+def _split_index(split, label):
+    g = split.algebra
+    for i, v in enumerate(split.m_basis):
+        if g.labels[next(j for j, c in enumerate(v) if c != 0)] == label:
+            return i
+    raise KeyError(label)
+
+
+def test_integer_contraction_matches_oracle_on_a_non_integer_table():
+    g = _rescaled_un(3, "e_1_3", Fraction(3, 2))
+    assert lie_core.validate_algebra(g).ok
+    split = decomp.reductive_split(g, decomp.diagonal_u_nk(g, 2))
+    table = split.bracket_table
+    assert any(c.denominator > 1 for part in (table.m, table.h)
+               for row in part for entry in row for _, c in entry)
+    dim = split.dim_m
+    rng = random.Random("integer-contraction")
+    dens = (1, 2, 3, 5, 7)
+
+    def mixed():
+        return [(i, Fraction(rng.choice([-4, -3, -1, 1, 2, 5]),
+                             rng.choice(dens)))
+                for i in sorted(rng.sample(range(dim), rng.randint(1, dim)))]
+
+    pairs = [(mixed(), mixed()) for _ in range(40)]
+    e13, eb13 = (_split_index(split, lab) for lab in ("e_1_3", "eb_1_3"))
+    with_h = ([(e13, Fraction(2, 3))], [(eb13, Fraction(-5, 7))])
+    x = mixed()
+    vanishing = (x, [(i, c * Fraction(-3, 5)) for i, c in x])
+    pairs += [with_h, vanishing]
+    for x, y in pairs:
+        got = table.bracket(x, y)
+        assert got == _oracle_bracket(split, x, y)
+        assert got == fraction_bracket(table, x, y)
+        assert all(type(c) is Fraction for part in got for _, c in part)
+    assert table.bracket(*with_h)[1]
+    assert table.bracket(*vanishing) == ([], [])
+    with pytest.raises(ValueError, match="not in m"):
+        table.bracket_in_m(*with_h)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+def test_integer_contraction_matches_fraction_contraction(space, n, k):
+    table = space(n, k).split.bracket_table
+    dim = space(n, k).dim_m
+    rng = random.Random(f"fraction-contraction:{n}:{k}")
+    for _ in range(30):
+        x, y = (_sparse(lie_core.random_vector_of_len(dim, rng))
+                for _ in range(2))
+        assert table.bracket(x, y) == fraction_bracket(table, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,58 @@ def test_witness_map_failures_raise_witness_map_error(space):
             go_check(a_t, strategy="family", witness_map=witness)
 
 
+def _reference_family_witnesses(a, witness, count, seed):
+    """The family check's probes, each with a fresh witness-map image."""
+    dim = a.decomp.dim
+    basis = [linalg.unit_vec(dim, i) for i in range(dim)]
+    probes = basis + [linalg.vec_add(basis[i], basis[j])
+                      for i, j in itertools.combinations(range(dim), 2)]
+    rng = random.Random(f"go-family:{seed}")
+    probes += [lie_core.random_vector_of_len(dim, rng) for _ in range(count)]
+    return [go.Witness(x_m=x, a_h=witness(x),
+                       residual_sq=go_residual_sq(a, x, witness(x)))
+            for x in probes]
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+def test_family_check_evaluates_the_witness_map_once_per_probe(space, n, k):
+    # basis images, pair images (additivity), 2 d homogeneity images, then
+    # one image per random probe: basis and pair probes reuse theirs
+    sp = space(n, k)
+    t, count, seed = Fraction(5, 2), 7, 11
+    a_t = stiefel.metric_at(sp, t)
+    witness = stiefel.witness_map(sp, t)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return witness(x)
+
+    cert = go_check(a_t, strategy="family", count=count, seed=seed,
+                    witness_map=counted)
+    d = sp.dim_m
+    assert len(calls) == d + d * (d - 1) // 2 + 2 * d + count
+    reference = _reference_family_witnesses(a_t, witness, count, seed)
+    assert cert.verdict == "verified-on-family"
+    assert cert.count == len(reference) == d + d * (d - 1) // 2 + count
+    assert cert.witnesses == reference
+    assert all(w.residual_sq == 0 for w in cert.witnesses)
+
+    # off by one h-vector on a single basis pair: not additive
+    d_h = sp.split.h.dim
+    bent = linalg.vec_add(linalg.unit_vec(d, 1), linalg.unit_vec(d, d - 1))
+
+    def crooked(x):
+        image = witness(x)
+        if x == bent:
+            image = linalg.vec_add(image, linalg.unit_vec(d_h, 0))
+        return image
+
+    with pytest.raises(go.WitnessMapError, match="not additive"):
+        go_check(a_t, strategy="family", count=count, seed=seed,
+                 witness_map=crooked)
+
+
 def test_family_strategy_falsifies_non_go_metric(space):
     # zero witness map on a non-GO metric: the metric is falsified
     sp = space(3, 2)

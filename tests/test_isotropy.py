@@ -9,7 +9,7 @@ from go_metric_lab import decomp, isotropy, lie_core, linalg
 from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
                                     intertwiners, isotropy_action,
                                     split_ideals)
-from oracles import mat_add
+from oracles import mat_add, sym_op_from_params
 
 
 def _action(un, n, k):
@@ -238,3 +238,27 @@ def test_commutant_dimension_matches_block_count_formula(space):
                          2: r * r,
                          4: r * (2 * r - 1)}[ctype]
         assert len(dec.sym_commutant_basis()) == expected, nk
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("where", ["m", "S0", "S1"])
+def test_commutant_ops_match_dense_construction(space, monkeypatch, n, k,
+                                                where):
+    # the operators come from the nonzero parameters of each nullspace
+    # vector; the oracle fills them in from every parameter
+    sp = space(n, k)
+    sub = {"m": None, "S0": sp.decomp.s0.space, "S1": sp.s1.space}[where]
+    solved = []
+    nullspace = linalg.sparse_nullspace
+
+    def recorded(rows, ncols):
+        sols = nullspace(rows, ncols)
+        solved.extend(sols)
+        return sols
+
+    monkeypatch.setattr(linalg, "sparse_nullspace", recorded)
+    ops = commutant_sym(sp.action, sub)
+    norms = sp.action.norms if sub is None else sub.norms
+    d = len(norms)
+    assert len(solved) == len(ops) > 0
+    assert ops == [sym_op_from_params(p, norms, d) for p in solved]
