@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,19 +79,6 @@ def diagonal_u_nk(g: MatrixLieAlgebra, k: int) -> Subalgebra:
     return h
 
 
-def _integers(v: Sparse, den: int) -> List[Tuple[int, int]]:
-    """den * v as integer entries; den must clear every denominator of v."""
-    if den == 1:
-        return [(i, c.numerator) for i, c in v]
-    return [(i, c.numerator * (den // c.denominator)) for i, c in v]
-
-
-def _cleared(v: Sparse) -> Tuple[int, List[Tuple[int, int]]]:
-    """(D, D v as integer entries), D the lcm of v's denominators."""
-    den = math.lcm(*[c.denominator for _, c in v])
-    return den, _integers(v, den)
-
-
 def _over(acc: dict, den: int) -> Sparse:
     """The nonzero entries of an integer accumulator, each divided by den."""
     return [(k, Fraction(c, den)) for k, c in sorted(acc.items()) if c]
@@ -107,8 +93,10 @@ class BracketTable:
     part vanishes.  Everything bilinear on m then contracts against these
     tables instead of bracketing in g.  The contraction runs on integers:
     the tables are kept once more as integer rows over one common
-    denominator, the arguments' denominators are cleared per call, and
-    each result entry is one exact `Fraction` of the integer sum.
+    denominator D, and `contract` sums D [X, Y] for integer arguments.
+    `bracket` clears its arguments' denominators per call and divides
+    each entry of that sum once into an exact `Fraction`; callers that
+    stay on integers call `contract` directly.
     """
 
     m: List[List[Sparse]]
@@ -119,18 +107,26 @@ class BracketTable:
         """(D, rows): D is the lcm of every denominator in the table, and
         `rows[a][b]` is (D m[a][b], D h[a][b]) as integer entries, or None
         when [m_a, m_b] = 0."""
-        den = math.lcm(*[c.denominator for part in (self.m, self.h)
-                         for row in part for entry in row for _, c in entry])
-        rows = [[(_integers(em, den), _integers(eh, den)) if em or eh else None
+        den = linalg.denominator(c for part in (self.m, self.h)
+                                 for row in part for entry in row
+                                 for _, c in entry)
+        rows = [[(linalg.integers(em, den), linalg.integers(eh, den))
+                 if em or eh else None
                  for em, eh in zip(row_m, row_h)]
                 for row_m, row_h in zip(self.m, self.h)]
         return den, rows
 
-    def bracket(self, x: Sparse, y: Sparse) -> Tuple[Sparse, Sparse]:
-        """[X, Y] for sparse m-coordinates: (m-coordinates, h-component)."""
-        den, rows = self._integer_rows
-        dx, xs = _cleared(x)
-        dy, ys = _cleared(y)
+    @property
+    def denominator(self) -> int:
+        """The common denominator D of the integer table."""
+        return self._integer_rows[0]
+
+    def contract(self, xs: List[Tuple[int, int]], ys: List[Tuple[int, int]]
+                 ) -> Tuple[dict, dict]:
+        """D [X, Y] for integer sparse m-coordinates, as integer
+        accumulators {index: value} of the m-coordinates and of the
+        h-component (zero entries may remain)."""
+        rows = self._integer_rows[1]
         acc_m: dict = {}
         acc_h: dict = {}
         for a, xa in xs:
@@ -145,7 +141,14 @@ class BracketTable:
                     acc_m[k] = acc_m.get(k, 0) + f * c
                 for k, c in eh:
                     acc_h[k] = acc_h.get(k, 0) + f * c
-        den *= dx * dy
+        return acc_m, acc_h
+
+    def bracket(self, x: Sparse, y: Sparse) -> Tuple[Sparse, Sparse]:
+        """[X, Y] for sparse m-coordinates: (m-coordinates, h-component)."""
+        dx, xs = linalg.cleared(x)
+        dy, ys = linalg.cleared(y)
+        acc_m, acc_h = self.contract(xs, ys)
+        den = self.denominator * dx * dy
         return _over(acc_m, den), _over(acc_h, den)
 
     def bracket_in_m(self, x: Sparse, y: Sparse) -> Sparse:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 import random
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from . import isotropy, lie_core, linalg, metric as metric_mod
+from . import lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
 from .linalg import Vec, ZERO, ONE
 from .metric import MetricEndomorphism, MetricFamily
@@ -78,23 +79,39 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
 
 
 def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
-    """Squared residual ||[a + X, AX]||_B^2 for a supplied witness a."""
+    """Squared residual ||[a + X, AX]||_B^2 for a supplied witness a.
+
+    Contracts on integers.  X and a are cleared of their denominators per
+    call, and A, the isotropy columns and the norms once per object, so
+    AX, [X, AX] (`BracketTable.contract`), sum a_i ad_i(AX) and the
+    weighted norm are integer sums over one denominator; the result is one
+    `Fraction`, equal to the rational computation.
+    """
     action = a_metric.decomp.action
     split = action.split
-    xs = linalg.sparse(as_m_coords(split, x))
-    ax = linalg.sparse_mat_vec(a_metric.columns, xs)
-    c_m, c_h = split.bracket_table.bracket(xs, ax)
-    lhs = dict(c_m)
-    for a_i, ad in zip(a_h, action.ad_columns):
-        if a_i != 0:
-            for k, c in linalg.sparse_mat_vec(ad, ax):
-                lhs[k] = lhs.get(k, ZERO) + a_i * c
+    table = split.bracket_table
+    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
+    da, a_cols = a_metric.integer_columns
+    ax = linalg.sparse_mat_vec(a_cols, xs)                # da dx AX
+    c_m, c_h = table.contract(xs, ax)                     # dt da dx^2 [X, AX]
+    dw, ws = linalg.cleared(linalg.sparse(a_h))
+    dad, ad_cols = action.integer_ad_columns
+    w_ax: dict = {}                                       # dw dad da dx [a, AX]
+    for i, w in ws:
+        for k, c in linalg.sparse_mat_vec(ad_cols[i], ax):
+            w_ax[k] = w_ax.get(k, 0) + w * c
+    # both parts over da dx lcm(dt dx, dw dad)
+    den = math.lcm(table.denominator * dx, dw * dad)
+    s_b, s_w = den // (table.denominator * dx), den // (dw * dad)
+    lhs = {k: s_b * c for k, c in c_m.items()}
+    for k, c in w_ax.items():
+        lhs[k] = lhs.get(k, 0) + s_w * c
     # h and m are B-orthogonal, so the two parts add in the norm; the
     # basis of g is B-orthogonal too (checked by the split)
-    nu = split.norms_m
-    gram = split.algebra.gram
-    return (sum((c * c * nu[k] for k, c in lhs.items()), ZERO)
-            + sum((c * c * gram[i][i] for i, c in c_h), ZERO))
+    dn, nu, g_nu = action.integer_norms
+    total = (sum(c * c * nu[k] for k, c in lhs.items())
+             + sum(c * c * g_nu[i] for i, c in c_h.items()) * s_b * s_b)
+    return Fraction(total, (da * dx * den) ** 2 * dn)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +339,7 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
     trace = ReductionTrace()
 
     # --- 3.4: bi-invariant form on the trivial summand -----------------
-    ideals = isotropy.split_ideals(split, decomp.s0.space, seed=seed)
+    ideals = decomp.ideals
     family.operator_blocks = [b for b in family.operator_blocks if b.label != "S0"]
     next_class = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
     if ideals.center.dim:

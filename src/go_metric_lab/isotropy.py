@@ -14,13 +14,21 @@ basis.  Decomposition strategy, all in exact rational arithmetic:
 * a piece is certified irreducible when its symmetric commutant is exactly
   one-dimensional, which for a B-skew action is equivalent to admitting no
   proper invariant subspace.  The full commutant dimension (1, 2 or 4)
-  records the real/complex/quaternionic type.
+  records the real/complex/quaternionic type;
+* the equivariance systems behind commutants and intertwiners are
+  assembled as integer rows and eliminated fraction-free
+  (`linalg.sparse_nullspace`);
+* S0 splits into its center and simple ideals once per decomposition
+  (`IsotypicalDecomposition.ideals`), with no seed: the ideal projectors
+  span the symmetric commutant there, so commutant basis elements always
+  split (see `split_ideals`).
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,10 +113,6 @@ class IsotropyAction:
         return self.split.dim_m
 
     @property
-    def gram(self) -> Mat:
-        return self.split.gram_m
-
-    @property
     def norms(self) -> Vec:
         return self.split.norms_m
 
@@ -116,6 +120,25 @@ class IsotropyAction:
     def ad_columns(self) -> List[List[linalg.Sparse]]:
         """Sparse columns of each ad(a)|_m: column b is [a, m_b] over m."""
         return [linalg.sparse_columns(op) for op in self.ad_ops]
+
+    @cached_property
+    def integer_ad_columns(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
+        """(D, columns): D the lcm of every denominator of the isotropy
+        operators, and the sparse columns of each D ad(a)|_m as integers."""
+        den = linalg.denominator(c for cols in self.ad_columns
+                                 for col in cols for _, c in col)
+        return den, [[linalg.integers(col, den) for col in cols]
+                     for cols in self.ad_columns]
+
+    @cached_property
+    def integer_norms(self) -> Tuple[int, List[int], List[int]]:
+        """(D, m-norms, g-norms): the m-basis norm vector and the diagonal
+        of the algebra's (diagonal) Gram matrix, both as D times integers."""
+        gram = self.split.algebra.gram
+        g_norms = [gram[i][i] for i in range(len(gram))]
+        den = linalg.denominator(self.norms + g_norms)
+        return (den, [c.numerator * (den // c.denominator) for c in self.norms],
+                [c.numerator * (den // c.denominator) for c in g_norms])
 
 
 def isotropy_action(split: ReductiveSplit) -> IsotropyAction:
@@ -169,30 +192,51 @@ def _sym_param_index(d: int) -> Dict[Tuple[int, int], int]:
     return idx
 
 
+def _integer_lines(m: Mat, den: int) -> Tuple[List[list], List[list]]:
+    """Sparse rows and sparse columns of the integer matrix den * m; den
+    must clear every denominator of m."""
+    rows = [linalg.integers(linalg.sparse(row), den) for row in m]
+    cols: List[list] = [[] for _ in range(len(m[0]) if m else 0)]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            cols[c].append((r, x))
+    return rows, cols
+
+
 def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
-    """Basis of B-symmetric operators commuting with every op (exact)."""
+    """Basis of B-symmetric operators commuting with every op (exact).
+
+    The parameters are the entries S[i][j], i <= j, with S[j][i] =
+    S[i][j] nu_i / nu_j.  Each equation (S M - M S)[r][c] = 0 is
+    assembled on integers: M is cleared of its denominators, and the row
+    is scaled by L, the lcm of the integer norms N (nu = N / D), so the
+    weight nu_b / nu_a = N_b / N_a of a parameter below the diagonal
+    enters as the integer N_b (L / N_a).
+    """
     d = len(norms)
     idx = _sym_param_index(d)
-
-    def weight(a: int, b: int) -> Fraction:
-        return ONE if a <= b else norms[b] / norms[a]
-
-    def param(a: int, b: int) -> int:
-        return idx[(a, b) if a <= b else (b, a)]
+    param = [[idx[(a, b) if a <= b else (b, a)] for b in range(d)]
+             for a in range(d)]
+    den = linalg.denominator(norms)
+    nint = [c.numerator * (den // c.denominator) for c in norms]
+    lcm = math.lcm(*nint)
+    weight = [[lcm if a <= b else nint[b] * (lcm // nint[a]) for b in range(d)]
+              for a in range(d)]
 
     rows = []
     for m in ops:
-        cols_nonzero = [[k for k in range(d) if m[k][c] != 0] for c in range(d)]
-        rows_nonzero = [[k for k in range(d) if m[r][k] != 0] for r in range(d)]
+        m_rows, m_cols = _integer_lines(
+            m, linalg.denominator(x for row in m for x in row))
         for r in range(d):
+            p_r, w_r = param[r], weight[r]
             for c in range(d):
-                row: Dict[int, Fraction] = {}
-                for k in cols_nonzero[c]:
-                    p = param(r, k)
-                    row[p] = row.get(p, ZERO) + weight(r, k) * m[k][c]
-                for k in rows_nonzero[r]:
-                    p = param(k, c)
-                    row[p] = row.get(p, ZERO) - m[r][k] * weight(k, c)
+                row: Dict[int, int] = {}
+                for k, x in m_cols[c]:
+                    p = p_r[k]
+                    row[p] = row.get(p, 0) + w_r[k] * x
+                for k, x in m_rows[r]:
+                    p = param[k][c]
+                    row[p] = row.get(p, 0) - x * weight[k][c]
                 if row:
                     rows.append(row)
     sols = linalg.sparse_nullspace(rows, len(idx))
@@ -228,21 +272,23 @@ def intertwiners(action: IsotropyAction, sub_a: Subspace,
 def _equivariant_maps(ops_a: List[Mat], ops_b: List[Mat], da: int,
                       db: int) -> List[Mat]:
     """Basis of the d_b x d_a matrices phi with phi ma = mb phi for every
-    pair (ma, mb); with ops_a = ops_b, the full commutant."""
+    pair (ma, mb); with ops_a = ops_b, the full commutant.  Each pair is
+    cleared of its denominators once, so the rows are integer."""
     rows = []
     for ma, mb in zip(ops_a, ops_b):
+        den = linalg.denominator(x for m in (ma, mb) for row in m for x in row)
+        a_cols = _integer_lines(ma, den)[1]
+        b_rows = _integer_lines(mb, den)[0]
         # phi @ ma - mb @ phi = 0, phi indexed (r, c) -> r * da + c
         for r in range(db):
             for c in range(da):
-                row: Dict[int, Fraction] = {}
-                for k in range(da):
-                    if ma[k][c] != 0:
-                        p = r * da + k
-                        row[p] = row.get(p, ZERO) + ma[k][c]
-                for k in range(db):
-                    if mb[r][k] != 0:
-                        p = k * da + c
-                        row[p] = row.get(p, ZERO) - mb[r][k]
+                row: Dict[int, int] = {}
+                for k, x in a_cols[c]:
+                    p = r * da + k
+                    row[p] = row.get(p, 0) + x
+                for k, x in b_rows[r]:
+                    p = k * da + c
+                    row[p] = row.get(p, 0) - x
                 if row:
                     rows.append(row)
     sols = linalg.sparse_nullspace(rows, da * db)
@@ -373,6 +419,12 @@ class IsotypicalDecomposition:
 
     def nontrivial_summands(self) -> List[IsotypicalSummand]:
         return [s for s in self.summands if s is not self.s0]
+
+    @cached_property
+    def ideals(self) -> IdealSplit:
+        """S0 = center (+) simple ideals, computed once per decomposition;
+        its subspaces are shared by every caller and never mutated."""
+        return split_ideals(self.action.split, self.s0.space)
 
 
 def joint_kernel(ops: List[Mat], norms: Vec, dim: int) -> Subspace:
@@ -521,9 +573,17 @@ def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Mat]:
     return ops
 
 
-def split_ideals(split: ReductiveSplit, s0: Subspace,
-                 seed: int = 0) -> IdealSplit:
-    """S0 = center (+) simple ideals, B-orthogonally."""
+def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
+    """S0 = center (+) simple ideals, B-orthogonally.
+
+    `IsotypicalDecomposition.ideals` calls this once per decomposition.
+    No seed is needed: S0 lies in a compact algebra, so the symmetric
+    commutant of its adjoint action on the semisimple part is spanned by
+    the ideal projectors.  Each commutant basis element is a rational
+    combination of them, with rational eigenvalues, and a reducible piece
+    has a basis element that is not scalar; it splits the piece before
+    any seeded random combination would be tried.
+    """
     ops = s0_bracket_ops(split, s0)
     d = s0.dim
     rows = [row for op in ops for row in op]
@@ -543,7 +603,7 @@ def split_ideals(split: ReductiveSplit, s0: Subspace,
                   else linalg.identity(d))
     # pieces of the adjoint action of S0 on its semisimple part
     local_sub = make_subspace(semi_local, s0.norms)
-    pieces = minimal_invariant_pieces(ops, s0.norms, local_sub, seed=seed)
+    pieces = minimal_invariant_pieces(ops, s0.norms, local_sub)
     simples = []
     for piece in pieces:
         amb = make_subspace(to_ambient(piece.basis), norms)

@@ -249,56 +249,100 @@ def orthogonal_coords(basis: List[Vec], norms: Vec, gx: Sparse) -> Vec:
 
 
 def sparse_mat_vec(columns: List[Sparse], x: Sparse) -> Sparse:
-    """M x for a matrix given by its sparse columns."""
+    """M x for a matrix given by its sparse columns; integer entries give
+    integer results."""
     acc: dict = {}
     for j, xj in x:
         for i, c in columns[j]:
-            acc[i] = acc.get(i, ZERO) + xj * c
+            acc[i] = acc.get(i, 0) + xj * c
     return sparse_from(acc)
+
+
+# ---------------------------------------------------------------------------
+# integer forms: rational entries times a common denominator
+# ---------------------------------------------------------------------------
+
+def denominator(values: Iterable) -> int:
+    """The lcm of the denominators of int or Fraction values; 1 for none."""
+    return math.lcm(*[c.denominator for c in values])
+
+
+def integers(v: Sparse, den: int) -> List[Tuple[int, int]]:
+    """den * v as integer entries; den must clear every denominator of v."""
+    if den == 1:
+        return [(i, c.numerator) for i, c in v]
+    return [(i, c.numerator * (den // c.denominator)) for i, c in v]
+
+
+def cleared(v: Sparse) -> Tuple[int, List[Tuple[int, int]]]:
+    """(D, D v as integer entries), D the lcm of v's denominators."""
+    den = math.lcm(*[c.denominator for _, c in v])
+    return den, integers(v, den)
 
 
 # ---------------------------------------------------------------------------
 # sparse row reduction (for the large equivariance systems)
 # ---------------------------------------------------------------------------
 
-def sparse_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
-    """Exact nullspace of a sparse rational system.
+def _primitive_row(row: dict) -> dict:
+    """The nonzero entries of a {col: int or Fraction} row, cleared of
+    denominators and divided by their content: a primitive integer row."""
+    row = {k: v for k, v in row.items() if v}
+    den = denominator(row.values())
+    ints = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+    content = math.gcd(*ints.values())
+    return ints if content == 1 else {k: v // content for k, v in ints.items()}
 
-    `rows` yields {col: Fraction} maps.  Rows reduce incrementally against
-    the pivots collected so far, followed by one back-substitution sweep;
-    intended for systems with a few nonzeros per row (equivariance
-    constraints).
+
+def _eliminate(row: dict, piv: dict, col: int) -> dict:
+    """a row - f piv, with a = piv[col] > 0 and f = row[col] over their
+    gcd, divided by its content: column col cleared, and the row's other
+    entries scaled by a positive factor."""
+    a, f = piv[col], row[col]
+    g = math.gcd(a, f)
+    a, f = a // g, f // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, v in piv.items():
+        nv = out.get(k, 0) - f * v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    content = math.gcd(*out.values())
+    return out if content <= 1 else {k: v // content for k, v in out.items()}
+
+
+def sparse_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
+    """Exact nullspace of a sparse rational system, eliminated on integers.
+
+    `rows` yields {col: value} maps with int or Fraction values.  Each row
+    is cleared once to a primitive integer row, then reduces against the
+    pivots collected so far by fraction-free steps a row - f pivot, each
+    divided by the row's content; one back-substitution sweep of the same
+    steps follows, and every pivot row keeps a positive pivot.  The basis,
+    one vector per free column with a 1 there, is the reduced-echelon
+    basis in Fractions; it is unique, so rational elimination gives the
+    same one.  Intended for systems with a few nonzeros per row
+    (equivariance constraints).
     """
-    pivot_rows: dict = {}          # pivot col -> normalized row dict
+    pivot_rows: dict = {}          # pivot col -> primitive integer row
     for raw in rows:
-        row = {k: v for k, v in raw.items() if v != 0}
+        row = _primitive_row(raw)
         while row:
             lead = min(row)
             piv = pivot_rows.get(lead)
             if piv is None:
-                inv = ONE / row[lead]
-                pivot_rows[lead] = {k: v * inv for k, v in row.items()}
+                if row[lead] < 0:
+                    row = {k: -v for k, v in row.items()}
+                pivot_rows[lead] = row
                 break
-            f = row[lead]
-            for k, v in piv.items():
-                nv = row.get(k, ZERO) - f * v
-                if nv == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
+            row = _eliminate(row, piv, lead)
     # back-substitute so each pivot row is reduced against later pivots
     for lead in sorted(pivot_rows, reverse=True):
         row = pivot_rows[lead]
         for other_lead in [k for k in row if k != lead and k in pivot_rows]:
-            f = row[other_lead]
-            if f == 0:
-                continue
-            for k, v in pivot_rows[other_lead].items():
-                nv = row.get(k, ZERO) - f * v
-                if nv == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
+            row = _eliminate(row, pivot_rows[other_lead], other_lead)
+        pivot_rows[lead] = row
     free = [c for c in range(ncols) if c not in pivot_rows]
     basis = []
     for fc in free:
@@ -307,7 +351,7 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
         for lead, row in pivot_rows.items():
             coef = row.get(fc)
             if coef is not None:
-                v[lead] = -coef
+                v[lead] = Fraction(-coef, row[lead])
         basis.append(v)
     return basis
 

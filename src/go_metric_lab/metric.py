@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -41,6 +41,13 @@ class MetricEndomorphism:
     def columns(self) -> List[linalg.Sparse]:
         """Sparse columns of the matrix, built on first use and kept."""
         return linalg.sparse_columns(self.matrix)
+
+    @cached_property
+    def integer_columns(self) -> Tuple[int, List[List[Tuple[int, int]]]]:
+        """(D, D A's sparse columns as integers), D the lcm of A's
+        denominators; built on first use and kept."""
+        den = linalg.denominator(c for col in self.columns for _, c in col)
+        return den, [linalg.integers(col, den) for col in self.columns]
 
 
 def _pd_check(matrix: Mat, norms: Sequence) -> bool:

@@ -53,7 +53,6 @@ class StiefelSpace:
     split: decomp_mod.ReductiveSplit
     action: isotropy.IsotropyAction
     decomp: IsotypicalDecomposition
-    ideals: isotropy.IdealSplit
     m_labels: List[str]                # label in g of each m-basis vector
     modules: List[Subspace]            # canonical m_1 .. m_k
     s1_pairs: List[Tuple[int, int]]    # (e, eb) m-coordinate index pairs
@@ -63,6 +62,10 @@ class StiefelSpace:
     @property
     def dim_m(self) -> int:
         return self.split.dim_m
+
+    @property
+    def ideals(self) -> isotropy.IdealSplit:
+        return self.decomp.ideals
 
     @property
     def s1(self) -> isotropy.IsotypicalSummand:
@@ -128,7 +131,7 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
     for i in range(1, k + 1):
         z0_m[m_labels.index(f"eb_{i}_{i}")] = ONE
 
-    ideals = isotropy.split_ideals(split, dec.s0.space)
+    ideals = dec.ideals
     _require(ideals.center.dim == 1
              and linalg.same_span(ideals.center.basis, [z0_m]),
              "the center of S0 does not span z0")
@@ -144,7 +147,7 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
         a_dir_h[h_labels.index(f"eb_{i}_{i}")] = ONE
 
     return StiefelSpace(n=n, k=k, algebra=g, split=split, action=action,
-                        decomp=dec, ideals=ideals, m_labels=m_labels,
+                        decomp=dec, m_labels=m_labels,
                         modules=modules,
                         s1_pairs=s1_pairs, z0_m=z0_m, a_dir_h=a_dir_h)
 

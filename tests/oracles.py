@@ -4,8 +4,8 @@ Each helper is the plain dense or direct form of something the package
 computes sparsely, or no longer needs at run time: the trace form over
 the full Gram matrix, dense projectors and family operators built from
 the dense m-basis Gram, family coordinates by one dense solve, the bracket
-table contracted in `Fraction`s, and commutant operators filled in from
-every parameter.
+table contracted in `Fraction`s, commutant operators filled in from
+every parameter, sparse elimination and the GO residual in `Fraction`s.
 """
 
 from fractions import Fraction
@@ -66,7 +66,7 @@ def projector(space, norms, dim):
 def dense_gram_family_ops(family):
     """The family operators built from the dense m-basis Gram."""
     dec = family.decomp
-    gram, dim = dec.action.gram, dec.dim
+    gram, dim = dec.action.split.gram_m, dec.dim
     ops = []
     for c in family.classes():
         op = linalg.zeros(dim, dim)
@@ -136,3 +136,65 @@ def sym_op_from_params(params, norms, d):
         if i != j:
             s[j][i] = p * norms[i] / norms[j]
     return s
+
+
+def fraction_nullspace(rows, ncols):
+    """`linalg.sparse_nullspace` eliminated in `Fraction`s: each pivot row
+    is normalized to a leading 1 and rows reduce by row - f pivot."""
+    pivot_rows = {}
+    for raw in rows:
+        row = {k: Fraction(v) for k, v in raw.items() if v != 0}
+        while row:
+            lead = min(row)
+            piv = pivot_rows.get(lead)
+            if piv is None:
+                inv = 1 / row[lead]
+                pivot_rows[lead] = {k: v * inv for k, v in row.items()}
+                break
+            f = row[lead]
+            for k, v in piv.items():
+                nv = row.get(k, linalg.ZERO) - f * v
+                if nv == 0:
+                    row.pop(k, None)
+                else:
+                    row[k] = nv
+    for lead in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[lead]
+        for other_lead in [k for k in row if k != lead and k in pivot_rows]:
+            f = row[other_lead]
+            for k, v in pivot_rows[other_lead].items():
+                nv = row.get(k, linalg.ZERO) - f * v
+                if nv == 0:
+                    row.pop(k, None)
+                else:
+                    row[k] = nv
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_rows:
+            continue
+        v = [linalg.ZERO] * ncols
+        v[fc] = linalg.ONE
+        for lead, row in pivot_rows.items():
+            if fc in row:
+                v[lead] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_residual_sq(a_metric, x_m, a_h):
+    """`go.go_residual_sq` contracted in `Fraction`s: AX, the bracket
+    [X, AX], sum a_i ad_i(AX) and the weighted norm."""
+    action = a_metric.decomp.action
+    split = action.split
+    xs = linalg.sparse(x_m)
+    ax = linalg.sparse_mat_vec(a_metric.columns, xs)
+    c_m, c_h = fraction_bracket(split.bracket_table, xs, ax)
+    lhs = dict(c_m)
+    for a_i, ad in zip(a_h, action.ad_columns):
+        if a_i != 0:
+            for k, c in linalg.sparse_mat_vec(ad, ax):
+                lhs[k] = lhs.get(k, linalg.ZERO) + a_i * c
+    nu = split.norms_m
+    gram = split.algebra.gram
+    return (sum((c * c * nu[k] for k, c in lhs.items()), linalg.ZERO)
+            + sum((c * c * gram[i][i] for i, c in c_h), linalg.ZERO))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
-from oracles import dense_op, fraction_bracket, inner
+from oracles import dense_op, fraction_bracket, fraction_residual_sq, inner
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,54 @@ def test_integer_contraction_matches_fraction_contraction(space, n, k):
         x, y = (_sparse(lie_core.random_vector_of_len(dim, rng))
                 for _ in range(2))
         assert table.bracket(x, y) == fraction_bracket(table, x, y)
+
+
+def _residual_matches_oracles(a, xs, witness, rng):
+    """go_residual_sq against the Fraction contraction and the g-oracle,
+    at each witness and at a perturbed copy of it; returns how many
+    perturbed witnesses left a nonzero residual."""
+    h_dim = a.decomp.action.split.h.dim
+    moved = 0
+    for x in xs:
+        a_h = witness(x)
+        bumped = [c + Fraction(rng.randint(-2, 2), rng.randint(1, 5))
+                  for c in a_h]
+        for w in (a_h, bumped):
+            got = go.go_residual_sq(a, x, w)
+            assert got == fraction_residual_sq(a, x, w)
+            assert got == oracle_residual_sq(a, x, w)
+            assert type(got) is Fraction
+        moved += go.go_residual_sq(a, x, bumped) > 0
+    assert len(a_h) == h_dim
+    return moved
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+def test_integer_residual_matches_oracle(space, n, k):
+    sp = space(n, k)
+    rng = random.Random(f"integer-residual:{n}:{k}")
+    xs = [linalg.unit_vec(sp.dim_m, i) for i in range(sp.dim_m)]
+    xs += [lie_core.random_vector_of_len(sp.dim_m, rng) for _ in range(10)]
+    for t in (Fraction(1, 2), Fraction(7, 3)):
+        a_t = stiefel.metric_at(sp, t)
+        wmap = stiefel.witness_map(sp, t)
+        assert all(go.go_residual_sq(a_t, x, wmap(x)) == 0 for x in xs)
+        assert _residual_matches_oracles(a_t, xs, wmap, rng) > 0
+
+
+def test_integer_residual_matches_oracle_on_a_non_integer_table():
+    g = _rescaled_un(3, "e_1_3", Fraction(3, 2))
+    split = decomp.reductive_split(g, decomp.diagonal_u_nk(g, 2))
+    dec = isotropy.decompose_isotypic(isotropy.isotropy_action(split))
+    assert split.bracket_table.denominator > 1
+    rng = random.Random("integer-residual:rescaled")
+    a = metric.from_parameters(
+        dec, [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+              for _ in dec.sym_commutant_basis()])
+    assert a.integer_columns[0] > 1
+    xs = [lie_core.random_vector_of_len(split.dim_m, rng) for _ in range(15)]
+    assert _residual_matches_oracles(
+        a, xs, lambda x: go.go_solve_at(a, x)[0], rng) > 0
 
 
 # ---------------------------------------------------------------------------

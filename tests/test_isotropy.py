@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from go_metric_lab import decomp, isotropy, lie_core, linalg
+from go_metric_lab import decomp, isotropy, lie_core, linalg, stiefel
 from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
                                     intertwiners, isotropy_action,
                                     split_ideals)
-from oracles import mat_add, sym_op_from_params
+from oracles import fraction_nullspace, mat_add, sym_op_from_params
 
 
 def _action(un, n, k):
@@ -67,7 +67,7 @@ def test_submodules_are_invariant(space):
 def test_summands_pairwise_orthogonal(space):
     sp = space(4, 2)
     dec = sp.decomp
-    gram = dec.action.gram
+    gram = dec.action.split.gram_m
     for sa, sb in itertools.combinations(dec.summands, 2):
         for x in sa.space.basis:
             for y in sb.space.basis:
@@ -76,7 +76,7 @@ def test_summands_pairwise_orthogonal(space):
 
 def test_ad_ops_are_skew(space):
     act = space(3, 2).action
-    g = act.gram
+    g = act.split.gram_m
     for op in act.ad_ops:
         skew = mat_add(linalg.mat_mul(linalg.transpose(op), g),
                        linalg.mat_mul(g, op))
@@ -142,10 +142,12 @@ def test_empty_decomposition_when_h_equals_g(un):
     (3, 2, 1, [3]),       # u(2) = u(1) + su(2)
     (2, 1, 1, []),        # u(1) abelian
     (4, 3, 1, [8]),       # u(3) = u(1) + su(3)
+    (4, 0, 0, [3, 3]),    # u(4) over a 2-torus: su(2) + su(2)
 ])
-def test_split_ideals(n, k, center, simples, space):
-    sp = space(n, k)
-    ideals = split_ideals(sp.split, sp.decomp.s0.space)
+def test_split_ideals(n, k, center, simples, space, two_torus):
+    dec = two_torus() if k == 0 else space(n, k).decomp
+    ideals = split_ideals(dec.action.split, dec.s0.space)
+    assert dec.s0.dim == center + sum(simples)
     assert ideals.center.dim == center
     assert sorted(s.dim for s in ideals.simples) == simples
 
@@ -262,3 +264,30 @@ def test_commutant_ops_match_dense_construction(space, monkeypatch, n, k,
     d = len(norms)
     assert len(solved) == len(ops) > 0
     assert ops == [sym_op_from_params(p, norms, d) for p in solved]
+
+
+def test_integer_nullspace_matches_fraction_oracle(monkeypatch, two_torus):
+    # every equivariance system met while building the spaces, their ideal
+    # splits and full commutants, eliminated once more in Fractions
+    systems = []
+    nullspace = linalg.sparse_nullspace
+
+    def recorded(rows, ncols):
+        rows = list(rows)
+        sols = nullspace(rows, ncols)
+        systems.append((rows, ncols, sols))
+        return sols
+
+    monkeypatch.setattr(linalg, "sparse_nullspace", recorded)
+    decs = [stiefel.build_stiefel(n, k).decomp
+            for n, k in [(3, 2), (4, 2), (4, 3)]]
+    decs.append(two_torus())
+    for dec in decs:
+        dec.ideals
+        dec.sym_commutant_basis()
+    assert len(systems) > 50
+    assert all(type(c) is int for rows, _, _ in systems for row in rows
+               for c in row.values())
+    for rows, ncols, sols in systems:
+        assert sols == fraction_nullspace(rows, ncols)
+        assert all(type(c) is Fraction for v in sols for c in v)

@@ -36,14 +36,16 @@ def test_solve_consistent_and_inconsistent():
 
 @given(st.integers(0, 10 ** 6))
 def test_sparse_nullspace_matches_dense(seed):
+    # both return the reduced-echelon basis, which is unique
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
-            for _ in range(nrows)]
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             for _ in range(ncols)] for _ in range(nrows)]
     sparse_rows = [{j: c for j, c in enumerate(row) if c != 0} for row in rows]
     dense = linalg.nullspace(rows, ncols)
     sparse = linalg.sparse_nullspace(sparse_rows, ncols)
-    assert len(dense) == len(sparse)
+    assert sparse == dense
+    assert all(type(c) is Fraction for v in sparse for c in v)
     for v in sparse:
         for row in rows:
             assert linalg.dot(row, v) == 0

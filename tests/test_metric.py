@@ -144,7 +144,7 @@ def test_equivariance_and_symmetry_exact(space):
     a = from_parameters(dec, params)
     for op in dec.action.ad_ops:
         assert linalg.mat_mul(a.matrix, op) == linalg.mat_mul(op, a.matrix)
-    gram = dec.action.gram
+    gram = dec.action.split.gram_m
     for _ in range(10):
         x = lie_core.random_vector_of_len(dec.dim, rng)
         y = lie_core.random_vector_of_len(dec.dim, rng)
@@ -159,7 +159,7 @@ def test_block_structure_across_summands(space):
     rng = random.Random(5)
     params = [Fraction(rng.randint(-2, 2)) for _ in dec.sym_commutant_basis()]
     a = from_parameters(dec, params)
-    gram = dec.action.gram
+    gram = dec.action.split.gram_m
     for i, si in enumerate(dec.summands):
         for j, sj in enumerate(dec.summands):
             if i == j:

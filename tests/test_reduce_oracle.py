@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from go_metric_lab import decomp as decomp_mod
-from go_metric_lab import go, isotropy, lie_core, linalg, metric
+from go_metric_lab import go, isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.isotropy import decompose_isotypic, isotropy_action
 from oracles import inner
 
@@ -49,7 +49,7 @@ def oracle_reduce_family(decomp, seed=0):
     trace = go.ReductionTrace()
 
     # --- 3.4: bi-invariant form on the trivial summand -----------------
-    ideals = isotropy.split_ideals(split, decomp.s0.space, seed=seed)
+    ideals = isotropy.split_ideals(split, decomp.s0.space)
     family.operator_blocks = [b for b in family.operator_blocks if b.label != "S0"]
     next_class = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
     if ideals.center.dim:
@@ -368,10 +368,15 @@ def _torus_toy(un):
     return decompose_isotypic(isotropy_action(decomp_mod.reductive_split(g, h)))
 
 
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (5, 3), (2, 0)],
-                         ids=["3-2", "4-2", "4-3", "5-3", "torus"])
-def test_reduce_family_matches_g_oracle(space, un, n, k):
-    dec = _torus_toy(un) if k == 0 else space(n, k).decomp
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (5, 3), (2, 0),
+                                 (4, 0)],
+                         ids=["3-2", "4-2", "4-3", "5-3", "torus",
+                              "two-torus"])
+def test_reduce_family_matches_g_oracle(space, un, two_torus, n, k):
+    if k:
+        dec = space(n, k).decomp
+    else:
+        dec = _torus_toy(un) if n == 2 else two_torus()
     for seed in (0, 7):
         family, trace = go.reduce_family(dec, seed=seed)
         o_family, o_trace = oracle_reduce_family(dec, seed=seed)
@@ -402,3 +407,21 @@ def test_reduce_family_reads_tables_not_brackets(space, monkeypatch):
     # the oracle, for contrast, brackets in g
     oracle_reduce_family(sp.decomp)
     assert calls["bracket"] > 0 and calls["coords_in_m"] > 0
+
+
+def test_ideals_split_once_per_decomposition(monkeypatch):
+    # a fresh space: the build and two reductions share one ideal split
+    calls = []
+    split_ideals = isotropy.split_ideals
+
+    def counted(*args):
+        calls.append(args)
+        return split_ideals(*args)
+
+    monkeypatch.setattr(isotropy, "split_ideals", counted)
+    sp = stiefel.build_stiefel(3, 2)
+    _, trace_a = go.reduce_family(sp.decomp, seed=0)
+    _, trace_b = go.reduce_family(sp.decomp, seed=0)
+    assert len(calls) == 1
+    assert go.trace_to_json_dict(trace_a) == go.trace_to_json_dict(trace_b)
+    assert sp.ideals is sp.decomp.ideals
