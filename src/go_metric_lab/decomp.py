@@ -237,7 +237,7 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
         raise ValueError("the basis of g is not B-orthogonal")
     norms = [g.gram[i][i] for i in range(g.dim)]
     rows = [[c * nu for c, nu in zip(hv, norms)] for hv in h.basis_coords]
-    m_basis = linalg.nullspace(rows, g.dim) if rows else linalg.identity(g.dim)
+    m_basis = linalg.nullspace(rows, g.dim)
     m_basis = linalg.gram_schmidt(m_basis, norms)
     if h.dim + len(m_basis) != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")

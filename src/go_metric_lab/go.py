@@ -635,10 +635,11 @@ _WORKER_CTX: dict = {}
 
 
 class _Probe(NamedTuple):
-    """One probe's tensors, as sparse rows."""
-    bx: List[linalg.Sparse]            # param c -> [X, Op_c X]_m
-    hx: List[List[linalg.Sparse]]      # h_i -> param c -> [h_i, Op_c X]
+    """One probe's tensors, as sparse integer rows over one denominator."""
+    bx: List[linalg.Sparse]            # param c -> den [X, Op_c X]_m
+    hx: List[List[linalg.Sparse]]      # h_i -> param c -> den [h_i, Op_c X]
     support: List[int]                 # params with a nonzero row
+    den: int
 
 
 class _ScanTensors:
@@ -723,7 +724,11 @@ class _ScanTensors:
                  for ad in self.action.ad_columns]
         support = [c for c in range(len(ox))
                    if rows[c] or any(h[c] for h in hrows)]
-        return _Probe(bx=rows, hx=hrows, support=support)
+        den = linalg.denominator(c for r in itertools.chain(rows, *hrows)
+                                 for _, c in r)
+        return _Probe(bx=[linalg.integers(r, den) for r in rows],
+                      hx=[[linalg.integers(r, den) for r in h] for h in hrows],
+                      support=support, den=den)
 
     def _add(self, value: Fraction) -> int:
         i = len(self.values)
@@ -743,21 +748,27 @@ class _ScanTensors:
         return [self.values[i] for i in ids]
 
     def _contract(self, rows, support: List[int], values: Sequence) -> Vec:
-        out = linalg.zero_vec(self.dim)
+        out = [0] * self.dim
         for c, v in zip(support, values):
-            if v != 0:
+            if v:
                 for i, coef in rows[c]:
                     out[i] += v * coef
         return out
 
     def residual_sq(self, values: Sequence, p: int) -> Fraction:
-        """Exact squared residual of probe p at the parameter point."""
+        """Exact squared residual of probe p at the parameter point: the
+        supported values are g / L times a primitive integer tuple with a
+        positive lead, so it is (g / L)^2 times that tuple's memo entry."""
         probe = self._probe(p)
-        vals = [Fraction(values[c]) for c in probe.support]
-        lead = next((v for v in vals if v != 0), None)
-        if lead is None:
+        vals = [values[c] for c in probe.support]
+        den = linalg.denominator(vals)
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        g = math.gcd(*ints)
+        if g == 0:
             return ZERO
-        key = (p, tuple(v / lead for v in vals))
+        if next(v for v in ints if v) < 0:
+            g = -g
+        key = (p, tuple(v // g for v in ints))
         res = self.memo.get(key)
         if res is None:
             defect = self._contract(probe.bx, probe.support, key[1])
@@ -765,8 +776,8 @@ class _ScanTensors:
                     for rows in probe.hx]
             _, res = linalg.least_squares(cols, [-c for c in defect],
                                           self.gram_m)
-            self.memo[key] = res
-        return lead * lead * res
+            res = self.memo[key] = res / (probe.den * probe.den)
+        return Fraction(g * g, den * den) * res
 
     def first_failure(self, ids: Tuple[int, ...]
                       ) -> Optional[Tuple[int, str]]:
@@ -832,8 +843,8 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                      if kind == "off"]
     if not off_positions:
         return []
-    norms = family.decomp.action.norms
-    dim = family.decomp.dim
+    form_at = metric_mod.family_form(
+        op_columns, family.decomp.action.integer_norms[1], family.decomp.dim)
     # keep draws near the cone: few off-diagonal entries, each a fraction
     # of the smallest diagonal weight drawn
     p_nonzero = min(Fraction(1, 4), Fraction(4, max(1, len(off_positions))))
@@ -858,8 +869,7 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                             if rng.random() < p_nonzero else ZERO)
         if all(vals[i] == 0 for i in off_positions):
             vals[rng.choice(off_positions)] = rng.choice(sym_small)
-        if metric_mod._pd_check(metric_mod.family_matrix(op_columns, vals, dim),
-                                norms):
+        if metric_mod._pd_check(form_at(vals)):
             points.append(tuple(vals))
     return points
 

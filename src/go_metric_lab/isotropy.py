@@ -32,8 +32,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .decomp import ReductiveSplit
@@ -429,8 +429,7 @@ class IsotypicalDecomposition:
 
 def joint_kernel(ops: List[Mat], norms: Vec, dim: int) -> Subspace:
     rows = [row for op in ops for row in op]
-    basis = linalg.nullspace(rows, dim) if rows else linalg.identity(dim)
-    return make_subspace(basis, norms)
+    return make_subspace(linalg.nullspace(rows, dim), norms)
 
 
 def _ad_columns(split: ReductiveSplit, z_m: Vec) -> List[linalg.Sparse]:
@@ -446,14 +445,30 @@ def ad_on_m(split: ReductiveSplit, z_m: Vec) -> Mat:
                              for col in _ad_columns(split, z_m)])
 
 
-def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> List[Mat]:
-    """Operators -(ad Z|_m)^2 for Z over the S0 basis; symmetric, equivariant."""
-    out = []
-    for z_m in s0.basis:
-        cols = _ad_columns(action.split, z_m)
-        out.append(linalg.transpose([linalg.dense(linalg.sparse_mat_vec(
-            cols, [(k, -c) for k, c in col]), action.dim) for col in cols]))
-    return out
+class _Lazy:
+    """build(0), ..., build(n - 1) as a sequence, each built on first use."""
+
+    def __init__(self, build: Callable[[int], Mat], n: int):
+        self._build, self._n = lru_cache(maxsize=None)(build), n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> Mat:
+        return self._build(range(self._n)[i])   # IndexError ends iteration
+
+
+def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> _Lazy:
+    """Operators -(ad Z|_m)^2 for Z over the S0 basis; symmetric, equivariant.
+
+    Each is built when a split first tries it: a split stops at the first
+    candidate that splits its piece, so most are never built."""
+    def build(i: int) -> Mat:
+        cols = _ad_columns(action.split, s0.basis[i])
+        return linalg.transpose([linalg.dense(linalg.sparse_mat_vec(
+            cols, [(k, -c) for k, c in col]), action.dim) for col in cols])
+
+    return _Lazy(build, s0.dim)
 
 
 def decompose_isotypic(action: IsotropyAction,
@@ -476,8 +491,7 @@ def decompose_isotypic(action: IsotropyAction,
         rest_pieces: List[Subspace] = []
     else:
         rows = [[c * nu for c, nu in zip(b, norms)] for b in s0_space.basis]
-        rest = make_subspace(linalg.nullspace(rows, dim) if rows
-                             else linalg.identity(dim), norms)
+        rest = make_subspace(linalg.nullspace(rows, dim), norms)
         extra = squared_ad_candidates(action, s0_space)
         rest_pieces = minimal_invariant_pieces(action.ad_ops, norms, rest,
                                                extra_ops=extra, seed=seed)
@@ -587,7 +601,7 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
     ops = s0_bracket_ops(split, s0)
     d = s0.dim
     rows = [row for op in ops for row in op]
-    center_local = linalg.nullspace(rows, d) if rows else linalg.identity(d)
+    center_local = linalg.nullspace(rows, d)
 
     def to_ambient(vecs: List[Vec]) -> List[Vec]:
         return [linalg.combine(v, s0.basis, split.dim_m) for v in vecs]
@@ -599,10 +613,8 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
 
     # S0 coordinates: the S0 basis is B-orthogonal with norms s0.norms
     rows_c = [[c * nu for c, nu in zip(v, s0.norms)] for v in center_local]
-    semi_local = (linalg.nullspace(rows_c, d) if rows_c
-                  else linalg.identity(d))
     # pieces of the adjoint action of S0 on its semisimple part
-    local_sub = make_subspace(semi_local, s0.norms)
+    local_sub = make_subspace(linalg.nullspace(rows_c, d), s0.norms)
     pieces = minimal_invariant_pieces(ops, s0.norms, local_sub)
     simples = []
     for piece in pieces:

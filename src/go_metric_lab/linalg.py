@@ -157,24 +157,11 @@ def rref(rows: Mat) -> Tuple[Mat, List[int]]:
     return m[:r] + [[ZERO] * ncols for _ in range(nrows - r)], pivots
 
 
-def nullspace(rows: Mat, ncols: Optional[int] = None) -> List[Vec]:
-    """Basis of {x : rows @ x = 0}, one vector per free column."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        return identity(ncols)
-    ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def nullspace(rows: Mat, ncols: int) -> List[Vec]:
+    """Basis of {x : rows @ x = 0}, one vector per free column: the
+    reduced-echelon basis, eliminated on integers (`sparse_nullspace`)."""
+    return _primitive_nullspace(
+        (_primitive_row(dict(enumerate(row))) for row in rows), ncols)
 
 
 def solve_consistent(a: Mat, b: Vec) -> Optional[Vec]:
@@ -325,9 +312,13 @@ def sparse_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
     same one.  Intended for systems with a few nonzeros per row
     (equivariance constraints).
     """
+    return _primitive_nullspace(map(_primitive_row, rows), ncols)
+
+
+def _primitive_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
+    """`sparse_nullspace` of rows that are already primitive integer rows."""
     pivot_rows: dict = {}          # pivot col -> primitive integer row
-    for raw in rows:
-        row = _primitive_row(raw)
+    for row in rows:
         while row:
             lead = min(row)
             piv = pivot_rows.get(lead)
@@ -403,34 +394,26 @@ def gram_schmidt(vectors: List[Vec], norms: Vec) -> List[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# positive definiteness (Sylvester, sparse LDL^T)
+# positive definiteness (Sylvester, fraction-free elimination)
 # ---------------------------------------------------------------------------
 
-def sym_positive_definite(m: Mat) -> bool:
-    """Positive definiteness of a symmetric matrix.
+def sym_positive_definite(m: Sequence) -> bool:
+    """Positive definiteness of a symmetric matrix given by dense rows or
+    sparse {col: value} rows, with int or Fraction entries.
 
-    Sparse elimination without pivoting on {col: value} rows; rows with a
-    zero multiplier are left alone.  The k-th pivot is the ratio of the
-    (k+1)-th to the k-th leading principal minor, so every pivot is
-    positive iff every leading principal minor is (Sylvester).
-    """
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in m]
+    Elimination without pivoting on primitive integer rows, by the
+    fraction-free steps of `sparse_nullspace`.  A step adds a multiple of
+    the pivot row and scales the row by a positive factor, so the k-th
+    pivot has the sign of the ratio of the (k+1)-th to the k-th leading
+    principal minor: all pivots are positive iff all those minors are."""
+    rows = [_primitive_row(r if isinstance(r, dict) else dict(enumerate(r)))
+            for r in m]
     for k, pivot_row in enumerate(rows):
-        d = pivot_row.get(k, ZERO)
-        if d <= 0:
+        if pivot_row.get(k, 0) <= 0:
             return False
-        tail = [(j, v) for j, v in pivot_row.items() if j > k]
-        for row in rows[k + 1:]:
-            f = row.pop(k, None)
-            if f is None:
-                continue
-            f /= d
-            for j, v in tail:
-                nv = row.get(j, ZERO) - f * v
-                if nv == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
+        for i in range(k + 1, len(rows)):
+            if k in rows[i]:
+                rows[i] = _eliminate(rows[i], pivot_row, k)
     return True
 
 

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -50,11 +50,17 @@ class MetricEndomorphism:
         return den, [linalg.integers(col, den) for col in self.columns]
 
 
-def _pd_check(matrix: Mat, norms: Sequence) -> bool:
-    # bilinear form of the metric: G A must be symmetric positive definite;
-    # the m-basis Gram G is the diagonal `norms`, so G A scales rows
-    ga = [[nu * c for c in row] for nu, row in zip(norms, matrix)]
-    return ga == linalg.transpose(ga) and linalg.sym_positive_definite(ga)
+def _pd_check(ga: List[dict]) -> bool:
+    """Whether G A, sparse {col: value} rows, is symmetric and PD."""
+    return (all(ga[j].get(i, 0) == v for i, row in enumerate(ga)
+                for j, v in row.items())
+            and linalg.sym_positive_definite(ga))
+
+
+def form_rows(matrix: Mat, norms: Sequence) -> List[dict]:
+    """G A as sparse rows: the m-basis Gram G is the diagonal `norms`."""
+    return [{j: nu * c for j, c in enumerate(row) if c}
+            for nu, row in zip(norms, matrix)]
 
 
 def from_parameters(decomp: IsotypicalDecomposition,
@@ -70,8 +76,9 @@ def from_parameters(decomp: IsotypicalDecomposition,
             f"expected {len(basis)} parameters, got {len(params)}")
     params = [Fraction(p) for p in params]
     a = _commutant_matrix(decomp, params)
-    return MetricEndomorphism(decomp=decomp, matrix=a, params=params,
-                              is_pd=_pd_check(a, decomp.action.norms))
+    return MetricEndomorphism(
+        decomp=decomp, matrix=a, params=params,
+        is_pd=_pd_check(form_rows(a, decomp.action.norms)))
 
 
 def _commutant_matrix(decomp: IsotypicalDecomposition, params: Vec) -> Mat:
@@ -99,9 +106,9 @@ def from_matrix(decomp: IsotypicalDecomposition,
     if _commutant_matrix(decomp, params) != [list(row) for row in matrix]:
         raise NotEquivariantError(
             "matrix is not a symmetric equivariant endomorphism")
-    return MetricEndomorphism(decomp=decomp, matrix=[list(r) for r in matrix],
-                              params=params,
-                              is_pd=_pd_check(matrix, decomp.action.norms))
+    return MetricEndomorphism(
+        decomp=decomp, matrix=[list(r) for r in matrix], params=params,
+        is_pd=_pd_check(form_rows(matrix, decomp.action.norms)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +327,28 @@ def family_basis_ops(family: MetricFamily) -> List[Columns]:
         for phi in b.phis:
             ops.append(_intertwiner_pair_op(decomp, b, phi))
     return ops
+
+
+def family_form(ops: List[Columns], norms: Sequence[int], dim: int
+                ) -> Callable[[Sequence], List[dict]]:
+    """values -> sum_c v_c G Op_c as sparse integer rows, a positive multiple
+    of G A: each G Op_c is cleared once over one denominator (`norms` are
+    the integer m-norms), and the values over their own lcm."""
+    den = linalg.denominator(c for cols in ops for col in cols for _, c in col)
+    forms = [[(i, j, norms[i] * c.numerator * (den // c.denominator))
+              for j, col in enumerate(cols) for i, c in col] for cols in ops]
+
+    def rows_at(values: Sequence) -> List[dict]:
+        lv = linalg.denominator(values)
+        ga: List[dict] = [{} for _ in range(dim)]
+        for v, entries in zip(values, forms):
+            if v:
+                w = v.numerator * (lv // v.denominator)
+                for i, j, c in entries:
+                    ga[i][j] = ga[i].get(j, 0) + w * c
+        return ga
+
+    return rows_at
 
 
 def family_matrix(ops: List[Columns], values: Sequence, dim: int) -> Mat:

@@ -5,7 +5,8 @@ computes sparsely, or no longer needs at run time: the trace form over
 the full Gram matrix, dense projectors and family operators built from
 the dense m-basis Gram, family coordinates by one dense solve, the bracket
 table contracted in `Fraction`s, commutant operators filled in from
-every parameter, sparse elimination and the GO residual in `Fraction`s.
+every parameter, sparse elimination, positive definiteness and the GO
+residual in `Fraction`s.
 """
 
 from fractions import Fraction
@@ -198,3 +199,33 @@ def fraction_residual_sq(a_metric, x_m, a_h):
     gram = split.algebra.gram
     return (sum((c * c * nu[k] for k, c in lhs.items()), linalg.ZERO)
             + sum((c * c * gram[i][i] for i, c in c_h), linalg.ZERO))
+
+
+def fraction_positive_definite(m):
+    """`linalg.sym_positive_definite` eliminated in `Fraction`s: a sparse
+    LDL^T without pivoting, every pivot positive."""
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in m]
+    for k, pivot_row in enumerate(rows):
+        d = pivot_row.get(k, linalg.ZERO)
+        if d <= 0:
+            return False
+        tail = [(j, v) for j, v in pivot_row.items() if j > k]
+        for row in rows[k + 1:]:
+            f = row.pop(k, None)
+            if f is None:
+                continue
+            f /= d
+            for j, v in tail:
+                nv = row.get(j, linalg.ZERO) - f * v
+                if nv == 0:
+                    row.pop(j, None)
+                else:
+                    row[j] = nv
+    return True
+
+
+def dense_pd_check(matrix, norms):
+    """A metric's form G A, G = diag(norms), built densely: symmetric and
+    positive definite by `fraction_positive_definite`."""
+    ga = [[nu * c for c in row] for nu, row in zip(norms, matrix)]
+    return ga == linalg.transpose(ga) and fraction_positive_definite(ga)

@@ -243,6 +243,73 @@ def test_integer_residual_matches_oracle_on_a_non_integer_table():
         a, xs, lambda x: go.go_solve_at(a, x)[0], rng) > 0
 
 
+def _negated_lead_point(tensors, values, p):
+    """values with the first value on probe p's support made negative."""
+    lead = next(c for c in tensors._probe(p).support if values[c] != 0)
+    out = list(values)
+    out[lead] = -abs(out[lead])
+    return out
+
+
+def _full_cone(space, which):
+    """The decomposition and full family of a Stiefel space, or of the
+    rescaled u(3) over u(1), whose table and probe rows have denominators."""
+    if which == "rescaled-u3":
+        g = _rescaled_un(3, "e_1_3", Fraction(3, 2))
+        dec = isotropy.decompose_isotypic(isotropy.isotropy_action(
+            decomp.reductive_split(g, decomp.diagonal_u_nk(g, 2))))
+    else:
+        dec = space(*which).decomp
+    return dec, metric.full_family(dec)
+
+
+@pytest.mark.parametrize("which", [(3, 2), (4, 2), "rescaled-u3"],
+                         ids=["3-2", "4-2", "rescaled-u3"])
+def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
+    # the scan's integer contraction against go_solve_at and the Fraction
+    # residual, at off-diagonal points with negative values, a negative
+    # lead and mixed denominators; a point, its negative and a rational
+    # multiple of it share one memo entry and one least-squares solve
+    dec, full = _full_cone(space, which)
+    ops = metric.family_basis_ops(full)
+    tensors = go._ScanTensors(full, ops, go.basis_probe_vectors(dec))
+    rng = random.Random(f"integer-keys:{which}")
+    solves = []
+    least_squares = linalg.least_squares
+
+    def counted(*args):
+        solves.append(args)
+        return least_squares(*args)
+
+    monkeypatch.setattr(linalg, "least_squares", counted)
+    checked = 0
+    for _ in range(4):
+        values = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+                  for _ in range(full.n_params)]
+        for p in rng.sample(range(len(tensors.probes)), 6):
+            if not any(values[c] for c in tensors._probe(p).support):
+                continue
+            point = _negated_lead_point(tensors, values, p)
+            a = metric.MetricEndomorphism(
+                decomp=dec, params=None, is_pd=False,
+                matrix=metric.family_matrix(ops, point, dec.dim))
+            x = tensors.probes[p]
+            a_h, best = go.go_solve_at(a, x)
+            solves.clear()
+            memo = len(tensors.memo)
+            res = tensors.residual_sq(point, p)
+            assert res == best == fraction_residual_sq(a, x, a_h)
+            scale = Fraction(-3, 7)
+            assert tensors.residual_sq([-v for v in point], p) == res
+            assert (tensors.residual_sq([scale * v for v in point], p)
+                    == scale * scale * res)
+            assert len(tensors.memo) <= memo + 1 and len(solves) <= 1
+            checked += res > 0
+    assert checked > 0
+    if which == "rescaled-u3":
+        assert any(probe.den > 1 for probe in tensors._built if probe)
+
+
 # ---------------------------------------------------------------------------
 # containment guards
 # ---------------------------------------------------------------------------
@@ -367,9 +434,29 @@ def test_construction_reads_tables_not_brackets(space, monkeypatch):
     s0 = sp.decomp.s0.space
     calls = _count_calls(monkeypatch)
     action = isotropy.isotropy_action(split)
-    isotropy.squared_ad_candidates(action, s0)
+    assert len(list(isotropy.squared_ad_candidates(action, s0))) == s0.dim
     isotropy.s0_bracket_ops(split, s0)
     assert calls == {"bracket": 0, "coords_in_m": 0}
+
+
+def test_squared_ad_candidates_are_built_when_tried(space, monkeypatch):
+    # a split stops at the first candidate that splits its piece: a fresh
+    # (4,3) decomposition builds 2 of the 9 candidates, and the result is
+    # the one the cached build reports
+    sp = space(4, 3)
+    built = []
+    ad_columns = isotropy._ad_columns
+
+    def counted(split, z_m):
+        built.append(z_m)
+        return ad_columns(split, z_m)
+
+    monkeypatch.setattr(isotropy, "_ad_columns", counted)
+    dec = isotropy.decompose_isotypic(isotropy.isotropy_action(sp.split))
+    assert sp.decomp.s0.dim == 9
+    assert built == sp.decomp.s0.space.basis[:2]
+    assert (isotropy.decomposition_report(dec)
+            == isotropy.decomposition_report(sp.decomp))
 
 
 def _perturbed_un(n, label, norm):

@@ -11,8 +11,8 @@ from go_metric_lab import decomp, go, lie_core, linalg, metric, stiefel
 from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
-from oracles import (center_coefficient, coords_in_family, identity_metric,
-                     mat_add, projector)
+from oracles import (center_coefficient, coords_in_family, dense_pd_check,
+                     identity_metric, mat_add, projector)
 
 
 def _m_index(space, label):
@@ -398,7 +398,7 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
     survivors, falsified = [], []
     for idx, values in enumerate(points):
         amat = metric.family_matrix(tensors.op_columns, values, decomp_.dim)
-        if not metric._pd_check(amat, decomp_.action.norms):
+        if not metric._pd_check(metric.form_rows(amat, decomp_.action.norms)):
             continue
         entry = {"params": [conv(v) for v in values]}
         residuals = ((x, tensors.residual_sq(values, p))
@@ -561,6 +561,38 @@ def test_drawn_samples_are_proved_positive_definite_once(space, monkeypatch,
     assert calls["pd"] == calls["draws"] >= result.n_points
     monkeypatch.undo()
     assert result == _oracle_scan(sp.decomp, full, spec, include_grid=False)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
+    # the draw stream does not depend on the verdicts, so a run whose PD
+    # check accepts everything returns the draws themselves; each draw's
+    # verdict from its integer rows must be the dense Fraction verdict
+    sp = space(n, k)
+    full = metric.full_family(sp.decomp)
+    ops = metric.family_basis_ops(full)
+    norms = sp.decomp.action.norms
+    pd_check = metric._pd_check
+    for seed in (0, 5, 23):
+        spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=24)
+        accepted = go._random_points(full, spec, ops)
+        verdicts = []
+
+        def recorded(ga):
+            verdicts.append(pd_check(ga))
+            return True
+
+        monkeypatch.setattr(metric, "_pd_check", recorded)
+        draws = go._random_points(
+            full, ScanSpec(grid=_GRID_32, seed=seed, random_count=80), ops)
+        monkeypatch.undo()
+        assert len(draws) == len(verdicts) == 80
+        oracle = [dense_pd_check(metric.family_matrix(ops, d, sp.dim_m),
+                                 norms) for d in draws]
+        assert verdicts == oracle
+        taken = [i for i, ok in enumerate(oracle) if ok][:24]
+        assert accepted == [draws[i] for i in taken]
+        assert not all(oracle[:taken[-1]])      # some draws were rejected
 
 
 def test_grid_rejects_offdiagonal_family(space):

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from go_metric_lab import linalg
 
+from oracles import fraction_nullspace, fraction_positive_definite
+
 
 def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
@@ -44,7 +46,7 @@ def test_sparse_nullspace_matches_dense(seed):
     sparse_rows = [{j: c for j, c in enumerate(row) if c != 0} for row in rows]
     dense = linalg.nullspace(rows, ncols)
     sparse = linalg.sparse_nullspace(sparse_rows, ncols)
-    assert sparse == dense
+    assert sparse == dense == fraction_nullspace(sparse_rows, ncols)
     assert all(type(c) is Fraction for v in sparse for c in v)
     for v in sparse:
         for row in rows:
@@ -153,6 +155,33 @@ def test_sym_positive_definite_matches_bareiss():
     assert seen["block diagonal"] == seen["dense"] == {True, False}
     for m in ([], [[Fraction(3)]], [[Fraction(0)]], [[Fraction(-1, 2)]]):
         assert linalg.sym_positive_definite(m) == bareiss_positive_definite(m)
+
+
+def test_integer_positive_definite_matches_fraction_oracle():
+    # the fraction-free elimination against the Fraction LDL^T and Bareiss,
+    # on dense rows and on the sparse {col: value} rows of the same matrix
+    rng = random.Random("integer-pd-oracle")
+    seen = {}
+    for _ in range(150):
+        for kind, (m, _) in _pd_cases(rng).items():
+            if kind == "dense":
+                m = [[m[i][j] + m[j][i] for j in range(len(m))]
+                     for i in range(len(m))]
+            verdict = linalg.sym_positive_definite(m)
+            sparse_rows = [{j: x for j, x in enumerate(row) if x}
+                           for row in m]
+            assert verdict == linalg.sym_positive_definite(sparse_rows)
+            assert verdict == fraction_positive_definite(m), (kind, m)
+            assert verdict == bareiss_positive_definite(m), (kind, m)
+            seen.setdefault(kind, set()).add(verdict)
+    assert seen["pd"] == {True}
+    assert seen["singular psd"] == seen["indefinite"] == {False}
+    assert seen["block diagonal"] == seen["dense"] == {True, False}
+    for m in ([], [[Fraction(3)]], [[Fraction(0)]], [[Fraction(-1, 2)]],
+              [[2]], [[Fraction(1, 3), 1], [1, 4]]):
+        assert (linalg.sym_positive_definite(m)
+                == fraction_positive_definite(m)
+                == bareiss_positive_definite(m))
 
 
 def test_minimal_polynomial_diagonal():
