@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -41,14 +40,6 @@ MODE = "exact"                # the only arithmetic; stamped into reports
 
 class InputError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    out: Optional[str] = None
-    jobs: int = 1
-    verbose: bool = False
 
 
 def _default_seed() -> int:
@@ -82,31 +73,26 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(seed=args.seed, out=args.out, jobs=args.jobs,
-                     verbose=args.verbose)
-
-
 @contextlib.contextmanager
-def _stage(cfg: RunConfig, name: str):
+def _stage(args, name: str):
     """Time one stage; under --verbose, report it on stderr."""
     start = time.perf_counter()
     yield
-    if cfg.verbose:
+    if args.verbose:
         print(f"stage {name}: {time.perf_counter() - start:.3f} s",
               file=sys.stderr)
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
+def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _load_space(spec_args: List[str], cfg: RunConfig):
+def _load_space(spec_args: List[str], seed: int):
     """Builtin "stiefel N K" or a JSON file with algebra + h basis."""
     if len(spec_args) == 3 and spec_args[0] == "stiefel":
         try:
@@ -139,7 +125,7 @@ def _load_space(spec_args: List[str], cfg: RunConfig):
                     f"algebra fails the {failed[0].name} check{detail}")
             split = decomp_mod.split_from_json_dict(g, data)
             action = isotropy.isotropy_action(split)
-            dec = isotropy.decompose_isotypic(action, seed=cfg.seed)
+            dec = isotropy.decompose_isotypic(action, seed=seed)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InputError(f"bad space file {path}: {exc}") from exc
         return dec, None
@@ -147,20 +133,18 @@ def _load_space(spec_args: List[str], cfg: RunConfig):
 
 
 def cmd_decompose(args) -> int:
-    cfg = _config_from_args(args)
-    with _stage(cfg, "build"):
-        dec, _ = _load_space(args.space, cfg)
-    with _stage(cfg, "report"):
+    with _stage(args, "build"):
+        dec, _ = _load_space(args.space, args.seed)
+    with _stage(args, "report"):
         report = isotropy.decomposition_report(dec)
     report["mode"] = MODE
-    _emit(cfg, report)
+    _emit(args, report)
     return EXIT_PASS
 
 
 def cmd_check_go(args) -> int:
-    cfg = _config_from_args(args)
-    with _stage(cfg, "build"):
-        dec, space = _load_space(args.space, cfg)
+    with _stage(args, "build"):
+        dec, space = _load_space(args.space, args.seed)
 
     witness = None
     if args.family_t is not None:
@@ -196,31 +180,30 @@ def cmd_check_go(args) -> int:
         go_mod.check_sample_count(strategy, args.count)
     except ValueError as exc:
         raise InputError(f"bad --count: {exc}") from exc
-    with _stage(cfg, "check"):
+    with _stage(args, "check"):
         cert = go_mod.go_check(a, strategy=strategy, count=args.count,
-                               seed=cfg.seed, witness_map=witness)
+                               seed=args.seed, witness_map=witness)
     payload = go_mod.certificate_to_json_dict(cert)
     payload["normalizer_equivariant"] = metric_mod.check_normalizer_equivariance(a)
     payload["mode"] = MODE
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_PASS if cert.verdict != "falsified" else EXIT_FALSIFIED
 
 
 def cmd_reproduce_theorem(args) -> int:
-    cfg = _config_from_args(args)
     try:
         report = stiefel.reproduce_report(
             args.n, args.k, resolution=args.resolution,
-            seed=cfg.seed, jobs=cfg.jobs,
+            seed=args.seed, jobs=args.jobs,
             offdiagonal_samples=args.offdiagonal_samples,
-            stage=lambda name: _stage(cfg, name))
+            stage=lambda name: _stage(args, name))
     except lie_core.InvalidDimensionError as exc:
         raise InputError(str(exc)) from exc
     except go_mod.WitnessMapError as exc:
         print(f"error: family not verified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     report["mode"] = MODE
-    _emit(cfg, report)
+    _emit(args, report)
     scan = report["uniqueness"]
     verified = (all(c["verdict"] == "verified-on-family"
                     for c in report["family_certificates"].values())

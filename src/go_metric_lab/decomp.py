@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 from . import lie_core, linalg
 from .lie_core import MatrixLieAlgebra
-from .linalg import Mat, Sparse, Vec, ZERO
+from .linalg import Mat, Sparse, Vec
 
 
 class NotSubalgebraError(ValueError):
@@ -42,21 +42,15 @@ class Subalgebra:
 def subalgebra(g: MatrixLieAlgebra, coords: List[Vec]) -> Subalgebra:
     """Wrap a spanning set as a subalgebra, verifying independence and closure.
 
-    The span is row-reduced once; a bracket lies in it iff subtracting its
-    pivot coordinates times the reduced rows leaves zero.
+    The span is reduced once to its pivot rows; each bracket is then
+    reduced against them (`linalg.in_span`), with no solve per bracket.
     """
-    red, pivots = linalg.rref(coords)
+    pivots = linalg.pivot_rows(coords)
     if len(pivots) != len(coords):
         raise NotSubalgebraError("spanning vectors are linearly dependent")
-    rows = [(p, linalg.sparse(r)) for p, r in zip(pivots, red)]
     for i, j in itertools.combinations(range(len(coords)), 2):
-        rest = dict(linalg.sparse(lie_core.bracket(g, coords[i], coords[j])))
-        for p, row in rows:
-            c = rest.get(p)
-            if c:
-                for k, v in row:
-                    rest[k] = rest.get(k, ZERO) - c * v
-        if any(rest.values()):
+        if not linalg.in_span(lie_core.bracket(g, coords[i], coords[j]),
+                              pivots):
             raise NotSubalgebraError(f"[h_{i}, h_{j}] falls outside the span")
     return Subalgebra(parent=g, basis_coords=[list(v) for v in coords])
 

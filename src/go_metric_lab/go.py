@@ -676,6 +676,7 @@ class _ScanTensors:
         self.dim = self.action.split.dim_m
         self.probes = probes
         self.op_columns = ops
+        self.integer_ops = linalg.cleared_columns(ops)
         self._built: List[Optional[_Probe]] = [None] * len(probes)
         self._walked: List[Tuple[int, Callable, Dict]] = []
         self._reached = 0
@@ -711,23 +712,33 @@ class _ScanTensors:
                 yield entry
 
     def _build(self, p: int) -> _Probe:
-        xs = linalg.sparse(self.probes[p])
-        ox = [linalg.sparse_mat_vec(cols, xs) for cols in self.op_columns]
+        # on integers: the probe, the family operators cleared once per
+        # scan, and the isotropy columns
+        dx, xs = linalg.cleared(linalg.sparse(self.probes[p]))
+        dop, ops = self.integer_ops
+        ox = [linalg.sparse_mat_vec(cols, xs) for cols in ops]
         table = self.action.split.bracket_table
-        rows = []
+        rows = []                       # dt dop dx^2 [X, Op_c X]_m
         for o in ox:
-            b_m, b_h = table.bracket(xs, o)
-            if b_h:
+            b_m, b_h = table.contract(xs, o)
+            if any(b_h.values()):
                 raise ValueError("vector is not in m")
-            rows.append(b_m)
-        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]
-                 for ad in self.action.ad_columns]
+            rows.append(linalg.sparse_from(b_m))
+        dad, ad_cols = self.action.integer_ad_columns
+        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]    # dad dop dx
+                 for ad in ad_cols]
         support = [c for c in range(len(ox))
                    if rows[c] or any(h[c] for h in hrows)]
-        den = linalg.denominator(c for r in itertools.chain(rows, *hrows)
-                                 for _, c in r)
-        return _Probe(bx=[linalg.integers(r, den) for r in rows],
-                      hx=[[linalg.integers(r, den) for r in h] for h in hrows],
+        # the entries c / d of one part have reduced denominators whose
+        # lcm is d / gcd(d, every c)
+        d_b = table.denominator * dop * dx * dx
+        d_h = dad * dop * dx
+        den = math.lcm(
+            d_b // math.gcd(d_b, *(c for r in rows for _, c in r)),
+            d_h // math.gcd(d_h, *(c for h in hrows for r in h for _, c in r)))
+        return _Probe(bx=[[(i, c * den // d_b) for i, c in r] for r in rows],
+                      hx=[[[(i, c * den // d_h) for i, c in r] for r in h]
+                          for h in hrows],
                       support=support, den=den)
 
     def _add(self, value: Fraction) -> int:

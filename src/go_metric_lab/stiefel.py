@@ -24,6 +24,7 @@ action leaves only scalars on S1.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
@@ -197,21 +198,6 @@ def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
 # verification of the family
 # ---------------------------------------------------------------------------
 
-def _bracket_m(space: StiefelSpace, x_m: Vec, y_m: Vec) -> Vec:
-    """[X, Y] over the m basis, read off the split's bracket table."""
-    return linalg.dense(space.split.bracket_table.bracket_in_m(
-        linalg.sparse(x_m), linalg.sparse(y_m)), space.dim_m)
-
-
-def _act_h(space: StiefelSpace, a_h: Vec, x_m: Vec) -> Vec:
-    """[a, X] over the m basis for a in h, from the sparse isotropy columns."""
-    xs = linalg.sparse(x_m)
-    terms = [(c, linalg.dense(linalg.sparse_mat_vec(cols, xs), space.dim_m))
-             for c, cols in zip(a_h, space.action.ad_columns) if c != 0]
-    return linalg.combine([c for c, _ in terms], [v for _, v in terms],
-                          space.dim_m)
-
-
 def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     """Spanning-set checks of the bracket facts behind the witness map.
 
@@ -220,20 +206,20 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     +2 tilde, each eb_ii acts on its own module by -2 tilde and kills the
     others, and the witness direction commutes with all of S0.
     """
-    split = space.split
     out = {}
     s1_basis = space.s1.space.basis
+    zero_m = linalg.zero_vec(space.dim_m)
+    # [a + X, Y] as (m-coordinates, h-component); every identity below
+    # also needs the h-component to be []
+    bracket = functools.partial(go_mod._bracket, space.action)
 
-    ok = all(linalg.vec_is_zero(linalg.vec_add(
-        _bracket_m(space, space.z0_m, v), linalg.vec_scale(2, tilde_map(space, v))))
+    out["center_rotates_s1"] = all(         # [z0, v] = -2 tilde(v)
+        bracket(space.z0_m, v) == (linalg.vec_scale(-2, tilde_map(space, v)), [])
         for v in s1_basis)
-    out["center_rotates_s1"] = ok           # [z0, v] = -2 tilde(v)
-
-    ok = all(linalg.vec_is_zero(linalg.vec_sub(
-        _act_h(space, space.a_dir_h, v),
-        linalg.vec_scale(2, tilde_map(space, v))))
+    out["witness_rotates_s1"] = all(        # [sum_{i>k} eb_ii, v] = 2 tilde(v)
+        bracket(zero_m, v, space.a_dir_h)
+        == (linalg.vec_scale(2, tilde_map(space, v)), [])
         for v in s1_basis)
-    out["witness_rotates_s1"] = ok          # [sum_{i>k} eb_ii, v] = 2 tilde(v)
 
     # eb_ii acts on m_i by -2*tilde and kills m_j, j != i
     ok = True
@@ -242,18 +228,15 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
                                space.m_labels.index(f"eb_{i}_{i}"))
         for mj, module in enumerate(space.modules, start=1):
             for v in module.basis:
-                br = _bracket_m(space, ebii, v)
                 expect = (linalg.vec_scale(-2, tilde_map(space, v))
-                          if mj == i else linalg.zero_vec(space.dim_m))
-                if not linalg.vec_is_zero(linalg.vec_sub(br, expect)):
+                          if mj == i else zero_m)
+                if bracket(ebii, v) != (expect, []):
                     ok = False
     out["eb_acts_per_module"] = ok
 
     s0 = space.decomp.s0.space.basis
-    z0 = linalg.sparse(space.z0_m)
-    ok = all(linalg.vec_is_zero(_act_h(space, space.a_dir_h, w)) for w in s0)
-    ok = ok and not any(part for w in s0 for part in
-                        split.bracket_table.bracket(z0, linalg.sparse(w)))
+    ok = all(bracket(zero_m, w, space.a_dir_h) == bracket(space.z0_m, w)
+             == (zero_m, []) for w in s0)
     ok = ok and not any(linalg.sparse_mat_vec(cols, linalg.sparse(w))
                         for cols in space.action.ad_columns for w in s0)
     out["witness_commutes_with_s0"] = ok    # [a_t, S0] = [z0, S0] = [h, S0] = 0

@@ -5,8 +5,8 @@ computes sparsely, or no longer needs at run time: the trace form over
 the full Gram matrix, dense projectors and family operators built from
 the dense m-basis Gram, family coordinates by one dense solve, the bracket
 table contracted in `Fraction`s, commutant operators filled in from
-every parameter, sparse elimination, positive definiteness and the GO
-residual in `Fraction`s.
+every parameter, dense Gauss-Jordan elimination (`rref`), sparse
+elimination, positive definiteness and the GO residual in `Fraction`s.
 """
 
 from fractions import Fraction
@@ -31,8 +31,12 @@ def dense_op(columns, dim):
     return linalg.transpose([linalg.dense(col, dim) for col in columns])
 
 
+def identity(n):
+    return [linalg.unit_vec(n, i) for i in range(n)]
+
+
 def identity_metric(dec):
-    return metric.from_matrix(dec, linalg.identity(dec.dim))
+    return metric.from_matrix(dec, identity(dec.dim))
 
 
 def center_coefficient(space, x_m):
@@ -178,6 +182,76 @@ def fraction_nullspace(rows, ncols):
         for lead, row in pivot_rows.items():
             if fc in row:
                 v[lead] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def rref(rows):
+    """Dense Gauss-Jordan elimination in Fractions: (reduced rows, pivot
+    columns), the reduced rows padded with zero rows."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r] + [[linalg.ZERO] * ncols for _ in range(nrows - r)], pivots
+
+
+def rref_pivot_rows(rows):
+    """`linalg.pivot_rows` from `rref`: each reduced row as the primitive
+    integer row with a positive pivot, keyed by its pivot column."""
+    red, pivots = rref(rows)
+    out = {}
+    for p, row in zip(pivots, red):
+        den = linalg.denominator(row)
+        ints = {k: int(c * den) for k, c in enumerate(row) if c != 0}
+        # a positive pivot den; primitive, since each prime power of den
+        # is the full power in some entry's reduced denominator
+        out[p] = ints
+    return out
+
+
+def rref_solve(a, b):
+    """One solution of a @ x = b (free variables 0) from `rref`, or None."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)])
+    x = [linalg.ZERO] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = red[r][ncols]
+    return x
+
+
+def rref_nullspace(rows, ncols):
+    """The reduced-echelon nullspace basis from `rref`."""
+    red, pivots = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [linalg.ZERO] * ncols
+        v[fc] = linalg.ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from go_metric_lab import (cli, decomp, go, isotropy, lie_core, linalg,
                            metric, stiefel)
-from oracles import dense_op, identity_metric, mat_add, projector
+from oracles import dense_op, identity, identity_metric, mat_add, projector
 
 SPACES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)]
 
@@ -173,18 +173,18 @@ def test_criterion_7_normalizer_consistency(space):
         # unequal weights on the two equivalent modules (fails equivariance)
         p1 = projector(sp.s1.members[0].space, norms, sp.dim_m)
         candidates.append(metric.from_matrix(
-            dec, mat_add(linalg.identity(sp.dim_m), p1)))
+            dec, mat_add(identity(sp.dim_m), p1)))
         # equal on modules, different from su(k) (passes equivariance)
         ps1 = projector(sp.s1.space, norms, sp.dim_m)
         candidates.append(metric.from_matrix(
-            dec, mat_add(linalg.identity(sp.dim_m), ps1)))
+            dec, mat_add(identity(sp.dim_m), ps1)))
         # off-diagonal intertwiner component
         fam = metric.full_family(dec)
         blk = fam.intertwiner_blocks[0]
         mix = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[0]),
                        dec.dim)
         candidates.append(metric.from_matrix(
-            dec, mat_add(linalg.mat_scale(Fraction(4), linalg.identity(sp.dim_m)),
+            dec, mat_add(linalg.mat_scale(Fraction(4), identity(sp.dim_m)),
                          mix)))
         # random commutant points
         basis = dec.sym_commutant_basis()

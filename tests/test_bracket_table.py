@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
-from oracles import dense_op, fraction_bracket, fraction_residual_sq, inner
+from oracles import (dense_op, fraction_bracket, fraction_residual_sq, identity,
+                     inner)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ def _m_index(sp, label):
 def _bumped(sp, label):
     """Identity plus one on a single m-basis vector: B-symmetric for the
     diagonal Gram, but not isotropy-equivariant."""
-    amat = linalg.identity(sp.dim_m)
+    amat = identity(sp.dim_m)
     i = _m_index(sp, label)
     amat[i][i] += 1
     return amat

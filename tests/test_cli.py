@@ -68,11 +68,11 @@ def test_check_go_identity_params_exit_zero(tmp_path, space):
 
 
 def test_check_go_falsified_exit_one(tmp_path, space):
-    from go_metric_lab import linalg, metric
-    from oracles import mat_add, projector
+    from go_metric_lab import metric
+    from oracles import identity, mat_add, projector
     sp = space(3, 2)
     p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    amat = mat_add(linalg.identity(sp.dim_m), p_s1)
+    amat = mat_add(identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     mfile = tmp_path / "bad_metric.json"
     mfile.write_text(json.dumps(metric.metric_to_json_dict(a)))

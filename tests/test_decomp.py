@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from go_metric_lab import decomp, lie_core, linalg
 from go_metric_lab.decomp import (NotSubalgebraError, diagonal_u_nk,
                                   project, reductive_split, subalgebra)
-from oracles import inner
+from oracles import identity, inner, rref
 
 
 def test_diagonal_subalgebra_dims(un):
@@ -40,7 +40,7 @@ def test_diagonal_raises_on_a_wrong_dimension(un, monkeypatch):
 
 def test_split_whole_algebra(un):
     g = un(2)
-    sp = reductive_split(g, subalgebra(g, linalg.identity(g.dim)))
+    sp = reductive_split(g, subalgebra(g, identity(g.dim)))
     assert sp.dim_m == 0
 
 
@@ -134,7 +134,7 @@ def test_su4_is_a_subalgebra_and_u4_minus_one_element_is_not(un):
 def test_subalgebra_reduces_the_span_once(un, monkeypatch):
     # closure is tested against the pivots of one reduction, so the check
     # makes no solve per bracket
-    calls = {"rref": 0, "solve_consistent": 0}
+    calls = {"pivot_rows": 0, "solve_consistent": 0}
     for name in calls:
         fn = getattr(linalg, name)
 
@@ -145,7 +145,33 @@ def test_subalgebra_reduces_the_span_once(un, monkeypatch):
     g = un(5)
     assert diagonal_u_nk(g, 1).dim == 16
     assert subalgebra(g, _su(g)).dim == 24
-    assert calls == {"rref": 2, "solve_consistent": 0}
+    assert calls == {"pivot_rows": 2, "solve_consistent": 0}
+
+
+def test_subalgebra_rejects_a_set_not_closed_under_the_bracket(un):
+    # independent sets in non-coordinate position: su(3) in a seeded
+    # integer basis is closed; adding a multiple of eb_1_1 to one of its
+    # vectors keeps the set independent but not closed, and the closure
+    # verdict matches the rref rank test of coords + brackets
+    g = un(3)
+    rng = random.Random("subalgebra-not-closed")
+    su = _su(g)
+    mixed = []
+    for i in range(len(su)):
+        coeffs = [rng.randint(-2, 2) for _ in su]
+        coeffs[i] = 5           # invertible for this seed; the assert
+                                # below would call it dependent otherwise
+        mixed.append(linalg.combine(coeffs, su, g.dim))
+    assert subalgebra(g, mixed).dim == 8
+    eb11 = g.vector(("eb_1_1", 1))
+    for i in range(len(mixed)):
+        bent = list(mixed)
+        bent[i] = linalg.vec_add(bent[i], linalg.vec_scale(Fraction(1, 3), eb11))
+        brackets = [lie_core.bracket(g, x, y) for x in bent for y in bent]
+        closed = len(rref(bent + brackets)[1]) == len(bent)
+        assert not closed
+        with pytest.raises(NotSubalgebraError, match="outside the span"):
+            subalgebra(g, bent)
 
 
 def test_split_json_round_trip(un):

@@ -12,7 +12,7 @@ from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
 from oracles import (center_coefficient, coords_in_family, dense_pd_check,
-                     identity_metric, mat_add, projector)
+                     identity, identity_metric, mat_add, projector)
 
 
 def _m_index(space, label):
@@ -57,7 +57,7 @@ def test_non_go_metric_positive_residual(space):
     # weight 2 on S1 only: lambda != lambda-tilde; X = e_12 + e_13 falsifies
     sp = space(3, 2)
     p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    amat = mat_add(linalg.identity(sp.dim_m), p_s1)
+    amat = mat_add(identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     assert a.is_pd
     x = linalg.zero_vec(sp.dim_m)
@@ -122,7 +122,7 @@ def test_go_check_identity_passes_basis(space):
 def test_go_check_falsifies_unequal_weights(space):
     sp = space(3, 2)
     p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    amat = mat_add(linalg.identity(sp.dim_m), p_s1)
+    amat = mat_add(identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     cert = go_check(a, strategy="basis")
     assert cert.verdict == "falsified"
@@ -633,10 +633,10 @@ def test_falsified_metrics_leave_the_reduced_family(space):
     family, _ = reduce_family(sp.decomp)
     p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
     cases = [metric.from_matrix(sp.decomp, mat_add(
-        linalg.identity(sp.dim_m), p_s1))]
+        identity(sp.dim_m), p_s1))]
     p1 = projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     cases.append(metric.from_matrix(sp.decomp, mat_add(
-        linalg.identity(sp.dim_m), p1)))
+        identity(sp.dim_m), p1)))
     for a in cases:
         cert = go_check(a, strategy="basis", keep_witnesses=False)
         assert cert.verdict == "falsified"
@@ -745,7 +745,7 @@ def test_family_strategy_falsifies_non_go_metric(space):
     sp = space(3, 2)
     p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp, mat_add(
-        linalg.identity(sp.dim_m), p_s1))
+        identity(sp.dim_m), p_s1))
 
     def zero(x):
         return linalg.zero_vec(sp.split.h.dim)

@@ -9,7 +9,7 @@ from go_metric_lab import decomp, isotropy, lie_core, linalg, stiefel
 from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
                                     intertwiners, isotropy_action,
                                     split_ideals)
-from oracles import fraction_nullspace, mat_add, sym_op_from_params
+from oracles import fraction_nullspace, identity, mat_add, sym_op_from_params
 
 
 def _action(un, n, k):
@@ -130,7 +130,7 @@ def test_equivalence_is_symmetric_and_transitive(space):
 
 def test_empty_decomposition_when_h_equals_g(un):
     g = un(2)
-    sp = decomp.reductive_split(g, decomp.subalgebra(g, linalg.identity(g.dim)))
+    sp = decomp.reductive_split(g, decomp.subalgebra(g, identity(g.dim)))
     act = isotropy_action(sp)
     dec = decompose_isotypic(act)
     assert dec.dim == 0

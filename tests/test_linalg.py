@@ -5,9 +5,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from go_metric_lab import linalg
+from go_metric_lab import decomp, lie_core, linalg
 
-from oracles import fraction_nullspace, fraction_positive_definite
+from oracles import (fraction_nullspace, fraction_positive_definite, identity,
+                     rref, rref_nullspace, rref_pivot_rows, rref_solve)
 
 
 def frac_matrix(rows):
@@ -16,7 +17,7 @@ def frac_matrix(rows):
 
 def test_rref_and_nullspace_small():
     rows = frac_matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    red, pivots = linalg.rref(rows)
+    red, pivots = rref(rows)
     assert pivots == [0, 1]
     ns = linalg.nullspace(rows, 3)
     assert len(ns) == 1
@@ -25,7 +26,7 @@ def test_rref_and_nullspace_small():
 
 
 def test_nullspace_of_empty_system():
-    assert linalg.nullspace([], 3) == linalg.identity(3)
+    assert linalg.nullspace([], 3) == identity(3)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -34,6 +35,117 @@ def test_solve_consistent_and_inconsistent():
     assert x == [Fraction(2), Fraction(1)]
     a = frac_matrix([[1, 1], [1, 1]])
     assert linalg.solve_consistent(a, [Fraction(0), Fraction(1)]) is None
+
+
+def _entry(rng, kind):
+    """A random entry, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return 0 if kind == "int" else Fraction(0)
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+
+def _random_system(rng):
+    """Seeded rows with int, Fraction or mixed entries: some rows are zero
+    and some repeat combinations of earlier rows, so the rank falls short."""
+    kind = rng.choice(["int", "fraction", "mixed"])
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append([0] * ncols)
+        elif roll < 0.35 and rows:
+            c1, c2 = _entry(rng, kind), _entry(rng, kind)
+            r1, r2 = rng.choice(rows), rng.choice(rows)
+            rows.append([c1 * a + c2 * b for a, b in zip(r1, r2)])
+        else:
+            rows.append([_entry(rng, kind) for _ in range(ncols)])
+    return kind, rows, ncols
+
+
+def test_elimination_matches_rref_oracle():
+    # pivot rows, solutions (free variables at 0), rank, span and nullspace
+    # of the one integer elimination against dense Fraction Gauss-Jordan
+    seen = {"deficient": 0, "consistent": 0, "inconsistent": 0,
+            "zero row": 0, "same span": 0, "other span": 0}
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(f"elimination:{seed}")
+        kind, a, ncols = _random_system(rng)
+        kinds.add(kind)
+        pivots = linalg.pivot_rows(a)
+        assert pivots == rref_pivot_rows(a)
+        assert all(row[p] > 0 for p, row in pivots.items())
+        rank = len(rref(a)[1])
+        assert linalg.rank(a) == rank
+        seen["deficient"] += rank < min(len(a), ncols)
+        seen["zero row"] += any(not any(row) for row in a)
+        null = rref_nullspace(a, ncols)
+        assert linalg.nullspace(a, ncols) == null
+        sparse_rows = [{j: c for j, c in enumerate(row) if c} for row in a]
+        assert linalg.sparse_nullspace(sparse_rows, ncols) == null
+        assert all(type(c) is Fraction for v in null for c in v)
+        # consistent right-hand sides a @ x, and random ones
+        x = [_entry(rng, kind) for _ in range(ncols)]
+        for b in ([linalg.dot(row, x) for row in a],
+                  [_entry(rng, kind) for _ in a]):
+            got = linalg.solve_consistent(a, b)
+            assert got == rref_solve(a, b)
+            if got is None:
+                seen["inconsistent"] += 1
+            else:
+                seen["consistent"] += 1
+                assert all(type(c) is Fraction for c in got)
+                assert [linalg.dot(row, got) for row in a] == b
+        # the reversed rows span the same space, combinations of them the
+        # same one or a smaller one, and x appended may leave it
+        combo = [[sum(_entry(rng, kind) * row[j] for row in a)
+                  for j in range(ncols)] for _ in range(rng.randint(0, 3))]
+        for other in (a[::-1], combo, combo + [x]):
+            same = rank == len(rref(other)[1]) == len(rref(a + other)[1])
+            assert linalg.same_span(a, other) == same
+            seen["same span" if same else "other span"] += 1
+    assert kinds == {"int", "fraction", "mixed"}
+    assert all(seen.values()), seen
+
+
+def test_elimination_of_the_empty_system():
+    assert linalg.pivot_rows([]) == {}
+    assert linalg.solve_consistent([], []) == rref_solve([], []) == []
+    assert linalg.rank([]) == 0
+    assert linalg.same_span([], [])
+    assert not linalg.same_span([], [[0, 1]])
+    assert linalg.same_span([[0, 0]], [])
+    assert linalg.nullspace([], 2) == rref_nullspace([], 2) == identity(2)
+
+
+def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
+    calls = []
+    pivot_rows = linalg.pivot_rows
+
+    def counted(rows):
+        calls.append(1)
+        return pivot_rows(rows)
+
+    monkeypatch.setattr(linalg, "pivot_rows", counted)
+    a = frac_matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+
+    def count(fn, *args):
+        del calls[:]
+        fn(*args)
+        return len(calls)
+
+    g = lie_core.build_un(2)
+    assert count(linalg.solve_consistent, a, [1, 2, 0]) == 1
+    assert count(linalg.rank, a) == 1
+    assert count(linalg.same_span, a, a[:2]) == 2
+    assert count(linalg.nullspace, a, 3) == 1
+    assert count(linalg.sparse_nullspace, [{0: 1, 2: 1}], 3) == 1
+    assert count(decomp.subalgebra, g, identity(g.dim)) == 1
+    assert count(linalg.least_squares, a, [1, 0, 0], identity(3)) == 1
+    assert count(linalg.minimal_polynomial, a) >= 1
 
 
 @given(st.integers(0, 10 ** 6))
@@ -54,7 +166,7 @@ def test_sparse_nullspace_matches_dense(seed):
 
 
 def test_least_squares_exact_projection():
-    gram = linalg.identity(3)
+    gram = identity(3)
     cols = [[Fraction(1), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(1), Fraction(0)]]
     rhs = [Fraction(2), Fraction(3), Fraction(5)]

@@ -10,7 +10,7 @@ from go_metric_lab import isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.metric import (check_normalizer_equivariance,
                                   from_parameters, full_family, instantiate)
 from oracles import (coords_in_family, dense_gram_family_ops, dense_op,
-                     identity_metric, mat_add, projector)
+                     identity, identity_metric, mat_add, projector)
 
 
 def test_identity_from_parameters(space):
@@ -19,7 +19,7 @@ def test_identity_from_parameters(space):
     a_id = identity_metric(dec)
     params = a_id.params
     a2 = from_parameters(dec, params)
-    assert a2.matrix == linalg.identity(dec.dim)
+    assert a2.matrix == identity(dec.dim)
     assert a2.is_pd
 
 
@@ -52,7 +52,7 @@ def test_wrong_parameter_count_rejected(space):
 
 def test_from_matrix_rejects_non_equivariant(space):
     sp = space(3, 2)
-    bad = linalg.identity(sp.dim_m)
+    bad = identity(sp.dim_m)
     bad[0][1] = Fraction(1)              # mixes S1 coordinates arbitrarily
     with pytest.raises(metric.NotEquivariantError):
         metric.from_matrix(sp.decomp, bad)
@@ -80,7 +80,7 @@ def _space_file_decomposition(n, k):
 
 def _sample_matrices(dec, rng, count):
     """Identity plus seeded points of the full family."""
-    out = [linalg.identity(dec.dim)]
+    out = [identity(dec.dim)]
     ops = [dense_op(cols, dec.dim)
            for cols in metric.family_basis_ops(full_family(dec))]
     for _ in range(count):
@@ -117,11 +117,11 @@ def test_from_matrix_rejects_matrices_outside_the_commutant(space):
     from go_metric_lab import isotropy
     sp = space(3, 2)
     # symmetric, but one S1 coordinate is weighted apart from its module
-    bumped = linalg.identity(sp.dim_m)
+    bumped = identity(sp.dim_m)
     i = sp.s1_pairs[0][0]
     bumped[i][i] += 1
     # ad(z0) commutes with the isotropy action but is B-skew
-    skew = mat_add(linalg.identity(sp.dim_m),
+    skew = mat_add(identity(sp.dim_m),
                           isotropy.ad_on_m(sp.split, sp.z0_m))
     assert metric.check_normalizer_equivariance(
         metric.MetricEndomorphism(sp.decomp, skew, None, False),
@@ -132,7 +132,7 @@ def test_from_matrix_rejects_matrices_outside_the_commutant(space):
         with pytest.raises(metric.NotEquivariantError):
             metric.from_matrix(sp.decomp, bad)
     with pytest.raises(metric.NotEquivariantError):
-        metric.from_matrix(sp.decomp, linalg.identity(sp.dim_m - 1))
+        metric.from_matrix(sp.decomp, identity(sp.dim_m - 1))
 
 
 def test_equivariance_and_symmetry_exact(space):
@@ -201,7 +201,7 @@ def test_eigenstructure_diagonal_example(space):
     sp = space(3, 2)
     s1 = sp.decomp.nontrivial_summands()[0]
     p1 = projector(s1.members[0].space, sp.action.norms, sp.dim_m)
-    amat = mat_add(linalg.identity(sp.dim_m), p1)
+    amat = mat_add(identity(sp.dim_m), p1)
     a = metric.from_matrix(sp.decomp, amat)
     assert eigenstructure(a) == [(1, 6), (2, 2)]
 
@@ -214,7 +214,7 @@ def test_normalizer_equivariance_cases(space):
     # distinct eigenvalues on the two equivalent members: must fail
     s1 = dec.nontrivial_summands()[0]
     p1 = projector(s1.members[0].space, dec.action.norms, dec.dim)
-    a = metric.from_matrix(dec, mat_add(linalg.identity(dec.dim), p1))
+    a = metric.from_matrix(dec, mat_add(identity(dec.dim), p1))
     assert not check_normalizer_equivariance(a)
 
 
@@ -284,7 +284,7 @@ def test_eigenstructure_on_three_dim_m(space):
     # diag(1, 1, 2) on the 3-dim tangent space of (2,1)
     sp = space(2, 1)
     amat = mat_add(
-        linalg.identity(sp.dim_m),
+        identity(sp.dim_m),
         projector(sp.decomp.s0.space, sp.action.norms, sp.dim_m))
     a = metric.from_matrix(sp.decomp, amat)
     assert sorted(eigenstructure(a)) == [(1, 2), (2, 1)]
@@ -300,7 +300,7 @@ def test_eigen_split_is_none_on_an_irrational_spectrum(space):
     blk = fam.intertwiner_blocks[0]
     mix = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[0]), dec.dim)
     mix2 = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[1]), dec.dim)
-    amat = linalg.mat_scale(Fraction(4), linalg.identity(sp.dim_m))
+    amat = linalg.mat_scale(Fraction(4), identity(sp.dim_m))
     amat = mat_add(amat, mix)
     amat = mat_add(amat, mix2)
     a = metric.from_matrix(dec, amat)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from go_metric_lab import go, lie_core, linalg, metric, stiefel
 from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
                                    metric_at, tilde_map, verify_family)
-from oracles import center_coefficient, mat_add, projector
+from oracles import center_coefficient, identity, mat_add, projector
 
 
 def test_build_examples(space):
@@ -122,10 +122,10 @@ def test_center_coefficient_matches_gram_formula(n, k, space):
 def test_metric_at_pd_iff_positive(space):
     sp = space(3, 1)
     assert metric_at(sp, Fraction(1, 4)).is_pd
-    assert metric_at(sp, 1).matrix == linalg.identity(sp.dim_m)
+    assert metric_at(sp, 1).matrix == identity(sp.dim_m)
     a_neg = metric.from_matrix(
         sp.decomp,
-        mat_add(linalg.identity(sp.dim_m),
+        mat_add(identity(sp.dim_m),
                 linalg.mat_scale(Fraction(-2), projector(
                     sp.ideals.center, sp.action.norms, sp.dim_m))))
     assert not a_neg.is_pd                      # this is A_t at t = -1
@@ -145,7 +145,9 @@ def test_witness_bracket_rejects_h_component(space):
     x = linalg.unit_vec(sp.dim_m, labels.index("e_1_3"))
     y = linalg.unit_vec(sp.dim_m, labels.index("eb_1_3"))
     with pytest.raises(ValueError, match="not in m"):
-        stiefel._bracket_m(sp, x, y)
+        sp.split.bracket_table.bracket_in_m(linalg.sparse(x), linalg.sparse(y))
+    # the witness identities see it as the h-component of go._bracket
+    assert go._bracket(sp.action, x, y)[1]
 
 
 def test_module_bracket_lands_in_s0(space):
@@ -178,7 +180,7 @@ def test_verify_family_raises_on_a_non_pd_metric(space, monkeypatch):
     # the PD precondition of the certificate survives python -O
     sp = space(2, 1)
     monkeypatch.setattr(stiefel, "metric_at", lambda space, t: metric.from_matrix(
-        space.decomp, linalg.mat_scale(Fraction(-1), linalg.identity(space.dim_m))))
+        space.decomp, linalg.mat_scale(Fraction(-1), identity(space.dim_m))))
     with pytest.raises(ArithmeticError, match="not positive definite"):
         verify_family(sp, [Fraction(2)])
 
@@ -220,7 +222,7 @@ def test_deformation_point_classifier(space):
             Fraction(3), metric_at(sp, Fraction(1, 2)).matrix)).matrix)
     p1 = projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp,
-                           mat_add(linalg.identity(sp.dim_m), p1))
+                           mat_add(identity(sp.dim_m), p1))
     assert not stiefel._is_deformation(sp, a.matrix)
 
 
