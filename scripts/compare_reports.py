@@ -13,7 +13,12 @@ The commands: `decompose stiefel n k` for every 1 <= k < n <= 8,
 with 100 off-diagonal samples and (6,3) at resolution 1 with 50, and
 `check-go` with the basis and the random strategy on a (4,2) metric that
 is not GO: the diagonal family at values 1, 2, 3, ..., written once by
-PARENT's package and read by both.
+PARENT's package and read by both.  Two more cover the general paths:
+`decompose SPACE.json` on u(4) over the two-torus span{eb_1_1 + eb_2_2,
+eb_3_3 + eb_4_4} (a space file written once by PARENT's package, so the
+split and the decomposition of a non-Stiefel space run from JSON input),
+and `check-go stiefel 4 2 --family-t 2 --strategy family`, which runs
+`metric_at` and the witness map.
 """
 
 import argparse
@@ -32,8 +37,19 @@ a = metric.instantiate(family, [Fraction(i + 1) for i in range(family.n_params)]
 json.dump(metric.metric_to_json_dict(a), open(sys.argv[1], "w"))
 """
 
+TWO_TORUS_SPACE = """
+import json, sys
+from go_metric_lab import decomp, lie_core
+g = lie_core.build_un(4)
+h = decomp.subalgebra(g, [g.vector(("eb_1_1", 1), ("eb_2_2", 1)),
+                          g.vector(("eb_3_3", 1), ("eb_4_4", 1))])
+data = dict(decomp.split_to_json_dict(decomp.reductive_split(g, h)),
+            algebra=lie_core.to_json_dict(g))
+json.dump(data, open(sys.argv[1], "w"))
+"""
 
-def commands(metric_path: str):
+
+def commands(metric_path: str, space_path: str):
     for n in range(2, 9):
         for k in range(1, n):
             yield ["decompose", "stiefel", str(n), str(k)]
@@ -45,6 +61,9 @@ def commands(metric_path: str):
     for strategy in ("basis", "random"):
         yield ["check-go", "stiefel", "4", "2", "--metric", metric_path,
                "--strategy", strategy]
+    yield ["decompose", space_path]
+    yield ["check-go", "stiefel", "4", "2", "--family-t", "2",
+           "--strategy", "family"]
 
 
 def run(checkout: Path, args) -> int:
@@ -71,7 +90,11 @@ def main() -> int:
         if run(checkouts[0], ["-c", NOT_GO_METRIC, str(metric_path)]):
             print("could not write the (4,2) metric", file=sys.stderr)
             return 1
-        for cmd in commands(str(metric_path)):
+        space_path = tmp / "two_torus_u4.json"
+        if run(checkouts[0], ["-c", TWO_TORUS_SPACE, str(space_path)]):
+            print("could not write the two-torus space", file=sys.stderr)
+            return 1
+        for cmd in commands(str(metric_path), str(space_path)):
             results = []
             for side, checkout in enumerate(checkouts):
                 out = tmp / f"report_{side}.json"
@@ -80,7 +103,8 @@ def main() -> int:
                                       "--out", str(out)])
                 results.append((code, out.read_bytes() if out.exists()
                                 else None))
-            label = " ".join(cmd).replace(str(metric_path), "METRIC")
+            label = " ".join(cmd).replace(str(metric_path), "METRIC").replace(
+                str(space_path), "SPACE")
             if results[0] != results[1]:
                 print(f"DIFFERS: {label} (exit {results[0][0]} vs "
                       f"{results[1][0]})")

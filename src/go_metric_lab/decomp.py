@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 from . import lie_core, linalg
 from .lie_core import MatrixLieAlgebra
-from .linalg import Mat, Sparse, Vec
+from .linalg import Columns, Mat, Sparse, Vec
 
 
 class NotSubalgebraError(ValueError):
@@ -157,7 +157,7 @@ class BracketTable:
 class ReductiveSplit:
     """g = h (+) m with a B-orthogonal m basis.
 
-    `ad_h[i]` is the matrix of ad(h_i)|_m over the m basis, read off the
+    `ad_h[i]` is ad(h_i)|_m as sparse columns over m, read off the
     reductivity check; `isotropy.isotropy_action` verifies and keeps it.
     """
 
@@ -165,7 +165,7 @@ class ReductiveSplit:
     h: Subalgebra
     m_basis: List[Vec]
     gram_m: Mat
-    ad_h: List[Mat]
+    ad_h: List[Columns]
 
     @property
     def dim_m(self) -> int:
@@ -183,14 +183,9 @@ class ReductiveSplit:
     def _m_part(self, x: Vec) -> Tuple[Vec, Vec]:
         """(coordinates of the m-component of x, the h-component of x)."""
         gram = self.algebra.gram         # diagonal: checked by reductive_split
-        gx = [(i, c * gram[i][i]) for i, c in enumerate(x) if c != 0]
-        coords = linalg.orthogonal_coords(self.m_basis, self.norms_m, gx)
-        resid = list(x)
-        for c, b in zip(coords, self._sparse_m_basis):
-            if c != 0:
-                for i, bi in b:
-                    resid[i] -= c * bi
-        return coords, resid
+        return linalg.orthogonal_projection(
+            self._sparse_m_basis, self.norms_m,
+            [gram[i][i] for i in range(len(x))], x)
 
     def coords_in_m(self, x: Vec) -> Vec:
         """Coordinates over the m basis; requires x in m (exact)."""
@@ -246,8 +241,8 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
             coords, h_part = split._m_part(lie_core.bracket(g, hv, mv))
             if not linalg.vec_is_zero(h_part):
                 raise NonReductiveError("[h, m] leaves m; split is not reductive")
-            cols.append(coords)
-        split.ad_h.append(linalg.transpose(cols))
+            cols.append(linalg.sparse(coords))
+        split.ad_h.append(cols)
     return split
 
 

@@ -73,7 +73,7 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
     cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)
-            for ad in action.ad_columns]
+            for ad in action.ad_ops]
     rhs = linalg.dense([(i, -c) for i, c in c_m], dim)
     return linalg.least_squares(cols, rhs, split.gram_m)
 
@@ -315,20 +315,11 @@ def _bracket(action, x_m: Vec, y_m: Vec, a_h: Vec = ()
     ys = linalg.sparse(y_m)
     c_m, c_h = action.split.bracket_table.bracket(linalg.sparse(x_m), ys)
     w = linalg.dense(c_m, len(y_m))
-    for a, ad in zip(a_h, action.ad_columns):
+    for a, ad in zip(a_h, action.ad_ops):
         if a != 0:
             for k, c in linalg.sparse_mat_vec(ad, ys):
                 w[k] += a * c
     return w, c_h
-
-
-def _outside(space: Subspace, norms: Vec, w_m: Vec) -> Vec:
-    """w minus its B-orthogonal projection onto the subspace."""
-    for b, nb in zip(space.basis, space.norms):
-        c = linalg.norm_dot(norms, w_m, b) / nb
-        if c != 0:
-            w_m = linalg.vec_sub(w_m, linalg.vec_scale(c, b))
-    return w_m
 
 
 def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
@@ -556,17 +547,20 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
             x_coords = member.space.coords_of(x_m, nu)
             if x_coords is None:
                 continue
+            xs = linalg.sparse(x_coords)
             images: Dict[int, List[Vec]] = {}
             for m in range(len(members)):
                 if m == l:
                     continue
                 phis = summand.intertwiner_bases.get((l, m), [])
+                target = members[m].space
                 rems = []
                 for phi in phis:
-                    img = linalg.combine(linalg.mat_vec(phi, x_coords),
-                                         members[m].space.basis, decomp.dim)
+                    img = linalg.combine(
+                        linalg.dense(linalg.sparse_mat_vec(phi, xs), target.dim),
+                        target.basis, decomp.dim)
                     w_m, w_h = _bracket(action, x_m, img)
-                    rems.append(_outside(summand.space, nu, w_m)
+                    rems.append(summand.space.projection(w_m, nu)[1]
                                 + linalg.dense(w_h, g_dim))
                 if not phis or linalg.rank(rems) != len(phis):
                     break
@@ -585,11 +579,11 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
 
 def _prop32_pair_witness(action, space_a: Subspace, space_b: Subspace):
     """Basis pair whose bracket projects outside the two subspaces."""
+    nu = action.norms
     for x in space_a.basis:
         for y in space_b.basis:
             w_m, w_h = _bracket(action, x, y)
-            w_perp = _outside(space_b, action.norms,
-                              _outside(space_a, action.norms, w_m))
+            w_perp = space_b.projection(space_a.projection(w_m, nu)[1], nu)[1]
             if w_h or not linalg.vec_is_zero(w_perp):
                 return x, y, (w_m, w_h), w_perp
     return None
@@ -601,7 +595,7 @@ def _prop32_triple_witness(action, space_a: Subspace, space_b: Subspace,
     for x in space_a.basis:
         for y in space_b.basis:
             w_m, w_h = _bracket(action, x, y)
-            if _outside(space_c, action.norms, w_m) != w_m:
+            if any(space_c.projection(w_m, action.norms)[0]):
                 return x, y, (w_m, w_h)
     return None
 
@@ -669,7 +663,7 @@ class _ScanTensors:
     `_ScanTensors`, which is one scan.
     """
 
-    def __init__(self, family: MetricFamily, ops: List[metric_mod.Columns],
+    def __init__(self, family: MetricFamily, ops: List[linalg.Columns],
                  probes: List[Vec], grid: Sequence = ()):
         self.action = family.decomp.action
         self.gram_m = self.action.split.gram_m
@@ -830,7 +824,8 @@ def _grid_points(family: MetricFamily, spec: ScanSpec
 
 
 def _random_points(family: MetricFamily, spec: ScanSpec,
-                   op_columns: List[metric_mod.Columns]) -> List[Tuple]:
+                   integer_ops: List[List[List[Tuple[int, int]]]]
+                   ) -> List[Tuple]:
     """Seeded lattice samples of the full cone, off the diagonal.
 
     Scalar classes and operator diagonals draw from the positive grid;
@@ -855,7 +850,7 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     if not off_positions:
         return []
     form_at = metric_mod.family_form(
-        op_columns, family.decomp.action.integer_norms[1], family.decomp.dim)
+        integer_ops, family.decomp.action.integer_norms[1], family.decomp.dim)
     # keep draws near the cone: few off-diagonal entries, each a fraction
     # of the smallest diagonal weight drawn
     p_nonzero = min(Fraction(1, 4), Fraction(4, max(1, len(off_positions))))
@@ -916,10 +911,10 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     values = tensors.point_values(ids)
     proved = prove is not None and prove(values)
     if spec.survivor_random_probes and not proved:
-        amat = metric_mod.family_matrix(tensors.op_columns, values,
-                                        decomp.dim)
-        a = MetricEndomorphism(decomp=decomp, matrix=amat,
-                               params=None, is_pd=True)
+        a = MetricEndomorphism(
+            decomp=decomp, columns=linalg.combine_columns(
+                values, tensors.op_columns, decomp.dim),
+            params=None, is_pd=True)
         cert = go_check(a, strategy="random",
                         count=spec.survivor_random_probes,
                         seed=spec.seed * 1_000_003 + idx,
@@ -970,7 +965,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     drawn: List[Tuple[int, ...]] = []
     if spec.random_count:
         drawn = [tuple(map(tensors.intern, vals)) for vals in
-                 _random_points(family, spec, tensors.op_columns)]
+                 _random_points(family, spec, tensors.integer_ops[1])]
     n_points = n_grid + len(drawn)
     _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors,
                         "prove": prove, "n_grid": n_grid})

@@ -1,7 +1,9 @@
 """Isotropy action on m: irreducible pieces, isotypical summands, ideals.
 
-The action of h on m is carried by the matrices of ad(a)|_m over the m
-basis.  Decomposition strategy, all in exact rational arithmetic:
+The action of h on m is carried by the operators ad(a)|_m over the m
+basis.  Every operator here, restrictions, commutants, intertwiners and
+splitters alike, is sparse columns (`linalg.Columns`).  Decomposition
+strategy, all in exact rational arithmetic:
 
 * the trivial summand S0 is the joint kernel of the action, computed
   directly as an exact nullspace;
@@ -37,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .decomp import ReductiveSplit
-from .linalg import Mat, Vec, ZERO, ONE
+from .linalg import Columns, Vec, ONE
 
 
 class DecompositionError(ArithmeticError):
@@ -67,18 +69,16 @@ class Subspace:
     def sparse_basis(self) -> List[linalg.Sparse]:
         return [linalg.sparse(b) for b in self.basis]
 
+    def projection(self, v: Vec, norms: Vec) -> Tuple[Vec, Vec]:
+        """(coordinates of the B-orthogonal projection of v over the basis,
+        v minus that projection); `norms` is the ambient norm vector."""
+        return linalg.orthogonal_projection(self.sparse_basis, self.norms,
+                                            norms, v)
+
     def coords_of(self, v: Vec, norms: Vec) -> Optional[Vec]:
         """Coordinates of v over the basis, or None if v falls outside."""
-        resid = {i: c for i, c in enumerate(v) if c != 0}
-        gv = [(i, c * norms[i]) for i, c in resid.items()]
-        coords = linalg.orthogonal_coords(self.basis, self.norms, gv)
-        for c, b in zip(coords, self.sparse_basis):
-            if c != 0:
-                for i, bi in b:
-                    resid[i] = resid.get(i, ZERO) - c * bi
-        if any(r != 0 for r in resid.values()):
-            return None
-        return coords
+        coords, resid = self.projection(v, norms)
+        return None if any(resid) else coords
 
 
 def make_subspace(vectors: Sequence[Vec], norms: Vec) -> Subspace:
@@ -103,10 +103,11 @@ def subspace_leading_index(sub: Subspace) -> Tuple:
 
 @dataclass
 class IsotropyAction:
-    """ad(a)|_m for each h-basis element a, over the m basis."""
+    """ad(a)|_m for each h-basis element a, as sparse columns over the m
+    basis: column b is [a, m_b]."""
 
     split: ReductiveSplit
-    ad_ops: List[Mat]
+    ad_ops: List[Columns]
 
     @property
     def dim(self) -> int:
@@ -117,15 +118,10 @@ class IsotropyAction:
         return self.split.norms_m
 
     @cached_property
-    def ad_columns(self) -> List[List[linalg.Sparse]]:
-        """Sparse columns of each ad(a)|_m: column b is [a, m_b] over m."""
-        return [linalg.sparse_columns(op) for op in self.ad_ops]
-
-    @cached_property
     def integer_ad_columns(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
         """(D, columns): D the lcm of every denominator of the isotropy
         operators, and the sparse columns of each D ad(a)|_m as integers."""
-        return linalg.cleared_columns(self.ad_columns)
+        return linalg.cleared_columns(self.ad_ops)
 
     @cached_property
     def integer_norms(self) -> Tuple[int, List[int], List[int]]:
@@ -139,33 +135,35 @@ class IsotropyAction:
 
 
 def isotropy_action(split: ReductiveSplit) -> IsotropyAction:
-    """The action matrices of the split's reductivity check, verified B-skew.
+    """The action operators of the split's reductivity check, verified B-skew.
 
     B-skewness on the diagonal m-norms nu reads
     nu_r A[r][c] + nu_c A[c][r] = 0 entrywise.
     """
     nu = split.norms_m
     for op in split.ad_h:
-        for r, row in enumerate(op):
-            for c, x in enumerate(row):
-                if x != 0 and nu[r] * x + nu[c] * op[c][r] != 0:
+        entries = [dict(col) for col in op]
+        for c, col in enumerate(op):
+            for r, x in col:
+                if nu[r] * x + nu[c] * entries[r].get(c, 0) != 0:
                     raise ArithmeticError("ad(a)|_m is not B-skew")
     return IsotropyAction(split=split, ad_ops=list(split.ad_h))
 
 
-def restrict_op(op: Mat, sub: Subspace, norms: Vec) -> Optional[Mat]:
-    """Matrix of op on the subspace basis; None if the subspace moves."""
+def restrict_op(op: Columns, sub: Subspace, norms: Vec) -> Optional[Columns]:
+    """Sparse columns of op on the subspace basis; None if it moves."""
     cols = []
     for b in sub.sparse_basis:
-        coords = sub.coords_of([linalg.sparse_dot(row, b) for row in op], norms)
+        coords = sub.coords_of(
+            linalg.dense(linalg.sparse_mat_vec(op, b), len(norms)), norms)
         if coords is None:
             return None
-        cols.append(coords)
-    return linalg.transpose(cols)
+        cols.append(linalg.sparse(coords))
+    return cols
 
 
 def _restrict_action(action: IsotropyAction, sub: Optional[Subspace]
-                     ) -> Tuple[List[Mat], List[Fraction]]:
+                     ) -> Tuple[List[Columns], List[Fraction]]:
     if sub is None:
         return action.ad_ops, list(action.norms)
     ops = []
@@ -189,18 +187,8 @@ def _sym_param_index(d: int) -> Dict[Tuple[int, int], int]:
     return idx
 
 
-def _integer_lines(m: Mat, den: int) -> Tuple[List[list], List[list]]:
-    """Sparse rows and sparse columns of the integer matrix den * m; den
-    must clear every denominator of m."""
-    rows = [linalg.integers(linalg.sparse(row), den) for row in m]
-    cols: List[list] = [[] for _ in range(len(m[0]) if m else 0)]
-    for r, row in enumerate(rows):
-        for c, x in row:
-            cols[c].append((r, x))
-    return rows, cols
-
-
-def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
+def commutant_sym_ops(ops: List[Columns], norms: List[Fraction]
+                      ) -> List[Columns]:
     """Basis of B-symmetric operators commuting with every op (exact).
 
     The parameters are the entries S[i][j], i <= j, with S[j][i] =
@@ -222,8 +210,8 @@ def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
 
     rows = []
     for m in ops:
-        m_rows, m_cols = _integer_lines(
-            m, linalg.denominator(x for row in m for x in row))
+        m_cols = linalg.cleared_columns([m])[1][0]
+        m_rows = linalg.column_rows(m_cols, d)
         for r in range(d):
             p_r, w_r = param[r], weight[r]
             for c in range(d):
@@ -231,7 +219,7 @@ def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
                 for k, x in m_cols[c]:
                     p = p_r[k]
                     row[p] = row.get(p, 0) + w_r[k] * x
-                for k, x in m_rows[r]:
+                for k, x in m_rows[r].items():
                     p = param[k][c]
                     row[p] = row.get(p, 0) - x * weight[k][c]
                 if row:
@@ -241,41 +229,41 @@ def commutant_sym_ops(ops: List[Mat], norms: List[Fraction]) -> List[Mat]:
     entries = list(idx)
     out = []
     for params in sols:
-        s = linalg.zeros(d, d)
+        cols: List[dict] = [{} for _ in range(d)]
         for p, v in enumerate(params):
             if v != 0:
                 i, j = entries[p]
-                s[i][j] = v
+                cols[j][i] = v
                 if i != j:
-                    s[j][i] = v * norms[i] / norms[j]
-        out.append(s)
+                    cols[i][j] = v * norms[i] / norms[j]
+        out.append([linalg.sparse_from(col) for col in cols])
     return out
 
 
 def commutant_sym(action: IsotropyAction,
-                  subspace: Optional[Subspace] = None) -> List[Mat]:
+                  subspace: Optional[Subspace] = None) -> List[Columns]:
     """Symmetric equivariant operators on an invariant subspace of m."""
     return commutant_sym_ops(*_restrict_action(action, subspace))
 
 
 def intertwiners(action: IsotropyAction, sub_a: Subspace,
-                 sub_b: Subspace) -> List[Mat]:
-    """Basis of equivariant maps sub_a -> sub_b (matrices d_b x d_a)."""
+                 sub_b: Subspace) -> List[Columns]:
+    """Basis of equivariant maps sub_a -> sub_b: d_a sparse columns over
+    the sub_b basis each."""
     ops_a, _ = _restrict_action(action, sub_a)
     ops_b, _ = _restrict_action(action, sub_b)
     return _equivariant_maps(ops_a, ops_b, sub_a.dim, sub_b.dim)
 
 
-def _equivariant_maps(ops_a: List[Mat], ops_b: List[Mat], da: int,
-                      db: int) -> List[Mat]:
-    """Basis of the d_b x d_a matrices phi with phi ma = mb phi for every
-    pair (ma, mb); with ops_a = ops_b, the full commutant.  Each pair is
-    cleared of its denominators once, so the rows are integer."""
+def _equivariant_maps(ops_a: List[Columns], ops_b: List[Columns], da: int,
+                      db: int) -> List[Columns]:
+    """Basis of the d_b x d_a maps phi (sparse columns) with phi ma = mb phi
+    for every pair (ma, mb); with ops_a = ops_b, the full commutant.  Each
+    pair is cleared of its denominators once, so the rows are integer."""
     rows = []
     for ma, mb in zip(ops_a, ops_b):
-        den = linalg.denominator(x for m in (ma, mb) for row in m for x in row)
-        a_cols = _integer_lines(ma, den)[1]
-        b_rows = _integer_lines(mb, den)[0]
+        a_cols, b_cols = linalg.cleared_columns([ma, mb])[1]
+        b_rows = linalg.column_rows(b_cols, db)
         # phi @ ma - mb @ phi = 0, phi indexed (r, c) -> r * da + c
         for r in range(db):
             for c in range(da):
@@ -283,13 +271,14 @@ def _equivariant_maps(ops_a: List[Mat], ops_b: List[Mat], da: int,
                 for k, x in a_cols[c]:
                     p = r * da + k
                     row[p] = row.get(p, 0) + x
-                for k, x in b_rows[r]:
+                for k, x in b_rows[r].items():
                     p = k * da + c
                     row[p] = row.get(p, 0) - x
                 if row:
                     rows.append(row)
     sols = linalg.sparse_nullspace(rows, da * db)
-    return [[sol[r * da:(r + 1) * da] for r in range(db)] for sol in sols]
+    return [[[(r, sol[r * da + c]) for r in range(db) if sol[r * da + c]]
+             for c in range(da)] for sol in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +288,8 @@ def _equivariant_maps(ops_a: List[Mat], ops_b: List[Mat], da: int,
 RANDOM_TRIES = 24     # seeded random commutant combinations tried per piece
 
 
-def minimal_invariant_pieces(ops: List[Mat], norms: Vec, start: Subspace,
-                             extra_ops: Sequence[Mat] = (),
+def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
+                             extra_ops: Sequence[Columns] = (),
                              seed: int = 0) -> List[Subspace]:
     """Split an invariant subspace into minimal invariant pieces, exactly.
 
@@ -327,8 +316,7 @@ def minimal_invariant_pieces(ops: List[Mat], norms: Vec, start: Subspace,
         draws = [[Fraction(rng.randint(-9, 9)) for _ in csym]
                  for _ in range(RANDOM_TRIES)]
         restricted = (restrict_op(ex, piece, norms) for ex in extra_ops)
-        combos = ([[sum((c * s[i][j] for c, s in zip(coeffs, csym)), ZERO)
-                    for j in range(piece.dim)] for i in range(piece.dim)]
+        combos = (linalg.combine_columns(coeffs, csym, piece.dim)
                   for coeffs in draws)
         for cand in itertools.chain((r for r in restricted if r is not None),
                                     csym, combos):
@@ -370,7 +358,8 @@ class IsotypicalSummand:
     class_id: int
     members: List[Submodule]
     space: Subspace
-    intertwiner_bases: Dict[Tuple[int, int], List[Mat]] = field(default_factory=dict)
+    intertwiner_bases: Dict[Tuple[int, int], List[Columns]] = field(
+        default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -383,36 +372,32 @@ class IsotypicalDecomposition:
     summands: List[IsotypicalSummand]
     s0: IsotypicalSummand
     seed: int
-    _sym_commutant: Optional[List[Mat]] = field(default=None, repr=False)
+    _sym_commutant: Optional[List[Columns]] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.action.dim
 
-    def sym_commutant_basis(self) -> List[Mat]:
+    def sym_commutant_basis(self) -> List[Columns]:
         """Basis of symmetric equivariant operators on all of m (cached)."""
         if self._sym_commutant is None:
             self._sym_commutant = commutant_sym(self.action)
         return self._sym_commutant
 
     @cached_property
-    def sym_commutant_entries(self) -> List[Dict[Tuple[int, int], Fraction]]:
-        """Nonzero entries {(row, col): value} of each commutant basis operator."""
-        return [{(i, j): c for i, row in enumerate(s) for j, c in enumerate(row)
-                 if c != 0} for s in self.sym_commutant_basis()]
-
-    @cached_property
     def sym_commutant_free(self) -> List[Tuple[int, int]]:
-        """Per basis operator, a position where it is 1 and every other is 0.
+        """Per basis operator, a position (row, col) where it is 1 and every
+        other is 0, the first in row order.
 
         The basis comes from an exact nullspace (`commutant_sym_ops`), so
         the free column of each basis vector supplies one.
         """
-        owners = collections.Counter(
-            pos for entries in self.sym_commutant_entries for pos in entries)
-        return [next(pos for pos, c in entries.items()
-                     if c == 1 and owners[pos] == 1)
-                for entries in self.sym_commutant_entries]
+        entries = [sorted(((i, j), c) for j, col in enumerate(s)
+                          for i, c in col)
+                   for s in self.sym_commutant_basis()]
+        owners = collections.Counter(pos for e in entries for pos, _ in e)
+        return [next(pos for pos, c in e if c == 1 and owners[pos] == 1)
+                for e in entries]
 
     def nontrivial_summands(self) -> List[IsotypicalSummand]:
         return [s for s in self.summands if s is not self.s0]
@@ -424,34 +409,28 @@ class IsotypicalDecomposition:
         return split_ideals(self.action.split, self.s0.space)
 
 
-def joint_kernel(ops: List[Mat], norms: Vec, dim: int) -> Subspace:
-    rows = [row for op in ops for row in op]
+def joint_kernel(ops: List[Columns], norms: Vec, dim: int) -> Subspace:
+    rows = [row for op in ops for row in linalg.column_rows(op, dim)]
     return make_subspace(linalg.nullspace(rows, dim), norms)
 
 
-def _ad_columns(split: ReductiveSplit, z_m: Vec) -> List[linalg.Sparse]:
+def _ad_columns(split: ReductiveSplit, z_m: Vec) -> Columns:
     """Sparse columns [z, m_b] of ad(z)|_m for z in m; z must preserve m."""
     z = linalg.sparse(z_m)
     return [split.bracket_table.bracket_in_m(z, [(b, ONE)])
             for b in range(split.dim_m)]
 
 
-def ad_on_m(split: ReductiveSplit, z_m: Vec) -> Mat:
-    """Matrix of ad(z)|_m over the m basis for z in m; z must preserve m."""
-    return linalg.transpose([linalg.dense(col, split.dim_m)
-                             for col in _ad_columns(split, z_m)])
-
-
 class _Lazy:
     """build(0), ..., build(n - 1) as a sequence, each built on first use."""
 
-    def __init__(self, build: Callable[[int], Mat], n: int):
+    def __init__(self, build: Callable[[int], Columns], n: int):
         self._build, self._n = lru_cache(maxsize=None)(build), n
 
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int) -> Mat:
+    def __getitem__(self, i: int) -> Columns:
         return self._build(range(self._n)[i])   # IndexError ends iteration
 
 
@@ -460,10 +439,10 @@ def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> _Lazy:
 
     Each is built when a split first tries it: a split stops at the first
     candidate that splits its piece, so most are never built."""
-    def build(i: int) -> Mat:
+    def build(i: int) -> Columns:
         cols = _ad_columns(action.split, s0.basis[i])
-        return linalg.transpose([linalg.dense(linalg.sparse_mat_vec(
-            cols, [(k, -c) for k, c in col]), action.dim) for col in cols])
+        return [linalg.sparse_mat_vec(cols, [(k, -c) for k, c in col])
+                for col in cols]
 
     return _Lazy(build, s0.dim)
 
@@ -481,8 +460,8 @@ def decompose_isotypic(action: IsotropyAction,
     s0_summand = IsotypicalSummand(class_id=0, members=members_s0, space=s0_space)
     for (i, j) in itertools.combinations(range(len(members_s0)), 2):
         # trivial modules: every linear map intertwines
-        s0_summand.intertwiner_bases[(i, j)] = [[[ONE]]]
-        s0_summand.intertwiner_bases[(j, i)] = [[[ONE]]]
+        s0_summand.intertwiner_bases[(i, j)] = [[[(0, ONE)]]]
+        s0_summand.intertwiner_bases[(j, i)] = [[[(0, ONE)]]]
 
     if s0_space.dim == dim:
         rest_pieces: List[Subspace] = []
@@ -508,7 +487,7 @@ def decompose_isotypic(action: IsotropyAction,
 
     # equivalence classes through nonzero intertwiner spaces
     classes: List[List[int]] = []
-    inter_cache: Dict[Tuple[int, int], List[Mat]] = {}
+    inter_cache: Dict[Tuple[int, int], List[Columns]] = {}
     assigned = [-1] * len(modules)
     for i, mod in enumerate(modules):
         placed = False
@@ -519,7 +498,7 @@ def decompose_isotypic(action: IsotropyAction,
             phis = intertwiners(action, modules[rep].space, mod.space)
             if phis:
                 for phi in phis:
-                    if linalg.rank(phi) != mod.dim:
+                    if linalg.rank(linalg.column_rows(phi, mod.dim)) != mod.dim:
                         raise DecompositionError(
                             "nonzero intertwiner between irreducibles is singular")
                 inter_cache[(rep, i)] = phis
@@ -568,8 +547,8 @@ class IdealSplit:
     simples: List[Subspace]
 
 
-def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Mat]:
-    """Adjoint operators of S0 acting on itself, over the S0 basis."""
+def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Columns]:
+    """Adjoint operators of S0 on itself, sparse columns over the S0 basis."""
     ops = []
     for z in s0.sparse_basis:
         cols = []
@@ -579,8 +558,8 @@ def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Mat]:
             coords = s0.coords_of(br_m, split.norms_m)
             if coords is None:
                 raise ArithmeticError("S0 is not closed under the bracket")
-            cols.append(coords)
-        ops.append(linalg.transpose(cols))
+            cols.append(linalg.sparse(coords))
+        ops.append(cols)
     return ops
 
 
@@ -597,7 +576,7 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
     """
     ops = s0_bracket_ops(split, s0)
     d = s0.dim
-    rows = [row for op in ops for row in op]
+    rows = [row for op in ops for row in linalg.column_rows(op, d)]
     center_local = linalg.nullspace(rows, d)
 
     def to_ambient(vecs: List[Vec]) -> List[Vec]:

@@ -3,14 +3,16 @@
 Entries are `fractions.Fraction` (integers mix in freely); nothing rounds,
 and every zero test is a comparison with exact zero.
 
-Matrices are lists of row lists; vectors are plain lists.  Least squares
-takes its bilinear form as a Gram matrix; Gram-Schmidt takes the diagonal
-of a B-orthogonal basis's Gram matrix, its norm vector.
+Vectors are plain lists or sparse (index, value) lists.  An operator is
+`Columns`, one sparse column per basis vector; an elimination reads its
+rows as the dicts of `column_rows`.  Dense row lists remain for matrix
+realizations, Gram matrices and linear systems: least squares takes its
+form as a Gram matrix, Gram-Schmidt the diagonal of one, a norm vector.
 
 There is one elimination: `pivot_rows` clears each row to a primitive
 integer row and reduces fraction-free to the reduced echelon form.
-Nullspaces, `solve_consistent` (and through it least squares and the
-Krylov dependences of `minimal_polynomial`), `rank`, `same_span` and
+Nullspaces, `solve_consistent` (and through it least squares), the
+Krylov dependences of `minimal_polynomial`, `rank`, `same_span` and
 `in_span` all read off its pivot rows; `sym_positive_definite` runs its
 elimination steps without pivoting.
 """
@@ -105,10 +107,6 @@ def combine(coeffs: Sequence, vecs: Sequence[Vec], n: int) -> Vec:
     return out
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return [dot(row, v) for row in m]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
     return [[dot(row, col) for col in bt] for row in a]
@@ -135,6 +133,8 @@ def mat_is_zero(m: Mat) -> bool:
 # ---------------------------------------------------------------------------
 
 Sparse = List[Tuple[int, Fraction]]
+# an operator: column j is the sparse image of basis vector j
+Columns = List[Sparse]
 
 
 def sparse(v: Vec) -> Sparse:
@@ -153,11 +153,6 @@ def dense(v: Sparse, n: int) -> Vec:
     return out
 
 
-def sparse_columns(m: Mat) -> List[Sparse]:
-    return [[(i, row[j]) for i, row in enumerate(m) if row[j] != 0]
-            for j in range(len(m[0]) if m else 0)]
-
-
 def sparse_dot(x: Vec, y: Sparse):
     """<x, y> for a dense x and a sparse y."""
     s = ZERO
@@ -168,17 +163,27 @@ def sparse_dot(x: Vec, y: Sparse):
     return s
 
 
-def orthogonal_coords(basis: List[Vec], norms: Vec, gx: Sparse) -> Vec:
-    """<b, x> / <b, b> for each b of an orthogonal basis, given G x sparse
-    and the norms <b, b>; a zero product is ZERO without a division."""
+def orthogonal_projection(basis: List[Sparse], basis_norms: Vec, norms: Vec,
+                          v: Vec) -> Tuple[Vec, Vec]:
+    """(coordinates <b, v> / <b, b> over a B-orthogonal basis given sparse,
+    v minus its projection onto their span), for the diagonal form `norms`
+    and the basis norms <b, b>; a zero product is ZERO without a division."""
     coords = []
-    for b, nu in zip(basis, norms):
-        dot = sparse_dot(b, gx)
+    for b, nu in zip(basis, basis_norms):
+        dot = ZERO
+        for i, c in b:
+            if v[i] != 0:
+                dot += c * v[i] * norms[i]
         coords.append(dot / nu if dot else ZERO)
-    return coords
+    resid = list(v)
+    for c, b in zip(coords, basis):
+        if c != 0:
+            for i, bi in b:
+                resid[i] -= c * bi
+    return coords, resid
 
 
-def sparse_mat_vec(columns: List[Sparse], x: Sparse) -> Sparse:
+def sparse_mat_vec(columns: Columns, x: Sparse) -> Sparse:
     """M x for a matrix given by its sparse columns; integer entries give
     integer results."""
     acc: dict = {}
@@ -186,6 +191,30 @@ def sparse_mat_vec(columns: List[Sparse], x: Sparse) -> Sparse:
         for i, c in columns[j]:
             acc[i] = acc.get(i, 0) + xj * c
     return sparse_from(acc)
+
+
+def combine_columns(coeffs: Sequence, ops: Sequence[Columns],
+                    ncols: int) -> Columns:
+    """sum_i coeffs_i ops_i for operators of ncols sparse columns each;
+    zero terms are skipped."""
+    acc: List[dict] = [{} for _ in range(ncols)]
+    for c, cols in zip(coeffs, ops):
+        if c != 0:
+            for out, col in zip(acc, cols):
+                for i, x in col:
+                    out[i] = out.get(i, 0) + c * x
+    return [sparse_from(col) for col in acc]
+
+
+def column_rows(columns: Columns, nrows: int) -> List[dict]:
+    """The rows of an operator given by its sparse columns, as the
+    {col: value} dicts that `pivot_rows` reads (it reads a plain list as a
+    dense row)."""
+    rows: List[dict] = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, c in col:
+            rows[i][j] = c
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +239,7 @@ def cleared(v: Sparse) -> Tuple[int, List[Tuple[int, int]]]:
     return den, integers(v, den)
 
 
-def cleared_columns(ops: Sequence[List[Sparse]]
+def cleared_columns(ops: Sequence[Columns]
                     ) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
     """(D, columns) for operators given by sparse columns: D the lcm of
     every denominator, and each D Op's columns as integer entries."""
@@ -420,48 +449,54 @@ def sym_positive_definite(m: Sequence) -> bool:
 # minimal polynomial and rational eigen-splitting
 # ---------------------------------------------------------------------------
 
-def minimal_polynomial(op: Mat) -> List[Fraction]:
-    """Monic minimal polynomial of a rational matrix, low degree first.
+def minimal_polynomial(op: Columns) -> List[Fraction]:
+    """Monic minimal polynomial of a rational operator given by its sparse
+    columns, low degree first.
 
     Computed as the lcm of the local minimal polynomials of the unit
     vectors (Krylov dependences found by exact elimination).
     """
-    n = len(op)
     poly = [ONE]                      # constant 1 = minpoly of the zero space
-    for start in range(n):
-        v = unit_vec(n, start)
-        # apply current poly(op) to v; if already killed, skip
-        w = _apply_poly(op, poly, v)
-        if vec_is_zero(w):
-            continue
-        local = _cyclic_minpoly(op, w)
-        poly = _poly_mul(poly, local)
+    for start in range(len(op)):
+        # apply current poly(op) to e_start; if already killed, skip
+        w = _apply_poly(op, poly, [(start, ONE)])
+        if w:
+            poly = _poly_mul(poly, _cyclic_minpoly(op, w))
     return poly
 
 
-def _apply_poly(op: Mat, poly: Sequence[Fraction], v: Vec) -> Vec:
+def _apply_poly(op: Columns, poly: Sequence[Fraction], v: Sparse) -> Sparse:
     # poly given low degree first
-    out = zero_vec(len(v))
-    cur = list(v)
+    acc: dict = {}
     for c in poly:
         if c != 0:
-            out = vec_add(out, vec_scale(c, cur))
-        cur = mat_vec(op, cur)
-    return out
+            for i, x in v:
+                acc[i] = acc.get(i, 0) + c * x
+        v = sparse_mat_vec(op, v)
+    return sparse_from(acc)
 
 
-def _cyclic_minpoly(op: Mat, v: Vec) -> List[Fraction]:
-    n = len(v)
-    krylov = [list(v)]
-    while True:
-        nxt = mat_vec(op, krylov[-1])
-        sol = solve_consistent(transpose(krylov), nxt)
-        if sol is not None:
-            # nxt = sum sol_i krylov_i  ->  x^d - sum sol_i x^i
-            return [-s for s in sol] + [ONE]
-        krylov.append(nxt)
-        if len(krylov) > n:
-            raise ArithmeticError("Krylov space exceeded dimension")
+def _cyclic_minpoly(op: Columns, v: Sparse) -> List[Fraction]:
+    """The first op^d v in the span of v, ..., op^(d-1) v, as the monic
+    polynomial of that dependence.  The system's rows hold the Krylov
+    vectors as columns 0 .. d - 1, independent so far and so all pivots,
+    and op^d v in column d; op^d v is in their span iff column d holds no
+    pivot, and then pivot row p reads row[p] c_p = row[d] for the
+    coefficient c_p of op^p v."""
+    rows: dict = {}                   # coordinate -> {Krylov index: value}
+    for d in range(1, len(op) + 1):
+        for i, c in v:
+            rows.setdefault(i, {})[d - 1] = c
+        v = sparse_mat_vec(op, v)
+        system = {i: dict(row) for i, row in rows.items()}
+        for i, c in v:
+            system.setdefault(i, {})[d] = c
+        pivots = pivot_rows(system.values())
+        if d not in pivots:
+            # op^d v = sum c_p op^p v  ->  x^d - sum c_p x^p
+            return [Fraction(-pivots[p].get(d, 0), pivots[p][p])
+                    for p in range(d)] + [ONE]
+    raise ArithmeticError("Krylov space exceeded dimension")
 
 
 def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> List[Fraction]:
@@ -555,8 +590,9 @@ def rational_roots(poly: Sequence[Fraction]) -> List[Fraction]:
     return roots
 
 
-def eigen_split(op: Mat) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
-    """Exact eigenspace decomposition of a rational matrix.
+def eigen_split(op: Columns) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
+    """Exact eigenspace decomposition of a rational operator given by its
+    sparse columns.
 
     Returns [(eigenvalue, eigenbasis)] sorted by eigenvalue, over the
     rational roots of the minimal polynomial, or None when the eigenspaces
@@ -565,10 +601,12 @@ def eigen_split(op: Mat) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
     product of distinct rational linear factors.
     """
     n = len(op)
+    rows = column_rows(op, n)
     out = []
     for lam in rational_roots(minimal_polynomial(op)):
-        shifted = [[op[i][j] - (lam if i == j else ZERO) for j in range(n)]
-                   for i in range(n)]
+        shifted = [dict(row) for row in rows]
+        for i, row in enumerate(shifted):
+            row[i] = row.get(i, ZERO) - lam
         out.append((lam, nullspace(shifted, n)))
     if sum(len(b) for _, b in out) != n:
         return None

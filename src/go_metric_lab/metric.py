@@ -1,7 +1,9 @@
 """Invariant metrics as equivariant endomorphisms of m.
 
 A metric endomorphism is B-symmetric, equivariant under the isotropy
-action, and positive definite.  The complete cone of candidates is
+action, and positive definite; it is kept as sparse columns over the m
+basis (`linalg.Columns`), like every operator on m.  The complete cone of
+candidates is
 parameterized over the computed symmetric commutant basis; the per-summand
 block form (scalars on members plus intertwiner off-blocks) is recovered as
 a view.  Families of metrics -- scalar classes on subspaces, a free
@@ -19,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Mat, Vec, ZERO, ONE
+from .linalg import Columns, Mat, Vec, ZERO, ONE
 
 
 class NotEquivariantError(ValueError):
@@ -28,19 +30,17 @@ class NotEquivariantError(ValueError):
 
 @dataclass
 class MetricEndomorphism:
+    """A as sparse columns over the m basis, with its commutant
+    coordinates (None for a scan point, which skips the read-back)."""
+
     decomp: IsotypicalDecomposition
-    matrix: Mat
-    params: Vec
+    columns: Columns
+    params: Optional[Vec]
     is_pd: bool
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
-
-    @cached_property
-    def columns(self) -> List[linalg.Sparse]:
-        """Sparse columns of the matrix, built on first use and kept."""
-        return linalg.sparse_columns(self.matrix)
+        return len(self.columns)
 
     @cached_property
     def integer_columns(self) -> Tuple[int, List[List[Tuple[int, int]]]]:
@@ -57,10 +57,11 @@ def _pd_check(ga: List[dict]) -> bool:
             and linalg.sym_positive_definite(ga))
 
 
-def form_rows(matrix: Mat, norms: Sequence) -> List[dict]:
-    """G A as sparse rows: the m-basis Gram G is the diagonal `norms`."""
-    return [{j: nu * c for j, c in enumerate(row) if c}
-            for nu, row in zip(norms, matrix)]
+def form_rows(columns: Columns, norms: Sequence) -> List[dict]:
+    """G A as sparse rows, from A's sparse columns: the m-basis Gram G is
+    the diagonal `norms`."""
+    return [{j: nu * c for j, c in row.items()}
+            for nu, row in zip(norms, linalg.column_rows(columns, len(norms)))]
 
 
 def from_parameters(decomp: IsotypicalDecomposition,
@@ -75,66 +76,66 @@ def from_parameters(decomp: IsotypicalDecomposition,
         raise ValueError(
             f"expected {len(basis)} parameters, got {len(params)}")
     params = [Fraction(p) for p in params]
-    a = _commutant_matrix(decomp, params)
+    return _metric(decomp, params)
+
+
+def _metric(decomp: IsotypicalDecomposition,
+            params: Vec) -> MetricEndomorphism:
+    """A = sum_q params_q S_q over the symmetric commutant basis."""
+    columns = linalg.combine_columns(params, decomp.sym_commutant_basis(),
+                                     decomp.dim)
     return MetricEndomorphism(
-        decomp=decomp, matrix=a, params=params,
-        is_pd=_pd_check(form_rows(a, decomp.action.norms)))
+        decomp=decomp, columns=columns, params=params,
+        is_pd=_pd_check(form_rows(columns, decomp.action.norms)))
 
 
-def _commutant_matrix(decomp: IsotypicalDecomposition, params: Vec) -> Mat:
-    """sum_q params_q S_q over the symmetric commutant basis."""
-    a = linalg.zeros(decomp.dim, decomp.dim)
-    for p, entries in zip(params, decomp.sym_commutant_entries):
-        if p != 0:
-            for (i, j), c in entries.items():
-                a[i][j] += p * c
+def _from_columns(decomp: IsotypicalDecomposition,
+                  columns: Columns) -> MetricEndomorphism:
+    """Wrap A's sparse columns, reading off its commutant coordinates.
+
+    Each basis operator S_q is 1 at its free position, where every other
+    basis operator is 0, so params_q = A[free_q]; the sum of params_q S_q
+    is rebuilt and compared with A exactly.
+    """
+    entries = [dict(col) for col in columns]
+    a = _metric(decomp, [Fraction(entries[j].get(i, 0))
+                         for i, j in decomp.sym_commutant_free])
+    if a.columns != columns:
+        raise NotEquivariantError(
+            "matrix is not a symmetric equivariant endomorphism")
     return a
 
 
 def from_matrix(decomp: IsotypicalDecomposition,
                 matrix: Mat) -> MetricEndomorphism:
-    """Wrap an explicit matrix, reading off its commutant coordinates.
-
-    Each basis operator S_q is 1 at its free position, where every other
-    basis operator is 0, so params_q = M[free_q]; the sum of params_q S_q
-    is rebuilt and compared with M exactly.
-    """
+    """Wrap an explicit dense matrix (row lists), reading off its
+    commutant coordinates (see `_from_columns`)."""
     d = decomp.dim
     if len(matrix) != d or any(len(row) != d for row in matrix):
         raise NotEquivariantError(f"expected a {d} x {d} matrix")
-    params = [Fraction(matrix[i][j]) for i, j in decomp.sym_commutant_free]
-    if _commutant_matrix(decomp, params) != [list(row) for row in matrix]:
-        raise NotEquivariantError(
-            "matrix is not a symmetric equivariant endomorphism")
-    return MetricEndomorphism(
-        decomp=decomp, matrix=[list(r) for r in matrix], params=params,
-        is_pd=_pd_check(form_rows(matrix, decomp.action.norms)))
+    return _from_columns(decomp, [linalg.sparse(col) for col in zip(*matrix)])
 
 
 # ---------------------------------------------------------------------------
 # normalizer equivariance (necessary condition for the GO property)
 # ---------------------------------------------------------------------------
 
-def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Mat]:
+def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Columns]:
     """ad(Z)|_m for Z over a basis of h (+) S0, the normalizer algebra."""
     action = decomp.action
-    ops = list(action.ad_ops)
-    for z_m in decomp.s0.space.basis:
-        ops.append(isotropy.ad_on_m(action.split, z_m))
-    return ops
+    return list(action.ad_ops) + [isotropy._ad_columns(action.split, z_m)
+                                  for z_m in decomp.s0.space.basis]
 
 
 def check_normalizer_equivariance(a: MetricEndomorphism,
-                                  ops: Optional[List[Mat]] = None) -> bool:
-    """True iff A commutes with the normalizer action on m."""
+                                  ops: Optional[List[Columns]] = None) -> bool:
+    """True iff A commutes with the normalizer action on m: A op and op A
+    agree column by column."""
     if ops is None:
         ops = normalizer_ops(a.decomp)
-    for op in ops:
-        comm = linalg.mat_sub(linalg.mat_mul(a.matrix, op),
-                              linalg.mat_mul(op, a.matrix))
-        if not linalg.mat_is_zero(comm):
-            return False
-    return True
+    return all(linalg.sparse_mat_vec(a.columns, op_col)
+               == linalg.sparse_mat_vec(op, a_col)
+               for op in ops for op_col, a_col in zip(op, a.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ class IntertwinerBlock:
     summand_index: int
     member_a: int
     member_b: int
-    phis: List[Mat]
+    phis: List[Columns]
     label: str
 
     @property
@@ -240,10 +241,8 @@ class MetricFamily:
         }
 
 
-# Family operators are kept as sparse columns, one (row, value) list per
-# column; while a family is built, each column is a {row: value} dict.
-Columns = List[linalg.Sparse]
-
+# Family operators are `Columns`; while a family is built, each column is
+# a {row: value} dict.
 
 def _finish(op: List[dict]) -> Columns:
     return [linalg.sparse_from(col) for col in op]
@@ -285,26 +284,23 @@ def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Columns]:
 
 
 def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
-                         blk: IntertwinerBlock, phi: Mat) -> Columns:
-    """phi: member_a -> member_b embedded in m plus its B-adjoint."""
+                         blk: IntertwinerBlock, phi: Columns) -> Columns:
+    """phi: member_a -> member_b embedded in m plus its B-adjoint.
+
+    An entry phi[i][j] maps the coordinate <a_j, X> / nu_a_j onto b_i: it
+    adds f b_i (x) G a_j, f = phi[i][j] / nu_a_j.  The adjoint's entry
+    phi*[j][i] = phi[i][j] nu_b_i / nu_a_j maps <b_i, X> / nu_b_i onto
+    a_j: it adds f a_j (x) G b_i with the same f."""
     summand = decomp.summands[blk.summand_index]
     sub_a = summand.members[blk.member_a].space
     sub_b = summand.members[blk.member_b].space
     norms = decomp.action.norms
     op: List[dict] = [{} for _ in range(decomp.dim)]
-
-    def add_embedded(phi_ab: Mat, src: Subspace, dst: Subspace):
-        # src coordinates read by <src_j, X> / nu_j, embedded along dst
-        for aj, b in enumerate(src.sparse_basis):
-            for bi, d in enumerate(dst.sparse_basis):
-                if phi_ab[bi][aj] != 0:
-                    add_outer(op, d, b, norms, phi_ab[bi][aj] / src.norms[aj])
-
-    add_embedded(phi, sub_a, sub_b)
-    # B-adjoint phi*: member_b -> member_a, phi*_[i][j] = nu_b_j / nu_a_i * phi[j][i]
-    phi_star = [[sub_b.norms[j] * phi[j][i] / sub_a.norms[i]
-                 for j in range(sub_b.dim)] for i in range(sub_a.dim)]
-    add_embedded(phi_star, sub_b, sub_a)
+    for a, na, col in zip(sub_a.sparse_basis, sub_a.norms, phi):
+        for i, c in col:
+            b = sub_b.sparse_basis[i]
+            add_outer(op, b, a, norms, c / na)
+            add_outer(op, a, b, norms, c / na)
     return _finish(op)
 
 
@@ -329,14 +325,15 @@ def family_basis_ops(family: MetricFamily) -> List[Columns]:
     return ops
 
 
-def family_form(ops: List[Columns], norms: Sequence[int], dim: int
+def family_form(integer_ops: List[List[List[Tuple[int, int]]]],
+                norms: Sequence[int], dim: int
                 ) -> Callable[[Sequence], List[dict]]:
     """values -> sum_c v_c G Op_c as sparse integer rows, a positive multiple
-    of G A: each G Op_c is cleared once over one denominator
-    (`linalg.cleared_columns`; `norms` are the integer m-norms), and the
-    values over their own lcm."""
+    of G A: `integer_ops` are the family operators' columns cleared over
+    one denominator (`linalg.cleared_columns`), `norms` the integer
+    m-norms, and the values are cleared over their own lcm."""
     forms = [[(i, j, norms[i] * c) for j, col in enumerate(cols)
-              for i, c in col] for cols in linalg.cleared_columns(ops)[1]]
+              for i, c in col] for cols in integer_ops]
 
     def rows_at(values: Sequence) -> List[dict]:
         lv = linalg.denominator(values)
@@ -351,23 +348,14 @@ def family_form(ops: List[Columns], norms: Sequence[int], dim: int
     return rows_at
 
 
-def family_matrix(ops: List[Columns], values: Sequence, dim: int) -> Mat:
-    """sum_c values_c Op_c as a dense matrix, from the family operators."""
-    amat = linalg.zeros(dim, dim)
-    for v, cols in zip(values, ops):
-        if v != 0:
-            for j, col in enumerate(cols):
-                for i, c in col:
-                    amat[i][j] += v * c
-    return amat
-
-
 def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
+    """The family's metric at the values: sum_c values_c Op_c, with its
+    commutant coordinates read back."""
     ops = family_basis_ops(family)
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
-    return from_matrix(family.decomp,
-                       family_matrix(ops, values, family.decomp.dim))
+    return _from_columns(family.decomp, linalg.combine_columns(
+        values, ops, family.decomp.dim))
 
 
 def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
@@ -404,21 +392,22 @@ def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
 # ---------------------------------------------------------------------------
 
 def block_view(a: MetricEndomorphism) -> List[dict]:
-    """Per-summand restriction of A: scalar where scalar, else the matrix."""
+    """Per-summand restriction of A: scalar where scalar, else the matrix
+    as row lists of strings."""
     out = []
     for summand in a.decomp.summands:
-        r = isotropy.restrict_op(a.matrix, summand.space, a.decomp.action.norms)
+        r = isotropy.restrict_op(a.columns, summand.space, a.decomp.action.norms)
         if r is None:
             raise ArithmeticError("metric does not preserve a summand")
         d = summand.dim
-        lam = r[0][0]
-        scalar = all(r[i][j] == (lam if i == j else ZERO)
-                     for i in range(d) for j in range(d))
+        lam = dict(r[0]).get(0, ZERO)
         entry = {"summand": summand.class_id, "dim": d}
-        if scalar:
+        if all(col == ([(j, lam)] if lam else []) for j, col in enumerate(r)):
             entry["scalar"] = linalg.frac_to_str(lam)
         else:
-            entry["matrix"] = [[linalg.frac_to_str(x) for x in row] for row in r]
+            rows = linalg.column_rows(r, d)
+            entry["matrix"] = [[linalg.frac_to_str(row.get(j, ZERO))
+                                for j in range(d)] for row in rows]
         out.append(entry)
     return out
 

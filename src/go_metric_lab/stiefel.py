@@ -34,7 +34,7 @@ from . import decomp as decomp_mod
 from . import go as go_mod
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Mat, Vec, ONE, ZERO
+from .linalg import Vec, ONE, ZERO
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -238,7 +238,7 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     ok = all(bracket(zero_m, w, space.a_dir_h) == bracket(space.z0_m, w)
              == (zero_m, []) for w in s0)
     ok = ok and not any(linalg.sparse_mat_vec(cols, linalg.sparse(w))
-                        for cols in space.action.ad_columns for w in s0)
+                        for cols in space.action.ad_ops for w in s0)
     out["witness_commutes_with_s0"] = ok    # [a_t, S0] = [z0, S0] = [h, S0] = 0
     return out
 
@@ -340,21 +340,22 @@ def diagonal_family(space: StiefelSpace) -> MetricFamily:
     return family
 
 
-def _eigenvalue(amat: Mat, v: linalg.Sparse) -> Optional[Fraction]:
-    """mu with A v = mu v for a sparse v, else None."""
-    av = linalg.sparse([linalg.sparse_dot(row, v) for row in amat])
+def _eigenvalue(columns: linalg.Columns, v: linalg.Sparse
+                ) -> Optional[Fraction]:
+    """mu with A v = mu v for A's sparse columns and a sparse v, else None."""
+    av = linalg.sparse_mat_vec(columns, v)
     lead, c = v[0]
     mu = dict(av).get(lead, ZERO) / c
     return mu if av == [(i, mu * x) for i, x in v if mu != 0] else None
 
 
-def _is_deformation(space: StiefelSpace, amat: Mat) -> bool:
-    """True iff A is lambda A_t (lambda, t > 0): one eigenvalue lambda on
-    su(k) (+) S1 and an eigenvalue on z0."""
+def _is_deformation(space: StiefelSpace, columns: linalg.Columns) -> bool:
+    """True iff A, given by its sparse columns, is lambda A_t (lambda,
+    t > 0): one eigenvalue lambda on su(k) (+) S1 and an eigenvalue on z0."""
     vectors = [v for s in space.ideals.simples for v in s.sparse_basis]
     vectors += space.s1.space.sparse_basis
-    lams = {_eigenvalue(amat, v) for v in vectors}
-    mu = _eigenvalue(amat, linalg.sparse(space.z0_m))
+    lams = {_eigenvalue(columns, v) for v in vectors}
+    mu = _eigenvalue(columns, linalg.sparse(space.z0_m))
     lam = lams.pop() if len(lams) == 1 else None
     return lam is not None and lam > 0 and mu is not None and mu > 0
 
@@ -366,7 +367,7 @@ def _deformation_test(space: StiefelSpace, family: MetricFamily
 
     def in_family(values: Sequence) -> bool:
         return _is_deformation(
-            space, metric_mod.family_matrix(ops, values, space.dim_m))
+            space, linalg.combine_columns(values, ops, space.dim_m))
 
     return in_family
 

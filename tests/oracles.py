@@ -6,7 +6,10 @@ the full Gram matrix, dense projectors and family operators built from
 the dense m-basis Gram, family coordinates by one dense solve, the bracket
 table contracted in `Fraction`s, commutant operators filled in from
 every parameter, dense Gauss-Jordan elimination (`rref`), sparse
-elimination, positive definiteness and the GO residual in `Fraction`s.
+elimination, positive definiteness and the GO residual in `Fraction`s,
+and the dense Krylov minimal polynomial and eigen-split.  The package
+keeps every operator on m as sparse columns; `columns` and `dense_op`
+convert between that form and dense row lists.
 """
 
 from fractions import Fraction
@@ -29,6 +32,33 @@ def mat_add(a, b):
 def dense_op(columns, dim):
     """The dense matrix of an operator given by its sparse columns."""
     return linalg.transpose([linalg.dense(col, dim) for col in columns])
+
+
+def columns(m):
+    """The sparse columns of a dense matrix."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j] != 0]
+            for j in range(len(m[0]) if m else 0)]
+
+
+def matrix_of(a):
+    """The dense matrix of a metric endomorphism."""
+    return dense_op(a.columns, a.dim)
+
+
+def mat_vec(m, v):
+    return [linalg.dot(row, v) for row in m]
+
+
+def family_matrix(ops, values, dim):
+    """sum_c values_c Op_c as a dense matrix, from sparse-column family
+    operators."""
+    amat = linalg.zeros(dim, dim)
+    for v, cols in zip(values, ops):
+        if v != 0:
+            for j, col in enumerate(cols):
+                for i, c in col:
+                    amat[i][j] += v * c
+    return amat
 
 
 def identity(n):
@@ -56,7 +86,7 @@ def _outer(op, u, gv, f):
 def _dense_gram_projector(space, gram, dim):
     op = linalg.zeros(dim, dim)
     for b, nu in zip(space.basis, space.norms):
-        _outer(op, b, linalg.mat_vec(gram, b), 1 / nu)
+        _outer(op, b, mat_vec(gram, b), 1 / nu)
     return op
 
 
@@ -81,7 +111,7 @@ def dense_gram_family_ops(family):
         ops.append(op)
     for blk in family.operator_blocks:
         sp = blk.space
-        gb = [linalg.mat_vec(gram, b) for b in sp.basis]
+        gb = [mat_vec(gram, b) for b in sp.basis]
         for i in range(sp.dim):
             for j in range(i, sp.dim):
                 op = linalg.zeros(dim, dim)
@@ -94,13 +124,14 @@ def dense_gram_family_ops(family):
         summand = dec.summands[blk.summand_index]
         sub_a = summand.members[blk.member_a].space
         sub_b = summand.members[blk.member_b].space
-        for phi in blk.phis:
+        for phi_cols in blk.phis:
+            phi = dense_op(phi_cols, sub_b.dim)
             op = linalg.zeros(dim, dim)
             phi_star = [[sub_b.norms[j] * phi[j][i] / sub_a.norms[i]
                          for j in range(sub_b.dim)] for i in range(sub_a.dim)]
             for m, src, dst in ((phi, sub_a, sub_b), (phi_star, sub_b, sub_a)):
                 for aj, b in enumerate(src.basis):
-                    gb = linalg.mat_vec(gram, b)
+                    gb = mat_vec(gram, b)
                     for bi, d in enumerate(dst.basis):
                         _outer(op, d, gb, m[bi][aj] / src.norms[aj])
             ops.append(op)
@@ -112,7 +143,8 @@ def coords_in_family(family, a):
     dim = family.decomp.dim
     ops = [dense_op(cols, dim) for cols in metric.family_basis_ops(family)]
     cols = [[op[i][j] for op in ops] for i in range(dim) for j in range(dim)]
-    rhs = [a.matrix[i][j] for i in range(dim) for j in range(dim)]
+    amat = matrix_of(a)
+    rhs = [amat[i][j] for i in range(dim) for j in range(dim)]
     return linalg.solve_consistent(cols, rhs)
 
 
@@ -265,7 +297,7 @@ def fraction_residual_sq(a_metric, x_m, a_h):
     ax = linalg.sparse_mat_vec(a_metric.columns, xs)
     c_m, c_h = fraction_bracket(split.bracket_table, xs, ax)
     lhs = dict(c_m)
-    for a_i, ad in zip(a_h, action.ad_columns):
+    for a_i, ad in zip(a_h, action.ad_ops):
         if a_i != 0:
             for k, c in linalg.sparse_mat_vec(ad, ax):
                 lhs[k] = lhs.get(k, linalg.ZERO) + a_i * c
@@ -303,3 +335,53 @@ def dense_pd_check(matrix, norms):
     positive definite by `fraction_positive_definite`."""
     ga = [[nu * c for c in row] for nu, row in zip(norms, matrix)]
     return ga == linalg.transpose(ga) and fraction_positive_definite(ga)
+
+
+def dense_minimal_polynomial(op):
+    """Monic minimal polynomial of a dense rational matrix, low degree
+    first: the lcm of the unit vectors' Krylov dependences, each found by
+    one dense `rref` solve per step."""
+    n = len(op)
+    poly = [linalg.ONE]
+    for start in range(n):
+        w = _dense_apply_poly(op, poly, linalg.unit_vec(n, start))
+        if linalg.vec_is_zero(w):
+            continue
+        krylov = [w]
+        while True:
+            nxt = mat_vec(op, krylov[-1])
+            sol = rref_solve(linalg.transpose(krylov), nxt)
+            if sol is not None:
+                local = [-s for s in sol] + [linalg.ONE]
+                break
+            krylov.append(nxt)
+        out = [linalg.ZERO] * (len(poly) + len(local) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(local):
+                out[i + j] += a * b
+        poly = out
+    return poly
+
+
+def _dense_apply_poly(op, poly, v):
+    out = linalg.zero_vec(len(v))
+    cur = list(v)
+    for c in poly:
+        out = linalg.vec_add(out, linalg.vec_scale(c, cur))
+        cur = mat_vec(op, cur)
+    return out
+
+
+def dense_eigen_split(op):
+    """[(eigenvalue, reduced-echelon eigenbasis)] of a dense rational
+    matrix over the rational roots of `dense_minimal_polynomial`, or None
+    when the eigenspaces do not span."""
+    n = len(op)
+    out = []
+    for lam in linalg.rational_roots(dense_minimal_polynomial(op)):
+        shifted = [[op[i][j] - (lam if i == j else 0) for j in range(n)]
+                   for i in range(n)]
+        out.append((lam, rref_nullspace(shifted, n)))
+    if sum(len(b) for _, b in out) != n:
+        return None
+    return out

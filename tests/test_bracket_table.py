@@ -1,7 +1,7 @@
 """The per-split m x m bracket table against a g-coordinate oracle.
 
-The scan tensors, `go_solve_at`, `go_residual_sq`, `ad_on_m` and the
-brackets inside S0 read brackets off `ReductiveSplit.bracket_table` and the
+The scan tensors, `go_solve_at`, `go_residual_sq`, the ad(Z)|_m columns
+of S0 and the brackets inside S0 read brackets off `ReductiveSplit.bracket_table` and the
 sparse isotropy columns; the isotropy operators come from the reductivity
 check of the split.  The oracle below computes the same quantities the
 long way: m-coordinates to g-coordinates, bracket in g through the
@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
-from oracles import (dense_op, fraction_bracket, fraction_residual_sq, identity,
-                     inner)
+from oracles import (columns, dense_op, fraction_bracket, fraction_residual_sq,
+                     identity, inner, mat_vec, matrix_of)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def oracle_tensors(family, ops, probes):
     ops = [dense_op(cols, split.dim_m) for cols in ops]
     bx, hx = [], []
     for x in probes:
-        ox_g = [split.m_to_g(linalg.mat_vec(op, x)) for op in ops]
+        ox_g = [split.m_to_g(mat_vec(op, x)) for op in ops]
         x_g = split.m_to_g(x)
         bx.append([_sparse(split.coords_in_m(lie_core.bracket(g, x_g, og)))
                    for og in ox_g])
@@ -47,7 +47,7 @@ def oracle_tensors(family, ops, probes):
 def oracle_solve(a_metric, x_m):
     split = a_metric.decomp.action.split
     g = split.algebra
-    ax_g = split.m_to_g(linalg.mat_vec(a_metric.matrix, x_m))
+    ax_g = split.m_to_g(mat_vec(matrix_of(a_metric), x_m))
     c_g = lie_core.bracket(g, split.m_to_g(x_m), ax_g)
     assert linalg.vec_is_zero(decomp.project(split, c_g, "h"))
     cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g))
@@ -59,7 +59,7 @@ def oracle_solve(a_metric, x_m):
 def oracle_residual_sq(a_metric, x_m, a_h):
     split = a_metric.decomp.action.split
     g = split.algebra
-    ax_g = split.m_to_g(linalg.mat_vec(a_metric.matrix, x_m))
+    ax_g = split.m_to_g(mat_vec(matrix_of(a_metric), x_m))
     a_g = linalg.zero_vec(g.dim)
     for c, b in zip(a_h, split.h.basis_coords):
         if c != 0:
@@ -293,7 +293,7 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
             point = _negated_lead_point(tensors, values, p)
             a = metric.MetricEndomorphism(
                 decomp=dec, params=None, is_pd=False,
-                matrix=metric.family_matrix(ops, point, dec.dim))
+                columns=linalg.combine_columns(point, ops, dec.dim))
             x = tensors.probes[p]
             a_h, best = go.go_solve_at(a, x)
             solves.clear()
@@ -334,7 +334,7 @@ def _bumped(sp, label):
 def test_go_solve_rejects_non_equivariant_metric(space):
     sp = space(3, 2)
     a = metric.MetricEndomorphism(decomp=sp.decomp,
-                                  matrix=_bumped(sp, "e_1_3"),
+                                  columns=columns(_bumped(sp, "e_1_3")),
                                   params=None, is_pd=True)
     # [X, AX] = -[e_13, eb_13], which has a component along eb_33 in h
     x = linalg.zero_vec(sp.dim_m)
@@ -347,7 +347,7 @@ def test_scan_tensors_reject_op_outside_commutant(space):
     sp = space(3, 2)
     family = stiefel.diagonal_family(sp)
     ops = metric.family_basis_ops(family) + [
-        linalg.sparse_columns(_bumped(sp, "e_1_3"))]
+        columns(_bumped(sp, "e_1_3"))]
     probes = go.basis_probe_vectors(sp.decomp)
     tensors = go._ScanTensors(family, ops, probes)
     with pytest.raises(ValueError, match="not in m"):
@@ -414,17 +414,19 @@ def test_construction_operators_match_oracle(space, n, k):
     sp = space(n, k)
     split = sp.split
     s0 = sp.decomp.s0.space
-    assert sp.action.ad_ops == [_oracle_ad(split, hv)
+    dim = split.dim_m
+    assert sp.action.ad_ops == [columns(_oracle_ad(split, hv))
                                 for hv in split.h.basis_coords]
     squares = isotropy.squared_ad_candidates(sp.action, s0)
     for z_m, sq in zip(s0.basis, squares):
         adz = _oracle_ad(split, split.m_to_g(z_m))
-        assert isotropy.ad_on_m(split, z_m) == adz
-        assert sq == linalg.mat_scale(Fraction(-1), linalg.mat_mul(adz, adz))
+        assert dense_op(isotropy._ad_columns(split, z_m), dim) == adz
+        assert dense_op(sq, dim) == linalg.mat_scale(
+            Fraction(-1), linalg.mat_mul(adz, adz))
     for z_m, op in zip(s0.basis, isotropy.s0_bracket_ops(split, s0)):
         adz = _oracle_ad(split, split.m_to_g(z_m))
-        assert op == linalg.transpose(
-            [s0.coords_of(linalg.mat_vec(adz, w), split.norms_m)
+        assert dense_op(op, s0.dim) == linalg.transpose(
+            [s0.coords_of(mat_vec(adz, w), split.norms_m)
              for w in s0.basis])
 
 

@@ -11,8 +11,9 @@ from go_metric_lab import decomp, go, lie_core, linalg, metric, stiefel
 from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
-from oracles import (center_coefficient, coords_in_family, dense_pd_check,
-                     identity, identity_metric, mat_add, projector)
+from oracles import (center_coefficient, columns, coords_in_family,
+                     dense_pd_check, family_matrix, identity, identity_metric,
+                     mat_add, mat_vec, matrix_of, projector)
 
 
 def _m_index(space, label):
@@ -66,7 +67,7 @@ def test_non_go_metric_positive_residual(space):
     a_h, res_sq = go_solve_at(a, x)
     assert res_sq > 0
     # the defect [X, AX] points along e_23, outside the reach of [h, AX]
-    ax = linalg.mat_vec(a.matrix, x)
+    ax = mat_vec(matrix_of(a), x)
     c_g = lie_core.bracket(sp.algebra, sp.split.m_to_g(x), sp.split.m_to_g(ax))
     named = {sp.algebra.labels[i]: c for i, c in enumerate(c_g) if c != 0}
     assert named == {"e_2_3": Fraction(-1)}
@@ -104,7 +105,7 @@ def test_proof_invariant_h_component_vanishes(space):
         params = [Fraction(rng.randint(1, 5)) for _ in basis]
         a = metric.from_parameters(sp.decomp, params)
         x = lie_core.random_vector_of_len(sp.dim_m, rng)
-        ax = linalg.mat_vec(a.matrix, x)
+        ax = mat_vec(matrix_of(a), x)
         c_g = lie_core.bracket(sp.algebra, sp.split.m_to_g(x),
                                sp.split.m_to_g(ax))
         assert linalg.vec_is_zero(
@@ -394,11 +395,11 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
     points = (list(itertools.product(spec.grid, repeat=family.n_params))
               if include_grid else [])
     if spec.random_count:
-        points += go._random_points(family, spec, tensors.op_columns)
+        points += go._random_points(family, spec, tensors.integer_ops[1])
     survivors, falsified = [], []
     for idx, values in enumerate(points):
-        amat = metric.family_matrix(tensors.op_columns, values, decomp_.dim)
-        if not metric._pd_check(metric.form_rows(amat, decomp_.action.norms)):
+        amat = family_matrix(tensors.op_columns, values, decomp_.dim)
+        if not dense_pd_check(amat, decomp_.action.norms):
             continue
         entry = {"params": [conv(v) for v in values]}
         residuals = ((x, tensors.residual_sq(values, p))
@@ -406,7 +407,8 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
         failure = next(((x, r) for x, r in residuals if r > 0), None)
         if failure is None and spec.survivor_random_probes:
             cert = go_check(metric.MetricEndomorphism(
-                                decomp=decomp_, matrix=amat, params=None,
+                                decomp=decomp_, columns=columns(amat),
+                                params=None,
                                 is_pd=True),
                             strategy="random",
                             count=spec.survivor_random_probes,
@@ -563,6 +565,27 @@ def test_drawn_samples_are_proved_positive_definite_once(space, monkeypatch,
     assert result == _oracle_scan(sp.decomp, full, spec, include_grid=False)
 
 
+def test_offdiagonal_scan_clears_family_operators_once(space, monkeypatch):
+    # the scan tensors clear the family operators to integers, and the PD
+    # sampling reads those integer columns instead of clearing them again
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    ops = metric.family_basis_ops(full)
+    cleared = []
+    cleared_columns = linalg.cleared_columns
+
+    def recorded(op_list):
+        cleared.append(list(op_list))
+        return cleared_columns(op_list)
+
+    monkeypatch.setattr(linalg, "cleared_columns", recorded)
+    result = search_go(sp.decomp, full,
+                       ScanSpec(grid=_GRID_32, seed=3, random_count=6),
+                       include_grid=False)
+    assert result.n_points == len(result.falsified) == 6
+    assert sum(op_list == ops for op_list in cleared) == 1
+
+
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
 def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     # the draw stream does not depend on the verdicts, so a run whose PD
@@ -571,11 +594,12 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     sp = space(n, k)
     full = metric.full_family(sp.decomp)
     ops = metric.family_basis_ops(full)
+    integer_ops = linalg.cleared_columns(ops)[1]
     norms = sp.decomp.action.norms
     pd_check = metric._pd_check
     for seed in (0, 5, 23):
         spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=24)
-        accepted = go._random_points(full, spec, ops)
+        accepted = go._random_points(full, spec, integer_ops)
         verdicts = []
 
         def recorded(ga):
@@ -584,11 +608,12 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
 
         monkeypatch.setattr(metric, "_pd_check", recorded)
         draws = go._random_points(
-            full, ScanSpec(grid=_GRID_32, seed=seed, random_count=80), ops)
+            full, ScanSpec(grid=_GRID_32, seed=seed, random_count=80),
+            integer_ops)
         monkeypatch.undo()
         assert len(draws) == len(verdicts) == 80
-        oracle = [dense_pd_check(metric.family_matrix(ops, d, sp.dim_m),
-                                 norms) for d in draws]
+        oracle = [dense_pd_check(family_matrix(ops, d, sp.dim_m), norms)
+                  for d in draws]
         assert verdicts == oracle
         taken = [i for i, ok in enumerate(oracle) if ok][:24]
         assert accepted == [draws[i] for i in taken]

@@ -9,7 +9,8 @@ from go_metric_lab import decomp, isotropy, lie_core, linalg, stiefel
 from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
                                     intertwiners, isotropy_action,
                                     split_ideals)
-from oracles import fraction_nullspace, identity, mat_add, sym_op_from_params
+from oracles import (columns, dense_op, fraction_nullspace, identity, mat_add,
+                     sym_op_from_params)
 
 
 def _action(un, n, k):
@@ -41,7 +42,8 @@ def test_members_pairwise_equivalent_and_invertible(n, k, space):
         phis = s1.intertwiner_bases[(a, b)]
         assert phis, "equivalent members must admit a nonzero intertwiner"
         for phi in phis:
-            assert linalg.rank(phi) == s1.members[b].dim
+            assert linalg.rank(dense_op(phi, s1.members[b].dim)) \
+                == s1.members[b].dim
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
@@ -77,7 +79,7 @@ def test_summands_pairwise_orthogonal(space):
 def test_ad_ops_are_skew(space):
     act = space(3, 2).action
     g = act.split.gram_m
-    for op in act.ad_ops:
+    for op in (dense_op(cols, act.dim) for cols in act.ad_ops):
         skew = mat_add(linalg.mat_mul(linalg.transpose(op), g),
                        linalg.mat_mul(g, op))
         assert linalg.mat_is_zero(skew)
@@ -207,7 +209,8 @@ def test_self_intertwiners_contain_identity(space):
     phis = intertwiners(sp.decomp.action, m1, m1)
     assert len(phis) == 2                       # complex-type endomorphisms
     d = m1.dim
-    cols = [[phi[i][j] for phi in phis] for i in range(d) for j in range(d)]
+    mats = [dense_op(phi, d) for phi in phis]
+    cols = [[phi[i][j] for phi in mats] for i in range(d) for j in range(d)]
     ident = [Fraction(1) if i == j else Fraction(0)
              for i in range(d) for j in range(d)]
     assert linalg.solve_consistent(cols, ident) is not None
@@ -263,7 +266,55 @@ def test_commutant_ops_match_dense_construction(space, monkeypatch, n, k,
     norms = sp.action.norms if sub is None else sub.norms
     d = len(norms)
     assert len(solved) == len(ops) > 0
-    assert ops == [sym_op_from_params(p, norms, d) for p in solved]
+    assert ops == [columns(sym_op_from_params(p, norms, d)) for p in solved]
+
+
+def test_split_ideals_through_seeded_combinations(monkeypatch, two_torus):
+    # S0 = su(2) (+) su(2): a commutant basis element always splits it, so
+    # the seeded random combinations run only when every basis element is
+    # refused; they must find the same simple ideals
+    dec = two_torus()
+    split, s0 = dec.action.split, dec.s0.space
+    plain = split_ideals(split, s0)
+    bases, refused, tried = [], [], []
+    commutant, eigen_split = isotropy.commutant_sym_ops, linalg.eigen_split
+
+    def recorded_commutant(ops, norms):
+        out = commutant(ops, norms)
+        bases.extend(out)
+        return out
+
+    def refusing(op):
+        if any(op is b for b in bases):
+            refused.append(op)
+            return None
+        result = eigen_split(op)
+        tried.append(result)
+        return result
+
+    monkeypatch.setattr(isotropy, "commutant_sym_ops", recorded_commutant)
+    monkeypatch.setattr(linalg, "eigen_split", refusing)
+    forced = split_ideals(split, s0)
+    assert refused and tried
+    assert any(r is not None and len(r) > 1 for r in tried)
+    assert forced.center.dim == plain.center.dim == 0
+    assert len(forced.simples) == len(plain.simples) == 2
+    for f in forced.simples:
+        assert any(f.dim == p.dim and linalg.same_span(f.basis, p.basis)
+                   for p in plain.simples)
+
+
+def test_projection_splits_a_vector_along_a_subspace(space):
+    sp = space(4, 2)
+    norms = sp.action.norms
+    sub = sp.s1.space
+    x = [Fraction(i % 5 - 2, i % 3 + 1) for i in range(sp.dim_m)]
+    coords, resid = sub.projection(x, norms)
+    inside = linalg.combine(coords, sub.basis, sp.dim_m)
+    assert linalg.vec_add(inside, resid) == x
+    assert all(linalg.norm_dot(norms, resid, b) == 0 for b in sub.basis)
+    assert sub.coords_of(x, norms) is None
+    assert sub.coords_of(inside, norms) == coords
 
 
 def test_integer_nullspace_matches_fraction_oracle(monkeypatch, two_torus):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from go_metric_lab import decomp, lie_core, linalg
+from go_metric_lab import decomp, lie_core, linalg, stiefel
 
-from oracles import (fraction_nullspace, fraction_positive_definite, identity,
-                     rref, rref_nullspace, rref_pivot_rows, rref_solve)
+from oracles import (columns, dense_eigen_split, dense_minimal_polynomial,
+                     dense_op, fraction_nullspace, fraction_positive_definite,
+                     identity, rref, rref_nullspace, rref_pivot_rows,
+                     rref_solve)
 
 
 def frac_matrix(rows):
@@ -145,7 +147,7 @@ def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
     assert count(linalg.sparse_nullspace, [{0: 1, 2: 1}], 3) == 1
     assert count(decomp.subalgebra, g, identity(g.dim)) == 1
     assert count(linalg.least_squares, a, [1, 0, 0], identity(3)) == 1
-    assert count(linalg.minimal_polynomial, a) >= 1
+    assert count(linalg.minimal_polynomial, columns(a)) >= 1
 
 
 @given(st.integers(0, 10 ** 6))
@@ -298,14 +300,14 @@ def test_integer_positive_definite_matches_fraction_oracle():
 
 def test_minimal_polynomial_diagonal():
     op = frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 3]])
-    poly = linalg.minimal_polynomial(op)
+    poly = linalg.minimal_polynomial(columns(op))
     # (x - 1)(x - 3) = 3 - 4x + x^2
     assert poly == [Fraction(3), Fraction(-4), Fraction(1)]
 
 
 def test_eigen_split_rational():
     op = frac_matrix([[2, 1], [1, 2]])
-    split = linalg.eigen_split(op)
+    split = linalg.eigen_split(columns(op))
     assert split is not None
     assert [lam for lam, _ in split] == [1, 3]
     assert all(len(basis) == 1 for _, basis in split)
@@ -313,18 +315,18 @@ def test_eigen_split_rational():
 
 def test_eigen_split_refuses_irrational():
     op = frac_matrix([[0, 1], [1, 1]])      # golden-ratio spectrum
-    assert linalg.eigen_split(op) is None
+    assert linalg.eigen_split(columns(op)) is None
 
 
 def test_eigen_split_refuses_a_jordan_block():
     # minimal polynomial (x - 1)^2: the one eigenvalue is rational, but its
     # eigenspace has dimension 1 of 2
-    assert linalg.eigen_split(frac_matrix([[1, 1], [0, 1]])) is None
+    assert linalg.eigen_split(columns(frac_matrix([[1, 1], [0, 1]]))) is None
 
 
 def test_eigen_split_with_multiplicity():
     op = frac_matrix([[5, 0, 0], [0, 5, 0], [0, 0, 7]])
-    split = linalg.eigen_split(op)
+    split = linalg.eigen_split(columns(op))
     assert [(lam, len(b)) for lam, b in split] == [(5, 2), (7, 1)]
 
 
@@ -336,7 +338,7 @@ def test_rational_roots_with_hints():
 
 
 def test_eigen_split_finds_the_eigenvalue_zero():
-    split = linalg.eigen_split(frac_matrix([[0, 0], [0, 1]]))
+    split = linalg.eigen_split(columns(frac_matrix([[0, 0], [0, 1]])))
     assert split == [(0, [[1, 0]]), (1, [[0, 1]])]
 
 
@@ -383,3 +385,79 @@ def test_span_contains_its_combinations(coeffs):
     cols = linalg.transpose(basis)
     expect = linalg.solve_consistent(cols, outside) is not None
     assert linalg.same_span(basis, basis + [outside]) == expect
+
+
+def _inverse(p):
+    n = len(p)
+    cols = [linalg.solve_consistent(p, linalg.unit_vec(n, i)) for i in range(n)]
+    return linalg.transpose(cols)
+
+
+def _conjugated(rng, j):
+    """P J P^-1 for a seeded integer P of full rank."""
+    n = len(j)
+    while True:
+        p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(p) == n:
+            break
+    return linalg.mat_mul(linalg.mat_mul(p, j), _inverse(p))
+
+
+def _recorded_candidates(monkeypatch, two_torus):
+    """Every operator `eigen_split` is asked to split while building (3,2),
+    (4,2), (4,3) and the two-torus space, ideal splits included."""
+    seen = []
+    eigen_split = linalg.eigen_split
+
+    def recorded(op):
+        seen.append(op)
+        return eigen_split(op)
+
+    monkeypatch.setattr(linalg, "eigen_split", recorded)
+    decs = [stiefel.build_stiefel(n, k).decomp
+            for n, k in [(3, 2), (4, 2), (4, 3)]]
+    decs.append(two_torus())
+    for dec in decs:
+        dec.ideals
+    monkeypatch.undo()
+    return seen
+
+
+def test_column_krylov_matches_dense_oracle(monkeypatch, two_torus):
+    # the sparse-column minimal polynomial and eigen-split against the
+    # dense Krylov references, on conjugated rational spectra (repeated
+    # eigenvalues lower the degree), on defective and irrational operators
+    # (both refused) and on every splitting candidate of four builds
+    rng = random.Random("column-krylov")
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        values = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                  for _ in range(rng.randint(1, n))]
+        diag = values + [rng.choice(values) for _ in range(n - len(values))]
+        rng.shuffle(diag)
+        d = [[diag[i] if i == j else Fraction(0) for j in range(n)]
+             for i in range(n)]
+        cases.append((_conjugated(rng, d), sorted(set(diag))))
+    # a 2 x 2 Jordan block at 2 beside -1, and the pair +/- sqrt(2) beside 5
+    jordan = _conjugated(rng, frac_matrix([[2, 1, 0], [0, 2, 0], [0, 0, -1]]))
+    irrational = _conjugated(rng, frac_matrix([[0, 2, 0], [1, 0, 0],
+                                               [0, 0, 5]]))
+    for op, spectrum in cases:
+        poly = linalg.minimal_polynomial(columns(op))
+        assert poly == dense_minimal_polynomial(op)
+        assert len(poly) == len(spectrum) + 1
+        split = linalg.eigen_split(columns(op))
+        assert split == dense_eigen_split(op)
+        assert [lam for lam, _ in split] == spectrum
+    for op, poly in ((jordan, [4, 0, -3, 1]), (irrational, [10, -2, -5, 1])):
+        assert linalg.minimal_polynomial(columns(op)) == poly \
+            == dense_minimal_polynomial(op)
+        assert linalg.eigen_split(columns(op)) is None
+        assert dense_eigen_split(op) is None
+    candidates = _recorded_candidates(monkeypatch, two_torus)
+    assert len(candidates) > 10
+    for cand in candidates:
+        dense = dense_op(cand, len(cand))
+        assert linalg.minimal_polynomial(cand) == dense_minimal_polynomial(dense)
+        assert linalg.eigen_split(cand) == dense_eigen_split(dense)

@@ -16,7 +16,7 @@ import pytest
 from go_metric_lab import decomp as decomp_mod
 from go_metric_lab import go, isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.isotropy import decompose_isotypic, isotropy_action
-from oracles import inner
+from oracles import dense_op, inner, mat_vec
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def _oracle_prop36(decomp, si, seed
                     break
                 rems = []
                 for phi in phis:
-                    phi_x = linalg.mat_vec(phi, x_coords)
+                    phi_x = mat_vec(dense_op(phi, members[m].dim), x_coords)
                     img_m = linalg.zero_vec(decomp.dim)
                     for c, b in zip(phi_x, members[m].space.basis):
                         if c != 0:

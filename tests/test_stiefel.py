@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from go_metric_lab import go, lie_core, linalg, metric, stiefel
 from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
                                    metric_at, tilde_map, verify_family)
-from oracles import center_coefficient, identity, mat_add, projector
+from oracles import (center_coefficient, identity, mat_add, matrix_of,
+                     projector)
 
 
 def test_build_examples(space):
@@ -122,7 +123,7 @@ def test_center_coefficient_matches_gram_formula(n, k, space):
 def test_metric_at_pd_iff_positive(space):
     sp = space(3, 1)
     assert metric_at(sp, Fraction(1, 4)).is_pd
-    assert metric_at(sp, 1).matrix == identity(sp.dim_m)
+    assert matrix_of(metric_at(sp, 1)) == identity(sp.dim_m)
     a_neg = metric.from_matrix(
         sp.decomp,
         mat_add(identity(sp.dim_m),
@@ -216,14 +217,14 @@ def test_verify_family_exact_zeros(n, k, space):
 
 def test_deformation_point_classifier(space):
     sp = space(3, 2)
-    assert stiefel._is_deformation(sp, metric_at(sp, Fraction(7, 3)).matrix)
+    assert stiefel._is_deformation(sp, metric_at(sp, Fraction(7, 3)).columns)
     assert stiefel._is_deformation(sp, metric.from_matrix(
         sp.decomp, linalg.mat_scale(
-            Fraction(3), metric_at(sp, Fraction(1, 2)).matrix)).matrix)
+            Fraction(3), matrix_of(metric_at(sp, Fraction(1, 2))))).columns)
     p1 = projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp,
                            mat_add(identity(sp.dim_m), p1))
-    assert not stiefel._is_deformation(sp, a.matrix)
+    assert not stiefel._is_deformation(sp, a.columns)
 
 
 def test_grassmannian_cross_check(space):
