@@ -10,7 +10,9 @@ and exits 1; it exits 0 when every report agrees.
 
 The commands: `decompose stiefel n k` for every 1 <= k < n <= 8,
 `reproduce-theorem` on (3,2) at the default grid, (4,3) at resolution 1
-with 100 off-diagonal samples and (6,3) at resolution 1 with 50, and
+with 100 off-diagonal samples, (6,3) at resolution 1 with 50 and (8,4)
+at resolution 1 with 10 (the one command that solves against 16
+isotropy columns, so rank-deficient normal equations run at scale), and
 `check-go` with the basis and the random strategy on a (4,2) metric that
 is not GO: the diagonal family at values 1, 2, 3, ..., written once by
 PARENT's package and read by both.  Two more cover the general paths:
@@ -58,6 +60,8 @@ def commands(metric_path: str, space_path: str):
            "--offdiagonal-samples", "100"]
     yield ["reproduce-theorem", "6", "3", "--resolution", "1",
            "--offdiagonal-samples", "50"]
+    yield ["reproduce-theorem", "8", "4", "--resolution", "1",
+           "--offdiagonal-samples", "10"]
     for strategy in ("basis", "random"):
         yield ["check-go", "stiefel", "4", "2", "--metric", metric_path,
                "--strategy", strategy]

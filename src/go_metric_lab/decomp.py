@@ -231,7 +231,10 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
     if h.dim + len(m_basis) != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
 
-    gram_m = [[linalg.norm_dot(norms, a, b) for b in m_basis] for a in m_basis]
+    # Gram-Schmidt made the basis B-orthogonal: the Gram is its diagonal
+    gram_m = linalg.zeros(len(m_basis), len(m_basis))
+    for j, b in enumerate(m_basis):
+        gram_m[j][j] = linalg.norm_dot(norms, b, b)
     split = ReductiveSplit(algebra=g, h=h, m_basis=m_basis, gram_m=gram_m,
                            ad_h=[])
 

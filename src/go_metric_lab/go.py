@@ -666,8 +666,12 @@ class _ScanTensors:
     def __init__(self, family: MetricFamily, ops: List[linalg.Columns],
                  probes: List[Vec], grid: Sequence = ()):
         self.action = family.decomp.action
-        self.gram_m = self.action.split.gram_m
         self.dim = self.action.split.dim_m
+        # (D, D G_m): the m-Gram cleared to integers once per scan
+        gram = self.action.split.gram_m
+        den = linalg.denominator(c for row in gram for c in row)
+        self.integer_gram = den, [[c.numerator * (den // c.denominator)
+                                   for c in row] for row in gram]
         self.probes = probes
         self.op_columns = ops
         self.integer_ops = linalg.cleared_columns(ops)
@@ -763,7 +767,10 @@ class _ScanTensors:
     def residual_sq(self, values: Sequence, p: int) -> Fraction:
         """Exact squared residual of probe p at the parameter point: the
         supported values are g / L times a primitive integer tuple with a
-        positive lead, so it is (g / L)^2 times that tuple's memo entry."""
+        positive lead, so it is (g / L)^2 times that tuple's memo entry.
+        An entry solves on integers, the probe's rows (`probe.den` times
+        the tensors) against D G_m, so the solve returns D probe.den^2
+        times the residual."""
         probe = self._probe(p)
         vals = [values[c] for c in probe.support]
         den = linalg.denominator(vals)
@@ -779,9 +786,9 @@ class _ScanTensors:
             defect = self._contract(probe.bx, probe.support, key[1])
             cols = [self._contract(rows, probe.support, key[1])
                     for rows in probe.hx]
-            _, res = linalg.least_squares(cols, [-c for c in defect],
-                                          self.gram_m)
-            res = self.memo[key] = res / (probe.den * probe.den)
+            dg, gram = self.integer_gram
+            _, res = linalg.least_squares(cols, [-c for c in defect], gram)
+            res = self.memo[key] = res / (dg * probe.den * probe.den)
         return Fraction(g * g, den * den) * res
 
     def first_failure(self, ids: Tuple[int, ...]

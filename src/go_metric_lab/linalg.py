@@ -6,14 +6,17 @@ and every zero test is a comparison with exact zero.
 Vectors are plain lists or sparse (index, value) lists.  An operator is
 `Columns`, one sparse column per basis vector; an elimination reads its
 rows as the dicts of `column_rows`.  Dense row lists remain for matrix
-realizations, Gram matrices and linear systems: least squares takes its
-form as a Gram matrix, Gram-Schmidt the diagonal of one, a norm vector.
+realizations, Gram matrices and linear systems: Gram-Schmidt takes the
+diagonal of its form, a norm vector, and least squares a Gram matrix
+(the benchmark's tests call it with one) that it reads only at the
+entries the supports of its columns and right-hand side meet, so
+integer inputs stay Python integers.
 
 There is one elimination: `pivot_rows` clears each row to a primitive
 integer row and reduces fraction-free to the reduced echelon form.
-Nullspaces, `solve_consistent` (and through it least squares), the
-Krylov dependences of `minimal_polynomial`, `rank`, `same_span` and
-`in_span` all read off its pivot rows; `sym_positive_definite` runs its
+Nullspaces, the normal equations of least squares, the Krylov
+dependences of `minimal_polynomial`, `rank`, `same_span` and `in_span`
+all read off its pivot rows; `sym_positive_definite` runs its
 elimination steps without pivoting.
 """
 
@@ -60,26 +63,6 @@ def dot(x: Vec, y: Vec):
     s = x[0] * y[0] if x else ZERO
     for a, b in zip(x[1:], y[1:]):
         s += a * b
-    return s
-
-
-def gram_dot(gram: Mat, x: Vec, y: Vec):
-    """Bilinear form <x, y> for the given Gram matrix.
-
-    Skips zero entries, so sparse vectors and diagonal Grams cost little.
-    """
-    s = ZERO
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = gram[i]
-        t = ZERO
-        for j, yj in enumerate(y):
-            if yj != 0:
-                gij = row[j]
-                if gij != 0:
-                    t += gij * yj
-        s += xi * t
     return s
 
 
@@ -345,25 +328,6 @@ def nullspace(rows: Iterable, ncols: int) -> List[Vec]:
 sparse_nullspace = nullspace
 
 
-def solve_consistent(a: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of a @ x = b with the free variables set to 0, or None.
-
-    a @ x = b iff (x, 1) is in the nullspace of [a | -b], n = len(x).  A
-    pivot in the -b column n rules that out; otherwise each pivot row
-    reads row[p] x_p + row[n] = 0 once the free variables are 0.
-    """
-    if not a:
-        return []
-    ncols = len(a[0])
-    pivots = pivot_rows(list(row) + [-bi] for row, bi in zip(a, b))
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for p, row in pivots.items():
-        x[p] = Fraction(-row.get(ncols, 0), row[p])
-    return x
-
-
 def rank(rows: Mat) -> int:
     return len(pivot_rows(rows))
 
@@ -379,24 +343,46 @@ def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
 # ---------------------------------------------------------------------------
 
 def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fraction]:
-    """Minimize ||sum_j x_j col_j - rhs||^2 in the `gram` inner product.
+    """Minimize ||sum_j x_j col_j - rhs||^2 in the `gram` inner product,
+    for any symmetric positive definite Gram matrix.
 
-    Returns (x, residual_norm_sq).  The normal equations are always
-    consistent; `solve_consistent` sets the free directions to zero.  The
-    form stays a dense Gram matrix, not a norm vector, because the
-    benchmark's tests call `least_squares([], [1], [[1]])`.
+    Returns (x, residual_norm_sq), the free directions of x set to zero.
+    The normal equations N x = c, N_ij = <col_i, col_j> and c_i = <col_i,
+    rhs>, read the Gram only at (support x support) entries of the sparse
+    columns and rhs and skip its zeros, so int inputs sum in Python ints;
+    one `pivot_rows` on the rows [N | -c] solves them.  They hold exactly,
+    so the residual is <rhs, rhs> - sum_k x_k c_k, with no residual vector
+    formed.  The form stays a dense Gram matrix, not a norm vector, because
+    the benchmark's tests call `least_squares([], [1], [[1]])`.
     """
     p = len(columns)
-    if p == 0:
-        return [], gram_dot(gram, rhs, rhs)
-    normal = [[gram_dot(gram, columns[i], columns[j]) for j in range(p)]
-              for i in range(p)]
-    b = [gram_dot(gram, columns[i], rhs) for i in range(p)]
-    x = solve_consistent(normal, b)
-    if x is None:
+    supports = [sparse(col) for col in columns]
+    b = sparse(rhs)
+
+    def form(x: Sparse, y: Sparse):
+        s = 0
+        for i, xi in x:
+            row = gram[i]
+            for j, yj in y:
+                gij = row[j]
+                if gij:
+                    s += xi * gij * yj
+        return s
+
+    c = [form(col, b) for col in supports]
+    rows = [{p: -ci} for ci in c]
+    for i, col in enumerate(supports):
+        for j in range(i, p):
+            rows[i][j] = rows[j][i] = form(col, supports[j])
+    pivots = pivot_rows(rows)
+    if p in pivots:
         raise ArithmeticError("normal equations inconsistent")
-    res = vec_sub(rhs, combine(x, columns, len(rhs)))
-    return x, gram_dot(gram, res, res)
+    x = [ZERO] * p
+    res = Fraction(form(b, b))
+    for k, row in pivots.items():
+        x[k] = Fraction(-row.get(p, 0), row[k])
+        res -= x[k] * c[k]
+    return x, res
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Reference forms the tests check the package against.
 
 Each helper is the plain dense or direct form of something the package
-computes sparsely, or no longer needs at run time: the trace form over
-the full Gram matrix, dense projectors and family operators built from
-the dense m-basis Gram, family coordinates by one dense solve, the bracket
-table contracted in `Fraction`s, commutant operators filled in from
-every parameter, dense Gauss-Jordan elimination (`rref`), sparse
+computes sparsely, or no longer needs at run time: the bilinear form over
+a full Gram matrix (`gram_dot`), one solution of a linear system
+(`solve_consistent`) and the dense least squares built on both
+(`fraction_least_squares`), dense projectors and family operators built
+from the dense m-basis Gram, family coordinates by one dense solve, the
+bracket table contracted in `Fraction`s, commutant operators filled in
+from every parameter, dense Gauss-Jordan elimination (`rref`), sparse
 elimination, positive definiteness and the GO residual in `Fraction`s,
 and the dense Krylov minimal polynomial and eigen-split.  The package
 keeps every operator on m as sparse columns; `columns` and `dense_op`
@@ -17,12 +19,63 @@ from fractions import Fraction
 from go_metric_lab import lie_core, linalg, metric
 
 
+def gram_dot(gram, x, y):
+    """Bilinear form <x, y> for the given dense Gram matrix."""
+    s = linalg.ZERO
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = gram[i]
+        t = linalg.ZERO
+        for j, yj in enumerate(y):
+            if yj != 0:
+                gij = row[j]
+                if gij != 0:
+                    t += gij * yj
+        s += xi * t
+    return s
+
+
+def solve_consistent(a, b):
+    """One solution of a @ x = b with the free variables set to 0, or None,
+    from the pivot rows of [a | -b]: a pivot in the -b column n rules a
+    solution out; otherwise each pivot row reads row[p] x_p + row[n] = 0
+    once the free variables are 0."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    pivots = linalg.pivot_rows(list(row) + [-bi] for row, bi in zip(a, b))
+    if ncols in pivots:
+        return None
+    x = [linalg.ZERO] * ncols
+    for p, row in pivots.items():
+        x[p] = Fraction(-row.get(ncols, 0), row[p])
+    return x
+
+
+def fraction_least_squares(columns, rhs, gram):
+    """`linalg.least_squares` on dense `Fraction` vectors: the normal
+    equations through `gram_dot` over full Gram rows, `solve_consistent`,
+    and the residual vector's squared norm."""
+    p = len(columns)
+    if p == 0:
+        return [], gram_dot(gram, rhs, rhs)
+    normal = [[gram_dot(gram, columns[i], columns[j]) for j in range(p)]
+              for i in range(p)]
+    b = [gram_dot(gram, columns[i], rhs) for i in range(p)]
+    x = solve_consistent(normal, b)
+    if x is None:
+        raise ArithmeticError("normal equations inconsistent")
+    res = linalg.vec_sub(rhs, linalg.combine(x, columns, len(rhs)))
+    return x, gram_dot(gram, res, res)
+
+
 def inner(g, x, y):
     """B(x, y) over the algebra's basis Gram matrix."""
     if len(x) != g.dim or len(y) != g.dim:
         raise lie_core.DimensionMismatchError(
             f"expected coordinate length {g.dim}, got {len(x)} and {len(y)}")
-    return linalg.gram_dot(g.gram, x, y)
+    return gram_dot(g.gram, x, y)
 
 
 def mat_add(a, b):
@@ -72,8 +125,8 @@ def identity_metric(dec):
 def center_coefficient(space, x_m):
     """r = <X, z0> / <z0, z0>, over the dense m-basis Gram."""
     gram = space.split.gram_m
-    return (linalg.gram_dot(gram, x_m, space.z0_m)
-            / linalg.gram_dot(gram, space.z0_m, space.z0_m))
+    return (gram_dot(gram, x_m, space.z0_m)
+            / gram_dot(gram, space.z0_m, space.z0_m))
 
 
 def _outer(op, u, gv, f):
@@ -145,7 +198,7 @@ def coords_in_family(family, a):
     cols = [[op[i][j] for op in ops] for i in range(dim) for j in range(dim)]
     amat = matrix_of(a)
     rhs = [amat[i][j] for i in range(dim) for j in range(dim)]
-    return linalg.solve_consistent(cols, rhs)
+    return solve_consistent(cols, rhs)
 
 
 def fraction_bracket(table, x, y):

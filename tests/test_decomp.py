@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from go_metric_lab import decomp, lie_core, linalg
 from go_metric_lab.decomp import (NotSubalgebraError, diagonal_u_nk,
                                   project, reductive_split, subalgebra)
+import oracles
 from oracles import identity, inner, rref
 
 
@@ -135,13 +136,13 @@ def test_subalgebra_reduces_the_span_once(un, monkeypatch):
     # closure is tested against the pivots of one reduction, so the check
     # makes no solve per bracket
     calls = {"pivot_rows": 0, "solve_consistent": 0}
-    for name in calls:
-        fn = getattr(linalg, name)
+    for module, name in ((linalg, "pivot_rows"), (oracles, "solve_consistent")):
+        fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     g = un(5)
     assert diagonal_u_nk(g, 1).dim == 16
     assert subalgebra(g, _su(g)).dim == 24
@@ -172,6 +173,21 @@ def test_subalgebra_rejects_a_set_not_closed_under_the_bracket(un):
         assert not closed
         with pytest.raises(NotSubalgebraError, match="outside the span"):
             subalgebra(g, bent)
+
+
+@pytest.mark.parametrize("which", [(3, 2), (4, 2), (4, 3), (6, 3), "two-torus"])
+def test_gram_m_is_the_full_trace_form_matrix(un, two_torus, which):
+    # the split fills only the diagonal of gram_m: the Gram-Schmidt basis
+    # of m is B-orthogonal, so every other entry is zero
+    if which == "two-torus":
+        split = two_torus().action.split
+    else:
+        g = un(which[0])
+        split = reductive_split(g, diagonal_u_nk(g, which[1]))
+    g = split.algebra
+    full = [[inner(g, a, b) for b in split.m_basis] for a in split.m_basis]
+    assert split.gram_m == full
+    assert all(full[j][j] > 0 for j in range(split.dim_m))
 
 
 def test_split_json_round_trip(un):

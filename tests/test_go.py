@@ -12,8 +12,9 @@ from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
 from oracles import (center_coefficient, columns, coords_in_family,
-                     dense_pd_check, family_matrix, identity, identity_metric,
-                     mat_add, mat_vec, matrix_of, projector)
+                     dense_pd_check, family_matrix, fraction_least_squares,
+                     identity, identity_metric, mat_add, mat_vec, matrix_of,
+                     projector)
 
 
 def _m_index(space, label):
@@ -584,6 +585,36 @@ def test_offdiagonal_scan_clears_family_operators_once(space, monkeypatch):
                        include_grid=False)
     assert result.n_points == len(result.falsified) == 6
     assert sum(op_list == ops for op_list in cleared) == 1
+
+
+@pytest.mark.parametrize("n,k,cone", [(3, 2, False), (4, 2, True)],
+                         ids=["3-2-resolution-1", "4-2-full-cone"])
+def test_scan_solves_match_dense_least_squares(space, monkeypatch, n, k, cone):
+    # every least-squares solve of a (3,2) resolution-1 grid scan, its
+    # survivors' random probes included, and of a (4,2) full-cone scan of
+    # 16 samples, against the dense Fraction normal equations
+    sp = space(n, k)
+    residuals = []
+    least_squares = linalg.least_squares
+
+    def checked(cols, rhs, gram):
+        got = least_squares(cols, rhs, gram)
+        assert got == fraction_least_squares(cols, rhs, gram)
+        residuals.append(got[1])
+        return got
+
+    monkeypatch.setattr(linalg, "least_squares", checked)
+    grid = [stiefel.GRID_LO + i for i in range(4)]
+    if cone:
+        result = search_go(sp.decomp, metric.full_family(sp.decomp),
+                           ScanSpec(grid=grid, random_count=16),
+                           include_grid=False)
+        assert result.n_points == len(result.falsified) == 16
+    else:
+        result = search_go(sp.decomp, stiefel.diagonal_family(sp),
+                           ScanSpec(grid=grid))
+        assert result.survivors and result.falsified
+    assert any(r == 0 for r in residuals) and any(r > 0 for r in residuals)
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])

@@ -9,8 +9,8 @@ from go_metric_lab import decomp, isotropy, lie_core, linalg, stiefel
 from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
                                     intertwiners, isotropy_action,
                                     split_ideals)
-from oracles import (columns, dense_op, fraction_nullspace, identity, mat_add,
-                     sym_op_from_params)
+from oracles import (columns, dense_op, fraction_nullspace, gram_dot, identity,
+                     mat_add, solve_consistent, sym_op_from_params)
 
 
 def _action(un, n, k):
@@ -73,7 +73,7 @@ def test_summands_pairwise_orthogonal(space):
     for sa, sb in itertools.combinations(dec.summands, 2):
         for x in sa.space.basis:
             for y in sb.space.basis:
-                assert linalg.gram_dot(gram, x, y) == 0
+                assert gram_dot(gram, x, y) == 0
 
 
 def test_ad_ops_are_skew(space):
@@ -213,7 +213,7 @@ def test_self_intertwiners_contain_identity(space):
     cols = [[phi[i][j] for phi in mats] for i in range(d) for j in range(d)]
     ident = [Fraction(1) if i == j else Fraction(0)
              for i in range(d) for j in range(d)]
-    assert linalg.solve_consistent(cols, ident) is not None
+    assert solve_consistent(cols, ident) is not None
 
 
 def test_torus_isotropy_has_empty_trivial_summand(un):

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 from go_metric_lab import decomp, lie_core, linalg, stiefel
 
 from oracles import (columns, dense_eigen_split, dense_minimal_polynomial,
-                     dense_op, fraction_nullspace, fraction_positive_definite,
-                     identity, rref, rref_nullspace, rref_pivot_rows,
-                     rref_solve)
+                     dense_op, fraction_least_squares, fraction_nullspace,
+                     fraction_positive_definite, gram_dot, identity, rref,
+                     rref_nullspace, rref_pivot_rows, rref_solve,
+                     solve_consistent)
 
 
 def frac_matrix(rows):
@@ -33,10 +34,10 @@ def test_nullspace_of_empty_system():
 
 def test_solve_consistent_and_inconsistent():
     a = frac_matrix([[1, 1], [0, 1]])
-    x = linalg.solve_consistent(a, [Fraction(3), Fraction(1)])
+    x = solve_consistent(a, [Fraction(3), Fraction(1)])
     assert x == [Fraction(2), Fraction(1)]
     a = frac_matrix([[1, 1], [1, 1]])
-    assert linalg.solve_consistent(a, [Fraction(0), Fraction(1)]) is None
+    assert solve_consistent(a, [Fraction(0), Fraction(1)]) is None
 
 
 def _entry(rng, kind):
@@ -93,7 +94,7 @@ def test_elimination_matches_rref_oracle():
         x = [_entry(rng, kind) for _ in range(ncols)]
         for b in ([linalg.dot(row, x) for row in a],
                   [_entry(rng, kind) for _ in a]):
-            got = linalg.solve_consistent(a, b)
+            got = solve_consistent(a, b)
             assert got == rref_solve(a, b)
             if got is None:
                 seen["inconsistent"] += 1
@@ -115,7 +116,7 @@ def test_elimination_matches_rref_oracle():
 
 def test_elimination_of_the_empty_system():
     assert linalg.pivot_rows([]) == {}
-    assert linalg.solve_consistent([], []) == rref_solve([], []) == []
+    assert solve_consistent([], []) == rref_solve([], []) == []
     assert linalg.rank([]) == 0
     assert linalg.same_span([], [])
     assert not linalg.same_span([], [[0, 1]])
@@ -140,7 +141,7 @@ def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
         return len(calls)
 
     g = lie_core.build_un(2)
-    assert count(linalg.solve_consistent, a, [1, 2, 0]) == 1
+    assert count(solve_consistent, a, [1, 2, 0]) == 1
     assert count(linalg.rank, a) == 1
     assert count(linalg.same_span, a, a[:2]) == 2
     assert count(linalg.nullspace, a, 3) == 1
@@ -187,6 +188,79 @@ def test_least_squares_weighted():
     assert res_sq == Fraction(4, 3)
 
 
+def _positive(rng, kind):
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.randint(1, 5)
+    return Fraction(rng.randint(1, 5), rng.randint(1, 4))
+
+
+def _random_gram(rng, kind, n, diagonal):
+    """A symmetric positive definite n x n Gram matrix: a positive diagonal
+    D, or P^T D P for a seeded integer P of full rank."""
+    d = [_positive(rng, kind) for _ in range(n)]
+    if diagonal:
+        return [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    while True:
+        p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(p) == n:
+            return [[sum(p[k][i] * d[k] * p[k][j] for k in range(n))
+                     for j in range(n)] for i in range(n)]
+
+
+def test_least_squares_matches_dense_fraction_oracle():
+    # the sparse kernel (normal equations over column supports, residual
+    # <b, b> - sum x_k c_k) against dense Fraction normal equations over
+    # full Gram rows and the residual vector's norm, exactly
+    seen = {"diagonal": 0, "non-diagonal": 0, "zero column": 0,
+            "repeated column": 0, "no columns": 0, "consistent": 0,
+            "deficient": 0, "positive residual": 0}
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(f"least-squares:{seed}")
+        kind = rng.choice(["int", "fraction", "mixed"])
+        kinds.add(kind)
+        n, p = rng.randint(1, 6), rng.choice([0, 1, 2, 3, 4, 5])
+        diagonal = rng.random() < 0.5
+        gram = _random_gram(rng, kind, n, diagonal)
+        cols = []
+        for _ in range(p):
+            roll = rng.random()
+            if roll < 0.1:
+                cols.append([0] * n)
+            elif roll < 0.3 and cols:
+                c1, c2 = _entry(rng, kind), _entry(rng, kind)
+                r1, r2 = rng.choice(cols), rng.choice(cols)
+                cols.append(list(r1) if roll < 0.2
+                            else [c1 * a + c2 * b for a, b in zip(r1, r2)])
+            else:
+                cols.append([_entry(rng, kind) for _ in range(n)])
+        if cols and rng.random() < 0.25:
+            coeffs = [_entry(rng, kind) for _ in cols]
+            rhs = [sum(c * col[i] for c, col in zip(coeffs, cols))
+                   for i in range(n)]
+        else:
+            rhs = [_entry(rng, kind) for _ in range(n)]
+        x, res = linalg.least_squares(cols, rhs, gram)
+        assert (x, res) == fraction_least_squares(cols, rhs, gram)
+        assert type(res) is Fraction and all(type(c) is Fraction for c in x)
+        seen["diagonal" if diagonal else "non-diagonal"] += 1
+        seen["zero column"] += any(not any(c) for c in cols)
+        seen["repeated column"] += any(cols[i] == cols[j] and any(cols[i])
+                                       for j in range(len(cols))
+                                       for i in range(j))
+        seen["no columns"] += not cols
+        seen["consistent"] += res == 0 and any(rhs)
+        seen["deficient"] += linalg.rank(cols) < len(cols)
+        seen["positive residual"] += res > 0
+    assert kinds == {"int", "fraction", "mixed"}
+    assert all(seen.values()), seen
+
+
+def test_least_squares_without_columns():
+    assert linalg.least_squares([], [1], [[1]]) == ([], 1)
+    assert linalg.least_squares([], [3, 1], [[2, 1], [1, 2]]) == ([], 26)
+
+
 def test_gram_schmidt_orthogonalizes():
     gram = frac_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
     vecs = frac_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
@@ -194,7 +268,7 @@ def test_gram_schmidt_orthogonalizes():
     assert len(basis) == 3
     for i in range(3):
         for j in range(i + 1, 3):
-            assert linalg.gram_dot(gram, basis[i], basis[j]) == 0
+            assert gram_dot(gram, basis[i], basis[j]) == 0
 
 
 def test_gram_schmidt_drops_dependent():
@@ -383,13 +457,13 @@ def test_span_contains_its_combinations(coeffs):
     outside = [Fraction(coeffs[2]), Fraction(coeffs[3]), Fraction(0), Fraction(1)]
     # outside unless it happens to solve the system
     cols = linalg.transpose(basis)
-    expect = linalg.solve_consistent(cols, outside) is not None
+    expect = solve_consistent(cols, outside) is not None
     assert linalg.same_span(basis, basis + [outside]) == expect
 
 
 def _inverse(p):
     n = len(p)
-    cols = [linalg.solve_consistent(p, linalg.unit_vec(n, i)) for i in range(n)]
+    cols = [solve_consistent(p, linalg.unit_vec(n, i)) for i in range(n)]
     return linalg.transpose(cols)
 
 

@@ -10,8 +10,8 @@ from go_metric_lab import isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.metric import (check_normalizer_equivariance,
                                   from_parameters, full_family, instantiate)
 from oracles import (columns, coords_in_family, dense_gram_family_ops,
-                     dense_op, identity, identity_metric, mat_add, mat_vec,
-                     matrix_of, projector)
+                     dense_op, gram_dot, identity, identity_metric, mat_add,
+                     mat_vec, matrix_of, projector, solve_consistent)
 
 
 def test_identity_from_parameters(space):
@@ -64,7 +64,7 @@ def oracle_params(dec, matrix):
     d = dec.dim
     basis = [dense_op(s, d) for s in dec.sym_commutant_basis()]
     cols = [[s[i][j] for s in basis] for i in range(d) for j in range(d)]
-    return linalg.solve_consistent(
+    return solve_consistent(
         cols, [matrix[i][j] for i in range(d) for j in range(d)])
 
 
@@ -151,7 +151,7 @@ def test_equivariance_and_symmetry_exact(space):
         y = lie_core.random_vector_of_len(dec.dim, rng)
         ax = mat_vec(matrix_of(a), x)
         ay = mat_vec(matrix_of(a), y)
-        assert linalg.gram_dot(gram, ax, y) == linalg.gram_dot(gram, x, ay)
+        assert gram_dot(gram, ax, y) == gram_dot(gram, x, ay)
 
 
 def test_block_structure_across_summands(space):
@@ -168,7 +168,7 @@ def test_block_structure_across_summands(space):
             for x in si.space.basis:
                 ax = mat_vec(matrix_of(a), x)
                 for y in sj.space.basis:
-                    assert linalg.gram_dot(gram, ax, y) == 0
+                    assert gram_dot(gram, ax, y) == 0
 
 
 def eigenstructure(a):
