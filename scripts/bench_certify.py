@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """Time the certification layers of one or more checkouts, alternating.
 
-For each (n, k) the script times `stiefel.build_stiefel`, `go.reduce_family`
-and `stiefel.verify_family` (100 samples, t in {1/2, 1, 2, 3}) in a fresh
-interpreter that imports the package from `CHECKOUT/src`, and records that
-interpreter's peak RSS.  With `--scan` it times instead the off-diagonal
-scan: `go.search_go` over `metric.full_family` with 40 drawn samples and no
-grid, on (4,2), (4,3) and (6,3), and records a digest of the falsified
-entries so that checkouts can be seen to agree.  With `--theorem` it runs
-the command line end to end instead: `reproduce-theorem --jobs 1
---verbose` on (8,4) at resolution 1 with 10 off-diagonal samples and on
-(6,3) at resolution 1 with 50, recording the wall time, the `--verbose`
-stage times, the command's peak RSS and a digest of its report.  With
-several checkouts
+For each (n, k) of (4,3), (6,3) and (8,4) the script times
+`stiefel.build_stiefel`, `go.reduce_family` and `stiefel.verify_family`
+(100 samples, t in {1/2, 1, 2, 3}) in a fresh interpreter that imports the
+package from `CHECKOUT/src`, and records that interpreter's peak RSS.
+With `--scan` it times instead the off-diagonal scan: `go.search_go` over
+`metric.full_family` with 40 drawn samples and no grid, on (4,2), (4,3)
+and (6,3), and records a digest of the falsified entries so that
+checkouts can be seen to agree.  With `--theorem` it runs the command line
+end to end instead: `reproduce-theorem --jobs 1 --verbose` on (8,4) at
+resolution 1 with 10 off-diagonal samples and on (6,3) at resolution 1
+with 50, recording the wall time, the `--verbose` stage times, the
+command's peak RSS and a digest of its report.  With several checkouts
 the runs alternate checkout by checkout inside every round, so host drift
 hits them alike.  Each checkout is given as PATH or LABEL=PATH; the JSON
 result (every run plus per-checkout medians) goes to stdout or to --out.
 
-    python scripts/bench_certify.py parent=../parent change=. --rounds 7 \\
-        --out BENCH_certify.json
+    python scripts/bench_certify.py parent=../parent change=. --rounds 5 \\
+        --out BENCH_build.json
     python scripts/bench_certify.py parent=../parent change=. --scan \\
         --rounds 10 --out BENCH_offdiag.json
     python scripts/bench_certify.py parent=../parent change=. --theorem \\
@@ -36,7 +36,7 @@ import sys
 import tempfile
 import time
 
-SPACES = ((4, 3), (6, 3))
+SPACES = ((4, 3), (6, 3), (8, 4))
 T_VALUES = ("1/2", "1", "2", "3")
 N_SAMPLES = 100
 SEED = 0

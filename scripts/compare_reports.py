@@ -33,20 +33,23 @@ from pathlib import Path
 NOT_GO_METRIC = """
 import json, sys
 from fractions import Fraction
-from go_metric_lab import metric, stiefel
+from go_metric_lab import linalg, metric, stiefel
 family = stiefel.diagonal_family(stiefel.build_stiefel(4, 2))
 a = metric.instantiate(family, [Fraction(i + 1) for i in range(family.n_params)])
-json.dump(metric.metric_to_json_dict(a), open(sys.argv[1], "w"))
+json.dump({"params": [linalg.frac_to_str(p) for p in a.params],
+           "blocks": metric.block_view(a), "pd": a.is_pd},
+          open(sys.argv[1], "w"))
 """
 
 TWO_TORUS_SPACE = """
 import json, sys
-from go_metric_lab import decomp, lie_core
+from go_metric_lab import decomp, lie_core, linalg
 g = lie_core.build_un(4)
 h = decomp.subalgebra(g, [g.vector(("eb_1_1", 1), ("eb_2_2", 1)),
                           g.vector(("eb_3_3", 1), ("eb_4_4", 1))])
-data = dict(decomp.split_to_json_dict(decomp.reductive_split(g, h)),
-            algebra=lie_core.to_json_dict(g))
+data = {"algebra_hash": decomp.algebra_hash(g),
+        "h_basis": [[linalg.frac_to_str(c) for c in v] for v in h.basis_coords],
+        "algebra": lie_core.to_json_dict(g)}
 json.dump(data, open(sys.argv[1], "w"))
 """
 

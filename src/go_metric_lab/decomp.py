@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 from . import lie_core, linalg
 from .lie_core import MatrixLieAlgebra
-from .linalg import Columns, Mat, Sparse, Vec
+from .linalg import Columns, Mat, Sparse, Subspace, Vec
 
 
 class NotSubalgebraError(ValueError):
@@ -163,54 +163,72 @@ class ReductiveSplit:
 
     algebra: MatrixLieAlgebra
     h: Subalgebra
-    m_basis: List[Vec]
-    gram_m: Mat
+    m: Subspace                          # in g-coordinates
     ad_h: List[Columns]
 
     @property
     def dim_m(self) -> int:
-        return len(self.m_basis)
+        return self.m.dim
 
-    @cached_property
+    @property
+    def m_basis(self) -> List[Vec]:
+        return self.m.basis
+
+    @property
     def norms_m(self) -> Vec:
         """Diagonal of the (B-orthogonal) m-basis Gram matrix."""
-        return [self.gram_m[j][j] for j in range(self.dim_m)]
+        return self.m.norms
 
     @cached_property
-    def _sparse_m_basis(self) -> List[Sparse]:
-        return [linalg.sparse(b) for b in self.m_basis]
+    def gram_m(self) -> Mat:
+        """The m-basis Gram matrix: diagonal, as the basis is B-orthogonal."""
+        return [[nu if i == j else linalg.ZERO for j in range(self.dim_m)]
+                for i, nu in enumerate(self.norms_m)]
 
-    def _m_part(self, x: Vec) -> Tuple[Vec, Vec]:
-        """(coordinates of the m-component of x, the h-component of x)."""
+    @cached_property
+    def integer_gram_m(self) -> Tuple[int, Mat]:
+        """(D, D G_m): the m-Gram cleared to integers, once per split."""
+        den = linalg.denominator(self.norms_m)
+        return den, [[c.numerator * (den // c.denominator) for c in row]
+                     for row in self.gram_m]
+
+    @cached_property
+    def _g_norms(self) -> Vec:
         gram = self.algebra.gram         # diagonal: checked by reductive_split
-        return linalg.orthogonal_projection(
-            self._sparse_m_basis, self.norms_m,
-            [gram[i][i] for i in range(len(x))], x)
+        return [gram[i][i] for i in range(len(gram))]
+
+    def _m_part(self, x: Sparse) -> Tuple[Sparse, Sparse]:
+        """(m-coordinates of the m-component of the sparse g-vector x, the
+        h-component of x), both sparse."""
+        return linalg.orthogonal_projection(self.m, self._g_norms, x)
 
     def coords_in_m(self, x: Vec) -> Vec:
         """Coordinates over the m basis; requires x in m (exact)."""
-        coords, resid = self._m_part(x)
-        if not linalg.vec_is_zero(resid):
+        coords, resid = self._m_part(linalg.sparse(x))
+        if resid:
             raise ValueError("vector is not in m")
-        return coords
+        return linalg.dense(coords, self.dim_m)
 
     @cached_property
     def bracket_table(self) -> BracketTable:
-        """The m x m bracket table, built on first use and kept."""
-        dim = self.dim_m
+        """The m x m bracket table, built on first use and kept: each
+        bracket of two sparse m-basis vectors is read off the structure
+        constants and split by one sparse projection."""
+        dim, basis = self.dim_m, self.m.sparse_basis
         table = BracketTable(m=[[[] for _ in range(dim)] for _ in range(dim)],
                              h=[[[] for _ in range(dim)] for _ in range(dim)])
         for a in range(dim):
             for b in range(a + 1, dim):
-                coords, resid = self._m_part(lie_core.bracket(
-                    self.algebra, self.m_basis[a], self.m_basis[b]))
-                for part, vec in ((table.m, coords), (table.h, resid)):
-                    part[a][b] = linalg.sparse(vec)
-                    part[b][a] = [(k, -c) for k, c in part[a][b]]
+                parts = self._m_part(lie_core.sparse_bracket(
+                    self.algebra, basis[a], basis[b]))
+                for part, vec in zip((table.m, table.h), parts):
+                    part[a][b] = vec
+                    part[b][a] = [(k, -c) for k, c in vec]
         return table
 
     def m_to_g(self, mcoords: Vec) -> Vec:
-        return linalg.combine(mcoords, self.m_basis, self.algebra.dim)
+        return linalg.dense(linalg.sparse_mat_vec(
+            self.m.sparse_basis, linalg.sparse(mcoords)), self.algebra.dim)
 
 
 def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
@@ -226,25 +244,19 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
         raise ValueError("the basis of g is not B-orthogonal")
     norms = [g.gram[i][i] for i in range(g.dim)]
     rows = [[c * nu for c, nu in zip(hv, norms)] for hv in h.basis_coords]
-    m_basis = linalg.nullspace(rows, g.dim)
-    m_basis = linalg.gram_schmidt(m_basis, norms)
-    if h.dim + len(m_basis) != g.dim:
+    m = linalg.make_subspace(
+        map(linalg.sparse, linalg.nullspace(rows, g.dim)), norms)
+    if h.dim + m.dim != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
+    split = ReductiveSplit(algebra=g, h=h, m=m, ad_h=[])
 
-    # Gram-Schmidt made the basis B-orthogonal: the Gram is its diagonal
-    gram_m = linalg.zeros(len(m_basis), len(m_basis))
-    for j, b in enumerate(m_basis):
-        gram_m[j][j] = linalg.norm_dot(norms, b, b)
-    split = ReductiveSplit(algebra=g, h=h, m_basis=m_basis, gram_m=gram_m,
-                           ad_h=[])
-
-    for hv in h.basis_coords:
+    for hv in map(linalg.sparse, h.basis_coords):
         cols = []
-        for mv in m_basis:
-            coords, h_part = split._m_part(lie_core.bracket(g, hv, mv))
-            if not linalg.vec_is_zero(h_part):
+        for mv in m.sparse_basis:
+            coords, h_part = split._m_part(lie_core.sparse_bracket(g, hv, mv))
+            if h_part:
                 raise NonReductiveError("[h, m] leaves m; split is not reductive")
-            cols.append(linalg.sparse(coords))
+            cols.append(coords)
         split.ad_h.append(cols)
     return split
 
@@ -256,7 +268,7 @@ def project(split: ReductiveSplit, x: Vec, target: str) -> Vec:
             f"expected length {split.algebra.dim}, got {len(x)}")
     if target not in ("h", "m"):
         raise ValueError(f"target must be 'h' or 'm', got {target!r}")
-    _, h_part = split._m_part(x)
+    h_part = linalg.dense(split._m_part(linalg.sparse(x))[1], len(x))
     return h_part if target == "h" else linalg.vec_sub(x, h_part)
 
 
@@ -267,14 +279,6 @@ def project(split: ReductiveSplit, x: Vec, target: str) -> Vec:
 def algebra_hash(g: MatrixLieAlgebra) -> str:
     payload = json.dumps(lie_core.to_json_dict(g), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def split_to_json_dict(split: ReductiveSplit) -> dict:
-    return {
-        "algebra_hash": algebra_hash(split.algebra),
-        "h_basis": [[linalg.frac_to_str(c) for c in v]
-                    for v in split.h.basis_coords],
-    }
 
 
 def split_from_json_dict(g: MatrixLieAlgebra, data: dict) -> ReductiveSplit:

@@ -25,7 +25,6 @@ Rule codes "3.2"/"3.4"/"3.5"/"3.6" are stable wire-format tags.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -38,7 +37,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 from . import lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Vec, ZERO, ONE
+from .linalg import Sparse, Vec, ZERO, ONE
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -61,21 +60,32 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     """Best witness a in h for the vector X: minimizes ||[a + X, AX]||_B.
 
     Returns (a over the h basis, squared residual).  Also asserts the
-    structural fact that [X, AX] has no h-component.
+    structural fact that [X, AX] has no h-component.  Solves on integers,
+    as `go_residual_sq` contracts: with X cleared per call and A, the
+    isotropy columns and the m-Gram once per object, the columns are
+    s [h_i, AX] and the right-hand side is -r [X, AX] for integers s and
+    r, so the integer solution y gives a = y s / r and the residual is the
+    integer one over D_G r^2.
     """
     action = a_metric.decomp.action
     split = action.split
+    table = split.bracket_table
     dim = split.dim_m
-    xs = linalg.sparse(as_m_coords(split, x))
-    ax = linalg.sparse_mat_vec(a_metric.columns, xs)
-    c_m, c_h = split.bracket_table.bracket(xs, ax)
-    if c_h:
+    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
+    da, a_cols = a_metric.integer_columns
+    ax = linalg.sparse_mat_vec(a_cols, xs)                # da dx AX
+    c_m, c_h = table.contract(xs, ax)                     # dt da dx^2 [X, AX]
+    if any(c_h.values()):
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
-    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)
-            for ad in action.ad_ops]
-    rhs = linalg.dense([(i, -c) for i, c in c_m], dim)
-    return linalg.least_squares(cols, rhs, split.gram_m)
+    dad, ad_cols = action.integer_ad_columns
+    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)  # dad da dx
+            for ad in ad_cols]
+    rhs = linalg.dense([(i, -c) for i, c in c_m.items()], dim)
+    dg, gram = split.integer_gram_m
+    y, res = linalg.least_squares(cols, rhs, gram)
+    s, r = dad * da * dx, table.denominator * da * dx * dx
+    return [Fraction(s, r) * c for c in y], res / (dg * r * r)
 
 
 def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
@@ -143,15 +153,10 @@ def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
     """All m-basis vectors, then pairwise sums (cross-summand pairs first)."""
     dim = decomp.dim
     norms = decomp.action.norms
-    block_of = []
-    for i in range(dim):
-        v = linalg.unit_vec(dim, i)
-        home = None
-        for s in decomp.summands:
-            if s.space.coords_of(v, norms) is not None:
-                home = s.class_id
-                break
-        block_of.append(home)
+    # the summand holding each basis vector (one leaving no residual)
+    block_of = [next((s.class_id for s in decomp.summands
+                      if not linalg.orthogonal_projection(s.space, norms, [(i, ONE)])[1]),
+                     None) for i in range(dim)]
     probes = [linalg.unit_vec(dim, i) for i in range(dim)]
     pairs = sorted(
         itertools.combinations(range(dim), 2),
@@ -295,31 +300,32 @@ class ReductionTrace:
         return [s for s in self.steps if s.tag == tag and s.fired]
 
 
-# Vectors of g are kept split along g = h (+) m: m-coordinates plus an
-# h-part, read off the bracket table and the isotropy columns.  The
-# g-coordinates of a witness are formed only to serialize it.
+# Vectors of g are kept split along g = h (+) m as sparse parts:
+# m-coordinates plus an h-part, read off the bracket table and the
+# isotropy columns.  The dense g-coordinates of a witness are formed only
+# to serialize it.
 
-def _label_coords(split, x_m: Vec, h_g: linalg.Sparse = ()) -> Dict[str, str]:
+def _label_coords(split, x_m: Sparse, h_g: Sparse = ()) -> Dict[str, str]:
     """Witness wire format: labels of the g-coordinates of h_g + x_m."""
-    vec = split.m_to_g(x_m)
+    vec = split.m_to_g(linalg.dense(x_m, split.dim_m))
     for i, c in h_g:
         vec[i] += c
     return {split.algebra.labels[i]: linalg.frac_to_str(c)
             for i, c in enumerate(vec) if c != 0}
 
 
-def _bracket(action, x_m: Vec, y_m: Vec, a_h: Vec = ()
-             ) -> Tuple[Vec, linalg.Sparse]:
-    """[a + X, Y] for a in h (h-coordinates) and X, Y in m: the
-    m-coordinates and the sparse h-component in g-coordinates."""
-    ys = linalg.sparse(y_m)
-    c_m, c_h = action.split.bracket_table.bracket(linalg.sparse(x_m), ys)
-    w = linalg.dense(c_m, len(y_m))
-    for a, ad in zip(a_h, action.ad_ops):
-        if a != 0:
-            for k, c in linalg.sparse_mat_vec(ad, ys):
-                w[k] += a * c
-    return w, c_h
+def _bracket(action, x_m: Sparse, y_m: Sparse, a_h: Sparse = ()
+             ) -> Tuple[Sparse, Sparse]:
+    """[a + X, Y] for a in h and X, Y in m, all sparse (a over the h
+    basis): the m-coordinates and the h-component in g-coordinates."""
+    c_m, c_h = action.split.bracket_table.bracket(x_m, y_m)
+    if not a_h:
+        return c_m, c_h
+    acc = dict(c_m)
+    for i, a in a_h:
+        for k, c in linalg.sparse_mat_vec(action.ad_ops[i], y_m):
+            acc[k] = acc.get(k, 0) + a * c
+    return linalg.sparse_from(acc), c_h
 
 
 def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
@@ -368,12 +374,11 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
             continue
         family.intertwiner_blocks = [
             b for b in family.intertwiner_blocks if b.summand_index != si]
+        h_basis = [linalg.sparse(v) for v in split.h.basis_coords]
         trace.steps.append(RuleApplication(
             tag="3.5", rule="diagonalize-summand", target=label, fired=True,
-            witnesses=[{"member": l + 1,
-                        "x": _label_coords(split, x_m, linalg.sparse(
-                            linalg.combine(a_h, split.h.basis_coords,
-                                           split.algebra.dim)))}
+            witnesses=[{"member": l + 1, "x": _label_coords(
+                split, x_m, linalg.sparse_mat_vec(h_basis, a_h))}
                        for l, (a_h, x_m) in witnesses]))
 
     # --- 3.6: scalar summands via orthogonal intertwiner brackets ------
@@ -422,12 +427,12 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
         wit = _prop32_pair_witness(decomp.action, spaces[i], spaces[j])
         if wit is None:
             continue
-        x, y, (w_m, w_h), w_perp = wit
+        x, y, bracket, outside = wit
         edges.append({"pair": [nodes[i][2], nodes[j][2]],
                       "x": _label_coords(split, x),
                       "y": _label_coords(split, y),
-                      "bracket": _label_coords(split, w_m, w_h),
-                      "outside_component": _label_coords(split, w_perp, w_h)})
+                      "bracket": _label_coords(split, *bracket),
+                      "outside_component": _label_coords(split, *outside)})
         if family.merge(class_of(i), class_of(j)):
             merged_pairs.append([nodes[i][2], nodes[j][2]])
     for i, j, k in itertools.permutations(range(len(nodes)), 3):
@@ -437,11 +442,11 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
                                      spaces[k])
         if wit is None:
             continue
-        x, y, (w_m, w_h) = wit
+        x, y, bracket = wit
         edges.append({"triple": [nodes[i][2], nodes[j][2], nodes[k][2]],
                       "x": _label_coords(split, x),
                       "y": _label_coords(split, y),
-                      "bracket": _label_coords(split, w_m, w_h)})
+                      "bracket": _label_coords(split, *bracket)})
         ids = [class_of(idx) for idx in (i, j, k)]
         for other in ids[1:]:
             if family.merge(ids[0], other):
@@ -454,57 +459,61 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
 
 
 def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
-                      ) -> Optional[List[Tuple[int, Tuple[Vec, Vec]]]]:
+                      ) -> Optional[List[Tuple[int, Tuple[Sparse, Sparse]]]]:
     """Per-member perpendicular vectors X with ad(X) injective on the member
     and vanishing on its siblings; None when some member has no witness.
 
-    Candidates X = (h-coordinates, m-coordinates): the h basis, the bases of
-    S0 and of the other summands, then 100 seeded integer combinations of
-    those, each built only when the search reaches it (the coefficients are
-    drawn up front, so the random stream does not depend on the search).
+    Candidates X = (h-coordinates, m-coordinates), both sparse: the h
+    basis, the bases of S0 and of the other summands, then up to 100
+    seeded integer combinations of those.  Combination q is built, and its
+    row of coefficients drawn, when a search first reaches it; searches
+    run in candidate order, so row q is the q-th row of the seeded stream
+    however few rows are drawn.
     """
     action = decomp.action
-    dim_h, dim = action.split.h.dim, decomp.dim
     nu = action.norms
-    members = decomp.summands[si].members
-    pool = [(linalg.unit_vec(dim_h, i), linalg.zero_vec(dim))
-            for i in range(dim_h)]
-    pool += [(linalg.zero_vec(dim_h), b) for b in decomp.s0.space.basis]
-    pool += [(linalg.zero_vec(dim_h), b) for sj, s in enumerate(decomp.summands)
-             if sj != si and s is not decomp.s0 for b in s.space.basis]
+    summand = decomp.summands[si]
+    members = summand.members
+    pool = [([(i, ONE)], []) for i in range(action.split.h.dim)]
+    pool += [([], b) for b in decomp.s0.space.sparse_basis]
+    pool += [([], b) for sj, s in enumerate(decomp.summands)
+             if sj != si and s is not decomp.s0 for b in s.space.sparse_basis]
+    h_parts, m_parts = [a for a, _ in pool], [x for _, x in pool]
     rng = random.Random(f"rule35:{seed}")
-    draws = [[Fraction(rng.randint(-3, 3)) for _ in pool] for _ in range(100)]
+    combos: List[Tuple[Sparse, Sparse]] = []
 
-    @functools.lru_cache(maxsize=None)
-    def combo(q: int) -> Tuple[Vec, Vec]:
-        return (linalg.combine(draws[q], [a for a, _ in pool], dim_h),
-                linalg.combine(draws[q], [x for _, x in pool], dim))
+    def candidates() -> Iterator[Tuple[Sparse, Sparse]]:
+        yield from pool
+        for q in range(100):
+            if q == len(combos):
+                coeffs = [(p, rng.randint(-3, 3)) for p in range(len(pool))]
+                combos.append((linalg.sparse_mat_vec(h_parts, coeffs),
+                               linalg.sparse_mat_vec(m_parts, coeffs)))
+            yield combos[q]
 
     out = []
     for l, member in enumerate(members):
         found = None
-        for a_h, x_m in itertools.chain(pool, map(combo, range(len(draws)))):
-            # X must be nonzero and B-perpendicular to the summand (h is to m)
-            if ((linalg.vec_is_zero(a_h) and linalg.vec_is_zero(x_m))
-                    or any(linalg.norm_dot(nu, x_m, s) != 0
-                           for s in decomp.summands[si].space.basis)):
+        for a_h, x_m in candidates():
+            # X must be nonzero and B-perpendicular to the summand (h is to
+            # m): its projection onto the summand has no coordinates
+            if ((not a_h and not x_m)
+                    or linalg.orthogonal_projection(summand.space, nu, x_m)[0]):
                 continue
             cols = []
-            for v in member.space.basis:
+            for v in member.space.sparse_basis:
                 w_m, w_h = _bracket(action, x_m, v, a_h)
                 if w_h:
                     raise ValueError("vector is not in m")
-                coords = member.space.coords_of(w_m, nu)
-                if coords is None:
+                coords, resid = linalg.orthogonal_projection(member.space, nu, w_m)
+                if resid:
                     break
-                cols.append(coords)
+                cols.append(dict(coords))
             if linalg.rank(cols) != member.space.dim:
                 continue
-            brackets = (_bracket(action, x_m, v, a_h)
-                        for lm, other in enumerate(members) if lm != l
-                        for v in other.space.basis)
-            if all(not w_h and linalg.vec_is_zero(w_m)
-                   for w_m, w_h in brackets):
+            if all(_bracket(action, x_m, v, a_h) == ([], [])
+                   for lm, other in enumerate(members) if lm != l
+                   for v in other.space.sparse_basis):
                 found = (a_h, x_m)
                 break
         if found is None:
@@ -521,13 +530,14 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
     projected outside the summand injective on every intertwiner space
     (covers all nonzero phi), with the images for different target members
     pairwise B-orthogonal (bilinear, so basis pairs suffice).  An image is
-    kept as its m-coordinates followed by the g-coordinates of its h-part:
-    h (+) m -> g is injective and B-orthogonal, so rank and B carry over
-    with the norm vector `norms` below.
+    kept sparse as its m-coordinates followed by the g-coordinates of its
+    h-part, shifted by dim m: h (+) m -> g is injective and B-orthogonal,
+    so rank and B carry over with the norm vector `norms` below.
     """
     action = decomp.action
     split = action.split
     nu = action.norms
+    dim = decomp.dim
     g_dim = split.algebra.dim
     norms = list(nu) + [split.algebra.gram[i][i] for i in range(g_dim)]
     summand = decomp.summands[si]
@@ -536,37 +546,38 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
     out = []
     rng = random.Random(f"rule36:{seed}")
     for l, member in enumerate(members):
-        base = member.space.basis
+        base = member.space.sparse_basis
         candidates = list(base) + [
-            linalg.combine([Fraction(rng.randint(-3, 3)) for _ in base],
-                           base, decomp.dim) for _ in range(20)]
+            linalg.sparse_mat_vec(base, [(j, rng.randint(-3, 3))
+                                         for j in range(len(base))])
+            for _ in range(20)]
         found = None
         for x_m in candidates:
-            if linalg.vec_is_zero(x_m):
+            if not x_m:
                 continue
-            x_coords = member.space.coords_of(x_m, nu)
-            if x_coords is None:
+            x_coords, resid = linalg.orthogonal_projection(member.space, nu, x_m)
+            if resid:
                 continue
-            xs = linalg.sparse(x_coords)
-            images: Dict[int, List[Vec]] = {}
+            images: Dict[int, List[dict]] = {}
             for m in range(len(members)):
                 if m == l:
                     continue
                 phis = summand.intertwiner_bases.get((l, m), [])
-                target = members[m].space
+                target = members[m].space.sparse_basis
                 rems = []
                 for phi in phis:
-                    img = linalg.combine(
-                        linalg.dense(linalg.sparse_mat_vec(phi, xs), target.dim),
-                        target.basis, decomp.dim)
+                    img = linalg.sparse_mat_vec(
+                        target, linalg.sparse_mat_vec(phi, x_coords))
                     w_m, w_h = _bracket(action, x_m, img)
-                    rems.append(summand.space.projection(w_m, nu)[1]
-                                + linalg.dense(w_h, g_dim))
+                    rem = dict(linalg.orthogonal_projection(summand.space, nu, w_m)[1])
+                    rem.update((dim + i, c) for i, c in w_h)
+                    rems.append(rem)
                 if not phis or linalg.rank(rems) != len(phis):
                     break
                 images[m] = rems
             else:
-                if all(linalg.norm_dot(norms, w1, w2) == 0
+                if all(sum(c * w2[i] * norms[i] for i, c in w1.items()
+                           if i in w2) == 0
                        for m1, m2 in itertools.combinations(sorted(images), 2)
                        for w1 in images[m1] for w2 in images[m2]):
                     found = x_m
@@ -578,24 +589,28 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
 
 
 def _prop32_pair_witness(action, space_a: Subspace, space_b: Subspace):
-    """Basis pair whose bracket projects outside the two subspaces."""
+    """Basis pair whose bracket projects outside the two subspaces:
+    (x, y, [x, y], outside component), the last two as (m-coordinates,
+    h-component) pairs; the outside component is [x, y] minus its
+    projections onto both subspaces, h-part included."""
     nu = action.norms
-    for x in space_a.basis:
-        for y in space_b.basis:
+    for x in space_a.sparse_basis:
+        for y in space_b.sparse_basis:
             w_m, w_h = _bracket(action, x, y)
-            w_perp = space_b.projection(space_a.projection(w_m, nu)[1], nu)[1]
-            if w_h or not linalg.vec_is_zero(w_perp):
-                return x, y, (w_m, w_h), w_perp
+            w_perp = linalg.orthogonal_projection(
+                space_b, nu, linalg.orthogonal_projection(space_a, nu, w_m)[1])[1]
+            if w_h or w_perp:
+                return x, y, (w_m, w_h), (w_perp, w_h)
     return None
 
 
 def _prop32_triple_witness(action, space_a: Subspace, space_b: Subspace,
                            space_c: Subspace):
     """Basis pair of (a, b) whose bracket has a component in c."""
-    for x in space_a.basis:
-        for y in space_b.basis:
+    for x in space_a.sparse_basis:
+        for y in space_b.sparse_basis:
             w_m, w_h = _bracket(action, x, y)
-            if any(space_c.projection(w_m, action.norms)[0]):
+            if linalg.orthogonal_projection(space_c, action.norms, w_m)[0]:
                 return x, y, (w_m, w_h)
     return None
 
@@ -667,11 +682,6 @@ class _ScanTensors:
                  probes: List[Vec], grid: Sequence = ()):
         self.action = family.decomp.action
         self.dim = self.action.split.dim_m
-        # (D, D G_m): the m-Gram cleared to integers once per scan
-        gram = self.action.split.gram_m
-        den = linalg.denominator(c for row in gram for c in row)
-        self.integer_gram = den, [[c.numerator * (den // c.denominator)
-                                   for c in row] for row in gram]
         self.probes = probes
         self.op_columns = ops
         self.integer_ops = linalg.cleared_columns(ops)
@@ -786,7 +796,7 @@ class _ScanTensors:
             defect = self._contract(probe.bx, probe.support, key[1])
             cols = [self._contract(rows, probe.support, key[1])
                     for rows in probe.hx]
-            dg, gram = self.integer_gram
+            dg, gram = self.action.split.integer_gram_m
             _, res = linalg.least_squares(cols, [-c for c in defect], gram)
             res = self.memo[key] = res / (dg * probe.den * probe.den)
         return Fraction(g * g, den * den) * res

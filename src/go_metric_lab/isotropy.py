@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .decomp import ReductiveSplit
-from .linalg import Columns, Vec, ONE
+from .linalg import Columns, Subspace, Vec, ONE, make_subspace
 
 
 class DecompositionError(ArithmeticError):
@@ -47,54 +47,11 @@ class DecompositionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# subspaces of m
+# subspaces of m: `linalg.Subspace`, built by `linalg.make_subspace`
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Subspace:
-    """Subspace of m with a B-orthogonal basis in m-coordinates.
-
-    Ambient forms are passed as norm vectors: the diagonal of the Gram
-    matrix of a B-orthogonal ambient basis.
-    """
-
-    basis: List[Vec]
-    norms: List[Fraction]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def sparse_basis(self) -> List[linalg.Sparse]:
-        return [linalg.sparse(b) for b in self.basis]
-
-    def projection(self, v: Vec, norms: Vec) -> Tuple[Vec, Vec]:
-        """(coordinates of the B-orthogonal projection of v over the basis,
-        v minus that projection); `norms` is the ambient norm vector."""
-        return linalg.orthogonal_projection(self.sparse_basis, self.norms,
-                                            norms, v)
-
-    def coords_of(self, v: Vec, norms: Vec) -> Optional[Vec]:
-        """Coordinates of v over the basis, or None if v falls outside."""
-        coords, resid = self.projection(v, norms)
-        return None if any(resid) else coords
-
-
-def make_subspace(vectors: Sequence[Vec], norms: Vec) -> Subspace:
-    basis = linalg.gram_schmidt(list(vectors), norms)
-    return Subspace(basis=basis,
-                    norms=[linalg.norm_dot(norms, b, b) for b in basis])
-
-
 def subspace_leading_index(sub: Subspace) -> Tuple:
-    lead = []
-    for v in sub.basis:
-        for i, c in enumerate(v):
-            if c != 0:
-                lead.append(i)
-                break
-    return tuple(sorted(lead))
+    return tuple(sorted(b[0][0] for b in sub.sparse_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +111,11 @@ def restrict_op(op: Columns, sub: Subspace, norms: Vec) -> Optional[Columns]:
     """Sparse columns of op on the subspace basis; None if it moves."""
     cols = []
     for b in sub.sparse_basis:
-        coords = sub.coords_of(
-            linalg.dense(linalg.sparse_mat_vec(op, b), len(norms)), norms)
-        if coords is None:
+        coords, resid = linalg.orthogonal_projection(
+            sub, norms, linalg.sparse_mat_vec(op, b))
+        if resid:
             return None
-        cols.append(linalg.sparse(coords))
+        cols.append(coords)
     return cols
 
 
@@ -326,8 +283,8 @@ def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
                 continue
             for _, part in split:
                 work.append(make_subspace(
-                    [linalg.combine(v, piece.basis, len(norms)) for v in part],
-                    norms))
+                    [linalg.sparse_mat_vec(piece.sparse_basis, linalg.sparse(v))
+                     for v in part], norms))
             break
         else:
             raise DecompositionError(
@@ -411,7 +368,8 @@ class IsotypicalDecomposition:
 
 def joint_kernel(ops: List[Columns], norms: Vec, dim: int) -> Subspace:
     rows = [row for op in ops for row in linalg.column_rows(op, dim)]
-    return make_subspace(linalg.nullspace(rows, dim), norms)
+    return make_subspace(map(linalg.sparse, linalg.nullspace(rows, dim)),
+                         norms)
 
 
 def _ad_columns(split: ReductiveSplit, z_m: Vec) -> Columns:
@@ -456,7 +414,7 @@ def decompose_isotypic(action: IsotropyAction,
 
     members_s0 = [Submodule(space=make_subspace([b], norms), trivial=True,
                             commutant_sym_dim=1, commutant_dim=1)
-                  for b in s0_space.basis]
+                  for b in s0_space.sparse_basis]
     s0_summand = IsotypicalSummand(class_id=0, members=members_s0, space=s0_space)
     for (i, j) in itertools.combinations(range(len(members_s0)), 2):
         # trivial modules: every linear map intertwines
@@ -466,8 +424,9 @@ def decompose_isotypic(action: IsotropyAction,
     if s0_space.dim == dim:
         rest_pieces: List[Subspace] = []
     else:
-        rows = [[c * nu for c, nu in zip(b, norms)] for b in s0_space.basis]
-        rest = make_subspace(linalg.nullspace(rows, dim), norms)
+        rows = [{i: c * norms[i] for i, c in b} for b in s0_space.sparse_basis]
+        rest = make_subspace(map(linalg.sparse, linalg.nullspace(rows, dim)),
+                             norms)
         extra = squared_ad_candidates(action, s0_space)
         rest_pieces = minimal_invariant_pieces(action.ad_ops, norms, rest,
                                                extra_ops=extra, seed=seed)
@@ -512,8 +471,8 @@ def decompose_isotypic(action: IsotropyAction,
 
     summands = [s0_summand]
     for cls in classes:
-        space = make_subspace([v for idx in cls for v in modules[idx].space.basis],
-                              norms)
+        space = make_subspace([v for idx in cls
+                               for v in modules[idx].space.sparse_basis], norms)
         summand = IsotypicalSummand(class_id=0, members=[modules[idx] for idx in cls],
                                     space=space)
         for (a, b) in itertools.permutations(range(len(cls)), 2):
@@ -553,12 +512,11 @@ def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Columns]:
     for z in s0.sparse_basis:
         cols = []
         for w in s0.sparse_basis:
-            br_m = linalg.dense(split.bracket_table.bracket_in_m(z, w),
-                                split.dim_m)
-            coords = s0.coords_of(br_m, split.norms_m)
-            if coords is None:
+            coords, resid = linalg.orthogonal_projection(
+                s0, split.norms_m, split.bracket_table.bracket_in_m(z, w))
+            if resid:
                 raise ArithmeticError("S0 is not closed under the bracket")
-            cols.append(linalg.sparse(coords))
+            cols.append(coords)
         ops.append(cols)
     return ops
 
@@ -577,10 +535,10 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
     ops = s0_bracket_ops(split, s0)
     d = s0.dim
     rows = [row for op in ops for row in linalg.column_rows(op, d)]
-    center_local = linalg.nullspace(rows, d)
+    center_local = [linalg.sparse(v) for v in linalg.nullspace(rows, d)]
 
-    def to_ambient(vecs: List[Vec]) -> List[Vec]:
-        return [linalg.combine(v, s0.basis, split.dim_m) for v in vecs]
+    def to_ambient(vecs: List[linalg.Sparse]) -> List[linalg.Sparse]:
+        return [linalg.sparse_mat_vec(s0.sparse_basis, v) for v in vecs]
 
     norms = split.norms_m
     center = make_subspace(to_ambient(center_local), norms)
@@ -588,13 +546,14 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
         return IdealSplit(center=center, simples=[])
 
     # S0 coordinates: the S0 basis is B-orthogonal with norms s0.norms
-    rows_c = [[c * nu for c, nu in zip(v, s0.norms)] for v in center_local]
+    rows_c = [{i: c * s0.norms[i] for i, c in v} for v in center_local]
     # pieces of the adjoint action of S0 on its semisimple part
-    local_sub = make_subspace(linalg.nullspace(rows_c, d), s0.norms)
+    local_sub = make_subspace(map(linalg.sparse, linalg.nullspace(rows_c, d)),
+                              s0.norms)
     pieces = minimal_invariant_pieces(ops, s0.norms, local_sub)
     simples = []
     for piece in pieces:
-        amb = make_subspace(to_ambient(piece.basis), norms)
+        amb = make_subspace(to_ambient(piece.sparse_basis), norms)
         # simple ideals are non-abelian
         vecs = amb.sparse_basis
         nonabelian = any(

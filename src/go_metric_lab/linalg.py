@@ -5,12 +5,14 @@ and every zero test is a comparison with exact zero.
 
 Vectors are plain lists or sparse (index, value) lists.  An operator is
 `Columns`, one sparse column per basis vector; an elimination reads its
-rows as the dicts of `column_rows`.  Dense row lists remain for matrix
-realizations, Gram matrices and linear systems: Gram-Schmidt takes the
-diagonal of its form, a norm vector, and least squares a Gram matrix
-(the benchmark's tests call it with one) that it reads only at the
-entries the supports of its columns and right-hand side meet, so
-integer inputs stay Python integers.
+rows as the dicts of `column_rows`.  A `Subspace` keeps a B-orthogonal
+basis as sparse vectors; `make_subspace` (Gram-Schmidt) builds it and
+`orthogonal_projection`, the one projection, splits a sparse vector
+along it, both for a diagonal form given as its norm vector.  Dense row
+lists remain for matrix realizations, Gram matrices and linear systems:
+least squares takes a Gram matrix (the benchmark's tests call it with
+one) that it reads only at the entries the supports of its columns and
+right-hand side meet, so integer inputs stay Python integers.
 
 There is one elimination: `pivot_rows` clears each row to a primitive
 integer row and reduces fraction-free to the reduced echelon form.
@@ -23,7 +25,9 @@ elimination steps without pivoting.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vec = List
@@ -66,28 +70,8 @@ def dot(x: Vec, y: Vec):
     return s
 
 
-def norm_dot(norms: Vec, x: Vec, y: Vec):
-    """<x, y> = sum_i x_i y_i norms_i for a diagonal Gram matrix."""
-    s = ZERO
-    for xi, yi, nu in zip(x, y, norms):
-        if xi != 0 and yi != 0:
-            s += xi * yi * nu
-    return s
-
-
 def zeros(nrows: int, ncols: int) -> Mat:
     return [[ZERO] * ncols for _ in range(nrows)]
-
-
-def combine(coeffs: Sequence, vecs: Sequence[Vec], n: int) -> Vec:
-    """sum_i coeffs_i vecs_i, a vector of length n; zero terms are skipped."""
-    out = zero_vec(n)
-    for c, v in zip(coeffs, vecs):
-        if c != 0:
-            for i, x in enumerate(v):
-                if x != 0:
-                    out[i] += c * x
-    return out
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -146,24 +130,85 @@ def sparse_dot(x: Vec, y: Sparse):
     return s
 
 
-def orthogonal_projection(basis: List[Sparse], basis_norms: Vec, norms: Vec,
-                          v: Vec) -> Tuple[Vec, Vec]:
-    """(coordinates <b, v> / <b, b> over a B-orthogonal basis given sparse,
-    v minus its projection onto their span), for the diagonal form `norms`
-    and the basis norms <b, b>; a zero product is ZERO without a division."""
-    coords = []
-    for b, nu in zip(basis, basis_norms):
-        dot = ZERO
-        for i, c in b:
-            if v[i] != 0:
-                dot += c * v[i] * norms[i]
-        coords.append(dot / nu if dot else ZERO)
-    resid = list(v)
-    for c, b in zip(coords, basis):
-        if c != 0:
-            for i, bi in b:
-                resid[i] -= c * bi
-    return coords, resid
+@dataclass
+class Subspace:
+    """A subspace with a B-orthogonal basis, kept as sparse vectors, for a
+    diagonal ambient form; `basis` is the dense form.  `index` maps each
+    coordinate to the basis vectors with an entry there, as (vector,
+    entry) pairs, so a projection meets only the vectors its input does.
+    """
+
+    sparse_basis: List[Sparse]
+    norms: Vec                  # <b, b> for each basis vector b, Fractions
+    ambient_dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.sparse_basis)
+
+    @cached_property
+    def basis(self) -> List[Vec]:
+        return [dense(b, self.ambient_dim) for b in self.sparse_basis]
+
+    @cached_property
+    def index(self) -> dict:
+        index: dict = {}
+        for j, b in enumerate(self.sparse_basis):
+            for i, c in b:
+                index.setdefault(i, []).append((j, c))
+        return index
+
+    def projection(self, v: Vec, norms: Vec) -> Tuple[Vec, Vec]:
+        """`orthogonal_projection` of a dense v, with dense results;
+        `norms` is the ambient norm vector."""
+        coords, resid = orthogonal_projection(self, norms, sparse(v))
+        return dense(coords, self.dim), dense(resid, len(v))
+
+    def coords_of(self, v: Vec, norms: Vec) -> Optional[Vec]:
+        """Coordinates of v over the basis, or None if v falls outside."""
+        coords, resid = orthogonal_projection(self, norms, sparse(v))
+        return None if resid else dense(coords, self.dim)
+
+
+def orthogonal_projection(sub: Subspace, norms: Vec, v: Sparse
+                          ) -> Tuple[Sparse, Sparse]:
+    """(coordinates <b, v> / <b, b> over the subspace's basis, v minus its
+    projection onto the subspace), both sparse, for a sparse v and the
+    ambient norm vector.  Only v's support is read; it meets the basis
+    through `sub.index`, and the residual changes only on the basis
+    vectors with a nonzero coordinate."""
+    dots: dict = {}
+    for i, vi in v:
+        hits = sub.index.get(i)
+        if hits:
+            w = vi * norms[i]
+            for j, c in hits:
+                dots[j] = dots.get(j, 0) + c * w
+    coords = [(j, d / sub.norms[j]) for j, d in sorted(dots.items()) if d]
+    vals = dict(v)
+    for j, c in coords:
+        for i, bi in sub.sparse_basis[j]:
+            vals[i] = vals.get(i, 0) - c * bi
+    return coords, sparse_from(vals)
+
+
+def make_subspace(vectors: Iterable[Sparse], norms: Vec) -> Subspace:
+    """The span of sparse vectors, B-orthogonalized for the ambient norm
+    vector with no normalization, dependent vectors dropped.
+
+    Gram-Schmidt: each vector loses its projection onto the basis so far,
+    which, the basis being orthogonal, is the modified process too in
+    exact arithmetic.  The index grows with the basis.
+    """
+    sub = Subspace([], [], len(norms))
+    for v in vectors:
+        w = orthogonal_projection(sub, norms, v)[1]
+        if w:
+            for i, c in w:
+                sub.index.setdefault(i, []).append((sub.dim, c))
+            sub.sparse_basis.append(w)
+            sub.norms.append(sum((c * c * norms[i] for i, c in w), ZERO))
+    return sub
 
 
 def sparse_mat_vec(columns: Columns, x: Sparse) -> Sparse:
@@ -383,29 +428,6 @@ def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fractio
         x[k] = Fraction(-row.get(p, 0), row[k])
         res -= x[k] * c[k]
     return x, res
-
-
-# ---------------------------------------------------------------------------
-# Gram-Schmidt without normalization (keeps rational entries rational)
-# ---------------------------------------------------------------------------
-
-def gram_schmidt(vectors: List[Vec], norms: Vec) -> List[Vec]:
-    """B-orthogonalize, dropping dependent vectors; no normalization.
-
-    `norms` is the diagonal Gram matrix of the ambient coordinates.
-    """
-    basis: List[Vec] = []
-    basis_norms: List = []
-    for v in vectors:
-        w = list(v)
-        for u, nu in zip(basis, basis_norms):
-            c = norm_dot(norms, w, u) / nu
-            if c != 0:
-                w = vec_sub(w, vec_scale(c, u))
-        if not vec_is_zero(w):
-            basis.append(w)
-            basis_norms.append(norm_dot(norms, w, w))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -412,11 +412,6 @@ def block_view(a: MetricEndomorphism) -> List[dict]:
     return out
 
 
-def metric_to_json_dict(a: MetricEndomorphism) -> dict:
-    params = [linalg.frac_to_str(p) for p in a.params]
-    return {"params": params, "blocks": block_view(a), "pd": a.is_pd}
-
-
 def metric_from_json_dict(decomp: IsotypicalDecomposition,
                           data: dict) -> MetricEndomorphism:
     params = [linalg.frac_from_str(p) if isinstance(p, str) else p

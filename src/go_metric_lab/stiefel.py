@@ -24,7 +24,6 @@ action leaves only scalars on S1.
 from __future__ import annotations
 
 import contextlib
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
@@ -120,7 +119,8 @@ def build_stiefel(n: int, k: int) -> StiefelSpace:
         if not linalg.same_span(member.basis, canonical):
             raise ArithmeticError(
                 f"module {i} does not match its coordinate form")
-        modules.append(isotropy.make_subspace(canonical, split.norms_m))
+        modules.append(isotropy.make_subspace(map(linalg.sparse, canonical),
+                                              split.norms_m))
 
     s1_pairs = []
     for i in range(1, k + 1):
@@ -209,9 +209,12 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     out = {}
     s1_basis = space.s1.space.basis
     zero_m = linalg.zero_vec(space.dim_m)
-    # [a + X, Y] as (m-coordinates, h-component); every identity below
-    # also needs the h-component to be []
-    bracket = functools.partial(go_mod._bracket, space.action)
+    # [a + X, Y] as (dense m-coordinates, h-component); every identity
+    # below also needs the h-component to be []
+    def bracket(x_m: Vec, y_m: Vec, a_h: Vec = ()) -> Tuple[Vec, list]:
+        w_m, w_h = go_mod._bracket(space.action, linalg.sparse(x_m),
+                                   linalg.sparse(y_m), linalg.sparse(a_h))
+        return linalg.dense(w_m, space.dim_m), w_h
 
     out["center_rotates_s1"] = all(         # [z0, v] = -2 tilde(v)
         bracket(space.z0_m, v) == (linalg.vec_scale(-2, tilde_map(space, v)), [])

@@ -2,7 +2,10 @@
 
 Each helper is the plain dense or direct form of something the package
 computes sparsely, or no longer needs at run time: the bilinear form over
-a full Gram matrix (`gram_dot`), one solution of a linear system
+a full Gram matrix (`gram_dot`) or a norm vector (`norm_dot`), linear
+combinations of dense vectors (`combine`), the B-orthogonal projection
+on dense vectors (`dense_orthogonal_projection`), the JSON forms of a
+split and a metric that the package reads, one solution of a linear system
 (`solve_consistent`) and the dense least squares built on both
 (`fraction_least_squares`), dense projectors and family operators built
 from the dense m-basis Gram, family coordinates by one dense solve, the
@@ -16,7 +19,7 @@ convert between that form and dense row lists.
 
 from fractions import Fraction
 
-from go_metric_lab import lie_core, linalg, metric
+from go_metric_lab import decomp, lie_core, linalg, metric
 
 
 def gram_dot(gram, x, y):
@@ -34,6 +37,55 @@ def gram_dot(gram, x, y):
                     t += gij * yj
         s += xi * t
     return s
+
+
+def split_to_json_dict(split):
+    """The JSON form of a split that `decomp.split_from_json_dict` reads:
+    the algebra hash and the h basis as fraction strings."""
+    return {"algebra_hash": decomp.algebra_hash(split.algebra),
+            "h_basis": [[linalg.frac_to_str(c) for c in v]
+                        for v in split.h.basis_coords]}
+
+
+def metric_to_json_dict(a):
+    """The JSON form of a metric that `metric.metric_from_json_dict`
+    reads: its commutant parameters, block view and PD flag."""
+    return {"params": [linalg.frac_to_str(p) for p in a.params],
+            "blocks": metric.block_view(a), "pd": a.is_pd}
+
+
+def combine(coeffs, vecs, n):
+    """sum_i coeffs_i vecs_i for dense vectors of length n."""
+    out = linalg.zero_vec(n)
+    for c, v in zip(coeffs, vecs):
+        out = linalg.vec_add(out, linalg.vec_scale(c, v))
+    return out
+
+
+def norm_dot(norms, x, y):
+    """<x, y> = sum_i x_i y_i norms_i for dense x, y and a diagonal Gram
+    matrix given by its norm vector."""
+    return sum((xi * yi * nu for xi, yi, nu in zip(x, y, norms)),
+               linalg.ZERO)
+
+
+def dense_orthogonal_projection(basis, basis_norms, norms, v):
+    """`linalg.orthogonal_projection` on a dense v over a sparse
+    B-orthogonal basis: (dense coordinates, dense residual), reading every
+    entry of v."""
+    coords = []
+    for b, nu in zip(basis, basis_norms):
+        dot = linalg.ZERO
+        for i, c in b:
+            if v[i] != 0:
+                dot += c * v[i] * norms[i]
+        coords.append(dot / nu if dot else linalg.ZERO)
+    resid = list(v)
+    for c, b in zip(coords, basis):
+        if c != 0:
+            for i, bi in b:
+                resid[i] -= c * bi
+    return coords, resid
 
 
 def solve_consistent(a, b):
@@ -66,7 +118,7 @@ def fraction_least_squares(columns, rhs, gram):
     x = solve_consistent(normal, b)
     if x is None:
         raise ArithmeticError("normal equations inconsistent")
-    res = linalg.vec_sub(rhs, linalg.combine(x, columns, len(rhs)))
+    res = linalg.vec_sub(rhs, combine(x, columns, len(rhs)))
     return x, gram_dot(gram, res, res)
 
 

@@ -11,13 +11,15 @@ every Stiefel table has denominator 1, so a u(3) with one rescaled basis
 vector supplies a table with non-integer entries.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric, stiefel
-from oracles import (columns, dense_op, fraction_bracket, fraction_residual_sq,
+from oracles import (columns, dense_op, dense_orthogonal_projection,
+                     fraction_bracket, fraction_residual_sq,
                      identity, inner, mat_vec, matrix_of)
 
 
@@ -360,42 +362,44 @@ def test_scan_tensors_reject_op_outside_commutant(space):
 # ---------------------------------------------------------------------------
 
 def _count_calls(monkeypatch):
-    calls = {"bracket": 0, "coords_in_m": 0}
-    bracket = lie_core.bracket
+    calls = {"bracket": 0, "sparse_bracket": 0, "coords_in_m": 0}
     coords_in_m = decomp.ReductiveSplit.coords_in_m
 
-    def counted_bracket(*args):
-        calls["bracket"] += 1
-        return bracket(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_coords_in_m(self, x):
-        calls["coords_in_m"] += 1
-        return coords_in_m(self, x)
-
-    monkeypatch.setattr(lie_core, "bracket", counted_bracket)
+    for name in ("bracket", "sparse_bracket"):
+        monkeypatch.setattr(lie_core, name,
+                            counted(name, getattr(lie_core, name)))
     monkeypatch.setattr(decomp.ReductiveSplit, "coords_in_m",
-                        counted_coords_in_m)
+                        counted("coords_in_m", coords_in_m))
     return calls
 
 
 def test_table_is_the_only_bracket_work_of_a_tensor_build(space, monkeypatch):
+    # the table reads one sparse structure-constant bracket per m pair and
+    # never the dense g bracket; a tensor build brackets nothing
     sp = space(4, 2)
     split = decomp.reductive_split(sp.algebra, sp.split.h)
     calls = _count_calls(monkeypatch)
     split.bracket_table
     dim = split.dim_m
-    assert calls == {"bracket": dim * (dim - 1) // 2, "coords_in_m": 0}
+    assert calls == {"bracket": 0, "sparse_bracket": dim * (dim - 1) // 2,
+                     "coords_in_m": 0}
     assert split.bracket_table is split.bracket_table
 
     sp.split.bracket_table
     family = metric.full_family(sp.decomp)
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
-    calls.update(bracket=0, coords_in_m=0)
+    calls.update(bracket=0, sparse_bracket=0, coords_in_m=0)
     tensors = go._ScanTensors(family, ops, probes)
     for p in range(len(probes)):
         tensors._probe(p)
-    assert calls == {"bracket": 0, "coords_in_m": 0}
+    assert calls == {"bracket": 0, "sparse_bracket": 0, "coords_in_m": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +443,7 @@ def test_construction_reads_tables_not_brackets(space, monkeypatch):
     action = isotropy.isotropy_action(split)
     assert len(list(isotropy.squared_ad_candidates(action, s0))) == s0.dim
     isotropy.s0_bracket_ops(split, s0)
-    assert calls == {"bracket": 0, "coords_in_m": 0}
+    assert calls == {"bracket": 0, "sparse_bracket": 0, "coords_in_m": 0}
 
 
 def test_squared_ad_candidates_are_built_when_tried(space, monkeypatch):
@@ -483,3 +487,82 @@ def test_reductive_split_rejects_a_non_orthogonal_basis():
     g.gram[0][1] = g.gram[1][0] = Fraction(1)
     with pytest.raises(ValueError, match="not B-orthogonal"):
         decomp.reductive_split(g, decomp.diagonal_u_nk(g, 1))
+
+
+# ---------------------------------------------------------------------------
+# the sparse projection and the structure-constant table, against dense
+# oracles: the dense projection and the dense bracket in g
+# ---------------------------------------------------------------------------
+
+def _decomposition(space, two_torus, which):
+    if which == "two-torus":
+        return two_torus()
+    return space(*map(int, which.split("-"))).decomp
+
+
+def _subspaces(dec):
+    """(subspace, ambient norm vector): m inside g, then S0, every summand
+    and every member inside m."""
+    split = dec.action.split
+    g = split.algebra
+    out = [(split.m, [g.gram[i][i] for i in range(g.dim)])]
+    for s in dec.summands:
+        out += [(sub, split.norms_m)
+                for sub in [s.space] + [mem.space for mem in s.members]]
+    return out
+
+
+@pytest.mark.parametrize("which", ["3-2", "4-3", "two-torus"])
+def test_sparse_projection_matches_dense_oracle(space, two_torus, which):
+    dec = _decomposition(space, two_torus, which)
+    rng = random.Random(f"sparse-projection:{which}")
+    split_seen = 0
+    for sub, norms in _subspaces(dec):
+        n = len(norms)
+        vectors = [[], linalg.sparse_mat_vec(          # one inside
+            sub.sparse_basis, [(j, Fraction(j + 1, 2)) for j in range(sub.dim)])]
+        for _ in range(12):
+            support = sorted(rng.sample(range(n), rng.randint(1, min(n, 5))))
+            vectors.append([(i, Fraction(rng.choice([-3, -1, 1, 2, 4]),
+                                         rng.choice([1, 2, 3])))
+                            for i in support])
+        for v in vectors:
+            want = dense_orthogonal_projection(sub.sparse_basis, sub.norms,
+                                               norms, linalg.dense(v, n))
+            coords, resid = linalg.orthogonal_projection(sub, norms, v)
+            assert (coords, resid) == tuple(map(linalg.sparse, want))
+            assert sub.projection(linalg.dense(v, n), norms) == want
+            assert sub.coords_of(linalg.dense(v, n), norms) == (
+                None if resid else want[0])
+            split_seen += bool(coords) and bool(resid)
+    assert split_seen       # vectors with both a projection and a residual
+
+
+def _g_oracle_parts(split, w_g):
+    """(m-coordinates, h-component) of a dense g-vector, both sparse, by
+    the dense projection onto the dense m basis."""
+    g = split.algebra
+    parts = dense_orthogonal_projection(
+        [linalg.sparse(b) for b in split.m_basis], split.norms_m,
+        [g.gram[i][i] for i in range(g.dim)], w_g)
+    return tuple(map(linalg.sparse, parts))
+
+
+@pytest.mark.parametrize("which", ["3-2", "4-2", "5-3", "two-torus"])
+def test_table_and_isotropy_columns_match_g_oracle(space, two_torus, which):
+    # every m pair of a fresh table and every (h, m) pair of the isotropy
+    # columns, against the dense bracket in g and the dense projection
+    split = _decomposition(space, two_torus, which).action.split
+    g = split.algebra
+    fresh = decomp.reductive_split(g, split.h)
+    table = fresh.bracket_table
+    with_h = 0
+    for a, b in itertools.product(range(split.dim_m), repeat=2):
+        want = _g_oracle_parts(split, lie_core.bracket(
+            g, split.m_basis[a], split.m_basis[b]))
+        assert (table.m[a][b], table.h[a][b]) == want
+        with_h += bool(want[1])
+    assert with_h or which == "two-torus"
+    for hv, ad in zip(split.h.basis_coords, fresh.ad_h):
+        assert ad == [_g_oracle_parts(split, lie_core.bracket(g, hv, mv))[0]
+                      for mv in split.m_basis]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from go_metric_lab import cli
+import oracles
 
 
 def run_cli(args):
@@ -59,7 +60,7 @@ def test_check_go_identity_params_exit_zero(tmp_path, space):
     sp = space(3, 2)
     a_id = identity_metric(sp.decomp)
     mfile = tmp_path / "id.json"
-    mfile.write_text(json.dumps(metric.metric_to_json_dict(a_id)))
+    mfile.write_text(json.dumps(oracles.metric_to_json_dict(a_id)))
     out = tmp_path / "cert.json"
     code = run_cli(["check-go", "stiefel", "3", "2", "--metric", str(mfile),
                     "--out", str(out)])
@@ -75,7 +76,7 @@ def test_check_go_falsified_exit_one(tmp_path, space):
     amat = mat_add(identity(sp.dim_m), p_s1)
     a = metric.from_matrix(sp.decomp, amat)
     mfile = tmp_path / "bad_metric.json"
-    mfile.write_text(json.dumps(metric.metric_to_json_dict(a)))
+    mfile.write_text(json.dumps(oracles.metric_to_json_dict(a)))
     out = tmp_path / "cert.json"
     code = run_cli(["check-go", "stiefel", "3", "2", "--metric", str(mfile),
                     "--out", str(out)])
@@ -154,7 +155,7 @@ def _space_file(tmp_path, n, k):
     h = decomp.diagonal_u_nk(g, k)
     split = decomp.reductive_split(g, h)
     payload = {"algebra": lie_core.to_json_dict(g)}
-    payload.update(decomp.split_to_json_dict(split))
+    payload.update(oracles.split_to_json_dict(split))
     path = tmp_path / f"space_{n}_{k}.json"
     path.write_text(json.dumps(payload))
     return path
@@ -178,7 +179,7 @@ def test_check_go_from_space_file(tmp_path):
     dec = isotropy.decompose_isotypic(isotropy.isotropy_action(split))
     a_id = identity_metric(dec)
     mfile = tmp_path / "metric.json"
-    mfile.write_text(json.dumps(metric.metric_to_json_dict(a_id)))
+    mfile.write_text(json.dumps(oracles.metric_to_json_dict(a_id)))
     out = tmp_path / "cert.json"
     assert run_cli(["check-go", str(path), "--metric", str(mfile),
                     "--out", str(out)]) == 0

@@ -162,7 +162,7 @@ def test_subalgebra_rejects_a_set_not_closed_under_the_bracket(un):
         coeffs = [rng.randint(-2, 2) for _ in su]
         coeffs[i] = 5           # invertible for this seed; the assert
                                 # below would call it dependent otherwise
-        mixed.append(linalg.combine(coeffs, su, g.dim))
+        mixed.append(oracles.combine(coeffs, su, g.dim))
     assert subalgebra(g, mixed).dim == 8
     eb11 = g.vector(("eb_1_1", 1))
     for i in range(len(mixed)):
@@ -193,7 +193,7 @@ def test_gram_m_is_the_full_trace_form_matrix(un, two_torus, which):
 def test_split_json_round_trip(un):
     g = un(3)
     sp = reductive_split(g, diagonal_u_nk(g, 1))
-    data = decomp.split_to_json_dict(sp)
+    data = oracles.split_to_json_dict(sp)
     assert all(isinstance(s, str) and "/" in s
                for row in data["h_basis"] for s in row)
     back = decomp.split_from_json_dict(g, data)

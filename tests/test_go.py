@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
 from oracles import (center_coefficient, columns, coords_in_family,
-                     dense_pd_check, family_matrix, fraction_least_squares,
-                     identity, identity_metric, mat_add, mat_vec, matrix_of,
-                     projector)
+                     dense_orthogonal_projection, dense_pd_check,
+                     family_matrix, fraction_bracket, fraction_least_squares,
+                     identity, identity_metric, inner, mat_add, mat_vec,
+                     matrix_of, projector)
 
 
 def _m_index(space, label):
@@ -830,3 +832,142 @@ def test_deformation_metrics_always_solve_exactly(num, den, seed):
     x = lie_core.random_vector_of_len(sp.dim_m, rng)
     _, res_sq = go_solve_at(a_t, x)
     assert res_sq == 0
+
+
+# ---------------------------------------------------------------------------
+# go_solve_at on integers
+# ---------------------------------------------------------------------------
+
+def _fraction_solve_system(a_metric, x):
+    """go_solve_at's system in `Fraction`s: the dense columns [h_i, AX],
+    the right-hand side -[X, AX] and the m-Gram."""
+    action = a_metric.decomp.action
+    split, dim = action.split, action.dim
+    xs = linalg.sparse(x)
+    ax = linalg.sparse_mat_vec(a_metric.columns, xs)
+    c_m, c_h = fraction_bracket(split.bracket_table, xs, ax)
+    assert not c_h
+    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)
+            for ad in action.ad_ops]
+    return cols, [-c for c in linalg.dense(c_m, dim)], split.gram_m
+
+
+@pytest.mark.parametrize("which", ["3-2", "4-2", "two-torus"])
+def test_go_solve_at_matches_fraction_least_squares(space, two_torus, which):
+    # the diagonal (reduced) and the full family at seeded values, solved
+    # on integers and rescaled, against the dense Fraction least squares
+    if which == "two-torus":
+        dec = two_torus()
+        families = [reduce_family(dec)[0], metric.full_family(dec)]
+    else:
+        sp = space(*map(int, which.split("-")))
+        dec = sp.decomp
+        families = [stiefel.diagonal_family(sp), metric.full_family(dec)]
+    rng = random.Random(f"integer-solve:{which}")
+    positive = moved = 0
+    for family in families:
+        a = metric.instantiate(family, [Fraction(rng.randint(1, 9),
+                                                 rng.randint(1, 4))
+                                        for _ in range(family.n_params)])
+        for _ in range(12):
+            x = lie_core.random_vector_of_len(dec.dim, rng)
+            a_h, res_sq = go_solve_at(a, x)
+            assert (a_h, res_sq) == fraction_least_squares(
+                *_fraction_solve_system(a, x))
+            positive += res_sq > 0
+            moved += any(a_h)
+    assert positive and moved
+
+
+def test_go_solve_at_on_a_rank_deficient_8_4_point(space):
+    # 12 of the 16 columns [h_i, AX] are independent at this X
+    sp = space(8, 4)
+    family = stiefel.diagonal_family(sp)
+    a = metric.instantiate(family, [Fraction(i + 1)
+                                    for i in range(family.n_params)])
+    x = linalg.zero_vec(sp.dim_m)
+    for label, c in (("e_2_3", Fraction(2, 3)), ("eb_2_4", Fraction(-1, 2)),
+                     ("eb_2_5", Fraction(5, 4)), ("eb_3_8", Fraction(1, 2))):
+        x[_m_index(sp, label)] = c
+    cols, rhs, gram = _fraction_solve_system(a, x)
+    assert linalg.rank(cols) == 12 < len(cols)
+    a_h, res_sq = go_solve_at(a, x)
+    assert (a_h, res_sq) == fraction_least_squares(cols, rhs, gram)
+    assert any(a_h) and res_sq == Fraction(41, 8)
+
+
+# ---------------------------------------------------------------------------
+# rule 3.5 draws its coefficients on demand; rule 3.2 keeps the h-part
+# ---------------------------------------------------------------------------
+
+def _recording_random(monkeypatch):
+    """Replace go's random module by one whose generators record every
+    randint draw, per seed string."""
+    draws = {}
+
+    class Recording(random.Random):
+        def __init__(self, key):
+            super().__init__(key)
+            self.drawn = draws[key] = []
+
+        def randint(self, a, b):
+            value = super().randint(a, b)
+            self.drawn.append(value)
+            return value
+
+    monkeypatch.setattr(go, "random", types.SimpleNamespace(Random=Recording))
+    return draws
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12])
+def test_rule35_rows_are_drawn_on_demand_in_stream_order(space, two_torus,
+                                                         monkeypatch, seed):
+    draws = _recording_random(monkeypatch)
+    key = f"rule35:{seed}"
+    # the two-torus: no candidate is a witness, so all 100 rows are drawn,
+    # and they are the rows an up-front draw makes, in order
+    dec = two_torus()
+    si = next(i for i, s in enumerate(dec.summands)
+              if s is not dec.s0 and len(s.members) > 1)
+    assert go._prop35_witnesses(dec, si, seed) is None
+    width = dec.action.split.h.dim + dec.dim - dec.summands[si].dim
+    stream = random.Random(key)
+    upfront = [[Fraction(stream.randint(-3, 3)) for _ in range(width)]
+               for _ in range(100)]
+    drawn = draws[key]
+    assert [drawn[q * width:(q + 1) * width] for q in range(100)] == upfront
+    assert len(drawn) == 100 * width
+    # (4,3): an S0 basis vector is a witness for each member, so the
+    # search stops in the pool and draws no row
+    sp = space(4, 3)
+    assert go._prop35_witnesses(sp.decomp, 1, seed) is not None
+    assert draws[key] == []
+
+
+def test_prop32_pair_witness_keeps_the_h_part_of_the_outside_component(
+        space):
+    # on (3,1), [e_12, e_13] = -e_23 lies in h: the bracket has no m-part,
+    # and all of it lies outside the two lines
+    sp = space(3, 1)
+    g, split = sp.algebra, sp.split
+    lines = [linalg.make_subspace([[(_m_index(sp, label), linalg.ONE)]],
+                                  split.norms_m)
+             for label in ("e_1_2", "e_1_3")]
+    x, y, (w_m, w_h), outside = go._prop32_pair_witness(sp.action, *lines)
+    # the g-oracle: bracket in g, split and projected densely
+    x_g, y_g = (split.m_to_g(linalg.dense(v, sp.dim_m)) for v in (x, y))
+    w_g = lie_core.bracket(g, x_g, y_g)
+    assert w_g == g.vector(("e_2_3", -1))
+    g_norms = [g.gram[i][i] for i in range(g.dim)]
+    m_basis = [linalg.sparse(b) for b in split.m_basis]
+    coords, h_part = dense_orthogonal_projection(m_basis, split.norms_m,
+                                                 g_norms, w_g)
+    assert (w_m, w_h) == (linalg.sparse(coords), linalg.sparse(h_part))
+    perp_g = w_g
+    for v_g in (x_g, y_g):
+        perp_g = dense_orthogonal_projection(
+            [linalg.sparse(v_g)], [inner(g, v_g, v_g)], g_norms, perp_g)[1]
+    perp_coords, perp_h = dense_orthogonal_projection(
+        m_basis, split.norms_m, g_norms, perp_g)
+    assert outside == (linalg.sparse(perp_coords), linalg.sparse(perp_h))
+    assert outside == ([], [(g.index("e_2_3"), -1)])

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from go_metric_lab import cli
+import oracles
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -26,7 +27,7 @@ def _space_file(workdir, n, k):
     g = lie_core.build_un(n)
     split = decomp.reductive_split(g, decomp.diagonal_u_nk(g, k))
     payload = {"algebra": lie_core.to_json_dict(g)}
-    payload.update(decomp.split_to_json_dict(split))
+    payload.update(oracles.split_to_json_dict(split))
     path = workdir / f"space_{n}_{k}.json"
     path.write_text(json.dumps(payload))
     return path
@@ -37,7 +38,7 @@ def _identity_metric_file(workdir, n, k):
     from oracles import identity
     sp = stiefel.build_stiefel(n, k)
     path = workdir / f"identity_{n}_{k}.json"
-    path.write_text(json.dumps(metric.metric_to_json_dict(
+    path.write_text(json.dumps(oracles.metric_to_json_dict(
         metric.from_matrix(sp.decomp, identity(sp.dim_m)))))
     return path
 

@@ -9,8 +9,9 @@ from go_metric_lab import decomp, isotropy, lie_core, linalg, stiefel
 from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
                                     intertwiners, isotropy_action,
                                     split_ideals)
-from oracles import (columns, dense_op, fraction_nullspace, gram_dot, identity,
-                     mat_add, solve_consistent, sym_op_from_params)
+from oracles import (columns, combine, dense_op, fraction_nullspace, gram_dot,
+                     identity, mat_add, norm_dot, solve_consistent,
+                     sym_op_from_params)
 
 
 def _action(un, n, k):
@@ -310,9 +311,9 @@ def test_projection_splits_a_vector_along_a_subspace(space):
     sub = sp.s1.space
     x = [Fraction(i % 5 - 2, i % 3 + 1) for i in range(sp.dim_m)]
     coords, resid = sub.projection(x, norms)
-    inside = linalg.combine(coords, sub.basis, sp.dim_m)
+    inside = combine(coords, sub.basis, sp.dim_m)
     assert linalg.vec_add(inside, resid) == x
-    assert all(linalg.norm_dot(norms, resid, b) == 0 for b in sub.basis)
+    assert all(norm_dot(norms, resid, b) == 0 for b in sub.basis)
     assert sub.coords_of(x, norms) is None
     assert sub.coords_of(inside, norms) == coords
 

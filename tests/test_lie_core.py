@@ -365,6 +365,25 @@ def test_validate_detects_broken_jacobi(un):
     assert not report["jacobi"].passed or not report["ad_invariance"].passed
 
 
+def test_validate_detects_a_form_that_is_not_ad_invariant(un):
+    # a wrong norm on e_1_3 keeps the table and the basis orthogonal but
+    # breaks B([z,x],y) + B(x,[z,y]) = 0; the reported triple fails
+    g = un(3)
+    gram = [list(row) for row in g.gram]
+    gram[g.index("e_1_3")][g.index("e_1_3")] = Fraction(3)
+    bad = dataclasses.replace(g, gram=gram, basis=None)
+    report = validate_algebra(bad)
+    assert report["jacobi"].passed and report["orthogonality"].passed
+    check = report["ad_invariance"]
+    assert not check.passed
+    z, i, j = map(int, check.detail.split("(")[1].rstrip(")").split(","))
+
+    def term(a, b, c):      # B([e_a, e_b], e_c) with the diagonal Gram
+        return bad.structure.get((a, b), {}).get(c, 0) * gram[c][c]
+
+    assert term(z, i, j) + term(z, j, i) != 0
+
+
 def test_json_round_trip(un):
     g = un(3)
     data = lie_core.to_json_dict(g)

@@ -262,10 +262,16 @@ def test_least_squares_without_columns():
 
 
 def test_gram_schmidt_orthogonalizes():
+    # `make_subspace` is the Gram-Schmidt process, on sparse vectors
     gram = frac_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
     vecs = frac_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    basis = linalg.gram_schmidt(vecs, [gram[i][i] for i in range(3)])
+    sub = linalg.make_subspace(map(linalg.sparse, vecs),
+                               [gram[i][i] for i in range(3)])
+    basis = sub.basis
     assert len(basis) == 3
+    assert sub.sparse_basis == [linalg.sparse(b) for b in basis]
+    assert sub.norms == [gram_dot(gram, b, b) for b in basis]
+    assert basis[0] == vecs[0] and linalg.same_span(basis, vecs)
     for i in range(3):
         for j in range(i + 1, 3):
             assert gram_dot(gram, basis[i], basis[j]) == 0
@@ -273,7 +279,23 @@ def test_gram_schmidt_orthogonalizes():
 
 def test_gram_schmidt_drops_dependent():
     vecs = frac_matrix([[1, 1], [2, 2], [1, 0]])
-    assert len(linalg.gram_schmidt(vecs, [1, 1])) == 2
+    sub = linalg.make_subspace(map(linalg.sparse, vecs), [1, 1])
+    assert sub.dim == len(sub.norms) == 2
+
+
+def test_projection_stays_exact_on_integer_input():
+    # integer vectors and norms give Fraction norms, coordinates and
+    # residuals, never a float from an integer division
+    plane = linalg.make_subspace([[(0, 1), (1, 1)], [(1, 3)]], [1, 2])
+    assert plane.norms == [3, 6]
+    assert linalg.orthogonal_projection(plane, [1, 2], [(0, 1), (1, 2)]) == (
+        [(0, Fraction(5, 3)), (1, Fraction(1, 3))], [])
+    line = linalg.make_subspace([[(0, 1), (1, 1)]], [1, 2])
+    coords, resid = linalg.orthogonal_projection(line, [1, 2], [(0, 1)])
+    assert coords == [(0, Fraction(1, 3))]
+    assert resid == [(0, Fraction(2, 3)), (1, Fraction(-1, 3))]
+    assert all(type(c) is Fraction
+               for _, c in coords + resid + list(enumerate(plane.norms)))
 
 
 def test_sym_positive_definite():

@@ -148,7 +148,7 @@ def test_witness_bracket_rejects_h_component(space):
     with pytest.raises(ValueError, match="not in m"):
         sp.split.bracket_table.bracket_in_m(linalg.sparse(x), linalg.sparse(y))
     # the witness identities see it as the h-component of go._bracket
-    assert go._bracket(sp.action, x, y)[1]
+    assert go._bracket(sp.action, linalg.sparse(x), linalg.sparse(y))[1]
 
 
 def test_module_bracket_lands_in_s0(space):
