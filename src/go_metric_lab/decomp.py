@@ -244,8 +244,7 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
         raise ValueError("the basis of g is not B-orthogonal")
     norms = [g.gram[i][i] for i in range(g.dim)]
     rows = [[c * nu for c, nu in zip(hv, norms)] for hv in h.basis_coords]
-    m = linalg.make_subspace(
-        map(linalg.sparse, linalg.nullspace(rows, g.dim)), norms)
+    m = linalg.make_subspace(linalg.nullspace(rows, g.dim), norms)
     if h.dim + m.dim != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
     split = ReductiveSplit(algebra=g, h=h, m=m, ad_h=[])

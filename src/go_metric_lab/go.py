@@ -56,6 +56,20 @@ def as_m_coords(split, x: Vec) -> Vec:
         f"nor g ({split.algebra.dim})")
 
 
+def _contract_x_ax(a_metric: MetricEndomorphism, x: Vec
+                   ) -> Tuple[int, int, Sparse, dict, dict]:
+    """(dx, da, AX, [X, AX] over m, over h) on integers: X cleared to dx X
+    and A to its integer columns da A, so AX is da dx AX and the bracket,
+    from `BracketTable.contract`, is dt da dx^2 [X, AX] for the table's
+    denominator dt."""
+    split = a_metric.decomp.action.split
+    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
+    da, a_cols = a_metric.integer_columns
+    ax = linalg.sparse_mat_vec(a_cols, xs)
+    c_m, c_h = split.bracket_table.contract(xs, ax)
+    return dx, da, ax, c_m, c_h
+
+
 def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     """Best witness a in h for the vector X: minimizes ||[a + X, AX]||_B.
 
@@ -69,12 +83,8 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     """
     action = a_metric.decomp.action
     split = action.split
-    table = split.bracket_table
     dim = split.dim_m
-    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
-    da, a_cols = a_metric.integer_columns
-    ax = linalg.sparse_mat_vec(a_cols, xs)                # da dx AX
-    c_m, c_h = table.contract(xs, ax)                     # dt da dx^2 [X, AX]
+    dx, da, ax, c_m, c_h = _contract_x_ax(a_metric, x)
     if any(c_h.values()):
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
@@ -84,7 +94,7 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     rhs = linalg.dense([(i, -c) for i, c in c_m.items()], dim)
     dg, gram = split.integer_gram_m
     y, res = linalg.least_squares(cols, rhs, gram)
-    s, r = dad * da * dx, table.denominator * da * dx * dx
+    s, r = dad * da * dx, split.bracket_table.denominator * da * dx * dx
     return [Fraction(s, r) * c for c in y], res / (dg * r * r)
 
 
@@ -98,12 +108,8 @@ def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
     `Fraction`, equal to the rational computation.
     """
     action = a_metric.decomp.action
-    split = action.split
-    table = split.bracket_table
-    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
-    da, a_cols = a_metric.integer_columns
-    ax = linalg.sparse_mat_vec(a_cols, xs)                # da dx AX
-    c_m, c_h = table.contract(xs, ax)                     # dt da dx^2 [X, AX]
+    dt = action.split.bracket_table.denominator
+    dx, da, ax, c_m, c_h = _contract_x_ax(a_metric, x)
     dw, ws = linalg.cleared(linalg.sparse(a_h))
     dad, ad_cols = action.integer_ad_columns
     w_ax: dict = {}                                       # dw dad da dx [a, AX]
@@ -111,8 +117,8 @@ def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
         for k, c in linalg.sparse_mat_vec(ad_cols[i], ax):
             w_ax[k] = w_ax.get(k, 0) + w * c
     # both parts over da dx lcm(dt dx, dw dad)
-    den = math.lcm(table.denominator * dx, dw * dad)
-    s_b, s_w = den // (table.denominator * dx), den // (dw * dad)
+    den = math.lcm(dt * dx, dw * dad)
+    s_b, s_w = den // (dt * dx), den // (dw * dad)
     lhs = {k: s_b * c for k, c in c_m.items()}
     for k, c in w_ax.items():
         lhs[k] = lhs.get(k, 0) + s_w * c

@@ -15,11 +15,13 @@ strategy, all in exact rational arithmetic:
   rational roots of the exact minimal polynomial (`linalg.rational_roots`);
 * a piece is certified irreducible when its symmetric commutant is exactly
   one-dimensional, which for a B-skew action is equivalent to admitting no
-  proper invariant subspace.  The full commutant dimension (1, 2 or 4)
-  records the real/complex/quaternionic type;
+  proper invariant subspace.  The certified piece keeps the action
+  restricted to it, from which its full commutant dimension (1, 2 or 4,
+  the real/complex/quaternionic type), its class and its intertwiners are
+  solved;
 * the equivariance systems behind commutants and intertwiners are
-  assembled as integer rows and eliminated fraction-free
-  (`linalg.sparse_nullspace`);
+  assembled as integer rows by one routine (`_equivariance_rows`) and
+  eliminated fraction-free (`linalg.nullspace`, sparse solutions);
 * S0 splits into its center and simple ideals once per decomposition
   (`IsotypicalDecomposition.ideals`), with no seed: the ideal projectors
   span the symmetric commutant there, so commutant basis elements always
@@ -136,27 +138,43 @@ def _restrict_action(action: IsotropyAction, sub: Optional[Subspace]
 # commutants and intertwiners (exact sparse linear systems)
 # ---------------------------------------------------------------------------
 
-def _sym_param_index(d: int) -> Dict[Tuple[int, int], int]:
-    idx = {}
-    for i in range(d):
-        for j in range(i, d):
-            idx[(i, j)] = len(idx)
-    return idx
+def _equivariance_rows(ops_a: List[Columns], ops_b: List[Columns],
+                       param: List[List[int]], weight: List[List[int]]
+                       ) -> List[Dict[int, int]]:
+    """Integer rows of phi ma - mb phi = 0 for every pair (ma, mb), phi the
+    d_b x d_a map whose entry (r, c) is weight[r][c] times parameter
+    param[r][c].  Each pair is cleared of its denominators once."""
+    rows = []
+    for ma, mb in zip(ops_a, ops_b):
+        a_cols, b_cols = linalg.cleared_columns([ma, mb])[1]
+        for r, b_row in enumerate(linalg.column_rows(b_cols, len(param))):
+            p_r, w_r = param[r], weight[r]
+            for c, a_col in enumerate(a_cols):
+                row: Dict[int, int] = {}
+                for k, x in a_col:
+                    p = p_r[k]
+                    row[p] = row.get(p, 0) + w_r[k] * x
+                for k, x in b_row.items():
+                    p = param[k][c]
+                    row[p] = row.get(p, 0) - weight[k][c] * x
+                if row:
+                    rows.append(row)
+    return rows
 
 
 def commutant_sym_ops(ops: List[Columns], norms: List[Fraction]
                       ) -> List[Columns]:
     """Basis of B-symmetric operators commuting with every op (exact).
 
-    The parameters are the entries S[i][j], i <= j, with S[j][i] =
-    S[i][j] nu_i / nu_j.  Each equation (S M - M S)[r][c] = 0 is
-    assembled on integers: M is cleared of its denominators, and the row
-    is scaled by L, the lcm of the integer norms N (nu = N / D), so the
+    The parameters are the entries S[i][j], i <= j, row by row, with
+    S[j][i] = S[i][j] nu_i / nu_j.  The equations S M - M S = 0 are
+    scaled by L, the lcm of the integer norms N (nu = N / D), so the
     weight nu_b / nu_a = N_b / N_a of a parameter below the diagonal
     enters as the integer N_b (L / N_a).
     """
     d = len(norms)
-    idx = _sym_param_index(d)
+    entries = [(i, j) for i in range(d) for j in range(i, d)]
+    idx = {e: p for p, e in enumerate(entries)}
     param = [[idx[(a, b) if a <= b else (b, a)] for b in range(d)]
              for a in range(d)]
     den = linalg.denominator(norms)
@@ -164,35 +182,15 @@ def commutant_sym_ops(ops: List[Columns], norms: List[Fraction]
     lcm = math.lcm(*nint)
     weight = [[lcm if a <= b else nint[b] * (lcm // nint[a]) for b in range(d)]
               for a in range(d)]
-
-    rows = []
-    for m in ops:
-        m_cols = linalg.cleared_columns([m])[1][0]
-        m_rows = linalg.column_rows(m_cols, d)
-        for r in range(d):
-            p_r, w_r = param[r], weight[r]
-            for c in range(d):
-                row: Dict[int, int] = {}
-                for k, x in m_cols[c]:
-                    p = p_r[k]
-                    row[p] = row.get(p, 0) + w_r[k] * x
-                for k, x in m_rows[r].items():
-                    p = param[k][c]
-                    row[p] = row.get(p, 0) - x * weight[k][c]
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, len(idx))
-    # S[i][j] = p and S[j][i] = p nu_i / nu_j, from the nonzero parameters
-    entries = list(idx)
     out = []
-    for params in sols:
+    for sol in linalg.nullspace(_equivariance_rows(ops, ops, param, weight),
+                                len(entries)):
         cols: List[dict] = [{} for _ in range(d)]
-        for p, v in enumerate(params):
-            if v != 0:
-                i, j = entries[p]
-                cols[j][i] = v
-                if i != j:
-                    cols[i][j] = v * norms[i] / norms[j]
+        for p, v in sol:
+            i, j = entries[p]
+            cols[j][i] = v
+            if i != j:
+                cols[i][j] = v * norms[i] / norms[j]
         out.append([linalg.sparse_from(col) for col in cols])
     return out
 
@@ -215,27 +213,19 @@ def intertwiners(action: IsotropyAction, sub_a: Subspace,
 def _equivariant_maps(ops_a: List[Columns], ops_b: List[Columns], da: int,
                       db: int) -> List[Columns]:
     """Basis of the d_b x d_a maps phi (sparse columns) with phi ma = mb phi
-    for every pair (ma, mb); with ops_a = ops_b, the full commutant.  Each
-    pair is cleared of its denominators once, so the rows are integer."""
-    rows = []
-    for ma, mb in zip(ops_a, ops_b):
-        a_cols, b_cols = linalg.cleared_columns([ma, mb])[1]
-        b_rows = linalg.column_rows(b_cols, db)
-        # phi @ ma - mb @ phi = 0, phi indexed (r, c) -> r * da + c
-        for r in range(db):
-            for c in range(da):
-                row: Dict[int, int] = {}
-                for k, x in a_cols[c]:
-                    p = r * da + k
-                    row[p] = row.get(p, 0) + x
-                for k, x in b_rows[r].items():
-                    p = k * da + c
-                    row[p] = row.get(p, 0) - x
-                if row:
-                    rows.append(row)
-    sols = linalg.sparse_nullspace(rows, da * db)
-    return [[[(r, sol[r * da + c]) for r in range(db) if sol[r * da + c]]
-             for c in range(da)] for sol in sols]
+    for every pair (ma, mb); with ops_a = ops_b, the full commutant.  The
+    parameter of phi's entry (r, c) is r d_a + c."""
+    param = [[r * da + c for c in range(da)] for r in range(db)]
+    weight = [[1] * da for _ in range(db)]
+    out = []
+    for sol in linalg.nullspace(_equivariance_rows(ops_a, ops_b, param, weight),
+                                da * db):
+        cols: Columns = [[] for _ in range(da)]
+        for p, v in sol:
+            r, c = divmod(p, da)
+            cols[c].append((r, v))
+        out.append(cols)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +237,16 @@ RANDOM_TRIES = 24     # seeded random commutant combinations tried per piece
 
 def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
                              extra_ops: Sequence[Columns] = (),
-                             seed: int = 0) -> List[Subspace]:
-    """Split an invariant subspace into minimal invariant pieces, exactly.
+                             seed: int = 0
+                             ) -> List[Tuple[Subspace, List[Columns]]]:
+    """Split an invariant subspace into minimal invariant pieces, exactly,
+    each returned with the ops restricted to it.
 
     `extra_ops` are ambient symmetric equivariant operators tried first as
     splitters (restricted wherever they preserve the piece).
     """
     rng = random.Random(f"pieces:{seed}")
-    done: List[Subspace] = []
+    done: List[Tuple[Subspace, List[Columns]]] = []
     work = [start]
     while work:
         piece = work.pop()
@@ -266,7 +258,7 @@ def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
             ops_p.append(r)
         csym = commutant_sym_ops(ops_p, piece.norms)
         if len(csym) == 1:
-            done.append(piece)
+            done.append((piece, ops_p))
             continue
         # candidates are built only until one splits the piece; the random
         # coefficients are drawn up front so every piece sees the same stream
@@ -283,14 +275,14 @@ def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
                 continue
             for _, part in split:
                 work.append(make_subspace(
-                    [linalg.sparse_mat_vec(piece.sparse_basis, linalg.sparse(v))
+                    [linalg.sparse_mat_vec(piece.sparse_basis, v)
                      for v in part], norms))
             break
         else:
             raise DecompositionError(
                 "reducible piece admits no rationally split commutant element; "
                 f"symmetric commutant dimension {len(csym)}")
-    done.sort(key=subspace_leading_index)
+    done.sort(key=lambda done_p: subspace_leading_index(done_p[0]))
     return done
 
 
@@ -302,7 +294,6 @@ def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
 class Submodule:
     space: Subspace
     trivial: bool
-    commutant_sym_dim: int
     commutant_dim: int
 
     @property
@@ -368,13 +359,19 @@ class IsotypicalDecomposition:
 
 def joint_kernel(ops: List[Columns], norms: Vec, dim: int) -> Subspace:
     rows = [row for op in ops for row in linalg.column_rows(op, dim)]
-    return make_subspace(map(linalg.sparse, linalg.nullspace(rows, dim)),
-                         norms)
+    return make_subspace(linalg.nullspace(rows, dim), norms)
 
 
-def _ad_columns(split: ReductiveSplit, z_m: Vec) -> Columns:
-    """Sparse columns [z, m_b] of ad(z)|_m for z in m; z must preserve m."""
-    z = linalg.sparse(z_m)
+def _complement(sub: Subspace, norms: Vec) -> Subspace:
+    """The B-orthogonal complement of a subspace, for the ambient norm
+    vector."""
+    rows = [{i: c * norms[i] for i, c in b} for b in sub.sparse_basis]
+    return make_subspace(linalg.nullspace(rows, len(norms)), norms)
+
+
+def _ad_columns(split: ReductiveSplit, z: linalg.Sparse) -> Columns:
+    """Sparse columns [z, m_b] of ad(z)|_m for a sparse z in m; z must
+    preserve m."""
     return [split.bracket_table.bracket_in_m(z, [(b, ONE)])
             for b in range(split.dim_m)]
 
@@ -398,7 +395,7 @@ def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> _Lazy:
     Each is built when a split first tries it: a split stops at the first
     candidate that splits its piece, so most are never built."""
     def build(i: int) -> Columns:
-        cols = _ad_columns(action.split, s0.basis[i])
+        cols = _ad_columns(action.split, s0.sparse_basis[i])
         return [linalg.sparse_mat_vec(cols, [(k, -c) for k, c in col])
                 for col in cols]
 
@@ -413,7 +410,7 @@ def decompose_isotypic(action: IsotropyAction,
     s0_space = joint_kernel(action.ad_ops, norms, dim)
 
     members_s0 = [Submodule(space=make_subspace([b], norms), trivial=True,
-                            commutant_sym_dim=1, commutant_dim=1)
+                            commutant_dim=1)
                   for b in s0_space.sparse_basis]
     s0_summand = IsotypicalSummand(class_id=0, members=members_s0, space=s0_space)
     for (i, j) in itertools.combinations(range(len(members_s0)), 2):
@@ -422,39 +419,39 @@ def decompose_isotypic(action: IsotropyAction,
         s0_summand.intertwiner_bases[(j, i)] = [[[(0, ONE)]]]
 
     if s0_space.dim == dim:
-        rest_pieces: List[Subspace] = []
+        rest_pieces: List[Tuple[Subspace, List[Columns]]] = []
     else:
-        rows = [{i: c * norms[i] for i, c in b} for b in s0_space.sparse_basis]
-        rest = make_subspace(map(linalg.sparse, linalg.nullspace(rows, dim)),
-                             norms)
         extra = squared_ad_candidates(action, s0_space)
-        rest_pieces = minimal_invariant_pieces(action.ad_ops, norms, rest,
-                                               extra_ops=extra, seed=seed)
+        rest_pieces = minimal_invariant_pieces(
+            action.ad_ops, norms, _complement(s0_space, norms),
+            extra_ops=extra, seed=seed)
 
+    # each piece comes with the action restricted to it, and its symmetric
+    # commutant certified one-dimensional
     modules: List[Submodule] = []
-    for piece in rest_pieces:
-        ops_p, _ = _restrict_action(action, piece)
-        cs = commutant_sym_ops(ops_p, piece.norms)
+    module_ops: List[List[Columns]] = []
+    for piece, ops_p in rest_pieces:
         cf = _equivariant_maps(ops_p, ops_p, piece.dim, piece.dim)
-        if len(cs) != 1:
-            raise DecompositionError("piece failed the irreducibility certificate")
         if len(cf) not in (1, 2, 4):
             raise DecompositionError(
                 f"commutant dimension {len(cf)} is not a division algebra")
         modules.append(Submodule(space=piece, trivial=False,
-                                 commutant_sym_dim=len(cs), commutant_dim=len(cf)))
+                                 commutant_dim=len(cf)))
+        module_ops.append(ops_p)
+
+    def maps(a: int, b: int) -> List[Columns]:
+        return _equivariant_maps(module_ops[a], module_ops[b], modules[a].dim,
+                                 modules[b].dim)
 
     # equivalence classes through nonzero intertwiner spaces
     classes: List[List[int]] = []
     inter_cache: Dict[Tuple[int, int], List[Columns]] = {}
-    assigned = [-1] * len(modules)
     for i, mod in enumerate(modules):
-        placed = False
-        for cid, cls in enumerate(classes):
+        for cls in classes:
             rep = cls[0]
             if modules[rep].dim != mod.dim:
                 continue
-            phis = intertwiners(action, modules[rep].space, mod.space)
+            phis = maps(rep, i)
             if phis:
                 for phi in phis:
                     if linalg.rank(linalg.column_rows(phi, mod.dim)) != mod.dim:
@@ -462,11 +459,8 @@ def decompose_isotypic(action: IsotropyAction,
                             "nonzero intertwiner between irreducibles is singular")
                 inter_cache[(rep, i)] = phis
                 cls.append(i)
-                assigned[i] = cid
-                placed = True
                 break
-        if not placed:
-            assigned[i] = len(classes)
+        else:
             classes.append([i])
 
     summands = [s0_summand]
@@ -478,8 +472,7 @@ def decompose_isotypic(action: IsotropyAction,
         for (a, b) in itertools.permutations(range(len(cls)), 2):
             phis = inter_cache.get((cls[a], cls[b]))
             if phis is None:
-                phis = intertwiners(action, modules[cls[a]].space,
-                                    modules[cls[b]].space)
+                phis = maps(cls[a], cls[b])
             summand.intertwiner_bases[(a, b)] = phis
         summands.append(summand)
 
@@ -533,26 +526,23 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
     any seeded random combination would be tried.
     """
     ops = s0_bracket_ops(split, s0)
-    d = s0.dim
-    rows = [row for op in ops for row in linalg.column_rows(op, d)]
-    center_local = [linalg.sparse(v) for v in linalg.nullspace(rows, d)]
+    # S0 coordinates: the S0 basis is B-orthogonal with norms s0.norms, so
+    # the map to m is an isometry and keeps the local bases orthogonal
+    center_local = joint_kernel(ops, s0.norms, s0.dim)
 
     def to_ambient(vecs: List[linalg.Sparse]) -> List[linalg.Sparse]:
         return [linalg.sparse_mat_vec(s0.sparse_basis, v) for v in vecs]
 
     norms = split.norms_m
-    center = make_subspace(to_ambient(center_local), norms)
-    if center.dim == d:
+    center = make_subspace(to_ambient(center_local.sparse_basis), norms)
+    if center.dim == s0.dim:
         return IdealSplit(center=center, simples=[])
 
-    # S0 coordinates: the S0 basis is B-orthogonal with norms s0.norms
-    rows_c = [{i: c * s0.norms[i] for i, c in v} for v in center_local]
     # pieces of the adjoint action of S0 on its semisimple part
-    local_sub = make_subspace(map(linalg.sparse, linalg.nullspace(rows_c, d)),
-                              s0.norms)
-    pieces = minimal_invariant_pieces(ops, s0.norms, local_sub)
+    pieces = minimal_invariant_pieces(ops, s0.norms,
+                                      _complement(center_local, s0.norms))
     simples = []
-    for piece in pieces:
+    for piece, _ in pieces:
         amb = make_subspace(to_ambient(piece.sparse_basis), norms)
         # simple ideals are non-abelian
         vecs = amb.sparse_basis

@@ -36,7 +36,7 @@ class DimensionMismatchError(ValueError):
     """Coordinate vector length does not match the basis size."""
 
 
-BracketTable = Dict[Tuple[int, int], Dict[int, Fraction]]
+StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
 
 
 @dataclass
@@ -48,7 +48,7 @@ class MatrixLieAlgebra:
 
     n: int
     labels: List[str]
-    structure: BracketTable
+    structure: StructureConstants
     gram: Mat
     basis: Optional[List[Mat]] = None
 
@@ -168,7 +168,7 @@ def build_un(n: int) -> MatrixLieAlgebra:
     for k, label in enumerate(labels):
         kind, i, j = label.split("_")
         index[(kind, int(i) - 1, int(j) - 1)] = k
-    structure: BracketTable = {}
+    structure: StructureConstants = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             coords: Dict[int, Fraction] = {}
@@ -380,7 +380,7 @@ def to_json_dict(g: MatrixLieAlgebra) -> dict:
 def from_json_dict(data: dict) -> MatrixLieAlgebra:
     labels = list(data["basis_labels"])
     dim = len(labels)
-    structure: BracketTable = {}
+    structure: StructureConstants = {}
     for i, j, k, p, q in data["structure"]:
         structure.setdefault((i, j), {})[k] = Fraction(p, q)
         structure.setdefault((j, i), {})[k] = Fraction(-p, q)

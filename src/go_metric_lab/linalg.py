@@ -16,10 +16,10 @@ right-hand side meet, so integer inputs stay Python integers.
 
 There is one elimination: `pivot_rows` clears each row to a primitive
 integer row and reduces fraction-free to the reduced echelon form.
-Nullspaces, the normal equations of least squares, the Krylov
-dependences of `minimal_polynomial`, `rank`, `same_span` and `in_span`
-all read off its pivot rows; `sym_positive_definite` runs its
-elimination steps without pivoting.
+Nullspaces (sparse reduced-echelon bases), the normal equations of least
+squares, the Krylov dependences of `minimal_polynomial`, `rank`,
+`same_span` and `in_span` all read off its pivot rows;
+`sym_positive_definite` runs its elimination steps without pivoting.
 """
 
 from __future__ import annotations
@@ -157,12 +157,6 @@ class Subspace:
             for i, c in b:
                 index.setdefault(i, []).append((j, c))
         return index
-
-    def projection(self, v: Vec, norms: Vec) -> Tuple[Vec, Vec]:
-        """`orthogonal_projection` of a dense v, with dense results;
-        `norms` is the ambient norm vector."""
-        coords, resid = orthogonal_projection(self, norms, sparse(v))
-        return dense(coords, self.dim), dense(resid, len(v))
 
     def coords_of(self, v: Vec, norms: Vec) -> Optional[Vec]:
         """Coordinates of v over the basis, or None if v falls outside."""
@@ -350,27 +344,26 @@ def in_span(row, pivots: dict) -> bool:
     return not _reduce(_primitive_row(row), pivots)
 
 
-def nullspace(rows: Iterable, ncols: int) -> List[Vec]:
+def nullspace(rows: Iterable, ncols: int) -> List[Sparse]:
     """Basis of {x : rows @ x = 0}, rows as in `pivot_rows`: the
-    reduced-echelon basis in Fractions, one vector per free column with a
-    1 there (the identity for an empty system)."""
+    reduced-echelon basis as sparse vectors of Fractions, one per free
+    column, in index order with a 1 at the free column and no zero entries
+    (the unit vectors for an empty system).
+
+    A reduced pivot row has entries only at its lead and at free columns
+    right of it, so the vector of free column f reads -row[f] / row[lead]
+    off each pivot row left of f that meets f, and ends with its 1.
+    """
     pivots = pivot_rows(rows)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for lead, row in pivots.items():
-            coef = row.get(fc)
-            if coef is not None:
-                v[lead] = Fraction(-coef, row[lead])
-        basis.append(v)
-    return basis
-
-
-# the name the large sparse equivariance systems call it by
-sparse_nullspace = nullspace
+    entries: dict = {}                  # free column -> [(lead, value)]
+    for lead in sorted(pivots):
+        row = pivots[lead]
+        for col, coef in row.items():
+            if col != lead:
+                entries.setdefault(col, []).append(
+                    (lead, Fraction(-coef, row[lead])))
+    return [entries.get(fc, []) + [(fc, ONE)]
+            for fc in range(ncols) if fc not in pivots]
 
 
 def rank(rows: Mat) -> int:
@@ -602,8 +595,8 @@ def eigen_split(op: Columns) -> Optional[List[Tuple[Fraction, List[Vec]]]]:
     """Exact eigenspace decomposition of a rational operator given by its
     sparse columns.
 
-    Returns [(eigenvalue, eigenbasis)] sorted by eigenvalue, over the
-    rational roots of the minimal polynomial, or None when the eigenspaces
+    Returns [(eigenvalue, sparse reduced-echelon eigenbasis)] sorted by
+    eigenvalue, over the rational roots of the minimal polynomial, or None when the eigenspaces
     do not span: an irrational root or a Jordan block leaves the dimensions
     short of n, and full span already means the minimal polynomial is a
     product of distinct rational linear factors.

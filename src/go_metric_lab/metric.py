@@ -123,8 +123,8 @@ def from_matrix(decomp: IsotypicalDecomposition,
 def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Columns]:
     """ad(Z)|_m for Z over a basis of h (+) S0, the normalizer algebra."""
     action = decomp.action
-    return list(action.ad_ops) + [isotropy._ad_columns(action.split, z_m)
-                                  for z_m in decomp.s0.space.basis]
+    return list(action.ad_ops) + [isotropy._ad_columns(action.split, z)
+                                  for z in decomp.s0.space.sparse_basis]
 
 
 def check_normalizer_equivariance(a: MetricEndomorphism,

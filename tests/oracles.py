@@ -281,8 +281,9 @@ def sym_op_from_params(params, norms, d):
 
 
 def fraction_nullspace(rows, ncols):
-    """`linalg.sparse_nullspace` eliminated in `Fraction`s: each pivot row
-    is normalized to a leading 1 and rows reduce by row - f pivot."""
+    """`linalg.nullspace` of {col: value} rows eliminated in `Fraction`s,
+    as dense vectors: each pivot row is normalized to a leading 1 and rows
+    reduce by row - f pivot."""
     pivot_rows = {}
     for raw in rows:
         row = {k: Fraction(v) for k, v in raw.items() if v != 0}

@@ -424,7 +424,8 @@ def test_construction_operators_match_oracle(space, n, k):
     squares = isotropy.squared_ad_candidates(sp.action, s0)
     for z_m, sq in zip(s0.basis, squares):
         adz = _oracle_ad(split, split.m_to_g(z_m))
-        assert dense_op(isotropy._ad_columns(split, z_m), dim) == adz
+        assert dense_op(isotropy._ad_columns(split, linalg.sparse(z_m)),
+                        dim) == adz
         assert dense_op(sq, dim) == linalg.mat_scale(
             Fraction(-1), linalg.mat_mul(adz, adz))
     for z_m, op in zip(s0.basis, isotropy.s0_bracket_ops(split, s0)):
@@ -454,14 +455,14 @@ def test_squared_ad_candidates_are_built_when_tried(space, monkeypatch):
     built = []
     ad_columns = isotropy._ad_columns
 
-    def counted(split, z_m):
-        built.append(z_m)
-        return ad_columns(split, z_m)
+    def counted(split, z):
+        built.append(z)
+        return ad_columns(split, z)
 
     monkeypatch.setattr(isotropy, "_ad_columns", counted)
     dec = isotropy.decompose_isotypic(isotropy.isotropy_action(sp.split))
     assert sp.decomp.s0.dim == 9
-    assert built == sp.decomp.s0.space.basis[:2]
+    assert built == sp.decomp.s0.space.sparse_basis[:2]
     assert (isotropy.decomposition_report(dec)
             == isotropy.decomposition_report(sp.decomp))
 
@@ -531,7 +532,8 @@ def test_sparse_projection_matches_dense_oracle(space, two_torus, which):
                                                norms, linalg.dense(v, n))
             coords, resid = linalg.orthogonal_projection(sub, norms, v)
             assert (coords, resid) == tuple(map(linalg.sparse, want))
-            assert sub.projection(linalg.dense(v, n), norms) == want
+            assert (linalg.dense(coords, sub.dim), linalg.dense(resid, n)) \
+                == want
             assert sub.coords_of(linalg.dense(v, n), norms) == (
                 None if resid else want[0])
             split_seen += bool(coords) and bool(resid)

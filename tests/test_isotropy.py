@@ -111,7 +111,7 @@ def test_member_commutants_are_division_algebras(space):
         dec = space(n, k).decomp
         for s in dec.nontrivial_summands():
             for m in s.members:
-                assert m.commutant_sym_dim == 1
+                assert len(commutant_sym(dec.action, m.space)) == 1
                 assert m.commutant_dim in (1, 2, 4)
                 assert m.commutant_dim == 2      # complex modules here
 
@@ -255,14 +255,14 @@ def test_commutant_ops_match_dense_construction(space, monkeypatch, n, k,
     sp = space(n, k)
     sub = {"m": None, "S0": sp.decomp.s0.space, "S1": sp.s1.space}[where]
     solved = []
-    nullspace = linalg.sparse_nullspace
+    nullspace = linalg.nullspace
 
     def recorded(rows, ncols):
         sols = nullspace(rows, ncols)
-        solved.extend(sols)
+        solved.extend(linalg.dense(v, ncols) for v in sols)
         return sols
 
-    monkeypatch.setattr(linalg, "sparse_nullspace", recorded)
+    monkeypatch.setattr(linalg, "nullspace", recorded)
     ops = commutant_sym(sp.action, sub)
     norms = sp.action.norms if sub is None else sub.norms
     d = len(norms)
@@ -310,7 +310,8 @@ def test_projection_splits_a_vector_along_a_subspace(space):
     norms = sp.action.norms
     sub = sp.s1.space
     x = [Fraction(i % 5 - 2, i % 3 + 1) for i in range(sp.dim_m)]
-    coords, resid = sub.projection(x, norms)
+    coords, resid = linalg.orthogonal_projection(sub, norms, linalg.sparse(x))
+    coords, resid = linalg.dense(coords, sub.dim), linalg.dense(resid, sp.dim_m)
     inside = combine(coords, sub.basis, sp.dim_m)
     assert linalg.vec_add(inside, resid) == x
     assert all(norm_dot(norms, resid, b) == 0 for b in sub.basis)
@@ -319,27 +320,77 @@ def test_projection_splits_a_vector_along_a_subspace(space):
 
 
 def test_integer_nullspace_matches_fraction_oracle(monkeypatch, two_torus):
-    # every equivariance system met while building the spaces, their ideal
-    # splits and full commutants, eliminated once more in Fractions
-    systems = []
-    nullspace = linalg.sparse_nullspace
+    # every nullspace met while building the spaces, their ideal splits and
+    # full commutants, eliminated once more in Fractions; the equivariance
+    # systems behind commutants and intertwiners are integer rows
+    systems, equivariance = [], []
+    nullspace, assemble = linalg.nullspace, isotropy._equivariance_rows
+
+    def assembled(*args):
+        rows = assemble(*args)
+        equivariance.append(rows)
+        return rows
 
     def recorded(rows, ncols):
+        integer = any(rows is r for r in equivariance)
         rows = list(rows)
         sols = nullspace(rows, ncols)
-        systems.append((rows, ncols, sols))
+        systems.append((rows, ncols, sols, integer))
         return sols
 
-    monkeypatch.setattr(linalg, "sparse_nullspace", recorded)
+    monkeypatch.setattr(isotropy, "_equivariance_rows", assembled)
+    monkeypatch.setattr(linalg, "nullspace", recorded)
     decs = [stiefel.build_stiefel(n, k).decomp
             for n, k in [(3, 2), (4, 2), (4, 3)]]
     decs.append(two_torus())
     for dec in decs:
         dec.ideals
         dec.sym_commutant_basis()
-    assert len(systems) > 50
-    assert all(type(c) is int for rows, _, _ in systems for row in rows
+    integer_systems = [rows for rows, _, _, integer in systems if integer]
+    assert len(integer_systems) > 50
+    assert len(systems) > len(integer_systems)
+    assert all(type(c) is int for rows in integer_systems for row in rows
                for c in row.values())
-    for rows, ncols, sols in systems:
-        assert sols == fraction_nullspace(rows, ncols)
-        assert all(type(c) is Fraction for v in sols for c in v)
+    for rows, ncols, sols, _ in systems:
+        want = fraction_nullspace(
+            [row if isinstance(row, dict) else dict(enumerate(row))
+             for row in rows], ncols)
+        assert [linalg.dense(v, ncols) for v in sols] == want
+        assert sols == [linalg.sparse(v) for v in want]
+        assert all(type(c) is Fraction for v in sols for _, c in v)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_decomposition_solves_each_piece_once(space, monkeypatch, n, k):
+    # the split restricts the action to each piece it examines and solves
+    # that piece's symmetric commutant once; an accepted module keeps its
+    # restricted action for its full commutant, its class and its
+    # intertwiners, so nothing is restricted or solved again
+    action = space(n, k).action
+    calls = {"commutant": 0, "restrict": 0}
+    splits = []
+    commutant, restrict = isotropy.commutant_sym_ops, isotropy.restrict_op
+    eigen_split = linalg.eigen_split
+
+    def counted_commutant(ops, norms):
+        calls["commutant"] += 1
+        return commutant(ops, norms)
+
+    def counted_restrict(op, sub, norms):
+        calls["restrict"] += any(op is a for a in action.ad_ops)
+        return restrict(op, sub, norms)
+
+    def recorded_split(op):
+        split = eigen_split(op)
+        splits.append(split is not None and len(split) > 1)
+        return split
+
+    monkeypatch.setattr(isotropy, "commutant_sym_ops", counted_commutant)
+    monkeypatch.setattr(isotropy, "restrict_op", counted_restrict)
+    monkeypatch.setattr(linalg, "eigen_split", recorded_split)
+    dec = decompose_isotypic(action)
+    modules = sum(len(s.members) for s in dec.nontrivial_summands())
+    examined = modules + sum(splits)        # accepted or split, once each
+    assert modules >= 2 and sum(splits) >= 1
+    assert calls == {"commutant": examined,
+                     "restrict": examined * len(action.ad_ops)}

@@ -18,6 +18,16 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def dense_basis(vectors, n):
+    return [linalg.dense(v, n) for v in vectors]
+
+
+def dense_split(split, n):
+    """An `eigen_split` result with dense eigenbases."""
+    return None if split is None else [(lam, dense_basis(b, n))
+                                       for lam, b in split]
+
+
 def test_rref_and_nullspace_small():
     rows = frac_matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     red, pivots = rref(rows)
@@ -25,11 +35,12 @@ def test_rref_and_nullspace_small():
     ns = linalg.nullspace(rows, 3)
     assert len(ns) == 1
     for row in rows:
-        assert linalg.dot(row, ns[0]) == 0
+        assert linalg.dot(row, linalg.dense(ns[0], 3)) == 0
 
 
 def test_nullspace_of_empty_system():
-    assert linalg.nullspace([], 3) == identity(3)
+    assert linalg.nullspace([], 3) == [[(i, 1)] for i in range(3)]
+    assert dense_basis(linalg.nullspace([], 3), 3) == identity(3)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -86,10 +97,15 @@ def test_elimination_matches_rref_oracle():
         seen["deficient"] += rank < min(len(a), ncols)
         seen["zero row"] += any(not any(row) for row in a)
         null = rref_nullspace(a, ncols)
-        assert linalg.nullspace(a, ncols) == null
+        # sparse: index order, a 1 at the free column, no zero entries
+        sparse_null = [linalg.sparse(v) for v in null]
+        assert linalg.nullspace(a, ncols) == sparse_null
+        assert dense_basis(linalg.nullspace(a, ncols), ncols) == null
         sparse_rows = [{j: c for j, c in enumerate(row) if c} for row in a]
-        assert linalg.sparse_nullspace(sparse_rows, ncols) == null
+        assert linalg.nullspace(sparse_rows, ncols) == sparse_null
         assert all(type(c) is Fraction for v in null for c in v)
+        assert all(type(c) is Fraction
+                   for v in linalg.nullspace(a, ncols) for _, c in v)
         # consistent right-hand sides a @ x, and random ones
         x = [_entry(rng, kind) for _ in range(ncols)]
         for b in ([linalg.dot(row, x) for row in a],
@@ -121,7 +137,8 @@ def test_elimination_of_the_empty_system():
     assert linalg.same_span([], [])
     assert not linalg.same_span([], [[0, 1]])
     assert linalg.same_span([[0, 0]], [])
-    assert linalg.nullspace([], 2) == rref_nullspace([], 2) == identity(2)
+    assert (dense_basis(linalg.nullspace([], 2), 2) == rref_nullspace([], 2)
+            == identity(2))
 
 
 def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
@@ -145,7 +162,7 @@ def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
     assert count(linalg.rank, a) == 1
     assert count(linalg.same_span, a, a[:2]) == 2
     assert count(linalg.nullspace, a, 3) == 1
-    assert count(linalg.sparse_nullspace, [{0: 1, 2: 1}], 3) == 1
+    assert count(linalg.nullspace, [{0: 1, 2: 1}], 3) == 1
     assert count(decomp.subalgebra, g, identity(g.dim)) == 1
     assert count(linalg.least_squares, a, [1, 0, 0], identity(3)) == 1
     assert count(linalg.minimal_polynomial, columns(a)) >= 1
@@ -153,14 +170,14 @@ def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
 
 @given(st.integers(0, 10 ** 6))
 def test_sparse_nullspace_matches_dense(seed):
-    # both return the reduced-echelon basis, which is unique
+    # dense and sparse rows give the reduced-echelon basis, which is unique
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
     rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
              for _ in range(ncols)] for _ in range(nrows)]
     sparse_rows = [{j: c for j, c in enumerate(row) if c != 0} for row in rows]
-    dense = linalg.nullspace(rows, ncols)
-    sparse = linalg.sparse_nullspace(sparse_rows, ncols)
+    dense = dense_basis(linalg.nullspace(rows, ncols), ncols)
+    sparse = dense_basis(linalg.nullspace(sparse_rows, ncols), ncols)
     assert sparse == dense == fraction_nullspace(sparse_rows, ncols)
     assert all(type(c) is Fraction for v in sparse for c in v)
     for v in sparse:
@@ -435,7 +452,8 @@ def test_rational_roots_with_hints():
 
 def test_eigen_split_finds_the_eigenvalue_zero():
     split = linalg.eigen_split(columns(frac_matrix([[0, 0], [0, 1]])))
-    assert split == [(0, [[1, 0]]), (1, [[0, 1]])]
+    assert split == [(0, [[(0, 1)]]), (1, [[(1, 1)]])]
+    assert dense_split(split, 2) == [(0, [[1, 0]]), (1, [[0, 1]])]
 
 
 def _linear_product(factors):
@@ -544,7 +562,7 @@ def test_column_krylov_matches_dense_oracle(monkeypatch, two_torus):
         assert poly == dense_minimal_polynomial(op)
         assert len(poly) == len(spectrum) + 1
         split = linalg.eigen_split(columns(op))
-        assert split == dense_eigen_split(op)
+        assert dense_split(split, len(op)) == dense_eigen_split(op)
         assert [lam for lam, _ in split] == spectrum
     for op, poly in ((jordan, [4, 0, -3, 1]), (irrational, [10, -2, -5, 1])):
         assert linalg.minimal_polynomial(columns(op)) == poly \
@@ -556,4 +574,5 @@ def test_column_krylov_matches_dense_oracle(monkeypatch, two_torus):
     for cand in candidates:
         dense = dense_op(cand, len(cand))
         assert linalg.minimal_polynomial(cand) == dense_minimal_polynomial(dense)
-        assert linalg.eigen_split(cand) == dense_eigen_split(dense)
+        assert (dense_split(linalg.eigen_split(cand), len(cand))
+                == dense_eigen_split(dense))

@@ -123,8 +123,8 @@ def test_from_matrix_rejects_matrices_outside_the_commutant(space):
     i = sp.s1_pairs[0][0]
     bumped[i][i] += 1
     # ad(z0) commutes with the isotropy action but is B-skew
-    skew = mat_add(identity(sp.dim_m),
-                   dense_op(isotropy._ad_columns(sp.split, sp.z0_m), sp.dim_m))
+    ad_z0 = isotropy._ad_columns(sp.split, linalg.sparse(sp.z0_m))
+    skew = mat_add(identity(sp.dim_m), dense_op(ad_z0, sp.dim_m))
     assert metric.check_normalizer_equivariance(
         metric.MetricEndomorphism(sp.decomp, columns(skew), None, False),
         ops=sp.action.ad_ops)
@@ -180,7 +180,7 @@ def eigenstructure(a):
     assert split is not None
     out = []
     for lam, basis in split:
-        space = isotropy.make_subspace(map(linalg.sparse, basis), action.norms)
+        space = isotropy.make_subspace(basis, action.norms)
         for op in action.ad_ops:
             assert isotropy.restrict_op(op, space, action.norms) is not None
         out.append((lam, space.dim))
