@@ -12,9 +12,8 @@ grid scan certifies that nothing else survives.
 
 from .lie_core import MatrixLieAlgebra, build_un, bracket, validate_algebra
 from .decomp import diagonal_u_nk, reductive_split, project
-from .isotropy import (IsotypicalDecomposition, commutant_sym,
-                       decompose_isotypic, intertwiners, isotropy_action,
-                       split_ideals)
+from .isotropy import (IsotypicalDecomposition, decompose_isotypic,
+                       intertwiners, isotropy_action, split_ideals)
 from .metric import (MetricEndomorphism, MetricFamily,
                      check_normalizer_equivariance, from_parameters)
 from .go import (GOCertificate, ScanSpec, go_check, go_solve_at,
@@ -27,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MatrixLieAlgebra", "build_un", "bracket", "validate_algebra",
     "diagonal_u_nk", "reductive_split", "project",
-    "IsotypicalDecomposition", "commutant_sym", "decompose_isotypic",
-    "intertwiners", "isotropy_action", "split_ideals",
+    "IsotypicalDecomposition", "decompose_isotypic", "intertwiners",
+    "isotropy_action", "split_ideals",
     "MetricEndomorphism", "MetricFamily", "check_normalizer_equivariance",
     "from_parameters",
     "GOCertificate", "ScanSpec", "go_check", "go_solve_at", "reduce_family",

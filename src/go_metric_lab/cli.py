@@ -132,11 +132,29 @@ def _load_space(spec_args: List[str], seed: int):
     raise InputError("space must be 'stiefel N K' or one JSON file path")
 
 
+def decomposition_report(dec: isotropy.IsotypicalDecomposition) -> dict:
+    return {
+        "dim_m": dec.dim,
+        "dim_s0": dec.s0.dim,
+        "summands": [{
+            "class_id": s.class_id,
+            "dim": s.dim,
+            "trivial": s is dec.s0,
+            "member_dims": [m.dim for m in s.members],
+            "member_commutant_dims": [m.commutant_dim for m in s.members],
+            "intertwiner_dims": {f"{a}-{b}": len(phis) for (a, b), phis
+                                 in s.intertwiner_bases.items()},
+        } for s in dec.summands],
+        "seed": dec.seed,
+        "sym_commutant_dim": len(metric_mod.sym_commutant_basis(dec)),
+    }
+
+
 def cmd_decompose(args) -> int:
     with _stage(args, "build"):
         dec, _ = _load_space(args.space, args.seed)
     with _stage(args, "report"):
-        report = isotropy.decomposition_report(dec)
+        report = decomposition_report(dec)
     report["mode"] = MODE
     _emit(args, report)
     return EXIT_PASS

@@ -17,8 +17,10 @@ strategy, all in exact rational arithmetic:
   one-dimensional, which for a B-skew action is equivalent to admitting no
   proper invariant subspace.  The certified piece keeps the action
   restricted to it, from which its full commutant dimension (1, 2 or 4,
-  the real/complex/quaternionic type), its class and its intertwiners are
-  solved;
+  the real/complex/quaternionic type), its class and its intertwiners
+  Hom(a, b), a < b, are solved; Hom(b, a) is their B-adjoint.  The
+  symmetric commutant of all of m is not solved: it is read off these
+  blocks (`metric.sym_commutant_basis`);
 * the equivariance systems behind commutants and intertwiners are
   assembled as integer rows by one routine (`_equivariance_rows`) and
   eliminated fraction-free (`linalg.nullspace`, sparse solutions);
@@ -30,7 +32,6 @@ strategy, all in exact rational arithmetic:
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import random
@@ -121,19 +122,6 @@ def restrict_op(op: Columns, sub: Subspace, norms: Vec) -> Optional[Columns]:
     return cols
 
 
-def _restrict_action(action: IsotropyAction, sub: Optional[Subspace]
-                     ) -> Tuple[List[Columns], List[Fraction]]:
-    if sub is None:
-        return action.ad_ops, list(action.norms)
-    ops = []
-    for op in action.ad_ops:
-        r = restrict_op(op, sub, action.norms)
-        if r is None:
-            raise ValueError("subspace is not invariant under the action")
-        ops.append(r)
-    return ops, list(sub.norms)
-
-
 # ---------------------------------------------------------------------------
 # commutants and intertwiners (exact sparse linear systems)
 # ---------------------------------------------------------------------------
@@ -182,32 +170,33 @@ def commutant_sym_ops(ops: List[Columns], norms: List[Fraction]
     lcm = math.lcm(*nint)
     weight = [[lcm if a <= b else nint[b] * (lcm // nint[a]) for b in range(d)]
               for a in range(d)]
-    out = []
-    for sol in linalg.nullspace(_equivariance_rows(ops, ops, param, weight),
-                                len(entries)):
-        cols: List[dict] = [{} for _ in range(d)]
-        for p, v in sol:
-            i, j = entries[p]
-            cols[j][i] = v
-            if i != j:
-                cols[i][j] = v * norms[i] / norms[j]
-        out.append([linalg.sparse_from(col) for col in cols])
-    return out
+    return [sym_operator([(*entries[p], v) for p, v in sol], norms)
+            for sol in linalg.nullspace(
+                _equivariance_rows(ops, ops, param, weight), len(entries))]
 
 
-def commutant_sym(action: IsotropyAction,
-                  subspace: Optional[Subspace] = None) -> List[Columns]:
-    """Symmetric equivariant operators on an invariant subspace of m."""
-    return commutant_sym_ops(*_restrict_action(action, subspace))
+def sym_operator(upper: Sequence[Tuple[int, int, Fraction]],
+                 norms: Vec) -> Columns:
+    """The B-symmetric S with S[j][i] = S[i][j] nu_i / nu_j and the upper
+    entries (i, j, S[i][j]), i <= j, nonzero and in row-major order, so
+    that each column meets its rows in increasing order."""
+    cols: Columns = [[] for _ in norms]
+    for i, j, v in upper:
+        cols[j].append((i, v))
+        if i != j:
+            cols[i].append((j, v * norms[i] / norms[j]))
+    return cols
 
 
 def intertwiners(action: IsotropyAction, sub_a: Subspace,
                  sub_b: Subspace) -> List[Columns]:
     """Basis of equivariant maps sub_a -> sub_b: d_a sparse columns over
     the sub_b basis each."""
-    ops_a, _ = _restrict_action(action, sub_a)
-    ops_b, _ = _restrict_action(action, sub_b)
-    return _equivariant_maps(ops_a, ops_b, sub_a.dim, sub_b.dim)
+    ops = [[restrict_op(op, sub, action.norms) for op in action.ad_ops]
+           for sub in (sub_a, sub_b)]
+    if any(r is None for r in ops[0] + ops[1]):
+        raise ValueError("subspace is not invariant under the action")
+    return _equivariant_maps(*ops, sub_a.dim, sub_b.dim)
 
 
 def _equivariant_maps(ops_a: List[Columns], ops_b: List[Columns], da: int,
@@ -314,38 +303,16 @@ class IsotypicalSummand:
         return self.space.dim
 
 
-@dataclass
+@dataclass(eq=False)
 class IsotypicalDecomposition:
     action: IsotropyAction
     summands: List[IsotypicalSummand]
     s0: IsotypicalSummand
     seed: int
-    _sym_commutant: Optional[List[Columns]] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.action.dim
-
-    def sym_commutant_basis(self) -> List[Columns]:
-        """Basis of symmetric equivariant operators on all of m (cached)."""
-        if self._sym_commutant is None:
-            self._sym_commutant = commutant_sym(self.action)
-        return self._sym_commutant
-
-    @cached_property
-    def sym_commutant_free(self) -> List[Tuple[int, int]]:
-        """Per basis operator, a position (row, col) where it is 1 and every
-        other is 0, the first in row order.
-
-        The basis comes from an exact nullspace (`commutant_sym_ops`), so
-        the free column of each basis vector supplies one.
-        """
-        entries = [sorted(((i, j), c) for j, col in enumerate(s)
-                          for i, c in col)
-                   for s in self.sym_commutant_basis()]
-        owners = collections.Counter(pos for e in entries for pos, _ in e)
-        return [next(pos for pos, c in e if c == 1 and owners[pos] == 1)
-                for e in entries]
 
     def nontrivial_summands(self) -> List[IsotypicalSummand]:
         return [s for s in self.summands if s is not self.s0]
@@ -400,6 +367,13 @@ def squared_ad_candidates(action: IsotropyAction, s0: Subspace) -> _Lazy:
                 for col in cols]
 
     return _Lazy(build, s0.dim)
+
+
+def _adjoint(phi: Columns, norms_a: Vec, norms_b: Vec) -> Columns:
+    """The B-adjoint N_a^-1 phi^T N_b: b -> a of phi: a -> b, N_a and N_b
+    the basis norms; it intertwines if phi does, the action being B-skew."""
+    return [[(j, c * nb / norms_a[j]) for j, c in row.items()]
+            for nb, row in zip(norms_b, linalg.column_rows(phi, len(norms_b)))]
 
 
 def decompose_isotypic(action: IsotropyAction,
@@ -469,11 +443,13 @@ def decompose_isotypic(action: IsotropyAction,
                                for v in modules[idx].space.sparse_basis], norms)
         summand = IsotypicalSummand(class_id=0, members=[modules[idx] for idx in cls],
                                     space=space)
-        for (a, b) in itertools.permutations(range(len(cls)), 2):
-            phis = inter_cache.get((cls[a], cls[b]))
-            if phis is None:
-                phis = maps(cls[a], cls[b])
+        # Hom(b, a) is the B-adjoint of Hom(a, b), so only a < b is solved
+        for (a, b) in itertools.combinations(range(len(cls)), 2):
+            phis = inter_cache.get((cls[a], cls[b])) or maps(cls[a], cls[b])
             summand.intertwiner_bases[(a, b)] = phis
+            summand.intertwiner_bases[(b, a)] = [
+                _adjoint(phi, modules[cls[a]].space.norms,
+                         modules[cls[b]].space.norms) for phi in phis]
         summands.append(summand)
 
     summands[1:] = sorted(
@@ -553,29 +529,3 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
             raise DecompositionError("minimal ideal of the semisimple part is abelian")
         simples.append(amb)
     return IdealSplit(center=center, simples=simples)
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-def decomposition_report(dec: IsotypicalDecomposition) -> dict:
-    summands = []
-    for s in dec.summands:
-        inter_dims = sorted(
-            {f"{a}-{b}": len(phis) for (a, b), phis in s.intertwiner_bases.items()}.items())
-        summands.append({
-            "class_id": s.class_id,
-            "dim": s.dim,
-            "trivial": s is dec.s0,
-            "member_dims": [m.dim for m in s.members],
-            "member_commutant_dims": [m.commutant_dim for m in s.members],
-            "intertwiner_dims": dict(inter_dims),
-        })
-    return {
-        "dim_m": dec.dim,
-        "dim_s0": dec.s0.dim,
-        "summands": summands,
-        "seed": dec.seed,
-        "sym_commutant_dim": len(dec.sym_commutant_basis()),
-    }

@@ -3,21 +3,25 @@
 A metric endomorphism is B-symmetric, equivariant under the isotropy
 action, and positive definite; it is kept as sparse columns over the m
 basis (`linalg.Columns`), like every operator on m.  The complete cone of
-candidates is
-parameterized over the computed symmetric commutant basis; the per-summand
-block form (scalars on members plus intertwiner off-blocks) is recovered as
-a view.  Families of metrics -- scalar classes on subspaces, a free
-symmetric operator on the trivial-summand center, off-diagonal intertwiner
-coordinates -- support the reduction rules and the parameter scans.
+candidates is the decomposition's block form (a symmetric operator on S0,
+a scalar per member, intertwiner off-blocks), and the symmetric commutant
+basis that metric parameters refer to is derived from it by one exact
+elimination (`sym_commutant_basis`).  Families of metrics -- scalar
+classes on subspaces, a free symmetric operator on the trivial-summand
+center, off-diagonal intertwiner coordinates -- support the reduction
+rules and the parameter scans.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -71,7 +75,7 @@ def from_parameters(decomp: IsotypicalDecomposition,
     Parameters are converted to Fractions first (a float converts to its
     exact binary value), so the matrix is always rational.
     """
-    basis = decomp.sym_commutant_basis()
+    basis = sym_commutant_basis(decomp)
     if len(params) != len(basis):
         raise ValueError(
             f"expected {len(basis)} parameters, got {len(params)}")
@@ -82,7 +86,7 @@ def from_parameters(decomp: IsotypicalDecomposition,
 def _metric(decomp: IsotypicalDecomposition,
             params: Vec) -> MetricEndomorphism:
     """A = sum_q params_q S_q over the symmetric commutant basis."""
-    columns = linalg.combine_columns(params, decomp.sym_commutant_basis(),
+    columns = linalg.combine_columns(params, sym_commutant_basis(decomp),
                                      decomp.dim)
     return MetricEndomorphism(
         decomp=decomp, columns=columns, params=params,
@@ -93,13 +97,15 @@ def _from_columns(decomp: IsotypicalDecomposition,
                   columns: Columns) -> MetricEndomorphism:
     """Wrap A's sparse columns, reading off its commutant coordinates.
 
-    Each basis operator S_q is 1 at its free position, where every other
-    basis operator is 0, so params_q = A[free_q]; the sum of params_q S_q
-    is rebuilt and compared with A exactly.
+    Each basis operator S_q is 1 at its free position, its last nonzero
+    upper entry (i, j), i <= j, in row-major order, where every other basis
+    operator is 0 (see `sym_commutant_basis`).  So params_q = A[free_q],
+    and the sum of params_q S_q is rebuilt and compared with A exactly.
     """
     entries = [dict(col) for col in columns]
-    a = _metric(decomp, [Fraction(entries[j].get(i, 0))
-                         for i, j in decomp.sym_commutant_free])
+    free = (max((i, j) for j, col in enumerate(s) for i, _ in col if i <= j)
+            for s in sym_commutant_basis(decomp))
+    a = _metric(decomp, [Fraction(entries[j].get(i, 0)) for i, j in free])
     if a.columns != columns:
         raise NotEquivariantError(
             "matrix is not a symmetric equivariant endomorphism")
@@ -127,15 +133,22 @@ def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Columns]:
                                   for z in decomp.s0.space.sparse_basis]
 
 
+def _commutes(s: Columns, ops: List[Tuple[Columns, List[dict]]]) -> bool:
+    """Whether S op = op S for each (op, op's rows), compared at the only
+    columns where either can be nonzero: S's own and those op reaches."""
+    nonzero = [c for c, col in enumerate(s) if col]
+    return all(linalg.sparse_mat_vec(s, op[c])
+               == linalg.sparse_mat_vec(op, s[c]) for op, rows in ops
+               for c in set(nonzero).union(*(rows[r] for r in nonzero)))
+
+
 def check_normalizer_equivariance(a: MetricEndomorphism,
                                   ops: Optional[List[Columns]] = None) -> bool:
-    """True iff A commutes with the normalizer action on m: A op and op A
-    agree column by column."""
+    """True iff A commutes with the normalizer action on m."""
     if ops is None:
         ops = normalizer_ops(a.decomp)
-    return all(linalg.sparse_mat_vec(a.columns, op_col)
-               == linalg.sparse_mat_vec(op, a_col)
-               for op in ops for op_col, a_col in zip(op, a.columns))
+    return _commutes(a.columns,
+                     [(op, linalg.column_rows(op, a.dim)) for op in ops])
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +254,15 @@ class MetricFamily:
         }
 
 
-# Family operators are `Columns`; while a family is built, each column is
-# a {row: value} dict.
+# Family operators are `Columns`; while a family is built, they are
+# {col: {row: value}} accumulators that hold only the columns written to.
 
-def _finish(op: List[dict]) -> Columns:
-    return [linalg.sparse_from(col) for col in op]
+def _finish(op: Dict[int, dict], dim: int) -> Columns:
+    return [linalg.sparse_from(op[c]) if c in op else [] for c in range(dim)]
 
 
-def add_outer(op: List[dict], u: linalg.Sparse, v: linalg.Sparse, norms: Vec,
-              f) -> None:
+def add_outer(op: Dict[int, dict], u: linalg.Sparse, v: linalg.Sparse,
+              norms: Vec, f) -> None:
     """op += f u (x) G v for sparse u, v and G = diag(norms): the map
     X -> f <v, X> u, added into column c as f v_c norms_c u."""
     for c, vc in v:
@@ -259,13 +272,13 @@ def add_outer(op: List[dict], u: linalg.Sparse, v: linalg.Sparse, norms: Vec,
             col[r] = col.get(r, ZERO) + w * ur
 
 
-def _add_projector(op: List[dict], space: Subspace, norms: Vec) -> None:
+def _add_projector(op: Dict[int, dict], space: Subspace, norms: Vec) -> None:
     """op += the B-orthogonal projector onto the subspace."""
     for b, nb in zip(space.sparse_basis, space.norms):
         add_outer(op, b, b, norms, ONE / nb)
 
 
-def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Columns]:
+def _line_projector(space: Subspace, norms: Vec) -> List[Dict[int, dict]]:
     """Symmetric unit operators supported on the subspace.
 
     The off-diagonal unit b_i (x) Gb_j + b_j (x) Gb_i needs one common
@@ -274,17 +287,18 @@ def _line_projector(space: Subspace, norms: Vec, dim: int) -> List[Columns]:
     units = []
     basis = space.sparse_basis
     for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
-        op: List[dict] = [{} for _ in range(dim)]
+        op = collections.defaultdict(dict)
         scale = ONE / space.norms[i] if i == j else ONE
         add_outer(op, basis[i], basis[j], norms, scale)
         if i != j:
             add_outer(op, basis[j], basis[i], norms, scale)
-        units.append(_finish(op))
+        units.append(op)
     return units
 
 
 def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
-                         blk: IntertwinerBlock, phi: Columns) -> Columns:
+                         blk: IntertwinerBlock, phi: Columns
+                         ) -> Dict[int, dict]:
     """phi: member_a -> member_b embedded in m plus its B-adjoint.
 
     An entry phi[i][j] maps the coordinate <a_j, X> / nu_a_j onto b_i: it
@@ -295,34 +309,37 @@ def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
     sub_a = summand.members[blk.member_a].space
     sub_b = summand.members[blk.member_b].space
     norms = decomp.action.norms
-    op: List[dict] = [{} for _ in range(decomp.dim)]
+    op = collections.defaultdict(dict)
     for a, na, col in zip(sub_a.sparse_basis, sub_a.norms, phi):
         for i, c in col:
             b = sub_b.sparse_basis[i]
             add_outer(op, b, a, norms, c / na)
             add_outer(op, a, b, norms, c / na)
-    return _finish(op)
+    return op
+
+
+def _block_operators(family: MetricFamily) -> Iterator[Dict[int, dict]]:
+    """The operator multiplying each free parameter, in parameter order,
+    as an accumulator."""
+    decomp = family.decomp
+    norms = decomp.action.norms
+    for c in family.classes():
+        op = collections.defaultdict(dict)
+        for b in family.scalar_blocks:
+            if family.find(b.class_id) == c:
+                _add_projector(op, b.space, norms)
+        yield op
+    for b in family.operator_blocks:
+        yield from _line_projector(b.space, norms)
+    for b in family.intertwiner_blocks:
+        for phi in b.phis:
+            yield _intertwiner_pair_op(decomp, b, phi)
 
 
 def family_basis_ops(family: MetricFamily) -> List[Columns]:
     """The operator multiplying each free parameter, in parameter order,
     as sparse columns."""
-    decomp = family.decomp
-    norms = decomp.action.norms
-    dim = decomp.dim
-    ops: List[Columns] = []
-    for c in family.classes():
-        op: List[dict] = [{} for _ in range(dim)]
-        for b in family.scalar_blocks:
-            if family.find(b.class_id) == c:
-                _add_projector(op, b.space, norms)
-        ops.append(_finish(op))
-    for b in family.operator_blocks:
-        ops.extend(_line_projector(b.space, norms, dim))
-    for b in family.intertwiner_blocks:
-        for phi in b.phis:
-            ops.append(_intertwiner_pair_op(decomp, b, phi))
-    return ops
+    return [_finish(op, family.decomp.dim) for op in _block_operators(family)]
 
 
 def family_form(integer_ops: List[List[List[Tuple[int, int]]]],
@@ -359,10 +376,8 @@ def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
 
 
 def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
-    """The unreduced candidate cone in per-summand block form.
-
-    Parameter count equals the symmetric commutant dimension (verified).
-    """
+    """The unreduced candidate cone in per-summand block form: its
+    operators span the symmetric commutant (see `sym_commutant_basis`)."""
     family = MetricFamily(decomp=decomp)
     family.operator_blocks.append(OperatorBlock(space=decomp.s0.space, label="S0"))
     next_class = 0
@@ -380,11 +395,61 @@ def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
                 family.intertwiner_blocks.append(IntertwinerBlock(
                     summand_index=si, member_a=a, member_b=b, phis=phis,
                     label=f"S{summand.class_id}.m{a + 1}~m{b + 1}"))
-    if family.n_params != len(decomp.sym_commutant_basis()):
-        raise ArithmeticError(
-            "block parameterization does not match the commutant dimension: "
-            f"{family.n_params} != {len(decomp.sym_commutant_basis())}")
     return family
+
+
+# ---------------------------------------------------------------------------
+# the symmetric commutant, read off the block form
+# ---------------------------------------------------------------------------
+
+_COMMUTANTS = weakref.WeakKeyDictionary()    # decomposition -> its basis
+
+
+def sym_commutant_basis(decomp: IsotypicalDecomposition) -> List[Columns]:
+    """The span of `full_family`'s block operators in reduced form, built on
+    first use and kept as long as the decomposition is.
+
+    By Schur's lemma (Broecker and tom Dieck, GTM 98, II.6) the span is the
+    whole symmetric commutant.  The action is B-skew, so projectors onto
+    invariant subspaces are equivariant and a symmetric equivariant S has a
+    block in Hom(a, b) between members a and b: zero between S0 (the exact
+    joint kernel) and a nontrivial member, and between classes (the class
+    search found every Hom between them zero); any symmetric operator on
+    S0; a scalar on a member (certified to have a one-dimensional symmetric
+    commutant); and for a < b in one class, in the span of the exact
+    nullspace basis of Hom(a, b), with its B-adjoint below.  The block
+    operators are checked to be independent, and the basis to commute with
+    the action.
+
+    `commutant_sym_ops` on all of m solves to vectors that are 1 at their
+    free parameter, 0 at every other and have no entry beyond it: the
+    reduced echelon form, unique for the span, with the upper entries
+    S[i][j], i <= j, indexed from the last.  One `pivot_rows` in that order,
+    rows divided by their pivots and listed by increasing free parameter,
+    gives the same basis.
+    """
+    if decomp in _COMMUTANTS:
+        return _COMMUTANTS[decomp]
+    d, action = decomp.dim, decomp.action
+    ops = list(_block_operators(full_family(decomp)))
+    upper = [(i, j) for i in range(d) for j in range(i, d)][::-1]
+    index = {e: q for q, e in enumerate(upper)}
+    pivots = linalg.pivot_rows(
+        {index[(i, j)]: c for j, col in op.items() for i, c in col.items()
+         if i <= j} for op in ops)
+    if len(pivots) != len(ops):
+        raise ArithmeticError(f"the {len(ops)} block operators have rank "
+                              f"{len(pivots)}")
+    basis = [isotropy.sym_operator(
+        [(*upper[k], Fraction(v, row[q])) for k, v in sorted(row.items(),
+                                                             reverse=True)],
+        action.norms) for q, row in sorted(pivots.items(), reverse=True)]
+    ad = [(op, linalg.column_rows(op, d)) for op in action.ad_ops]
+    if not all(_commutes(s, ad) for s in basis):
+        raise ArithmeticError(
+            "an assembled operator does not commute with the action")
+    _COMMUTANTS[decomp] = basis
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_criterion_6_proof_invariant(space):
     per_space = 250
     for n, k in [(2, 1), (3, 1), (3, 2), (4, 2)]:
         sp = space(n, k)
-        basis = sp.decomp.sym_commutant_basis()
+        basis = metric.sym_commutant_basis(sp.decomp)
         for _ in range(per_space):
             params = [Fraction(rng.randint(1, 6), rng.choice((1, 2)))
                       for _ in basis]
@@ -182,13 +182,14 @@ def test_criterion_7_normalizer_consistency(space):
         # off-diagonal intertwiner component
         fam = metric.full_family(dec)
         blk = fam.intertwiner_blocks[0]
-        mix = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[0]),
-                       dec.dim)
+        mix = dense_op(metric._finish(
+            metric._intertwiner_pair_op(dec, blk, blk.phis[0]), dec.dim),
+            dec.dim)
         candidates.append(metric.from_matrix(
             dec, mat_add(linalg.mat_scale(Fraction(4), identity(sp.dim_m)),
                          mix)))
         # random commutant points
-        basis = dec.sym_commutant_basis()
+        basis = metric.sym_commutant_basis(dec)
         while sum(1 for a in candidates if a.is_pd) < len(candidates) or \
                 len(candidates) < 12:
             params = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 4)))

@@ -103,7 +103,7 @@ def test_residual_scaling_invariant(space):
 def test_proof_invariant_h_component_vanishes(space):
     sp = space(4, 2)
     rng = random.Random(12)
-    basis = sp.decomp.sym_commutant_basis()
+    basis = metric.sym_commutant_basis(sp.decomp)
     for _ in range(20):
         params = [Fraction(rng.randint(1, 5)) for _ in basis]
         a = metric.from_parameters(sp.decomp, params)

@@ -5,13 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from go_metric_lab import decomp, isotropy, lie_core, linalg, stiefel
-from go_metric_lab.isotropy import (commutant_sym, decompose_isotypic,
-                                    intertwiners, isotropy_action,
+from go_metric_lab import (cli, decomp, isotropy, lie_core, linalg, metric,
+                          stiefel)
+from go_metric_lab.isotropy import (commutant_sym_ops, decompose_isotypic,
+                                    intertwiners, isotropy_action, restrict_op,
                                     split_ideals)
 from oracles import (columns, combine, dense_op, fraction_nullspace, gram_dot,
                      identity, mat_add, norm_dot, solve_consistent,
                      sym_op_from_params)
+
+
+def _sym_commutant_on(action, sub):
+    """The symmetric commutant of the action restricted to an invariant
+    subspace."""
+    return commutant_sym_ops(
+        [restrict_op(op, sub, action.norms) for op in action.ad_ops],
+        sub.norms)
 
 
 def _action(un, n, k):
@@ -89,15 +98,15 @@ def test_ad_ops_are_skew(space):
 def test_commutant_dimensions_stiefel(space):
     sp = space(3, 1)
     s1 = sp.decomp.nontrivial_summands()[0]
-    assert len(commutant_sym(sp.action, s1.space)) == 1     # scalars only
-    assert len(commutant_sym(sp.action, sp.decomp.s0.space)) == 1
+    assert len(_sym_commutant_on(sp.action, s1.space)) == 1     # scalars only
+    assert len(_sym_commutant_on(sp.action, sp.decomp.s0.space)) == 1
 
     sp = space(4, 2)
     s1 = sp.decomp.nontrivial_summands()[0]
-    assert len(commutant_sym(sp.action, s1.space)) == 4
+    assert len(_sym_commutant_on(sp.action, s1.space)) == 4
     # trivial action commutes with all of Sym(S0): k^2 (k^2 + 1) / 2
-    assert len(commutant_sym(sp.action, sp.decomp.s0.space)) == 10
-    assert len(sp.decomp.sym_commutant_basis()) == 14
+    assert len(_sym_commutant_on(sp.action, sp.decomp.s0.space)) == 10
+    assert len(metric.sym_commutant_basis(sp.decomp)) == 14
 
 
 def test_intertwiner_dimension_complex_pair(space):
@@ -111,9 +120,24 @@ def test_member_commutants_are_division_algebras(space):
         dec = space(n, k).decomp
         for s in dec.nontrivial_summands():
             for m in s.members:
-                assert len(commutant_sym(dec.action, m.space)) == 1
+                assert len(_sym_commutant_on(dec.action, m.space)) == 1
                 assert m.commutant_dim in (1, 2, 4)
                 assert m.commutant_dim == 2      # complex modules here
+
+
+def test_adjoint_intertwiners_span_the_solved_maps(space, two_torus):
+    # the decomposition solves Hom(a, b) for a < b and reads Hom(b, a) off by
+    # B-adjoints; both span what the equivariance system of the pair solves
+    for dec in (two_torus(), space(4, 3).decomp):
+        for s in dec.nontrivial_summands():
+            for a, b in itertools.permutations(range(len(s.members)), 2):
+                sub_b = s.members[b].space
+                solved = intertwiners(dec.action, s.members[a].space, sub_b)
+                flat = [[[x for row in dense_op(phi, sub_b.dim) for x in row]
+                         for phi in phis]
+                        for phis in (s.intertwiner_bases[(a, b)], solved)]
+                assert len(flat[0]) == len(flat[1]) > 0
+                assert linalg.same_span(*flat)
 
 
 def test_equivalence_is_symmetric_and_transitive(space):
@@ -183,7 +207,7 @@ def test_simple_ideal_is_nonabelian_ideal(space):
 
 def test_decomposition_report_shape(space):
     sp = space(4, 2)
-    report = isotropy.decomposition_report(sp.decomp)
+    report = cli.decomposition_report(sp.decomp)
     assert report["dim_m"] == 12
     assert report["dim_s0"] == 4
     assert report["sym_commutant_dim"] == 14
@@ -243,7 +267,7 @@ def test_commutant_dimension_matches_block_count_formula(space):
             expected += {1: r * (r + 1) // 2,
                          2: r * r,
                          4: r * (2 * r - 1)}[ctype]
-        assert len(dec.sym_commutant_basis()) == expected, nk
+        assert len(metric.sym_commutant_basis(dec)) == expected, nk
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -263,7 +287,10 @@ def test_commutant_ops_match_dense_construction(space, monkeypatch, n, k,
         return sols
 
     monkeypatch.setattr(linalg, "nullspace", recorded)
-    ops = commutant_sym(sp.action, sub)
+    if sub is None:
+        ops = commutant_sym_ops(sp.action.ad_ops, sp.action.norms)
+    else:
+        ops = _sym_commutant_on(sp.action, sub)
     norms = sp.action.norms if sub is None else sub.norms
     d = len(norms)
     assert len(solved) == len(ops) > 0
@@ -320,9 +347,10 @@ def test_projection_splits_a_vector_along_a_subspace(space):
 
 
 def test_integer_nullspace_matches_fraction_oracle(monkeypatch, two_torus):
-    # every nullspace met while building the spaces, their ideal splits and
-    # full commutants, eliminated once more in Fractions; the equivariance
-    # systems behind commutants and intertwiners are integer rows
+    # every nullspace met while building the spaces, their ideal splits,
+    # full commutants and reverse intertwiners, eliminated once more in
+    # Fractions; the equivariance systems behind commutants and
+    # intertwiners are integer rows
     systems, equivariance = [], []
     nullspace, assemble = linalg.nullspace, isotropy._equivariance_rows
 
@@ -345,7 +373,12 @@ def test_integer_nullspace_matches_fraction_oracle(monkeypatch, two_torus):
     decs.append(two_torus())
     for dec in decs:
         dec.ideals
-        dec.sym_commutant_basis()
+        commutant_sym_ops(dec.action.ad_ops, dec.action.norms)
+        # the decomposition reads Hom(b, a), a < b, off by adjoints; solve
+        # those systems here too
+        for s in dec.nontrivial_summands():
+            for a, b in itertools.combinations(s.members, 2):
+                intertwiners(dec.action, b.space, a.space)
     integer_systems = [rows for rows, _, _, integer in systems if integer]
     assert len(integer_systems) > 50
     assert len(systems) > len(integer_systems)

@@ -63,7 +63,7 @@ def test_from_matrix_rejects_non_equivariant(space):
 def oracle_params(dec, matrix):
     """Commutant coordinates by a dense d^2 x p solve, or None."""
     d = dec.dim
-    basis = [dense_op(s, d) for s in dec.sym_commutant_basis()]
+    basis = [dense_op(s, d) for s in metric.sym_commutant_basis(dec)]
     cols = [[s[i][j] for s in basis] for i in range(d) for j in range(d)]
     return solve_consistent(
         cols, [matrix[i][j] for i in range(d) for j in range(d)])
@@ -141,7 +141,7 @@ def test_equivariance_and_symmetry_exact(space):
     sp = space(4, 2)
     dec = sp.decomp
     rng = random.Random(2)
-    basis = dec.sym_commutant_basis()
+    basis = metric.sym_commutant_basis(dec)
     params = [Fraction(rng.randint(-3, 3)) for _ in basis]
     a = from_parameters(dec, params)
     for op in (dense_op(cols, dec.dim) for cols in dec.action.ad_ops):
@@ -159,7 +159,8 @@ def test_block_structure_across_summands(space):
     sp = space(4, 2)
     dec = sp.decomp
     rng = random.Random(5)
-    params = [Fraction(rng.randint(-2, 2)) for _ in dec.sym_commutant_basis()]
+    params = [Fraction(rng.randint(-2, 2))
+              for _ in metric.sym_commutant_basis(dec)]
     a = from_parameters(dec, params)
     gram = dec.action.split.gram_m
     for i, si in enumerate(dec.summands):
@@ -224,7 +225,80 @@ def test_full_family_matches_commutant_dimension(space):
     for nk in [(3, 1), (3, 2), (4, 2)]:
         sp = space(*nk)
         fam = full_family(sp.decomp)
-        assert fam.n_params == len(sp.decomp.sym_commutant_basis())
+        assert fam.n_params == len(metric.sym_commutant_basis(sp.decomp))
+
+
+@pytest.mark.parametrize("which", ["3-2", "4-2", "4-3", "6-3", "two-torus"])
+def test_assembled_commutant_matches_the_whole_m_solve(space, two_torus,
+                                                       which):
+    # the basis read off the block operators is, element for element, the
+    # reduced-echelon basis that one equivariance system on all of m solves
+    # to; each basis operator is 1 at its free position, where every other
+    # is 0, so from_matrix reads it back as a unit vector
+    dec = (two_torus() if which == "two-torus"
+           else space(*map(int, which.split("-"))).decomp)
+    action = dec.action
+    basis = metric.sym_commutant_basis(dec)
+    assert basis == isotropy.commutant_sym_ops(action.ad_ops, action.norms)
+    for q, s in enumerate(basis):
+        unit = [int(p == q) for p in range(len(basis))]
+        assert metric.from_matrix(dec, dense_op(s, dec.dim)).params == unit
+
+
+def test_a_dropped_intertwiner_block_is_caught(space, monkeypatch):
+    # a block form without one intertwiner block (with its adjoint) spans
+    # less than the commutant, so the assembled basis is not the solved one
+    action = space(4, 3).action
+    dec = isotropy.decompose_isotypic(action)
+    full = metric.full_family
+
+    def dropped(decomp):
+        family = full(decomp)
+        del family.intertwiner_blocks[0]
+        return family
+
+    monkeypatch.setattr(metric, "full_family", dropped)
+    assert (metric.sym_commutant_basis(dec)
+            != isotropy.commutant_sym_ops(action.ad_ops, action.norms))
+
+
+def test_a_scaled_intertwiner_entry_fails_the_commutation_check(space):
+    dec = isotropy.decompose_isotypic(space(4, 2).action)
+    phi = dec.nontrivial_summands()[0].intertwiner_bases[(0, 1)][0]
+    r, c = phi[0][0]
+    phi[0][0] = (r, 2 * c)
+    with pytest.raises(ArithmeticError, match="commute"):
+        metric.sym_commutant_basis(dec)
+
+
+def test_commutant_assembly_solves_no_whole_m_system(space, monkeypatch):
+    # decomposing (4,3) and assembling its commutant solves no system in the
+    # d(d+1)/2 entries of a symmetric operator on m, and Hom(a, b) only for
+    # modules a < b, each pair once: Hom(b, a) is read off by adjoints
+    action = space(4, 3).action
+    unknowns, maps = [], []
+    nullspace, equivariant_maps = linalg.nullspace, isotropy._equivariant_maps
+
+    def recorded_nullspace(rows, ncols):
+        unknowns.append(ncols)
+        return nullspace(rows, ncols)
+
+    def recorded_maps(ops_a, ops_b, da, db):
+        maps.append((ops_a, ops_b))
+        return equivariant_maps(ops_a, ops_b, da, db)
+
+    monkeypatch.setattr(linalg, "nullspace", recorded_nullspace)
+    monkeypatch.setattr(isotropy, "_equivariant_maps", recorded_maps)
+    dec = isotropy.decompose_isotypic(action)
+    metric.sym_commutant_basis(dec)
+    d = dec.dim
+    assert unknowns and d * (d + 1) // 2 not in unknowns
+    # a module's own commutant is solved first, in module order
+    modules = [a for a, b in maps if a is b]
+    index = {id(ops): i for i, ops in enumerate(modules)}
+    pairs = [(index[id(a)], index[id(b)]) for a, b in maps if a is not b]
+    assert len(modules) == 3
+    assert sorted(pairs) == [(0, 1), (0, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -298,8 +372,9 @@ def test_eigen_split_is_none_on_an_irrational_spectrum(space):
     dec = sp.decomp
     fam = metric.full_family(dec)
     blk = fam.intertwiner_blocks[0]
-    mix = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[0]), dec.dim)
-    mix2 = dense_op(metric._intertwiner_pair_op(dec, blk, blk.phis[1]), dec.dim)
+    mix, mix2 = (dense_op(metric._finish(
+        metric._intertwiner_pair_op(dec, blk, phi), dec.dim), dec.dim)
+        for phi in blk.phis[:2])
     amat = linalg.mat_scale(Fraction(4), identity(sp.dim_m))
     amat = mat_add(amat, mix)
     amat = mat_add(amat, mix2)
