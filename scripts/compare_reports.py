@@ -5,8 +5,10 @@
 
 Runs every command below with `python -m go_metric_lab` from each
 checkout's `src/`, one after the other, and compares the two reports
-(written with `--out`) and exit codes.  It stops at the first difference
-and exits 1; it exits 0 when every report agrees.
+(written with `--out`) and exit codes.  Every command runs; for each one
+whose report or exit code differs it prints the top-level JSON keys that
+differ and both exit codes.  It exits 1 when any command differs and 0
+when every report agrees.
 
 The commands: `decompose stiefel n k` for every 1 <= k < n <= 8,
 `reproduce-theorem` on (3,2) at the default grid, (4,3) at resolution 1
@@ -20,10 +22,11 @@ PARENT's package and read by both.  Two more cover the general paths:
 eb_3_3 + eb_4_4} (a space file written once by PARENT's package, so the
 split and the decomposition of a non-Stiefel space run from JSON input),
 and `check-go stiefel 4 2 --family-t 2 --strategy family`, which runs
-`metric_at` and the witness map.
+`metric_at`, the witness map and the family certificate.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -85,6 +88,18 @@ def run(checkout: Path, args) -> int:
     return proc.returncode
 
 
+def differing_keys(reports) -> list:
+    """The top-level keys whose values differ between two JSON reports
+    (bytes, or None when a command wrote none)."""
+    if None in reports:
+        return ["<no report>"] if reports[0] != reports[1] else []
+    parent, change = (json.loads(r) for r in reports)
+    if not (isinstance(parent, dict) and isinstance(change, dict)):
+        return ["<top level>"] if parent != change else []
+    return sorted(k for k in parent.keys() | change.keys()
+                  if parent.get(k, KeyError) != change.get(k, KeyError))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -101,6 +116,7 @@ def main() -> int:
         if run(checkouts[0], ["-c", TWO_TORUS_SPACE, str(space_path)]):
             print("could not write the two-torus space", file=sys.stderr)
             return 1
+        differing = 0
         for cmd in commands(str(metric_path), str(space_path)):
             results = []
             for side, checkout in enumerate(checkouts):
@@ -113,10 +129,16 @@ def main() -> int:
             label = " ".join(cmd).replace(str(metric_path), "METRIC").replace(
                 str(space_path), "SPACE")
             if results[0] != results[1]:
+                differing += 1
+                keys = differing_keys([r for _, r in results])
                 print(f"DIFFERS: {label} (exit {results[0][0]} vs "
-                      f"{results[1][0]})")
-                return 1
+                      f"{results[1][0]}); keys: {', '.join(keys) or 'none'}",
+                      flush=True)
+                continue
             print(f"same: {label} (exit {results[0][0]})", flush=True)
+    if differing:
+        print(f"{differing} of the reports differ")
+        return 1
     print("all reports identical")
     return 0
 

@@ -9,10 +9,9 @@ Subcommands:
 
 Spaces are either the builtin "stiefel N K" or a JSON file carrying a
 serialized algebra plus an h-basis.  Exit codes: 0 pass/verified, 1
-falsified (reproduce-theorem: any part of the claim not verified, a
-failing witness map included), 2 input error.  Reports are deterministic
-functions of the inputs and the seed; GO_METRIC_LAB_SEED supplies a
-fallback seed.  All arithmetic is exact: `--mode` accepts only "exact".
+falsified (reproduce-theorem: any part of the claim not verified), 2
+input error.  Reports are deterministic functions of the inputs and the
+seed; GO_METRIC_LAB_SEED supplies a fallback seed.  All arithmetic is exact: `--mode` accepts only "exact".
 `--verbose` prints one "stage NAME: SECONDS s" line per stage to stderr
 and leaves the report untouched.
 """
@@ -164,7 +163,7 @@ def cmd_check_go(args) -> int:
     with _stage(args, "build"):
         dec, space = _load_space(args.space, args.seed)
 
-    witness = None
+    t = None
     if args.family_t is not None:
         if space is None:
             raise InputError("--family-t needs a builtin stiefel space")
@@ -172,7 +171,6 @@ def cmd_check_go(args) -> int:
         if t <= 0:
             raise InputError(f"family parameter must be positive, got {t}")
         a = stiefel.metric_at(space, t)
-        witness = stiefel.witness_map(space, t)
     elif args.metric:
         try:
             with open(args.metric) as fh:
@@ -192,15 +190,21 @@ def cmd_check_go(args) -> int:
     if not a.is_pd:
         raise InputError("metric is not positive definite")
     strategy = args.strategy
-    if strategy == "family" and witness is None:
+    if strategy == "family" and t is None:
         raise InputError("family strategy needs --family-t")
     try:
         go_mod.check_sample_count(strategy, args.count)
     except ValueError as exc:
         raise InputError(f"bad --count: {exc}") from exc
     with _stage(args, "check"):
-        cert = go_mod.go_check(a, strategy=strategy, count=args.count,
-                               seed=args.seed, witness_map=witness)
+        if strategy == "family":
+            cert = stiefel.family_view(
+                stiefel.certify_family(space.family_data), a,
+                stiefel.witness_map(space, t), stiefel.family_samples(
+                    space.dim_m, args.count, args.seed), args.seed)
+        else:
+            cert = go_mod.go_check(a, strategy=strategy, count=args.count,
+                                   seed=args.seed)
     payload = go_mod.certificate_to_json_dict(cert)
     payload["normalizer_equivariant"] = metric_mod.check_normalizer_equivariance(a)
     payload["mode"] = MODE
@@ -217,9 +221,6 @@ def cmd_reproduce_theorem(args) -> int:
             stage=lambda name: _stage(args, name))
     except lie_core.InvalidDimensionError as exc:
         raise InputError(str(exc)) from exc
-    except go_mod.WitnessMapError as exc:
-        print(f"error: family not verified: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
     report["mode"] = MODE
     _emit(args, report)
     scan = report["uniqueness"]

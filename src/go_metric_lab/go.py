@@ -3,11 +3,11 @@
 A metric A is geodesic-orbit iff every X in m admits a in h with
 [a + X, AX] = 0.  Since a -> [a, AX] is linear, the best witness for a
 fixed X is an exact least-squares problem over h; the squared residual is
-an exact rational.  Sampling strategies can only falsify or
+an exact rational.  The strategies here can only falsify or
 report "passed-sampling".  Full verification ("verified-on-family") needs a
-linear closed-form witness map: the defect X -> [a(X) + X, AX] is then a
-quadratic form, so exact vanishing on all basis vectors and pairwise sums
-forces it to vanish identically.
+witness map linear in X, whose defect X -> [a(X) + X, AX] is then a
+quadratic form; `stiefel.certify_family` proves that it vanishes, for a
+whole family of metrics at once.
 
 The reduction engine prunes the candidate cone with four rules, applied in
 a fixed order and recorded with recomputed witnesses:
@@ -134,10 +134,6 @@ def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
 # certificates
 # ---------------------------------------------------------------------------
 
-class WitnessMapError(ValueError):
-    """A witness map is not linear or fails where the metric itself passes."""
-
-
 @dataclass
 class Witness:
     x_m: Vec
@@ -178,8 +174,8 @@ def check_sample_count(strategy: str, count: int) -> None:
     """Raise ValueError when `count` is out of range for the strategy.
 
     A random sample of no probes certifies nothing, so "random" needs at
-    least 1; "family" adds `count` >= 0 random probes to its proof, and
-    "basis" ignores the count.
+    least 1; "family" (`stiefel.family_samples`) adds `count` >= 0 random
+    probes to its proof, and "basis" ignores the count.
     """
     least = {"random": 1, "family": 0}.get(strategy)
     if least is not None and count < least:
@@ -189,25 +185,15 @@ def check_sample_count(strategy: str, count: int) -> None:
 
 def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
              count: int = 100, seed: int = 0,
-             witness_map: Optional[Callable[[Vec], Vec]] = None,
              keep_witnesses: bool = True) -> GOCertificate:
-    """Decide the GO property as far as the chosen strategy allows.
+    """Decide the GO property as far as sampling allows.
 
     basis: probe every m-basis vector and every pairwise sum.
     random: probe `count` >= 1 seeded random rational vectors.
-    family: verify a supplied linear witness map exactly (spanning set plus
-    polarization pairs plus `count` >= 0 random probes); only this strategy
-    may return "verified-on-family", and it raises `WitnessMapError` when
-    the map is not linear or fails at a vector where the metric passes.
     A count out of range raises ValueError (see `check_sample_count`).
     """
     decomp = a_metric.decomp
     check_sample_count(strategy, count)
-
-    if strategy == "family":
-        if witness_map is None:
-            raise ValueError("family strategy needs a witness map")
-        return _family_check(a_metric, witness_map, count, seed)
 
     if strategy == "basis":
         probes = basis_probe_vectors(decomp)
@@ -231,56 +217,6 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
             return cert
         if keep_witnesses:
             cert.witnesses.append(w)
-    return cert
-
-
-def _family_check(a_metric: MetricEndomorphism,
-                  witness_map: Callable[[Vec], Vec],
-                  count: int, seed: int) -> GOCertificate:
-    decomp = a_metric.decomp
-    dim = decomp.dim
-    cert = GOCertificate(verdict="verified-on-family", strategy="family",
-                         count=0, seed=seed)
-
-    basis = [linalg.unit_vec(dim, i) for i in range(dim)]
-    images = [witness_map(b) for b in basis]
-    pairs = list(itertools.combinations(range(dim), 2))
-    sums = []
-    for i, j in pairs:
-        v = list(basis[i])
-        v[j] = ONE
-        sums.append(v)
-    # the witness map must be linear for polarization to close the argument
-    for (i, j), v in zip(pairs, sums):
-        image = witness_map(v)
-        if not linalg.vec_is_zero(linalg.vec_sub(
-                image, linalg.vec_add(images[i], images[j]))):
-            raise WitnessMapError("witness map is not additive on basis pairs")
-        images.append(image)
-    if not all(linalg.vec_is_zero(linalg.vec_sub(
-            witness_map(linalg.vec_scale(c, b)), linalg.vec_scale(c, a)))
-            for b, a in zip(basis, images) for c in (Fraction(2), Fraction(-1))):
-        raise WitnessMapError("witness map is not homogeneous")
-
-    probes = basis + sums
-    rng = random.Random(f"go-family:{seed}")
-    probes.extend(lie_core.random_vector_of_len(dim, rng) for _ in range(count))
-    cert.count = len(probes)
-    for p, x in enumerate(probes):
-        # basis and pair probes take the images the linearity checks computed
-        a_h = images[p] if p < len(images) else witness_map(x)
-        w = Witness(x_m=x, a_h=a_h, residual_sq=go_residual_sq(a_metric, x, a_h))
-        if w.residual_sq != 0:
-            # the supplied witness fails here; only a failing minimizer
-            # falsifies the metric itself
-            a_best, best_sq = go_solve_at(a_metric, x)
-            if best_sq > 0:
-                cert.verdict = "falsified"
-                cert.falsifier = Witness(x_m=x, a_h=a_best, residual_sq=best_sq)
-                return cert
-            raise WitnessMapError(
-                "witness map fails on a vector the metric itself passes")
-        cert.witnesses.append(w)
     return cert
 
 

@@ -120,16 +120,6 @@ def dense(v: Sparse, n: int) -> Vec:
     return out
 
 
-def sparse_dot(x: Vec, y: Sparse):
-    """<x, y> for a dense x and a sparse y."""
-    s = ZERO
-    for i, c in y:
-        xi = x[i]
-        if xi != 0:
-            s += xi * c
-    return s
-
-
 @dataclass
 class Subspace:
     """A subspace with a B-orthogonal basis, kept as sparse vectors, for a

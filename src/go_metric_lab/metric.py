@@ -54,6 +54,20 @@ class MetricEndomorphism:
         return den, cols
 
 
+class LazyMetric(MetricEndomorphism):
+    """A metric whose commutant coordinates are read back on first use."""
+
+    @property
+    def params(self) -> Vec:
+        if self._params is None:
+            self._params = _from_columns(self.decomp, self.columns).params
+        return self._params
+
+    @params.setter
+    def params(self, value: Optional[Vec]) -> None:
+        self._params = value
+
+
 def _pd_check(ga: List[dict]) -> bool:
     """Whether G A, sparse {col: value} rows, is symmetric and PD."""
     return (all(ga[j].get(i, 0) == v for i, row in enumerate(ga)

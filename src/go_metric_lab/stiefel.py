@@ -12,20 +12,24 @@ together with its closed-form witness map
     a_t(X) = r (1 - t) * sum_{i>k} eb_ii,   r = <X, z0> / <z0, z0>,
 
 where z0 = sum_{i<=k} eb_ii spans the center.  Verification checks the
-bracket identities behind the witness on spanning sets and then certifies
-[a_t + X, A_t X] = 0 exactly, at each requested t and, by interpolation
-in t, for every t > 0.  The uniqueness scan reduces the candidate cone,
-sweeps the remaining diagonal cone on an exhaustive grid (proving the
-survivors on the deformation line by the all-t certificate), samples the
-full cone off the diagonal, and cross-checks that the enlarged normalizer
-action leaves only scalars on S1.
+bracket identities behind the witness on spanning sets and certifies
+[a_t + X, A_t X] = 0 exactly for every t > 0 at once, by the t-coefficients
+of its polarization on basis pairs.  The uniqueness scan reduces the
+candidate cone, sweeps the remaining diagonal cone on an exhaustive grid
+(proving the survivors on the deformation line by the all-t certificate),
+samples the full cone off the diagonal, and cross-checks that the enlarged
+normalizer action leaves only scalars on S1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -33,7 +37,7 @@ from . import decomp as decomp_mod
 from . import go as go_mod
 from . import isotropy, lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Vec, ONE, ZERO
+from .linalg import Columns, Sparse, Vec, ONE, ZERO
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -70,6 +74,11 @@ class StiefelSpace:
     @property
     def s1(self) -> isotropy.IsotypicalSummand:
         return self.decomp.nontrivial_summands()[0]
+
+    @cached_property
+    def family_data(self) -> "FamilyData":
+        """The deformation family's coefficients in t, read once."""
+        return _family_data(self)
 
 
 def _canonical_module_indices(space_labels: List[str], n: int, k: int,
@@ -171,31 +180,66 @@ def tilde_map(space: StiefelSpace, x_m: Vec) -> Vec:
     return out
 
 
+@dataclass
+class FamilyData:
+    """A_t = sum_c t^c A_c and a_t = sum_c t^c w_c, coefficient lists of
+    any length: A_c as sparse columns over m, and w_c as the sparse
+    h-coordinates of w_c(e_i) per m-basis vector e_i (so linear in X)."""
+
+    decomp: IsotypicalDecomposition
+    metric: List[Columns]
+    witness: List[List[Sparse]]
+
+    def _at(self, coefficients: list, t) -> Columns:
+        powers = [Fraction(t) ** c for c in range(len(coefficients))]
+        return linalg.combine_columns(powers, coefficients, self.decomp.dim)
+
+    def metric_at(self, t) -> MetricEndomorphism:
+        """A_t, PD-checked exactly; its commutant coordinates are read
+        back on first use."""
+        columns = self._at(self.metric, t)
+        form = metric_mod.form_rows(columns, self.decomp.action.norms)
+        return metric_mod.LazyMetric(decomp=self.decomp, columns=columns,
+                                     params=None,
+                                     is_pd=metric_mod._pd_check(form))
+
+    def witness_at(self, t) -> Callable[[Vec], Vec]:
+        """X -> a_t(X), dense over the h basis."""
+        images, dim_h = self._at(self.witness, t), self.decomp.action.split.h.dim
+        return lambda x_m: linalg.dense(
+            linalg.sparse_mat_vec(images, linalg.sparse(x_m)), dim_h)
+
+
+def _family_data(space: StiefelSpace) -> FamilyData:
+    """A_t = (Id - P_z) + t P_z and a_t = w - t w, w(X) = r(X) sum_{i>k} eb_ii:
+    P_z e_j = r(e_j) z0 and w(e_j) vanish off the support of z0."""
+    dim, nu = space.dim_m, space.split.norms_m
+    z0, a_dir = linalg.sparse(space.z0_m), linalg.sparse(space.a_dir_h)
+    zz = sum((c * c * nu[i] for i, c in z0), ZERO)
+    r = {j: c * nu[j] / zz for j, c in z0}             # r(e_j)
+    p_z = [[(i, r[j] * z) for i, z in z0] if j in r else []
+           for j in range(dim)]
+    w = [[(i, r[j] * a) for i, a in a_dir] if j in r else []
+         for j in range(dim)]
+    a_0 = linalg.combine_columns([ONE, -ONE],
+                                 [[[(j, ONE)] for j in range(dim)], p_z], dim)
+    return FamilyData(decomp=space.decomp, metric=[a_0, p_z],
+                      witness=[w, [[(i, -c) for i, c in col] for col in w]])
+
+
 def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
     """A_t = Id + (t - 1) P_z, P_z the B-orthogonal projector onto the
-    center; PD iff t > 0.  The class projectors of the diagonal family sum
-    to Id - P_z, so A_t is that family at (1, ..., 1, t)."""
-    family = diagonal_family(space)
-    return metric_mod.instantiate(
-        family, [ONE] * (family.n_params - 1) + [Fraction(t)])
+    center; PD iff t > 0."""
+    return space.family_data.metric_at(t)
 
 
 def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
-    """X -> a_t = r (1 - t) sum_{i>k} eb_ii, linear in X, where
-    r = <X, z0> / <z0, z0> = <X, G z0> / <z0, z0>."""
-    nu = space.split.norms_m
-    z0 = [(i, c * nu[i]) for i, c in enumerate(space.z0_m) if c != 0]
-    scale = (1 - Fraction(t)) / linalg.sparse_dot(space.z0_m, z0)
-
-    def a_of(x_m: Vec) -> Vec:
-        return linalg.vec_scale(linalg.sparse_dot(x_m, z0) * scale,
-                                space.a_dir_h)
-
-    return a_of
+    """X -> a_t = r (1 - t) sum_{i>k} eb_ii, r = <X, z0> / <z0, z0>."""
+    return space.family_data.witness_at(t)
 
 
 # ---------------------------------------------------------------------------
-# verification of the family
+# verification of the family: one certificate for every t, viewed at each t
 # ---------------------------------------------------------------------------
 
 def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
@@ -204,121 +248,186 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     All identities are (bi)linear, so basis checks extend to every vector:
     the center rotates S1 by -2 tilde, the witness direction rotates it by
     +2 tilde, each eb_ii acts on its own module by -2 tilde and kills the
-    others, and the witness direction commutes with all of S0.
+    others, and the witness direction commutes with all of S0.  No bracket
+    [a + X, v] may have an h-component.
     """
-    out = {}
-    s1_basis = space.s1.space.basis
-    zero_m = linalg.zero_vec(space.dim_m)
-    # [a + X, Y] as (dense m-coordinates, h-component); every identity
-    # below also needs the h-component to be []
-    def bracket(x_m: Vec, y_m: Vec, a_h: Vec = ()) -> Tuple[Vec, list]:
-        w_m, w_h = go_mod._bracket(space.action, linalg.sparse(x_m),
-                                   linalg.sparse(y_m), linalg.sparse(a_h))
-        return linalg.dense(w_m, space.dim_m), w_h
+    action = space.action
+    z0, a_dir = linalg.sparse(space.z0_m), linalg.sparse(space.a_dir_h)
+    turn = {}                                   # tilde on the coordinates
+    for e, b in space.s1_pairs:
+        turn[e], turn[b] = (b, -1), (e, 1)
 
-    out["center_rotates_s1"] = all(         # [z0, v] = -2 tilde(v)
-        bracket(space.z0_m, v) == (linalg.vec_scale(-2, tilde_map(space, v)), [])
-        for v in s1_basis)
-    out["witness_rotates_s1"] = all(        # [sum_{i>k} eb_ii, v] = 2 tilde(v)
-        bracket(zero_m, v, space.a_dir_h)
-        == (linalg.vec_scale(2, tilde_map(space, v)), [])
-        for v in s1_basis)
+    def acts(x_m: Sparse, a_h: Sparse, vectors, f: int) -> bool:
+        """[a + X, v] = f tilde(v) for every v."""
+        return all(go_mod._bracket(action, x_m, v, a_h) == (linalg.sparse_from(
+            {turn[i][0]: f * turn[i][1] * c for i, c in v}), []) for v in vectors)
 
-    # eb_ii acts on m_i by -2*tilde and kills m_j, j != i
-    ok = True
-    for i in range(1, space.k + 1):
-        ebii = linalg.unit_vec(space.dim_m,
-                               space.m_labels.index(f"eb_{i}_{i}"))
-        for mj, module in enumerate(space.modules, start=1):
-            for v in module.basis:
-                expect = (linalg.vec_scale(-2, tilde_map(space, v))
-                          if mj == i else zero_m)
-                if bracket(ebii, v) != (expect, []):
-                    ok = False
-    out["eb_acts_per_module"] = ok
-
-    s0 = space.decomp.s0.space.basis
-    ok = all(bracket(zero_m, w, space.a_dir_h) == bracket(space.z0_m, w)
-             == (zero_m, []) for w in s0)
-    ok = ok and not any(linalg.sparse_mat_vec(cols, linalg.sparse(w))
-                        for cols in space.action.ad_ops for w in s0)
-    out["witness_commutes_with_s0"] = ok    # [a_t, S0] = [z0, S0] = [h, S0] = 0
-    return out
+    s1, s0 = space.s1.space.sparse_basis, space.decomp.s0.space.sparse_basis
+    ebs = [[(space.m_labels.index(f"eb_{i}_{i}"), ONE)]
+           for i in range(1, space.k + 1)]
+    return {
+        "center_rotates_s1": acts(z0, [], s1, -2),
+        "witness_rotates_s1": acts([], a_dir, s1, 2),
+        "eb_acts_per_module": all(          # -2 tilde on m_i, 0 on m_j
+            acts(eb, [], module.sparse_basis, -2 if i == j else 0)
+            for i, eb in enumerate(ebs)
+            for j, module in enumerate(space.modules)),
+        # [a_t, S0] = [z0, S0] = [h, S0] = 0
+        "witness_commutes_with_s0": all(
+            go_mod._bracket(action, x_m, w, a_h) == ([], [])
+            for x_m, a_h in ((z0, []), ([], a_dir)) for w in s0) and not any(
+            linalg.sparse_mat_vec(op, w) for op in action.ad_ops for w in s0),
+    }
 
 
-# F_t(X) = [a_t(X) + X, A_t X] is a polynomial in t of at most this degree:
-# witness_map and metric_at are both affine in t
-FAMILY_T_DEGREE = 2
-# where the all-t certificate tops up when fewer t are certified
-TOP_UP_T = (Fraction(1), Fraction(2), Fraction(3))
+@dataclass
+class FamilyProof:
+    """The coefficient certificate of [a_t(X) + X, A_t X] = 0.
+
+    F_t(X) = sum_c t^c Q_c(X), each Q_c quadratic in X: F_t = 0 for every
+    t > 0 and X iff every polarization B_c vanishes on every basis pair
+    i <= j (B_c(e_i, e_i) = 2 Q_c(e_i)).  `nonzero` maps (c, i, j) to
+    den B_c(e_i, e_j) where that is not 0, as integer {index: value}
+    parts over m and over h (g-coordinates)."""
+
+    n_coefficients: int
+    n_pairs: int
+    den: int
+    nonzero: Dict[Tuple[int, int, int], Tuple[dict, dict]]
+
+    @property
+    def verified(self) -> bool:
+        return not self.nonzero
+
+    def to_json_dict(self) -> dict:
+        """The first failure is the least (coefficient, pair) and its first
+        nonzero entry, over m before h."""
+        failure = None
+        if self.nonzero:
+            c, i, j = min(self.nonzero)
+            f_m, f_h = self.nonzero[(c, i, j)]
+            part, entries = ("m", f_m) if f_m else ("h", f_h)
+            k = min(entries)
+            failure = {"coefficient": c, "pair": [i, j], "part": part,
+                       "index": k, "value": linalg.frac_to_str(
+                           Fraction(entries[k], self.den))}
+        return {"verified": self.verified,
+                "n_coefficients": self.n_coefficients,
+                "n_pairs": self.n_pairs, "first_failure": failure}
 
 
-def _family_certificate(space: StiefelSpace, t: Fraction, n_samples: int,
-                        seed: int) -> go_mod.GOCertificate:
-    """Polarization certificate of [a_t + X, A_t X] = 0 at one t."""
-    a_t = metric_at(space, t)
-    if not a_t.is_pd:
-        raise ArithmeticError(f"A_t is not positive definite at t={t}")
-    try:
-        return go_mod.go_check(a_t, strategy="family", count=n_samples,
-                               seed=seed, witness_map=witness_map(space, t))
-    except go_mod.WitnessMapError as exc:
-        raise go_mod.WitnessMapError(f"at t={t}: {exc}") from exc
+def certify_family(data: FamilyData) -> FamilyProof:
+    """B_c(e_i, e_j) = sum_{a+b=c} [w_a(e_i) + [a = 0] e_i, A_b e_j] + (i <-> j)
+    for every coefficient c and pair i <= j, on integers over one
+    denominator: brackets in m from `BracketTable.contract`, those of h
+    through the integer isotropy columns."""
+    action = data.decomp.action
+    table, dim = action.split.bracket_table, action.dim
+    da, ys = linalg.cleared_columns(data.metric)       # da A_b e_j
+    dw, ws = linalg.cleared_columns(data.witness)      # dw w_a(e_i)
+    dad, ad_cols = action.integer_ad_columns
+    den = math.lcm(table.denominator, dw * dad)
+    s_x, s_w = den // table.denominator, den // (dw * dad)
+    # dw dad ad(w_a(e_i)) as integer columns, where w_a(e_i) != 0
+    ad_w = [{i: linalg.combine_columns([v for _, v in w],
+                                       [ad_cols[k] for k, _ in w], dim)
+             for i, w in enumerate(images) if w} for images in ws]
+    n_coefficients = len(ys) + max(len(ws), 1) - 1
+    nonzero = {}
+    for i, j in itertools.combinations_with_replacement(range(dim), 2):
+        for c in range(n_coefficients):
+            acc_m: dict = {}
+            acc_h: dict = {}
+            for p, q in ((i, j), (j, i)):
+                if c < len(ys):                       # [e_p, A_c e_q]
+                    b_m, b_h = table.contract([(p, 1)], ys[c][q])
+                    for acc, part in ((acc_m, b_m), (acc_h, b_h)):
+                        for k, v in part.items():
+                            acc[k] = acc.get(k, 0) + s_x * v
+                for a, ops in enumerate(ad_w):        # [w_a(e_p), A_b e_q]
+                    if p in ops and 0 <= c - a < len(ys):
+                        for k, v in linalg.sparse_mat_vec(ops[p], ys[c - a][q]):
+                            acc_m[k] = acc_m.get(k, 0) + s_w * v
+            parts = tuple({k: v for k, v in acc.items() if v}
+                          for acc in (acc_m, acc_h))
+            if any(parts):
+                nonzero[(c, i, j)] = parts
+    return FamilyProof(n_coefficients=n_coefficients,
+                       n_pairs=dim * (dim + 1) // 2, den=den * da,
+                       nonzero=nonzero)
 
 
-def _all_t_verdict(certificates: Dict[Fraction, Optional[go_mod.GOCertificate]]
-                   ) -> dict:
-    """Interpolation in t over per-t certificates (None: no certificate).
+def family_samples(dim: int, n_samples: int, seed: int) -> List[Vec]:
+    """The seeded random probes of a "family" certificate, `n_samples` >= 0."""
+    go_mod.check_sample_count("family", n_samples)
+    rng = random.Random(f"go-family:{seed}")
+    return [lie_core.random_vector_of_len(dim, rng) for _ in range(n_samples)]
 
-    A polynomial of degree at most FAMILY_T_DEGREE that vanishes at
-    FAMILY_T_DEGREE + 1 distinct t vanishes for every t.  Fewer distinct t
-    are below the degree bound and prove nothing; a t whose check fails
-    contradicts the claim.
+
+def family_view(proof: FamilyProof, a_t: MetricEndomorphism,
+                witness: Callable[[Vec], Vec], samples: List[Vec],
+                seed: int) -> go_mod.GOCertificate:
+    """The "family" certificate at one t, a view of the proof.
+
+    Probes: every m-basis vector, every pair sum, then the `family_samples`
+    drawn with `seed`, a cross-check by `go.go_residual_sq` at A_t.  A
+    verified proof gives the basis and pair residuals, 0; after a failed
+    one they are `go_residual_sq`'s too.  A probe the witness fails is
+    solved by least squares, and a positive minimum falsifies A_t.  Only a
+    verified proof with every cross-check zero is "verified-on-family".
     """
-    proved = sorted(t for t, c in certificates.items()
-                    if c is not None and c.verdict == "verified-on-family")
-    return {"verified": (len(proved) == len(certificates)
-                         and len(proved) > FAMILY_T_DEGREE),
-            "degree_bound": FAMILY_T_DEGREE,
-            "t_values": [str(t) for t in proved]}
-
-
-def certify_all_t(space: StiefelSpace,
-                  certificates: Dict[str, go_mod.GOCertificate]) -> dict:
-    """One certificate of [a_t + X, A_t X] = 0 for every t > 0.
-
-    The per-t polarization certificates already computed carry it when
-    they cover FAMILY_T_DEGREE + 1 distinct t; otherwise count-0 family
-    checks at t = 1, 2, 3 top them up.  A top-up whose witness map fails
-    leaves the certificate unverified.
-    """
-    certs = {Fraction(t): c for t, c in certificates.items()}
-    for t in TOP_UP_T:
-        if len(certs) > FAMILY_T_DEGREE:
-            break
-        if t not in certs:
-            try:
-                certs[t] = _family_certificate(space, t, n_samples=0, seed=0)
-            except go_mod.WitnessMapError:
-                certs[t] = None
-    return _all_t_verdict(certs)
+    dim, dim_h = a_t.dim, a_t.decomp.action.split.h.dim
+    probes = [(i, None) for i in range(dim)]
+    probes += itertools.combinations(range(dim), 2)
+    probes += samples
+    cert = go_mod.GOCertificate(
+        verdict="verified-on-family" if proof.verified else "passed-sampling",
+        strategy="family", count=len(probes), seed=seed)
+    images = [linalg.sparse(witness(linalg.unit_vec(dim, i))) for i in range(dim)]
+    for probe in probes:
+        if isinstance(probe, tuple):                 # e_i or e_i + e_j
+            (i, j), x = probe, linalg.unit_vec(dim, probe[0])
+            a_h = linalg.dense(images[i], dim_h)
+            if j is not None:
+                x[j] = ONE
+                for k, c in images[j]:
+                    a_h[k] += c
+            proved = proof.verified
+        else:                                        # the cross-check
+            x, a_h, proved = probe, witness(probe), False
+        w = go_mod.Witness(x, a_h, ZERO if proved
+                           else go_mod.go_residual_sq(a_t, x, a_h))
+        if w.residual_sq != 0:
+            w = go_mod.Witness(w.x_m, *go_mod.go_solve_at(a_t, w.x_m))
+            if w.residual_sq > 0:
+                cert.verdict, cert.falsifier = "falsified", w
+                return cert
+            cert.verdict = "passed-sampling"
+        cert.witnesses.append(w)
+    return cert
 
 
 def verify_family(space: StiefelSpace, t_values: Sequence,
                   n_samples: int = 100, seed: int = 0) -> dict:
-    """Certify [a_t + X, A_t X] = 0 exactly for each t and for all t > 0;
-    report identities.  "certificates" holds the requested t only."""
+    """Certify [a_t + X, A_t X] = 0 for every t > 0 ("all_t"), view it at
+    each requested t ("certificates"), and report the identities; the t
+    values and the sample count are checked before any exact work."""
+    t_values = [Fraction(t) for t in t_values]
+    if any(t <= 0 for t in t_values):
+        raise NotPositiveDefiniteError(f"A_t needs t > 0, got t={min(t_values)}")
+    samples = family_samples(space.dim_m, n_samples, seed)
     identities = check_witness_identities(space)
     if not all(identities.values()):
         raise ArithmeticError(f"witness identities failed: {identities}")
-    certs = {}
+    proof, certs = certify_family(space.family_data), {}
     for t in t_values:
-        t = Fraction(t)
-        if t <= 0:
-            raise NotPositiveDefiniteError(f"A_t needs t > 0, got t={t}")
-        certs[str(t)] = _family_certificate(space, t, n_samples, seed)
+        a_t = metric_at(space, t)
+        if not a_t.is_pd:
+            raise ArithmeticError(f"A_t is not positive definite at t={t}")
+        certs[str(t)] = family_view(proof, a_t, witness_map(space, t),
+                                    samples, seed)
     return {"identities": identities, "certificates": certs,
-            "all_t": certify_all_t(space, certs)}
+            "all_t": proof.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +452,17 @@ def diagonal_family(space: StiefelSpace) -> MetricFamily:
     return family
 
 
-def _eigenvalue(columns: linalg.Columns, v: linalg.Sparse
-                ) -> Optional[Fraction]:
-    """mu with A v = mu v for A's sparse columns and a sparse v, else None."""
-    av = linalg.sparse_mat_vec(columns, v)
-    lead, c = v[0]
-    mu = dict(av).get(lead, ZERO) / c
-    return mu if av == [(i, mu * x) for i, x in v if mu != 0] else None
-
-
 def _is_deformation(space: StiefelSpace, columns: linalg.Columns) -> bool:
-    """True iff A, given by its sparse columns, is lambda A_t (lambda,
-    t > 0): one eigenvalue lambda on su(k) (+) S1 and an eigenvalue on z0."""
-    vectors = [v for s in space.ideals.simples for v in s.sparse_basis]
-    vectors += space.s1.space.sparse_basis
-    lams = {_eigenvalue(columns, v) for v in vectors}
-    mu = _eigenvalue(columns, linalg.sparse(space.z0_m))
-    lam = lams.pop() if len(lams) == 1 else None
-    return lam is not None and lam > 0 and mu is not None and mu > 0
+    """True iff A, given by its sparse columns, is lambda A_0 + mu A_1 =
+    lambda A_t (t = mu / lambda) with lambda, mu > 0: lambda is read off
+    a basis vector outside the center, mu off z0, and A is compared."""
+    a0, a1 = space.family_data.metric
+    e = next(i for i, col in enumerate(a1) if not col)
+    z0 = linalg.sparse(space.z0_m)
+    lam = dict(columns[e]).get(e, ZERO)
+    mu = dict(linalg.sparse_mat_vec(columns, z0)).get(z0[0][0], ZERO) / z0[0][1]
+    return lam > 0 and mu > 0 and columns == linalg.combine_columns(
+        [lam, mu], [a0, a1], space.dim_m)
 
 
 def _deformation_test(space: StiefelSpace, family: MetricFamily
@@ -400,7 +502,7 @@ def uniqueness_scan(space: StiefelSpace,
     samples exercise the off-diagonal directions that no grid of feasible
     size could sweep.  Survivors are classified against the deformation
     family; falsified points carry exact positive squared residuals.
-    With a verified all-t certificate (`certify_all_t`), a grid survivor
+    With a verified all-t certificate (`certify_family`), a grid survivor
     that is lambda A_t is GO by that proof, since lambda A_t takes the
     witness of A_t, and skips its random probes; every other survivor is
     sampled.  `stage(name)` wraps the "reduce" and "scan" stages.

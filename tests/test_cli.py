@@ -297,15 +297,27 @@ def test_reproduce_exit_code_counts_offdiagonal_survivors(
 
 
 def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
+    # a certificate that fails on one pair: exit 1 with the report written,
+    # the failure named, and no per-t view verified
     from go_metric_lab import stiefel
-    monkeypatch.setattr(stiefel, "_all_t_verdict", lambda certs: {
-        "verified": False, "degree_bound": 2, "t_values": []})
+    certify = stiefel.certify_family
+
+    def failing(data):
+        proof = certify(data)
+        proof.nonzero[(1, 0, 2)] = ({0: 1}, {})
+        return proof
+
+    monkeypatch.setattr(stiefel, "certify_family", failing)
     out = tmp_path / "rep.json"
     assert run_cli(["reproduce-theorem", "2", "1", "--resolution", "2",
                     "--offdiagonal-samples", "0", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    assert not report["family_all_t"]["verified"]
-    assert all(c["verdict"] == "verified-on-family"
+    all_t = report["family_all_t"]
+    assert not all_t["verified"]
+    failure = all_t["first_failure"]
+    assert (failure["coefficient"], failure["pair"], failure["part"],
+            failure["index"]) == (1, [0, 2], "m", 0)
+    assert all(c["verdict"] != "verified-on-family"
                for c in report["family_certificates"].values())
     grid = report["uniqueness"]["grid"]
     assert grid["survivors_all_in_family"] and grid["n_survivors"] > 0
@@ -315,20 +327,25 @@ def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
 def test_reproduce_exits_1_naming_t_when_the_witness_map_fails(
         tmp_path, monkeypatch, capsys):
     # a_t(X) = r(X) sum_{i>k} eb_ii without the (1 - t) factor, which is
-    # the map at t = 0, fails at the first requested t, 1/2, where A_t
-    # itself passes
+    # the map at t = 0: the report names the power of t where it fails
     from go_metric_lab import stiefel
-    witness_map = stiefel.witness_map
+    family_data = stiefel._family_data
 
-    def t_free(space, t):
-        return witness_map(space, 0)
+    def t_free(space):
+        data = family_data(space)
+        return stiefel.FamilyData(decomp=data.decomp, metric=data.metric,
+                                  witness=data.witness[:1])
 
-    monkeypatch.setattr(stiefel, "witness_map", t_free)
+    monkeypatch.setattr(stiefel, "_family_data", t_free)
     out = tmp_path / "rep.json"
     assert run_cli(["reproduce-theorem", "2", "1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "at t=1/2" in err and "witness map fails" in err
-    assert not out.exists()
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["family_all_t"]["first_failure"]["coefficient"] == 1
+    assert report["family_all_t"]["n_coefficients"] == 2
+    # A_t itself passes: the failing probes are solved, never falsified
+    assert {c["verdict"] for c in report["family_certificates"].values()} == {
+        "passed-sampling"}
 
 
 STAGE_LINE = re.compile(r"^stage (\w+): \d+\.\d{3} s$")
@@ -365,6 +382,7 @@ def test_verbose_prints_stage_lines_and_keeps_reports(tmp_path, capsys):
     ["--strategy", "random", "--count", "-4"],
     ["--strategy", "family", "--count", "-4"],
     ["--strategy", "basis", "--count", "-1"],
+    ["--strategy", "family", "--count", "-1"],
 ])
 def test_check_go_rejects_bad_count(args, tmp_path, capsys):
     out = tmp_path / "cert.json"

@@ -134,30 +134,51 @@ def test_go_check_falsifies_unequal_weights(space):
 
 
 def test_go_check_family_strategy(space):
+    # the family strategy is a view of the coefficient certificate
     sp = space(3, 1)
-    t = Fraction(1, 2)
-    cert = go_check(stiefel.metric_at(sp, t), strategy="family",
-                    count=50, seed=3, witness_map=stiefel.witness_map(sp, t))
-    assert cert.verdict == "verified-on-family"
+    cert = _view(sp.family_data, Fraction(1, 2), 50, 3)
+    assert cert.verdict == "verified-on-family" and cert.strategy == "family"
     assert all(w.residual_sq == 0 for w in cert.witnesses)
 
 
 def test_family_strategy_requires_witness(space):
+    # go_check takes no witness, so it has no family strategy
     sp = space(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown strategy"):
         go_check(stiefel.metric_at(sp, 2), strategy="family")
 
 
+def _family_data(sp, metric=None, witness=None):
+    data = sp.family_data
+    return stiefel.FamilyData(decomp=sp.decomp,
+                              metric=data.metric if metric is None else metric,
+                              witness=data.witness if witness is None
+                              else witness)
+
+
+def _view(data, t, count=0, seed=0):
+    """The "family" certificate of `data` at t, built the way
+    `check-go --strategy family` builds it."""
+    t = Fraction(t)
+    return stiefel.family_view(
+        stiefel.certify_family(data), data.metric_at(t), data.witness_at(t),
+        stiefel.family_samples(data.decomp.dim, count, seed), seed)
+
+
 def test_family_strategy_rejects_nonlinear_witness(space):
+    # the witness is data on the basis, linear by construction: the basis
+    # images of a quadratic map are no witness, and the proof says so
     sp = space(3, 1)
-    a_t = stiefel.metric_at(sp, 2)
+    d = sp.dim_m
 
     def crooked(x):
         r = center_coefficient(sp, x)
         return linalg.vec_scale(r * r, sp.a_dir_h)     # quadratic in X
 
-    with pytest.raises(ValueError):
-        go_check(a_t, strategy="family", witness_map=crooked)
+    images = [linalg.sparse(crooked(linalg.unit_vec(d, i))) for i in range(d)]
+    data = _family_data(sp, witness=[images])
+    assert not stiefel.certify_family(data).verified
+    assert _view(data, 2).verdict == "passed-sampling"
 
 
 def test_random_strategy_deterministic(space):
@@ -177,11 +198,12 @@ def test_go_check_rejects_counts_out_of_range(space, strategy, count):
     sp = space(3, 2)
     t = Fraction(2)
     with pytest.raises(ValueError, match="count must be at least"):
-        go_check(stiefel.metric_at(sp, t), strategy=strategy, count=count,
-                 witness_map=stiefel.witness_map(sp, t))
+        if strategy == "family":
+            _view(sp.family_data, t, count)
+        else:
+            go_check(stiefel.metric_at(sp, t), strategy=strategy, count=count)
     # the family strategy proves by polarization; zero extra samples is fine
-    cert = go_check(stiefel.metric_at(sp, t), strategy="family", count=0,
-                    witness_map=stiefel.witness_map(sp, t))
+    cert = _view(sp.family_data, t)
     assert cert.verdict == "verified-on-family"
 
 
@@ -662,9 +684,7 @@ def test_grid_rejects_offdiagonal_family(space):
 
 def test_certificate_json_shape(space):
     sp = space(3, 1)
-    t = Fraction(2)
-    cert = go_check(stiefel.metric_at(sp, t), strategy="family", count=5,
-                    seed=1, witness_map=stiefel.witness_map(sp, t))
+    cert = _view(sp.family_data, Fraction(2), 5, 1)
     data = go.certificate_to_json_dict(cert)
     assert data["verdict"] == "verified-on-family"
     assert data["witnesses"][0]["residual_sq"] == "0/1"
@@ -713,37 +733,18 @@ def test_search_go_empty_pd_region(space):
 
 
 def test_family_strategy_flags_wrong_witness_on_go_metric(space):
-    # wrong-but-linear witness on a genuine family metric: the map is blamed
+    # a wrong but linear witness on a genuine family metric: the proof
+    # fails, and every probe is solved by least squares instead
     sp = space(3, 1)
-    a_t = stiefel.metric_at(sp, 2)
-
-    def wrong(x):
-        return linalg.vec_scale(center_coefficient(sp, x) * 7,
-                                sp.a_dir_h)
-
-    with pytest.raises(ValueError, match="witness map fails"):
-        go_check(a_t, strategy="family", witness_map=wrong)
-
-
-def test_witness_map_failures_raise_witness_map_error(space):
-    sp = space(3, 1)
-    a_t = stiefel.metric_at(sp, 2)
-    d = sp.a_dir_h
-
-    def r(x):
-        return center_coefficient(sp, x)
-
-    maps = {
-        "not additive": lambda x: linalg.vec_scale(x[0] * x[1], d),
-        # additive on basis pairs (1 + 1 = 2), but 2 e_i maps to 4
-        "not homogeneous": lambda x: linalg.vec_scale(
-            sum(c * c for c in x), d),
-        "fails on a vector": lambda x: linalg.vec_scale(r(x) * 7, d),
-    }
-    assert issubclass(go.WitnessMapError, ValueError)
-    for text, witness in maps.items():
-        with pytest.raises(go.WitnessMapError, match=text):
-            go_check(a_t, strategy="family", witness_map=witness)
+    w0, _ = sp.family_data.witness
+    data = _family_data(sp, witness=[[[(i, 7 * c) for i, c in col]
+                                      for col in w0]])
+    proof = stiefel.certify_family(data)
+    assert proof.to_json_dict()["first_failure"] is not None
+    cert = _view(data, 2, count=3)
+    assert cert.verdict == "passed-sampling" and cert.falsifier is None
+    assert all(w.residual_sq == 0 for w in cert.witnesses)
+    assert len(cert.witnesses) == cert.count
 
 
 def _reference_family_witnesses(a, witness, count, seed):
@@ -760,55 +761,35 @@ def _reference_family_witnesses(a, witness, count, seed):
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
-def test_family_check_evaluates_the_witness_map_once_per_probe(space, n, k):
-    # basis images, pair images (additivity), 2 d homogeneity images, then
-    # one image per random probe: basis and pair probes reuse theirs
+def test_family_view_matches_the_per_probe_reference(space, monkeypatch,
+                                                     n, k):
+    # the basis and pair residuals of a verified certificate are read off
+    # it; only the random cross-checks evaluate go_residual_sq
     sp = space(n, k)
     t, count, seed = Fraction(5, 2), 7, 11
     a_t = stiefel.metric_at(sp, t)
-    witness = stiefel.witness_map(sp, t)
+    reference = _reference_family_witnesses(
+        a_t, stiefel.witness_map(sp, t), count, seed)
     calls = []
-
-    def counted(x):
-        calls.append(x)
-        return witness(x)
-
-    cert = go_check(a_t, strategy="family", count=count, seed=seed,
-                    witness_map=counted)
+    real = go.go_residual_sq
+    monkeypatch.setattr(go, "go_residual_sq",
+                        lambda *args: calls.append(args) or real(*args))
+    cert = _view(sp.family_data, t, count, seed)
     d = sp.dim_m
-    assert len(calls) == d + d * (d - 1) // 2 + 2 * d + count
-    reference = _reference_family_witnesses(a_t, witness, count, seed)
+    assert len(calls) == count
+    assert [args[1] for args in calls] == [w.x_m for w in reference[-count:]]
     assert cert.verdict == "verified-on-family"
     assert cert.count == len(reference) == d + d * (d - 1) // 2 + count
     assert cert.witnesses == reference
-    assert all(w.residual_sq == 0 for w in cert.witnesses)
-
-    # off by one h-vector on a single basis pair: not additive
-    d_h = sp.split.h.dim
-    bent = linalg.vec_add(linalg.unit_vec(d, 1), linalg.unit_vec(d, d - 1))
-
-    def crooked(x):
-        image = witness(x)
-        if x == bent:
-            image = linalg.vec_add(image, linalg.unit_vec(d_h, 0))
-        return image
-
-    with pytest.raises(go.WitnessMapError, match="not additive"):
-        go_check(a_t, strategy="family", count=count, seed=seed,
-                 witness_map=crooked)
 
 
 def test_family_strategy_falsifies_non_go_metric(space):
-    # zero witness map on a non-GO metric: the metric is falsified
+    # zero witness on a non-GO metric: the metric is falsified
     sp = space(3, 2)
     p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
-    a = metric.from_matrix(sp.decomp, mat_add(
-        identity(sp.dim_m), p_s1))
-
-    def zero(x):
-        return linalg.zero_vec(sp.split.h.dim)
-
-    cert = go_check(a, strategy="family", witness_map=zero)
+    data = _family_data(sp, metric=[columns(mat_add(identity(sp.dim_m),
+                                                    p_s1))], witness=[])
+    cert = _view(data, 2)
     assert cert.verdict == "falsified"
     assert cert.falsifier.residual_sq > 0
 

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from go_metric_lab import go, lie_core, linalg, metric, stiefel
 from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
                                    metric_at, tilde_map, verify_family)
-from oracles import (center_coefficient, gram_dot, identity, mat_add,
-                     matrix_of, projector)
+from oracles import (center_coefficient, columns, gram_dot, identity,
+                     mat_add, matrix_of, projector)
 
 
 def test_build_examples(space):
@@ -177,6 +177,19 @@ def test_verify_family_rejects_nonpositive_t(space):
         verify_family(space(2, 1), [Fraction(-1)])
 
 
+@pytest.mark.parametrize("t_values,n_samples", [
+    ([1, 0], 5), ([2, Fraction(-1, 3)], 0), ([1, 2], -1)])
+def test_verify_family_validates_before_any_exact_work(
+        space, monkeypatch, t_values, n_samples):
+    sp = space(2, 1)
+    identities = _count_calls(monkeypatch, stiefel, "check_witness_identities")
+    proofs = _count_calls(monkeypatch, stiefel, "certify_family")
+    error = ValueError if n_samples < 0 else NotPositiveDefiniteError
+    with pytest.raises(error):
+        verify_family(sp, t_values, n_samples=n_samples)
+    assert identities == proofs == []
+
+
 def test_verify_family_raises_on_a_non_pd_metric(space, monkeypatch):
     # the PD precondition of the certificate survives python -O
     sp = space(2, 1)
@@ -310,44 +323,176 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_all_t_certificate_reuses_the_requested_t(space, monkeypatch):
+def test_all_t_certificate_is_independent_of_the_requested_t(space,
+                                                             monkeypatch):
+    # one coefficient pass proves every t; the requested t only pick views
     sp = space(3, 2)
     checks = _count_calls(monkeypatch, go, "go_check")
-    rep = verify_family(sp, [Fraction(1, 2), 1, 2, 3], n_samples=5)
-    assert rep["all_t"] == {"verified": True, "degree_bound": 2,
-                            "t_values": ["1/2", "1", "2", "3"]}
-    assert len(checks) == 4                     # no exact work beyond the t asked
-    assert sorted(rep["certificates"]) == ["1", "1/2", "2", "3"]
+    solves = _count_calls(monkeypatch, go, "go_solve_at")
+    d = sp.dim_m
+    for t_values in ([Fraction(1, 2), 1, 2, 3], [Fraction(1, 2), 2], []):
+        rep = verify_family(sp, t_values, n_samples=5)
+        assert rep["all_t"] == {"verified": True, "n_coefficients": 3,
+                                "n_pairs": d * (d + 1) // 2,
+                                "first_failure": None}
+        assert sorted(rep["certificates"]) == sorted(
+            str(Fraction(t)) for t in t_values)
+    assert checks == [] and solves == []
 
 
-def test_all_t_certificate_tops_up_below_three_t(space, monkeypatch):
+def _mutated(data, metric=None, witness=None):
+    return stiefel.FamilyData(decomp=data.decomp,
+                              metric=data.metric if metric is None else metric,
+                              witness=data.witness if witness is None
+                              else witness)
+
+
+def _scaled(c, columns):
+    return [[(i, c * v) for i, v in col] for col in columns]
+
+
+def _failing_pairs(proof):
+    return {(i, j) for _, i, j in proof.nonzero}
+
+
+def test_witness_without_the_one_minus_t_factor_fails_all_t(space):
+    # a_t(X) = r(X) sum_{i>k} eb_ii: the t = 0 witness at every t; the
+    # certificate names the t^1 coefficient, where -t w no longer cancels
     sp = space(3, 2)
-    checks = _count_calls(monkeypatch, go, "go_check")
-    rep = verify_family(sp, [Fraction(1, 2), 2], n_samples=5)
-    assert rep["all_t"] == {"verified": True, "degree_bound": 2,
-                            "t_values": ["1/2", "1", "2"]}
-    assert len(checks) == 3
-    assert checks[2][1]["count"] == 0           # the top-up at t = 1
-    assert sorted(rep["certificates"]) == ["1/2", "2"]
+    data = sp.family_data
+    proof = stiefel.certify_family(_mutated(data, witness=data.witness[:1]))
+    block = proof.to_json_dict()
+    assert not block["verified"] and block["n_coefficients"] == 2
+    assert block["first_failure"]["coefficient"] == 1
 
 
-def test_two_t_values_are_below_the_degree_bound(space):
-    sp = space(3, 2)
-    certs = verify_family(sp, [Fraction(1, 2), 2], n_samples=0)["certificates"]
-    verdict = stiefel._all_t_verdict({Fraction(t): c for t, c in certs.items()})
-    assert all(c.verdict == "verified-on-family" for c in certs.values())
-    assert verdict == {"verified": False, "degree_bound": 2,
-                       "t_values": ["1/2", "2"]}
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+def test_witness_right_at_three_t_but_not_affine_is_not_proved(space, n, k):
+    # a_t + (t - 1)(t - 2)(t - 3) w: equal to a_t at t = 1, 2, 3, so every
+    # view there has zero residuals; only the coefficients see the cubic
+    sp = space(n, k)
+    data = sp.family_data
+    w0, w1 = data.witness
+
+    def plus(coeff, w):                         # w + coeff w0
+        return linalg.combine_columns([1, coeff], [w, w0], sp.dim_m)
+
+    cubic = _mutated(data, witness=[plus(-6, w0), plus(11, w1),
+                                    _scaled(-6, w0), w0])
+    proof = stiefel.certify_family(cubic)
+    block = proof.to_json_dict()
+    assert not block["verified"] and block["n_coefficients"] == 5
+    for t in (1, 2, 3):
+        view = stiefel.family_view(
+            proof, cubic.metric_at(t), cubic.witness_at(t),
+            stiefel.family_samples(sp.dim_m, 5, 0), 0)
+        assert all(w.residual_sq == 0 for w in view.witnesses)
+        assert view.verdict == "passed-sampling"
+    assert stiefel.certify_family(data).verified
 
 
-def test_witness_without_the_one_minus_t_factor_fails_all_t(space, monkeypatch):
-    # a_t(X) = r(X) sum_{i>k} eb_ii: the t = 0 witness at every t
-    sp = space(3, 2)
-    witness_map = stiefel.witness_map
-    monkeypatch.setattr(stiefel, "witness_map",
-                        lambda space, t: witness_map(space, 0))
-    assert stiefel.certify_all_t(sp, {}) == {
-        "verified": False, "degree_bound": 2, "t_values": []}
+def test_doubled_t1_witness_part_is_not_proved(space):
+    sp = space(4, 3)
+    data = sp.family_data
+    w0, w1 = data.witness
+    proof = stiefel.certify_family(
+        _mutated(data, witness=[w0, _scaled(2, w1)]))
+    assert not proof.to_json_dict()["verified"]
+    assert len(_failing_pairs(proof)) == 18
+
+
+@pytest.mark.parametrize("which", ["twice the projector", "module projector",
+                                   "not equivariant"])
+def test_a1_that_is_not_the_center_projector_is_not_proved(space, which):
+    sp = space(4, 2)
+    data = sp.family_data
+    a0, p_z = data.metric
+    if which == "twice the projector":
+        a1 = _scaled(2, p_z)
+    elif which == "module projector":
+        a1 = columns(projector(sp.modules[0], sp.action.norms, sp.dim_m))
+    else:                                   # e_13 -> eb_13 and nothing else
+        a1 = [[] for _ in range(sp.dim_m)]
+        a1[sp.m_labels.index("e_1_3")] = [(sp.m_labels.index("eb_1_3"), 1)]
+    proof = stiefel.certify_family(_mutated(data, metric=[a0, a1]))
+    block = proof.to_json_dict()
+    assert not block["verified"] and block["first_failure"] is not None
+    # [e_13, eb_13] has an h-component: the certificate checks h too
+    assert any(h for _, h in proof.nonzero.values()) == (
+        which == "not equivariant")
+
+
+def test_one_scaled_bracket_table_entry_is_not_proved():
+    sp = build_stiefel(3, 2)                # a fresh table to mutate
+    table = sp.split.bracket_table
+    assert stiefel.certify_family(sp.family_data).verified
+    a = sp.m_labels.index("eb_1_1")
+    b = sp.m_labels.index("e_1_3")
+    assert table.m[a][b]
+    table.m[a][b] = [(i, 2 * c) for i, c in table.m[a][b]]
+    table.__dict__.pop("_integer_rows", None)
+    block = stiefel.certify_family(sp.family_data).to_json_dict()
+    assert not block["verified"]
+    assert block["first_failure"]["pair"] in ([a, b], [b, a])
+    # the identities behind the witness see the same entry
+    identities = stiefel.check_witness_identities(sp)
+    assert not identities["center_rotates_s1"]
+    assert not identities["eb_acts_per_module"]
+
+
+def _polynomial_at(proof, t, i, j):
+    """sum_c t^c Q_c at e_i, or at e_i + e_j, from the certificate's
+    polarizations: Q_c(e_i) = B_c(e_i, e_i) / 2."""
+    half = Fraction(1, 2)
+    terms = [(i, i, half)] + ([(j, j, half), (i, j, 1)] if j is not None
+                              else [])
+    out = ({}, {})
+    for (c, p, q), parts in proof.nonzero.items():
+        for f in [f for a, b, f in terms if (a, b) == (p, q)]:
+            for acc, part in zip(out, parts):
+                for k, v in part.items():
+                    acc[k] = acc.get(k, 0) + t ** c * f * Fraction(v, proof.den)
+    return tuple(linalg.sparse_from(acc) for acc in out)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+def test_certificate_polynomial_matches_the_per_t_residuals(space, n, k):
+    # sum_c t^c Q_c at every basis and pair probe against [a_t + X, A_t X]
+    # of the per-t path: zero for the family, and entry for entry on a
+    # witness whose t^1 part is doubled
+    sp = space(n, k)
+    data = sp.family_data
+    w0, w1 = data.witness
+    doubled = _mutated(data, witness=[w0, _scaled(2, w1)])
+    proofs = {"family": (data, stiefel.certify_family(data)),
+              "doubled": (doubled, stiefel.certify_family(doubled))}
+    rng = random.Random(f"t-polynomial:{n}:{k}")
+    d = sp.dim_m
+    probes = [(i, None) for i in range(d)]
+    probes += itertools.combinations(range(d), 2)
+    nonzero = 0
+    for name, (fam, proof) in proofs.items():
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        a_t, a_of = fam.metric_at(t), fam.witness_at(t)
+        for i, j in probes:
+            x = linalg.unit_vec(d, i)
+            if j is not None:
+                x[j] = Fraction(1)
+            a_h = a_of(x)
+            res_sq = go.go_residual_sq(a_t, x, a_h)
+            xs = linalg.sparse(x)
+            want = go._bracket(sp.action, xs,
+                               linalg.sparse_mat_vec(a_t.columns, xs),
+                               linalg.sparse(a_h))
+            f_m, f_h = _polynomial_at(proof, t, i, j)
+            assert (f_m, f_h) == want
+            assert res_sq == (sum(c * c * sp.split.norms_m[k] for k, c in f_m)
+                              + sum(c * c * sp.algebra.gram[k][k]
+                                    for k, c in f_h))
+            if name == "family":
+                assert res_sq == 0
+            nonzero += res_sq != 0
+    assert nonzero > 0
 
 
 def test_theorem_grid_survivors_make_no_least_squares_solve(monkeypatch):
