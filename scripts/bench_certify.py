@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Time the certification layers of one or more checkouts, alternating.
 
-For each (n, k) of (4,3), (6,3) and (8,4) the script times
-`stiefel.build_stiefel`, `go.reduce_family` and `stiefel.verify_family`
-(100 samples, t in {1/2, 1, 2, 3}) in a fresh interpreter that imports the
+For each (n, k) of (4,3), (6,3), (8,4) and (8,7) the script times
+`stiefel.build_stiefel`, `metric.sym_commutant_basis`, `go.reduce_family`,
+`stiefel.grassmannian_cross_check` and `stiefel.verify_family` (100
+samples, t in {1/2, 1, 2, 3}) in a fresh interpreter that imports the
 package from `CHECKOUT/src`, and records that interpreter's peak RSS.
+The first four run back to back; their sum, `construct_s`, is the
+construction plus reduction plus cross-check time that ROADMAP item 5
+bounds on (8,7).
 With `--scan` it times instead the off-diagonal scan: `go.search_go` over
 `metric.full_family` with 40 drawn samples and no grid, on (4,2), (4,3)
 and (6,3), and records a digest of the falsified entries so that
@@ -36,11 +40,12 @@ import sys
 import tempfile
 import time
 
-SPACES = ((4, 3), (6, 3), (8, 4))
+SPACES = ((4, 3), (6, 3), (8, 4), (8, 7))
 T_VALUES = ("1/2", "1", "2", "3")
 N_SAMPLES = 100
 SEED = 0
-LAYERS = ("build_s", "reduce_s", "verify_s", "peak_rss_mb")
+LAYERS = ("build_s", "basis_s", "reduce_s", "cross_s", "construct_s",
+          "verify_s", "peak_rss_mb")
 SCAN_SPACES = ((4, 2), (4, 3), (6, 3))
 SCAN_SAMPLES = 40
 SCAN_LAYERS = ("build_s", "scan_s", "peak_rss_mb")
@@ -69,20 +74,28 @@ def child(checkout: str, n: int, k: int) -> dict:
     """One timed run in this interpreter; the package comes from checkout."""
     from fractions import Fraction
 
-    go, _, stiefel = _import_from(checkout)
-    t0 = time.perf_counter()
+    go, metric, stiefel = _import_from(checkout)
+    marks = [time.perf_counter()]
     space = stiefel.build_stiefel(n, k)
-    t1 = time.perf_counter()
+    marks.append(time.perf_counter())
+    metric.sym_commutant_basis(space.decomp)
+    marks.append(time.perf_counter())
     go.reduce_family(space.decomp, seed=SEED)
-    t2 = time.perf_counter()
+    marks.append(time.perf_counter())
+    irreducible = stiefel.grassmannian_cross_check(space)
+    marks.append(time.perf_counter())
     report = stiefel.verify_family(space, [Fraction(t) for t in T_VALUES],
                                    n_samples=N_SAMPLES, seed=SEED)
-    t3 = time.perf_counter()
+    marks.append(time.perf_counter())
     verdicts = {c.verdict for c in report["certificates"].values()}
     if verdicts != {"verified-on-family"} or not report["all_t"]["verified"]:
         raise SystemExit(f"({n},{k}) was not certified: {sorted(verdicts)}")
-    return {"build_s": round(t1 - t0, 4), "reduce_s": round(t2 - t1, 4),
-            "verify_s": round(t3 - t2, 4), "peak_rss_mb": _peak_rss_mb()}
+    if not irreducible:
+        raise SystemExit(f"({n},{k}) failed the Grassmannian cross-check")
+    steps = [round(b - a, 4) for a, b in zip(marks, marks[1:])]
+    return {"build_s": steps[0], "basis_s": steps[1], "reduce_s": steps[2],
+            "cross_s": steps[3], "construct_s": round(marks[4] - marks[0], 4),
+            "verify_s": steps[4], "peak_rss_mb": _peak_rss_mb()}
 
 
 def scan_child(checkout: str, n: int, k: int) -> dict:

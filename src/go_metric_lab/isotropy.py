@@ -24,6 +24,15 @@ strategy, all in exact rational arithmetic:
 * the equivariance systems behind commutants and intertwiners are
   assembled as integer rows by one routine (`_equivariance_rows`) and
   eliminated fraction-free (`linalg.nullspace`, sparse solutions);
+* every equivariance system is solved against ad(x) for x over a Lie
+  generating set only (`IsotropyAction.generator_ops`; for S0 in
+  `split_ideals`, generators over its center), picked by
+  `lie_generators`: the action is a Lie algebra map and H is connected,
+  so an operator commuting with ad(x) and ad(y) commutes with
+  ad([x, y]), and a subspace they preserve it preserves too; the
+  solution spaces are those of the whole basis.  What needs h-coordinates
+  (`integer_ad_columns`, the GO residuals and solves, the family
+  certificate) keeps the whole basis, `ad_ops`;
 * S0 splits into its center and simple ideals once per decomposition
   (`IsotypicalDecomposition.ideals`), with no seed: the ideal projectors
   span the symmetric commutant there, so commutant basis elements always
@@ -40,9 +49,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
+from . import lie_core, linalg
 from .decomp import ReductiveSplit
-from .linalg import Columns, Subspace, Vec, ONE, make_subspace
+from .linalg import Columns, Sparse, Subspace, Vec, ONE, make_subspace
 
 
 class DecompositionError(ArithmeticError):
@@ -92,6 +101,62 @@ class IsotropyAction:
         den = linalg.denominator(self.norms + g_norms)
         return (den, [c.numerator * (den // c.denominator) for c in self.norms],
                 [c.numerator * (den // c.denominator) for c in g_norms])
+
+    @cached_property
+    def generator_ops(self) -> List[Columns]:
+        """ad(a)|_m for the h-basis elements a that generate h
+        (`lie_generators`, closed in g), a sublist of `ad_ops`: an operator
+        commutes with every ad_op, and a subspace is invariant under every
+        ad_op, iff that holds for these."""
+        h = self.split.h
+        gens = lie_generators(
+            [linalg.sparse(v) for v in h.basis_coords],
+            lambda x, y: lie_core.sparse_bracket(h.parent, x, y))
+        return [self.ad_ops[i] for i in gens]
+
+
+def lie_generators(basis: Sequence[Sparse],
+                   bracket: Callable[[Sparse, Sparse], Sparse],
+                   base: Sequence[Sparse] = ()) -> List[int]:
+    """Indices of basis elements whose Lie closure, together with the base,
+    spans the basis: taken greedily in basis order, each element that is
+    not yet in the span of the closure so far joins it.
+
+    The closure of a set is the least subspace that contains it and that
+    ad(x) preserves for every x in it (right-normed brackets span the
+    subalgebra it generates), so a new element is bracketed with what is
+    there and each new vector with the set.  The span is kept in echelon
+    form (`linalg.add_pivot`); the result is certified by `pivot_rows`
+    over the closure reaching the rank of the basis, which must be
+    independent.
+    """
+    echelon: dict = {}
+    span: List[Sparse] = []             # independent vectors of the closure
+    ads: List[Sparse] = []              # the base and the chosen elements
+    chosen = []
+
+    def grow(v: Sparse) -> bool:
+        if not linalg.add_pivot(echelon, dict(v)):
+            return False
+        span.append(v)
+        return True
+
+    for i, x in enumerate([*base, *basis]):
+        if not grow(x):
+            continue
+        if i >= len(base):
+            chosen.append(i - len(base))
+        work = [(x, v) for v in span[:-1]] + [(a, x) for a in ads]
+        ads.append(x)
+        while work:
+            w = bracket(*work.pop())
+            if w and grow(w):
+                work.extend((a, w) for a in ads)
+    if len(linalg.pivot_rows(dict(v) for v in span)) != len(basis):
+        raise DecompositionError(
+            f"the closure of {len(chosen)} generators does not span the "
+            f"{len(basis)} basis elements")
+    return chosen
 
 
 def isotropy_action(split: ReductiveSplit) -> IsotropyAction:
@@ -192,7 +257,7 @@ def intertwiners(action: IsotropyAction, sub_a: Subspace,
                  sub_b: Subspace) -> List[Columns]:
     """Basis of equivariant maps sub_a -> sub_b: d_a sparse columns over
     the sub_b basis each."""
-    ops = [[restrict_op(op, sub, action.norms) for op in action.ad_ops]
+    ops = [[restrict_op(op, sub, action.norms) for op in action.generator_ops]
            for sub in (sub_a, sub_b)]
     if any(r is None for r in ops[0] + ops[1]):
         raise ValueError("subspace is not invariant under the action")
@@ -381,7 +446,8 @@ def decompose_isotypic(action: IsotropyAction,
     """Split m into S0 and isotypical summands of equivalent submodules."""
     dim = action.dim
     norms = action.norms
-    s0_space = joint_kernel(action.ad_ops, norms, dim)
+    gens = action.generator_ops
+    s0_space = joint_kernel(gens, norms, dim)
 
     members_s0 = [Submodule(space=make_subspace([b], norms), trivial=True,
                             commutant_dim=1)
@@ -397,7 +463,7 @@ def decompose_isotypic(action: IsotropyAction,
     else:
         extra = squared_ad_candidates(action, s0_space)
         rest_pieces = minimal_invariant_pieces(
-            action.ad_ops, norms, _complement(s0_space, norms),
+            gens, norms, _complement(s0_space, norms),
             extra_ops=extra, seed=seed)
 
     # each piece comes with the action restricted to it, and its symmetric
@@ -473,6 +539,7 @@ def decompose_isotypic(action: IsotropyAction,
 class IdealSplit:
     center: Subspace
     simples: List[Subspace]
+    generators: List[Sparse]    # S0 elements that, with the center, generate S0
 
 
 def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Columns]:
@@ -512,10 +579,22 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
     norms = split.norms_m
     center = make_subspace(to_ambient(center_local.sparse_basis), norms)
     if center.dim == s0.dim:
-        return IdealSplit(center=center, simples=[])
+        return IdealSplit(center=center, simples=[], generators=[])
+
+    def bracket(x: Sparse, y: Sparse) -> Sparse:
+        acc: dict = {}
+        for i, xi in x:
+            for k, c in linalg.sparse_mat_vec(ops[i], y):
+                acc[k] = acc.get(k, 0) + xi * c
+        return linalg.sparse_from(acc)
+
+    # S0 basis elements that generate S0 over its center; the center acts
+    # by zero, so a piece is an ideal iff these preserve it
+    gens = lie_generators([[(i, ONE)] for i in range(s0.dim)], bracket,
+                          base=center_local.sparse_basis)
 
     # pieces of the adjoint action of S0 on its semisimple part
-    pieces = minimal_invariant_pieces(ops, s0.norms,
+    pieces = minimal_invariant_pieces([ops[i] for i in gens], s0.norms,
                                       _complement(center_local, s0.norms))
     simples = []
     for piece, _ in pieces:
@@ -528,4 +607,5 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
         if not nonabelian:
             raise DecompositionError("minimal ideal of the semisimple part is abelian")
         simples.append(amb)
-    return IdealSplit(center=center, simples=simples)
+    return IdealSplit(center=center, simples=simples,
+                      generators=[s0.sparse_basis[i] for i in gens])

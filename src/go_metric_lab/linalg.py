@@ -301,6 +301,24 @@ def _reduce(row: dict, pivots: dict) -> dict:
     return row
 
 
+def add_pivot(pivots: dict, row) -> bool:
+    """Reduce a row, as in `pivot_rows`, against echelon pivot rows
+    {lead: primitive integer row with a positive lead} (not necessarily
+    reduced) and add what is left as a pivot row; whether the row was
+    independent of them."""
+    row = _primitive_row(row)
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            if row[lead] < 0:
+                row = {k: -v for k, v in row.items()}
+            pivots[lead] = row
+            return True
+        row = _eliminate(row, piv, lead)
+    return False
+
+
 def pivot_rows(rows: Iterable) -> dict:
     """The reduced echelon form of dense or sparse {col: value} rows with
     int or Fraction entries, as {pivot column: primitive integer row with
@@ -311,16 +329,8 @@ def pivot_rows(rows: Iterable) -> dict:
     same steps from the last pivot back does the back-substitution.
     """
     pivots: dict = {}
-    for row in map(_primitive_row, rows):
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                if row[lead] < 0:
-                    row = {k: -v for k, v in row.items()}
-                pivots[lead] = row
-                break
-            row = _eliminate(row, piv, lead)
+    for row in rows:
+        add_pivot(pivots, row)
     for lead in sorted(pivots, reverse=True):
         # the row has no entry left of its lead, and the pivots right of
         # it are reduced already

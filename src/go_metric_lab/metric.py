@@ -141,10 +141,15 @@ def from_matrix(decomp: IsotypicalDecomposition,
 # ---------------------------------------------------------------------------
 
 def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Columns]:
-    """ad(Z)|_m for Z over a basis of h (+) S0, the normalizer algebra."""
-    action = decomp.action
-    return list(action.ad_ops) + [isotropy._ad_columns(action.split, z)
-                                  for z in decomp.s0.space.sparse_basis]
+    """ad(Z)|_m for Z over generators of h (+) S0, the normalizer algebra:
+    h's generators, S0's generators and its center basis, which generate it
+    as [h, S0] = 0.  An operator commutes with ad(Z) for every Z in
+    h (+) S0, and a subspace is invariant under all of them, iff that holds
+    for these."""
+    action, ideals = decomp.action, decomp.ideals
+    return list(action.generator_ops) + [
+        isotropy._ad_columns(action.split, z)
+        for z in ideals.generators + ideals.center.sparse_basis]
 
 
 def _commutes(s: Columns, ops: List[Tuple[Columns, List[dict]]]) -> bool:
@@ -433,7 +438,7 @@ def sym_commutant_basis(decomp: IsotypicalDecomposition) -> List[Columns]:
     commutant); and for a < b in one class, in the span of the exact
     nullspace basis of Hom(a, b), with its B-adjoint below.  The block
     operators are checked to be independent, and the basis to commute with
-    the action.
+    the action, read off generators of h (`IsotropyAction.generator_ops`).
 
     `commutant_sym_ops` on all of m solves to vectors that are 1 at their
     free parameter, 0 at every other and have no entry beyond it: the
@@ -458,7 +463,7 @@ def sym_commutant_basis(decomp: IsotypicalDecomposition) -> List[Columns]:
         [(*upper[k], Fraction(v, row[q])) for k, v in sorted(row.items(),
                                                              reverse=True)],
         action.norms) for q, row in sorted(pivots.items(), reverse=True)]
-    ad = [(op, linalg.column_rows(op, d)) for op in action.ad_ops]
+    ad = [(op, linalg.column_rows(op, d)) for op in action.generator_ops]
     if not all(_commutes(s, ad) for s in basis):
         raise ArithmeticError(
             "an assembled operator does not commute with the action")

@@ -272,11 +272,12 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
             acts(eb, [], module.sparse_basis, -2 if i == j else 0)
             for i, eb in enumerate(ebs)
             for j, module in enumerate(space.modules)),
-        # [a_t, S0] = [z0, S0] = [h, S0] = 0
+        # [a_t, S0] = [z0, S0] = [h, S0] = 0, the last on generators of h
         "witness_commutes_with_s0": all(
             go_mod._bracket(action, x_m, w, a_h) == ([], [])
             for x_m, a_h in ((z0, []), ([], a_dir)) for w in s0) and not any(
-            linalg.sparse_mat_vec(op, w) for op in action.ad_ops for w in s0),
+            linalg.sparse_mat_vec(op, w) for op in action.generator_ops
+            for w in s0),
     }
 
 

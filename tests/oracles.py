@@ -12,14 +12,15 @@ from the dense m-basis Gram, family coordinates by one dense solve, the
 bracket table contracted in `Fraction`s, commutant operators filled in
 from every parameter, dense Gauss-Jordan elimination (`rref`), sparse
 elimination, positive definiteness and the GO residual in `Fraction`s,
-and the dense Krylov minimal polynomial and eigen-split.  The package
+the dense Krylov minimal polynomial and eigen-split, and the normalizer
+action over a whole basis of h (+) S0 (`whole_normalizer_ops`).  The package
 keeps every operator on m as sparse columns; `columns` and `dense_op`
 convert between that form and dense row lists.
 """
 
 from fractions import Fraction
 
-from go_metric_lab import decomp, lie_core, linalg, metric
+from go_metric_lab import decomp, isotropy, lie_core, linalg, metric
 
 
 def gram_dot(gram, x, y):
@@ -128,6 +129,15 @@ def inner(g, x, y):
         raise lie_core.DimensionMismatchError(
             f"expected coordinate length {g.dim}, got {len(x)} and {len(y)}")
     return gram_dot(g.gram, x, y)
+
+
+def whole_normalizer_ops(dec):
+    """ad(Z)|_m for Z over a basis of h (+) S0: every isotropy operator
+    and every S0-basis operator, where `metric.normalizer_ops` keeps
+    generators only."""
+    action = dec.action
+    return list(action.ad_ops) + [isotropy._ad_columns(action.split, z)
+                                  for z in dec.s0.space.sparse_basis]
 
 
 def mat_add(a, b):

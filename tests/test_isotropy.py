@@ -11,7 +11,7 @@ from go_metric_lab.isotropy import (commutant_sym_ops, decompose_isotypic,
                                     intertwiners, isotropy_action, restrict_op,
                                     split_ideals)
 from oracles import (columns, combine, dense_op, fraction_nullspace, gram_dot,
-                     identity, mat_add, norm_dot, solve_consistent,
+                     identity, mat_add, norm_dot, rref, solve_consistent,
                      sym_op_from_params)
 
 
@@ -395,10 +395,11 @@ def test_integer_nullspace_matches_fraction_oracle(monkeypatch, two_torus):
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
 def test_decomposition_solves_each_piece_once(space, monkeypatch, n, k):
-    # the split restricts the action to each piece it examines and solves
-    # that piece's symmetric commutant once; an accepted module keeps its
-    # restricted action for its full commutant, its class and its
-    # intertwiners, so nothing is restricted or solved again
+    # the split restricts the action's generator operators, and no other
+    # isotropy operator, to each piece it examines and solves that piece's
+    # symmetric commutant once; an accepted module keeps its restricted
+    # action for its full commutant, its class and its intertwiners, so
+    # nothing is restricted or solved again
     action = space(n, k).action
     calls = {"commutant": 0, "restrict": 0}
     splits = []
@@ -425,5 +426,139 @@ def test_decomposition_solves_each_piece_once(space, monkeypatch, n, k):
     modules = sum(len(s.members) for s in dec.nontrivial_summands())
     examined = modules + sum(splits)        # accepted or split, once each
     assert modules >= 2 and sum(splits) >= 1
+    assert len(action.generator_ops) < len(action.ad_ops)
     assert calls == {"commutant": examined,
-                     "restrict": examined * len(action.ad_ops)}
+                     "restrict": examined * len(action.generator_ops)}
+
+
+# ---------------------------------------------------------------------------
+# Lie generators: every equivariance system is solved against them
+# ---------------------------------------------------------------------------
+
+def _so3_bracket(x, y):
+    """[e_a, e_b] = e_c for (a, b, c) cyclic in (0, 1, 2), on sparse
+    coordinates."""
+    acc = {}
+    for a, xa in x:
+        for b, yb in y:
+            c = 3 - a - b
+            if a != b:
+                sign = 1 if (b - a) % 3 == 1 else -1
+                acc[c] = acc.get(c, 0) + sign * xa * yb
+    return linalg.sparse_from(acc)
+
+
+def test_lie_generators_of_so3():
+    basis = [[(i, Fraction(1))] for i in range(3)]
+    assert isotropy.lie_generators(basis, _so3_bracket) == [0, 1]
+    # e_2 already spans the base; e_0 brings e_1 = [e_2, e_0] with it
+    assert isotropy.lie_generators(basis, _so3_bracket,
+                                   base=[basis[2]]) == [0]
+    # an abelian bracket keeps every element
+    assert isotropy.lie_generators(basis, lambda x, y: []) == [0, 1, 2]
+
+
+def test_lie_generators_certify_the_span():
+    # a bracket that leaves the span of the basis is caught by the rank
+    basis = [[(0, Fraction(1))], [(1, Fraction(1))]]
+    with pytest.raises(isotropy.DecompositionError, match="does not span"):
+        isotropy.lie_generators(basis, lambda x, y: [(2, Fraction(1))])
+
+
+GENERATOR_CASES = ["3-2", "4-2", "6-3", "two-torus"]
+
+
+def _decomposition(which, space, two_torus):
+    return (two_torus() if which == "two-torus"
+            else space(*map(int, which.split("-"))).decomp)
+
+
+def _dense_closure_rank(g, vecs):
+    """The dimension of the subalgebra that dense vectors generate: brackets
+    of every pair of a spanning set, taken until the rank stops growing
+    (`oracles.rref`)."""
+    span, rank = [list(v) for v in vecs], -1
+    while span and len(span) != rank:
+        rank = len(span)
+        red, piv = rref(span + [lie_core.bracket(g, x, y)
+                                for x, y in itertools.combinations(span, 2)])
+        span = red[:len(piv)]
+    return len(span)
+
+
+@pytest.mark.parametrize("which", GENERATOR_CASES)
+def test_generators_generate_h(which, space, two_torus):
+    action = _decomposition(which, space, two_torus).action
+    h = action.split.h
+    picked = [i for i, op in enumerate(action.ad_ops)
+              if any(op is gen for gen in action.generator_ops)]
+    assert [action.ad_ops[i] for i in picked] == action.generator_ops
+    assert _dense_closure_rank(h.parent, [h.basis_coords[i] for i in picked]) \
+        == h.dim
+    # greedy in basis order: an element is picked iff it lies outside the
+    # subalgebra that the elements picked before it generate
+    for i, x in enumerate(h.basis_coords):
+        before = [h.basis_coords[p] for p in picked if p < i]
+        outside = (_dense_closure_rank(h.parent, before + [x])
+                   > _dense_closure_rank(h.parent, before))
+        assert outside == (i in picked), i
+    # u(1), u(2), u(3) and the abelian two-torus, which keeps every element
+    assert (len(action.generator_ops), len(action.ad_ops)) == {
+        "3-2": (1, 1), "4-2": (2, 4), "6-3": (3, 9), "two-torus": (2, 2)}[which]
+
+
+@pytest.mark.parametrize("which", GENERATOR_CASES)
+def test_generator_solves_equal_the_whole_action(which, space, two_torus,
+                                                 monkeypatch):
+    # S0, every module's commutant, every Hom space, the symmetric
+    # commutant and the ideal split come out as they do against all ad_ops
+    dec = _decomposition(which, space, two_torus)
+    action, ops, norms = dec.action, dec.action.ad_ops, dec.action.norms
+    assert (isotropy.joint_kernel(ops, norms, dec.dim).sparse_basis
+            == dec.s0.space.sparse_basis)
+    members = [(s, a, m) for s in dec.nontrivial_summands()
+               for a, m in enumerate(s.members)]
+    restricted = [[restrict_op(op, m.space, norms) for op in ops]
+                  for _, _, m in members]
+    for (s, a, ma), ra in zip(members, restricted):
+        assert len(commutant_sym_ops(ra, ma.space.norms)) == 1
+        for (t, b, mb), rb in zip(members, restricted):
+            maps = isotropy._equivariant_maps(ra, rb, ma.dim, mb.dim)
+            if s is not t:
+                assert maps == []
+            elif a == b:
+                assert len(maps) == ma.commutant_dim
+            elif a < b:
+                assert maps == s.intertwiner_bases[(a, b)]
+    assert metric.sym_commutant_basis(dec) == commutant_sym_ops(ops, norms)
+
+    # the same decomposition and ideal split with every basis element
+    # taken as a generator
+    monkeypatch.setattr(isotropy, "lie_generators",
+                        lambda basis, bracket, base=(): list(range(len(basis))))
+    whole = decompose_isotypic(isotropy_action(action.split), seed=dec.seed)
+    assert whole.action.generator_ops == ops
+    assert [[m.space.sparse_basis for m in s.members] for s in whole.summands] \
+        == [[m.space.sparse_basis for m in s.members] for s in dec.summands]
+    assert [s.intertwiner_bases for s in whole.summands] \
+        == [s.intertwiner_bases for s in dec.summands]
+    ideals, plain = whole.ideals, dec.ideals
+    assert ideals.center.sparse_basis == plain.center.sparse_basis
+    assert [s.sparse_basis for s in ideals.simples] \
+        == [s.sparse_basis for s in plain.simples]
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (6, 3)])
+@pytest.mark.parametrize("layer", ["h", "S0"])
+def test_a_dropped_generator_breaks_the_build(monkeypatch, n, k, layer):
+    # without its last generator, the set generates a proper subalgebra of
+    # h (a larger joint kernel) or of S0 (pieces that are not ideals)
+    generators = isotropy.lie_generators
+
+    def dropped(basis, bracket, base=()):
+        gens = generators(basis, bracket, base)
+        return gens[:-1] if (layer == "S0") == bool(base) else gens
+
+    monkeypatch.setattr(isotropy, "lie_generators", dropped)
+    with pytest.raises(ArithmeticError):
+        stiefel.build_stiefel(n, k)

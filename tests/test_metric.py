@@ -1,5 +1,6 @@
 """Metric endomorphisms: parameterization, blocks, spectra, equivariance."""
 
+import collections
 import json
 import random
 from fractions import Fraction
@@ -268,6 +269,40 @@ def test_a_scaled_intertwiner_entry_fails_the_commutation_check(space):
     r, c = phi[0][0]
     phi[0][0] = (r, 2 * c)
     with pytest.raises(ArithmeticError, match="commute"):
+        metric.sym_commutant_basis(dec)
+
+
+def test_the_commutation_check_needs_generators_of_h(space, monkeypatch):
+    # the check runs on generators of h: a symmetric operator that commutes
+    # with the center of h, which does not generate h, but not with the
+    # whole action (the projector onto the complex line of e_1_3 in m_1)
+    # fails it once it joins the block operators
+    sp = space(4, 2)
+    dec = isotropy.decompose_isotypic(sp.action)
+    norms, d = sp.action.norms, sp.dim_m
+    h_labels = [sp.algebra.labels[v.index(1)] for v in sp.split.h.basis_coords]
+    center = linalg.combine_columns(
+        [1, 1], [sp.action.ad_ops[h_labels.index(f"eb_{i}_{i}")]
+                 for i in (3, 4)], d)
+    line = collections.defaultdict(dict)
+    metric._add_projector(line, linalg.make_subspace(
+        [[(sp.m_labels.index(lab), 1)] for lab in ("e_1_3", "eb_1_3")],
+        norms), norms)
+    extra = metric._finish(line, d)
+
+    def with_rows(ops):
+        return [(op, linalg.column_rows(op, d)) for op in ops]
+
+    assert metric._commutes(extra, with_rows([center]))
+    assert not metric._commutes(extra, with_rows(sp.action.generator_ops))
+    blocks = metric._block_operators
+
+    def with_line(family):
+        yield from blocks(family)
+        yield line
+
+    monkeypatch.setattr(metric, "_block_operators", with_line)
+    with pytest.raises(ArithmeticError, match="does not commute"):
         metric.sym_commutant_basis(dec)
 
 

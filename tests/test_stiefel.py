@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from go_metric_lab import go, lie_core, linalg, metric, stiefel
+from go_metric_lab import go, isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
                                    metric_at, tilde_map, verify_family)
 from oracles import (center_coefficient, columns, gram_dot, identity,
-                     mat_add, matrix_of, projector)
+                     mat_add, matrix_of, projector, whole_normalizer_ops)
 
 
 def test_build_examples(space):
@@ -243,6 +243,34 @@ def test_deformation_point_classifier(space):
 def test_grassmannian_cross_check(space):
     assert stiefel.grassmannian_cross_check(space(3, 2))
     assert stiefel.grassmannian_cross_check(space(4, 2))
+
+
+@pytest.mark.parametrize("nk", [(3, 1), (3, 2), (4, 2), (4, 3), (6, 3)])
+def test_normalizer_generators_act_like_the_whole_normalizer(space, nk):
+    # h's generators, S0's generators and its center generate h (+) S0:
+    # the symmetric commutant of their action, on S1 and on all of m, is
+    # that of every h- and S0-basis operator, and the [h, S0] = 0 clause of
+    # the witness identities reads the same on generators
+    sp = space(*nk)
+    norms, s1 = sp.split.norms_m, sp.s1.space
+    gens = metric.normalizer_ops(sp.decomp)
+    full = whole_normalizer_ops(sp.decomp)
+    assert len(gens) < len(full)
+
+    def on_s1(ops):
+        return isotropy.commutant_sym_ops(
+            [isotropy.restrict_op(op, s1, norms) for op in ops], s1.norms)
+
+    assert len(on_s1(gens)) == 1 and on_s1(gens) == on_s1(full)
+    assert (isotropy.commutant_sym_ops(gens, norms)
+            == isotropy.commutant_sym_ops(full, norms))
+    # with k >= 2 modules, h alone leaves S1 reducible
+    assert (len(on_s1(sp.action.generator_ops)) > 1) == (sp.k >= 2)
+    assert stiefel.grassmannian_cross_check(sp)
+    s0 = sp.decomp.s0.space.sparse_basis
+    assert not any(linalg.sparse_mat_vec(op, w)
+                   for op in sp.action.ad_ops for w in s0)
+    assert stiefel.check_witness_identities(sp)["witness_commutes_with_s0"]
 
 
 def test_uniqueness_scan_coarse(space):
