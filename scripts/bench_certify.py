@@ -8,7 +8,9 @@ samples, t in {1/2, 1, 2, 3}) in a fresh interpreter that imports the
 package from `CHECKOUT/src`, and records that interpreter's peak RSS.
 The first four run back to back; their sum, `construct_s`, is the
 construction plus reduction plus cross-check time that ROADMAP item 5
-bounds on (8,7).
+bounds on (8,7).  In this mode and with `--scan`, the child collects
+garbage once and then disables the collector around the timed steps, so
+no collection lands in one step because another step left work for it.
 With `--scan` it times instead the off-diagonal scan: `go.search_go` over
 `metric.full_family` with 40 drawn samples and no grid, on (4,2), (4,3)
 and (6,3), and records a digest of the falsified entries so that
@@ -30,6 +32,7 @@ result (every run plus per-checkout medians) goes to stdout or to --out.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -53,6 +56,8 @@ SCAN_LAYERS = ("build_s", "scan_s", "peak_rss_mb")
 THEOREM_RUNS = ((8, 4, "1", 10), (6, 3, "1", 50))
 THEOREM_LAYERS = ("wall_s", "build_s", "verify_s", "reduce_s", "scan_s",
                   "peak_rss_mb")
+GC_NOTE = (" (gc.collect(), then gc.disable() around the timed steps, "
+           "so no collection lands in a step)")
 
 
 def _import_from(checkout: str):
@@ -75,6 +80,8 @@ def child(checkout: str, n: int, k: int) -> dict:
     from fractions import Fraction
 
     go, metric, stiefel = _import_from(checkout)
+    gc.collect()
+    gc.disable()
     marks = [time.perf_counter()]
     space = stiefel.build_stiefel(n, k)
     marks.append(time.perf_counter())
@@ -87,6 +94,7 @@ def child(checkout: str, n: int, k: int) -> dict:
     report = stiefel.verify_family(space, [Fraction(t) for t in T_VALUES],
                                    n_samples=N_SAMPLES, seed=SEED)
     marks.append(time.perf_counter())
+    gc.enable()
     verdicts = {c.verdict for c in report["certificates"].values()}
     if verdicts != {"verified-on-family"} or not report["all_t"]["verified"]:
         raise SystemExit(f"({n},{k}) was not certified: {sorted(verdicts)}")
@@ -101,6 +109,8 @@ def child(checkout: str, n: int, k: int) -> dict:
 def scan_child(checkout: str, n: int, k: int) -> dict:
     """One timed off-diagonal scan in this interpreter."""
     go, metric, stiefel = _import_from(checkout)
+    gc.collect()
+    gc.disable()
     t0 = time.perf_counter()
     space = stiefel.build_stiefel(n, k)
     t1 = time.perf_counter()
@@ -110,6 +120,7 @@ def scan_child(checkout: str, n: int, k: int) -> dict:
                           go.ScanSpec(random_count=SCAN_SAMPLES, seed=SEED),
                           include_grid=False)
     t3 = time.perf_counter()
+    gc.enable()
     if result.n_points != SCAN_SAMPLES or result.survivors:
         raise SystemExit(f"({n},{k}): {result.n_points} points, "
                          f"{len(result.survivors)} survivors")
@@ -217,7 +228,8 @@ def main(argv=None) -> int:
             for m in layers} for n, k in spaces}
         for label, _ in args.checkouts}
     flag = " --theorem" if args.theorem else " --scan" if args.scan else ""
-    result = {"harness": "scripts/bench_certify.py" + flag,
+    result = {"harness": "scripts/bench_certify.py" + flag
+              + ("" if args.theorem else GC_NOTE),
               "python": platform.python_version(), "cpus": os.cpu_count(),
               "spaces": [f"{n},{k}" for n, k in spaces]}
     if args.theorem:

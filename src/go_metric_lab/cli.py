@@ -230,7 +230,9 @@ def cmd_reproduce_theorem(args) -> int:
     unique = (scan["grid"]["survivors_all_in_family"]
               and scan["grid"]["n_survivors"] > 0
               and scan.get("off_diagonal", {}).get("n_survivors", 0) == 0)
-    return EXIT_PASS if (verified and unique) else EXIT_FALSIFIED
+    irreducible = scan["grassmannian_cross_check"]
+    return (EXIT_PASS if (verified and unique and irreducible)
+            else EXIT_FALSIFIED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_default_seed())
     common.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--jobs", type=int_at_least(1), default=1,
-                        help="worker processes for scans (at most the CPU count)")
     common.add_argument("--verbose", action="store_true",
                         help="print stage timings to stderr")
 
@@ -279,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_positive_fraction, default="1/4",
                    help="grid step on [1/4, 4] for the uniqueness scan")
     p.add_argument("--offdiagonal-samples", type=int_at_least(0), default=200)
+    p.add_argument("--jobs", type=int_at_least(1), default=1,
+                   help="worker processes for scans (at most the CPU count)")
     p.set_defaults(func=cmd_reproduce_theorem)
     return parser
 

@@ -25,18 +25,21 @@ strategy, all in exact rational arithmetic:
   assembled as integer rows by one routine (`_equivariance_rows`) and
   eliminated fraction-free (`linalg.nullspace`, sparse solutions);
 * every equivariance system is solved against ad(x) for x over a Lie
-  generating set only (`IsotropyAction.generator_ops`; for S0 in
-  `split_ideals`, generators over its center), picked by
-  `lie_generators`: the action is a Lie algebra map and H is connected,
-  so an operator commuting with ad(x) and ad(y) commutes with
-  ad([x, y]), and a subspace they preserve it preserves too; the
-  solution spaces are those of the whole basis.  What needs h-coordinates
-  (`integer_ad_columns`, the GO residuals and solves, the family
-  certificate) keeps the whole basis, `ad_ops`;
+  generating set only, picked by `lie_generators`: for h,
+  `IsotropyAction.generator_ops`; for S0 in `split_ideals`, generators of
+  S0 itself, not of S0 over its center (`IdealSplit.generator_ops`).
+  The action is a Lie algebra map and H is connected, so an operator
+  commuting with ad(x) and ad(y) commutes with ad([x, y]), and a subspace
+  they preserve it preserves too; the solution spaces are those of the
+  whole basis.  What needs h-coordinates (`integer_ad_columns`, the GO
+  residuals and solves, the family certificate) keeps the whole basis,
+  `ad_ops`;
 * S0 splits into its center and simple ideals once per decomposition
-  (`IsotypicalDecomposition.ideals`), with no seed: the ideal projectors
-  span the symmetric commutant there, so commutant basis elements always
-  split (see `split_ideals`).
+  (`IsotypicalDecomposition.ideals`), with no seed: the center is the
+  joint kernel of S0's generators (by Jacobi, x is central iff it
+  commutes with a generating set), and the ideal projectors span the
+  symmetric commutant on its complement, so commutant basis elements
+  always split (see `split_ideals`).
 """
 
 from __future__ import annotations
@@ -116,11 +119,10 @@ class IsotropyAction:
 
 
 def lie_generators(basis: Sequence[Sparse],
-                   bracket: Callable[[Sparse, Sparse], Sparse],
-                   base: Sequence[Sparse] = ()) -> List[int]:
-    """Indices of basis elements whose Lie closure, together with the base,
-    spans the basis: taken greedily in basis order, each element that is
-    not yet in the span of the closure so far joins it.
+                   bracket: Callable[[Sparse, Sparse], Sparse]) -> List[int]:
+    """Indices of basis elements whose Lie closure spans the basis: taken
+    greedily in basis order, each element that is not yet in the span of
+    the closure so far joins it.
 
     The closure of a set is the least subspace that contains it and that
     ad(x) preserves for every x in it (right-normed brackets span the
@@ -132,7 +134,7 @@ def lie_generators(basis: Sequence[Sparse],
     """
     echelon: dict = {}
     span: List[Sparse] = []             # independent vectors of the closure
-    ads: List[Sparse] = []              # the base and the chosen elements
+    ads: List[Sparse] = []              # the chosen elements
     chosen = []
 
     def grow(v: Sparse) -> bool:
@@ -141,11 +143,10 @@ def lie_generators(basis: Sequence[Sparse],
         span.append(v)
         return True
 
-    for i, x in enumerate([*base, *basis]):
+    for i, x in enumerate(basis):
         if not grow(x):
             continue
-        if i >= len(base):
-            chosen.append(i - len(base))
+        chosen.append(i)
         work = [(x, v) for v in span[:-1]] + [(a, x) for a in ads]
         ads.append(x)
         while work:
@@ -539,62 +540,42 @@ def decompose_isotypic(action: IsotropyAction,
 class IdealSplit:
     center: Subspace
     simples: List[Subspace]
-    generators: List[Sparse]    # S0 elements that, with the center, generate S0
-
-
-def s0_bracket_ops(split: ReductiveSplit, s0: Subspace) -> List[Columns]:
-    """Adjoint operators of S0 on itself, sparse columns over the S0 basis."""
-    ops = []
-    for z in s0.sparse_basis:
-        cols = []
-        for w in s0.sparse_basis:
-            coords, resid = linalg.orthogonal_projection(
-                s0, split.norms_m, split.bracket_table.bracket_in_m(z, w))
-            if resid:
-                raise ArithmeticError("S0 is not closed under the bracket")
-            cols.append(coords)
-        ops.append(cols)
-    return ops
+    generator_ops: List[Columns]    # ad(z)|_m for z over generators of S0
 
 
 def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
     """S0 = center (+) simple ideals, B-orthogonally.
 
     `IsotypicalDecomposition.ideals` calls this once per decomposition.
-    No seed is needed: S0 lies in a compact algebra, so the symmetric
-    commutant of its adjoint action on the semisimple part is spanned by
-    the ideal projectors.  Each commutant basis element is a rational
-    combination of them, with rational eigenvalues, and a reducible piece
-    has a basis element that is not scalar; it splits the piece before
-    any seeded random combination would be tried.
+    Only the generators of S0 (`lie_generators`) get an ad: the center is
+    their joint kernel, and the ideals are the minimal pieces they leave on
+    its complement.  No seed is needed: S0 lies in a compact algebra, so
+    the symmetric commutant of its adjoint action on the semisimple part
+    is spanned by the ideal projectors.  Each commutant basis element is a
+    rational combination of them, with rational eigenvalues, and a
+    reducible piece has a basis element that is not scalar; it splits the
+    piece before any seeded random combination would be tried.
     """
-    ops = s0_bracket_ops(split, s0)
+    norms = split.norms_m
+    gens = lie_generators(s0.sparse_basis, split.bracket_table.bracket_in_m)
+    generator_ops = [_ad_columns(split, s0.sparse_basis[i]) for i in gens]
     # S0 coordinates: the S0 basis is B-orthogonal with norms s0.norms, so
     # the map to m is an isometry and keeps the local bases orthogonal
+    ops = [restrict_op(op, s0, norms) for op in generator_ops]
+    if any(op is None for op in ops):
+        raise ArithmeticError("S0 is not closed under the bracket")
     center_local = joint_kernel(ops, s0.norms, s0.dim)
 
     def to_ambient(vecs: List[linalg.Sparse]) -> List[linalg.Sparse]:
         return [linalg.sparse_mat_vec(s0.sparse_basis, v) for v in vecs]
 
-    norms = split.norms_m
     center = make_subspace(to_ambient(center_local.sparse_basis), norms)
     if center.dim == s0.dim:
-        return IdealSplit(center=center, simples=[], generators=[])
-
-    def bracket(x: Sparse, y: Sparse) -> Sparse:
-        acc: dict = {}
-        for i, xi in x:
-            for k, c in linalg.sparse_mat_vec(ops[i], y):
-                acc[k] = acc.get(k, 0) + xi * c
-        return linalg.sparse_from(acc)
-
-    # S0 basis elements that generate S0 over its center; the center acts
-    # by zero, so a piece is an ideal iff these preserve it
-    gens = lie_generators([[(i, ONE)] for i in range(s0.dim)], bracket,
-                          base=center_local.sparse_basis)
+        return IdealSplit(center=center, simples=[],
+                          generator_ops=generator_ops)
 
     # pieces of the adjoint action of S0 on its semisimple part
-    pieces = minimal_invariant_pieces([ops[i] for i in gens], s0.norms,
+    pieces = minimal_invariant_pieces(ops, s0.norms,
                                       _complement(center_local, s0.norms))
     simples = []
     for piece, _ in pieces:
@@ -608,4 +589,4 @@ def split_ideals(split: ReductiveSplit, s0: Subspace) -> IdealSplit:
             raise DecompositionError("minimal ideal of the semisimple part is abelian")
         simples.append(amb)
     return IdealSplit(center=center, simples=simples,
-                      generators=[s0.sparse_basis[i] for i in gens])
+                      generator_ops=generator_ops)

@@ -142,14 +142,11 @@ def from_matrix(decomp: IsotypicalDecomposition,
 
 def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Columns]:
     """ad(Z)|_m for Z over generators of h (+) S0, the normalizer algebra:
-    h's generators, S0's generators and its center basis, which generate it
-    as [h, S0] = 0.  An operator commutes with ad(Z) for every Z in
-    h (+) S0, and a subspace is invariant under all of them, iff that holds
-    for these."""
-    action, ideals = decomp.action, decomp.ideals
-    return list(action.generator_ops) + [
-        isotropy._ad_columns(action.split, z)
-        for z in ideals.generators + ideals.center.sparse_basis]
+    h's generators, then S0's (`IdealSplit.generator_ops`, which include
+    whatever the center needs), which generate it as [h, S0] = 0.  An
+    operator commutes with ad(Z) for every Z in h (+) S0, and a subspace
+    is invariant under all of them, iff that holds for these."""
+    return decomp.action.generator_ops + decomp.ideals.generator_ops
 
 
 def _commutes(s: Columns, ops: List[Tuple[Columns, List[dict]]]) -> bool:

@@ -429,11 +429,13 @@ def test_construction_operators_match_oracle(space, n, k):
                         dim) == adz
         assert dense_op(sq, dim) == linalg.mat_scale(
             Fraction(-1), linalg.mat_mul(adz, adz))
-    for z_m, op in zip(s0.basis, isotropy.s0_bracket_ops(split, s0)):
-        adz = _oracle_ad(split, split.m_to_g(z_m))
-        assert dense_op(op, s0.dim) == linalg.transpose(
-            [s0.coords_of(mat_vec(adz, w), split.norms_m)
-             for w in s0.basis])
+    gens = isotropy.lie_generators(s0.sparse_basis,
+                                   split.bracket_table.bracket_in_m)
+    ops = sp.decomp.ideals.generator_ops
+    assert len(ops) == len(gens) > 0
+    for i, op in zip(gens, ops):
+        assert dense_op(op, dim) == _oracle_ad(split,
+                                               split.m_to_g(s0.basis[i]))
 
 
 def test_construction_reads_tables_not_brackets(space, monkeypatch):
@@ -444,7 +446,7 @@ def test_construction_reads_tables_not_brackets(space, monkeypatch):
     calls = _count_calls(monkeypatch)
     action = isotropy.isotropy_action(split)
     assert len(list(isotropy.squared_ad_candidates(action, s0))) == s0.dim
-    isotropy.s0_bracket_ops(split, s0)
+    isotropy.split_ideals(split, s0)
     assert calls == {"bracket": 0, "sparse_bracket": 0, "coords_in_m": 0}
 
 

@@ -241,11 +241,14 @@ DECOMPOSE_2_1 = ["decompose", "stiefel", "2", "1"]
 @pytest.mark.parametrize("args", [
     DECOMPOSE_2_1 + ["--mode", "float"],
     DECOMPOSE_2_1 + ["--tol", "1e-9"],
-    DECOMPOSE_2_1 + ["--jobs", "0"],
-    DECOMPOSE_2_1 + ["--jobs", "-3"],
+    # only reproduce-theorem runs workers, so only it takes --jobs
+    DECOMPOSE_2_1 + ["--jobs", "2"],
+    ["check-go", "stiefel", "2", "1", "--family-t", "2", "--jobs", "2"],
     # one metric source at a time; the metric file is never read
     ["check-go", "stiefel", "2", "1", "--metric", "BAD.json",
      "--family-t", "2", "--strategy", "family"],
+    ["reproduce-theorem", "2", "1", "--jobs", "0"],
+    ["reproduce-theorem", "2", "1", "--jobs", "-3"],
 ])
 def test_rejected_flags_exit_2(args, capsys):
     assert run_cli(args) == 2
@@ -287,6 +290,7 @@ def test_reproduce_exit_code_counts_offdiagonal_survivors(
             "uniqueness": {
                 "grid": {"n_survivors": 4, "survivors_all_in_family": True},
                 "off_diagonal": {"n_survivors": off_survivors},
+                "grassmannian_cross_check": True,
             },
         }
 
@@ -322,6 +326,22 @@ def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
     grid = report["uniqueness"]["grid"]
     assert grid["survivors_all_in_family"] and grid["n_survivors"] > 0
     assert grid["n_survivors_proved"] == 0      # no proof: sampled instead
+
+
+def test_reproduce_exit_code_needs_the_grassmannian_cross_check(
+        tmp_path, monkeypatch):
+    # S1 reducible under h (+) S0 fails the claim: exit 1, report written
+    from go_metric_lab import stiefel
+    monkeypatch.setattr(stiefel, "grassmannian_cross_check",
+                        lambda space: False)
+    out = tmp_path / "rep.json"
+    assert run_cli(["reproduce-theorem", "2", "1", "--resolution", "2",
+                    "--offdiagonal-samples", "0", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["uniqueness"]["grassmannian_cross_check"] is False
+    assert report["family_all_t"]["verified"]
+    grid = report["uniqueness"]["grid"]
+    assert grid["survivors_all_in_family"] and grid["n_survivors"] > 0
 
 
 def test_reproduce_exits_1_naming_t_when_the_witness_map_fails(

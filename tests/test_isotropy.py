@@ -451,9 +451,8 @@ def _so3_bracket(x, y):
 def test_lie_generators_of_so3():
     basis = [[(i, Fraction(1))] for i in range(3)]
     assert isotropy.lie_generators(basis, _so3_bracket) == [0, 1]
-    # e_2 already spans the base; e_0 brings e_1 = [e_2, e_0] with it
-    assert isotropy.lie_generators(basis, _so3_bracket,
-                                   base=[basis[2]]) == [0]
+    # e_2 comes first; e_0 brings e_1 = [e_2, e_0] with it
+    assert isotropy.lie_generators(basis[::-1], _so3_bracket) == [0, 1]
     # an abelian bracket keeps every element
     assert isotropy.lie_generators(basis, lambda x, y: []) == [0, 1, 2]
 
@@ -535,7 +534,7 @@ def test_generator_solves_equal_the_whole_action(which, space, two_torus,
     # the same decomposition and ideal split with every basis element
     # taken as a generator
     monkeypatch.setattr(isotropy, "lie_generators",
-                        lambda basis, bracket, base=(): list(range(len(basis))))
+                        lambda basis, bracket: list(range(len(basis))))
     whole = decompose_isotypic(isotropy_action(action.split), seed=dec.seed)
     assert whole.action.generator_ops == ops
     assert [[m.space.sparse_basis for m in s.members] for s in whole.summands] \
@@ -552,12 +551,15 @@ def test_generator_solves_equal_the_whole_action(which, space, two_torus,
 @pytest.mark.parametrize("layer", ["h", "S0"])
 def test_a_dropped_generator_breaks_the_build(monkeypatch, n, k, layer):
     # without its last generator, the set generates a proper subalgebra of
-    # h (a larger joint kernel) or of S0 (pieces that are not ideals)
+    # h (a larger joint kernel) or of S0 (a larger center, or pieces that
+    # are not ideals); the S0 layer brackets through the table of m
     generators = isotropy.lie_generators
 
-    def dropped(basis, bracket, base=()):
-        gens = generators(basis, bracket, base)
-        return gens[:-1] if (layer == "S0") == bool(base) else gens
+    def dropped(basis, bracket):
+        gens = generators(basis, bracket)
+        in_s0 = getattr(bracket, "__func__", None) \
+            is decomp.BracketTable.bracket_in_m
+        return gens[:-1] if (layer == "S0") == in_s0 else gens
 
     monkeypatch.setattr(isotropy, "lie_generators", dropped)
     with pytest.raises(ArithmeticError):

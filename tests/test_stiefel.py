@@ -245,25 +245,33 @@ def test_grassmannian_cross_check(space):
     assert stiefel.grassmannian_cross_check(space(4, 2))
 
 
-@pytest.mark.parametrize("nk", [(3, 1), (3, 2), (4, 2), (4, 3), (6, 3)])
-def test_normalizer_generators_act_like_the_whole_normalizer(space, nk):
-    # h's generators, S0's generators and its center generate h (+) S0:
-    # the symmetric commutant of their action, on S1 and on all of m, is
-    # that of every h- and S0-basis operator, and the [h, S0] = 0 clause of
-    # the witness identities reads the same on generators
-    sp = space(*nk)
-    norms, s1 = sp.split.norms_m, sp.s1.space
-    gens = metric.normalizer_ops(sp.decomp)
-    full = whole_normalizer_ops(sp.decomp)
+@pytest.mark.parametrize("nk", [(3, 1), (3, 2), (4, 2), (4, 3), (6, 3),
+                                "two-torus"])
+def test_normalizer_generators_act_like_the_whole_normalizer(space, two_torus,
+                                                             nk):
+    # h's generators and S0's generate h (+) S0: the symmetric commutant of
+    # their action, on S1 and on all of m, is that of every h- and
+    # S0-basis operator, and the [h, S0] = 0 clause of the witness
+    # identities reads the same on generators.  The two-torus has
+    # S0 = su(2) (+) su(2) with no center, and no S1
+    dec = two_torus() if nk == "two-torus" else space(*nk).decomp
+    gens = metric.normalizer_ops(dec)
+    full = whole_normalizer_ops(dec)
     assert len(gens) < len(full)
+    norms = dec.action.norms
+    assert (isotropy.commutant_sym_ops(gens, norms)
+            == isotropy.commutant_sym_ops(full, norms))
+    if nk == "two-torus":
+        assert dec.ideals.center.dim == 0 and len(dec.ideals.simples) == 2
+        return
+    sp = space(*nk)
+    s1 = sp.s1.space
 
     def on_s1(ops):
         return isotropy.commutant_sym_ops(
             [isotropy.restrict_op(op, s1, norms) for op in ops], s1.norms)
 
     assert len(on_s1(gens)) == 1 and on_s1(gens) == on_s1(full)
-    assert (isotropy.commutant_sym_ops(gens, norms)
-            == isotropy.commutant_sym_ops(full, norms))
     # with k >= 2 modules, h alone leaves S1 reducible
     assert (len(on_s1(sp.action.generator_ops)) > 1) == (sp.k >= 2)
     assert stiefel.grassmannian_cross_check(sp)
