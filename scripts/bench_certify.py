@@ -23,17 +23,34 @@ the runs alternate checkout by checkout inside every round, so host drift
 hits them alike.  Each checkout is given as PATH or LABEL=PATH; the JSON
 result (every run plus per-checkout medians) goes to stdout or to --out.
 
+With `--perfbench WORKLOAD[,WORKLOAD...]` and exactly two checkouts it
+runs an in-process A/B of benchmark passes instead.  Both packages are
+imported into this one interpreter, each with its own copy of the *first*
+checkout's `perfbench/workloads.py`, so both sides run identical
+benchmark code.  For each workload both sides build their set-up once,
+then `--rounds` pairs of passes run interleaved one by one on the same
+inputs (seed 0), alternating which side goes first.  Each timed pass runs
+between `gc.collect()` and `gc.disable()` and `gc.enable()`, and the
+workload's `check` runs untimed after every pass; any error aborts.  It
+reports per-side medians and quartiles, the median of the per-pair
+ratios (second / first) and how many pairs the second side won.  An A/A
+run (one tree given twice) shows the harness's own spread.
+
     python scripts/bench_certify.py parent=../parent change=. --rounds 5 \\
         --out BENCH_build.json
     python scripts/bench_certify.py parent=../parent change=. --scan \\
         --rounds 10 --out BENCH_offdiag.json
     python scripts/bench_certify.py parent=../parent change=. --theorem \\
         --rounds 3 --out BENCH_scan.json
+    python scripts/bench_certify.py parent=../parent change=. \\
+        --perfbench theorem-32,offdiag-42,certify-43 --rounds 60 \\
+        --out BENCH_grid.json
 """
 
 import argparse
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -42,6 +59,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import List
 
 SPACES = ((4, 3), (6, 3), (8, 4), (8, 7))
 T_VALUES = ("1/2", "1", "2", "3")
@@ -170,6 +188,73 @@ CHILDREN = {"--child": child, "--scan-child": scan_child,
             "--theorem-child": theorem_child}
 
 
+def _load_workloads(checkout: str, workloads_py: str, index: int):
+    """`workloads_py` loaded against the package of CHECKOUT/src, under a
+    module name of its own; the package's modules stay reachable through
+    it after they leave `sys.modules` for the next checkout's."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    for name in [m for m in sys.modules if m.split(".")[0] == "go_metric_lab"]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"_bench_workloads_{index}", workloads_py)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module          # dataclass looks it up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(src)
+    if not os.path.abspath(module.stiefel.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported {module.stiefel.__file__}, not from {src}")
+    return module
+
+
+def _quartiles(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return {"median_s": round(q2, 6), "q1_s": round(q1, 6),
+            "q3_s": round(q3, 6)}
+
+
+def perfbench_ab(checkouts, names: List[str], pairs: int) -> dict:
+    """Interleaved in-process passes of perfbench workloads, two sides."""
+    workloads_py = os.path.join(checkouts[0][1], "perfbench", "workloads.py")
+    sides = [_load_workloads(path, workloads_py, i)
+             for i, (_, path) in enumerate(checkouts)]
+    out = {}
+    for name in names:
+        work = [side.WORKLOADS[name] for side in sides]
+        ctxs = [w.prepare(side.stiefel.build_stiefel(w.n, w.k))
+                for w, side in zip(work, sides)]
+        times: List[List[float]] = [[] for _ in sides]
+        for i in range(-1, pairs):               # pair -1 warms up, untimed
+            for s in (0, 1) if i % 2 == 0 else (1, 0):
+                inp = work[s].make_inputs(SEED, max(i, 0))
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                result = work[s].run(ctxs[s], inp)
+                elapsed = time.perf_counter() - t0
+                gc.enable()
+                errors = work[s].check(result, inp, ctxs[s])
+                if errors:
+                    raise SystemExit(f"{checkouts[s][0]} {name} pass {i}: "
+                                     f"{errors[:3]}")
+                if i >= 0:
+                    times[s].append(elapsed)
+        ratios = [b / a for a, b in zip(*times)]
+        out[name] = {
+            **{label: _quartiles(t) for (label, _), t in zip(checkouts, times)},
+            "ratio_median": round(statistics.median(ratios), 4),
+            "ratio_quartiles": [round(q, 4) for q in
+                                statistics.quantiles(ratios, n=4)[::2]],
+            "second_wins": sum(r < 1 for r in ratios), "pairs": pairs,
+            "pass_s": {label: [round(x, 6) for x in t]
+                       for (label, _), t in zip(checkouts, times)}}
+        print(json.dumps({k: v for k, v in out[name].items() if k != "pass_s"}),
+              file=sys.stderr)
+    return out
+
+
 def timed_run(checkout: str, n: int, k: int, mode: str) -> dict:
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), mode, checkout, str(n),
@@ -186,24 +271,8 @@ def parse_checkout(text: str):
     return label, path
 
 
-def main(argv=None) -> int:
-    if argv is None and sys.argv[1:2] and sys.argv[1] in CHILDREN:
-        mode, checkout, n, k = sys.argv[1:5]
-        print(json.dumps(CHILDREN[mode](checkout, int(n), int(k))))
-        return 0
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("checkouts", nargs="+", type=parse_checkout,
-                    metavar="[LABEL=]PATH")
-    ap.add_argument("--rounds", type=int, default=5)
-    modes = ap.add_mutually_exclusive_group()
-    modes.add_argument("--scan", action="store_true",
-                       help="time the off-diagonal scan instead")
-    modes.add_argument("--theorem", action="store_true",
-                       help="time reproduce-theorem end to end instead")
-    ap.add_argument("--out")
-    args = ap.parse_args(argv)
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
+def alternating_runs(args) -> dict:
+    """Timed child runs, alternating checkouts inside every round."""
     if args.theorem:
         mode, spaces, layers = ("--theorem-child",
                                 [r[:2] for r in THEOREM_RUNS], THEOREM_LAYERS)
@@ -242,6 +311,45 @@ def main(argv=None) -> int:
                       {"t_values": list(T_VALUES), "n_samples": N_SAMPLES})
     result.update({"seed": SEED, "rounds": args.rounds,
                    "medians": medians, "runs": runs})
+    return result
+
+
+def main(argv=None) -> int:
+    if argv is None and sys.argv[1:2] and sys.argv[1] in CHILDREN:
+        mode, checkout, n, k = sys.argv[1:5]
+        print(json.dumps(CHILDREN[mode](checkout, int(n), int(k))))
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("checkouts", nargs="+", type=parse_checkout,
+                    metavar="[LABEL=]PATH")
+    ap.add_argument("--rounds", type=int, default=5)
+    modes = ap.add_mutually_exclusive_group()
+    modes.add_argument("--scan", action="store_true",
+                       help="time the off-diagonal scan instead")
+    modes.add_argument("--theorem", action="store_true",
+                       help="time reproduce-theorem end to end instead")
+    modes.add_argument("--perfbench", metavar="WORKLOAD[,WORKLOAD...]",
+                       help="in-process A/B of perfbench passes instead")
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    if not args.perfbench:
+        result = alternating_runs(args)
+    elif len(args.checkouts) != 2:
+        ap.error("--perfbench compares exactly two checkouts")
+    else:
+        result = {"harness": "scripts/bench_certify.py --perfbench (one "
+                  "interpreter; both sides run the first checkout's "
+                  "perfbench/workloads.py; passes interleaved, the first "
+                  "side alternating; gc.collect(), then gc.disable() "
+                  "around each timed pass; every pass checked)",
+                  "python": platform.python_version(), "cpus": os.cpu_count(),
+                  "checkouts": [label for label, _ in args.checkouts],
+                  "seed": SEED, "pairs": args.rounds,
+                  "workloads": perfbench_ab(args.checkouts,
+                                            args.perfbench.split(","),
+                                            args.rounds)}
     text = json.dumps(result, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

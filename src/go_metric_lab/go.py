@@ -608,16 +608,17 @@ class _ScanTensors:
 
     A probe reads only the parameters in its support (a nonzero `bx` or
     `hx` row), and its least-squares residual is homogeneous of degree 2
-    in them.  `residual_sq` therefore solves once per (probe, projective
+    in them.  `_residual` therefore solves once per (probe, projective
     class of the supported values) and rescales.
 
-    Parameter values are interned as value ids: the positions of `grid`
-    first, then each new value passed to `intern`.  A point is a tuple of
-    ids, and each probe keeps a table from the ids on its support to the
-    report string of its exact residual ("" when the probe passes), so a
-    point's walk is one tuple lookup per probe and `residual_sq` runs once
-    per table entry.  Tensors, memo and tables live as long as the
-    `_ScanTensors`, which is one scan.
+    Parameter values are interned as value ids carrying integer
+    (numerator, denominator) pairs: the positions of `grid` first, then
+    each new value passed to `intern`.  A point is a tuple of ids, and
+    each probe keeps a table from the ids on its support to the report
+    string of its exact residual ("" when the probe passes), so a walk is
+    one tuple lookup per probe.  One integer evaluation, `_residual`,
+    fills memo and tables; `residual_sq` is its `Fraction` view.  All of
+    it lives as long as the `_ScanTensors`, which is one scan.
     """
 
     def __init__(self, family: MetricFamily, ops: List[linalg.Columns],
@@ -630,11 +631,11 @@ class _ScanTensors:
         self._built: List[Optional[_Probe]] = [None] * len(probes)
         self._walked: List[Tuple[int, Callable, Dict]] = []
         self._reached = 0
-        self.memo: Dict[Tuple, Fraction] = {}
-        # value id -> value, its report string, and whether it is positive
+        self.memo: Dict[Tuple, Tuple[int, int]] = {}
+        # value id -> value, (numerator, denominator), report string
         self.values: List[Fraction] = []
+        self.pairs: List[Tuple[int, int]] = []
         self.strings: List[str] = []
-        self.positive: List[bool] = []
         self._ids: Dict[Fraction, int] = {}
         for v in grid:
             self._add(Fraction(v))
@@ -695,8 +696,8 @@ class _ScanTensors:
         i = len(self.values)
         self._ids.setdefault(value, i)
         self.values.append(value)
+        self.pairs.append((value.numerator, value.denominator))
         self.strings.append(linalg.frac_to_str(value))
-        self.positive.append(value > 0)
         return i
 
     def intern(self, value) -> int:
@@ -704,9 +705,6 @@ class _ScanTensors:
         value = Fraction(value)
         i = self._ids.get(value)
         return self._add(value) if i is None else i
-
-    def point_values(self, ids: Sequence[int]) -> List[Fraction]:
-        return [self.values[i] for i in ids]
 
     def _contract(self, rows, support: List[int], values: Sequence) -> Vec:
         out = [0] * self.dim
@@ -716,32 +714,40 @@ class _ScanTensors:
                     out[i] += v * coef
         return out
 
-    def residual_sq(self, values: Sequence, p: int) -> Fraction:
-        """Exact squared residual of probe p at the parameter point: the
-        supported values are g / L times a primitive integer tuple with a
-        positive lead, so it is (g / L)^2 times that tuple's memo entry.
-        An entry solves on integers, the probe's rows (`probe.den` times
-        the tensors) against D G_m, so the solve returns D probe.den^2
-        times the residual."""
-        probe = self._probe(p)
-        vals = [values[c] for c in probe.support]
-        den = linalg.denominator(vals)
-        ints = [v.numerator * (den // v.denominator) for v in vals]
+    def _residual(self, p: int, pairs: Sequence[Tuple[int, int]]
+                  ) -> Tuple[int, int]:
+        """Probe p's squared residual as a reduced integer pair, at the
+        supported values as integer pairs: they are g / L times a primitive
+        tuple with a positive lead, so it is (g / L)^2 times that tuple's
+        memo entry.  An entry solves the probe's rows (`probe.den` times
+        the tensors) against D G_m, which gives D probe.den^2 times it."""
+        den = math.lcm(*[d for _, d in pairs])
+        ints = [n * (den // d) for n, d in pairs]
         g = math.gcd(*ints)
         if g == 0:
-            return ZERO
+            return 0, 1
         if next(v for v in ints if v) < 0:
             g = -g
         key = (p, tuple(v // g for v in ints))
         res = self.memo.get(key)
         if res is None:
+            probe = self._probe(p)
             defect = self._contract(probe.bx, probe.support, key[1])
             cols = [self._contract(rows, probe.support, key[1])
                     for rows in probe.hx]
             dg, gram = self.action.split.integer_gram_m
-            _, res = linalg.least_squares(cols, [-c for c in defect], gram)
-            res = self.memo[key] = res / (dg * probe.den * probe.den)
-        return Fraction(g * g, den * den) * res
+            _, r = linalg.least_squares(cols, [-c for c in defect], gram)
+            res = self.memo[key] = (r.numerator,
+                                    r.denominator * dg * probe.den ** 2)
+        num, den = res[0] * g * g, res[1] * den * den
+        q = math.gcd(num, den)
+        return num // q, den // q
+
+    def residual_sq(self, values: Sequence, p: int) -> Fraction:
+        """The `Fraction` view of `_residual`, at int or `Fraction` values."""
+        support = self._probe(p).support
+        return Fraction(*self._residual(p, [
+            (values[c].numerator, values[c].denominator) for c in support]))
 
     def first_failure(self, ids: Tuple[int, ...]
                       ) -> Optional[Tuple[int, str]]:
@@ -751,9 +757,9 @@ class _ScanTensors:
             key = key_of(ids)
             res = table.get(key)
             if res is None:
-                res_sq = self.residual_sq(self.point_values(ids), p)
-                res = table[key] = (linalg.frac_to_str(res_sq)
-                                    if res_sq > 0 else "")
+                num, den = self._residual(p, [
+                    self.pairs[ids[c]] for c in self._built[p].support])
+                res = table[key] = f"{num}/{den}" if num else ""  # reduced
             if res:
                 return p, res
         return None
@@ -847,17 +853,10 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     prove: Optional[Callable[[Sequence], bool]] = _WORKER_CTX["prove"]
     decomp = family.decomp
     entry = {"params": [tensors.strings[i] for i in ids]}
-
-    def falsified_entry(x: List[str], res_sq: str) -> dict:
-        entry["status"] = "falsified"
-        entry["falsifier_x"] = x
-        entry["residual_sq"] = res_sq
-        return entry
-
     # grid points come from a diagonal family (`_grid_points` refuses any
     # other), where positive definite means every value is positive; the
     # drawn points after them were proved positive definite when drawn
-    if idx < _WORKER_CTX["n_grid"] and not all(tensors.positive[i]
+    if idx < _WORKER_CTX["n_grid"] and not all(tensors.pairs[i][0] > 0
                                                for i in ids):
         entry["status"] = "not-pd"
         return idx, entry
@@ -865,9 +864,11 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
     # the first failing probe in probe order is the reported falsifier
     failure = tensors.first_failure(ids)
     if failure is not None:
-        p, res_sq = failure
-        return idx, falsified_entry(tensors.probe_strings(p), res_sq)
-    values = tensors.point_values(ids)
+        entry.update(status="falsified",
+                     falsifier_x=tensors.probe_strings(failure[0]),
+                     residual_sq=failure[1])
+        return idx, entry
+    values = [tensors.values[i] for i in ids]
     proved = prove is not None and prove(values)
     if spec.survivor_random_probes and not proved:
         a = MetricEndomorphism(
@@ -879,9 +880,10 @@ def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
                         seed=spec.seed * 1_000_003 + idx,
                         keep_witnesses=False)
         if cert.verdict == "falsified":
-            conv = linalg.frac_to_str
-            return idx, falsified_entry([conv(c) for c in cert.falsifier.x_m],
-                                        conv(cert.falsifier.residual_sq))
+            conv, w = linalg.frac_to_str, cert.falsifier
+            entry.update(status="falsified", falsifier_x=[
+                conv(c) for c in w.x_m], residual_sq=conv(w.residual_sq))
+            return idx, entry
     entry["status"] = "survived"
     if prove is not None:
         entry["proved"] = proved
@@ -921,49 +923,45 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     n_grid = len(spec.grid) ** family.n_params if include_grid else 0
     tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp),
                            spec.grid)
-    drawn: List[Tuple[int, ...]] = []
-    if spec.random_count:
-        drawn = [tuple(map(tensors.intern, vals)) for vals in
-                 _random_points(family, spec, tensors.integer_ops[1])]
+    drawn = [tuple(map(tensors.intern, vals)) for vals in _random_points(
+        family, spec, tensors.integer_ops[1])] if spec.random_count else []
     n_points = n_grid + len(drawn)
     _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors,
                         "prove": prove, "n_grid": n_grid})
     tasks = enumerate(itertools.chain(grid, drawn))
     results: Optional[List[Tuple[int, dict]]] = None
     workers = min(spec.jobs, os.cpu_count() or 1, n_points)
-    if workers > 1:
-        try:
-            import concurrent.futures as cf
-            import multiprocessing as mp
-            # workers inherit _WORKER_CTX through fork and build their own
-            # probe tensors and tables; a failure, such as the containment
-            # ValueError, falls back to the sequential path, which raises
-            # it again
-            ctx = mp.get_context("fork")
-            with cf.ProcessPoolExecutor(max_workers=workers,
-                                        mp_context=ctx) as pool:
-                chunk = max(1, n_points // (workers * 8))
-                results = list(pool.map(_evaluate_scan_point, tasks,
-                                        chunksize=chunk))
-        except (OSError, ImportError, ValueError):
-            # a pool that failed part-way may have taken tasks already
-            grid = _grid_points(family, spec) if include_grid else ()
-            tasks = enumerate(itertools.chain(grid, drawn))
-    if results is None:
-        results = [_evaluate_scan_point(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    survivors, falsified = [], []
-    notes = []
-    for _, entry in results:
-        if entry["status"] == "survived":
-            survivors.append(entry)
-        elif entry["status"] == "falsified":
-            falsified.append(entry)
-    n_pd = sum(1 for _, e in results if e["status"] != "not-pd")
-    if n_pd == 0:
-        notes.append("no positive definite points in the scan")
-    return ScanResult(survivors=survivors, falsified=falsified,
-                      n_points=n_points, notes=notes)
+    try:
+        if workers > 1:
+            try:
+                import concurrent.futures as cf
+                import multiprocessing as mp
+                # workers inherit _WORKER_CTX through fork and build their
+                # own probe tensors and tables; a failure, such as the
+                # containment ValueError, falls back to the sequential
+                # path, which raises it again
+                ctx = mp.get_context("fork")
+                with cf.ProcessPoolExecutor(max_workers=workers,
+                                            mp_context=ctx) as pool:
+                    chunk = max(1, n_points // (workers * 8))
+                    results = list(pool.map(_evaluate_scan_point, tasks,
+                                            chunksize=chunk))
+            except (OSError, ImportError, ValueError):
+                # a pool that failed part-way may have taken tasks already
+                grid = _grid_points(family, spec) if include_grid else ()
+                tasks = enumerate(itertools.chain(grid, drawn))
+        if results is None:
+            results = [_evaluate_scan_point(t) for t in tasks]
+    finally:
+        # the context holds the family, and through it the whole space
+        _WORKER_CTX.clear()
+    entries = [e for _, e in sorted(results, key=operator.itemgetter(0))]
+    status = [e["status"] for e in entries]
+    return ScanResult(
+        survivors=[e for e, s in zip(entries, status) if s == "survived"],
+        falsified=[e for e, s in zip(entries, status) if s == "falsified"],
+        n_points=n_points, notes=[] if set(status) - {"not-pd"} else [
+            "no positive definite points in the scan"])
 
 
 # ---------------------------------------------------------------------------

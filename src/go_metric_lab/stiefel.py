@@ -453,27 +453,33 @@ def diagonal_family(space: StiefelSpace) -> MetricFamily:
     return family
 
 
-def _is_deformation(space: StiefelSpace, columns: linalg.Columns) -> bool:
-    """True iff A, given by its sparse columns, is lambda A_0 + mu A_1 =
-    lambda A_t (t = mu / lambda) with lambda, mu > 0: lambda is read off
-    a basis vector outside the center, mu off z0, and A is compared."""
-    a0, a1 = space.family_data.metric
-    e = next(i for i, col in enumerate(a1) if not col)
-    z0 = linalg.sparse(space.z0_m)
-    lam = dict(columns[e]).get(e, ZERO)
-    mu = dict(linalg.sparse_mat_vec(columns, z0)).get(z0[0][0], ZERO) / z0[0][1]
-    return lam > 0 and mu > 0 and columns == linalg.combine_columns(
-        [lam, mu], [a0, a1], space.dim_m)
-
-
 def _deformation_test(space: StiefelSpace, family: MetricFamily
                       ) -> Callable[[Sequence], bool]:
-    """values -> is the family's metric at these parameters lambda A_t."""
+    """values -> is the family's metric there lambda A_t = lambda A_0 +
+    mu A_1, lambda, mu > 0.  The family operators are independent, so
+    values -> sum_c v_c Op_c is injective: A(v) = lambda A_0 + mu A_1 iff
+    v = lambda c_0 + mu c_1, c_0 and c_1 the family coordinates of
+    A_0 = Id - P_z and A_1 = P_z.  One exact nullspace of sum_c x_c Op_c +
+    y_0 A_0 + y_1 A_1 = 0 over the operators' entries proves both (its
+    free columns must be y_0 and y_1) and gives c_0 and c_1 as -x; a point
+    then costs O(p): lambda and mu read off two coordinates, all compared."""
     ops = metric_mod.family_basis_ops(family)
+    p, dim = len(ops), space.dim_m
+    flat = [[(j * dim + i, x) for j, col in enumerate(op) for i, x in col]
+            for op in ops + space.family_data.metric]
+    basis = linalg.nullspace(linalg.column_rows(flat, dim * dim), p + 2)
+    if [v[-1][0] for v in basis] != [p, p + 1]:
+        raise ArithmeticError("dependent operators, or A_0 or A_1 not in span")
+    c0, c1 = ([-x for x in linalg.dense(v[:-1], p)] for v in basis)
+    # the leads of the echelon form of (c_0, c_1): a nonzero 2 x 2 minor
+    a, b = sorted(linalg.pivot_rows([c0, c1]))
+    det = c0[a] * c1[b] - c0[b] * c1[a]
 
     def in_family(values: Sequence) -> bool:
-        return _is_deformation(
-            space, linalg.combine_columns(values, ops, space.dim_m))
+        lam = (values[a] * c1[b] - values[b] * c1[a]) / det
+        mu = (c0[a] * values[b] - c0[b] * values[a]) / det
+        return lam > 0 and mu > 0 and all(
+            v == lam * x + mu * y for v, x, y in zip(values, c0, c1))
 
     return in_family
 
@@ -525,12 +531,8 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
     grid_result = go_mod.search_go(space.decomp, diag, spec,
                                    include_grid=True, prove=prove)
     survivors = grid_result.survivors
-    if prove is None:
-        survivors_ok = all(in_family([linalg.frac_from_str(s)
-                                      for s in e["params"]])
-                           for e in survivors)
-    else:
-        survivors_ok = all(e["proved"] for e in survivors)
+    survivors_ok = all(e["proved"] if prove else in_family(
+        [linalg.frac_from_str(s) for s in e["params"]]) for e in survivors)
 
     off_result = None
     if offdiagonal_samples:

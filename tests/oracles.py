@@ -13,9 +13,10 @@ bracket table contracted in `Fraction`s, commutant operators filled in
 from every parameter, dense Gauss-Jordan elimination (`rref`), sparse
 elimination, positive definiteness and the GO residual in `Fraction`s,
 the dense Krylov minimal polynomial and eigen-split, and the normalizer
-action over a whole basis of h (+) S0 (`whole_normalizer_ops`).  The package
-keeps every operator on m as sparse columns; `columns` and `dense_op`
-convert between that form and dense row lists.
+action over a whole basis of h (+) S0 (`whole_normalizer_ops`), and the
+deformation-line test on a metric's sparse columns (`is_deformation`).
+The package keeps every operator on m as sparse columns; `columns` and
+`dense_op` convert between that form and dense row lists.
 """
 
 from fractions import Fraction
@@ -189,6 +190,20 @@ def center_coefficient(space, x_m):
     gram = space.split.gram_m
     return (gram_dot(gram, x_m, space.z0_m)
             / gram_dot(gram, space.z0_m, space.z0_m))
+
+
+def is_deformation(space, columns):
+    """True iff A, given by its sparse columns, is lambda A_0 + mu A_1 =
+    lambda A_t (t = mu / lambda) with lambda, mu > 0: lambda is read off
+    a basis vector outside the center, mu off z0, and A is compared."""
+    a0, a1 = space.family_data.metric
+    e = next(i for i, col in enumerate(a1) if not col)
+    z0 = linalg.sparse(space.z0_m)
+    lam = dict(columns[e]).get(e, Fraction(0))
+    mu = (dict(linalg.sparse_mat_vec(columns, z0)).get(z0[0][0], Fraction(0))
+          / z0[0][1])
+    return lam > 0 and mu > 0 and columns == linalg.combine_columns(
+        [lam, mu], [a0, a1], space.dim_m)
 
 
 def _outer(op, u, gv, f):

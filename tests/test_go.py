@@ -483,24 +483,78 @@ def test_scan_tables_match_fraction_walk_on_random_points(space):
 def test_scan_evaluates_each_probe_once_per_supported_values(space,
                                                               monkeypatch):
     # a probe reads at most a few of the 4 parameters, so its table has at
-    # most |grid|^|support| entries, each filled by one exact evaluation
+    # most |grid|^|support| entries, each filled by one exact evaluation:
+    # the evaluations counted are exactly the entries the tables hold
     sp = space(3, 2)
     diag = stiefel.diagonal_family(sp)
     probes = basis_probe_vectors(sp.decomp)
     tensors = go._ScanTensors(diag, metric.family_basis_ops(diag), probes)
     support = [tensors._probe(p).support for p in range(len(probes))]
-    calls = []
-    residual_sq = go._ScanTensors.residual_sq
+    calls, scans = [], set()
+    residual = go._ScanTensors._residual
 
-    def counted(self, values, p):
+    def counted(self, p, pairs):
         calls.append(p)
-        return residual_sq(self, values, p)
+        scans.add(self)
+        return residual(self, p, pairs)
 
-    monkeypatch.setattr(go._ScanTensors, "residual_sq", counted)
+    monkeypatch.setattr(go._ScanTensors, "_residual", counted)
     result = search_go(sp.decomp, diag, ScanSpec(grid=_GRID_32))
     assert result.n_points == 256
+    (scanned,) = scans
+    filled = sum(len(table) for _, _, table in scanned._walked)
+    assert len(calls) == filled == 224
     assert len(calls) <= sum(len(_GRID_32) ** len(s) for s in support)
-    assert len(calls) < result.n_points
+
+
+def _table_points(tensors):
+    """(probe, full-length values, table string) of every filled entry;
+    the values are None off the probe's support."""
+    n = len(tensors.op_columns)
+    for p, _, table in tensors._walked:
+        support = tensors._probe(p).support
+        for key, res in table.items():
+            ids = key if isinstance(key, tuple) else (key,)
+            values = [None] * n
+            for c, i in zip(support, ids):
+                values[c] = tensors.values[i]
+            yield p, values, res
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+def test_table_strings_are_reduced_residuals(space, n, k):
+    # every filled entry is frac_to_str of the Fraction residual when it
+    # is positive and "" when it is zero: reduced, sign on the numerator
+    sp = space(n, k)
+    family = (stiefel.diagonal_family(sp) if n == 3
+              else metric.full_family(sp.decomp))
+    ops = metric.family_basis_ops(family)
+    tensors = go._ScanTensors(family, ops, basis_probe_vectors(sp.decomp),
+                              _GRID_32)
+    if n == 3:
+        points = itertools.product(range(len(_GRID_32)), repeat=len(ops))
+    else:
+        spec = ScanSpec(grid=_GRID_32, seed=6, random_count=16)
+        points = [tuple(map(tensors.intern, vals)) for vals in
+                  go._random_points(family, spec, tensors.integer_ops[1])]
+    for ids in points:
+        tensors.first_failure(ids)
+    entries = list(_table_points(tensors))
+    strings = {res for _, _, res in entries}
+    assert "" in strings and len(strings) > 2
+    for p, values, res in entries:
+        res_sq = tensors.residual_sq(values, p)
+        assert res == (linalg.frac_to_str(res_sq) if res_sq > 0 else "")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_releases_the_worker_context(space, jobs):
+    # the context holds the family and, through it, the whole space; it
+    # is emptied when the scan returns (and when it raises, see below)
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    result = search_go(sp.decomp, diag, ScanSpec(grid=[1, 2], jobs=jobs))
+    assert result.n_points == 16 and go._WORKER_CTX == {}
 
 
 def _count_builds(monkeypatch):
@@ -555,6 +609,7 @@ def test_scan_rejects_op_outside_commutant_on_first_reach(space, monkeypatch,
         search_go(sp.decomp, full,
                   ScanSpec(grid=_GRID_32, seed=1, random_count=16, jobs=jobs),
                   include_grid=False)
+    assert go._WORKER_CTX == {}
     assert probes[built[-1]] == linalg.unit_vec(sp.dim_m, i)
     assert built == list(range(built[-1] + 1))
 

@@ -11,7 +11,8 @@ from go_metric_lab import go, isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
                                    metric_at, tilde_map, verify_family)
 from oracles import (center_coefficient, columns, gram_dot, identity,
-                     mat_add, matrix_of, projector, whole_normalizer_ops)
+                     is_deformation, mat_add, matrix_of, projector,
+                     whole_normalizer_ops)
 
 
 def test_build_examples(space):
@@ -230,14 +231,61 @@ def test_verify_family_exact_zeros(n, k, space):
 
 def test_deformation_point_classifier(space):
     sp = space(3, 2)
-    assert stiefel._is_deformation(sp, metric_at(sp, Fraction(7, 3)).columns)
-    assert stiefel._is_deformation(sp, metric.from_matrix(
+    assert is_deformation(sp, metric_at(sp, Fraction(7, 3)).columns)
+    assert is_deformation(sp, metric.from_matrix(
         sp.decomp, linalg.mat_scale(
             Fraction(3), matrix_of(metric_at(sp, Fraction(1, 2))))).columns)
     p1 = projector(sp.s1.members[0].space, sp.action.norms, sp.dim_m)
     a = metric.from_matrix(sp.decomp,
                            mat_add(identity(sp.dim_m), p1))
-    assert not stiefel._is_deformation(sp, a.columns)
+    assert not is_deformation(sp, a.columns)
+
+
+_GRID_R1 = [stiefel.GRID_LO + i for i in range(4)]     # resolution 1
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
+def test_deformation_test_matches_the_column_oracle(space, n, k):
+    # the parameter-vector test against the columns of the instantiated
+    # metric: every resolution-1 grid point, then seeded points on the
+    # line (center last), off it in one class, and with lambda or mu <= 0
+    sp = space(n, k)
+    diag = stiefel.diagonal_family(sp)
+    ops = metric.family_basis_ops(diag)
+    in_family = stiefel._deformation_test(sp, diag)
+
+    def agree(values) -> bool:
+        got = in_family(values)
+        assert got == is_deformation(
+            sp, linalg.combine_columns(values, ops, sp.dim_m)), values
+        return got
+
+    assert sum(map(agree, itertools.product(_GRID_R1, repeat=len(ops)))) == 16
+    rng = random.Random(f"deformation:{n}:{k}")
+    seen = {"on the line": 0, "perturbed": 0, "lambda <= 0": 0,
+             "mu <= 0": 0}
+    for _ in range(40):
+        lam, mu = (Fraction(rng.randint(1, 12), rng.randint(1, 4))
+                   for _ in range(2))
+        line = [lam] * (len(ops) - 1) + [mu]
+        seen["on the line"] += agree(line)
+        for c in range(len(ops) - 1):          # each scalar class
+            off = list(line)
+            off[c] += Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+            seen["perturbed"] += not agree(off)
+        seen["lambda <= 0"] += not agree(
+            [-lam * rng.randint(0, 1)] * (len(ops) - 1) + [mu])
+        seen["mu <= 0"] += not agree(line[:-1] + [-mu * rng.randint(0, 1)])
+    assert seen == {"on the line": 40, "perturbed": 40 * (len(ops) - 1),
+                     "lambda <= 0": 40, "mu <= 0": 40}
+
+
+def test_deformation_test_rejects_a_family_without_the_line(space):
+    sp = space(4, 2)
+    diag = stiefel.diagonal_family(sp)
+    diag.scalar_blocks.pop()                # S1.m2 has no parameter left
+    with pytest.raises(ArithmeticError, match="not in span"):
+        stiefel._deformation_test(sp, diag)
 
 
 def test_grassmannian_cross_check(space):
