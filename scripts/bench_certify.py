@@ -15,10 +15,17 @@ With `--scan` it times instead the off-diagonal scan: `go.search_go` over
 `metric.full_family` with 40 drawn samples and no grid, on (4,2), (4,3)
 and (6,3), and records a digest of the falsified entries so that
 checkouts can be seen to agree.  With `--theorem` it runs the command line
-end to end instead: `reproduce-theorem --jobs 1 --verbose` on (8,4) at
+end to end instead: `reproduce-theorem --verbose` on (8,4) at
 resolution 1 with 10 off-diagonal samples and on (6,3) at resolution 1
 with 50, recording the wall time, the `--verbose` stage times, the
-command's peak RSS and a digest of its report.  With several checkouts
+command's peak RSS and a digest of its report.  `--join` runs the
+grid-scan commands the same way: (5,3) at resolution 1/4, (8,4) at 1 and
+(8,7) at 1/4, each with the default 200 off-diagonal samples; a run that
+exits non-zero is recorded with its exit code and last stderr line
+instead of stages.  For every checkout whose `ScanSpec` still has a
+`jobs` field it also times `go.search_go` over 200 full-cone samples of
+(4,2), (6,3) and (8,4) with 1 and with 2 worker processes, alternating,
+with the collector on.  With several checkouts
 the runs alternate checkout by checkout inside every round, so host drift
 hits them alike.  Each checkout is given as PATH or LABEL=PATH; the JSON
 result (every run plus per-checkout medians) goes to stdout or to --out.
@@ -45,6 +52,8 @@ run (one tree given twice) shows the harness's own spread.
     python scripts/bench_certify.py parent=../parent change=. \\
         --perfbench theorem-32,offdiag-42,certify-43 --rounds 60 \\
         --out BENCH_grid.json
+    python scripts/bench_certify.py parent=../parent change=. --join \\
+        --rounds 3 --out BENCH_join.json
 """
 
 import argparse
@@ -72,6 +81,9 @@ SCAN_SAMPLES = 40
 SCAN_LAYERS = ("build_s", "scan_s", "peak_rss_mb")
 # (n, k, resolution, off-diagonal samples) of each reproduce-theorem run
 THEOREM_RUNS = ((8, 4, "1", 10), (6, 3, "1", 50))
+JOIN_RUNS = ((5, 3, "1/4", 200), (8, 4, "1", 200), (8, 7, "1/4", 200))
+POOL_SPACES = ((4, 2), (6, 3), (8, 4))
+POOL_SAMPLES = 200
 THEOREM_LAYERS = ("wall_s", "build_s", "verify_s", "reduce_s", "scan_s",
                   "peak_rss_mb")
 GC_NOTE = (" (gc.collect(), then gc.disable() around the timed steps, "
@@ -148,13 +160,34 @@ def scan_child(checkout: str, n: int, k: int) -> dict:
             "peak_rss_mb": _peak_rss_mb(), "falsified_sha256": digest}
 
 
-def theorem_child(checkout: str, n: int, k: int) -> dict:
+def pool_child(checkout: str, n: int, k: int, jobs: str) -> dict:
+    """One off-diagonal scan of POOL_SAMPLES draws with `jobs` workers, in
+    this interpreter; {"pool": False} when the checkout has no pool."""
+    import dataclasses
+    go, metric, stiefel = _import_from(checkout)
+    if "jobs" not in {f.name for f in dataclasses.fields(go.ScanSpec)}:
+        return {"pool": False}
+    space = stiefel.build_stiefel(n, k)
+    full = metric.full_family(space.decomp)
+    spec = go.ScanSpec(random_count=POOL_SAMPLES, seed=SEED, jobs=int(jobs))
+    t0 = time.perf_counter()
+    result = go.search_go(space.decomp, full, spec, include_grid=False)
+    scan_s = time.perf_counter() - t0
+    digest = hashlib.sha256(json.dumps(result.falsified, sort_keys=True)
+                            .encode()).hexdigest()[:16]
+    return {"scan_s": round(scan_s, 4), "falsified_sha256": digest}
+
+
+def theorem_child(checkout: str, n: int, k: int,
+                  runs: str = "theorem") -> dict:
     """One `reproduce-theorem` run of the checkout's command line, as the
     only child of this interpreter, so its peak RSS is this one's
-    RUSAGE_CHILDREN maximum."""
+    RUSAGE_CHILDREN maximum.  A `join` run that exits non-zero returns its
+    exit code and last stderr line."""
     import resource
-    _, _, resolution, samples = next(r for r in THEOREM_RUNS
-                                     if r[:2] == (n, k))
+    _, _, resolution, samples = next(
+        r for r in (JOIN_RUNS if runs == "join" else THEOREM_RUNS)
+        if r[:2] == (n, k))
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.abspath(checkout), "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("GO_METRIC_LAB_SEED", None)
@@ -164,10 +197,13 @@ def theorem_child(checkout: str, n: int, k: int) -> dict:
         proc = subprocess.run(
             [sys.executable, "-m", "go_metric_lab", "reproduce-theorem",
              str(n), str(k), "--resolution", resolution,
-             "--offdiagonal-samples", str(samples), "--jobs", "1",
+             "--offdiagonal-samples", str(samples),
              "--verbose", "--out", report],
             env=env, capture_output=True, text=True)
         wall = time.perf_counter() - t0
+        if proc.returncode and runs == "join":
+            return {"wall_s": round(wall, 4), "exit": proc.returncode,
+                    "error": proc.stderr.strip().splitlines()[-1]}
         if proc.returncode:
             raise SystemExit(f"({n},{k}) exited {proc.returncode}: "
                              f"{proc.stderr.strip()[-500:]}")
@@ -185,7 +221,7 @@ def theorem_child(checkout: str, n: int, k: int) -> dict:
 
 
 CHILDREN = {"--child": child, "--scan-child": scan_child,
-            "--theorem-child": theorem_child}
+            "--theorem-child": theorem_child, "--pool-child": pool_child}
 
 
 def _load_workloads(checkout: str, workloads_py: str, index: int):
@@ -255,10 +291,10 @@ def perfbench_ab(checkouts, names: List[str], pairs: int) -> dict:
     return out
 
 
-def timed_run(checkout: str, n: int, k: int, mode: str) -> dict:
+def timed_run(checkout: str, n: int, k: int, mode: str, *extra) -> dict:
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), mode, checkout, str(n),
-         str(k)], check=True, capture_output=True, text=True)
+         str(k), *extra], check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -271,11 +307,34 @@ def parse_checkout(text: str):
     return label, path
 
 
+def pool_runs(args) -> dict:
+    """Off-diagonal scans at 1 and 2 workers, alternating inside every
+    round, for the checkouts that have a pool."""
+    runs = []
+    for r in range(args.rounds):
+        for n, k in POOL_SPACES:
+            for label, path in args.checkouts:
+                for jobs in ((1, 2) if r % 2 == 0 else (2, 1)):
+                    run = timed_run(path, n, k, "--pool-child", str(jobs))
+                    if run.get("pool") is False:
+                        break
+                    run.update(checkout=label, space=f"{n},{k}", round=r,
+                               jobs=jobs)
+                    runs.append(run)
+                    print(json.dumps(run), file=sys.stderr)
+    return {"random_count": POOL_SAMPLES,
+            "spaces": [f"{n},{k}" for n, k in POOL_SPACES],
+            "note": "collector on; one fresh interpreter per run",
+            "runs": runs}
+
+
 def alternating_runs(args) -> dict:
     """Timed child runs, alternating checkouts inside every round."""
-    if args.theorem:
-        mode, spaces, layers = ("--theorem-child",
-                                [r[:2] for r in THEOREM_RUNS], THEOREM_LAYERS)
+    extra = ()
+    if args.theorem or args.join:
+        mode, layers = "--theorem-child", THEOREM_LAYERS
+        spaces = [r[:2] for r in (JOIN_RUNS if args.join else THEOREM_RUNS)]
+        extra = ("join",) if args.join else ()
     elif args.scan:
         mode, spaces, layers = "--scan-child", SCAN_SPACES, SCAN_LAYERS
     else:
@@ -286,27 +345,33 @@ def alternating_runs(args) -> dict:
         for n, k in spaces:
             for label, path in args.checkouts:
                 run = {"checkout": label, "space": f"{n},{k}", "round": r,
-                       **timed_run(path, n, k, mode)}
+                       **timed_run(path, n, k, mode, *extra)}
                 runs.append(run)
                 print(json.dumps(run), file=sys.stderr)
-    medians = {
-        label: {f"{n},{k}": {
-            m: round(statistics.median(x[m] for x in runs
-                                       if x["checkout"] == label
-                                       and x["space"] == f"{n},{k}"), 4)
-            for m in layers} for n, k in spaces}
-        for label, _ in args.checkouts}
-    flag = " --theorem" if args.theorem else " --scan" if args.scan else ""
+    def median(label, n, k, m):
+        # runs that exited non-zero (--join only) have no stages
+        done = [x[m] for x in runs if x["checkout"] == label
+                and x["space"] == f"{n},{k}" and "exit" not in x]
+        return round(statistics.median(done), 4) if done else None
+
+    medians = {label: {f"{n},{k}": {m: median(label, n, k, m) for m in layers}
+                       for n, k in spaces}
+               for label, _ in args.checkouts}
+    flag = (" --theorem" if args.theorem else " --join" if args.join
+            else " --scan" if args.scan else "")
     result = {"harness": "scripts/bench_certify.py" + flag
-              + ("" if args.theorem else GC_NOTE),
+              + ("" if args.theorem or args.join else GC_NOTE),
               "python": platform.python_version(), "cpus": os.cpu_count(),
               "spaces": [f"{n},{k}" for n, k in spaces]}
-    if args.theorem:
+    if args.theorem or args.join:
         result["commands"] = [
             f"reproduce-theorem {n} {k} --resolution {res} "
-            f"--offdiagonal-samples {samples} --jobs 1 --verbose"
-            for n, k, res, samples in THEOREM_RUNS]
-    else:
+            f"--offdiagonal-samples {samples} --verbose"
+            for n, k, res, samples in (JOIN_RUNS if args.join
+                                       else THEOREM_RUNS)]
+    if args.join:
+        result["pool"] = pool_runs(args)
+    elif not args.theorem:
         result.update({"random_count": SCAN_SAMPLES} if args.scan else
                       {"t_values": list(T_VALUES), "n_samples": N_SAMPLES})
     result.update({"seed": SEED, "rounds": args.rounds,
@@ -316,8 +381,8 @@ def alternating_runs(args) -> dict:
 
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:2] and sys.argv[1] in CHILDREN:
-        mode, checkout, n, k = sys.argv[1:5]
-        print(json.dumps(CHILDREN[mode](checkout, int(n), int(k))))
+        mode, checkout, n, k, *extra = sys.argv[1:]
+        print(json.dumps(CHILDREN[mode](checkout, int(n), int(k), *extra)))
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("checkouts", nargs="+", type=parse_checkout,
@@ -328,6 +393,9 @@ def main(argv=None) -> int:
                        help="time the off-diagonal scan instead")
     modes.add_argument("--theorem", action="store_true",
                        help="time reproduce-theorem end to end instead")
+    modes.add_argument("--join", action="store_true",
+                       help="time the grid-scan commands and the worker "
+                            "pool instead")
     modes.add_argument("--perfbench", metavar="WORKLOAD[,WORKLOAD...]",
                        help="in-process A/B of perfbench passes instead")
     ap.add_argument("--out")

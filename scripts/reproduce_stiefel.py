@@ -6,7 +6,7 @@ residuals, reduces the candidate metric cone, and sweeps the remaining
 parameters for uniqueness.  Forwards its arguments to
 `go-metric-lab reproduce-theorem`, so the flags and exit codes are the same.
 
-    python scripts/reproduce_stiefel.py 4 2 --resolution 1/2 --jobs 2
+    python scripts/reproduce_stiefel.py 4 2 --resolution 1/2
 """
 
 import sys

@@ -216,7 +216,7 @@ def cmd_reproduce_theorem(args) -> int:
     try:
         report = stiefel.reproduce_report(
             args.n, args.k, resolution=args.resolution,
-            seed=args.seed, jobs=args.jobs,
+            seed=args.seed,
             offdiagonal_samples=args.offdiagonal_samples,
             stage=lambda name: _stage(args, name))
     except lie_core.InvalidDimensionError as exc:
@@ -279,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_positive_fraction, default="1/4",
                    help="grid step on [1/4, 4] for the uniqueness scan")
     p.add_argument("--offdiagonal-samples", type=int_at_least(0), default=200)
-    p.add_argument("--jobs", type=int_at_least(1), default=1,
-                   help="worker processes for scans (at most the CPU count)")
     p.set_defaults(func=cmd_reproduce_theorem)
     return parser
 

@@ -25,10 +25,10 @@ Rule codes "3.2"/"3.4"/"3.5"/"3.6" are stable wire-format tags.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -568,21 +568,22 @@ class ScanSpec:
     random_count: int = 0
     seed: int = 0
     survivor_random_probes: int = 20
-    jobs: int = 1
 
 
-MAX_GRID_POINTS = 2_000_000        # exhaustive grids larger than this refuse
+MAX_SCAN_NODES = 2_000_000     # grid joins visiting more prefixes refuse
+_GRID_SAMPLE = 5               # falsified grid entries kept, in index order
 
 
 @dataclass
 class ScanResult:
+    """Entries in index order: every survivor and falsified draw, but only
+    the first `_GRID_SAMPLE` falsified grid points; `n_falsified` counts
+    them all."""
     survivors: List[dict]
     falsified: List[dict]
     n_points: int
+    n_falsified: int
     notes: List[str] = field(default_factory=list)
-
-
-_WORKER_CTX: dict = {}
 
 
 class _Probe(NamedTuple):
@@ -600,8 +601,9 @@ class _ScanTensors:
     family parameters, so per probe X everything reduces to tensors
     contracted against the parameter vector.  The tensors are read off the
     split's m x m bracket table and the isotropy action.  A probe's
-    tensors are built when a walk first reaches it (`_probe`), and most
-    points fail at one of the first few probes.  Containment of every
+    tensors are built on first use (`_probe`): the grid join (`passing`)
+    builds every probe, while drawn points walk the probes in order and
+    most fail at one of the first few.  Containment of every
     [X, Op_c X] in m (a zero h-component) is verified exactly in that
     build, before the probe is used, and carries over each contraction by
     linearity.
@@ -615,10 +617,11 @@ class _ScanTensors:
     (numerator, denominator) pairs: the positions of `grid` first, then
     each new value passed to `intern`.  A point is a tuple of ids, and
     each probe keeps a table from the ids on its support to the report
-    string of its exact residual ("" when the probe passes), so a walk is
-    one tuple lookup per probe.  One integer evaluation, `_residual`,
-    fills memo and tables; `residual_sq` is its `Fraction` view.  All of
-    it lives as long as the `_ScanTensors`, which is one scan.
+    string of its exact residual ("" when the probe passes), so checking
+    a probe at a point is one tuple lookup (`_lookup`).  One integer
+    evaluation, `_residual`, fills memo and tables; `residual_sq` is its
+    `Fraction` view.  All of it lives as long as the `_ScanTensors`,
+    which is one scan.
     """
 
     def __init__(self, family: MetricFamily, ops: List[linalg.Columns],
@@ -749,20 +752,53 @@ class _ScanTensors:
         return Fraction(*self._residual(p, [
             (values[c].numerator, values[c].denominator) for c in support]))
 
+    def _lookup(self, entry: Tuple[int, Callable, Dict],
+                ids: Sequence[int]) -> str:
+        """A `_walk` entry's table string at the point `ids`, filled by one
+        `_residual` on a miss."""
+        p, key_of, table = entry
+        key = key_of(ids)
+        res = table.get(key)
+        if res is None:
+            num, den = self._residual(p, [
+                self.pairs[ids[c]] for c in self._built[p].support])
+            res = table[key] = f"{num}/{den}" if num else ""  # reduced
+        return res
+
     def first_failure(self, ids: Tuple[int, ...]
                       ) -> Optional[Tuple[int, str]]:
         """(probe, residual string) of the first probe in probe order with
         a positive residual at the point, or None when every probe passes."""
-        for p, key_of, table in self._walk():
-            key = key_of(ids)
-            res = table.get(key)
-            if res is None:
-                num, den = self._residual(p, [
-                    self.pairs[ids[c]] for c in self._built[p].support])
-                res = table[key] = f"{num}/{den}" if num else ""  # reduced
+        for entry in self._walk():
+            res = self._lookup(entry, ids)
             if res:
-                return p, res
+                return entry[0], res
         return None
+
+    def passing(self, n: int, positions: Sequence[int]
+                ) -> List[Tuple[int, ...]]:
+        """The points of n parameters over the ids `positions` that pass
+        every probe, in index order: a join of the probes' tables, one
+        parameter at a time, that looks each probe up where its support
+        ends and prunes a prefix at its first positive entry.  Builds
+        every probe; refuses (ValueError) past `MAX_SCAN_NODES` prefixes.
+        """
+        at_depth: List[list] = [[] for _ in range(n)]   # `_walk` entries
+        for entry in self._walk():
+            at_depth[self._built[entry[0]].support[-1]].append(entry)
+        level: List[Tuple[int, ...]] = [()]
+        nodes = 0
+        for probes in at_depth:
+            nodes += len(level) * len(positions)
+            if nodes > MAX_SCAN_NODES:
+                raise ValueError(
+                    f"grid join visits more than MAX_SCAN_NODES = "
+                    f"{MAX_SCAN_NODES} prefixes; coarsen the grid or "
+                    "reduce the family first")
+            level = [ids for prefix in level for ids in (
+                prefix + (i,) for i in positions)
+                if not any(self._lookup(e, ids) for e in probes)]
+        return level
 
     def probe_strings(self, p: int) -> List[str]:
         """A fresh copy of probe p's coordinate strings."""
@@ -771,21 +807,6 @@ class _ScanTensors:
             strings = self._probe_strings[p] = [linalg.frac_to_str(c)
                                                 for c in self.probes[p]]
         return list(strings)
-
-
-def _grid_points(family: MetricFamily, spec: ScanSpec
-                 ) -> Iterator[Tuple[int, ...]]:
-    """The grid's points as tuples of value ids (grid positions), lazily."""
-    if family.intertwiner_blocks or any(
-            b.space.dim > 1 for b in family.operator_blocks):
-        raise ValueError("exhaustive grids need a diagonal family; "
-                         "use random_count for the full cone")
-    n = family.n_params
-    total = len(spec.grid) ** n
-    if total > MAX_GRID_POINTS:
-        raise ValueError(f"grid of {total} points exceeds the cap; "
-                         "coarsen the grid or reduce the family first")
-    return itertools.product(range(len(spec.grid)), repeat=n)
 
 
 def _random_points(family: MetricFamily, spec: ScanSpec,
@@ -845,122 +866,102 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     return points
 
 
-def _evaluate_scan_point(task: Tuple[int, Tuple[int, ...]]) -> Tuple[int, dict]:
-    idx, ids = task
-    family: MetricFamily = _WORKER_CTX["family"]
-    spec: ScanSpec = _WORKER_CTX["spec"]
-    tensors: _ScanTensors = _WORKER_CTX["tensors"]
-    prove: Optional[Callable[[Sequence], bool]] = _WORKER_CTX["prove"]
-    decomp = family.decomp
-    entry = {"params": [tensors.strings[i] for i in ids]}
-    # grid points come from a diagonal family (`_grid_points` refuses any
-    # other), where positive definite means every value is positive; the
-    # drawn points after them were proved positive definite when drawn
-    if idx < _WORKER_CTX["n_grid"] and not all(tensors.pairs[i][0] > 0
-                                               for i in ids):
-        entry["status"] = "not-pd"
-        return idx, entry
-
-    # the first failing probe in probe order is the reported falsifier
-    failure = tensors.first_failure(ids)
-    if failure is not None:
-        entry.update(status="falsified",
-                     falsifier_x=tensors.probe_strings(failure[0]),
-                     residual_sq=failure[1])
-        return idx, entry
-    values = [tensors.values[i] for i in ids]
-    proved = prove is not None and prove(values)
-    if spec.survivor_random_probes and not proved:
-        a = MetricEndomorphism(
-            decomp=decomp, columns=linalg.combine_columns(
-                values, tensors.op_columns, decomp.dim),
-            params=None, is_pd=True)
-        cert = go_check(a, strategy="random",
-                        count=spec.survivor_random_probes,
-                        seed=spec.seed * 1_000_003 + idx,
-                        keep_witnesses=False)
-        if cert.verdict == "falsified":
-            conv, w = linalg.frac_to_str, cert.falsifier
-            entry.update(status="falsified", falsifier_x=[
-                conv(c) for c in w.x_m], residual_sq=conv(w.residual_sq))
-            return idx, entry
-    entry["status"] = "survived"
-    if prove is not None:
-        entry["proved"] = proved
-    return idx, entry
-
-
 def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
               spec: Optional[ScanSpec] = None,
               include_grid: bool = True,
               prove: Optional[Callable[[Sequence], bool]] = None
               ) -> ScanResult:
-    """Instantiate the family over a seeded scan, filter PD, run go_check.
+    """Scan the family's grid and seeded draws, filter PD, run go_check.
 
     A point that passes every basis probe is a survivor candidate.  It
-    then runs `spec.survivor_random_probes` seeded random probes, unless
-    `prove(values)` is True: the caller holds a proof that the metric at
-    those parameters is GO, and sampling could add nothing.  With `prove`
-    given, each survivor entry records its answer under "proved"; it is
-    asked once per candidate, after the basis probes.
+    then runs `spec.survivor_random_probes` random probes, seeded by its
+    index, unless `prove(values)` is True: the caller holds a proof that
+    the metric at those parameters is GO, and sampling could add nothing.
+    With `prove` given, each survivor entry records its answer under
+    "proved"; it is asked once per candidate, after the basis probes.
 
-    Points travel as tuples of value ids (see `_ScanTensors`): the grid is
-    generated lazily from grid positions, and random points are interned
-    as they are drawn.  The basis probes are answered from per-probe
-    tables, so each (probe, supported values) is evaluated once per scan
-    and per worker process.  A probe's tensors are built when a walk
-    first reaches it, in each worker process, and its containment check
-    raises ValueError then.  Random points are proved positive definite
-    once, when drawn; a grid point is positive definite when all its
-    values are positive, because grids need a diagonal family.
-
-    Deterministic for a fixed seed and independent of the worker count:
-    points are indexed before dispatch and merged in index order.
+    Points are tuples of value ids (see `_ScanTensors`), indexed grid
+    first, in mixed radix over the grid positions, then the draws.  Grids
+    need a diagonal family, where a point is positive definite iff its
+    values are positive.  The grid's candidates are one join of the probe
+    tables over the positive positions (`_ScanTensors.passing`), and every
+    other positive point is falsified; only the first `_GRID_SAMPLE` of
+    those are walked, in index order.  Draws are proved positive definite
+    once, when drawn, and walk the probes in order.  A probe's
+    containment check raises ValueError when the probe is built.
     """
     spec = spec or ScanSpec()
-    ops = metric_mod.family_basis_ops(family)
-    grid = _grid_points(family, spec) if include_grid else ()
-    n_grid = len(spec.grid) ** family.n_params if include_grid else 0
-    tensors = _ScanTensors(family, ops, basis_probe_vectors(decomp),
-                           spec.grid)
+    tensors = _ScanTensors(family, metric_mod.family_basis_ops(family),
+                           basis_probe_vectors(decomp), spec.grid)
+
+    def entry(ids: Sequence[int], failure: Optional[Tuple[int, str]],
+              idx: Optional[int] = None) -> dict:
+        # falsified by the first failing basis probe, else by the survivor
+        # probes seeded by the point's index `idx` unless proved, else
+        # survived
+        out = {"params": [tensors.strings[i] for i in ids]}
+        if failure is not None:
+            out.update(status="falsified", residual_sq=failure[1],
+                       falsifier_x=tensors.probe_strings(failure[0]))
+            return out
+        values = [tensors.values[i] for i in ids]
+        proved = prove is not None and prove(values)
+        if spec.survivor_random_probes and not proved:
+            a = MetricEndomorphism(
+                decomp=decomp, columns=linalg.combine_columns(
+                    values, tensors.op_columns, decomp.dim),
+                params=None, is_pd=True)
+            cert = go_check(a, strategy="random",
+                            count=spec.survivor_random_probes,
+                            seed=spec.seed * 1_000_003 + idx,
+                            keep_witnesses=False)
+            if cert.verdict == "falsified":
+                conv, w = linalg.frac_to_str, cert.falsifier
+                out.update(status="falsified", falsifier_x=[
+                    conv(c) for c in w.x_m], residual_sq=conv(w.residual_sq))
+                return out
+        out["status"] = "survived"
+        if prove is not None:
+            out["proved"] = proved
+        return out
+
+    survivors: List[dict] = []
+    falsified: List[dict] = []
+    n_grid = n_pd = n_falsified = 0
+    if include_grid:
+        if family.intertwiner_blocks or any(
+                b.space.dim > 1 for b in family.operator_blocks):
+            raise ValueError("exhaustive grids need a diagonal family; "
+                             "use random_count for the full cone")
+        n, size = family.n_params, len(spec.grid)
+        positive = [i for i in range(size) if tensors.pairs[i][0] > 0]
+        candidates = {}
+        for ids in tensors.passing(n, positive):
+            idx = functools.reduce(lambda acc, i: acc * size + i, ids, 0)
+            candidates[ids] = entry(ids, None, idx)
+        survivors = [e for e in candidates.values()
+                     if e["status"] == "survived"]
+        n_grid, n_pd = size ** n, len(positive) ** n
+        n_falsified = n_pd - len(survivors)
+        for ids in itertools.product(positive, repeat=n):
+            if len(falsified) == min(_GRID_SAMPLE, n_falsified):
+                break
+            e = candidates.get(ids) or entry(ids, tensors.first_failure(ids))
+            if e["status"] == "falsified":
+                falsified.append(e)
     drawn = [tuple(map(tensors.intern, vals)) for vals in _random_points(
         family, spec, tensors.integer_ops[1])] if spec.random_count else []
-    n_points = n_grid + len(drawn)
-    _WORKER_CTX.update({"family": family, "spec": spec, "tensors": tensors,
-                        "prove": prove, "n_grid": n_grid})
-    tasks = enumerate(itertools.chain(grid, drawn))
-    results: Optional[List[Tuple[int, dict]]] = None
-    workers = min(spec.jobs, os.cpu_count() or 1, n_points)
-    try:
-        if workers > 1:
-            try:
-                import concurrent.futures as cf
-                import multiprocessing as mp
-                # workers inherit _WORKER_CTX through fork and build their
-                # own probe tensors and tables; a failure, such as the
-                # containment ValueError, falls back to the sequential
-                # path, which raises it again
-                ctx = mp.get_context("fork")
-                with cf.ProcessPoolExecutor(max_workers=workers,
-                                            mp_context=ctx) as pool:
-                    chunk = max(1, n_points // (workers * 8))
-                    results = list(pool.map(_evaluate_scan_point, tasks,
-                                            chunksize=chunk))
-            except (OSError, ImportError, ValueError):
-                # a pool that failed part-way may have taken tasks already
-                grid = _grid_points(family, spec) if include_grid else ()
-                tasks = enumerate(itertools.chain(grid, drawn))
-        if results is None:
-            results = [_evaluate_scan_point(t) for t in tasks]
-    finally:
-        # the context holds the family, and through it the whole space
-        _WORKER_CTX.clear()
-    entries = [e for _, e in sorted(results, key=operator.itemgetter(0))]
-    status = [e["status"] for e in entries]
+    for idx, ids in enumerate(drawn, n_grid):
+        e = entry(ids, tensors.first_failure(ids), idx)
+        if e["status"] == "survived":
+            survivors.append(e)
+        else:
+            falsified.append(e)
+            n_falsified += 1
     return ScanResult(
-        survivors=[e for e, s in zip(entries, status) if s == "survived"],
-        falsified=[e for e, s in zip(entries, status) if s == "falsified"],
-        n_points=n_points, notes=[] if set(status) - {"not-pd"} else [
+        survivors=survivors, falsified=falsified,
+        n_points=n_grid + len(drawn), n_falsified=n_falsified,
+        notes=[] if n_pd + len(drawn) else [
             "no positive definite points in the scan"])
 
 

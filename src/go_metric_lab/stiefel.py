@@ -540,8 +540,7 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
         off_spec = go_mod.ScanSpec(grid=spec.grid,
                                    random_count=offdiagonal_samples,
                                    seed=spec.seed,
-                                   survivor_random_probes=spec.survivor_random_probes,
-                                   jobs=spec.jobs)
+                                   survivor_random_probes=spec.survivor_random_probes)
         off_result = go_mod.search_go(space.decomp, full, off_spec,
                                       include_grid=False)
 
@@ -556,7 +555,7 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
             "n_survivors": len(survivors),
             "n_survivors_proved": sum(e.get("proved", False)
                                       for e in survivors),
-            "n_falsified": len(grid_result.falsified),
+            "n_falsified": grid_result.n_falsified,
             "param_labels": diag.param_labels(),
             "survivors_all_in_family": survivors_ok,
             "falsified_sample": grid_result.falsified[:5],
@@ -567,7 +566,7 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
         report["off_diagonal"] = {
             "n_points": off_result.n_points,
             "n_survivors": len(off_result.survivors),
-            "n_falsified": len(off_result.falsified),
+            "n_falsified": off_result.n_falsified,
             "falsified_sample": off_result.falsified[:3],
         }
     if space.k == space.n - 1:
@@ -585,7 +584,7 @@ GRID_LO, GRID_HI = Fraction(1, 4), Fraction(4)    # the scan grid's ends
 
 
 def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
-                     seed: int = 0, jobs: int = 1,
+                     seed: int = 0,
                      t_values: Sequence = (Fraction(1, 2), 1, 2, 3),
                      n_samples: int = 100,
                      offdiagonal_samples: int = 200,
@@ -604,7 +603,7 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
     resolution = Fraction(resolution)
     steps = int((GRID_HI - GRID_LO) / resolution)
     grid = [GRID_LO + i * resolution for i in range(steps + 1)]
-    spec = go_mod.ScanSpec(grid=grid, seed=seed, jobs=jobs)
+    spec = go_mod.ScanSpec(grid=grid, seed=seed)
     scan = uniqueness_scan(space, spec, offdiagonal_samples=offdiagonal_samples,
                            stage=stage, all_t=family_report["all_t"])
     certs = {t: go_mod.certificate_to_json_dict(c, max_witnesses=3)

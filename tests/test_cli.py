@@ -241,9 +241,10 @@ DECOMPOSE_2_1 = ["decompose", "stiefel", "2", "1"]
 @pytest.mark.parametrize("args", [
     DECOMPOSE_2_1 + ["--mode", "float"],
     DECOMPOSE_2_1 + ["--tol", "1e-9"],
-    # only reproduce-theorem runs workers, so only it takes --jobs
+    # no command runs workers, so none takes --jobs
     DECOMPOSE_2_1 + ["--jobs", "2"],
     ["check-go", "stiefel", "2", "1", "--family-t", "2", "--jobs", "2"],
+    ["reproduce-theorem", "2", "1", "--jobs", "2"],
     # one metric source at a time; the metric file is never read
     ["check-go", "stiefel", "2", "1", "--metric", "BAD.json",
      "--family-t", "2", "--strategy", "family"],

@@ -1,8 +1,11 @@
 """Pointwise criterion, certificates, reduction rules, and scans."""
 
+import gc
 import itertools
+import math
 import random
 import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,8 +16,8 @@ from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
 from oracles import (center_coefficient, columns, coords_in_family,
-                     dense_orthogonal_projection, dense_pd_check,
-                     family_matrix, fraction_bracket, fraction_least_squares,
+                     dense_op, dense_orthogonal_projection, dense_pd_check,
+                     family_matrix, fraction_positive_definite, fraction_bracket, fraction_least_squares,
                      identity, identity_metric, inner, mat_add, mat_vec,
                      matrix_of, projector)
 
@@ -287,7 +290,8 @@ def test_search_go_small_grid(space):
     result = search_go(sp.decomp, diag, spec)
     assert result.n_points == 16
     assert len(result.survivors) == 4
-    assert len(result.falsified) == 12
+    # the grid keeps the first five falsified entries and counts them all
+    assert result.n_falsified == 12 and len(result.falsified) == 5
     for entry in result.falsified:
         assert linalg.frac_from_str(entry["residual_sq"]) > 0
 
@@ -299,50 +303,6 @@ def test_search_go_identity_only_family(space):
     result = search_go(sp.decomp, family, spec)
     assert result.n_points == 1
     assert len(result.survivors) == 1
-
-
-def test_search_go_deterministic_across_jobs(space):
-    sp = space(3, 2)
-    diag = stiefel.diagonal_family(sp)
-    r1 = search_go(sp.decomp, diag,
-                   ScanSpec(grid=[Fraction(1), Fraction(3)], seed=5, jobs=1))
-    r2 = search_go(sp.decomp, diag,
-                   ScanSpec(grid=[Fraction(1), Fraction(3)], seed=5, jobs=4))
-    assert r1.survivors == r2.survivors
-    assert r1.falsified == r2.falsified
-
-
-def test_search_go_caps_workers_at_cpu_count(space, monkeypatch):
-    # a recorder stands in for the process pool, so no process starts
-    import concurrent.futures
-    import os
-    recorded = []
-
-    class InProcessPool:
-        def __init__(self, max_workers=None, mp_context=None):
-            recorded.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    sp = space(3, 1)
-    diag = stiefel.diagonal_family(sp)
-    spec = ScanSpec(grid=[Fraction(1), Fraction(2)], seed=0,
-                    survivor_random_probes=2, jobs=10 ** 6)
-    result = search_go(sp.decomp, diag, spec)
-    assert recorded == [3]
-    assert all(w <= os.cpu_count() for w in recorded)
-    spec.jobs = 1
-    assert search_go(sp.decomp, diag, spec) == result
 
 
 # the (3,2) grid of the theorem workload: 1/4, 5/4, 9/4, 13/4
@@ -403,8 +363,30 @@ def test_scan_solves_once_per_projective_class(space, monkeypatch):
     monkeypatch.setattr(linalg, "least_squares", counted)
     result = search_go(sp.decomp, stiefel.diagonal_family(sp),
                        ScanSpec(grid=_GRID_32, survivor_random_probes=0))
-    assert len(result.falsified) == 240
-    assert len(calls) < len(result.falsified)
+    assert result.n_falsified == 240
+    assert len(calls) < result.n_falsified
+
+
+def _dense_pd_at(ops, norms):
+    """The matrix PD check of G A at parameter values, on integers: the
+    entries of G Op_c are cleared to integers once, the values per point,
+    and a positive scaling keeps G A symmetric and PD or not."""
+    dim = len(norms)
+    g_ops = [[(i, j, nu * c) for i, (nu, row) in
+              enumerate(zip(norms, dense_op(cols, dim)))
+              for j, c in enumerate(row) if c] for cols in ops]
+    den = math.lcm(*(c.denominator for m in g_ops for _, _, c in m))
+    int_ops = [[(i, j, int(c * den)) for i, j, c in m] for m in g_ops]
+
+    def pd(values):
+        d = math.lcm(*(Fraction(v).denominator for v in values))
+        ga = [[0] * dim for _ in range(dim)]
+        for v, m in zip(values, int_ops):
+            v = int(Fraction(v) * d)
+            for i, j, c in m:
+                ga[i][j] += v * c
+        return ga == linalg.transpose(ga) and fraction_positive_definite(ga)
+    return pd
 
 
 def _oracle_scan(decomp_, family, spec, include_grid=True):
@@ -417,20 +399,22 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
                               basis_probe_vectors(decomp_))
     for p in range(len(tensors.probes)):
         tensors._probe(p)
+    x_strings = [[conv(c) for c in x] for x in tensors.probes]
+    pd = _dense_pd_at(tensors.op_columns, decomp_.action.norms)
     points = (list(itertools.product(spec.grid, repeat=family.n_params))
               if include_grid else [])
     if spec.random_count:
         points += go._random_points(family, spec, tensors.integer_ops[1])
     survivors, falsified = [], []
     for idx, values in enumerate(points):
-        amat = family_matrix(tensors.op_columns, values, decomp_.dim)
-        if not dense_pd_check(amat, decomp_.action.norms):
+        if not pd(values):
             continue
         entry = {"params": [conv(v) for v in values]}
         residuals = ((x, tensors.residual_sq(values, p))
-                     for p, x in enumerate(tensors.probes))
+                     for p, x in enumerate(x_strings))
         failure = next(((x, r) for x, r in residuals if r > 0), None)
         if failure is None and spec.survivor_random_probes:
+            amat = family_matrix(tensors.op_columns, values, decomp_.dim)
             cert = go_check(metric.MetricEndomorphism(
                                 decomp=decomp_, columns=columns(amat),
                                 params=None,
@@ -440,33 +424,48 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
                             seed=spec.seed * 1_000_003 + idx,
                             keep_witnesses=False)
             if cert.verdict == "falsified":
-                failure = (cert.falsifier.x_m, cert.falsifier.residual_sq)
+                failure = ([conv(c) for c in cert.falsifier.x_m],
+                           cert.falsifier.residual_sq)
         if failure is None:
             entry["status"] = "survived"
             survivors.append(entry)
         else:
             entry.update(status="falsified",
-                         falsifier_x=[conv(c) for c in failure[0]],
+                         falsifier_x=failure[0],
                          residual_sq=conv(failure[1]))
             falsified.append(entry)
     notes = ([] if survivors or falsified
              else ["no positive definite points in the scan"])
     return go.ScanResult(survivors=survivors, falsified=falsified,
-                         n_points=len(points), notes=notes)
+                         n_points=len(points), n_falsified=len(falsified),
+                         notes=notes)
 
 
-@pytest.mark.parametrize("grid", [
-    _GRID_32,
-    [1, 2, 3],
+_QUARTER_GRID = [Fraction(i, 4) for i in range(1, 17)]
+
+
+@pytest.mark.parametrize("n,k,grid", [
+    (3, 2, _GRID_32),
+    (3, 2, [1, 2, 3]),
     # not-pd points, and a repeated value that gets two value ids
-    [Fraction(-1), 0, Fraction(1, 2), 1, Fraction(1, 2)],
-], ids=["quarter", "int", "nonpositive-repeated"])
-def test_scan_tables_match_fraction_walk(space, grid):
-    sp = space(3, 2)
+    (3, 2, [Fraction(-1), 0, Fraction(1, 2), 1, Fraction(1, 2)]),
+    (4, 2, _QUARTER_GRID),
+    (6, 3, _GRID_32),
+], ids=["quarter", "int", "nonpositive-repeated", "4-2-quarter",
+        "6-3-resolution-1"])
+def test_scan_tables_match_fraction_walk(space, n, k, grid):
+    # the join against the per-point walk: the survivors after their
+    # seeded probes, the falsified count and the first five falsified
+    # points in index order
+    sp = space(n, k)
     diag = stiefel.diagonal_family(sp)
     spec = ScanSpec(grid=grid, seed=11, survivor_random_probes=3)
     result = search_go(sp.decomp, diag, spec)
-    assert result == _oracle_scan(sp.decomp, diag, spec)
+    oracle = _oracle_scan(sp.decomp, diag, spec)
+    assert result.survivors == oracle.survivors
+    assert (result.n_points, result.notes) == (oracle.n_points, oracle.notes)
+    assert result.n_falsified == len(oracle.falsified)
+    assert result.falsified == oracle.falsified[:5]
     assert result.falsified and result.survivors
 
 
@@ -484,7 +483,9 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
                                                               monkeypatch):
     # a probe reads at most a few of the 4 parameters, so its table has at
     # most |grid|^|support| entries, each filled by one exact evaluation:
-    # the evaluations counted are exactly the entries the tables hold
+    # the evaluations counted are exactly the entries the tables hold.  The
+    # join fills 224 of them, as many as the per-point walk filled, and
+    # on this grid the falsified sample's walk fills none
     sp = space(3, 2)
     diag = stiefel.diagonal_family(sp)
     probes = basis_probe_vectors(sp.decomp)
@@ -547,14 +548,16 @@ def test_table_strings_are_reduced_residuals(space, n, k):
         assert res == (linalg.frac_to_str(res_sq) if res_sq > 0 else "")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_releases_the_worker_context(space, jobs):
-    # the context holds the family and, through it, the whole space; it
-    # is emptied when the scan returns (and when it raises, see below)
+def test_scan_keeps_no_reference_to_the_family(space):
+    # the family holds, through its decomposition, the whole space; once
+    # the scan returns nothing of the scan may keep it alive
     sp = space(3, 2)
     diag = stiefel.diagonal_family(sp)
-    result = search_go(sp.decomp, diag, ScanSpec(grid=[1, 2], jobs=jobs))
-    assert result.n_points == 16 and go._WORKER_CTX == {}
+    ref = weakref.ref(diag)
+    result = search_go(sp.decomp, diag, ScanSpec(grid=[1, 2]))
+    del diag
+    gc.collect()
+    assert result.n_points == 16 and ref() is None
 
 
 def _count_builds(monkeypatch):
@@ -587,13 +590,10 @@ def test_scan_builds_probe_tensors_on_first_reach(space, monkeypatch):
     assert result == _oracle_scan(sp.decomp, full, spec, include_grid=False)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_rejects_op_outside_commutant_on_first_reach(space, monkeypatch,
-                                                          jobs):
+def test_scan_rejects_op_outside_commutant_on_first_reach(space, monkeypatch):
     # half of e_13 <-> eb_13 added to the operator of the first parameter:
     # B-symmetric (equal norms), but [e_13, eb_13] has an h-part, so the
-    # basis probe e_13 brackets out of m; a worker's raise is raised again
-    # by the sequential fallback
+    # basis probe e_13 brackets out of m
     sp = space(4, 2)
     full = metric.full_family(sp.decomp)
     i, j = _m_index(sp, "e_1_3"), _m_index(sp, "eb_1_3")
@@ -607,9 +607,8 @@ def test_scan_rejects_op_outside_commutant_on_first_reach(space, monkeypatch,
     probes = basis_probe_vectors(sp.decomp)
     with pytest.raises(ValueError, match="not in m"):
         search_go(sp.decomp, full,
-                  ScanSpec(grid=_GRID_32, seed=1, random_count=16, jobs=jobs),
+                  ScanSpec(grid=_GRID_32, seed=1, random_count=16),
                   include_grid=False)
-    assert go._WORKER_CTX == {}
     assert probes[built[-1]] == linalg.unit_vec(sp.dim_m, i)
     assert built == list(range(built[-1] + 1))
 
@@ -733,8 +732,29 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
 def test_grid_rejects_offdiagonal_family(space):
     sp = space(3, 2)
     full = metric.full_family(sp.decomp)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need a diagonal family"):
         search_go(sp.decomp, full, ScanSpec(grid=[Fraction(1)]))
+
+
+def test_grid_join_refuses_past_the_node_cap(space, monkeypatch):
+    # the (3,2) resolution-1 join visits 52 prefixes: one fewer refuses
+    sp = space(3, 2)
+    diag = stiefel.diagonal_family(sp)
+    monkeypatch.setattr(go, "MAX_SCAN_NODES", 51)
+    with pytest.raises(ValueError, match="MAX_SCAN_NODES = 51"):
+        search_go(sp.decomp, diag, ScanSpec(grid=_GRID_32))
+    monkeypatch.setattr(go, "MAX_SCAN_NODES", 52)
+    assert len(search_go(sp.decomp, diag, ScanSpec(grid=_GRID_32)).survivors) == 16
+
+
+def test_grid_join_decides_a_million_points(space):
+    # (5,3) at resolution 1/4: 16^5 points, far past any per-point walk
+    sp = space(5, 3)
+    result = search_go(sp.decomp, stiefel.diagonal_family(sp),
+                       ScanSpec(grid=_QUARTER_GRID, survivor_random_probes=0))
+    assert (result.n_points, len(result.survivors), result.n_falsified) == (
+        1_048_576, 256, 1_048_320)
+    assert len(result.falsified) == 5
 
 
 def test_certificate_json_shape(space):

@@ -54,11 +54,9 @@ CASES = {
     "reproduce_theorem_3_2.json":
         lambda w: ["reproduce-theorem", "3", "2", "--resolution", "1",
                    "--offdiagonal-samples", "10", "--seed", "123"],
-    # two workers: the scan's merge must not depend on the worker count
-    "reproduce_theorem_4_2_jobs2.json":
+    "reproduce_theorem_4_2.json":
         lambda w: ["reproduce-theorem", "4", "2", "--resolution", "1",
-                   "--offdiagonal-samples", "4", "--seed", "7",
-                   "--jobs", "2"],
+                   "--offdiagonal-samples", "4", "--seed", "7"],
 }
 
 

@@ -644,15 +644,3 @@ def test_unproved_survivors_run_their_seeded_probes(space, monkeypatch):
         seeds[tuple(e["params"])] for e in partly.survivors if not e["proved"])
     assert sum(e["proved"] for e in partly.survivors) == 4
     assert _without_proved(partly) == unproved.survivors
-
-
-def test_proved_scan_is_the_same_across_jobs(space):
-    sp = space(3, 2)
-    diag = stiefel.diagonal_family(sp)
-    prove = stiefel._deformation_test(sp, diag)
-    runs = [go.search_go(sp.decomp, diag,
-                         go.ScanSpec(grid=[Fraction(1), Fraction(3)], seed=5,
-                                     jobs=jobs), prove=prove)
-            for jobs in (1, 2)]
-    assert runs[0] == runs[1]
-    assert all(e["proved"] for e in runs[0].survivors)
