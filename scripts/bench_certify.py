@@ -12,12 +12,12 @@ bounds on (8,7).  In this mode and with `--scan`, the child collects
 garbage once and then disables the collector around the timed steps, so
 no collection lands in one step because another step left work for it.
 With `--scan` it times instead the off-diagonal scan: `go.search_go` over
-`metric.full_family` with 40 drawn samples and no grid, on (4,2), (4,3)
-and (6,3), and records a digest of the falsified entries so that
-checkouts can be seen to agree.  With `--theorem` it runs the command line
-end to end instead: `reproduce-theorem --verbose` on (8,4) at
-resolution 1 with 10 off-diagonal samples and on (6,3) at resolution 1
-with 50, recording the wall time, the `--verbose` stage times, the
+`metric.full_family` with drawn samples and no grid, 40 on (4,2), (4,3)
+and (6,3) and 200 on (8,4) and (8,7), and records a digest of the
+falsified entries so that checkouts can be seen to agree.  With
+`--theorem` it runs the command line end to end instead:
+`reproduce-theorem --verbose` on (8,4) at resolution 1 with 10
+off-diagonal samples and on (6,3) at resolution 1 with 50, recording the wall time, the `--verbose` stage times, the
 command's peak RSS and a digest of its report.  `--join` runs the
 grid-scan commands the same way: (5,3) at resolution 1/4, (8,4) at 1 and
 (8,7) at 1/4, each with the default 200 off-diagonal samples; a run that
@@ -76,8 +76,9 @@ N_SAMPLES = 100
 SEED = 0
 LAYERS = ("build_s", "basis_s", "reduce_s", "cross_s", "construct_s",
           "verify_s", "peak_rss_mb")
-SCAN_SPACES = ((4, 2), (4, 3), (6, 3))
-SCAN_SAMPLES = 40
+# (n, k) -> drawn samples of each off-diagonal scan
+SCAN_SAMPLES = {(4, 2): 40, (4, 3): 40, (6, 3): 40, (8, 4): 200, (8, 7): 200}
+SCAN_SPACES = tuple(SCAN_SAMPLES)
 SCAN_LAYERS = ("build_s", "scan_s", "peak_rss_mb")
 # (n, k, resolution, off-diagonal samples) of each reproduce-theorem run
 THEOREM_RUNS = ((8, 4, "1", 10), (6, 3, "1", 50))
@@ -139,6 +140,7 @@ def child(checkout: str, n: int, k: int) -> dict:
 def scan_child(checkout: str, n: int, k: int) -> dict:
     """One timed off-diagonal scan in this interpreter."""
     go, metric, stiefel = _import_from(checkout)
+    samples = SCAN_SAMPLES[n, k]
     gc.collect()
     gc.disable()
     t0 = time.perf_counter()
@@ -147,11 +149,11 @@ def scan_child(checkout: str, n: int, k: int) -> dict:
     full = metric.full_family(space.decomp)
     t2 = time.perf_counter()
     result = go.search_go(space.decomp, full,
-                          go.ScanSpec(random_count=SCAN_SAMPLES, seed=SEED),
+                          go.ScanSpec(random_count=samples, seed=SEED),
                           include_grid=False)
     t3 = time.perf_counter()
     gc.enable()
-    if result.n_points != SCAN_SAMPLES or result.survivors:
+    if result.n_points != samples or result.survivors:
         raise SystemExit(f"({n},{k}): {result.n_points} points, "
                          f"{len(result.survivors)} survivors")
     digest = hashlib.sha256(json.dumps(result.falsified, sort_keys=True)
@@ -372,7 +374,9 @@ def alternating_runs(args) -> dict:
     if args.join:
         result["pool"] = pool_runs(args)
     elif not args.theorem:
-        result.update({"random_count": SCAN_SAMPLES} if args.scan else
+        result.update({"random_count": {f"{n},{k}": c for (n, k), c
+                                         in SCAN_SAMPLES.items()}}
+                      if args.scan else
                       {"t_values": list(T_VALUES), "n_samples": N_SAMPLES})
     result.update({"seed": SEED, "rounds": args.rounds,
                    "medians": medians, "runs": runs})

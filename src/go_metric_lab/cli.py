@@ -227,9 +227,10 @@ def cmd_reproduce_theorem(args) -> int:
     verified = (all(c["verdict"] == "verified-on-family"
                     for c in report["family_certificates"].values())
                 and report["family_all_t"]["verified"])
+    off = scan.get("off_diagonal", {})
     unique = (scan["grid"]["survivors_all_in_family"]
               and scan["grid"]["n_survivors"] > 0
-              and scan.get("off_diagonal", {}).get("n_survivors", 0) == 0)
+              and off.get("n_survivors", 0) == 0 and not off.get("notes"))
     irreducible = scan["grassmannian_cross_check"]
     return (EXIT_PASS if (verified and unique and irreducible)
             else EXIT_FALSIFIED)

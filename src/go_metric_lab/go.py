@@ -37,7 +37,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 from . import lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Sparse, Vec, ZERO, ONE
+from .linalg import Sparse, Vec, ONE
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -615,13 +615,13 @@ class _ScanTensors:
 
     Parameter values are interned as value ids carrying integer
     (numerator, denominator) pairs: the positions of `grid` first, then
-    each new value passed to `intern`.  A point is a tuple of ids, and
-    each probe keeps a table from the ids on its support to the report
-    string of its exact residual ("" when the probe passes), so checking
-    a probe at a point is one tuple lookup (`_lookup`).  One integer
-    evaluation, `_residual`, fills memo and tables; `residual_sq` is its
-    `Fraction` view.  All of it lives as long as the `_ScanTensors`,
-    which is one scan.
+    each new value passed to `intern`, which the draws call once per
+    value, not per coordinate (`_random_points`).  A point is a tuple of
+    ids, and each probe keeps a table from the ids on its support to the
+    report string of its exact residual ("" when the probe passes), so
+    checking a probe at a point is one tuple lookup (`_lookup`).  One
+    integer evaluation, `_residual`, fills memo and tables.  All of it
+    lives as long as the `_ScanTensors`, which is one scan.
     """
 
     def __init__(self, family: MetricFamily, ops: List[linalg.Columns],
@@ -703,9 +703,8 @@ class _ScanTensors:
         self.strings.append(linalg.frac_to_str(value))
         return i
 
-    def intern(self, value) -> int:
+    def intern(self, value: Fraction) -> int:
         """The value id of a parameter value, added on first sight."""
-        value = Fraction(value)
         i = self._ids.get(value)
         return self._add(value) if i is None else i
 
@@ -745,12 +744,6 @@ class _ScanTensors:
         num, den = res[0] * g * g, res[1] * den * den
         q = math.gcd(num, den)
         return num // q, den // q
-
-    def residual_sq(self, values: Sequence, p: int) -> Fraction:
-        """The `Fraction` view of `_residual`, at int or `Fraction` values."""
-        support = self._probe(p).support
-        return Fraction(*self._residual(p, [
-            (values[c].numerator, values[c].denominator) for c in support]))
 
     def _lookup(self, entry: Tuple[int, Callable, Dict],
                 ids: Sequence[int]) -> str:
@@ -810,57 +803,59 @@ class _ScanTensors:
 
 
 def _random_points(family: MetricFamily, spec: ScanSpec,
-                   integer_ops: List[List[List[Tuple[int, int]]]]
-                   ) -> List[Tuple]:
-    """Seeded lattice samples of the full cone, off the diagonal.
+                   tensors: _ScanTensors) -> List[Tuple[int, ...]]:
+    """Seeded lattice samples of the full cone, off the diagonal, as value
+    ids of `tensors` (whose first ids are the positions of `spec.grid`).
 
-    Scalar classes and operator diagonals draw from the positive grid;
-    operator off-diagonals and intertwiner coordinates draw from the
-    symmetric lattice with at least one forced nonzero, so every sample
-    leaves the diagonal subcone.  Rejection-samples until positive
-    definite (the off-diagonal lattice mostly falls outside the cone):
-    every returned sample is proved positive definite exactly, on the
-    `Fraction` values returned, and the scan does not check it again.
+    Scalar classes and operator diagonals draw grid positions; operator
+    off-diagonals and intertwiner coordinates draw zero or one of
+    +-{1/8, 1/4, 1/2} d_min, d_min the smallest diagonal value drawn, with
+    at least one forced nonzero, so every sample leaves the diagonal
+    subcone.  Zero is interned once and those six values once per distinct
+    d_min.  Rejection-samples until positive definite or until
+    80 * random_count attempts: every returned sample is proved positive
+    definite exactly, and the scan does not check it again.
     """
     rng = random.Random(f"scan-random:{spec.seed}")
-    n_classes = len(family.classes())
-    layout = []
-    for b in family.operator_blocks:
-        d = b.space.dim
-        layout.extend("diag" if i == j else "off"
-                      for i in range(d) for j in range(i, d))
-    layout.extend("off" for b in family.intertwiner_blocks
-                  for _ in range(b.n_params))
-    off_positions = [n_classes + i for i, kind in enumerate(layout)
-                     if kind == "off"]
-    if not off_positions:
+    # scalar classes, each operator block's upper triangle row by row, and
+    # the intertwiner coordinates
+    on_diag = [True] * len(family.classes())
+    for d in (blk.space.dim for blk in family.operator_blocks):
+        on_diag += [i == j for i in range(d) for j in range(i, d)]
+    on_diag += [False] * (family.n_params - len(on_diag))
+    off_at = [c for c, on in enumerate(on_diag) if not on]
+    if not off_at:
         return []
     form_at = metric_mod.family_form(
-        integer_ops, family.decomp.action.integer_norms[1], family.decomp.dim)
+        tensors.integer_ops[1], family.decomp.action.integer_norms[1],
+        family.decomp.dim, tensors.pairs)
     # keep draws near the cone: few off-diagonal entries, each a fraction
-    # of the smallest diagonal weight drawn
-    p_nonzero = min(Fraction(1, 4), Fraction(4, max(1, len(off_positions))))
-    quarters = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
-    points: List[Tuple] = []
+    # of the smallest diagonal weight drawn.  rng.random() is k / 2^53, so
+    # it is below p_nonzero = a / b iff k b < a 2^53
+    p_nonzero = min(Fraction(1, 4), Fraction(4, len(off_at)))
+    b, a_53 = p_nonzero.denominator, p_nonzero.numerator << 53
+    grid = range(len(spec.grid))
+    rank = sorted(grid, key=tensors.values.__getitem__).index
+    zero = tensors.intern(linalg.ZERO)
+    small: Dict[int, Tuple[int, ...]] = {}      # d_min id -> the six ids
+    points: List[Tuple[int, ...]] = []
     attempts = 0
     while len(points) < spec.random_count and attempts < 80 * spec.random_count:
         attempts += 1
-        diag = [rng.choice(spec.grid) for _ in range(n_classes)]
-        diag += [rng.choice(spec.grid) for kind in layout if kind == "diag"]
-        dmin = min(diag) if diag else Fraction(1)
-        sym_small = [q * dmin for q in quarters]
-        sym_small += [-x for x in sym_small]
-        vals = list(diag[:n_classes])
-        di = n_classes
-        for kind in layout:
-            if kind == "diag":
-                vals.append(diag[di])
-                di += 1
-            else:
-                vals.append(rng.choice(sym_small)
-                            if rng.random() < p_nonzero else ZERO)
-        if all(vals[i] == 0 for i in off_positions):
-            vals[rng.choice(off_positions)] = rng.choice(sym_small)
+        diag = [rng.choice(grid) for _ in range(len(on_diag) - len(off_at))]
+        dmin = min(diag, key=rank)
+        sym_small = small.get(dmin)
+        if sym_small is None:
+            sym_small = small[dmin] = tuple(
+                tensors.intern(s * q * tensors.values[dmin]) for s in (1, -1)
+                for q in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)))
+        rest = iter(diag)
+        vals = [next(rest) if on else zero for on in on_diag]
+        for i in off_at:
+            if int(rng.random() * 2 ** 53) * b < a_53:
+                vals[i] = rng.choice(sym_small)
+        if all(vals[i] == zero for i in off_at):
+            vals[rng.choice(off_at)] = rng.choice(sym_small)
         if metric_mod._pd_check(form_at(vals)):
             points.append(tuple(vals))
     return points
@@ -886,8 +881,11 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     values are positive.  The grid's candidates are one join of the probe
     tables over the positive positions (`_ScanTensors.passing`), and every
     other positive point is falsified; only the first `_GRID_SAMPLE` of
-    those are walked, in index order.  Draws are proved positive definite
-    once, when drawn, and walk the probes in order.  A probe's
+    those are walked, in index order.  Draws come as value ids from
+    `_random_points`, whose values are interned once per scan; each is
+    proved positive definite once, when drawn, and walks the probes in
+    order.  Fewer draws than `spec.random_count` off a non-diagonal family
+    add the note "drew k of N positive definite samples".  A probe's
     containment check raises ValueError when the probe is built.
     """
     spec = spec or ScanSpec()
@@ -928,9 +926,10 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     survivors: List[dict] = []
     falsified: List[dict] = []
     n_grid = n_pd = n_falsified = 0
+    diagonal = not family.intertwiner_blocks and all(
+        b.space.dim <= 1 for b in family.operator_blocks)
     if include_grid:
-        if family.intertwiner_blocks or any(
-                b.space.dim > 1 for b in family.operator_blocks):
+        if not diagonal:
             raise ValueError("exhaustive grids need a diagonal family; "
                              "use random_count for the full cone")
         n, size = family.n_params, len(spec.grid)
@@ -949,8 +948,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
             e = candidates.get(ids) or entry(ids, tensors.first_failure(ids))
             if e["status"] == "falsified":
                 falsified.append(e)
-    drawn = [tuple(map(tensors.intern, vals)) for vals in _random_points(
-        family, spec, tensors.integer_ops[1])] if spec.random_count else []
+    drawn = _random_points(family, spec, tensors) if spec.random_count else []
     for idx, ids in enumerate(drawn, n_grid):
         e = entry(ids, tensors.first_failure(ids), idx)
         if e["status"] == "survived":
@@ -958,11 +956,14 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         else:
             falsified.append(e)
             n_falsified += 1
+    notes = [] if n_pd + len(drawn) else [
+        "no positive definite points in the scan"]
+    if len(drawn) < spec.random_count and not diagonal:
+        notes.append(f"drew {len(drawn)} of {spec.random_count} positive "
+                     "definite samples")
     return ScanResult(
         survivors=survivors, falsified=falsified,
-        n_points=n_grid + len(drawn), n_falsified=n_falsified,
-        notes=[] if n_pd + len(drawn) else [
-            "no positive definite points in the scan"])
+        n_points=n_grid + len(drawn), n_falsified=n_falsified, notes=notes)
 
 
 # ---------------------------------------------------------------------------

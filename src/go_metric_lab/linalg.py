@@ -47,10 +47,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return v
 
 
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return [a + b for a, b in zip(x, y)]
-
-
 def vec_sub(x: Vec, y: Vec) -> Vec:
     return [a - b for a, b in zip(x, y)]
 

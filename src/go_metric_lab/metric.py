@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -359,23 +360,26 @@ def family_basis_ops(family: MetricFamily) -> List[Columns]:
 
 
 def family_form(integer_ops: List[List[List[Tuple[int, int]]]],
-                norms: Sequence[int], dim: int
-                ) -> Callable[[Sequence], List[dict]]:
-    """values -> sum_c v_c G Op_c as sparse integer rows, a positive multiple
-    of G A: `integer_ops` are the family operators' columns cleared over
-    one denominator (`linalg.cleared_columns`), `norms` the integer
-    m-norms, and the values are cleared over their own lcm."""
+                norms: Sequence[int], dim: int,
+                pairs: Sequence[Tuple[int, int]]
+                ) -> Callable[[Sequence[int]], List[dict]]:
+    """value ids -> sum_c v_c G Op_c as sparse integer rows, a positive
+    multiple of G A: `integer_ops` are the family operators' columns cleared
+    over one denominator (`linalg.cleared_columns`), `norms` the integer
+    m-norms, `pairs[i]` value id i as (numerator, denominator) (a scan's
+    `_ScanTensors.pairs`), and the values are cleared over their lcm."""
     forms = [[(i, j, norms[i] * c) for j, col in enumerate(cols)
               for i, c in col] for cols in integer_ops]
 
-    def rows_at(values: Sequence) -> List[dict]:
-        lv = linalg.denominator(values)
+    def rows_at(ids: Sequence[int]) -> List[dict]:
+        lv = math.lcm(*[pairs[i][1] for i in set(ids)])
         ga: List[dict] = [{} for _ in range(dim)]
-        for v, entries in zip(values, forms):
-            if v:
-                w = v.numerator * (lv // v.denominator)
-                for i, j, c in entries:
-                    ga[i][j] = ga[i].get(j, 0) + w * c
+        for i, entries in zip(ids, forms):
+            num, den = pairs[i]
+            if num:
+                w = num * (lv // den)
+                for r, j, c in entries:
+                    ga[r][j] = ga[r].get(j, 0) + w * c
         return ga
 
     return rows_at

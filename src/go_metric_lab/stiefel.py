@@ -27,7 +27,7 @@ import contextlib
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
@@ -534,16 +534,6 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
     survivors_ok = all(e["proved"] if prove else in_family(
         [linalg.frac_from_str(s) for s in e["params"]]) for e in survivors)
 
-    off_result = None
-    if offdiagonal_samples:
-        full = metric_mod.full_family(space.decomp)
-        off_spec = go_mod.ScanSpec(grid=spec.grid,
-                                   random_count=offdiagonal_samples,
-                                   seed=spec.seed,
-                                   survivor_random_probes=spec.survivor_random_probes)
-        off_result = go_mod.search_go(space.decomp, full, off_spec,
-                                      include_grid=False)
-
     report = {
         "space": {"n": space.n, "k": space.k, "dim_m": space.dim_m},
         "claim": "uniqueness verified at scan resolution; certificates "
@@ -562,13 +552,20 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
         },
         "grassmannian_cross_check": grassmannian_cross_check(space),
     }
-    if off_result is not None:
+    if offdiagonal_samples:
+        off = go_mod.search_go(
+            space.decomp, metric_mod.full_family(space.decomp),
+            replace(spec, random_count=offdiagonal_samples),
+            include_grid=False)
         report["off_diagonal"] = {
-            "n_points": off_result.n_points,
-            "n_survivors": len(off_result.survivors),
-            "n_falsified": off_result.n_falsified,
-            "falsified_sample": off_result.falsified[:3],
+            "n_points": off.n_points,
+            "n_survivors": len(off.survivors),
+            "n_falsified": off.n_falsified,
+            "falsified_sample": off.falsified[:3],
         }
+        shortfall = [s for s in off.notes if s.startswith("drew ")]
+        if shortfall:                   # fewer draws than asked
+            report["off_diagonal"]["notes"] = shortfall
     if space.k == space.n - 1:
         report["note"] = ("k = n-1: the surviving deformations are the "
                           "one-parameter metrics on the odd sphere fibering "

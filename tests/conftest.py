@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from go_metric_lab import decomp, isotropy, lie_core, stiefel
+from go_metric_lab import decomp, go, isotropy, lie_core, metric, stiefel
 
 settings.register_profile("ci", max_examples=25, deadline=None)
 settings.register_profile("dev", max_examples=10, deadline=None)
@@ -50,3 +50,27 @@ def build_two_torus() -> isotropy.IsotypicalDecomposition:
 @pytest.fixture(scope="session")
 def two_torus():
     return build_two_torus
+
+
+@pytest.fixture
+def accept_first_draws(monkeypatch):
+    """accept_first_draws(k): from then on each `go._random_points` call
+    accepts its first k positive definite draws and rejects every later
+    one, so a scan draws k samples however many it asks for."""
+    def patch(accepted: int) -> None:
+        random_points, pd_check = go._random_points, metric._pd_check
+
+        def short(*args):
+            taken = []
+
+            def first_few(ga):
+                ok = len(taken) < accepted and pd_check(ga)
+                taken.extend([ga] if ok else [])
+                return ok
+
+            with monkeypatch.context() as m:
+                m.setattr(metric, "_pd_check", first_few)
+                return random_points(*args)
+
+        monkeypatch.setattr(go, "_random_points", short)
+    return patch

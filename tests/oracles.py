@@ -14,11 +14,14 @@ from every parameter, dense Gauss-Jordan elimination (`rref`), sparse
 elimination, positive definiteness and the GO residual in `Fraction`s,
 the dense Krylov minimal polynomial and eigen-split, and the normalizer
 action over a whole basis of h (+) S0 (`whole_normalizer_ops`), and the
-deformation-line test on a metric's sparse columns (`is_deformation`).
+deformation-line test on a metric's sparse columns (`is_deformation`),
+and the seeded full-cone draws of a scan with a `Fraction` per
+coordinate (`random_points`).
 The package keeps every operator on m as sparse columns; `columns` and
 `dense_op` convert between that form and dense row lists.
 """
 
+import random
 from fractions import Fraction
 
 from go_metric_lab import decomp, isotropy, lie_core, linalg, metric
@@ -56,11 +59,16 @@ def metric_to_json_dict(a):
             "blocks": metric.block_view(a), "pd": a.is_pd}
 
 
+def vec_add(x, y):
+    """The sum of two dense vectors."""
+    return [a + b for a, b in zip(x, y)]
+
+
 def combine(coeffs, vecs, n):
     """sum_i coeffs_i vecs_i for dense vectors of length n."""
     out = linalg.zero_vec(n)
     for c, v in zip(coeffs, vecs):
-        out = linalg.vec_add(out, linalg.vec_scale(c, v))
+        out = vec_add(out, linalg.vec_scale(c, v))
     return out
 
 
@@ -142,7 +150,7 @@ def whole_normalizer_ops(dec):
 
 
 def mat_add(a, b):
-    return [linalg.vec_add(ra, rb) for ra, rb in zip(a, b)]
+    return [vec_add(ra, rb) for ra, rb in zip(a, b)]
 
 
 def dense_op(columns, dim):
@@ -468,6 +476,59 @@ def dense_pd_check(matrix, norms):
     return ga == linalg.transpose(ga) and fraction_positive_definite(ga)
 
 
+def scan_residual_sq(tensors, values, p):
+    """Probe p's squared residual from a scan's tensors
+    (`go._ScanTensors._residual`) as a `Fraction`, at int or `Fraction`
+    values; only the values on the probe's support are read."""
+    support = tensors._probe(p).support
+    return Fraction(*tensors._residual(p, [
+        (values[c].numerator, values[c].denominator) for c in support]))
+
+
+def random_points(family, spec, pd):
+    """`go._random_points` drawn on `Fraction` values, one coordinate at a
+    time: the same rng calls in the same order, with `pd(values)` deciding
+    each draw."""
+    rng = random.Random(f"scan-random:{spec.seed}")
+    n_classes = len(family.classes())
+    layout = []
+    for b in family.operator_blocks:
+        d = b.space.dim
+        layout.extend("diag" if i == j else "off"
+                      for i in range(d) for j in range(i, d))
+    layout.extend("off" for b in family.intertwiner_blocks
+                  for _ in range(b.n_params))
+    off_positions = [n_classes + i for i, kind in enumerate(layout)
+                     if kind == "off"]
+    if not off_positions:
+        return []
+    p_nonzero = min(Fraction(1, 4), Fraction(4, max(1, len(off_positions))))
+    quarters = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+    points = []
+    attempts = 0
+    while len(points) < spec.random_count and attempts < 80 * spec.random_count:
+        attempts += 1
+        diag = [rng.choice(spec.grid) for _ in range(n_classes)]
+        diag += [rng.choice(spec.grid) for kind in layout if kind == "diag"]
+        dmin = min(diag) if diag else Fraction(1)
+        sym_small = [q * dmin for q in quarters]
+        sym_small += [-x for x in sym_small]
+        vals = list(diag[:n_classes])
+        di = n_classes
+        for kind in layout:
+            if kind == "diag":
+                vals.append(diag[di])
+                di += 1
+            else:
+                vals.append(rng.choice(sym_small)
+                            if rng.random() < p_nonzero else linalg.ZERO)
+        if all(vals[i] == 0 for i in off_positions):
+            vals[rng.choice(off_positions)] = rng.choice(sym_small)
+        if pd(vals):
+            points.append(tuple(vals))
+    return points
+
+
 def dense_minimal_polynomial(op):
     """Monic minimal polynomial of a dense rational matrix, low degree
     first: the lcm of the unit vectors' Krylov dependences, each found by
@@ -498,7 +559,7 @@ def _dense_apply_poly(op, poly, v):
     out = linalg.zero_vec(len(v))
     cur = list(v)
     for c in poly:
-        out = linalg.vec_add(out, linalg.vec_scale(c, cur))
+        out = vec_add(out, linalg.vec_scale(c, cur))
         cur = mat_vec(op, cur)
     return out
 

@@ -21,7 +21,8 @@ from go_metric_lab import (cli, decomp, go, isotropy, lie_core, linalg, metric,
                           stiefel)
 from oracles import (columns, dense_op, dense_orthogonal_projection,
                      fraction_bracket, fraction_residual_sq,
-                     identity, inner, mat_vec, matrix_of)
+                     identity, inner, mat_vec, matrix_of, scan_residual_sq,
+                     vec_add)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +67,8 @@ def oracle_residual_sq(a_metric, x_m, a_h):
     a_g = linalg.zero_vec(g.dim)
     for c, b in zip(a_h, split.h.basis_coords):
         if c != 0:
-            a_g = linalg.vec_add(a_g, linalg.vec_scale(c, b))
-    lhs = lie_core.bracket(g, linalg.vec_add(a_g, split.m_to_g(x_m)), ax_g)
+            a_g = vec_add(a_g, linalg.vec_scale(c, b))
+    lhs = lie_core.bracket(g, vec_add(a_g, split.m_to_g(x_m)), ax_g)
     return inner(g, lhs, lhs)
 
 
@@ -301,11 +302,11 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
             a_h, best = go.go_solve_at(a, x)
             solves.clear()
             memo = len(tensors.memo)
-            res = tensors.residual_sq(point, p)
+            res = scan_residual_sq(tensors, point, p)
             assert res == best == fraction_residual_sq(a, x, a_h)
             scale = Fraction(-3, 7)
-            assert tensors.residual_sq([-v for v in point], p) == res
-            assert (tensors.residual_sq([scale * v for v in point], p)
+            assert scan_residual_sq(tensors, [-v for v in point], p) == res
+            assert (scan_residual_sq(tensors, [scale * v for v in point], p)
                     == scale * scale * res)
             assert len(tensors.memo) <= memo + 1 and len(solves) <= 1
             checked += res > 0

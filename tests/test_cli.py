@@ -301,6 +301,23 @@ def test_reproduce_exit_code_counts_offdiagonal_survivors(
     assert json.loads(out.read_text())["mode"] == "exact"
 
 
+def test_reproduce_exits_1_on_a_draw_shortfall(tmp_path, accept_first_draws):
+    # fewer off-diagonal draws than asked leave the claim unchecked: exit
+    # 1, with the report written and the shortfall noted in it
+    args = ["reproduce-theorem", "3", "2", "--resolution", "1",
+            "--offdiagonal-samples", "8", "--seed", "0"]
+    out = tmp_path / "full.json"
+    assert run_cli([*args, "--out", str(out)]) == 0
+    assert "notes" not in json.loads(out.read_text())["uniqueness"][
+        "off_diagonal"]
+    accept_first_draws(3)
+    out = tmp_path / "short.json"
+    assert run_cli([*args, "--out", str(out)]) == 1
+    off = json.loads(out.read_text())["uniqueness"]["off_diagonal"]
+    assert (off["n_points"], off["n_survivors"]) == (3, 0)
+    assert off["notes"] == ["drew 3 of 8 positive definite samples"]
+
+
 def test_reproduce_exit_code_needs_the_all_t_certificate(tmp_path, monkeypatch):
     # a certificate that fails on one pair: exit 1 with the report written,
     # the failure named, and no per-t view verified

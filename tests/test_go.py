@@ -19,7 +19,8 @@ from oracles import (center_coefficient, columns, coords_in_family,
                      dense_op, dense_orthogonal_projection, dense_pd_check,
                      family_matrix, fraction_positive_definite, fraction_bracket, fraction_least_squares,
                      identity, identity_metric, inner, mat_add, mat_vec,
-                     matrix_of, projector)
+                     matrix_of, projector, random_points, scan_residual_sq,
+                     vec_add)
 
 
 def _m_index(space, label):
@@ -404,13 +405,13 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
     points = (list(itertools.product(spec.grid, repeat=family.n_params))
               if include_grid else [])
     if spec.random_count:
-        points += go._random_points(family, spec, tensors.integer_ops[1])
+        points += random_points(family, spec, pd)
     survivors, falsified = [], []
     for idx, values in enumerate(points):
         if not pd(values):
             continue
         entry = {"params": [conv(v) for v in values]}
-        residuals = ((x, tensors.residual_sq(values, p))
+        residuals = ((x, scan_residual_sq(tensors, values, p))
                      for p, x in enumerate(x_strings))
         failure = next(((x, r) for x, r in residuals if r > 0), None)
         if failure is None and spec.survivor_random_probes:
@@ -536,15 +537,14 @@ def test_table_strings_are_reduced_residuals(space, n, k):
         points = itertools.product(range(len(_GRID_32)), repeat=len(ops))
     else:
         spec = ScanSpec(grid=_GRID_32, seed=6, random_count=16)
-        points = [tuple(map(tensors.intern, vals)) for vals in
-                  go._random_points(family, spec, tensors.integer_ops[1])]
+        points = go._random_points(family, spec, tensors)
     for ids in points:
         tensors.first_failure(ids)
     entries = list(_table_points(tensors))
     strings = {res for _, _, res in entries}
     assert "" in strings and len(strings) > 2
     for p, values, res in entries:
-        res_sq = tensors.residual_sq(values, p)
+        res_sq = scan_residual_sq(tensors, values, p)
         assert res == (linalg.frac_to_str(res_sq) if res_sq > 0 else "")
 
 
@@ -695,6 +695,11 @@ def test_scan_solves_match_dense_least_squares(space, monkeypatch, n, k, cone):
     assert any(r == 0 for r in residuals) and any(r > 0 for r in residuals)
 
 
+def _draw_values(tensors, points):
+    """Drawn points of value ids as tuples of their values."""
+    return [tuple(tensors.values[i] for i in ids) for ids in points]
+
+
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
 def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     # the draw stream does not depend on the verdicts, so a run whose PD
@@ -703,12 +708,14 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     sp = space(n, k)
     full = metric.full_family(sp.decomp)
     ops = metric.family_basis_ops(full)
-    integer_ops = linalg.cleared_columns(ops)[1]
     norms = sp.decomp.action.norms
     pd_check = metric._pd_check
     for seed in (0, 5, 23):
         spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=24)
-        accepted = go._random_points(full, spec, integer_ops)
+        tensors = go._ScanTensors(full, ops, basis_probe_vectors(sp.decomp),
+                                  _GRID_32)
+        accepted = _draw_values(tensors, go._random_points(full, spec,
+                                                           tensors))
         verdicts = []
 
         def recorded(ga):
@@ -716,9 +723,9 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
             return True
 
         monkeypatch.setattr(metric, "_pd_check", recorded)
-        draws = go._random_points(
+        draws = _draw_values(tensors, go._random_points(
             full, ScanSpec(grid=_GRID_32, seed=seed, random_count=80),
-            integer_ops)
+            tensors))
         monkeypatch.undo()
         assert len(draws) == len(verdicts) == 80
         oracle = [dense_pd_check(family_matrix(ops, d, sp.dim_m), norms)
@@ -727,6 +734,83 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
         taken = [i for i, ok in enumerate(oracle) if ok][:24]
         assert accepted == [draws[i] for i in taken]
         assert not all(oracle[:taken[-1]])      # some draws were rejected
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (6, 3)])
+def test_id_draws_match_fraction_oracle(space, monkeypatch, n, k):
+    # the value-id draws, read through the scan's values, are the draws of
+    # the Fraction loop coordinate by coordinate: on (3,2) and (4,2)
+    # p_nonzero is 1/4, on (4,3) and (6,3) it is 2/21, which no float
+    # holds exactly.  A run whose PD checks accept everything compares the
+    # rng streams themselves; a real run, the accepted draws
+    sp = space(n, k)
+    full = metric.full_family(sp.decomp)
+    ops = metric.family_basis_ops(full)
+    norms = sp.decomp.action.norms
+
+    def dense_pd(values):
+        return dense_pd_check(family_matrix(ops, values, sp.dim_m), norms)
+
+    def draws(spec):
+        tensors = go._ScanTensors(full, ops, basis_probe_vectors(sp.decomp),
+                                  spec.grid)
+        return _draw_values(tensors, go._random_points(full, spec, tensors))
+
+    for seed in (0, 5, 23):
+        spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=12)
+        want = random_points(full, spec, dense_pd)
+        assert draws(spec) == want and len(want) == 12
+        spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=40)
+        with monkeypatch.context() as m:
+            m.setattr(metric, "_pd_check", lambda ga: True)
+            assert draws(spec) == random_points(full, spec, lambda v: True)
+
+
+def test_offdiagonal_scan_interns_each_value_once(space, monkeypatch):
+    # zero once and six values per distinct smallest diagonal draw: the
+    # interning does not grow with the number of draws
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    intern = go._ScanTensors.intern
+    counts = []
+    for random_count in (12, 48):
+        calls = []
+
+        def counted(self, value):
+            calls.append(value)
+            return intern(self, value)
+
+        monkeypatch.setattr(go._ScanTensors, "intern", counted)
+        result = search_go(sp.decomp, full, ScanSpec(
+            grid=_GRID_32, seed=3, random_count=random_count),
+            include_grid=False)
+        monkeypatch.undo()
+        assert result.n_points == random_count
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1 + 6 * len(_GRID_32)
+
+
+def test_draw_shortfall_is_noted(space, accept_first_draws):
+    # fewer positive definite draws than asked: the scan says so, and so
+    # does the off-diagonal block of the report.  A full draw has no such
+    # note, nor has a cone with no off-diagonal coordinate, such as (3,1)'s
+    spec = ScanSpec(grid=_GRID_32, seed=2, random_count=12)
+    sphere = space(3, 1)
+    result = search_go(sphere.decomp, metric.full_family(sphere.decomp),
+                       spec, include_grid=False)
+    assert result.n_points == 0
+    assert result.notes == ["no positive definite points in the scan"]
+    sp = space(3, 2)
+    full = metric.full_family(sp.decomp)
+    assert search_go(sp.decomp, full, spec, include_grid=False).notes == []
+    accept_first_draws(3)
+    result = search_go(sp.decomp, full, spec, include_grid=False)
+    assert result.n_points == len(result.falsified) == 3
+    assert result.notes == ["drew 3 of 12 positive definite samples"]
+    report = stiefel.uniqueness_scan(sp, ScanSpec(grid=_GRID_32, seed=2),
+                                     offdiagonal_samples=12)
+    assert report["off_diagonal"]["n_points"] == 3
+    assert report["off_diagonal"]["notes"] == result.notes
 
 
 def test_grid_rejects_offdiagonal_family(space):
@@ -826,7 +910,7 @@ def _reference_family_witnesses(a, witness, count, seed):
     """The family check's probes, each with a fresh witness-map image."""
     dim = a.decomp.dim
     basis = [linalg.unit_vec(dim, i) for i in range(dim)]
-    probes = basis + [linalg.vec_add(basis[i], basis[j])
+    probes = basis + [vec_add(basis[i], basis[j])
                       for i, j in itertools.combinations(range(dim), 2)]
     rng = random.Random(f"go-family:{seed}")
     probes += [lie_core.random_vector_of_len(dim, rng) for _ in range(count)]

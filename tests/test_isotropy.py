@@ -12,7 +12,7 @@ from go_metric_lab.isotropy import (commutant_sym_ops, decompose_isotypic,
                                     split_ideals)
 from oracles import (columns, combine, dense_op, fraction_nullspace, gram_dot,
                      identity, mat_add, norm_dot, rref, solve_consistent,
-                     sym_op_from_params)
+                     sym_op_from_params, vec_add)
 
 
 def _sym_commutant_on(action, sub):
@@ -340,7 +340,7 @@ def test_projection_splits_a_vector_along_a_subspace(space):
     coords, resid = linalg.orthogonal_projection(sub, norms, linalg.sparse(x))
     coords, resid = linalg.dense(coords, sub.dim), linalg.dense(resid, sp.dim_m)
     inside = combine(coords, sub.basis, sp.dim_m)
-    assert linalg.vec_add(inside, resid) == x
+    assert vec_add(inside, resid) == x
     assert all(norm_dot(norms, resid, b) == 0 for b in sub.basis)
     assert sub.coords_of(x, norms) is None
     assert sub.coords_of(inside, norms) == coords

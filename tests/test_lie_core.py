@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from go_metric_lab import lie_core, linalg
 from go_metric_lab.lie_core import bracket, build_un, validate_algebra
-from oracles import inner
+from oracles import inner, vec_add
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +292,11 @@ def test_bracket_bilinear_and_antisymmetric(a, b, c, d):
     x = lie_core.random_vector_of_len(g.dim, rng)
     y = lie_core.random_vector_of_len(g.dim, rng)
     z = lie_core.random_vector_of_len(g.dim, rng)
-    ax_by = linalg.vec_add(linalg.vec_scale(Fraction(a), x),
-                           linalg.vec_scale(Fraction(b), y))
+    ax_by = vec_add(linalg.vec_scale(Fraction(a), x),
+                    linalg.vec_scale(Fraction(b), y))
     lhs = bracket(g, ax_by, z)
-    rhs = linalg.vec_add(linalg.vec_scale(Fraction(a), bracket(g, x, z)),
-                         linalg.vec_scale(Fraction(b), bracket(g, y, z)))
+    rhs = vec_add(linalg.vec_scale(Fraction(a), bracket(g, x, z)),
+                  linalg.vec_scale(Fraction(b), bracket(g, y, z)))
     assert lhs == rhs
     assert bracket(g, x, x) == [0] * g.dim
     assert bracket(g, x, y) == linalg.vec_scale(Fraction(-1), bracket(g, y, x))
@@ -317,10 +317,10 @@ def test_jacobi_on_random_vectors(seed):
     g = get_cached_u3()
     rng = random.Random(seed)
     x, y, z = (lie_core.random_vector_of_len(g.dim, rng) for _ in range(3))
-    total = linalg.vec_add(
+    total = vec_add(
         bracket(g, bracket(g, x, y), z),
-        linalg.vec_add(bracket(g, bracket(g, y, z), x),
-                       bracket(g, bracket(g, z, x), y)))
+        vec_add(bracket(g, bracket(g, y, z), x),
+                bracket(g, bracket(g, z, x), y)))
     assert linalg.vec_is_zero(total)
 
 

@@ -11,7 +11,7 @@ from oracles import (columns, dense_eigen_split, dense_minimal_polynomial,
                      dense_op, fraction_least_squares, fraction_nullspace,
                      fraction_positive_definite, gram_dot, identity, rref,
                      rref_nullspace, rref_pivot_rows, rref_solve,
-                     solve_consistent)
+                     solve_consistent, vec_add)
 
 
 def frac_matrix(rows):
@@ -491,8 +491,8 @@ def test_frac_string_round_trip():
 @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 def test_span_contains_its_combinations(coeffs):
     basis = frac_matrix([[1, 0, 2, 0], [0, 1, 1, 1]])
-    v = linalg.vec_add(linalg.vec_scale(Fraction(coeffs[0]), basis[0]),
-                       linalg.vec_scale(Fraction(coeffs[1]), basis[1]))
+    v = vec_add(linalg.vec_scale(Fraction(coeffs[0]), basis[0]),
+                linalg.vec_scale(Fraction(coeffs[1]), basis[1]))
     assert linalg.same_span(basis, basis + [v])
     outside = [Fraction(coeffs[2]), Fraction(coeffs[3]), Fraction(0), Fraction(1)]
     # outside unless it happens to solve the system

@@ -16,7 +16,7 @@ import pytest
 from go_metric_lab import decomp as decomp_mod
 from go_metric_lab import go, isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.isotropy import decompose_isotypic, isotropy_action
-from oracles import dense_op, inner, mat_vec
+from oracles import dense_op, inner, mat_vec, vec_add
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def _project_onto_space(g, basis_g, norms, w):
     for b, nu in zip(basis_g, norms):
         c = inner(g, w, b) / nu
         if c != 0:
-            out = linalg.vec_add(out, linalg.vec_scale(c, b))
+            out = vec_add(out, linalg.vec_scale(c, b))
     return out
 
 
@@ -195,7 +195,7 @@ def _oracle_prop35(decomp, si, seed
     for _ in range(100):
         combo = linalg.zero_vec(g.dim)
         for v in pool:
-            combo = linalg.vec_add(combo, linalg.vec_scale(
+            combo = vec_add(combo, linalg.vec_scale(
                 Fraction(rng.randint(-3, 3)), v))
         candidates.append(combo)
 
@@ -268,7 +268,7 @@ def _oracle_prop36(decomp, si, seed
         for _ in range(20):
             combo = linalg.zero_vec(decomp.dim)
             for v in base:
-                combo = linalg.vec_add(combo, linalg.vec_scale(
+                combo = vec_add(combo, linalg.vec_scale(
                     Fraction(rng.randint(-3, 3)), v))
             candidates.append(combo)
         found = None
@@ -294,7 +294,7 @@ def _oracle_prop36(decomp, si, seed
                     img_m = linalg.zero_vec(decomp.dim)
                     for c, b in zip(phi_x, members[m].space.basis):
                         if c != 0:
-                            img_m = linalg.vec_add(img_m, linalg.vec_scale(c, b))
+                            img_m = vec_add(img_m, linalg.vec_scale(c, b))
                     rem = perp_part(lie_core.bracket(g, x_g, split.m_to_g(img_m)))
                     rems.append(rem)
                 if linalg.rank(rems) != len(phis):
