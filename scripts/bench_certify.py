@@ -22,10 +22,7 @@ command's peak RSS and a digest of its report.  `--join` runs the
 grid-scan commands the same way: (5,3) at resolution 1/4, (8,4) at 1 and
 (8,7) at 1/4, each with the default 200 off-diagonal samples; a run that
 exits non-zero is recorded with its exit code and last stderr line
-instead of stages.  For every checkout whose `ScanSpec` still has a
-`jobs` field it also times `go.search_go` over 200 full-cone samples of
-(4,2), (6,3) and (8,4) with 1 and with 2 worker processes, alternating,
-with the collector on.  With several checkouts
+instead of stages.  With several checkouts
 the runs alternate checkout by checkout inside every round, so host drift
 hits them alike.  Each checkout is given as PATH or LABEL=PATH; the JSON
 result (every run plus per-checkout medians) goes to stdout or to --out.
@@ -83,8 +80,6 @@ SCAN_LAYERS = ("build_s", "scan_s", "peak_rss_mb")
 # (n, k, resolution, off-diagonal samples) of each reproduce-theorem run
 THEOREM_RUNS = ((8, 4, "1", 10), (6, 3, "1", 50))
 JOIN_RUNS = ((5, 3, "1/4", 200), (8, 4, "1", 200), (8, 7, "1/4", 200))
-POOL_SPACES = ((4, 2), (6, 3), (8, 4))
-POOL_SAMPLES = 200
 THEOREM_LAYERS = ("wall_s", "build_s", "verify_s", "reduce_s", "scan_s",
                   "peak_rss_mb")
 GC_NOTE = (" (gc.collect(), then gc.disable() around the timed steps, "
@@ -162,24 +157,6 @@ def scan_child(checkout: str, n: int, k: int) -> dict:
             "peak_rss_mb": _peak_rss_mb(), "falsified_sha256": digest}
 
 
-def pool_child(checkout: str, n: int, k: int, jobs: str) -> dict:
-    """One off-diagonal scan of POOL_SAMPLES draws with `jobs` workers, in
-    this interpreter; {"pool": False} when the checkout has no pool."""
-    import dataclasses
-    go, metric, stiefel = _import_from(checkout)
-    if "jobs" not in {f.name for f in dataclasses.fields(go.ScanSpec)}:
-        return {"pool": False}
-    space = stiefel.build_stiefel(n, k)
-    full = metric.full_family(space.decomp)
-    spec = go.ScanSpec(random_count=POOL_SAMPLES, seed=SEED, jobs=int(jobs))
-    t0 = time.perf_counter()
-    result = go.search_go(space.decomp, full, spec, include_grid=False)
-    scan_s = time.perf_counter() - t0
-    digest = hashlib.sha256(json.dumps(result.falsified, sort_keys=True)
-                            .encode()).hexdigest()[:16]
-    return {"scan_s": round(scan_s, 4), "falsified_sha256": digest}
-
-
 def theorem_child(checkout: str, n: int, k: int,
                   runs: str = "theorem") -> dict:
     """One `reproduce-theorem` run of the checkout's command line, as the
@@ -223,7 +200,7 @@ def theorem_child(checkout: str, n: int, k: int,
 
 
 CHILDREN = {"--child": child, "--scan-child": scan_child,
-            "--theorem-child": theorem_child, "--pool-child": pool_child}
+            "--theorem-child": theorem_child}
 
 
 def _load_workloads(checkout: str, workloads_py: str, index: int):
@@ -309,27 +286,6 @@ def parse_checkout(text: str):
     return label, path
 
 
-def pool_runs(args) -> dict:
-    """Off-diagonal scans at 1 and 2 workers, alternating inside every
-    round, for the checkouts that have a pool."""
-    runs = []
-    for r in range(args.rounds):
-        for n, k in POOL_SPACES:
-            for label, path in args.checkouts:
-                for jobs in ((1, 2) if r % 2 == 0 else (2, 1)):
-                    run = timed_run(path, n, k, "--pool-child", str(jobs))
-                    if run.get("pool") is False:
-                        break
-                    run.update(checkout=label, space=f"{n},{k}", round=r,
-                               jobs=jobs)
-                    runs.append(run)
-                    print(json.dumps(run), file=sys.stderr)
-    return {"random_count": POOL_SAMPLES,
-            "spaces": [f"{n},{k}" for n, k in POOL_SPACES],
-            "note": "collector on; one fresh interpreter per run",
-            "runs": runs}
-
-
 def alternating_runs(args) -> dict:
     """Timed child runs, alternating checkouts inside every round."""
     extra = ()
@@ -371,9 +327,7 @@ def alternating_runs(args) -> dict:
             f"--offdiagonal-samples {samples} --verbose"
             for n, k, res, samples in (JOIN_RUNS if args.join
                                        else THEOREM_RUNS)]
-    if args.join:
-        result["pool"] = pool_runs(args)
-    elif not args.theorem:
+    if not (args.theorem or args.join):
         result.update({"random_count": {f"{n},{k}": c for (n, k), c
                                          in SCAN_SAMPLES.items()}}
                       if args.scan else
@@ -398,8 +352,7 @@ def main(argv=None) -> int:
     modes.add_argument("--theorem", action="store_true",
                        help="time reproduce-theorem end to end instead")
     modes.add_argument("--join", action="store_true",
-                       help="time the grid-scan commands and the worker "
-                            "pool instead")
+                       help="time the grid-scan commands instead")
     modes.add_argument("--perfbench", metavar="WORKLOAD[,WORKLOAD...]",
                        help="in-process A/B of perfbench passes instead")
     ap.add_argument("--out")

@@ -192,15 +192,10 @@ class ReductiveSplit:
         return den, [[c.numerator * (den // c.denominator) for c in row]
                      for row in self.gram_m]
 
-    @cached_property
-    def _g_norms(self) -> Vec:
-        gram = self.algebra.gram         # diagonal: checked by reductive_split
-        return [gram[i][i] for i in range(len(gram))]
-
     def _m_part(self, x: Sparse) -> Tuple[Sparse, Sparse]:
         """(m-coordinates of the m-component of the sparse g-vector x, the
         h-component of x), both sparse."""
-        return linalg.orthogonal_projection(self.m, self._g_norms, x)
+        return linalg.orthogonal_projection(self.m, self.algebra.norms, x)
 
     def coords_in_m(self, x: Vec) -> Vec:
         """Coordinates over the m basis; requires x in m (exact)."""
@@ -242,7 +237,7 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
     if any(g.gram[i][j] != 0 for i in range(g.dim) for j in range(g.dim)
            if i != j):
         raise ValueError("the basis of g is not B-orthogonal")
-    norms = [g.gram[i][i] for i in range(g.dim)]
+    norms = g.norms
     rows = [[c * nu for c, nu in zip(hv, norms)] for hv in h.basis_coords]
     m = linalg.make_subspace(linalg.nullspace(rows, g.dim), norms)
     if h.dim + m.dim != g.dim:

@@ -184,8 +184,7 @@ def check_sample_count(strategy: str, count: int) -> None:
 
 
 def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
-             count: int = 100, seed: int = 0,
-             keep_witnesses: bool = True) -> GOCertificate:
+             count: int = 100, seed: int = 0) -> GOCertificate:
     """Decide the GO property as far as sampling allows.
 
     basis: probe every m-basis vector and every pairwise sum.
@@ -215,8 +214,7 @@ def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
             cert.verdict = "falsified"
             cert.falsifier = w
             return cert
-        if keep_witnesses:
-            cert.witnesses.append(w)
+        cert.witnesses.append(w)
     return cert
 
 
@@ -480,8 +478,7 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
     split = action.split
     nu = action.norms
     dim = decomp.dim
-    g_dim = split.algebra.dim
-    norms = list(nu) + [split.algebra.gram[i][i] for i in range(g_dim)]
+    norms = list(nu) + split.algebra.norms
     summand = decomp.summands[si]
     members = summand.members
 
@@ -817,12 +814,7 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     definite exactly, and the scan does not check it again.
     """
     rng = random.Random(f"scan-random:{spec.seed}")
-    # scalar classes, each operator block's upper triangle row by row, and
-    # the intertwiner coordinates
-    on_diag = [True] * len(family.classes())
-    for d in (blk.space.dim for blk in family.operator_blocks):
-        on_diag += [i == j for i in range(d) for j in range(i, d)]
-    on_diag += [False] * (family.n_params - len(on_diag))
+    on_diag = family.on_diagonal()
     off_at = [c for c, on in enumerate(on_diag) if not on]
     if not off_at:
         return []
@@ -905,14 +897,11 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         values = [tensors.values[i] for i in ids]
         proved = prove is not None and prove(values)
         if spec.survivor_random_probes and not proved:
-            a = MetricEndomorphism(
-                decomp=decomp, columns=linalg.combine_columns(
-                    values, tensors.op_columns, decomp.dim),
-                params=None, is_pd=True)
+            a = MetricEndomorphism(decomp, linalg.combine_columns(
+                values, tensors.op_columns, decomp.dim))
             cert = go_check(a, strategy="random",
                             count=spec.survivor_random_probes,
-                            seed=spec.seed * 1_000_003 + idx,
-                            keep_witnesses=False)
+                            seed=spec.seed * 1_000_003 + idx)
             if cert.verdict == "falsified":
                 conv, w = linalg.frac_to_str, cert.falsifier
                 out.update(status="falsified", falsifier_x=[
@@ -926,8 +915,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     survivors: List[dict] = []
     falsified: List[dict] = []
     n_grid = n_pd = n_falsified = 0
-    diagonal = not family.intertwiner_blocks and all(
-        b.space.dim <= 1 for b in family.operator_blocks)
+    diagonal = all(family.on_diagonal())
     if include_grid:
         if not diagonal:
             raise ValueError("exhaustive grids need a diagonal family; "

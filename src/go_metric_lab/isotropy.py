@@ -99,8 +99,7 @@ class IsotropyAction:
     def integer_norms(self) -> Tuple[int, List[int], List[int]]:
         """(D, m-norms, g-norms): the m-basis norm vector and the diagonal
         of the algebra's (diagonal) Gram matrix, both as D times integers."""
-        gram = self.split.algebra.gram
-        g_norms = [gram[i][i] for i in range(len(gram))]
+        g_norms = self.split.algebra.norms
         den = linalg.denominator(self.norms + g_norms)
         return (den, [c.numerator * (den // c.denominator) for c in self.norms],
                 [c.numerator * (den // c.denominator) for c in g_norms])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -55,6 +56,13 @@ class MatrixLieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def norms(self) -> Vec:
+        """The diagonal of the Gram matrix, read once: the form is the norm
+        vector where the basis is B-orthogonal, which `reductive_split` and
+        `validate_algebra` check."""
+        return [self.gram[i][i] for i in range(self.dim)]
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -135,7 +143,7 @@ def expand_in_basis(g: MatrixLieAlgebra, mat: Mat) -> Vec:
     if g.basis is None:
         raise ValueError("algebra carries no matrix realization")
     coords = []
-    for b, gb in zip(g.basis, _gram_diag(g)):
+    for b, gb in zip(g.basis, g.norms):
         coords.append(trace_form(mat, b) / gb)
     resid = mat
     for c, b in zip(coords, g.basis):
@@ -144,10 +152,6 @@ def expand_in_basis(g: MatrixLieAlgebra, mat: Mat) -> Vec:
     if not linalg.mat_is_zero(resid):
         raise ArithmeticError("matrix does not lie in the basis span")
     return coords
-
-
-def _gram_diag(g: MatrixLieAlgebra) -> List[Fraction]:
-    return [g.gram[i][i] for i in range(g.dim)]
 
 
 def build_un(n: int) -> MatrixLieAlgebra:
@@ -346,7 +350,7 @@ def validate_algebra(g: MatrixLieAlgebra) -> ValidationReport:
     # triple whose entries both vanish passes, so the nonzero entries
     # c^j_{zi} reach every triple that can fail
     ok, detail = True, ""
-    gd = _gram_diag(g)
+    gd = g.norms
     for (z, i), entry in g.structure.items():
         bad = [j for j, c in entry.items()
                if c * gd[j] + table_bracket(z, j).get(i, ZERO) * gd[i] != 0]

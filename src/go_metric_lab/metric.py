@@ -2,7 +2,9 @@
 
 A metric endomorphism is B-symmetric, equivariant under the isotropy
 action, and positive definite; it is kept as sparse columns over the m
-basis (`linalg.Columns`), like every operator on m.  The complete cone of
+basis (`linalg.Columns`), like every operator on m, and that is all a
+`MetricEndomorphism` holds: its commutant coordinates and its definiteness
+are read off the columns on first use.  The complete cone of
 candidates is the decomposition's block form (a symmetric operator on S0,
 a scalar per member, intertwiner off-blocks), and the symmetric commutant
 basis that metric parameters refer to is derived from it by one exact
@@ -35,17 +37,44 @@ class NotEquivariantError(ValueError):
 
 @dataclass
 class MetricEndomorphism:
-    """A as sparse columns over the m basis, with its commutant
-    coordinates (None for a scan point, which skips the read-back)."""
+    """A as sparse columns over the m basis.  Its commutant coordinates
+    (`params`), its definiteness (`is_pd`) and its integer form
+    (`integer_columns`) are read off the columns on first use and kept."""
 
     decomp: IsotypicalDecomposition
     columns: Columns
-    params: Optional[Vec]
-    is_pd: bool
 
     @property
     def dim(self) -> int:
         return len(self.columns)
+
+    @cached_property
+    def params(self) -> Vec:
+        """The coordinates of A over `sym_commutant_basis`.
+
+        Each basis operator S_q is 1 at its free position, its last nonzero
+        upper entry (i, j), i <= j, in row-major order, where every other
+        basis operator is 0 (see `sym_commutant_basis`).  So params_q =
+        A[free_q], and the sum of params_q S_q is rebuilt and compared with
+        A exactly: NotEquivariantError when they differ.
+        """
+        basis = sym_commutant_basis(self.decomp)
+        entries = [dict(col) for col in self.columns]
+        free = (max((i, j) for j, col in enumerate(s) for i, _ in col if i <= j)
+                for s in basis)
+        params = [Fraction(entries[j].get(i, 0)) for i, j in free]
+        if linalg.combine_columns(params, basis, self.dim) != self.columns:
+            raise NotEquivariantError(
+                "matrix is not a symmetric equivariant endomorphism")
+        return params
+
+    @cached_property
+    def is_pd(self) -> bool:
+        """Whether G A is symmetric and positive definite, G the diagonal
+        m-basis Gram `decomp.action.norms`."""
+        rows = linalg.column_rows(self.columns, self.dim)
+        return _pd_check([{j: nu * c for j, c in row.items()}
+                          for nu, row in zip(self.decomp.action.norms, rows)])
 
     @cached_property
     def integer_columns(self) -> Tuple[int, List[List[Tuple[int, int]]]]:
@@ -55,32 +84,11 @@ class MetricEndomorphism:
         return den, cols
 
 
-class LazyMetric(MetricEndomorphism):
-    """A metric whose commutant coordinates are read back on first use."""
-
-    @property
-    def params(self) -> Vec:
-        if self._params is None:
-            self._params = _from_columns(self.decomp, self.columns).params
-        return self._params
-
-    @params.setter
-    def params(self, value: Optional[Vec]) -> None:
-        self._params = value
-
-
 def _pd_check(ga: List[dict]) -> bool:
     """Whether G A, sparse {col: value} rows, is symmetric and PD."""
     return (all(ga[j].get(i, 0) == v for i, row in enumerate(ga)
                 for j, v in row.items())
             and linalg.sym_positive_definite(ga))
-
-
-def form_rows(columns: Columns, norms: Sequence) -> List[dict]:
-    """G A as sparse rows, from A's sparse columns: the m-basis Gram G is
-    the diagonal `norms`."""
-    return [{j: nu * c for j, c in row.items()}
-            for nu, row in zip(norms, linalg.column_rows(columns, len(norms)))]
 
 
 def from_parameters(decomp: IsotypicalDecomposition,
@@ -94,47 +102,22 @@ def from_parameters(decomp: IsotypicalDecomposition,
     if len(params) != len(basis):
         raise ValueError(
             f"expected {len(basis)} parameters, got {len(params)}")
-    params = [Fraction(p) for p in params]
-    return _metric(decomp, params)
-
-
-def _metric(decomp: IsotypicalDecomposition,
-            params: Vec) -> MetricEndomorphism:
-    """A = sum_q params_q S_q over the symmetric commutant basis."""
-    columns = linalg.combine_columns(params, sym_commutant_basis(decomp),
-                                     decomp.dim)
-    return MetricEndomorphism(
-        decomp=decomp, columns=columns, params=params,
-        is_pd=_pd_check(form_rows(columns, decomp.action.norms)))
-
-
-def _from_columns(decomp: IsotypicalDecomposition,
-                  columns: Columns) -> MetricEndomorphism:
-    """Wrap A's sparse columns, reading off its commutant coordinates.
-
-    Each basis operator S_q is 1 at its free position, its last nonzero
-    upper entry (i, j), i <= j, in row-major order, where every other basis
-    operator is 0 (see `sym_commutant_basis`).  So params_q = A[free_q],
-    and the sum of params_q S_q is rebuilt and compared with A exactly.
-    """
-    entries = [dict(col) for col in columns]
-    free = (max((i, j) for j, col in enumerate(s) for i, _ in col if i <= j)
-            for s in sym_commutant_basis(decomp))
-    a = _metric(decomp, [Fraction(entries[j].get(i, 0)) for i, j in free])
-    if a.columns != columns:
-        raise NotEquivariantError(
-            "matrix is not a symmetric equivariant endomorphism")
-    return a
+    return MetricEndomorphism(decomp, linalg.combine_columns(
+        [Fraction(p) for p in params], basis, decomp.dim))
 
 
 def from_matrix(decomp: IsotypicalDecomposition,
                 matrix: Mat) -> MetricEndomorphism:
-    """Wrap an explicit dense matrix (row lists), reading off its
-    commutant coordinates (see `_from_columns`)."""
+    """Wrap an explicit dense matrix (row lists), entries converted to
+    Fractions; its commutant coordinates are read at once, so a matrix
+    outside the symmetric commutant raises NotEquivariantError here."""
     d = decomp.dim
     if len(matrix) != d or any(len(row) != d for row in matrix):
         raise NotEquivariantError(f"expected a {d} x {d} matrix")
-    return _from_columns(decomp, [linalg.sparse(col) for col in zip(*matrix)])
+    a = MetricEndomorphism(decomp, [linalg.sparse([Fraction(c) for c in col])
+                                    for col in zip(*matrix)])
+    a.params
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +223,17 @@ class MetricFamily:
         return (len(self.classes())
                 + sum(b.n_params for b in self.operator_blocks)
                 + sum(b.n_params for b in self.intertwiner_blocks))
+
+    def on_diagonal(self) -> List[bool]:
+        """Per parameter, whether it scales a diagonal unit: each scalar
+        class and each operator block's (i, i) does, an operator block's
+        (i, j), i < j, and an intertwiner coordinate do not."""
+        flags = [True] * len(self.classes())
+        for b in self.operator_blocks:
+            d = b.space.dim
+            flags += [i == j for i in range(d) for j in range(i, d)]
+        return flags + [False] * sum(b.n_params
+                                     for b in self.intertwiner_blocks)
 
     def param_labels(self) -> List[str]:
         labels = []
@@ -386,13 +380,16 @@ def family_form(integer_ops: List[List[List[Tuple[int, int]]]],
 
 
 def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
-    """The family's metric at the values: sum_c values_c Op_c, with its
-    commutant coordinates read back."""
+    """The family's metric at the values (converted to Fractions): sum_c
+    values_c Op_c, with its commutant coordinates read at once, so a family
+    outside the symmetric commutant raises NotEquivariantError here."""
     ops = family_basis_ops(family)
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
-    return _from_columns(family.decomp, linalg.combine_columns(
-        values, ops, family.decomp.dim))
+    a = MetricEndomorphism(family.decomp, linalg.combine_columns(
+        [Fraction(v) for v in values], ops, family.decomp.dim))
+    a.params
+    return a
 
 
 def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:

@@ -195,13 +195,9 @@ class FamilyData:
         return linalg.combine_columns(powers, coefficients, self.decomp.dim)
 
     def metric_at(self, t) -> MetricEndomorphism:
-        """A_t, PD-checked exactly; its commutant coordinates are read
-        back on first use."""
-        columns = self._at(self.metric, t)
-        form = metric_mod.form_rows(columns, self.decomp.action.norms)
-        return metric_mod.LazyMetric(decomp=self.decomp, columns=columns,
-                                     params=None,
-                                     is_pd=metric_mod._pd_check(form))
+        """A_t; its definiteness and commutant coordinates are read off the
+        columns on first use."""
+        return MetricEndomorphism(self.decomp, self._at(self.metric, t))
 
     def witness_at(self, t) -> Callable[[Vec], Vec]:
         """X -> a_t(X), dense over the h basis."""
@@ -229,7 +225,7 @@ def _family_data(space: StiefelSpace) -> FamilyData:
 
 def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
     """A_t = Id + (t - 1) P_z, P_z the B-orthogonal projector onto the
-    center; PD iff t > 0."""
+    center; PD iff t > 0, which its `is_pd` proves exactly on first read."""
     return space.family_data.metric_at(t)
 
 

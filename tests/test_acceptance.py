@@ -202,10 +202,9 @@ def test_criterion_7_normalizer_consistency(space):
         for a in candidates:
             if not a.is_pd:
                 continue
-            cert = go.go_check(a, strategy="basis", keep_witnesses=False)
+            cert = go.go_check(a, strategy="basis")
             if cert.verdict != "falsified":
-                extra = go.go_check(a, strategy="random", count=40,
-                                    seed=99, keep_witnesses=False)
+                extra = go.go_check(a, strategy="random", count=40, seed=99)
                 if extra.verdict == "falsified":
                     cert = extra
             ne = metric.check_normalizer_equivariance(a, ne_ops)

@@ -296,8 +296,7 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
                 continue
             point = _negated_lead_point(tensors, values, p)
             a = metric.MetricEndomorphism(
-                decomp=dec, params=None, is_pd=False,
-                columns=linalg.combine_columns(point, ops, dec.dim))
+                dec, linalg.combine_columns(point, ops, dec.dim))
             x = tensors.probes[p]
             a_h, best = go.go_solve_at(a, x)
             solves.clear()
@@ -338,8 +337,7 @@ def _bumped(sp, label):
 def test_go_solve_rejects_non_equivariant_metric(space):
     sp = space(3, 2)
     a = metric.MetricEndomorphism(decomp=sp.decomp,
-                                  columns=columns(_bumped(sp, "e_1_3")),
-                                  params=None, is_pd=True)
+                                  columns=columns(_bumped(sp, "e_1_3")))
     # [X, AX] = -[e_13, eb_13], which has a component along eb_33 in h
     x = linalg.zero_vec(sp.dim_m)
     x[_m_index(sp, "e_1_3")] = x[_m_index(sp, "eb_1_3")] = Fraction(1)

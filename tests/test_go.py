@@ -417,13 +417,10 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
         if failure is None and spec.survivor_random_probes:
             amat = family_matrix(tensors.op_columns, values, decomp_.dim)
             cert = go_check(metric.MetricEndomorphism(
-                                decomp=decomp_, columns=columns(amat),
-                                params=None,
-                                is_pd=True),
+                                decomp=decomp_, columns=columns(amat)),
                             strategy="random",
                             count=spec.survivor_random_probes,
-                            seed=spec.seed * 1_000_003 + idx,
-                            keep_witnesses=False)
+                            seed=spec.seed * 1_000_003 + idx)
             if cert.verdict == "falsified":
                 failure = ([conv(c) for c in cert.falsifier.x_m],
                            cert.falsifier.residual_sq)
@@ -875,7 +872,7 @@ def test_falsified_metrics_leave_the_reduced_family(space):
     cases.append(metric.from_matrix(sp.decomp, mat_add(
         identity(sp.dim_m), p1)))
     for a in cases:
-        cert = go_check(a, strategy="basis", keep_witnesses=False)
+        cert = go_check(a, strategy="basis")
         assert cert.verdict == "falsified"
         ne = metric.check_normalizer_equivariance(a)
         outside = coords_in_family(family, a) is None

@@ -36,6 +36,8 @@ def test_deformation_metric_from_parameters(space):
     s1_block = next(b for b in blocks if b["summand"] == 1)
     assert s1_block["scalar"] == "1/1"
     assert "matrix" in s0_block          # 2 on the center line, 1 on su(2)
+    half = stiefel.metric_at(sp, Fraction(1, 2))
+    assert from_parameters(sp.decomp, half.params).columns == half.columns
 
 
 def test_negative_identity_coefficient_flags_pd(space):
@@ -127,15 +129,26 @@ def test_from_matrix_rejects_matrices_outside_the_commutant(space):
     ad_z0 = isotropy._ad_columns(sp.split, linalg.sparse(sp.z0_m))
     skew = mat_add(identity(sp.dim_m), dense_op(ad_z0, sp.dim_m))
     assert metric.check_normalizer_equivariance(
-        metric.MetricEndomorphism(sp.decomp, columns(skew), None, False),
+        metric.MetricEndomorphism(sp.decomp, columns(skew)),
         ops=sp.action.ad_ops)
     assert skew != linalg.transpose(skew)
-    for bad in (bumped, skew):
+    for bad, pd in ((bumped, True), (skew, False)):
         assert oracle_params(sp.decomp, bad) is None
+        # the wrapped columns build and answer is_pd (G A is symmetric only
+        # for the bumped one); the first read of params raises
+        a = metric.MetricEndomorphism(sp.decomp, columns(bad))
+        assert a.is_pd is pd
+        with pytest.raises(metric.NotEquivariantError):
+            a.params
         with pytest.raises(metric.NotEquivariantError):
             metric.from_matrix(sp.decomp, bad)
     with pytest.raises(metric.NotEquivariantError):
         metric.from_matrix(sp.decomp, identity(sp.dim_m - 1))
+    # a family scaling the bumped coordinate's line alone leaves the
+    # commutant: instantiate reads params, and raises, when it builds
+    line = linalg.make_subspace([[(i, Fraction(1))]], sp.action.norms)
+    with pytest.raises(metric.NotEquivariantError):
+        instantiate(_scalar_family(sp.decomp, line), [Fraction(1)])
 
 
 def test_equivariance_and_symmetry_exact(space):
@@ -354,6 +367,33 @@ def _scalar_family(dec, sub):
     family.scalar_blocks.append(metric.ScalarBlock(space=sub, class_id=0,
                                                    label="x"))
     return family
+
+
+def _labelled_on_diagonal(family):
+    # scalar[...] and op[...](i,i) scale a diagonal unit, op[...](i,j) for
+    # i < j and mix[...]#q do not
+    def on(label):
+        if label.startswith("op["):
+            i, j = label.rsplit("(", 1)[1].rstrip(")").split(",")
+            return i == j
+        return label.startswith("scalar[")
+    return [on(label) for label in family.param_labels()]
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (6, 3)])
+def test_on_diagonal_matches_the_parameter_layout(space, n, k):
+    from go_metric_lab.go import reduce_family
+    sp = space(n, k)
+    families = [full_family(sp.decomp), stiefel.diagonal_family(sp),
+                reduce_family(sp.decomp)[0]]
+    for family in families:
+        flags = family.on_diagonal()
+        assert len(flags) == family.n_params
+        assert flags == _labelled_on_diagonal(family)
+        assert all(flags) == (not family.intertwiner_blocks and all(
+            b.space.dim <= 1 for b in family.operator_blocks))
+    # the full cone leaves the diagonal through S0's operator block
+    assert not all(families[0].on_diagonal())
 
 
 def test_family_instantiation_round_trip(space):
