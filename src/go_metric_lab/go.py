@@ -152,21 +152,13 @@ class GOCertificate:
 
 
 def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
-    """All m-basis vectors, then pairwise sums (cross-summand pairs first)."""
+    """All m-basis vectors, then pairwise sums in `decomp.probe_pairs` order
+    (cross-summand first, computed once), as fresh lists on every call."""
     dim = decomp.dim
-    norms = decomp.action.norms
-    # the summand holding each basis vector (one leaving no residual)
-    block_of = [next((s.class_id for s in decomp.summands
-                      if not linalg.orthogonal_projection(s.space, norms, [(i, ONE)])[1]),
-                     None) for i in range(dim)]
     probes = [linalg.unit_vec(dim, i) for i in range(dim)]
-    pairs = sorted(
-        itertools.combinations(range(dim), 2),
-        key=lambda ij: (block_of[ij[0]] == block_of[ij[1]], ij))
-    for i, j in pairs:
-        v = linalg.unit_vec(dim, i)
-        v[j] = ONE
-        probes.append(v)
+    for i, j in decomp.probe_pairs:
+        probes.append(linalg.unit_vec(dim, i))
+        probes[-1][j] = ONE
     return probes
 
 
@@ -596,14 +588,14 @@ class _ScanTensors:
 
     The defect [X, AX] and the witness columns [h_i, AX] are linear in the
     family parameters, so per probe X everything reduces to tensors
-    contracted against the parameter vector.  The tensors are read off the
-    split's m x m bracket table and the isotropy action.  A probe's
-    tensors are built on first use (`_probe`): the grid join (`passing`)
-    builds every probe, while drawn points walk the probes in order and
-    most fail at one of the first few.  Containment of every
-    [X, Op_c X] in m (a zero h-component) is verified exactly in that
-    build, before the probe is used, and carries over each contraction by
-    linearity.
+    contracted against the parameter vector, read off the split's m x m
+    bracket table and the isotropy action.  A probe's tensors are built on
+    first use (`_probe`: the grid join `passing` builds all, drawn points
+    walk the probes in their order, fixed once per decomposition) from the
+    operators touching X, those with a nonzero column on its support:
+    Op_c X = 0 for every other c, whose rows stay empty.  The build proves
+    each [X, Op_c X] in m (zero h-component) before the probe is used; by
+    linearity so is every contraction.
 
     A probe reads only the parameters in its support (a nonzero `bx` or
     `hx` row), and its least-squares residual is homogeneous of degree 2
@@ -628,6 +620,9 @@ class _ScanTensors:
         self.probes = probes
         self.op_columns = ops
         self.integer_ops = linalg.cleared_columns(ops)
+        # coordinate i -> the params c whose operator touches i (column i != 0)
+        self._touching = [[c for c, cols in enumerate(self.integer_ops[1])
+                           if cols[i]] for i in range(self.dim)]
         self._built: List[Optional[_Probe]] = [None] * len(probes)
         self._walked: List[Tuple[int, Callable, Dict]] = []
         self._reached = 0
@@ -663,11 +658,12 @@ class _ScanTensors:
                 yield entry
 
     def _build(self, p: int) -> _Probe:
-        # on integers: the probe, the family operators cleared once per
-        # scan, and the isotropy columns
+        # on integers: the probe, the isotropy columns and the family
+        # operators cleared once per scan; Op_c X = 0 unless Op_c touches X
         dx, xs = linalg.cleared(linalg.sparse(self.probes[p]))
         dop, ops = self.integer_ops
-        ox = [linalg.sparse_mat_vec(cols, xs) for cols in ops]
+        touched = sorted({c for i, _ in xs for c in self._touching[i]})
+        ox = [linalg.sparse_mat_vec(ops[c], xs) for c in touched]
         table = self.action.split.bracket_table
         rows = []                       # dt dop dx^2 [X, Op_c X]_m
         for o in ox:
@@ -675,11 +671,10 @@ class _ScanTensors:
             if any(b_h.values()):
                 raise ValueError("vector is not in m")
             rows.append(linalg.sparse_from(b_m))
-        dad, ad_cols = self.action.integer_ad_columns
-        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]    # dad dop dx
-                 for ad in ad_cols]
-        support = [c for c in range(len(ox))
-                   if rows[c] or any(h[c] for h in hrows)]
+        dad, ad_cols = self.action.integer_ad_columns   # hrows: dad dop dx
+        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox] for ad in ad_cols]
+        support = [c for k, c in enumerate(touched)
+                   if rows[k] or any(h[k] for h in hrows)]
         # the entries c / d of one part have reduced denominators whose
         # lcm is d / gcd(d, every c)
         d_b = table.denominator * dop * dx * dx
@@ -687,9 +682,14 @@ class _ScanTensors:
         den = math.lcm(
             d_b // math.gcd(d_b, *(c for r in rows for _, c in r)),
             d_h // math.gcd(d_h, *(c for h in hrows for r in h for _, c in r)))
-        return _Probe(bx=[[(i, c * den // d_b) for i, c in r] for r in rows],
-                      hx=[[[(i, c * den // d_h) for i, c in r] for r in h]
-                          for h in hrows],
+
+        def per_param(part, d):         # den / d times each row, by param
+            out = [[]] * len(ops)
+            for c, r in zip(touched, part):
+                out[c] = [(i, v * den // d) for i, v in r]
+            return out
+        return _Probe(bx=per_param(rows, d_b),
+                      hx=[per_param(h, d_h) for h in hrows],
                       support=support, den=den)
 
     def _add(self, value: Fraction) -> int:

@@ -388,6 +388,15 @@ class IsotypicalDecomposition:
         its subspaces are shared by every caller and never mutated."""
         return split_ideals(self.action.split, self.s0.space)
 
+    @cached_property
+    def probe_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The m-basis index pairs i < j, cross-summand pairs first."""
+        # the summand holding each basis vector (one leaving no residual)
+        block = [next((s.class_id for s in self.summands if not linalg.orthogonal_projection(
+            s.space, self.action.norms, [(i, ONE)])[1]), None) for i in range(self.dim)]
+        return tuple(sorted(itertools.combinations(range(self.dim), 2),
+                            key=lambda ij: (block[ij[0]] == block[ij[1]], ij)))
+
 
 def joint_kernel(ops: List[Columns], norms: Vec, dim: int) -> Subspace:
     rows = [row for op in ops for row in linalg.column_rows(op, dim)]

@@ -265,10 +265,11 @@ def _primitive_row(row) -> dict:
     a primitive integer row."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     row = {k: v for k, v in items if v}
-    den = denominator(row.values())
-    ints = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
-    content = math.gcd(*ints.values())
-    return ints if content == 1 else {k: v // content for k, v in ints.items()}
+    if not all(type(v) is int for v in row.values()):
+        den = denominator(row.values())
+        row = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+    content = math.gcd(*row.values())
+    return row if content == 1 else {k: v // content for k, v in row.items()}
 
 
 def _eliminate(row: dict, piv: dict, col: int) -> dict:

@@ -76,19 +76,44 @@ def oracle_residual_sq(a_metric, x_m, a_h):
 # agreement
 # ---------------------------------------------------------------------------
 
+def _summand_of(dec, i):
+    """The class of the summand holding m-basis vector i, by the dense
+    projection oracle."""
+    unit = linalg.unit_vec(dec.dim, i)
+    return next(s.class_id for s in dec.summands
+                if not any(dense_orthogonal_projection(
+                    s.space.sparse_basis, s.space.norms, dec.action.norms,
+                    unit)[1]))
+
+
 @pytest.mark.parametrize("n,k,which", [(3, 2, "diag"), (3, 2, "full"),
-                                       (4, 2, "full")])
+                                       (4, 2, "full"), (4, 3, "full")])
 def test_scan_tensors_match_oracle(space, n, k, which):
     sp = space(n, k)
     family = (stiefel.diagonal_family(sp) if which == "diag"
               else metric.full_family(sp.decomp))
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
+    picked = list(range(len(probes)))
+    if (n, k) == (4, 3):
+        # 3 intertwiner blocks; the oracle over all 120 probes is slow, so
+        # every unit probe and every 12th pair probe, which take pairs
+        # across the two summands and inside each of them
+        picked = picked[:sp.dim_m] + picked[sp.dim_m::12]
+        kinds = set()
+        for p in picked[sp.dim_m:]:
+            i, j = [c for c, x in enumerate(probes[p]) if x]
+            a, b = _summand_of(sp.decomp, i), _summand_of(sp.decomp, j)
+            kinds.add("across" if a != b else a)
+        assert kinds == {"across"} | {s.class_id for s in sp.decomp.summands}
     tensors = go._ScanTensors(family, ops, probes)
-    built = [tensors._probe(p) for p in range(len(probes))]
-    bx, hx = oracle_tensors(family, ops, probes)
+    built = [tensors._probe(p) for p in picked]
+    bx, hx = oracle_tensors(family, ops, [probes[p] for p in picked])
     assert [probe.bx for probe in built] == bx
     assert [probe.hx for probe in built] == hx
+    assert [probe.support for probe in built] == [
+        [c for c in range(family.n_params) if b[c] or any(r[c] for r in h)]
+        for b, h in zip(bx, hx)]
 
 
 def _non_go_diagonal_point(sp):
@@ -400,6 +425,37 @@ def test_table_is_the_only_bracket_work_of_a_tensor_build(space, monkeypatch):
     for p in range(len(probes)):
         tensors._probe(p)
     assert calls == {"bracket": 0, "sparse_bracket": 0, "coords_in_m": 0}
+
+
+def test_tensor_build_applies_only_the_operators_touching_the_probe(
+        space, monkeypatch):
+    # Op_c X is zero unless Op_c has a nonzero column on X's support, so a
+    # build multiplies X by exactly those family operators, once each: for
+    # a pair probe, the union over both coordinates
+    sp = space(4, 2)
+    family = metric.full_family(sp.decomp)
+    ops = metric.family_basis_ops(family)
+    probes = go.basis_probe_vectors(sp.decomp)
+    tensors = go._ScanTensors(family, ops, probes)
+    param_of = {id(cols): c for c, cols in enumerate(tensors.integer_ops[1])}
+    applied = []
+    sparse_mat_vec = linalg.sparse_mat_vec
+
+    def counted(columns, x):
+        if id(columns) in param_of:
+            applied.append(param_of[id(columns)])
+        return sparse_mat_vec(columns, x)
+
+    monkeypatch.setattr(linalg, "sparse_mat_vec", counted)
+    n_applied = 0
+    for p, x in enumerate(probes):
+        applied.clear()
+        tensors._probe(p)
+        on = [i for i, v in enumerate(x) if v]
+        assert applied == [c for c, cols in enumerate(ops)
+                           if any(cols[i] for i in on)]
+        n_applied += len(applied)
+    assert n_applied < len(probes) * family.n_params
 
 
 # ---------------------------------------------------------------------------

@@ -569,6 +569,41 @@ def _count_builds(monkeypatch):
     return built
 
 
+def test_probe_order_is_computed_once_per_decomposition(monkeypatch):
+    # a fresh space: the session's cached ones may hold the order already
+    sp = stiefel.build_stiefel(3, 2)
+    calls = []
+    projection = linalg.orthogonal_projection
+
+    def counted(*args):
+        calls.append(args)
+        return projection(*args)
+
+    monkeypatch.setattr(linalg, "orthogonal_projection", counted)
+    first = basis_probe_vectors(sp.decomp)
+    assert calls
+    calls.clear()
+    second = basis_probe_vectors(sp.decomp)
+    assert not calls
+    assert first == second
+    assert all(a is not b for a, b in zip(first, second))
+    # the callers own their vectors: mutating them changes neither a later
+    # call nor the falsifier a later scan reports
+    full = metric.full_family(sp.decomp)
+    spec = ScanSpec(grid=_GRID_32, seed=1, random_count=8,
+                    survivor_random_probes=0)
+    before = search_go(sp.decomp, full, spec, include_grid=False)
+    kept = [list(x) for x in first]
+    for x in first + second:
+        x[:] = [Fraction(7)] * len(x)
+    assert basis_probe_vectors(sp.decomp) == kept
+    after = search_go(sp.decomp, full, spec, include_grid=False)
+    assert after == before and after.falsified
+    strings = [[linalg.frac_to_str(c) for c in x] for x in kept]
+    assert all(e["falsifier_x"] in strings for e in after.falsified)
+    assert not calls
+
+
 def test_scan_builds_probe_tensors_on_first_reach(space, monkeypatch):
     # every off-diagonal sample fails at an early probe, so the probes
     # past the last first failure are never built

@@ -322,6 +322,26 @@ def test_sym_positive_definite():
     assert linalg.sym_positive_definite([])
 
 
+def test_primitive_row_is_the_same_for_int_fraction_and_mixed_rows():
+    want = {0: 3, 2: -2, 3: 5}
+    for row in ([6, 0, -4, 10], [Fraction(c, 7) for c in (6, 0, -4, 10)],
+                [6, Fraction(0), Fraction(-8, 2), 10],
+                [Fraction(3, 2), 0, -1, Fraction(5, 2)],
+                {0: 6, 2: -4, 3: 10}, {0: 6, 2: Fraction(-4), 3: 10}):
+        got = linalg._primitive_row(row)
+        assert got == want and all(type(v) is int for v in got.values())
+    row = {0: 3, 1: -2}             # primitive already: an equal new dict
+    got = linalg._primitive_row(row)
+    assert got == row and got is not row
+    # integer forms, dense and sparse: indefinite, zero pivots, PD
+    assert not linalg.sym_positive_definite([[1, 2], [2, 1]])
+    assert not linalg.sym_positive_definite([[2, 1], [1, 0]])
+    assert not linalg.sym_positive_definite([[0, 0], [0, 1]])
+    assert not linalg.sym_positive_definite([{1: 2}, {0: 2, 1: 3}])
+    assert not linalg.sym_positive_definite([[4, 2], [2, 1]])
+    assert linalg.sym_positive_definite([{0: 2, 1: 1}, {0: 1, 1: 2}])
+
+
 def bareiss_positive_definite(m):
     """Dense oracle: every leading principal minor positive, by Bareiss."""
     n = len(m)
