@@ -581,6 +581,7 @@ class _Probe(NamedTuple):
     hx: List[List[linalg.Sparse]]      # h_i -> param c -> den [h_i, Op_c X]
     support: List[int]                 # params with a nonzero row
     den: int
+    x: List[str]                       # its coordinates, once it falsifies
 
 
 class _ScanTensors:
@@ -609,21 +610,16 @@ class _ScanTensors:
     ids, and each probe keeps a table from the ids on its support to the
     report string of its exact residual ("" when the probe passes), so
     checking a probe at a point is one tuple lookup (`_lookup`).  One
-    integer evaluation, `_residual`, fills memo and tables.  All of it
-    lives as long as the `_ScanTensors`, which is one scan.
+    integer evaluation, `_residual`, fills memo and tables, which live as
+    long as the `_ScanTensors`, one scan; a probe's tensors are built once
+    per family and kept with its operators (`MetricFamily.operators`).
     """
 
-    def __init__(self, family: MetricFamily, ops: List[linalg.Columns],
-                 probes: List[Vec], grid: Sequence = ()):
-        self.action = family.decomp.action
+    def __init__(self, ops: metric_mod.FamilyOperators, grid: Sequence = ()):
+        self.ops = ops
+        self.action = ops.decomp.action
         self.dim = self.action.split.dim_m
-        self.probes = probes
-        self.op_columns = ops
-        self.integer_ops = linalg.cleared_columns(ops)
-        # coordinate i -> the params c whose operator touches i (column i != 0)
-        self._touching = [[c for c, cols in enumerate(self.integer_ops[1])
-                           if cols[i]] for i in range(self.dim)]
-        self._built: List[Optional[_Probe]] = [None] * len(probes)
+        self.probes = basis_probe_vectors(ops.decomp)
         self._walked: List[Tuple[int, Callable, Dict]] = []
         self._reached = 0
         self.memo: Dict[Tuple, Tuple[int, int]] = {}
@@ -634,13 +630,12 @@ class _ScanTensors:
         self._ids: Dict[Fraction, int] = {}
         for v in grid:
             self._add(Fraction(v))
-        self._probe_strings: Dict[int, List[str]] = {}
 
     def _probe(self, p: int) -> _Probe:
         """Probe p's tensors, built on first use."""
-        probe = self._built[p]
+        probe = self.ops.probes.get(p)
         if probe is None:
-            probe = self._built[p] = self._build(p)
+            probe = self.ops.probes[p] = self._build(p)
         return probe
 
     def _walk(self) -> Iterator[Tuple[int, Callable, Dict]]:
@@ -659,10 +654,10 @@ class _ScanTensors:
 
     def _build(self, p: int) -> _Probe:
         # on integers: the probe, the isotropy columns and the family
-        # operators cleared once per scan; Op_c X = 0 unless Op_c touches X
+        # operators cleared once per family; Op_c X = 0 unless Op_c touches X
         dx, xs = linalg.cleared(linalg.sparse(self.probes[p]))
-        dop, ops = self.integer_ops
-        touched = sorted({c for i, _ in xs for c in self._touching[i]})
+        dop, ops = self.ops.integer
+        touched = sorted({c for i, _ in xs for c in self.ops.touching[i]})
         ox = [linalg.sparse_mat_vec(ops[c], xs) for c in touched]
         table = self.action.split.bracket_table
         rows = []                       # dt dop dx^2 [X, Op_c X]_m
@@ -690,7 +685,7 @@ class _ScanTensors:
             return out
         return _Probe(bx=per_param(rows, d_b),
                       hx=[per_param(h, d_h) for h in hrows],
-                      support=support, den=den)
+                      support=support, den=den, x=[])
 
     def _add(self, value: Fraction) -> int:
         i = len(self.values)
@@ -751,7 +746,7 @@ class _ScanTensors:
         res = table.get(key)
         if res is None:
             num, den = self._residual(p, [
-                self.pairs[ids[c]] for c in self._built[p].support])
+                self.pairs[ids[c]] for c in self.ops.probes[p].support])
             res = table[key] = f"{num}/{den}" if num else ""  # reduced
         return res
 
@@ -775,7 +770,7 @@ class _ScanTensors:
         """
         at_depth: List[list] = [[] for _ in range(n)]   # `_walk` entries
         for entry in self._walk():
-            at_depth[self._built[entry[0]].support[-1]].append(entry)
+            at_depth[self.ops.probes[entry[0]].support[-1]].append(entry)
         level: List[Tuple[int, ...]] = [()]
         nodes = 0
         for probes in at_depth:
@@ -789,14 +784,6 @@ class _ScanTensors:
                 prefix + (i,) for i in positions)
                 if not any(self._lookup(e, ids) for e in probes)]
         return level
-
-    def probe_strings(self, p: int) -> List[str]:
-        """A fresh copy of probe p's coordinate strings."""
-        strings = self._probe_strings.get(p)
-        if strings is None:
-            strings = self._probe_strings[p] = [linalg.frac_to_str(c)
-                                                for c in self.probes[p]]
-        return list(strings)
 
 
 def _random_points(family: MetricFamily, spec: ScanSpec,
@@ -818,9 +805,7 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     off_at = [c for c, on in enumerate(on_diag) if not on]
     if not off_at:
         return []
-    form_at = metric_mod.family_form(
-        tensors.integer_ops[1], family.decomp.action.integer_norms[1],
-        family.decomp.dim, tensors.pairs)
+    form_at = tensors.ops.form(tensors.pairs)
     # keep draws near the cone: few off-diagonal entries, each a fraction
     # of the smallest diagonal weight drawn.  rng.random() is k / 2^53, so
     # it is below p_nonzero = a / b iff k b < a 2^53
@@ -881,8 +866,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     containment check raises ValueError when the probe is built.
     """
     spec = spec or ScanSpec()
-    tensors = _ScanTensors(family, metric_mod.family_basis_ops(family),
-                           basis_probe_vectors(decomp), spec.grid)
+    tensors = _ScanTensors(family.operators(), spec.grid)
 
     def entry(ids: Sequence[int], failure: Optional[Tuple[int, str]],
               idx: Optional[int] = None) -> dict:
@@ -891,14 +875,17 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         # survived
         out = {"params": [tensors.strings[i] for i in ids]}
         if failure is not None:
+            x = tensors.ops.probes[failure[0]].x
+            if not x:
+                x.extend(map(linalg.frac_to_str, tensors.probes[failure[0]]))
             out.update(status="falsified", residual_sq=failure[1],
-                       falsifier_x=tensors.probe_strings(failure[0]))
+                       falsifier_x=list(x))
             return out
         values = [tensors.values[i] for i in ids]
         proved = prove is not None and prove(values)
         if spec.survivor_random_probes and not proved:
             a = MetricEndomorphism(decomp, linalg.combine_columns(
-                values, tensors.op_columns, decomp.dim))
+                values, tensors.ops.columns, decomp.dim))
             cert = go_check(a, strategy="random",
                             count=spec.survivor_random_probes,
                             seed=spec.seed * 1_000_003 + idx)

@@ -265,10 +265,12 @@ def _primitive_row(row) -> dict:
     a primitive integer row."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     row = {k: v for k, v in items if v}
-    if not all(type(v) is int for v in row.values()):
+    try:
+        content = math.gcd(*row.values())
+    except TypeError:                   # a Fraction entry: clear first
         den = denominator(row.values())
         row = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
-    content = math.gcd(*row.values())
+        content = math.gcd(*row.values())
     return row if content == 1 else {k: v // content for k, v in row.items()}
 
 

@@ -202,6 +202,22 @@ class MetricFamily:
     operator_blocks: List[OperatorBlock] = field(default_factory=list)
     intertwiner_blocks: List[IntertwinerBlock] = field(default_factory=list)
     _parent: Dict[int, int] = field(default_factory=dict)
+    _operators: Optional[tuple] = field(default=None, repr=False,
+                                        compare=False)
+
+    def operators(self) -> "FamilyOperators":
+        """The family's operators, kept until a merge or a change of blocks:
+        the slot's key is each scalar block's merged class, and the
+        decomposition and blocks as references compared by identity."""
+        blocks = (self.decomp, *self.scalar_blocks, None,
+                  *self.operator_blocks, None, *self.intertwiner_blocks)
+        classes = [self.find(b.class_id) for b in self.scalar_blocks]
+        kept = self._operators
+        if (kept is None or kept[1] != classes or len(kept[0]) != len(blocks)
+                or not all(a is b for a, b in zip(kept[0], blocks))):
+            kept = self._operators = (blocks, classes, FamilyOperators(
+                self.decomp, family_basis_ops(self)))
+        return kept[2]
 
     def find(self, cid: int) -> int:
         while self._parent.get(cid, cid) != cid:
@@ -353,37 +369,47 @@ def family_basis_ops(family: MetricFamily) -> List[Columns]:
     return [_finish(op, family.decomp.dim) for op in _block_operators(family)]
 
 
-def family_form(integer_ops: List[List[List[Tuple[int, int]]]],
-                norms: Sequence[int], dim: int,
-                pairs: Sequence[Tuple[int, int]]
-                ) -> Callable[[Sequence[int]], List[dict]]:
-    """value ids -> sum_c v_c G Op_c as sparse integer rows, a positive
-    multiple of G A: `integer_ops` are the family operators' columns cleared
-    over one denominator (`linalg.cleared_columns`), `norms` the integer
-    m-norms, `pairs[i]` value id i as (numerator, denominator) (a scan's
-    `_ScanTensors.pairs`), and the values are cleared over their lcm."""
-    forms = [[(i, j, norms[i] * c) for j, col in enumerate(cols)
-              for i, c in col] for cols in integer_ops]
+class FamilyOperators:
+    """A family's operators in parameter order and what is read off them
+    alone: sparse `columns`, `integer` (`linalg.cleared_columns`), `touching`
+    (coordinate i -> the params whose operator has a nonzero column i), the
+    form G A (`form`) and the scans' probe tensors (`go._ScanTensors`)."""
 
-    def rows_at(ids: Sequence[int]) -> List[dict]:
-        lv = math.lcm(*[pairs[i][1] for i in set(ids)])
-        ga: List[dict] = [{} for _ in range(dim)]
-        for i, entries in zip(ids, forms):
-            num, den = pairs[i]
-            if num:
-                w = num * (lv // den)
-                for r, j, c in entries:
-                    ga[r][j] = ga[r].get(j, 0) + w * c
-        return ga
+    def __init__(self, decomp: IsotypicalDecomposition,
+                 columns: List[Columns]):
+        self.decomp, self.columns = decomp, columns
+        self.integer = linalg.cleared_columns(columns)
+        self.touching = [[c for c, cols in enumerate(self.integer[1])
+                          if cols[i]] for i in range(decomp.dim)]
+        norms = decomp.action.integer_norms[1]
+        self._forms = [[(i, j, norms[i] * c) for j, col in enumerate(cols)
+                        for i, c in col] for cols in self.integer[1]]
+        self.probes: Dict[int, object] = {}
 
-    return rows_at
+    def form(self, pairs: Sequence[Tuple[int, int]]
+             ) -> Callable[[Sequence[int]], List[dict]]:
+        """value ids -> sum_c v_c G Op_c as sparse integer rows, a positive
+        multiple of G A: `pairs[i]` is value id i as (numerator,
+        denominator) (`_ScanTensors.pairs`), cleared over their lcm."""
+        def rows_at(ids: Sequence[int]) -> List[dict]:
+            lv = math.lcm(*[pairs[i][1] for i in set(ids)])
+            ga: List[dict] = [{} for _ in range(self.decomp.dim)]
+            for i, entries in zip(ids, self._forms):
+                num, den = pairs[i]
+                if num:
+                    w = num * (lv // den)
+                    for r, j, c in entries:
+                        ga[r][j] = ga[r].get(j, 0) + w * c
+            return ga
+
+        return rows_at
 
 
 def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
     """The family's metric at the values (converted to Fractions): sum_c
     values_c Op_c, with its commutant coordinates read at once, so a family
     outside the symmetric commutant raises NotEquivariantError here."""
-    ops = family_basis_ops(family)
+    ops = family.operators().columns
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
     a = MetricEndomorphism(family.decomp, linalg.combine_columns(

@@ -459,7 +459,7 @@ def _deformation_test(space: StiefelSpace, family: MetricFamily
     y_0 A_0 + y_1 A_1 = 0 over the operators' entries proves both (its
     free columns must be y_0 and y_1) and gives c_0 and c_1 as -x; a point
     then costs O(p): lambda and mu read off two coordinates, all compared."""
-    ops = metric_mod.family_basis_ops(family)
+    ops = family.operators().columns
     p, dim = len(ops), space.dim_m
     flat = [[(j * dim + i, x) for j, col in enumerate(op) for i, x in col]
             for op in ops + space.family_data.metric]

@@ -106,7 +106,7 @@ def test_scan_tensors_match_oracle(space, n, k, which):
             a, b = _summand_of(sp.decomp, i), _summand_of(sp.decomp, j)
             kinds.add("across" if a != b else a)
         assert kinds == {"across"} | {s.class_id for s in sp.decomp.summands}
-    tensors = go._ScanTensors(family, ops, probes)
+    tensors = go._ScanTensors(family.operators())
     built = [tensors._probe(p) for p in picked]
     bx, hx = oracle_tensors(family, ops, [probes[p] for p in picked])
     assert [probe.bx for probe in built] == bx
@@ -302,7 +302,7 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
     # multiple of it share one memo entry and one least-squares solve
     dec, full = _full_cone(space, which)
     ops = metric.family_basis_ops(full)
-    tensors = go._ScanTensors(full, ops, go.basis_probe_vectors(dec))
+    tensors = go._ScanTensors(full.operators())
     rng = random.Random(f"integer-keys:{which}")
     solves = []
     least_squares = linalg.least_squares
@@ -336,7 +336,7 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
             checked += res > 0
     assert checked > 0
     if which == "rescaled-u3":
-        assert any(probe.den > 1 for probe in tensors._built if probe)
+        assert any(probe.den > 1 for probe in tensors.ops.probes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ def test_scan_tensors_reject_op_outside_commutant(space):
     ops = metric.family_basis_ops(family) + [
         columns(_bumped(sp, "e_1_3"))]
     probes = go.basis_probe_vectors(sp.decomp)
-    tensors = go._ScanTensors(family, ops, probes)
+    tensors = go._ScanTensors(metric.FamilyOperators(sp.decomp, ops))
     with pytest.raises(ValueError, match="not in m"):
         for p in range(len(probes)):
             tensors._probe(p)
@@ -421,7 +421,7 @@ def test_table_is_the_only_bracket_work_of_a_tensor_build(space, monkeypatch):
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
     calls.update(bracket=0, sparse_bracket=0, coords_in_m=0)
-    tensors = go._ScanTensors(family, ops, probes)
+    tensors = go._ScanTensors(metric.FamilyOperators(sp.decomp, ops))
     for p in range(len(probes)):
         tensors._probe(p)
     assert calls == {"bracket": 0, "sparse_bracket": 0, "coords_in_m": 0}
@@ -436,8 +436,8 @@ def test_tensor_build_applies_only_the_operators_touching_the_probe(
     family = metric.full_family(sp.decomp)
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
-    tensors = go._ScanTensors(family, ops, probes)
-    param_of = {id(cols): c for c, cols in enumerate(tensors.integer_ops[1])}
+    tensors = go._ScanTensors(family.operators())
+    param_of = {id(cols): c for c, cols in enumerate(tensors.ops.integer[1])}
     applied = []
     sparse_mat_vec = linalg.sparse_mat_vec
 

@@ -1,5 +1,6 @@
 """Pointwise criterion, certificates, reduction rules, and scans."""
 
+import copy
 import gc
 import itertools
 import math
@@ -396,12 +397,12 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
     fresh tensors, all built before the walk, with no value ids and no
     tables."""
     conv = linalg.frac_to_str
-    tensors = go._ScanTensors(family, metric.family_basis_ops(family),
-                              basis_probe_vectors(decomp_))
+    tensors = go._ScanTensors(metric.FamilyOperators(
+        decomp_, metric.family_basis_ops(family)))
     for p in range(len(tensors.probes)):
         tensors._probe(p)
     x_strings = [[conv(c) for c in x] for x in tensors.probes]
-    pd = _dense_pd_at(tensors.op_columns, decomp_.action.norms)
+    pd = _dense_pd_at(tensors.ops.columns, decomp_.action.norms)
     points = (list(itertools.product(spec.grid, repeat=family.n_params))
               if include_grid else [])
     if spec.random_count:
@@ -415,7 +416,7 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
                      for p, x in enumerate(x_strings))
         failure = next(((x, r) for x, r in residuals if r > 0), None)
         if failure is None and spec.survivor_random_probes:
-            amat = family_matrix(tensors.op_columns, values, decomp_.dim)
+            amat = family_matrix(tensors.ops.columns, values, decomp_.dim)
             cert = go_check(metric.MetricEndomorphism(
                                 decomp=decomp_, columns=columns(amat)),
                             strategy="random",
@@ -487,7 +488,7 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
     sp = space(3, 2)
     diag = stiefel.diagonal_family(sp)
     probes = basis_probe_vectors(sp.decomp)
-    tensors = go._ScanTensors(diag, metric.family_basis_ops(diag), probes)
+    tensors = go._ScanTensors(diag.operators())
     support = [tensors._probe(p).support for p in range(len(probes))]
     calls, scans = [], set()
     residual = go._ScanTensors._residual
@@ -509,7 +510,7 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
 def _table_points(tensors):
     """(probe, full-length values, table string) of every filled entry;
     the values are None off the probe's support."""
-    n = len(tensors.op_columns)
+    n = len(tensors.ops.columns)
     for p, _, table in tensors._walked:
         support = tensors._probe(p).support
         for key, res in table.items():
@@ -528,8 +529,7 @@ def test_table_strings_are_reduced_residuals(space, n, k):
     family = (stiefel.diagonal_family(sp) if n == 3
               else metric.full_family(sp.decomp))
     ops = metric.family_basis_ops(family)
-    tensors = go._ScanTensors(family, ops, basis_probe_vectors(sp.decomp),
-                              _GRID_32)
+    tensors = go._ScanTensors(family.operators(), _GRID_32)
     if n == 3:
         points = itertools.product(range(len(_GRID_32)), repeat=len(ops))
     else:
@@ -697,6 +697,132 @@ def test_offdiagonal_scan_clears_family_operators_once(space, monkeypatch):
     assert sum(op_list == ops for op_list in cleared) == 1
 
 
+def _count_family_ops(monkeypatch):
+    calls = []
+    family_basis_ops = metric.family_basis_ops
+
+    def counted(family):
+        calls.append(family)
+        return family_basis_ops(family)
+
+    monkeypatch.setattr(metric, "family_basis_ops", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (4, 3)])
+def test_second_scan_of_a_family_builds_nothing_again(space, monkeypatch,
+                                                      n, k):
+    # the operators, their integer form and the probe tensors are the
+    # family's: a second scan with another seed, which reaches no probe the
+    # first did not, neither builds the operators nor any probe again, and
+    # equals the scan of a freshly built family
+    sp = space(n, k)
+    full = metric.full_family(sp.decomp)
+    first, second = (ScanSpec(grid=_GRID_32, seed=seed, random_count=12,
+                              survivor_random_probes=3) for seed in (2, 1))
+    calls = _count_family_ops(monkeypatch)
+    built = _count_builds(monkeypatch)
+    search_go(sp.decomp, full, first, include_grid=False)
+    assert calls == [full]
+    assert built and sorted(built) == list(range(len(built)))
+    calls.clear()
+    built.clear()
+    result = search_go(sp.decomp, full, second, include_grid=False)
+    assert calls == [] and built == []
+    monkeypatch.undo()
+    assert result.falsified and result == search_go(
+        sp.decomp, metric.full_family(sp.decomp), second, include_grid=False)
+
+
+def test_scan_after_a_change_of_the_family_equals_a_fresh_scan(space):
+    # the kept operators follow a merge, an appended scalar block and a
+    # reassigned block list, each made after a scan: the next scan equals
+    # that of a family built with the change
+    sp = space(4, 2)
+    grid = ScanSpec(grid=[1, 2], seed=5, survivor_random_probes=2)
+    draws = ScanSpec(grid=_GRID_32, seed=5, random_count=8,
+                     survivor_random_probes=2)
+
+    def merged(family, _):
+        family.merge(1, 2)
+
+    def appended(family, block):
+        family.scalar_blocks.append(block)
+
+    def no_intertwiners(family, _):
+        family.intertwiner_blocks = []
+
+    def diag_without_last():
+        family = stiefel.diagonal_family(sp)
+        return family, family.scalar_blocks.pop()
+
+    cases = [
+        (lambda: (stiefel.diagonal_family(sp), None), merged, grid, True),
+        (diag_without_last, appended, grid, True),
+        (lambda: (metric.full_family(sp.decomp), None), no_intertwiners,
+         draws, False)]
+    for make, change, spec, include_grid in cases:
+        (family, arg), (fresh, fresh_arg) = make(), make()
+        before = search_go(sp.decomp, family, spec, include_grid=include_grid)
+        change(family, arg)
+        change(fresh, fresh_arg)
+        result = search_go(sp.decomp, family, spec, include_grid=include_grid)
+        assert result != before and result == search_go(
+            sp.decomp, fresh, spec, include_grid=include_grid)
+
+
+def test_mutating_what_a_caller_gets_changes_no_later_scan(space):
+    # the family's operators are kept: the operator columns and metrics
+    # handed out, and the entries and falsifier vectors of a result, are
+    # the caller's to change
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    spec = ScanSpec(grid=_GRID_32, seed=7, random_count=8,
+                    survivor_random_probes=0)
+    before = search_go(sp.decomp, full, spec, include_grid=False)
+    kept = copy.deepcopy(before)
+    for cols in metric.family_basis_ops(full):
+        for col in cols:
+            col[:] = [(0, Fraction(5))]
+    a = metric.instantiate(full, [Fraction(1)] * full.n_params)
+    a.columns[:] = [[] for _ in a.columns]
+    for e in before.falsified:
+        e["falsifier_x"][:] = ["7"] * len(e["falsifier_x"])
+        e["params"][:] = ["0"] * len(e["params"])
+        e["residual_sq"] = "0"
+    after = search_go(sp.decomp, full, spec, include_grid=False)
+    assert before != kept and after == kept and after.falsified
+    assert metric.instantiate(full, [Fraction(1)] * full.n_params
+                              ).columns != a.columns
+
+
+def test_family_keeps_one_structure_and_no_residual_memo(space, monkeypatch):
+    # scans with N seeds leave one kept structure on the family, holding
+    # probe tensors only: the residual memo is the scan's, so a seed
+    # scanned again solves as many least-squares problems as the first time
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    solves = []
+    least_squares = linalg.least_squares
+
+    def counted(*args):
+        solves.append(args)
+        return least_squares(*args)
+
+    monkeypatch.setattr(linalg, "least_squares", counted)
+    specs = [ScanSpec(grid=_GRID_32, seed=seed, random_count=8,
+                      survivor_random_probes=0) for seed in range(4)]
+    kept, counts = [], []
+    for spec in specs + specs[:1]:
+        solves.clear()
+        search_go(sp.decomp, full, spec, include_grid=False)
+        counts.append(len(solves))
+        kept.append(full.operators())
+    assert all(ops is kept[0] for ops in kept)
+    assert counts[-1] == counts[0] > 0
+    assert all(type(p) is go._Probe for p in kept[0].probes.values())
+
+
 @pytest.mark.parametrize("n,k,cone", [(3, 2, False), (4, 2, True)],
                          ids=["3-2-resolution-1", "4-2-full-cone"])
 def test_scan_solves_match_dense_least_squares(space, monkeypatch, n, k, cone):
@@ -744,8 +870,7 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     pd_check = metric._pd_check
     for seed in (0, 5, 23):
         spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=24)
-        tensors = go._ScanTensors(full, ops, basis_probe_vectors(sp.decomp),
-                                  _GRID_32)
+        tensors = go._ScanTensors(full.operators(), _GRID_32)
         accepted = _draw_values(tensors, go._random_points(full, spec,
                                                            tensors))
         verdicts = []
@@ -784,8 +909,7 @@ def test_id_draws_match_fraction_oracle(space, monkeypatch, n, k):
         return dense_pd_check(family_matrix(ops, values, sp.dim_m), norms)
 
     def draws(spec):
-        tensors = go._ScanTensors(full, ops, basis_probe_vectors(sp.decomp),
-                                  spec.grid)
+        tensors = go._ScanTensors(full.operators(), spec.grid)
         return _draw_values(tensors, go._random_points(full, spec, tensors))
 
     for seed in (0, 5, 23):
