@@ -14,7 +14,10 @@ no collection lands in one step because another step left work for it.
 With `--scan` it times instead the off-diagonal scan: `go.search_go` over
 `metric.full_family` with drawn samples and no grid, 40 on (4,2), (4,3)
 and (6,3) and 200 on (8,4) and (8,7), and records a digest of the
-falsified entries so that checkouts can be seen to agree.  With
+falsified entries so that checkouts can be seen to agree; then
+`warm_scan_s`, a second scan of the same family with the next seed, and,
+after the timed steps and under tracemalloc, `family_kb`: what a fresh
+full family still holds after one such scan.  With
 `--theorem` it runs the command line end to end instead:
 `reproduce-theorem --verbose` on (8,4) at resolution 1 with 10
 off-diagonal samples and on (6,3) at resolution 1 with 50, recording the wall time, the `--verbose` stage times, the
@@ -65,6 +68,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from typing import List
 
 SPACES = ((4, 3), (6, 3), (8, 4), (8, 7))
@@ -76,7 +80,8 @@ LAYERS = ("build_s", "basis_s", "reduce_s", "cross_s", "construct_s",
 # (n, k) -> drawn samples of each off-diagonal scan
 SCAN_SAMPLES = {(4, 2): 40, (4, 3): 40, (6, 3): 40, (8, 4): 200, (8, 7): 200}
 SCAN_SPACES = tuple(SCAN_SAMPLES)
-SCAN_LAYERS = ("build_s", "scan_s", "peak_rss_mb")
+SCAN_LAYERS = ("build_s", "scan_s", "warm_scan_s", "peak_rss_mb",
+               "family_kb")
 # (n, k, resolution, off-diagonal samples) of each reproduce-theorem run
 THEOREM_RUNS = ((8, 4, "1", 10), (6, 3, "1", 50))
 JOIN_RUNS = ((5, 3, "1/4", 200), (8, 4, "1", 200), (8, 7, "1/4", 200))
@@ -133,7 +138,9 @@ def child(checkout: str, n: int, k: int) -> dict:
 
 
 def scan_child(checkout: str, n: int, k: int) -> dict:
-    """One timed off-diagonal scan in this interpreter."""
+    """One timed off-diagonal scan in this interpreter, then a warm scan of
+    the same family with the next seed; after the timed steps, the traced
+    memory a fresh family keeps after one scan."""
     go, metric, stiefel = _import_from(checkout)
     samples = SCAN_SAMPLES[n, k]
     gc.collect()
@@ -147,14 +154,31 @@ def scan_child(checkout: str, n: int, k: int) -> dict:
                           go.ScanSpec(random_count=samples, seed=SEED),
                           include_grid=False)
     t3 = time.perf_counter()
+    warm = go.search_go(space.decomp, full,
+                        go.ScanSpec(random_count=samples, seed=SEED + 1),
+                        include_grid=False)
+    t4 = time.perf_counter()
     gc.enable()
-    if result.n_points != samples or result.survivors:
-        raise SystemExit(f"({n},{k}): {result.n_points} points, "
-                         f"{len(result.survivors)} survivors")
+    for r in (result, warm):
+        if r.n_points != samples or r.survivors:
+            raise SystemExit(f"({n},{k}): {r.n_points} points, "
+                             f"{len(r.survivors)} survivors")
     digest = hashlib.sha256(json.dumps(result.falsified, sort_keys=True)
                             .encode()).hexdigest()[:16]
+    peak = _peak_rss_mb()
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    kept = metric.full_family(space.decomp)
+    go.search_go(space.decomp, kept,
+                 go.ScanSpec(random_count=samples, seed=SEED),
+                 include_grid=False)
+    gc.collect()
+    family_kb = (tracemalloc.get_traced_memory()[0] - before) / 1024
+    tracemalloc.stop()
     return {"build_s": round(t1 - t0, 4), "scan_s": round(t3 - t2, 4),
-            "peak_rss_mb": _peak_rss_mb(), "falsified_sha256": digest}
+            "warm_scan_s": round(t4 - t3, 4), "peak_rss_mb": peak,
+            "family_kb": round(family_kb, 1), "falsified_sha256": digest}
 
 
 def theorem_child(checkout: str, n: int, k: int,

@@ -50,13 +50,17 @@ def _default_seed() -> int:
             f"GO_METRIC_LAB_SEED must be an integer, got {env!r}") from None
 
 
-def int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def int_at_least(low: int, most: Optional[int] = None):
+    """argparse type: an integer no smaller than `low` and, if `most` is
+    given, no larger than it."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {most}, got {value}")
         return value
     return integer
 
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the builtin deformation metric at this t")
     p.add_argument("--strategy", choices=["basis", "random", "family"],
                    default="basis")
-    p.add_argument("--count", type=int_at_least(0), default=100,
+    p.add_argument("--count", type=int_at_least(0, go_mod.MAX_SAMPLES),
+                   default=100,
                    help="sample count for random/family strategies")
     p.set_defaults(func=cmd_check_go)
 
@@ -279,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--resolution", type=_positive_fraction, default="1/4",
                    help="grid step on [1/4, 4] for the uniqueness scan")
-    p.add_argument("--offdiagonal-samples", type=int_at_least(0), default=200)
+    p.add_argument("--offdiagonal-samples",
+                   type=int_at_least(0, go_mod.MAX_SAMPLES), default=200)
     p.set_defaults(func=cmd_reproduce_theorem)
     return parser
 

@@ -167,12 +167,17 @@ def check_sample_count(strategy: str, count: int) -> None:
 
     A random sample of no probes certifies nothing, so "random" needs at
     least 1; "family" (`stiefel.family_samples`) adds `count` >= 0 random
-    probes to its proof, and "basis" ignores the count.
+    probes to its proof, "scan" draws `count` >= 0 samples
+    (`ScanSpec.random_count`), and "basis" ignores the count.  The work
+    grows with the count, so none may pass `MAX_SAMPLES`.
     """
-    least = {"random": 1, "family": 0}.get(strategy)
+    least = {"random": 1, "family": 0, "scan": 0}.get(strategy)
     if least is not None and count < least:
         raise ValueError(f"count must be at least {least} for the {strategy} "
                          f"strategy, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"count must be at most MAX_SAMPLES = {MAX_SAMPLES}"
+                         f", got {count}")
 
 
 def go_check(a_metric: MetricEndomorphism, strategy: str = "basis",
@@ -560,6 +565,7 @@ class ScanSpec:
 
 
 MAX_SCAN_NODES = 2_000_000     # grid joins visiting more prefixes refuse
+MAX_SAMPLES = 10_000           # sample and probe counts above it refuse
 _GRID_SAMPLE = 5               # falsified grid entries kept, in index order
 
 
@@ -798,14 +804,15 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     subcone.  Zero is interned once and those six values once per distinct
     d_min.  Rejection-samples until positive definite or until
     80 * random_count attempts: every returned sample is proved positive
-    definite exactly, and the scan does not check it again.
+    definite exactly, on its block-diagonal form (`block_forms`), and the
+    scan does not check it again.
     """
     rng = random.Random(f"scan-random:{spec.seed}")
     on_diag = family.on_diagonal()
     off_at = [c for c, on in enumerate(on_diag) if not on]
     if not off_at:
         return []
-    form_at = tensors.ops.form(tensors.pairs)
+    size, forms = tensors.ops.block_forms
     # keep draws near the cone: few off-diagonal entries, each a fraction
     # of the smallest diagonal weight drawn.  rng.random() is k / 2^53, so
     # it is below p_nonzero = a / b iff k b < a 2^53
@@ -833,7 +840,14 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                 vals[i] = rng.choice(sym_small)
         if all(vals[i] == zero for i in off_at):
             vals[rng.choice(off_at)] = rng.choice(sym_small)
-        if metric_mod._pd_check(form_at(vals)):
+        pairs = [tensors.pairs[i] for i in vals]
+        lv = math.lcm(*{den for _, den in pairs})
+        ga: List[dict] = [{} for _ in range(size)]
+        for (num, den), param in zip(pairs, forms):
+            w = num * (lv // den)
+            for r, j, c in param if w else ():
+                ga[r][j] = ga[r].get(j, 0) + w * c
+        if linalg.sym_positive_definite(ga):
             points.append(tuple(vals))
     return points
 
@@ -866,6 +880,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     containment check raises ValueError when the probe is built.
     """
     spec = spec or ScanSpec()
+    check_sample_count("scan", spec.random_count)
     tensors = _ScanTensors(family.operators(), spec.grid)
 
     def entry(ids: Sequence[int], failure: Optional[Tuple[int, str]],

@@ -397,6 +397,25 @@ class IsotypicalDecomposition:
         return tuple(sorted(itertools.combinations(range(self.dim), 2),
                             key=lambda ij: (block[ij[0]] == block[ij[1]], ij)))
 
+    @cached_property
+    def schur_bases(self) -> Tuple[List[List[Tuple[int, int]]], ...]:
+        """Integer bases of S0 and, per nontrivial summand S of r members of
+        type D, of W = End_H(S) v, v the first basis vector of member 0: the
+        Hom(0, b) v, b >= 1, and Hom(1, 0) phi v = End_H(member 0) v, phi the
+        first of Hom(0, 1), r dim D vectors (v alone when r = 1).  A
+        symmetric A in End_H(S) is a D-Hermitian r x r matrix, which W
+        holds once, so G A is PD on S iff on W (Schur)."""
+        blocks = [self.s0.space.sparse_basis]
+        for s in self.nontrivial_summands():
+            homs, v = s.intertwiner_bases, [(0, ONE)]
+            local = [[linalg.sparse_mat_vec(phi, v) for phi in homs[0, b]]
+                     for b in range(1, len(s.members))]
+            local.insert(0, [linalg.sparse_mat_vec(psi, local[0][0])
+                             for psi in homs[1, 0]] if local else [v])
+            blocks.append([linalg.sparse_mat_vec(m.space.sparse_basis, u)
+                           for m, us in zip(s.members, local) for u in us])
+        return tuple([linalg.cleared(w)[1] for w in b] for b in blocks)
+
 
 def joint_kernel(ops: List[Columns], norms: Vec, dim: int) -> Subspace:
     rows = [row for op in ops for row in linalg.column_rows(op, dim)]

@@ -250,9 +250,11 @@ def cleared(v: Sparse) -> Tuple[int, List[Tuple[int, int]]]:
 def cleared_columns(ops: Sequence[Columns]
                     ) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
     """(D, columns) for operators given by sparse columns: D the lcm of
-    every denominator, and each D Op's columns as integer entries."""
+    every denominator, and each D Op's columns as integer entries (an empty
+    column passed on as it is)."""
     den = denominator(c for cols in ops for col in cols for _, c in col)
-    return den, [[integers(col, den) for col in cols] for cols in ops]
+    return den, [[integers(col, den) if col else col for col in cols]
+                 for cols in ops]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,9 @@ def sym_positive_definite(m: Sequence) -> bool:
     fraction-free steps of `pivot_rows`.  A step adds a multiple of
     the pivot row and scales the row by a positive factor, so the k-th
     pivot has the sign of the ratio of the (k+1)-th to the k-th leading
-    principal minor: all pivots are positive iff all those minors are."""
+    principal minor: all pivots are positive iff all those minors are.
+    Without pivoting no step fills across the blocks of a block-diagonal
+    matrix, so one call costs what one call per block would."""
     rows = [_primitive_row(r) for r in m]
     for k, pivot_row in enumerate(rows):
         if pivot_row.get(k, 0) <= 0:

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import collections
 import itertools
-import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -85,7 +83,8 @@ class MetricEndomorphism:
 
 
 def _pd_check(ga: List[dict]) -> bool:
-    """Whether G A, sparse {col: value} rows, is symmetric and PD."""
+    """Whether G A, sparse {col: value} rows, is symmetric and PD, for
+    `is_pd` only: draws are proved on `FamilyOperators.block_forms`."""
     return (all(ga[j].get(i, 0) == v for i, row in enumerate(ga)
                 for j, v in row.items())
             and linalg.sym_positive_definite(ga))
@@ -134,12 +133,19 @@ def normalizer_ops(decomp: IsotypicalDecomposition) -> List[Columns]:
 
 
 def _commutes(s: Columns, ops: List[Tuple[Columns, List[dict]]]) -> bool:
-    """Whether S op = op S for each (op, op's rows), compared at the only
-    columns where either can be nonzero: S's own and those op reaches."""
-    nonzero = [c for c, col in enumerate(s) if col]
-    return all(linalg.sparse_mat_vec(s, op[c])
-               == linalg.sparse_mat_vec(op, s[c]) for op, rows in ops
-               for c in set(nonzero).union(*(rows[r] for r in nonzero)))
+    """Whether S op = op S for each (op, op's rows): the entries of
+    S op - op S, summed entry by entry of S, all vanish."""
+    for op, rows in ops:
+        acc: Dict[Tuple[int, int], object] = collections.defaultdict(int)
+        for j, col in enumerate(s):
+            for i, x in col:
+                for k, v in rows[j].items():
+                    acc[i, k] += x * v
+                for k, v in op[i]:
+                    acc[k, j] -= v * x
+        if any(acc.values()):
+            return False
+    return True
 
 
 def check_normalizer_equivariance(a: MetricEndomorphism,
@@ -285,7 +291,8 @@ class MetricFamily:
 # {col: {row: value}} accumulators that hold only the columns written to.
 
 def _finish(op: Dict[int, dict], dim: int) -> Columns:
-    return [linalg.sparse_from(op[c]) if c in op else [] for c in range(dim)]
+    empty: linalg.Sparse = []           # one list for every zero column
+    return [linalg.sparse_from(op[c]) if c in op else empty for c in range(dim)]
 
 
 def add_outer(op: Dict[int, dict], u: linalg.Sparse, v: linalg.Sparse,
@@ -373,7 +380,8 @@ class FamilyOperators:
     """A family's operators in parameter order and what is read off them
     alone: sparse `columns`, `integer` (`linalg.cleared_columns`), `touching`
     (coordinate i -> the params whose operator has a nonzero column i), the
-    form G A (`form`) and the scans' probe tensors (`go._ScanTensors`)."""
+    forms its draws are proved on (`block_forms`) and the scans' probe
+    tensors (`go._ScanTensors`)."""
 
     def __init__(self, decomp: IsotypicalDecomposition,
                  columns: List[Columns]):
@@ -381,28 +389,39 @@ class FamilyOperators:
         self.integer = linalg.cleared_columns(columns)
         self.touching = [[c for c, cols in enumerate(self.integer[1])
                           if cols[i]] for i in range(decomp.dim)]
-        norms = decomp.action.integer_norms[1]
-        self._forms = [[(i, j, norms[i] * c) for j, col in enumerate(cols)
-                        for i, c in col] for cols in self.integer[1]]
         self.probes: Dict[int, object] = {}
 
-    def form(self, pairs: Sequence[Tuple[int, int]]
-             ) -> Callable[[Sequence[int]], List[dict]]:
-        """value ids -> sum_c v_c G Op_c as sparse integer rows, a positive
-        multiple of G A: `pairs[i]` is value id i as (numerator,
-        denominator) (`_ScanTensors.pairs`), cleared over their lcm."""
-        def rows_at(ids: Sequence[int]) -> List[dict]:
-            lv = math.lcm(*[pairs[i][1] for i in set(ids)])
-            ga: List[dict] = [{} for _ in range(self.decomp.dim)]
-            for i, entries in zip(ids, self._forms):
-                num, den = pairs[i]
-                if num:
-                    w = num * (lv // den)
-                    for r, j, c in entries:
-                        ga[r][j] = ga[r].get(j, 0) + w * c
-            return ga
-
-        return rows_at
+    @cached_property
+    def block_forms(self) -> Tuple[int, List[list]]:
+        """(K, per parameter the entries (a, b, v) of B^T N Op_c B), N the
+        integer m-norms and B the K vectors of `decomp.schur_bases`; built
+        on the family's first draw.  With K = dim m, B is a basis of m.
+        Otherwise the blocks hold for operators that commute with h, which
+        preserve each summand and are in End_H(S) on it, where a form is
+        symmetric iff it is on W; a family with one that does not gets m's
+        unit vectors.  NotEquivariantError when a form is not symmetric."""
+        dim, action, (_, ops) = self.decomp.dim, self.decomp.action, self.integer
+        vecs = [w for block in self.decomp.schur_bases for w in block]
+        if len(vecs) < dim:
+            ad = [(g, linalg.column_rows(g, dim))
+                  for g in linalg.cleared_columns(action.generator_ops)[1]]
+            if not all(_commutes(op, ad) for op in ops):
+                vecs = [[(i, 1)] for i in range(dim)]
+        dual = collections.defaultdict(list)    # i -> (a, N_i w_a[i])
+        for a, w in enumerate(vecs):
+            for i, x in w:
+                dual[i].append((a, action.integer_norms[1][i] * x))
+        forms: List[dict] = [collections.defaultdict(int) for _ in ops]
+        for b, w in enumerate(vecs):
+            for j, x in w:
+                for c in self.touching[j]:
+                    for i, y in ops[c][j]:
+                        for a, z in dual[i]:
+                            forms[c][a, b] += z * y * x
+        if any(f.get((b, a), 0) != v for f in forms for (a, b), v in f.items()):
+            raise NotEquivariantError("a family operator is not symmetric")
+        return len(vecs), [[(a, b, v) for (a, b), v in f.items() if v]
+                           for f in forms]
 
 
 def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:

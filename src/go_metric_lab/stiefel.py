@@ -586,8 +586,10 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
 
     The scan grid steps by `resolution` from GRID_LO to GRID_HI.
     `stage(name)` wraps the "build", "verify", "reduce" and "scan" stages,
-    in that order; it sees no report data.
+    in that order; it sees no report data.  A sample count out of range
+    raises ValueError first (`go.check_sample_count`).
     """
+    go_mod.check_sample_count("scan", offdiagonal_samples)
     with stage("build"):
         space = build_stiefel(n, k)
     with stage("verify"):

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from go_metric_lab import decomp, go, isotropy, lie_core, metric, stiefel
+from go_metric_lab import decomp, go, isotropy, lie_core, linalg, stiefel
 
 settings.register_profile("ci", max_examples=25, deadline=None)
 settings.register_profile("dev", max_examples=10, deadline=None)
@@ -58,7 +58,8 @@ def accept_first_draws(monkeypatch):
     accepts its first k positive definite draws and rejects every later
     one, so a scan draws k samples however many it asks for."""
     def patch(accepted: int) -> None:
-        random_points, pd_check = go._random_points, metric._pd_check
+        random_points = go._random_points
+        pd_check = linalg.sym_positive_definite
 
         def short(*args):
             taken = []
@@ -69,7 +70,7 @@ def accept_first_draws(monkeypatch):
                 return ok
 
             with monkeypatch.context() as m:
-                m.setattr(metric, "_pd_check", first_few)
+                m.setattr(linalg, "sym_positive_definite", first_few)
                 return random_points(*args)
 
         monkeypatch.setattr(go, "_random_points", short)

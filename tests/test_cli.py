@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from go_metric_lab import cli
+from go_metric_lab import cli, go, stiefel
 import oracles
 
 
@@ -421,6 +421,8 @@ def test_verbose_prints_stage_lines_and_keeps_reports(tmp_path, capsys):
     ["--strategy", "family", "--count", "-4"],
     ["--strategy", "basis", "--count", "-1"],
     ["--strategy", "family", "--count", "-1"],
+    ["--strategy", "random", "--count", str(go.MAX_SAMPLES + 1)],
+    ["--strategy", "family", "--count", str(go.MAX_SAMPLES + 1)],
 ])
 def test_check_go_rejects_bad_count(args, tmp_path, capsys):
     out = tmp_path / "cert.json"
@@ -428,6 +430,24 @@ def test_check_go_rejects_bad_count(args, tmp_path, capsys):
                     *args, "--out", str(out)]) == 2
     assert "--count" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_counts_above_the_bound_exit_before_any_work(monkeypatch,
+                                                            capsys):
+    # one past go.MAX_SAMPLES: the argument parser refuses it, so neither
+    # the space nor the report is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("exact work ran")
+
+    monkeypatch.setattr(stiefel, "build_stiefel", no_work)
+    monkeypatch.setattr(stiefel, "reproduce_report", no_work)
+    over = str(go.MAX_SAMPLES + 1)
+    assert run_cli(["check-go", "stiefel", "3", "2", "--family-t", "2",
+                    "--strategy", "random", "--count", over]) == 2
+    assert f"must be at most {go.MAX_SAMPLES}" in capsys.readouterr().err
+    assert run_cli(["reproduce-theorem", "3", "2",
+                    "--offdiagonal-samples", over]) == 2
+    assert "--offdiagonal-samples" in capsys.readouterr().err
 
 
 def test_check_go_random_with_one_probe_still_runs(tmp_path):
@@ -448,6 +468,8 @@ def test_check_go_random_with_one_probe_still_runs(tmp_path):
     (["--resolution", "1/0"], "--resolution"),
     (["--resolution", "half"], "--resolution"),
     (["--offdiagonal-samples", "-3"], "--offdiagonal-samples"),
+    (["--offdiagonal-samples", str(go.MAX_SAMPLES + 1)],
+     "--offdiagonal-samples"),
 ])
 def test_reproduce_rejects_bad_grid_and_sample_flags(entry, args, flag,
                                                      tmp_path, capsys):

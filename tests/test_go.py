@@ -212,6 +212,27 @@ def test_go_check_rejects_counts_out_of_range(space, strategy, count):
     assert cert.verdict == "verified-on-family"
 
 
+def test_sample_counts_are_bounded_on_every_path(space, monkeypatch):
+    # negative and above-the-bound counts raise ValueError through
+    # go.check_sample_count: a scan's draws, the report's off-diagonal
+    # samples (before any exact work) and go_check's probes
+    sp = space(3, 2)
+    full = metric.full_family(sp.decomp)
+    over = go.MAX_SAMPLES + 1
+    for count, match in ((-2, "at least 0"), (over, "at most")):
+        with pytest.raises(ValueError, match=match):
+            search_go(sp.decomp, full, ScanSpec(random_count=count),
+                      include_grid=False)
+    monkeypatch.setattr(stiefel, "build_stiefel", None)
+    for count, match in ((-3, "at least 0"), (over, "at most")):
+        with pytest.raises(ValueError, match=match):
+            stiefel.reproduce_report(3, 2, offdiagonal_samples=count)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="at most"):
+        go_check(stiefel.metric_at(sp, Fraction(2)), strategy="random",
+                 count=over)
+
+
 def test_basis_probe_count(space):
     sp = space(3, 2)
     probes = basis_probe_vectors(sp.decomp)
@@ -655,7 +676,7 @@ def test_drawn_samples_are_proved_positive_definite_once(space, monkeypatch,
     spec = ScanSpec(grid=_GRID_32, seed=4, random_count=12,
                     survivor_random_probes=3)
     calls = {"pd": 0, "draws": 0}
-    pd_check, random_points = metric._pd_check, go._random_points
+    pd_check, random_points = linalg.sym_positive_definite, go._random_points
 
     def counted_pd(*args):
         calls["pd"] += 1
@@ -667,7 +688,7 @@ def test_drawn_samples_are_proved_positive_definite_once(space, monkeypatch,
         calls["draws"] += calls["pd"] - before
         return points
 
-    monkeypatch.setattr(metric, "_pd_check", counted_pd)
+    monkeypatch.setattr(linalg, "sym_positive_definite", counted_pd)
     monkeypatch.setattr(go, "_random_points", counted_draws)
     result = search_go(sp.decomp, full, spec, include_grid=False)
     assert result.n_points == 12
@@ -867,7 +888,7 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     full = metric.full_family(sp.decomp)
     ops = metric.family_basis_ops(full)
     norms = sp.decomp.action.norms
-    pd_check = metric._pd_check
+    pd_check = linalg.sym_positive_definite
     for seed in (0, 5, 23):
         spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=24)
         tensors = go._ScanTensors(full.operators(), _GRID_32)
@@ -879,7 +900,7 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
             verdicts.append(pd_check(ga))
             return True
 
-        monkeypatch.setattr(metric, "_pd_check", recorded)
+        monkeypatch.setattr(linalg, "sym_positive_definite", recorded)
         draws = _draw_values(tensors, go._random_points(
             full, ScanSpec(grid=_GRID_32, seed=seed, random_count=80),
             tensors))
@@ -918,7 +939,7 @@ def test_id_draws_match_fraction_oracle(space, monkeypatch, n, k):
         assert draws(spec) == want and len(want) == 12
         spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=40)
         with monkeypatch.context() as m:
-            m.setattr(metric, "_pd_check", lambda ga: True)
+            m.setattr(linalg, "sym_positive_definite", lambda ga: True)
             assert draws(spec) == random_points(full, spec, lambda v: True)
 
 
