@@ -17,12 +17,17 @@ at resolution 1 with 10 (the one command that solves against 16
 isotropy columns, so rank-deficient normal equations run at scale), and
 `check-go` with the basis and the random strategy on a (4,2) metric that
 is not GO: the diagonal family at values 1, 2, 3, ..., written once by
-PARENT's package and read by both.  Two more cover the general paths:
+PARENT's package and read by both.  Four more cover the general paths:
 `decompose SPACE.json` on u(4) over the two-torus span{eb_1_1 + eb_2_2,
 eb_3_3 + eb_4_4} (a space file written once by PARENT's package, so the
 split and the decomposition of a non-Stiefel space run from JSON input),
-and `check-go stiefel 4 2 --family-t 2 --strategy family`, which runs
-`metric_at`, the witness map and the family certificate.
+`check-go SPACE --metric M` with the basis and the random strategy, M
+the metric 2 on S0 and 1 on every member of S1 of that space (written
+once by PARENT's package; positive definite, not a multiple of the
+identity), so the GO solves and residuals run on a bracket table whose
+denominator is 2, and `check-go stiefel 4 2 --family-t 2 --strategy
+family`, which runs `metric_at`, the witness map and the family
+certificate.
 """
 
 import argparse
@@ -56,8 +61,24 @@ data = {"algebra_hash": decomp.algebra_hash(g),
 json.dump(data, open(sys.argv[1], "w"))
 """
 
+TWO_TORUS_METRIC = """
+import json, sys
+from go_metric_lab import decomp, isotropy, lie_core, linalg, metric
+data = json.load(open(sys.argv[1]))
+split = decomp.split_from_json_dict(lie_core.from_json_dict(data["algebra"]),
+                                    data)
+dec = isotropy.decompose_isotypic(isotropy.isotropy_action(split))
+family = metric.full_family(dec)
+# 1 per member scalar, 2 on the diagonal of the S0 operator, 0 elsewhere
+a = metric.instantiate(family, [
+    1 if label.startswith("scalar") else 2 * on
+    for label, on in zip(family.param_labels(), family.on_diagonal())])
+json.dump({"params": [linalg.frac_to_str(p) for p in a.params],
+           "pd": a.is_pd}, open(sys.argv[2], "w"))
+"""
 
-def commands(metric_path: str, space_path: str):
+
+def commands(metric_path: str, space_path: str, space_metric_path: str):
     for n in range(2, 9):
         for k in range(1, n):
             yield ["decompose", "stiefel", str(n), str(k)]
@@ -72,6 +93,9 @@ def commands(metric_path: str, space_path: str):
         yield ["check-go", "stiefel", "4", "2", "--metric", metric_path,
                "--strategy", strategy]
     yield ["decompose", space_path]
+    for strategy in ("basis", "random"):
+        yield ["check-go", space_path, "--metric", space_metric_path,
+               "--strategy", strategy]
     yield ["check-go", "stiefel", "4", "2", "--family-t", "2",
            "--strategy", "family"]
 
@@ -116,8 +140,14 @@ def main() -> int:
         if run(checkouts[0], ["-c", TWO_TORUS_SPACE, str(space_path)]):
             print("could not write the two-torus space", file=sys.stderr)
             return 1
+        space_metric_path = tmp / "two_torus_metric.json"
+        if run(checkouts[0], ["-c", TWO_TORUS_METRIC, str(space_path),
+                              str(space_metric_path)]):
+            print("could not write the two-torus metric", file=sys.stderr)
+            return 1
         differing = 0
-        for cmd in commands(str(metric_path), str(space_path)):
+        for cmd in commands(str(metric_path), str(space_path),
+                            str(space_metric_path)):
             results = []
             for side, checkout in enumerate(checkouts):
                 out = tmp / f"report_{side}.json"
@@ -127,7 +157,7 @@ def main() -> int:
                 results.append((code, out.read_bytes() if out.exists()
                                 else None))
             label = " ".join(cmd).replace(str(metric_path), "METRIC").replace(
-                str(space_path), "SPACE")
+                str(space_path), "SPACE").replace(str(space_metric_path), "M")
             if results[0] != results[1]:
                 differing += 1
                 keys = differing_keys([r for _, r in results])

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from . import lie_core, linalg
 from .lie_core import MatrixLieAlgebra
@@ -80,47 +80,55 @@ def _over(acc: dict, den: int) -> Sparse:
 
 @dataclass
 class BracketTable:
-    """[m_a, m_b] for every pair of m-basis vectors, split along g = h (+) m.
+    """[a + X, Y] for a in h and X, Y in m, split along g = h (+) m.
 
-    `m[a][b]` holds the m-coordinates of the bracket and `h[a][b]` its
+    `m[a][b]` holds the m-coordinates of [m_a, m_b] and `h[a][b]` its
     h-component in g-coordinates, both sparse; each is empty when that
-    part vanishes.  Everything bilinear on m then contracts against these
-    tables instead of bracketing in g.  The contraction runs on integers:
-    the tables are kept once more as integer rows over one common
-    denominator D, and `contract` sums D [X, Y] for integer arguments.
-    `bracket` clears its arguments' denominators per call and divides
-    each entry of that sum once into an exact `Fraction`; callers that
-    stay on integers call `contract` directly.
+    part vanishes.  `ad[i]` is ad(h_i)|_m as sparse columns over m (the
+    split's `ad_h`): [h, m] lies in m.  Everything bilinear on h (+) m
+    then contracts against these tables instead of bracketing in g.  The
+    contraction runs on integers: the three tables are kept once more as
+    integer rows over one common denominator D, and `contract` sums
+    D [w + X, Y] for integer arguments.  `bracket` is its one `Fraction`
+    view; callers that stay on integers call `contract` directly.
     """
 
     m: List[List[Sparse]]
     h: List[List[Sparse]]
+    ad: List[Columns]
 
     @cached_property
-    def _integer_rows(self) -> Tuple[int, List[list]]:
-        """(D, rows): D is the lcm of every denominator in the table, and
+    def _integer_rows(self) -> Tuple[int, List[list], List[list]]:
+        """(D, rows, ad): D is the lcm of every denominator in the tables,
         `rows[a][b]` is (D m[a][b], D h[a][b]) as integer entries, or None
-        when [m_a, m_b] = 0."""
-        den = linalg.denominator(c for part in (self.m, self.h)
+        when [m_a, m_b] = 0, and `ad[i]` the columns of D ad(h_i)|_m."""
+        den = linalg.denominator(c for part in (self.m, self.h, self.ad)
                                  for row in part for entry in row
                                  for _, c in entry)
         rows = [[(linalg.integers(em, den), linalg.integers(eh, den))
                  if em or eh else None
                  for em, eh in zip(row_m, row_h)]
                 for row_m, row_h in zip(self.m, self.h)]
-        return den, rows
+        return den, rows, [[linalg.integers(col, den) if col else col
+                            for col in op] for op in self.ad]
 
     @property
     def denominator(self) -> int:
-        """The common denominator D of the integer table."""
+        """The common denominator D of the integer tables."""
         return self._integer_rows[0]
 
-    def contract(self, xs: List[Tuple[int, int]], ys: List[Tuple[int, int]]
-                 ) -> Tuple[dict, dict]:
-        """D [X, Y] for integer sparse m-coordinates, as integer
-        accumulators {index: value} of the m-coordinates and of the
-        h-component (zero entries may remain)."""
-        rows = self._integer_rows[1]
+    @property
+    def integer_ad(self) -> List[List[List[Tuple[int, int]]]]:
+        """The isotropy columns D ad(h_i)|_m as integers, once per split."""
+        return self._integer_rows[2]
+
+    def contract(self, xs: List[Tuple[int, int]], ys: List[Tuple[int, int]],
+                 ws: Sequence[Tuple[int, int]] = ()) -> Tuple[dict, dict]:
+        """D [w + X, Y] for integer sparse m-coordinates X, Y and integer
+        sparse w over the h basis, as integer accumulators {index: value}
+        of the m-coordinates and of the h-component (zero entries may
+        remain)."""
+        _, rows, ad = self._integer_rows
         acc_m: dict = {}
         acc_h: dict = {}
         for a, xa in xs:
@@ -135,13 +143,26 @@ class BracketTable:
                     acc_m[k] = acc_m.get(k, 0) + f * c
                 for k, c in eh:
                     acc_h[k] = acc_h.get(k, 0) + f * c
+        for i, wi in ws:
+            cols = ad[i]
+            for b, yb in ys:
+                f = wi * yb
+                for k, c in cols[b]:
+                    acc_m[k] = acc_m.get(k, 0) + f * c
         return acc_m, acc_h
 
-    def bracket(self, x: Sparse, y: Sparse) -> Tuple[Sparse, Sparse]:
-        """[X, Y] for sparse m-coordinates: (m-coordinates, h-component)."""
-        dx, xs = linalg.cleared(x)
+    def bracket(self, x: Sparse, y: Sparse, a: Sparse = ()
+                ) -> Tuple[Sparse, Sparse]:
+        """[a + X, Y] for sparse m-coordinates X, Y and a sparse over the h
+        basis: (m-coordinates, h-component in g-coordinates).  X and a are
+        cleared of their denominators together, Y on its own."""
+        if a:
+            dx, xa = linalg.cleared([*x, *a])
+            xs, ws = xa[:len(x)], xa[len(x):]
+        else:
+            (dx, xs), ws = linalg.cleared(x), ()
         dy, ys = linalg.cleared(y)
-        acc_m, acc_h = self.contract(xs, ys)
+        acc_m, acc_h = self.contract(xs, ys, ws)
         den = self.denominator * dx * dy
         return _over(acc_m, den), _over(acc_h, den)
 
@@ -158,7 +179,8 @@ class ReductiveSplit:
     """g = h (+) m with a B-orthogonal m basis.
 
     `ad_h[i]` is ad(h_i)|_m as sparse columns over m, read off the
-    reductivity check; `isotropy.isotropy_action` verifies and keeps it.
+    reductivity check; `isotropy.isotropy_action` verifies and keeps it,
+    and `bracket_table` holds it, with its one integer form.
     """
 
     algebra: MatrixLieAlgebra
@@ -206,12 +228,13 @@ class ReductiveSplit:
 
     @cached_property
     def bracket_table(self) -> BracketTable:
-        """The m x m bracket table, built on first use and kept: each
-        bracket of two sparse m-basis vectors is read off the structure
-        constants and split by one sparse projection."""
+        """The bracket table, built on first use and kept: each bracket of
+        two sparse m-basis vectors is read off the structure constants and
+        split by one sparse projection; [h, m] is `ad_h`."""
         dim, basis = self.dim_m, self.m.sparse_basis
         table = BracketTable(m=[[[] for _ in range(dim)] for _ in range(dim)],
-                             h=[[[] for _ in range(dim)] for _ in range(dim)])
+                             h=[[[] for _ in range(dim)] for _ in range(dim)],
+                             ad=self.ad_h)
         for a in range(dim):
             for b in range(a + 1, dim):
                 parts = self._m_part(lie_core.sparse_bracket(

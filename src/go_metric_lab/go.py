@@ -56,78 +56,56 @@ def as_m_coords(split, x: Vec) -> Vec:
         f"nor g ({split.algebra.dim})")
 
 
-def _contract_x_ax(a_metric: MetricEndomorphism, x: Vec
-                   ) -> Tuple[int, int, Sparse, dict, dict]:
-    """(dx, da, AX, [X, AX] over m, over h) on integers: X cleared to dx X
-    and A to its integer columns da A, so AX is da dx AX and the bracket,
-    from `BracketTable.contract`, is dt da dx^2 [X, AX] for the table's
-    denominator dt."""
-    split = a_metric.decomp.action.split
-    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
-    da, a_cols = a_metric.integer_columns
-    ax = linalg.sparse_mat_vec(a_cols, xs)
-    c_m, c_h = split.bracket_table.contract(xs, ax)
-    return dx, da, ax, c_m, c_h
-
-
 def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     """Best witness a in h for the vector X: minimizes ||[a + X, AX]||_B.
 
     Returns (a over the h basis, squared residual).  Also asserts the
-    structural fact that [X, AX] has no h-component.  Solves on integers,
-    as `go_residual_sq` contracts: with X cleared per call and A, the
-    isotropy columns and the m-Gram once per object, the columns are
-    s [h_i, AX] and the right-hand side is -r [X, AX] for integers s and
-    r, so the integer solution y gives a = y s / r and the residual is the
-    integer one over D_G r^2.
+    structural fact that [X, AX] has no h-component.  Solves on integers:
+    X is cleared to dx X per call and A to da A once per metric, so AX is
+    da dx AX, `BracketTable.contract` gives D da dx^2 [X, AX], and the
+    table's isotropy columns give D da dx [h_i, AX].  The integer solution
+    y gives a = y / dx, and the residual is the integer one over
+    D_G (D da dx^2)^2, D_G the m-Gram's denominator.
     """
-    action = a_metric.decomp.action
-    split = action.split
-    dim = split.dim_m
-    dx, da, ax, c_m, c_h = _contract_x_ax(a_metric, x)
+    split = a_metric.decomp.action.split
+    table, dim = split.bracket_table, split.dim_m
+    dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
+    da, a_cols = a_metric.integer_columns
+    ax = linalg.sparse_mat_vec(a_cols, xs)
+    c_m, c_h = table.contract(xs, ax)
     if any(c_h.values()):
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
-    dad, ad_cols = action.integer_ad_columns
-    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)  # dad da dx
-            for ad in ad_cols]
+    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)
+            for ad in table.integer_ad]
     rhs = linalg.dense([(i, -c) for i, c in c_m.items()], dim)
     dg, gram = split.integer_gram_m
     y, res = linalg.least_squares(cols, rhs, gram)
-    s, r = dad * da * dx, split.bracket_table.denominator * da * dx * dx
-    return [Fraction(s, r) * c for c in y], res / (dg * r * r)
+    r = table.denominator * da * dx * dx
+    return [c / dx for c in y], res / (dg * r * r)
 
 
 def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
     """Squared residual ||[a + X, AX]||_B^2 for a supplied witness a.
 
-    Contracts on integers.  X and a are cleared of their denominators per
-    call, and A, the isotropy columns and the norms once per object, so
-    AX, [X, AX] (`BracketTable.contract`), sum a_i ad_i(AX) and the
-    weighted norm are integer sums over one denominator; the result is one
-    `Fraction`, equal to the rational computation.
+    Contracts on integers.  X and a are cleared of their denominators
+    together, to d X and d a, per call, and A once per metric, so AX is
+    da d AX and `BracketTable.contract` gives D da d^2 [a + X, AX].  h and
+    m are B-orthogonal, and so is the basis of g (checked by the split),
+    so the weighted norm is one integer sum and the result one `Fraction`,
+    equal to the rational computation.
     """
     action = a_metric.decomp.action
-    dt = action.split.bracket_table.denominator
-    dx, da, ax, c_m, c_h = _contract_x_ax(a_metric, x)
-    dw, ws = linalg.cleared(linalg.sparse(a_h))
-    dad, ad_cols = action.integer_ad_columns
-    w_ax: dict = {}                                       # dw dad da dx [a, AX]
-    for i, w in ws:
-        for k, c in linalg.sparse_mat_vec(ad_cols[i], ax):
-            w_ax[k] = w_ax.get(k, 0) + w * c
-    # both parts over da dx lcm(dt dx, dw dad)
-    den = math.lcm(dt * dx, dw * dad)
-    s_b, s_w = den // (dt * dx), den // (dw * dad)
-    lhs = {k: s_b * c for k, c in c_m.items()}
-    for k, c in w_ax.items():
-        lhs[k] = lhs.get(k, 0) + s_w * c
-    # h and m are B-orthogonal, so the two parts add in the norm; the
-    # basis of g is B-orthogonal too (checked by the split)
+    table = action.split.bracket_table
+    x_m = linalg.sparse(as_m_coords(action.split, x))
+    d, xa = linalg.cleared([*x_m, *linalg.sparse(a_h)])     # d X, then d a
+    xs, ws = xa[:len(x_m)], xa[len(x_m):]
+    da, a_cols = a_metric.integer_columns
+    c_m, c_h = table.contract(xs, linalg.sparse_mat_vec(a_cols, xs), ws)
     dn, nu, g_nu = action.integer_norms
-    total = (sum(c * c * nu[k] for k, c in lhs.items())
-             + sum(c * c * g_nu[i] for i, c in c_h.items()) * s_b * s_b)
-    return Fraction(total, (da * dx * den) ** 2 * dn)
+    total = (sum(c * c * nu[k] for k, c in c_m.items())
+             + sum(c * c * g_nu[i] for i, c in c_h.items()))
+    return Fraction(total, (table.denominator * da * d * d) ** 2 * dn)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +216,8 @@ class ReductionTrace:
 
 
 # Vectors of g are kept split along g = h (+) m as sparse parts:
-# m-coordinates plus an h-part, read off the bracket table and the
-# isotropy columns.  The dense g-coordinates of a witness are formed only
-# to serialize it.
+# m-coordinates plus an h-part, read off the bracket table.  The dense
+# g-coordinates of a witness are formed only to serialize it.
 
 def _label_coords(split, x_m: Sparse, h_g: Sparse = ()) -> Dict[str, str]:
     """Witness wire format: labels of the g-coordinates of h_g + x_m."""
@@ -249,20 +226,6 @@ def _label_coords(split, x_m: Sparse, h_g: Sparse = ()) -> Dict[str, str]:
         vec[i] += c
     return {split.algebra.labels[i]: linalg.frac_to_str(c)
             for i, c in enumerate(vec) if c != 0}
-
-
-def _bracket(action, x_m: Sparse, y_m: Sparse, a_h: Sparse = ()
-             ) -> Tuple[Sparse, Sparse]:
-    """[a + X, Y] for a in h and X, Y in m, all sparse (a over the h
-    basis): the m-coordinates and the h-component in g-coordinates."""
-    c_m, c_h = action.split.bracket_table.bracket(x_m, y_m)
-    if not a_h:
-        return c_m, c_h
-    acc = dict(c_m)
-    for i, a in a_h:
-        for k, c in linalg.sparse_mat_vec(action.ad_ops[i], y_m):
-            acc[k] = acc.get(k, 0) + a * c
-    return linalg.sparse_from(acc), c_h
 
 
 def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
@@ -408,7 +371,7 @@ def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
     however few rows are drawn.
     """
     action = decomp.action
-    nu = action.norms
+    nu, table = action.norms, action.split.bracket_table
     summand = decomp.summands[si]
     members = summand.members
     pool = [([(i, ONE)], []) for i in range(action.split.h.dim)]
@@ -439,7 +402,7 @@ def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
                 continue
             cols = []
             for v in member.space.sparse_basis:
-                w_m, w_h = _bracket(action, x_m, v, a_h)
+                w_m, w_h = table.bracket(x_m, v, a_h)
                 if w_h:
                     raise ValueError("vector is not in m")
                 coords, resid = linalg.orthogonal_projection(member.space, nu, w_m)
@@ -448,7 +411,7 @@ def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
                 cols.append(dict(coords))
             if linalg.rank(cols) != member.space.dim:
                 continue
-            if all(_bracket(action, x_m, v, a_h) == ([], [])
+            if all(table.bracket(x_m, v, a_h) == ([], [])
                    for lm, other in enumerate(members) if lm != l
                    for v in other.space.sparse_basis):
                 found = (a_h, x_m)
@@ -504,7 +467,7 @@ def _prop36_certificate(decomp: IsotypicalDecomposition, si: int, seed: int
                 for phi in phis:
                     img = linalg.sparse_mat_vec(
                         target, linalg.sparse_mat_vec(phi, x_coords))
-                    w_m, w_h = _bracket(action, x_m, img)
+                    w_m, w_h = split.bracket_table.bracket(x_m, img)
                     rem = dict(linalg.orthogonal_projection(summand.space, nu, w_m)[1])
                     rem.update((dim + i, c) for i, c in w_h)
                     rems.append(rem)
@@ -532,7 +495,7 @@ def _prop32_pair_witness(action, space_a: Subspace, space_b: Subspace):
     nu = action.norms
     for x in space_a.sparse_basis:
         for y in space_b.sparse_basis:
-            w_m, w_h = _bracket(action, x, y)
+            w_m, w_h = action.split.bracket_table.bracket(x, y)
             w_perp = linalg.orthogonal_projection(
                 space_b, nu, linalg.orthogonal_projection(space_a, nu, w_m)[1])[1]
             if w_h or w_perp:
@@ -545,7 +508,7 @@ def _prop32_triple_witness(action, space_a: Subspace, space_b: Subspace,
     """Basis pair of (a, b) whose bracket has a component in c."""
     for x in space_a.sparse_basis:
         for y in space_b.sparse_basis:
-            w_m, w_h = _bracket(action, x, y)
+            w_m, w_h = action.split.bracket_table.bracket(x, y)
             if linalg.orthogonal_projection(space_c, action.norms, w_m)[0]:
                 return x, y, (w_m, w_h)
     return None
@@ -609,16 +572,19 @@ class _ScanTensors:
     in them.  `_residual` therefore solves once per (probe, projective
     class of the supported values) and rescales.
 
-    Parameter values are interned as value ids carrying integer
-    (numerator, denominator) pairs: the positions of `grid` first, then
-    each new value passed to `intern`, which the draws call once per
-    value, not per coordinate (`_random_points`).  A point is a tuple of
-    ids, and each probe keeps a table from the ids on its support to the
-    report string of its exact residual ("" when the probe passes), so
-    checking a probe at a point is one tuple lookup (`_lookup`).  One
-    integer evaluation, `_residual`, fills memo and tables, which live as
-    long as the `_ScanTensors`, one scan; a probe's tensors are built once
-    per family and kept with its operators (`MetricFamily.operators`).
+    Parameter values are interned as value ids keyed by their reduced
+    integer (numerator, denominator) pairs, `pairs[id]`, each with its
+    report string `strings[id]`, formatted once so that entries share it:
+    the positions of `grid` first, then each new pair passed to `intern`,
+    which the draws call once per value, not per coordinate
+    (`_random_points`); a `Fraction` is built only where an entry needs
+    the value.  A point is a tuple of ids, and each probe keeps a table
+    from the ids on its support to the report string of its exact residual
+    ("" when the probe passes), so checking a probe at a point is one
+    tuple lookup (`_lookup`).  One integer evaluation, `_residual`, fills
+    memo and tables, which live as long as the `_ScanTensors`, one scan; a
+    probe's tensors are built once per family and kept with its operators
+    (`MetricFamily.operators`).
     """
 
     def __init__(self, ops: metric_mod.FamilyOperators, grid: Sequence = ()):
@@ -629,13 +595,11 @@ class _ScanTensors:
         self._walked: List[Tuple[int, Callable, Dict]] = []
         self._reached = 0
         self.memo: Dict[Tuple, Tuple[int, int]] = {}
-        # value id -> value, (numerator, denominator), report string
-        self.values: List[Fraction] = []
-        self.pairs: List[Tuple[int, int]] = []
-        self.strings: List[str] = []
-        self._ids: Dict[Fraction, int] = {}
-        for v in grid:
-            self._add(Fraction(v))
+        self.pairs: List[Tuple[int, int]] = []      # value id -> pair
+        self.strings: List[str] = []                # value id -> "n/d"
+        self._ids: Dict[Tuple[int, int], int] = {}
+        for v in map(Fraction, grid):
+            self._add((v.numerator, v.denominator))
 
     def _probe(self, p: int) -> _Probe:
         """Probe p's tensors, built on first use."""
@@ -659,8 +623,8 @@ class _ScanTensors:
                 yield entry
 
     def _build(self, p: int) -> _Probe:
-        # on integers: the probe, the isotropy columns and the family
-        # operators cleared once per family; Op_c X = 0 unless Op_c touches X
+        # on integers: the family operators cleared once per family and
+        # the table once per split; Op_c X = 0 unless Op_c touches X
         dx, xs = linalg.cleared(linalg.sparse(self.probes[p]))
         dop, ops = self.ops.integer
         touched = sorted({c for i, _ in xs for c in self.ops.touching[i]})
@@ -672,14 +636,14 @@ class _ScanTensors:
             if any(b_h.values()):
                 raise ValueError("vector is not in m")
             rows.append(linalg.sparse_from(b_m))
-        dad, ad_cols = self.action.integer_ad_columns   # hrows: dad dop dx
-        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox] for ad in ad_cols]
+        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]   # dt dop dx
+                 for ad in table.integer_ad]
         support = [c for k, c in enumerate(touched)
                    if rows[k] or any(h[k] for h in hrows)]
         # the entries c / d of one part have reduced denominators whose
         # lcm is d / gcd(d, every c)
         d_b = table.denominator * dop * dx * dx
-        d_h = dad * dop * dx
+        d_h = table.denominator * dop * dx
         den = math.lcm(
             d_b // math.gcd(d_b, *(c for r in rows for _, c in r)),
             d_h // math.gcd(d_h, *(c for h in hrows for r in h for _, c in r)))
@@ -693,18 +657,18 @@ class _ScanTensors:
                       hx=[per_param(h, d_h) for h in hrows],
                       support=support, den=den, x=[])
 
-    def _add(self, value: Fraction) -> int:
-        i = len(self.values)
-        self._ids.setdefault(value, i)
-        self.values.append(value)
-        self.pairs.append((value.numerator, value.denominator))
-        self.strings.append(linalg.frac_to_str(value))
+    def _add(self, pair: Tuple[int, int]) -> int:
+        i = len(self.pairs)
+        self._ids.setdefault(pair, i)
+        self.pairs.append(pair)
+        self.strings.append("%d/%d" % pair)
         return i
 
-    def intern(self, value: Fraction) -> int:
-        """The value id of a parameter value, added on first sight."""
-        i = self._ids.get(value)
-        return self._add(value) if i is None else i
+    def intern(self, pair: Tuple[int, int]) -> int:
+        """The value id of a parameter value given as a reduced
+        (numerator, denominator) pair, added on first sight."""
+        i = self._ids.get(pair)
+        return self._add(pair) if i is None else i
 
     def _contract(self, rows, support: List[int], values: Sequence) -> Vec:
         out = [0] * self.dim
@@ -802,25 +766,24 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
     +-{1/8, 1/4, 1/2} d_min, d_min the smallest diagonal value drawn, with
     at least one forced nonzero, so every sample leaves the diagonal
     subcone.  Zero is interned once and those six values once per distinct
-    d_min.  Rejection-samples until positive definite or until
-    80 * random_count attempts: every returned sample is proved positive
-    definite exactly, on its block-diagonal form (`block_forms`), and the
-    scan does not check it again.
+    d_min, as pairs built from d_min's.  Rejection-samples until positive
+    definite or until 80 * random_count attempts: every returned sample is
+    proved positive definite exactly, on its block-diagonal form
+    (`FamilyOperators.block_form`), and the scan does not check it again.
     """
     rng = random.Random(f"scan-random:{spec.seed}")
     on_diag = family.on_diagonal()
     off_at = [c for c, on in enumerate(on_diag) if not on]
     if not off_at:
         return []
-    size, forms = tensors.ops.block_forms
     # keep draws near the cone: few off-diagonal entries, each a fraction
     # of the smallest diagonal weight drawn.  rng.random() is k / 2^53, so
     # it is below p_nonzero = a / b iff k b < a 2^53
     p_nonzero = min(Fraction(1, 4), Fraction(4, len(off_at)))
     b, a_53 = p_nonzero.denominator, p_nonzero.numerator << 53
     grid = range(len(spec.grid))
-    rank = sorted(grid, key=tensors.values.__getitem__).index
-    zero = tensors.intern(linalg.ZERO)
+    rank = sorted(grid, key=lambda i: Fraction(*tensors.pairs[i])).index
+    zero = tensors.intern((0, 1))
     small: Dict[int, Tuple[int, ...]] = {}      # d_min id -> the six ids
     points: List[Tuple[int, ...]] = []
     attempts = 0
@@ -829,10 +792,11 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
         diag = [rng.choice(grid) for _ in range(len(on_diag) - len(off_at))]
         dmin = min(diag, key=rank)
         sym_small = small.get(dmin)
-        if sym_small is None:
+        if sym_small is None:           # +-d_min / q reduced, d_min = n / d
+            n, d = tensors.pairs[dmin]
             sym_small = small[dmin] = tuple(
-                tensors.intern(s * q * tensors.values[dmin]) for s in (1, -1)
-                for q in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)))
+                tensors.intern((s * n // g, d * q // g)) for s in (1, -1)
+                for q in (8, 4, 2) for g in [math.gcd(n, q)])
         rest = iter(diag)
         vals = [next(rest) if on else zero for on in on_diag]
         for i in off_at:
@@ -840,14 +804,8 @@ def _random_points(family: MetricFamily, spec: ScanSpec,
                 vals[i] = rng.choice(sym_small)
         if all(vals[i] == zero for i in off_at):
             vals[rng.choice(off_at)] = rng.choice(sym_small)
-        pairs = [tensors.pairs[i] for i in vals]
-        lv = math.lcm(*{den for _, den in pairs})
-        ga: List[dict] = [{} for _ in range(size)]
-        for (num, den), param in zip(pairs, forms):
-            w = num * (lv // den)
-            for r, j, c in param if w else ():
-                ga[r][j] = ga[r].get(j, 0) + w * c
-        if linalg.sym_positive_definite(ga):
+        if linalg.sym_positive_definite(tensors.ops.block_form(
+                [tensors.pairs[i] for i in vals])):
             points.append(tuple(vals))
     return points
 
@@ -896,7 +854,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
             out.update(status="falsified", residual_sq=failure[1],
                        falsifier_x=list(x))
             return out
-        values = [tensors.values[i] for i in ids]
+        values = [Fraction(*tensors.pairs[i]) for i in ids]
         proved = prove is not None and prove(values)
         if spec.survivor_random_probes and not proved:
             a = MetricEndomorphism(decomp, linalg.combine_columns(

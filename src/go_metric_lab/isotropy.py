@@ -31,9 +31,9 @@ strategy, all in exact rational arithmetic:
   The action is a Lie algebra map and H is connected, so an operator
   commuting with ad(x) and ad(y) commutes with ad([x, y]), and a subspace
   they preserve it preserves too; the solution spaces are those of the
-  whole basis.  What needs h-coordinates (`integer_ad_columns`, the GO
-  residuals and solves, the family certificate) keeps the whole basis,
-  `ad_ops`;
+  whole basis.  What needs h-coordinates (the bracket table's integer
+  isotropy columns behind the GO residuals and solves and the family
+  certificate) keeps the whole basis, `ad_ops`;
 * S0 splits into its center and simple ideals once per decomposition
   (`IsotypicalDecomposition.ideals`), with no seed: the center is the
   joint kernel of S0's generators (by Jacobi, x is central iff it
@@ -88,12 +88,6 @@ class IsotropyAction:
     @property
     def norms(self) -> Vec:
         return self.split.norms_m
-
-    @cached_property
-    def integer_ad_columns(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
-        """(D, columns): D the lcm of every denominator of the isotropy
-        operators, and the sparse columns of each D ad(a)|_m as integers."""
-        return linalg.cleared_columns(self.ad_ops)
 
     @cached_property
     def integer_norms(self) -> Tuple[int, List[int], List[int]]:

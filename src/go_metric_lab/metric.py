@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,10 +70,14 @@ class MetricEndomorphism:
     @cached_property
     def is_pd(self) -> bool:
         """Whether G A is symmetric and positive definite, G the diagonal
-        m-basis Gram `decomp.action.norms`."""
-        rows = linalg.column_rows(self.columns, self.dim)
-        return _pd_check([{j: nu * c for j, c in row.items()}
-                          for nu, row in zip(self.decomp.action.norms, rows)])
+        m-basis Gram `decomp.action.norms`: A is proved as a draw is, as a
+        one-operator family at value 1 (`FamilyOperators.block_form`), and
+        a form that is not symmetric is not positive definite."""
+        try:
+            return linalg.sym_positive_definite(FamilyOperators(
+                self.decomp, [self.columns]).block_form([(1, 1)]))
+        except NotEquivariantError:
+            return False
 
     @cached_property
     def integer_columns(self) -> Tuple[int, List[List[Tuple[int, int]]]]:
@@ -80,14 +85,6 @@ class MetricEndomorphism:
         denominators; built on first use and kept."""
         den, (cols,) = linalg.cleared_columns([self.columns])
         return den, cols
-
-
-def _pd_check(ga: List[dict]) -> bool:
-    """Whether G A, sparse {col: value} rows, is symmetric and PD, for
-    `is_pd` only: draws are proved on `FamilyOperators.block_forms`."""
-    return (all(ga[j].get(i, 0) == v for i, row in enumerate(ga)
-                for j, v in row.items())
-            and linalg.sym_positive_definite(ga))
 
 
 def from_parameters(decomp: IsotypicalDecomposition,
@@ -380,7 +377,8 @@ class FamilyOperators:
     """A family's operators in parameter order and what is read off them
     alone: sparse `columns`, `integer` (`linalg.cleared_columns`), `touching`
     (coordinate i -> the params whose operator has a nonzero column i), the
-    forms its draws are proved on (`block_forms`) and the scans' probe
+    forms its draws, and `MetricEndomorphism.is_pd`, are proved on
+    (`block_forms`, summed at a point by `block_form`) and the scans' probe
     tensors (`go._ScanTensors`)."""
 
     def __init__(self, decomp: IsotypicalDecomposition,
@@ -422,6 +420,19 @@ class FamilyOperators:
             raise NotEquivariantError("a family operator is not symmetric")
         return len(vecs), [[(a, b, v) for (a, b), v in f.items() if v]
                            for f in forms]
+
+    def block_form(self, pairs: Sequence[Tuple[int, int]]) -> List[dict]:
+        """sum_c v_c B^T N Op_c B (`block_forms`) at the values v_c = n / d
+        given as integer pairs, times the lcm L of the d, as sparse
+        {col: value} rows: positive definite iff G sum_c v_c Op_c is."""
+        size, forms = self.block_forms
+        lv = math.lcm(*{den for _, den in pairs})
+        rows: List[dict] = [{} for _ in range(size)]
+        for (num, den), param in zip(pairs, forms):
+            w = num * (lv // den)
+            for r, j, c in param if w else ():
+                rows[r][j] = rows[r].get(j, 0) + w * c
+        return rows
 
 
 def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:

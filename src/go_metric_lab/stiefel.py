@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -247,7 +246,7 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
     others, and the witness direction commutes with all of S0.  No bracket
     [a + X, v] may have an h-component.
     """
-    action = space.action
+    action, table = space.action, space.split.bracket_table
     z0, a_dir = linalg.sparse(space.z0_m), linalg.sparse(space.a_dir_h)
     turn = {}                                   # tilde on the coordinates
     for e, b in space.s1_pairs:
@@ -255,7 +254,7 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
 
     def acts(x_m: Sparse, a_h: Sparse, vectors, f: int) -> bool:
         """[a + X, v] = f tilde(v) for every v."""
-        return all(go_mod._bracket(action, x_m, v, a_h) == (linalg.sparse_from(
+        return all(table.bracket(x_m, v, a_h) == (linalg.sparse_from(
             {turn[i][0]: f * turn[i][1] * c for i, c in v}), []) for v in vectors)
 
     s1, s0 = space.s1.space.sparse_basis, space.decomp.s0.space.sparse_basis
@@ -270,7 +269,7 @@ def check_witness_identities(space: StiefelSpace) -> Dict[str, bool]:
             for j, module in enumerate(space.modules)),
         # [a_t, S0] = [z0, S0] = [h, S0] = 0, the last on generators of h
         "witness_commutes_with_s0": all(
-            go_mod._bracket(action, x_m, w, a_h) == ([], [])
+            table.bracket(x_m, w, a_h) == ([], [])
             for x_m, a_h in ((z0, []), ([], a_dir)) for w in s0) and not any(
             linalg.sparse_mat_vec(op, w) for op in action.generator_ops
             for w in s0),
@@ -315,43 +314,35 @@ class FamilyProof:
 
 def certify_family(data: FamilyData) -> FamilyProof:
     """B_c(e_i, e_j) = sum_{a+b=c} [w_a(e_i) + [a = 0] e_i, A_b e_j] + (i <-> j)
-    for every coefficient c and pair i <= j, on integers over one
-    denominator: brackets in m from `BracketTable.contract`, those of h
-    through the integer isotropy columns."""
-    action = data.decomp.action
-    table, dim = action.split.bracket_table, action.dim
+    for every coefficient c and pair i <= j, on integers: each term is one
+    `BracketTable.contract`, D dw da times the bracket, with A cleared to
+    da A and the witness and e_i together to dw w and dw e_i."""
+    table, dim = data.decomp.action.split.bracket_table, data.decomp.dim
     da, ys = linalg.cleared_columns(data.metric)       # da A_b e_j
     dw, ws = linalg.cleared_columns(data.witness)      # dw w_a(e_i)
-    dad, ad_cols = action.integer_ad_columns
-    den = math.lcm(table.denominator, dw * dad)
-    s_x, s_w = den // table.denominator, den // (dw * dad)
-    # dw dad ad(w_a(e_i)) as integer columns, where w_a(e_i) != 0
-    ad_w = [{i: linalg.combine_columns([v for _, v in w],
-                                       [ad_cols[k] for k, _ in w], dim)
-             for i, w in enumerate(images) if w} for images in ws]
-    n_coefficients = len(ys) + max(len(ws), 1) - 1
+    ws = ws or [[[]] * dim]                             # no witness: w = 0
+    n_coefficients = len(ys) + len(ws) - 1
     nonzero = {}
     for i, j in itertools.combinations_with_replacement(range(dim), 2):
         for c in range(n_coefficients):
             acc_m: dict = {}
             acc_h: dict = {}
             for p, q in ((i, j), (j, i)):
-                if c < len(ys):                       # [e_p, A_c e_q]
-                    b_m, b_h = table.contract([(p, 1)], ys[c][q])
-                    for acc, part in ((acc_m, b_m), (acc_h, b_h)):
+                for a, w in enumerate(ws):
+                    b = c - a           # a term with a zero factor is 0
+                    if not (0 <= b < len(ys) and ys[b][q] and (a == 0 or w[p])):
+                        continue
+                    for acc, part in zip((acc_m, acc_h), table.contract(
+                            [(p, dw)] if a == 0 else [], ys[b][q], w[p])):
                         for k, v in part.items():
-                            acc[k] = acc.get(k, 0) + s_x * v
-                for a, ops in enumerate(ad_w):        # [w_a(e_p), A_b e_q]
-                    if p in ops and 0 <= c - a < len(ys):
-                        for k, v in linalg.sparse_mat_vec(ops[p], ys[c - a][q]):
-                            acc_m[k] = acc_m.get(k, 0) + s_w * v
+                            acc[k] = acc.get(k, 0) + v
             parts = tuple({k: v for k, v in acc.items() if v}
                           for acc in (acc_m, acc_h))
             if any(parts):
                 nonzero[(c, i, j)] = parts
     return FamilyProof(n_coefficients=n_coefficients,
-                       n_pairs=dim * (dim + 1) // 2, den=den * da,
-                       nonzero=nonzero)
+                       n_pairs=dim * (dim + 1) // 2,
+                       den=table.denominator * dw * da, nonzero=nonzero)
 
 
 def family_samples(dim: int, n_samples: int, seed: int) -> List[Vec]:

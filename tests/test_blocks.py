@@ -32,7 +32,8 @@ def _verdicts(family, seed, count, monkeypatch):
         draws = go._random_points(family, ScanSpec(
             grid=_GRID_32, seed=seed, random_count=count), tensors)
     assert len(draws) == len(verdicts) == count
-    return [[tensors.values[i] for i in ids] for ids in draws], verdicts
+    return [[Fraction(*tensors.pairs[i]) for i in ids]
+            for ids in draws], verdicts
 
 
 def _dense_verdicts(family, draws):
@@ -98,19 +99,22 @@ def _scale_couplings(monkeypatch, family, scale):
 def test_block_verdicts_match_dense_pd_oracle(space, two_torus, monkeypatch,
                                               which, scale):
     # seeded draws of the full cone, rejected ones included: each proof on
-    # the blocks gives the verdict of the dense m x m form.  The drawn
-    # intertwiner coordinates are too small to make a summand's block
-    # indefinite, so a second family scales their operators by 4, and the
-    # summands' blocks reject draws too
+    # the blocks, and `is_pd` of the drawn metric, gives the verdict of the
+    # dense m x m form.  The drawn intertwiner coordinates are too small to
+    # make a summand's block indefinite, so a second family scales their
+    # operators by 4, and the summands' blocks reject draws too
     dec = _decomposition(space, two_torus, which)
     full = metric.full_family(dec)
     if scale > 1:
         _scale_couplings(monkeypatch, full, scale)
+    ops = full.operators().columns
     count = 30 if which == "8-4" else 60
     for seed in (0, 7):
         draws, verdicts = _verdicts(full, seed, count, monkeypatch)
         oracle = _dense_verdicts(full, draws)
         assert verdicts == oracle
+        assert [metric.MetricEndomorphism(dec, linalg.combine_columns(
+            values, ops, dec.dim)).is_pd for values in draws] == oracle
         assert False in oracle and True in oracle
 
 

@@ -608,6 +608,59 @@ def _g_oracle_parts(split, w_g):
     return tuple(map(linalg.sparse, parts))
 
 
+@pytest.mark.parametrize("which", ["two-torus", "4-3"])
+def test_witness_bracket_and_solve_match_g_oracle(space, two_torus, which):
+    # [a + X, Y] with a nonzero a, by `contract` on integers and by
+    # `bracket`, against the dense bracket in g; then the solver's witness
+    # against the g-coordinate solve, and its residual by `go_residual_sq`.
+    # Every Stiefel table has denominator 1 and the two-torus table 2, so
+    # an [h, m] part left off the table's denominator shows only there
+    dec = _decomposition(space, two_torus, which)
+    split = dec.action.split
+    table, g, dim = split.bracket_table, split.algebra, split.dim_m
+    assert (table.denominator > 1) == (which == "two-torus")
+    h_basis = [linalg.sparse(v) for v in split.h.basis_coords]
+    rng = random.Random(f"witness-bracket:{which}")
+
+    def vec(n, dens):
+        return [(i, Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice(dens)))
+                for i in sorted(rng.sample(range(n), rng.randint(1, min(n, 4))))]
+
+    for dens in [(1,)] * 10 + [(1, 2, 3)] * 15:
+        x, y, a = vec(dim, dens), vec(dim, dens), vec(split.h.dim, dens)
+        ad_m, ad_h = _g_oracle_parts(split, lie_core.bracket(
+            g, linalg.dense(linalg.sparse_mat_vec(h_basis, a), g.dim),
+            split.m_to_g(linalg.dense(y, dim))))
+        assert not ad_h                         # [h, m] lies in m
+        c_m, c_h = _oracle_bracket(split, x, y)
+        want = (linalg.sparse(vec_add(linalg.dense(c_m, dim),
+                                      linalg.dense(ad_m, dim))), c_h)
+        assert table.bracket(x, y, a) == want
+        if dens == (1,):
+            parts = table.contract(*[[(i, int(c)) for i, c in v]
+                                     for v in (x, y, a)])
+            assert tuple(linalg.sparse_from({
+                k: Fraction(c, table.denominator) for k, c in part.items()})
+                for part in parts) == want
+    # the residual at the solver's own witness is the solver's residual,
+    # on seeded metrics of the full cone
+    full = metric.full_family(dec)
+    witnessed = 0
+    for seed in range(3 if which == "two-torus" else 1):
+        rng = random.Random(f"witness-solve:{which}:{seed}")
+        a = metric.instantiate(full, [
+            Fraction(rng.randint(2, 6)) if on else
+            Fraction(rng.randint(-1, 1), 8) for on in full.on_diagonal()])
+        assert a.is_pd
+        for _ in range(6):
+            x = lie_core.random_vector_of_len(dim, rng)
+            a_h, res_sq = go.go_solve_at(a, x)
+            assert (a_h, res_sq) == oracle_solve(a, x)
+            assert go.go_residual_sq(a, x, a_h) == res_sq
+            witnessed += any(a_h)
+    assert witnessed
+
+
 @pytest.mark.parametrize("which", ["3-2", "4-2", "5-3", "two-torus"])
 def test_table_and_isotropy_columns_match_g_oracle(space, two_torus, which):
     # every m pair of a fresh table and every (h, m) pair of the isotropy

@@ -538,7 +538,7 @@ def _table_points(tensors):
             ids = key if isinstance(key, tuple) else (key,)
             values = [None] * n
             for c, i in zip(support, ids):
-                values[c] = tensors.values[i]
+                values[c] = Fraction(*tensors.pairs[i])
             yield p, values, res
 
 
@@ -876,7 +876,7 @@ def test_scan_solves_match_dense_least_squares(space, monkeypatch, n, k, cone):
 
 def _draw_values(tensors, points):
     """Drawn points of value ids as tuples of their values."""
-    return [tuple(tensors.values[i] for i in ids) for ids in points]
+    return [tuple(Fraction(*tensors.pairs[i]) for i in ids) for ids in points]
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])

@@ -148,8 +148,8 @@ def test_witness_bracket_rejects_h_component(space):
     y = linalg.unit_vec(sp.dim_m, labels.index("eb_1_3"))
     with pytest.raises(ValueError, match="not in m"):
         sp.split.bracket_table.bracket_in_m(linalg.sparse(x), linalg.sparse(y))
-    # the witness identities see it as the h-component of go._bracket
-    assert go._bracket(sp.action, linalg.sparse(x), linalg.sparse(y))[1]
+    # the witness identities see it as the h-component of table.bracket
+    assert sp.split.bracket_table.bracket(linalg.sparse(x), linalg.sparse(y))[1]
 
 
 def test_module_bracket_lands_in_s0(space):
@@ -565,9 +565,8 @@ def test_certificate_polynomial_matches_the_per_t_residuals(space, n, k):
             a_h = a_of(x)
             res_sq = go.go_residual_sq(a_t, x, a_h)
             xs = linalg.sparse(x)
-            want = go._bracket(sp.action, xs,
-                               linalg.sparse_mat_vec(a_t.columns, xs),
-                               linalg.sparse(a_h))
+            want = sp.split.bracket_table.bracket(
+                xs, linalg.sparse_mat_vec(a_t.columns, xs), linalg.sparse(a_h))
             f_m, f_h = _polynomial_at(proof, t, i, j)
             assert (f_m, f_h) == want
             assert res_sq == (sum(c * c * sp.split.norms_m[k] for k, c in f_m)
