@@ -70,9 +70,8 @@ class MetricEndomorphism:
     @cached_property
     def is_pd(self) -> bool:
         """Whether G A is symmetric and positive definite, G the diagonal
-        m-basis Gram `decomp.action.norms`: A is proved as a draw is, as a
-        one-operator family at value 1 (`FamilyOperators.block_form`), and
-        a form that is not symmetric is not positive definite."""
+        m-basis Gram `decomp.action.norms`, proved as a draw is: A is a
+        one-operator family at value 1 (`FamilyOperators.block_form`)."""
         try:
             return linalg.sym_positive_definite(FamilyOperators(
                 self.decomp, [self.columns]).block_form([(1, 1)]))
@@ -377,9 +376,8 @@ class FamilyOperators:
     """A family's operators in parameter order and what is read off them
     alone: sparse `columns`, `integer` (`linalg.cleared_columns`), `touching`
     (coordinate i -> the params whose operator has a nonzero column i), the
-    forms its draws, and `MetricEndomorphism.is_pd`, are proved on
-    (`block_forms`, summed at a point by `block_form`) and the scans' probe
-    tensors (`go._ScanTensors`)."""
+    forms draws and `MetricEndomorphism.is_pd` are proved on (`block_forms`,
+    `block_form`) and the scans' probe tensors (`go._ScanTensors`)."""
 
     def __init__(self, decomp: IsotypicalDecomposition,
                  columns: List[Columns]):
@@ -392,13 +390,17 @@ class FamilyOperators:
     @cached_property
     def block_forms(self) -> Tuple[int, List[list]]:
         """(K, per parameter the entries (a, b, v) of B^T N Op_c B), N the
-        integer m-norms and B the K vectors of `decomp.schur_bases`; built
-        on the family's first draw.  With K = dim m, B is a basis of m.
-        Otherwise the blocks hold for operators that commute with h, which
-        preserve each summand and are in End_H(S) on it, where a form is
-        symmetric iff it is on W; a family with one that does not gets m's
-        unit vectors.  NotEquivariantError when a form is not symmetric."""
+        integer m-norms and B the K vectors of `decomp.schur_bases`, built
+        on the family's first draw.  Where they do not span m, they hold for
+        operators that commute with h (in End_H(S) on each summand S), and a
+        family with one that does not gets m's unit vectors.  W can miss a
+        skew part: NotEquivariantError when an N Op_c is not symmetric on m."""
         dim, action, (_, ops) = self.decomp.dim, self.decomp.action, self.integer
+        norms = action.integer_norms[1]
+        nop = {(c, i, j): norms[i] * y for j, cs in enumerate(self.touching)
+               for c in cs for i, y in ops[c][j]}
+        if any(nop.get((c, j, i), 0) != v for (c, i, j), v in nop.items()):
+            raise NotEquivariantError("a family operator is not symmetric")
         vecs = [w for block in self.decomp.schur_bases for w in block]
         if len(vecs) < dim:
             ad = [(g, linalg.column_rows(g, dim))
@@ -408,7 +410,7 @@ class FamilyOperators:
         dual = collections.defaultdict(list)    # i -> (a, N_i w_a[i])
         for a, w in enumerate(vecs):
             for i, x in w:
-                dual[i].append((a, action.integer_norms[1][i] * x))
+                dual[i].append((a, norms[i] * x))
         forms: List[dict] = [collections.defaultdict(int) for _ in ops]
         for b, w in enumerate(vecs):
             for j, x in w:
@@ -416,8 +418,6 @@ class FamilyOperators:
                     for i, y in ops[c][j]:
                         for a, z in dual[i]:
                             forms[c][a, b] += z * y * x
-        if any(f.get((b, a), 0) != v for f in forms for (a, b), v in f.items()):
-            raise NotEquivariantError("a family operator is not symmetric")
         return len(vecs), [[(a, b, v) for (a, b), v in f.items() if v]
                            for f in forms]
 

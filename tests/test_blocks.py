@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from go_metric_lab import go, linalg, metric, stiefel
+from go_metric_lab import go, isotropy, linalg, metric, stiefel
 from go_metric_lab.go import ScanSpec, search_go
 from oracles import dense_pd_check, family_matrix
 from test_bracket_table import _decomposition
@@ -169,6 +169,26 @@ def test_family_with_an_unsymmetric_form_is_refused(space, monkeypatch):
         search_go(sp.decomp, full, ScanSpec(grid=_GRID_32, seed=1,
                                             random_count=8),
                   include_grid=False)
+
+
+def test_skew_part_on_a_one_vector_block_is_refused(space, monkeypatch):
+    # (3,1): S1 is one member, whose Schur block is the one vector v, where
+    # the B-skew ad(z0), which commutes with h, vanishes; added to S1's
+    # scalar operator, it is still refused, as G Op is checked on all of m
+    sp = space(3, 1)
+    full = metric.full_family(sp.decomp)
+    ad_z0 = isotropy._ad_columns(sp.split, linalg.sparse(sp.z0_m))
+
+    def plus_ad_z0(entries):
+        for j, col in enumerate(ad_z0):
+            for i, x in col:
+                entries[j][i] = entries[j].get(i, 0) + x
+
+    _with_op(monkeypatch, full, full.param_labels().index("scalar[S1.m1]"),
+             plus_ad_z0)
+    assert sum(map(len, sp.decomp.schur_bases)) < sp.dim_m
+    with pytest.raises(metric.NotEquivariantError, match="not symmetric"):
+        full.operators().block_forms
 
 
 def test_family_off_the_commutant_is_proved_on_all_of_m(space, monkeypatch):

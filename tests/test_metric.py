@@ -120,28 +120,31 @@ def test_from_matrix_params_match_dense_solve(space, n, k):
 
 def test_from_matrix_rejects_matrices_outside_the_commutant(space):
     from go_metric_lab import isotropy
-    sp = space(3, 2)
-    # symmetric, but one S1 coordinate is weighted apart from its module
-    bumped = identity(sp.dim_m)
-    i = sp.s1_pairs[0][0]
-    bumped[i][i] += 1
-    # ad(z0) commutes with the isotropy action but is B-skew
-    ad_z0 = isotropy._ad_columns(sp.split, linalg.sparse(sp.z0_m))
-    skew = mat_add(identity(sp.dim_m), dense_op(ad_z0, sp.dim_m))
-    assert metric.check_normalizer_equivariance(
-        metric.MetricEndomorphism(sp.decomp, columns(skew)),
-        ops=sp.action.ad_ops)
-    assert skew != linalg.transpose(skew)
-    for bad, pd in ((bumped, True), (skew, False)):
-        assert oracle_params(sp.decomp, bad) is None
-        # the wrapped columns build and answer is_pd (G A is symmetric only
-        # for the bumped one); the first read of params raises
-        a = metric.MetricEndomorphism(sp.decomp, columns(bad))
-        assert a.is_pd is pd
-        with pytest.raises(metric.NotEquivariantError):
-            a.params
-        with pytest.raises(metric.NotEquivariantError):
-            metric.from_matrix(sp.decomp, bad)
+    # on (3,1) S1 is one member, whose Schur block is one vector v: the
+    # skew part of ad(z0) vanishes there, and only m shows it
+    assert [len(b) for b in space(3, 1).decomp.schur_bases] == [1, 1]
+    for sp in (space(3, 1), space(3, 2)):
+        # symmetric, but one S1 coordinate is weighted apart from its module
+        bumped = identity(sp.dim_m)
+        i = sp.s1_pairs[0][0]
+        bumped[i][i] += 1
+        # ad(z0) commutes with the isotropy action but is B-skew
+        ad_z0 = isotropy._ad_columns(sp.split, linalg.sparse(sp.z0_m))
+        skew = mat_add(identity(sp.dim_m), dense_op(ad_z0, sp.dim_m))
+        assert metric.check_normalizer_equivariance(
+            metric.MetricEndomorphism(sp.decomp, columns(skew)),
+            ops=sp.action.ad_ops)
+        assert skew != linalg.transpose(skew)
+        for bad, pd in ((bumped, True), (skew, False)):
+            assert oracle_params(sp.decomp, bad) is None
+            # the wrapped columns build and answer is_pd (G A is symmetric
+            # only for the bumped one); the first read of params raises
+            a = metric.MetricEndomorphism(sp.decomp, columns(bad))
+            assert a.is_pd is pd
+            with pytest.raises(metric.NotEquivariantError):
+                a.params
+            with pytest.raises(metric.NotEquivariantError):
+                metric.from_matrix(sp.decomp, bad)
     with pytest.raises(metric.NotEquivariantError):
         metric.from_matrix(sp.decomp, identity(sp.dim_m - 1))
     # a family scaling the bumped coordinate's line alone leaves the
