@@ -12,9 +12,11 @@ when every report agrees.
 
 The commands: `decompose stiefel n k` for every 1 <= k < n <= 8,
 `reproduce-theorem` on (3,2) at the default grid, (4,3) at resolution 1
-with 100 off-diagonal samples, (6,3) at resolution 1 with 50 and (8,4)
+with 100 off-diagonal samples, (6,3) at resolution 1 with 50, (8,4)
 at resolution 1 with 10 (the one command that solves against 16
-isotropy columns, so rank-deficient normal equations run at scale), and
+isotropy columns, so rank-deficient normal equations run at scale) and
+(8,7) at resolution 1 with the default 200 (the one space whose full
+family has 1,274 parameters and whose draws walk up to 2,016 probes), and
 `check-go` with the basis and the random strategy on a (4,2) metric that
 is not GO: the diagonal family at values 1, 2, 3, ..., written once by
 PARENT's package and read by both.  Four more cover the general paths:
@@ -89,6 +91,7 @@ def commands(metric_path: str, space_path: str, space_metric_path: str):
            "--offdiagonal-samples", "50"]
     yield ["reproduce-theorem", "8", "4", "--resolution", "1",
            "--offdiagonal-samples", "10"]
+    yield ["reproduce-theorem", "8", "7", "--resolution", "1"]
     for strategy in ("basis", "random"):
         yield ["check-go", "stiefel", "4", "2", "--metric", metric_path,
                "--strategy", strategy]

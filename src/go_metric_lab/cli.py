@@ -65,15 +65,13 @@ def int_at_least(low: int, most: Optional[int] = None):
     return integer
 
 
-def _positive_fraction(text: str) -> Fraction:
+def _resolution(text: str) -> Fraction:
+    """argparse type: a grid step that `stiefel.scan_grid` accepts."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+        stiefel.scan_grid(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid grid step {text!r}: {exc}") from None
+    return Fraction(text)
 
 
 @contextlib.contextmanager
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify and scan the Stiefel deformation family")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--resolution", type=_positive_fraction, default="1/4",
+    p.add_argument("--resolution", type=_resolution, default="1/4",
                    help="grid step on [1/4, 4] for the uniqueness scan")
     p.add_argument("--offdiagonal-samples",
                    type=int_at_least(0, go_mod.MAX_SAMPLES), default=200)

@@ -37,7 +37,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 from . import lie_core, linalg, metric as metric_mod
 from .isotropy import IsotypicalDecomposition, Subspace
-from .linalg import Sparse, Vec, ONE
+from .linalg import Sparse, Vec, ONE, ZERO
 from .metric import MetricEndomorphism, MetricFamily
 
 
@@ -130,14 +130,10 @@ class GOCertificate:
 
 
 def basis_probe_vectors(decomp: IsotypicalDecomposition) -> List[Vec]:
-    """All m-basis vectors, then pairwise sums in `decomp.probe_pairs` order
-    (cross-summand first, computed once), as fresh lists on every call."""
-    dim = decomp.dim
-    probes = [linalg.unit_vec(dim, i) for i in range(dim)]
-    for i, j in decomp.probe_pairs:
-        probes.append(linalg.unit_vec(dim, i))
-        probes[-1][j] = ONE
-    return probes
+    """`decomp.probes` as dense vectors, 1 on the support (all m-basis
+    vectors, then pair sums, cross-summand first), fresh on every call."""
+    return [[ONE if i in support else ZERO for i in range(decomp.dim)]
+            for support in decomp.probes]
 
 
 def check_sample_count(strategy: str, count: int) -> None:
@@ -550,7 +546,6 @@ class _Probe(NamedTuple):
     hx: List[List[linalg.Sparse]]      # h_i -> param c -> den [h_i, Op_c X]
     support: List[int]                 # params with a nonzero row
     den: int
-    x: List[str]                       # its coordinates, once it falsifies
 
 
 class _ScanTensors:
@@ -559,13 +554,13 @@ class _ScanTensors:
     The defect [X, AX] and the witness columns [h_i, AX] are linear in the
     family parameters, so per probe X everything reduces to tensors
     contracted against the parameter vector, read off the split's m x m
-    bracket table and the isotropy action.  A probe's tensors are built on
-    first use (`_probe`: the grid join `passing` builds all, drawn points
-    walk the probes in their order, fixed once per decomposition) from the
-    operators touching X, those with a nonzero column on its support:
-    Op_c X = 0 for every other c, whose rows stay empty.  The build proves
-    each [X, Op_c X] in m (zero h-component) before the probe is used; by
-    linearity so is every contraction.
+    bracket table and the isotropy action.  Probe p is 1 on its m-support
+    `probes[p]` (`decomp.probes`).  Its tensors are built on first use
+    (`_probe`: the grid join `passing` builds all, drawn points walk the
+    probes in order) from the operators touching X, those with a nonzero
+    column on its support: Op_c X = 0 for every other c, whose rows stay
+    empty.  The build proves each [X, Op_c X] in m (zero h-component)
+    before the probe is used; by linearity so is every contraction.
 
     A probe reads only the parameters in its support (a nonzero `bx` or
     `hx` row), and its least-squares residual is homogeneous of degree 2
@@ -591,9 +586,8 @@ class _ScanTensors:
         self.ops = ops
         self.action = ops.decomp.action
         self.dim = self.action.split.dim_m
-        self.probes = basis_probe_vectors(ops.decomp)
-        self._walked: List[Tuple[int, Callable, Dict]] = []
-        self._reached = 0
+        self.probes = ops.decomp.probes
+        self._entries: List[Optional[Tuple[int, Callable, Dict]]] = []
         self.memo: Dict[Tuple, Tuple[int, int]] = {}
         self.pairs: List[Tuple[int, int]] = []      # value id -> pair
         self.strings: List[str] = []                # value id -> "n/d"
@@ -611,51 +605,50 @@ class _ScanTensors:
     def _walk(self) -> Iterator[Tuple[int, Callable, Dict]]:
         """(probe, key_of, table) in probe order: `key_of` reads the ids on
         the probe's support, and `table` maps them to the residual string.
-        A probe gets its tensors and entry when a walk first reaches it; a
-        probe with an empty support passes everywhere and is skipped."""
-        yield from self._walked         # the entries of the probes reached
-        for p in range(self._reached, len(self.probes)):
+        A probe gets its tensors and its entry in `_entries` when a walk
+        first reaches it; a probe with an empty support passes everywhere
+        and its entry is None."""
+        entries = self._entries
+        yield from filter(None, entries)
+        for p in range(len(entries), len(self.probes)):
             support = self._probe(p).support
-            self._reached = p + 1
+            entries.append((p, operator.itemgetter(*support), {})
+                           if support else None)
             if support:
-                entry = (p, operator.itemgetter(*support), {})
-                self._walked.append(entry)
-                yield entry
+                yield entries[p]
 
     def _build(self, p: int) -> _Probe:
         # on integers: the family operators cleared once per family and
-        # the table once per split; Op_c X = 0 unless Op_c touches X
-        dx, xs = linalg.cleared(linalg.sparse(self.probes[p]))
+        # the table once per split; X is 1 on its support, and Op_c X = 0
+        # unless Op_c touches X
+        xs = [(i, 1) for i in self.probes[p]]
         dop, ops = self.ops.integer
         touched = sorted({c for i, _ in xs for c in self.ops.touching[i]})
         ox = [linalg.sparse_mat_vec(ops[c], xs) for c in touched]
         table = self.action.split.bracket_table
-        rows = []                       # dt dop dx^2 [X, Op_c X]_m
+        rows = []                       # dt dop [X, Op_c X]_m
         for o in ox:
             b_m, b_h = table.contract(xs, o)
             if any(b_h.values()):
                 raise ValueError("vector is not in m")
             rows.append(linalg.sparse_from(b_m))
-        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]   # dt dop dx
+        hrows = [[linalg.sparse_mat_vec(ad, o) for o in ox]   # dt dop
                  for ad in table.integer_ad]
         support = [c for k, c in enumerate(touched)
                    if rows[k] or any(h[k] for h in hrows)]
-        # the entries c / d of one part have reduced denominators whose
-        # lcm is d / gcd(d, every c)
-        d_b = table.denominator * dop * dx * dx
-        d_h = table.denominator * dop * dx
-        den = math.lcm(
-            d_b // math.gcd(d_b, *(c for r in rows for _, c in r)),
-            d_h // math.gcd(d_h, *(c for h in hrows for r in h for _, c in r)))
+        # the entries c / d, d = dt dop, have reduced denominators whose
+        # lcm is den = d / g, g = gcd(d, every c)
+        d = table.denominator * dop
+        g = math.gcd(d, *(c for r in rows for _, c in r),
+                     *(c for h in hrows for r in h for _, c in r))
 
-        def per_param(part, d):         # den / d times each row, by param
+        def per_param(part):            # den / d = 1 / g times each row
             out = [[]] * len(ops)
             for c, r in zip(touched, part):
-                out[c] = [(i, v * den // d) for i, v in r]
+                out[c] = [(i, v // g) for i, v in r]
             return out
-        return _Probe(bx=per_param(rows, d_b),
-                      hx=[per_param(h, d_h) for h in hrows],
-                      support=support, den=den, x=[])
+        return _Probe(bx=per_param(rows), hx=[per_param(h) for h in hrows],
+                      support=support, den=d // g)
 
     def _add(self, pair: Tuple[int, int]) -> int:
         i = len(self.pairs)
@@ -848,11 +841,11 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         # survived
         out = {"params": [tensors.strings[i] for i in ids]}
         if failure is not None:
-            x = tensors.ops.probes[failure[0]].x
-            if not x:
-                x.extend(map(linalg.frac_to_str, tensors.probes[failure[0]]))
+            x = ["0/1"] * tensors.dim
+            for i in tensors.probes[failure[0]]:
+                x[i] = "1/1"
             out.update(status="falsified", residual_sq=failure[1],
-                       falsifier_x=list(x))
+                       falsifier_x=x)
             return out
         values = [Fraction(*tensors.pairs[i]) for i in ids]
         proved = prove is not None and prove(values)

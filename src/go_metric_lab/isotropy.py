@@ -383,13 +383,15 @@ class IsotypicalDecomposition:
         return split_ideals(self.action.split, self.s0.space)
 
     @cached_property
-    def probe_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """The m-basis index pairs i < j, cross-summand pairs first."""
+    def probes(self) -> Tuple[Tuple[int, ...], ...]:
+        """The m-support of each basis probe, 1 on it: (i,) for every basis
+        vector, then the pairs (i, j), i < j, cross-summand pairs first."""
         # the summand holding each basis vector (one leaving no residual)
         block = [next((s.class_id for s in self.summands if not linalg.orthogonal_projection(
             s.space, self.action.norms, [(i, ONE)])[1]), None) for i in range(self.dim)]
-        return tuple(sorted(itertools.combinations(range(self.dim), 2),
-                            key=lambda ij: (block[ij[0]] == block[ij[1]], ij)))
+        return tuple([(i,) for i in range(self.dim)] + sorted(
+            itertools.combinations(range(self.dim), 2),
+            key=lambda ij: (block[ij[0]] == block[ij[1]], ij)))
 
     @cached_property
     def schur_bases(self) -> Tuple[List[List[Tuple[int, int]]], ...]:

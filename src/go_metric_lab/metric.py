@@ -22,8 +22,9 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -157,6 +158,13 @@ def check_normalizer_equivariance(a: MetricEndomorphism,
 # families of candidate metrics
 # ---------------------------------------------------------------------------
 
+class Parameter(NamedTuple):
+    """One free parameter of a family (`MetricFamily.parameters`)."""
+    label: str
+    on_diagonal: bool                  # whether it scales a diagonal unit
+    build: Callable[[], Dict[int, dict]]   # its operator, an accumulator
+
+
 @dataclass
 class ScalarBlock:
     space: Subspace
@@ -168,11 +176,6 @@ class ScalarBlock:
 class OperatorBlock:
     space: Subspace
     label: str
-
-    @property
-    def n_params(self) -> int:
-        d = self.space.dim
-        return d * (d + 1) // 2
 
 
 @dataclass
@@ -192,11 +195,10 @@ class IntertwinerBlock:
 class MetricFamily:
     """Linear family of candidate metrics with merged scalar classes.
 
-    Free parameters, in order: one scalar per merged class, then the
-    symmetric-operator coordinates of each operator block, then the
-    intertwiner coordinates.  Positivity of the scalars / operator blocks
-    bounds the parameter cone; instantiation reports definiteness rather
-    than enforcing it.
+    Its free parameters are listed, in order, by `parameters()`, which
+    every reader of the layout reads.  Positivity of the scalars /
+    operator blocks bounds the parameter cone; instantiation reports
+    definiteness rather than enforcing it.
     """
 
     decomp: IsotypicalDecomposition
@@ -204,22 +206,14 @@ class MetricFamily:
     operator_blocks: List[OperatorBlock] = field(default_factory=list)
     intertwiner_blocks: List[IntertwinerBlock] = field(default_factory=list)
     _parent: Dict[int, int] = field(default_factory=dict)
-    _operators: Optional[tuple] = field(default=None, repr=False,
-                                        compare=False)
+    _kept: Optional[list] = field(default=None, repr=False, compare=False)
 
     def operators(self) -> "FamilyOperators":
-        """The family's operators, kept until a merge or a change of blocks:
-        the slot's key is each scalar block's merged class, and the
-        decomposition and blocks as references compared by identity."""
-        blocks = (self.decomp, *self.scalar_blocks, None,
-                  *self.operator_blocks, None, *self.intertwiner_blocks)
-        classes = [self.find(b.class_id) for b in self.scalar_blocks]
-        kept = self._operators
-        if (kept is None or kept[1] != classes or len(kept[0]) != len(blocks)
-                or not all(a is b for a, b in zip(kept[0], blocks))):
-            kept = self._operators = (blocks, classes, FamilyOperators(
-                self.decomp, family_basis_ops(self)))
-        return kept[2]
+        """The family's operators, built on first use, kept with `parameters()`."""
+        self.parameters()               # refreshes the slot
+        if self._kept[3] is None:
+            self._kept[3] = FamilyOperators(self.decomp, family_basis_ops(self))
+        return self._kept[3]
 
     def find(self, cid: int) -> int:
         while self._parent.get(cid, cid) != cid:
@@ -236,35 +230,50 @@ class MetricFamily:
     def classes(self) -> List[int]:
         return sorted({self.find(b.class_id) for b in self.scalar_blocks})
 
+    def parameters(self) -> Tuple[Parameter, ...]:
+        """The free parameters in order: one scalar per merged class, which
+        scales the projector onto its subspaces; then per operator block
+        its symmetric units (i, j), i <= j, row by row (`_units`), of which
+        (i, i) scales a diagonal unit; then each intertwiner coordinate.
+        Kept, with the operators once built, until a merge or a change of
+        blocks: the key is each scalar block's merged class, and the
+        decomposition and blocks as references compared by identity."""
+        blocks = (self.decomp, *self.scalar_blocks, None,
+                  *self.operator_blocks, None, *self.intertwiner_blocks)
+        classes = [self.find(b.class_id) for b in self.scalar_blocks]
+        kept = self._kept
+        if (kept is not None and kept[1] == classes
+                and list(map(id, kept[0])) == list(map(id, blocks))):
+            return kept[2]
+        norms = self.decomp.action.norms
+        params = []
+        for c in sorted(set(classes)):
+            members = [b for b, k in zip(self.scalar_blocks, classes) if k == c]
+            params.append(Parameter(
+                "scalar[" + "+".join(b.label for b in members) + "]", True,
+                partial(_units, [(b.space, i, i) for b in members
+                                 for i in range(b.space.dim)], norms)))
+        for b in self.operator_blocks:
+            params += [Parameter(f"op[{b.label}]({i},{j})", i == j,
+                                 partial(_units, [(b.space, i, j)], norms))
+                       for i, j in itertools.combinations_with_replacement(
+                           range(b.space.dim), 2)]
+        for b in self.intertwiner_blocks:
+            params += [Parameter(f"mix[{b.label}]#{q}", False,
+                                 partial(_intertwiner_pair_op, self.decomp, b, phi))
+                       for q, phi in enumerate(b.phis)]
+        self._kept = [blocks, classes, tuple(params), None]
+        return self._kept[2]
+
     @property
     def n_params(self) -> int:
-        return (len(self.classes())
-                + sum(b.n_params for b in self.operator_blocks)
-                + sum(b.n_params for b in self.intertwiner_blocks))
+        return len(self.parameters())
 
     def on_diagonal(self) -> List[bool]:
-        """Per parameter, whether it scales a diagonal unit: each scalar
-        class and each operator block's (i, i) does, an operator block's
-        (i, j), i < j, and an intertwiner coordinate do not."""
-        flags = [True] * len(self.classes())
-        for b in self.operator_blocks:
-            d = b.space.dim
-            flags += [i == j for i in range(d) for j in range(i, d)]
-        return flags + [False] * sum(b.n_params
-                                     for b in self.intertwiner_blocks)
+        return [p.on_diagonal for p in self.parameters()]
 
     def param_labels(self) -> List[str]:
-        labels = []
-        for c in self.classes():
-            members = [b.label for b in self.scalar_blocks if self.find(b.class_id) == c]
-            labels.append("scalar[" + "+".join(members) + "]")
-        for b in self.operator_blocks:
-            d = b.space.dim
-            labels.extend(f"op[{b.label}]({i},{j})"
-                          for i in range(d) for j in range(i, d))
-        for b in self.intertwiner_blocks:
-            labels.extend(f"mix[{b.label}]#{i}" for i in range(b.n_params))
-        return labels
+        return [p.label for p in self.parameters()]
 
     def describe(self) -> dict:
         return {
@@ -302,28 +311,20 @@ def add_outer(op: Dict[int, dict], u: linalg.Sparse, v: linalg.Sparse,
             col[r] = col.get(r, ZERO) + w * ur
 
 
-def _add_projector(op: Dict[int, dict], space: Subspace, norms: Vec) -> None:
-    """op += the B-orthogonal projector onto the subspace."""
-    for b, nb in zip(space.sparse_basis, space.norms):
-        add_outer(op, b, b, norms, ONE / nb)
-
-
-def _line_projector(space: Subspace, norms: Vec) -> List[Dict[int, dict]]:
-    """Symmetric unit operators supported on the subspace.
-
-    The off-diagonal unit b_i (x) Gb_j + b_j (x) Gb_i needs one common
-    coefficient to stay B-symmetric when the basis norms differ.
-    """
-    units = []
-    basis = space.sparse_basis
-    for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
-        op = collections.defaultdict(dict)
-        scale = ONE / space.norms[i] if i == j else ONE
-        add_outer(op, basis[i], basis[j], norms, scale)
+def _units(units: Sequence[Tuple[Subspace, int, int]], norms: Vec
+           ) -> Dict[int, dict]:
+    """The sum of the symmetric units (i, j), i <= j, on subspaces with
+    bases b and norms nu: b_i (x) Gb_i / nu_i, so the diagonal units of
+    orthogonal subspaces sum to the projector onto them, and for i < j
+    b_i (x) Gb_j + b_j (x) Gb_i, one common coefficient keeping it
+    B-symmetric when the basis norms differ."""
+    op = collections.defaultdict(dict)
+    for space, i, j in units:
+        b = space.sparse_basis
+        add_outer(op, b[i], b[j], norms, ONE / space.norms[i] if i == j else ONE)
         if i != j:
-            add_outer(op, basis[j], basis[i], norms, scale)
-        units.append(op)
-    return units
+            add_outer(op, b[j], b[i], norms, ONE)
+    return op
 
 
 def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
@@ -348,28 +349,10 @@ def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
     return op
 
 
-def _block_operators(family: MetricFamily) -> Iterator[Dict[int, dict]]:
-    """The operator multiplying each free parameter, in parameter order,
-    as an accumulator."""
-    decomp = family.decomp
-    norms = decomp.action.norms
-    for c in family.classes():
-        op = collections.defaultdict(dict)
-        for b in family.scalar_blocks:
-            if family.find(b.class_id) == c:
-                _add_projector(op, b.space, norms)
-        yield op
-    for b in family.operator_blocks:
-        yield from _line_projector(b.space, norms)
-    for b in family.intertwiner_blocks:
-        for phi in b.phis:
-            yield _intertwiner_pair_op(decomp, b, phi)
-
-
 def family_basis_ops(family: MetricFamily) -> List[Columns]:
     """The operator multiplying each free parameter, in parameter order,
     as sparse columns."""
-    return [_finish(op, family.decomp.dim) for op in _block_operators(family)]
+    return [_finish(p.build(), family.decomp.dim) for p in family.parameters()]
 
 
 class FamilyOperators:
@@ -377,7 +360,7 @@ class FamilyOperators:
     alone: sparse `columns`, `integer` (`linalg.cleared_columns`), `touching`
     (coordinate i -> the params whose operator has a nonzero column i), the
     forms draws and `MetricEndomorphism.is_pd` are proved on (`block_forms`,
-    `block_form`) and the scans' probe tensors (`go._ScanTensors`)."""
+    `block_form`) and `probes`, the scans' tensors by `decomp.probes` index."""
 
     def __init__(self, decomp: IsotypicalDecomposition,
                  columns: List[Columns]):
@@ -385,7 +368,7 @@ class FamilyOperators:
         self.integer = linalg.cleared_columns(columns)
         self.touching = [[c for c, cols in enumerate(self.integer[1])
                           if cols[i]] for i in range(decomp.dim)]
-        self.probes: Dict[int, object] = {}
+        self.probes: Dict[int, object] = {}     # built as scans reach them
 
     @cached_property
     def block_forms(self) -> Tuple[int, List[list]]:
@@ -504,7 +487,7 @@ def sym_commutant_basis(decomp: IsotypicalDecomposition) -> List[Columns]:
     if decomp in _COMMUTANTS:
         return _COMMUTANTS[decomp]
     d, action = decomp.dim, decomp.action
-    ops = list(_block_operators(full_family(decomp)))
+    ops = [p.build() for p in full_family(decomp).parameters()]
     upper = [(i, j) for i in range(d) for j in range(i, d)][::-1]
     index = {e: q for q, e in enumerate(upper)}
     pivots = linalg.pivot_rows(

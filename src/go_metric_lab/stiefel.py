@@ -567,6 +567,17 @@ def _scan_report(space: StiefelSpace, spec: go_mod.ScanSpec,
 GRID_LO, GRID_HI = Fraction(1, 4), Fraction(4)    # the scan grid's ends
 
 
+def scan_grid(resolution) -> List[Fraction]:
+    """GRID_LO to GRID_HI in steps of `resolution`; ValueError, before any
+    value is built, for a step <= 0 or more than `go.MAX_SAMPLES` values."""
+    step = Fraction(resolution)
+    size = int((GRID_HI - GRID_LO) / step) + 1 if step > 0 else 0
+    if not 0 < size <= go_mod.MAX_SAMPLES:
+        raise ValueError(f"resolution must be positive and give at most MAX_SAMPLES"
+                         f" = {go_mod.MAX_SAMPLES} grid values, got {step}")
+    return [GRID_LO + i * step for i in range(size)]
+
+
 def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
                      seed: int = 0,
                      t_values: Sequence = (Fraction(1, 2), 1, 2, 3),
@@ -575,21 +586,19 @@ def reproduce_report(n: int, k: int, resolution=Fraction(1, 4),
                      stage: Stage = contextlib.nullcontext) -> dict:
     """Build the space, verify the family, and run the uniqueness scan.
 
-    The scan grid steps by `resolution` from GRID_LO to GRID_HI.
-    `stage(name)` wraps the "build", "verify", "reduce" and "scan" stages,
-    in that order; it sees no report data.  A sample count out of range
-    raises ValueError first (`go.check_sample_count`).
+    The scan grid is `scan_grid(resolution)`.  `stage(name)` wraps the
+    "build", "verify", "reduce" and "scan" stages, in that order; it sees
+    no report data.  A resolution or a sample count out of range raises
+    ValueError first (`go.check_sample_count`).
     """
     go_mod.check_sample_count("scan", offdiagonal_samples)
+    go_mod.check_sample_count("family", n_samples)
+    spec = go_mod.ScanSpec(grid=scan_grid(resolution), seed=seed)
     with stage("build"):
         space = build_stiefel(n, k)
     with stage("verify"):
         family_report = verify_family(space, t_values, n_samples=n_samples,
                                       seed=seed)
-    resolution = Fraction(resolution)
-    steps = int((GRID_HI - GRID_LO) / resolution)
-    grid = [GRID_LO + i * resolution for i in range(steps + 1)]
-    spec = go_mod.ScanSpec(grid=grid, seed=seed)
     scan = uniqueness_scan(space, spec, offdiagonal_samples=offdiagonal_samples,
                            stage=stage, all_t=family_report["all_t"])
     certs = {t: go_mod.certificate_to_json_dict(c, max_witnesses=3)

@@ -322,7 +322,7 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
             point = _negated_lead_point(tensors, values, p)
             a = metric.MetricEndomorphism(
                 dec, linalg.combine_columns(point, ops, dec.dim))
-            x = tensors.probes[p]
+            x = go.basis_probe_vectors(dec)[p]
             a_h, best = go.go_solve_at(a, x)
             solves.clear()
             memo = len(tensors.memo)

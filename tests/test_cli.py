@@ -470,6 +470,7 @@ def test_check_go_random_with_one_probe_still_runs(tmp_path):
     (["--offdiagonal-samples", "-3"], "--offdiagonal-samples"),
     (["--offdiagonal-samples", str(go.MAX_SAMPLES + 1)],
      "--offdiagonal-samples"),
+    (["--resolution", "1/2668"], "--resolution"),
 ])
 def test_reproduce_rejects_bad_grid_and_sample_flags(entry, args, flag,
                                                      tmp_path, capsys):

@@ -422,7 +422,7 @@ def _oracle_scan(decomp_, family, spec, include_grid=True):
         decomp_, metric.family_basis_ops(family)))
     for p in range(len(tensors.probes)):
         tensors._probe(p)
-    x_strings = [[conv(c) for c in x] for x in tensors.probes]
+    x_strings = [[conv(c) for c in x] for x in basis_probe_vectors(decomp_)]
     pd = _dense_pd_at(tensors.ops.columns, decomp_.action.norms)
     points = (list(itertools.product(spec.grid, repeat=family.n_params))
               if include_grid else [])
@@ -523,7 +523,7 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
     result = search_go(sp.decomp, diag, ScanSpec(grid=_GRID_32))
     assert result.n_points == 256
     (scanned,) = scans
-    filled = sum(len(table) for _, _, table in scanned._walked)
+    filled = sum(len(table) for _, _, table in filter(None, scanned._entries))
     assert len(calls) == filled == 224
     assert len(calls) <= sum(len(_GRID_32) ** len(s) for s in support)
 
@@ -532,7 +532,7 @@ def _table_points(tensors):
     """(probe, full-length values, table string) of every filled entry;
     the values are None off the probe's support."""
     n = len(tensors.ops.columns)
-    for p, _, table in tensors._walked:
+    for p, _, table in filter(None, tensors._entries):
         support = tensors._probe(p).support
         for key, res in table.items():
             ids = key if isinstance(key, tuple) else (key,)
@@ -588,6 +588,35 @@ def _count_builds(monkeypatch):
 
     monkeypatch.setattr(go._ScanTensors, "_build", counted)
     return built
+
+
+@pytest.mark.parametrize("which", ["3-2", "4-2", "8-4", "two-torus"])
+def test_probes_are_the_supports_of_the_basis_probe_vectors(space, two_torus,
+                                                            which):
+    # decomp.probes is the one list of probes: the units in basis order,
+    # then every pair i < j once, pairs across two summands before pairs
+    # inside one, and basis_probe_vectors is 1 on each support, 0 elsewhere
+    dec = (two_torus() if which == "two-torus"
+           else space(*map(int, which.split("-"))).decomp)
+    vectors = basis_probe_vectors(dec)
+    assert dec.probes == tuple(tuple(i for i, x in enumerate(v) if x)
+                               for v in vectors)
+    assert all(x in (0, 1) for v in vectors for x in v)
+    assert dec.probes is dec.probes
+    units, pairs = dec.probes[:dec.dim], dec.probes[dec.dim:]
+    assert units == tuple((i,) for i in range(dec.dim))
+    assert sorted(pairs) == list(itertools.combinations(range(dec.dim), 2))
+    norms = dec.action.norms
+    summand = [next((k for k, s in enumerate(dec.summands)
+                    if not any(dense_orthogonal_projection(
+                        s.space.sparse_basis, s.space.norms, norms,
+                        linalg.unit_vec(dec.dim, i))[1])), None)
+               for i in range(dec.dim)]
+    cross = [summand[i] != summand[j] for i, j in pairs]
+    assert any(cross) and cross == sorted(cross, reverse=True)
+    for same in (False, True):
+        part = [p for p, c in zip(pairs, cross) if c != same]
+        assert part == sorted(part)
 
 
 def test_probe_order_is_computed_once_per_decomposition(monkeypatch):

@@ -1,6 +1,5 @@
 """Metric endomorphisms: parameterization, blocks, spectra, equivariance."""
 
-import collections
 import json
 import random
 from fractions import Fraction
@@ -300,10 +299,9 @@ def test_the_commutation_check_needs_generators_of_h(space, monkeypatch):
     center = linalg.combine_columns(
         [1, 1], [sp.action.ad_ops[h_labels.index(f"eb_{i}_{i}")]
                  for i in (3, 4)], d)
-    line = collections.defaultdict(dict)
-    metric._add_projector(line, linalg.make_subspace(
+    line = metric._units([(linalg.make_subspace(
         [[(sp.m_labels.index(lab), 1)] for lab in ("e_1_3", "eb_1_3")],
-        norms), norms)
+        norms), i, i) for i in range(2)], norms)
     extra = metric._finish(line, d)
 
     def with_rows(ops):
@@ -311,13 +309,12 @@ def test_the_commutation_check_needs_generators_of_h(space, monkeypatch):
 
     assert metric._commutes(extra, with_rows([center]))
     assert not metric._commutes(extra, with_rows(sp.action.generator_ops))
-    blocks = metric._block_operators
+    parameters = metric.MetricFamily.parameters
 
     def with_line(family):
-        yield from blocks(family)
-        yield line
+        return (*parameters(family), metric.Parameter("line", True, lambda: line))
 
-    monkeypatch.setattr(metric, "_block_operators", with_line)
+    monkeypatch.setattr(metric.MetricFamily, "parameters", with_line)
     with pytest.raises(ArithmeticError, match="does not commute"):
         metric.sym_commutant_basis(dec)
 
@@ -397,6 +394,53 @@ def test_on_diagonal_matches_the_parameter_layout(space, n, k):
             b.space.dim <= 1 for b in family.operator_blocks))
     # the full cone leaves the diagonal through S0's operator block
     assert not all(families[0].on_diagonal())
+
+
+def _layout_oracle(family):
+    """(label, scales a diagonal unit) per parameter, rebuilt from the
+    blocks as `oracles.random_points` rebuilds the layout: a scalar per
+    merged class, each operator block's (i, j), i <= j, row by row, then
+    each intertwiner coordinate."""
+    layout = [("scalar[" + "+".join(
+        b.label for b in family.scalar_blocks if family.find(b.class_id) == c)
+        + "]", True) for c in family.classes()]
+    for b in family.operator_blocks:
+        d = b.space.dim
+        layout += [(f"op[{b.label}]({i},{j})", i == j)
+                   for i in range(d) for j in range(i, d)]
+    for b in family.intertwiner_blocks:
+        layout += [(f"mix[{b.label}]#{q}", False) for q in range(len(b.phis))]
+    return layout
+
+
+@pytest.mark.parametrize("which", ["3-2", "4-2", "8-4", "two-torus"])
+def test_parameters_match_an_independent_layout(space, two_torus, which):
+    # parameters() is the one list of a family's parameters: its labels,
+    # diagonal flags and operators against the blocks and the dense-Gram
+    # construction, on the diagonal (Stiefel only), full and reduced
+    # families; every reader of the layout agrees with it.  The dense
+    # construction takes 25 s on (8,4)'s full family (about 0.2 s per
+    # parameter at dim m = 48), so there it checks the other two
+    from go_metric_lab.go import reduce_family
+    if which == "two-torus":
+        dec, families = two_torus(), []
+    else:
+        sp = space(*map(int, which.split("-")))
+        dec, families = sp.decomp, [stiefel.diagonal_family(sp)]
+    families += [full_family(dec), reduce_family(dec)[0]]
+    for family in families:
+        params = family.parameters()
+        assert ([(p.label, p.on_diagonal) for p in params]
+                == _layout_oracle(family))
+        ops = [metric._finish(p.build(), dec.dim) for p in params]
+        if which != "8-4" or family is not families[-2]:
+            assert ([dense_op(op, dec.dim) for op in ops]
+                    == dense_gram_family_ops(family))
+        assert metric.family_basis_ops(family) == ops
+        assert family.n_params == len(params)
+        assert family.param_labels() == [p.label for p in params]
+        assert family.on_diagonal() == [p.on_diagonal for p in params]
+    assert not all(families[-2].on_diagonal())
 
 
 def test_family_instantiation_round_trip(space):

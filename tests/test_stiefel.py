@@ -368,6 +368,24 @@ def test_reproduce_report_range_check():
         stiefel.reproduce_report(9, 1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"resolution": 0}, {"resolution": Fraction(-1, 4)},
+    {"resolution": Fraction(1, 2668)}, {"n_samples": -1},
+    {"n_samples": go.MAX_SAMPLES + 1}],
+    ids=["resolution-0", "resolution-neg", "resolution-fine", "samples-neg",
+         "samples-big"])
+def test_reproduce_report_refuses_bad_input_before_building(monkeypatch,
+                                                            kwargs):
+    # 1/2668 steps 1/4 to 4 in 10,006 values, past MAX_SAMPLES
+    def unbuilt(n, k):
+        raise AssertionError("build_stiefel ran")
+
+    monkeypatch.setattr(stiefel, "build_stiefel", unbuilt)
+    with pytest.raises(ValueError):
+        stiefel.reproduce_report(3, 2, **kwargs)
+    assert len(stiefel.scan_grid(Fraction(1, 2666))) == 9_998
+
+
 def test_uniqueness_scan_k1_all_grid_points_survive(space):
     # k = 1: the diagonal cone and the deformation cone coincide
     sp = space(3, 1)
