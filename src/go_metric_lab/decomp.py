@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
@@ -71,11 +70,6 @@ def diagonal_u_nk(g: MatrixLieAlgebra, k: int) -> Subalgebra:
         raise ArithmeticError(
             f"u({n - k}) has dimension {h.dim}, expected {(n - k) ** 2}")
     return h
-
-
-def _over(acc: dict, den: int) -> Sparse:
-    """The nonzero entries of an integer accumulator, each divided by den."""
-    return [(k, Fraction(c, den)) for k, c in sorted(acc.items()) if c]
 
 
 @dataclass
@@ -164,7 +158,7 @@ class BracketTable:
         dy, ys = linalg.cleared(y)
         acc_m, acc_h = self.contract(xs, ys, ws)
         den = self.denominator * dx * dy
-        return _over(acc_m, den), _over(acc_h, den)
+        return linalg.over(acc_m, den), linalg.over(acc_h, den)
 
     def bracket_in_m(self, x: Sparse, y: Sparse) -> Sparse:
         """[X, Y] over m for a pair whose bracket must stay in m."""
@@ -214,10 +208,9 @@ class ReductiveSplit:
         return den, [[c.numerator * (den // c.denominator) for c in row]
                      for row in self.gram_m]
 
-    def _m_part(self, x: Sparse) -> Tuple[Sparse, Sparse]:
-        """(m-coordinates of the m-component of the sparse g-vector x, the
-        h-component of x), both sparse."""
-        return linalg.orthogonal_projection(self.m, self.algebra.norms, x)
+    def _m_part(self, x: Sparse, den: int = 1) -> Tuple[Sparse, Sparse]:
+        """(m-coordinates, h-component) of the sparse g-vector x / den."""
+        return linalg.orthogonal_projection(self.m, self.algebra.norms, x, den)
 
     def coords_in_m(self, x: Vec) -> Vec:
         """Coordinates over the m basis; requires x in m (exact)."""
@@ -229,24 +222,20 @@ class ReductiveSplit:
     @cached_property
     def bracket_table(self) -> BracketTable:
         """The bracket table, built on first use and kept: each bracket of
-        two sparse m-basis vectors is read off the structure constants and
-        split by one sparse projection; [h, m] is `ad_h`."""
-        dim, basis = self.dim_m, self.m.sparse_basis
+        two cleared m-basis vectors b_a = d_a m_a is read off the cleared
+        structure constants and split on integers; [h, m] is `ad_h`."""
+        dim = self.dim_m
         table = BracketTable(m=[[[] for _ in range(dim)] for _ in range(dim)],
                              h=[[[] for _ in range(dim)] for _ in range(dim)],
                              ad=self.ad_h)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                parts = self._m_part(lie_core.sparse_bracket(
-                    self.algebra, basis[a], basis[b]))
-                for part, vec in zip((table.m, table.h), parts):
-                    part[a][b] = vec
-                    part[b][a] = [(k, -c) for k, c in vec]
+        pairs = itertools.combinations(enumerate(self.m.rows), 2)
+        for (a, (row_a, d_a, _)), (b, (row_b, d_b, _)) in pairs:
+            parts = self._m_part(lie_core.sparse_bracket(
+                self.algebra, row_a, row_b), d_a * d_b)
+            for part, vec in zip((table.m, table.h), parts):
+                part[a][b] = vec
+                part[b][a] = [(k, -c) for k, c in vec]
         return table
-
-    def m_to_g(self, mcoords: Vec) -> Vec:
-        return linalg.dense(linalg.sparse_mat_vec(
-            self.m.sparse_basis, linalg.sparse(mcoords)), self.algebra.dim)
 
 
 def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
@@ -266,11 +255,11 @@ def reductive_split(g: MatrixLieAlgebra, h: Subalgebra) -> ReductiveSplit:
     if h.dim + m.dim != g.dim:
         raise ArithmeticError("h and m dimensions do not add up")
     split = ReductiveSplit(algebra=g, h=h, m=m, ad_h=[])
-
-    for hv in map(linalg.sparse, h.basis_coords):
+    for d_h, row_h in map(linalg.cleared, map(linalg.sparse, h.basis_coords)):
         cols = []
-        for mv in m.sparse_basis:
-            coords, h_part = split._m_part(lie_core.sparse_bracket(g, hv, mv))
+        for row, d_j, _ in m.rows:
+            coords, h_part = split._m_part(
+                lie_core.sparse_bracket(g, row_h, row), d_h * d_j)
             if h_part:
                 raise NonReductiveError("[h, m] leaves m; split is not reductive")
             cols.append(coords)

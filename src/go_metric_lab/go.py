@@ -211,17 +211,16 @@ class ReductionTrace:
         return [s for s in self.steps if s.tag == tag and s.fired]
 
 
-# Vectors of g are kept split along g = h (+) m as sparse parts:
-# m-coordinates plus an h-part, read off the bracket table.  The dense
-# g-coordinates of a witness are formed only to serialize it.
+# Vectors of g are kept split along g = h (+) m, as sparse m-coordinates
+# and h-part; a witness's g-coordinates are summed only to serialize it.
 
 def _label_coords(split, x_m: Sparse, h_g: Sparse = ()) -> Dict[str, str]:
     """Witness wire format: labels of the g-coordinates of h_g + x_m."""
-    vec = split.m_to_g(linalg.dense(x_m, split.dim_m))
+    acc = dict(linalg.sparse_mat_vec(split.m.sparse_basis, x_m))
     for i, c in h_g:
-        vec[i] += c
+        acc[i] = acc.get(i, 0) + c
     return {split.algebra.labels[i]: linalg.frac_to_str(c)
-            for i, c in enumerate(vec) if c != 0}
+            for i, c in linalg.sparse_from(acc)}
 
 
 def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0

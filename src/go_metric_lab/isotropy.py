@@ -170,15 +170,16 @@ def isotropy_action(split: ReductiveSplit) -> IsotropyAction:
 
 
 def restrict_op(op: Columns, sub: Subspace, norms: Vec) -> Optional[Columns]:
-    """Sparse columns of op on the subspace basis; None if it moves."""
-    cols = []
-    for b in sub.sparse_basis:
+    """Columns of op, cleared once, on the subspace basis; None if it moves."""
+    den, (cols,) = linalg.cleared_columns([op])
+    out = []
+    for b, dj, _ in sub.rows:
         coords, resid = linalg.orthogonal_projection(
-            sub, norms, linalg.sparse_mat_vec(op, b))
+            sub, norms, linalg.sparse_mat_vec(cols, b), den * dj)
         if resid:
             return None
-        cols.append(coords)
-    return cols
+        out.append(coords)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def minimal_invariant_pieces(ops: List[Columns], norms: Vec, start: Subspace,
             continue
         # candidates are built only until one splits the piece; the random
         # coefficients are drawn up front so every piece sees the same stream
-        draws = [[Fraction(rng.randint(-9, 9)) for _ in csym]
+        draws = [[rng.randint(-9, 9) for _ in csym]
                  for _ in range(RANDOM_TRIES)]
         restricted = (restrict_op(ex, piece, norms) for ex in extra_ops)
         combos = (linalg.combine_columns(coeffs, csym, piece.dim)
@@ -426,10 +427,13 @@ def _complement(sub: Subspace, norms: Vec) -> Subspace:
 
 
 def _ad_columns(split: ReductiveSplit, z: linalg.Sparse) -> Columns:
-    """Sparse columns [z, m_b] of ad(z)|_m for a sparse z in m; z must
-    preserve m."""
-    return [split.bracket_table.bracket_in_m(z, [(b, ONE)])
-            for b in range(split.dim_m)]
+    """ad(z)|_m as sparse columns [z, m_b], z in m cleared once."""
+    table = split.bracket_table
+    dz, zs = linalg.cleared(z)
+    parts = [table.contract(zs, [(b, 1)]) for b in range(split.dim_m)]
+    if any(any(acc_h.values()) for _, acc_h in parts):
+        raise ValueError("vector is not in m")
+    return [linalg.over(acc_m, table.denominator * dz) for acc_m, _ in parts]
 
 
 class _Lazy:

@@ -64,6 +64,14 @@ class MatrixLieAlgebra:
         `validate_algebra` check."""
         return [self.gram[i][i] for i in range(self.dim)]
 
+    @cached_property
+    def integer_structure(self) -> Tuple[int, Dict[Tuple[int, int], list]]:
+        """(D, table): the structure constants cleared once, D [b_i, b_j]."""
+        den = linalg.denominator(c for entry in self.structure.values()
+                                 for c in entry.values())
+        return den, {ij: linalg.integers(entry.items(), den)
+                     for ij, entry in self.structure.items()}
+
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
@@ -158,16 +166,23 @@ def build_un(n: int) -> MatrixLieAlgebra:
     """The compact algebra u(n) with canonical basis and exact tables.
 
     Structure constants and the Gram matrix come from sparse products of
-    the basis matrices; a skew-Hermitian Z has coordinates Re Z_ij on
-    e_ij, Im Z_lm on eb_lm and Im Z_ll / 2 on eb_ll.  The dense matrices
-    stay on the algebra as the oracle of `validate_algebra`.
+    the basis matrices, B(x, y) only where y has an entry at the transpose
+    of one of x's (it sums x_rk y_kr); a skew-Hermitian Z has coordinates
+    Re Z_ij on e_ij, Im Z_lm on eb_lm and Im Z_ll / 2 on eb_ll.  The dense
+    matrices stay on the algebra as the oracle of `validate_algebra`.
     """
     if n < 1:
         raise InvalidDimensionError(f"u(n) needs n >= 1, got n={n}")
     labels, entries = _canonical_entries(n)
     dim = len(labels)
-    gram = [[_sparse_trace_form(entries[i], entries[j]) for j in range(dim)]
-            for i in range(dim)]
+    at: Dict[Tuple[int, int], List[int]] = {}        # position -> elements
+    for b, x in enumerate(entries):
+        for pos in x:
+            at.setdefault(pos, []).append(b)
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for i, x in enumerate(entries):
+        for j in {j for r, k in x for j in at.get((k, r), ())}:
+            gram[i][j] = _sparse_trace_form(x, entries[j])
     index = {}
     for k, label in enumerate(labels):
         kind, i, j = label.split("_")
@@ -193,17 +208,18 @@ def build_un(n: int) -> MatrixLieAlgebra:
 
 def sparse_bracket(g: MatrixLieAlgebra, x: linalg.Sparse,
                    y: linalg.Sparse) -> linalg.Sparse:
-    """[x, y] for sparse coordinates, read off the structure table: one
-    lookup per pair of support entries."""
-    acc: Dict[int, Fraction] = {}
+    """[x, y] for sparse coordinates, one lookup per pair of support entries
+    in the cleared structure table: integers stay integers when D = 1."""
+    den, table = g.integer_structure
+    acc: dict = {}
     for i, xi in x:
         for j, yj in y:
-            entry = g.structure.get((i, j))
+            entry = table.get((i, j))
             if entry:
                 f = xi * yj
-                for k, c in entry.items():
+                for k, c in entry:
                     acc[k] = acc.get(k, 0) + f * c
-    return linalg.sparse_from(acc)
+    return linalg.sparse_from(acc) if den == 1 else linalg.over(acc, den)
 
 
 def bracket(g: MatrixLieAlgebra, x: Vec, y: Vec) -> Vec:

@@ -6,9 +6,10 @@ and every zero test is a comparison with exact zero.
 Vectors are plain lists or sparse (index, value) lists.  An operator is
 `Columns`, one sparse column per basis vector; an elimination reads its
 rows as the dicts of `column_rows`.  A `Subspace` keeps a B-orthogonal
-basis as sparse vectors; `make_subspace` (Gram-Schmidt) builds it and
-`orthogonal_projection`, the one projection, splits a sparse vector
-along it, both for a diagonal form given as its norm vector.  Dense row
+basis, for the diagonal form (norm vector) it records, as sparse vectors
+and cleared to integer rows; `make_subspace` (Gram-Schmidt) builds it,
+and `orthogonal_projection`, the one projection, splits a sparse vector
+along it on integers, one `Fraction` per output entry.  Dense row
 lists remain for matrix realizations, Gram matrices and linear systems:
 least squares takes a Gram matrix (the benchmark's tests call it with
 one) that it reads only at the entries the supports of its columns and
@@ -25,7 +26,7 @@ squares, the Krylov dependences of `minimal_polynomial`, `rank`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -109,6 +110,11 @@ def sparse_from(acc: dict) -> Sparse:
     return [(i, c) for i, c in sorted(acc.items()) if c != 0]
 
 
+def over(acc: dict, den: int) -> Sparse:
+    """The nonzero entries of an integer accumulator, each divided by den."""
+    return [(i, Fraction(c, den)) for i, c in sorted(acc.items()) if c]
+
+
 def dense(v: Sparse, n: int) -> Vec:
     out = zero_vec(n)
     for i, c in v:
@@ -118,15 +124,17 @@ def dense(v: Sparse, n: int) -> Vec:
 
 @dataclass
 class Subspace:
-    """A subspace with a B-orthogonal basis, kept as sparse vectors, for a
-    diagonal ambient form; `basis` is the dense form.  `index` maps each
-    coordinate to the basis vectors with an entry there, as (vector,
-    entry) pairs, so a projection meets only the vectors its input does.
-    """
+    """A subspace with a B-orthogonal basis, kept as sparse vectors, for
+    the diagonal ambient form given by the norm vector `form`, N / e in
+    integers; `basis` is the dense form.  `rows[j]` = (b_j, d_j, M_j) holds
+    B_j cleared, b_j = d_j B_j, with M_j = sum_i N_i b_ji^2, and `index`
+    maps each coordinate i to the (j, d_j b_ji N_i) with b_ji nonzero."""
 
     sparse_basis: List[Sparse]
     norms: Vec                  # <b, b> for each basis vector b, Fractions
-    ambient_dim: int
+    form: Vec
+    rows: list = field(default_factory=list, repr=False, compare=False)
+    index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -134,15 +142,7 @@ class Subspace:
 
     @cached_property
     def basis(self) -> List[Vec]:
-        return [dense(b, self.ambient_dim) for b in self.sparse_basis]
-
-    @cached_property
-    def index(self) -> dict:
-        index: dict = {}
-        for j, b in enumerate(self.sparse_basis):
-            for i, c in b:
-                index.setdefault(i, []).append((j, c))
-        return index
+        return [dense(b, len(self.form)) for b in self.sparse_basis]
 
     def coords_of(self, v: Vec, norms: Vec) -> Optional[Vec]:
         """Coordinates of v over the basis, or None if v falls outside."""
@@ -150,26 +150,33 @@ class Subspace:
         return None if resid else dense(coords, self.dim)
 
 
-def orthogonal_projection(sub: Subspace, norms: Vec, v: Sparse
+def orthogonal_projection(sub: Subspace, norms: Vec, v: Sparse, den: int = 1
                           ) -> Tuple[Sparse, Sparse]:
-    """(coordinates <b, v> / <b, b> over the subspace's basis, v minus its
-    projection onto the subspace), both sparse, for a sparse v and the
-    ambient norm vector.  Only v's support is read; it meets the basis
-    through `sub.index`, and the residual changes only on the basis
-    vectors with a nonzero coordinate."""
+    """(coordinates <b, u> / <b, b> over the subspace's basis, u minus its
+    projection onto the subspace), both sparse, for u = v / den, v sparse,
+    and the subspace's own norm vector (else ValueError).  On integers:
+    v = w / d is cleared once, B_j's coordinate is T_j / (d den M_j), T_j =
+    sum_i d_j b_ji N_i w_i, and the residual one integer accumulator over
+    lcm(d_j M_j): one `Fraction` per nonzero output entry."""
+    if norms is not sub.form and norms != sub.form:
+        raise ValueError("the subspace is B-orthogonal for another form")
+    d, w = cleared(v)
     dots: dict = {}
-    for i, vi in v:
-        hits = sub.index.get(i)
-        if hits:
-            w = vi * norms[i]
-            for j, c in hits:
-                dots[j] = dots.get(j, 0) + c * w
-    coords = [(j, d / sub.norms[j]) for j, d in sorted(dots.items()) if d]
-    vals = dict(v)
-    for j, c in coords:
-        for i, bi in sub.sparse_basis[j]:
-            vals[i] = vals.get(i, 0) - c * bi
-    return coords, sparse_from(vals)
+    for i, wi in w:
+        for j, u in sub.index.get(i, ()):
+            dots[j] = dots.get(j, 0) + u * wi
+    if not dots:                        # v is B-orthogonal to the subspace
+        return [], over(dict(w), d * den)
+    dots = {j: (t, sub.rows[j]) for j, t in sorted(dots.items()) if t}
+    lcm = math.lcm(*[dj * mj for _, (_, dj, mj) in dots.values()])
+    acc = {i: lcm * wi for i, wi in w}
+    for t, (b, dj, mj) in dots.values():
+        f = t * (lcm // (dj * mj))
+        for i, bi in b:
+            acc[i] = acc.get(i, 0) - f * bi
+    d *= den
+    return ([(j, Fraction(t, d * mj)) for j, (t, (_, _, mj)) in dots.items()],
+            over(acc, d * lcm))
 
 
 def make_subspace(vectors: Iterable[Sparse], norms: Vec) -> Subspace:
@@ -178,16 +185,21 @@ def make_subspace(vectors: Iterable[Sparse], norms: Vec) -> Subspace:
 
     Gram-Schmidt: each vector loses its projection onto the basis so far,
     which, the basis being orthogonal, is the modified process too in
-    exact arithmetic.  The index grows with the basis.
+    exact arithmetic.  The cleared rows and the index grow with the basis.
     """
-    sub = Subspace([], [], len(norms))
+    sub = Subspace([], [], norms)
+    e = denominator(norms)
+    ints = [c.numerator * (e // c.denominator) for c in norms]
     for v in vectors:
         w = orthogonal_projection(sub, norms, v)[1]
         if w:
-            for i, c in w:
-                sub.index.setdefault(i, []).append((sub.dim, c))
+            dj, b = cleared(w)
+            mj = sum(ints[i] * c * c for i, c in b)
+            for i, c in b:
+                sub.index.setdefault(i, []).append((sub.dim, dj * c * ints[i]))
+            sub.rows.append((b, dj, mj))
             sub.sparse_basis.append(w)
-            sub.norms.append(sum((c * c * norms[i] for i, c in w), ZERO))
+            sub.norms.append(Fraction(mj, dj * dj * e))
     return sub
 
 

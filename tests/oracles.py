@@ -4,7 +4,10 @@ Each helper is the plain dense or direct form of something the package
 computes sparsely, or no longer needs at run time: the bilinear form over
 a full Gram matrix (`gram_dot`) or a norm vector (`norm_dot`), linear
 combinations of dense vectors (`combine`), the B-orthogonal projection
-on dense vectors (`dense_orthogonal_projection`), the JSON forms of a
+on dense vectors (`dense_orthogonal_projection`) and in `Fraction`s on
+sparse ones (`fraction_projection`, with the Gram-Schmidt, the operator
+restriction and the bracket-table fill built on it), the g-coordinates
+of m-coordinates (`m_to_g`), the JSON forms of a
 split and a metric that the package reads, one solution of a linear system
 (`solve_consistent`) and the dense least squares built on both
 (`fraction_least_squares`), dense projectors and family operators built
@@ -96,6 +99,83 @@ def dense_orthogonal_projection(basis, basis_norms, norms, v):
             for i, bi in b:
                 resid[i] -= c * bi
     return coords, resid
+
+
+def m_to_g(split, mcoords):
+    """The dense g-coordinates of dense m-coordinates: the combination of
+    the m basis vectors."""
+    return linalg.dense(linalg.sparse_mat_vec(
+        split.m.sparse_basis, linalg.sparse(mcoords)), split.algebra.dim)
+
+
+def fraction_projection(basis, basis_norms, norms, v):
+    """`linalg.orthogonal_projection` in `Fraction`s, the body its integer
+    kernel replaced: (coordinates, residual) of a sparse v over a sparse
+    B-orthogonal basis, through an index of the basis entries."""
+    index = {}
+    for j, b in enumerate(basis):
+        for i, c in b:
+            index.setdefault(i, []).append((j, c))
+    dots = {}
+    for i, vi in v:
+        for j, c in index.get(i, ()):
+            dots[j] = dots.get(j, 0) + c * vi * norms[i]
+    coords = [(j, d / basis_norms[j]) for j, d in sorted(dots.items()) if d]
+    vals = dict(v)
+    for j, c in coords:
+        for i, bi in basis[j]:
+            vals[i] = vals.get(i, 0) - c * bi
+    return coords, linalg.sparse_from(vals)
+
+
+def fraction_gram_schmidt(vectors, norms):
+    """(basis, basis norms) of `linalg.make_subspace`, in `Fraction`s."""
+    basis, basis_norms = [], []
+    for v in vectors:
+        w = fraction_projection(basis, basis_norms, norms, v)[1]
+        if w:
+            basis.append(w)
+            basis_norms.append(sum((c * c * norms[i] for i, c in w),
+                                   Fraction(0)))
+    return basis, basis_norms
+
+
+def fraction_restrict(op, basis, basis_norms, norms):
+    """`isotropy.restrict_op` by the `Fraction` projection of each op b."""
+    cols = []
+    for b in basis:
+        coords, resid = fraction_projection(basis, basis_norms, norms,
+                                            linalg.sparse_mat_vec(op, b))
+        if resid:
+            return None
+        cols.append(coords)
+    return cols
+
+
+def fraction_sparse_bracket(g, x, y):
+    """[x, y] on sparse coordinates over the `Fraction` structure table."""
+    acc = {}
+    for i, xi in x:
+        for j, yj in y:
+            for k, c in g.structure.get((i, j), {}).items():
+                acc[k] = acc.get(k, 0) + xi * yj * c
+    return linalg.sparse_from(acc)
+
+
+def fraction_split_fill(split):
+    """(table, ad) by the `Fraction` fill: `table[a][b]` the (m-coordinates,
+    h-component) of [m_a, m_b] and `ad[i][b]` the m-coordinates of
+    [h_i, m_b], each g-bracket split by the `Fraction` projection."""
+    g, basis = split.algebra, split.m.sparse_basis
+
+    def part(x):
+        return fraction_projection(basis, split.m.norms, g.norms, x)
+
+    table = [[part(fraction_sparse_bracket(g, x, y)) for y in basis]
+             for x in basis]
+    ad = [[part(fraction_sparse_bracket(g, linalg.sparse(hv), y))[0]
+           for y in basis] for hv in split.h.basis_coords]
+    return table, ad
 
 
 def solve_consistent(a, b):

@@ -20,9 +20,8 @@ import pytest
 from go_metric_lab import (cli, decomp, go, isotropy, lie_core, linalg, metric,
                           stiefel)
 from oracles import (columns, dense_op, dense_orthogonal_projection,
-                     fraction_bracket, fraction_residual_sq,
-                     identity, inner, mat_vec, matrix_of, scan_residual_sq,
-                     vec_add)
+                     fraction_bracket, fraction_residual_sq, identity, inner,
+                     m_to_g, mat_vec, matrix_of, scan_residual_sq, vec_add)
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +38,8 @@ def oracle_tensors(family, ops, probes):
     ops = [dense_op(cols, split.dim_m) for cols in ops]
     bx, hx = [], []
     for x in probes:
-        ox_g = [split.m_to_g(mat_vec(op, x)) for op in ops]
-        x_g = split.m_to_g(x)
+        ox_g = [m_to_g(split, mat_vec(op, x)) for op in ops]
+        x_g = m_to_g(split, x)
         bx.append([_sparse(split.coords_in_m(lie_core.bracket(g, x_g, og)))
                    for og in ox_g])
         hx.append([[_sparse(split.coords_in_m(lie_core.bracket(g, hv, og)))
@@ -51,8 +50,8 @@ def oracle_tensors(family, ops, probes):
 def oracle_solve(a_metric, x_m):
     split = a_metric.decomp.action.split
     g = split.algebra
-    ax_g = split.m_to_g(mat_vec(matrix_of(a_metric), x_m))
-    c_g = lie_core.bracket(g, split.m_to_g(x_m), ax_g)
+    ax_g = m_to_g(split, mat_vec(matrix_of(a_metric), x_m))
+    c_g = lie_core.bracket(g, m_to_g(split, x_m), ax_g)
     assert linalg.vec_is_zero(decomp.project(split, c_g, "h"))
     cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g))
             for hv in split.h.basis_coords]
@@ -63,12 +62,12 @@ def oracle_solve(a_metric, x_m):
 def oracle_residual_sq(a_metric, x_m, a_h):
     split = a_metric.decomp.action.split
     g = split.algebra
-    ax_g = split.m_to_g(mat_vec(matrix_of(a_metric), x_m))
+    ax_g = m_to_g(split, mat_vec(matrix_of(a_metric), x_m))
     a_g = linalg.zero_vec(g.dim)
     for c, b in zip(a_h, split.h.basis_coords):
         if c != 0:
             a_g = vec_add(a_g, linalg.vec_scale(c, b))
-    lhs = lie_core.bracket(g, vec_add(a_g, split.m_to_g(x_m)), ax_g)
+    lhs = lie_core.bracket(g, vec_add(a_g, m_to_g(split, x_m)), ax_g)
     return inner(g, lhs, lhs)
 
 
@@ -166,8 +165,8 @@ def _rescaled_un(n, label, scale):
 def _oracle_bracket(split, x, y):
     """[X, Y] in g-coordinates, split into (m-coordinates, h-component)."""
     dim = split.dim_m
-    c_g = lie_core.bracket(split.algebra, split.m_to_g(linalg.dense(x, dim)),
-                           split.m_to_g(linalg.dense(y, dim)))
+    c_g = lie_core.bracket(split.algebra, m_to_g(split, linalg.dense(x, dim)),
+                           m_to_g(split, linalg.dense(y, dim)))
     c_h = decomp.project(split, c_g, "h")
     return (_sparse(split.coords_in_m(linalg.vec_sub(c_g, c_h))),
             _sparse(c_h))
@@ -479,7 +478,7 @@ def test_construction_operators_match_oracle(space, n, k):
                                 for hv in split.h.basis_coords]
     squares = isotropy.squared_ad_candidates(sp.action, s0)
     for z_m, sq in zip(s0.basis, squares):
-        adz = _oracle_ad(split, split.m_to_g(z_m))
+        adz = _oracle_ad(split, m_to_g(split, z_m))
         assert dense_op(isotropy._ad_columns(split, linalg.sparse(z_m)),
                         dim) == adz
         assert dense_op(sq, dim) == linalg.mat_scale(
@@ -490,7 +489,7 @@ def test_construction_operators_match_oracle(space, n, k):
     assert len(ops) == len(gens) > 0
     for i, op in zip(gens, ops):
         assert dense_op(op, dim) == _oracle_ad(split,
-                                               split.m_to_g(s0.basis[i]))
+                                               m_to_g(split, s0.basis[i]))
 
 
 def test_construction_reads_tables_not_brackets(space, monkeypatch):
@@ -630,7 +629,7 @@ def test_witness_bracket_and_solve_match_g_oracle(space, two_torus, which):
         x, y, a = vec(dim, dens), vec(dim, dens), vec(split.h.dim, dens)
         ad_m, ad_h = _g_oracle_parts(split, lie_core.bracket(
             g, linalg.dense(linalg.sparse_mat_vec(h_basis, a), g.dim),
-            split.m_to_g(linalg.dense(y, dim))))
+            m_to_g(split, linalg.dense(y, dim))))
         assert not ad_h                         # [h, m] lies in m
         c_m, c_h = _oracle_bracket(split, x, y)
         want = (linalg.sparse(vec_add(linalg.dense(c_m, dim),

@@ -16,10 +16,11 @@ from go_metric_lab import decomp, go, lie_core, linalg, metric, stiefel
 from go_metric_lab.go import (ScanSpec, basis_probe_vectors, go_check,
                               go_residual_sq, go_solve_at, reduce_family,
                               search_go)
-from oracles import (center_coefficient, columns, coords_in_family,
-                     dense_op, dense_orthogonal_projection, dense_pd_check,
-                     family_matrix, fraction_positive_definite, fraction_bracket, fraction_least_squares,
-                     identity, identity_metric, inner, mat_add, mat_vec,
+from oracles import (center_coefficient, columns, coords_in_family, dense_op,
+                     dense_orthogonal_projection, dense_pd_check,
+                     family_matrix, fraction_positive_definite,
+                     fraction_bracket, fraction_least_squares, identity,
+                     identity_metric, inner, m_to_g, mat_add, mat_vec,
                      matrix_of, projector, random_points, scan_residual_sq,
                      vec_add)
 
@@ -76,7 +77,7 @@ def test_non_go_metric_positive_residual(space):
     assert res_sq > 0
     # the defect [X, AX] points along e_23, outside the reach of [h, AX]
     ax = mat_vec(matrix_of(a), x)
-    c_g = lie_core.bracket(sp.algebra, sp.split.m_to_g(x), sp.split.m_to_g(ax))
+    c_g = lie_core.bracket(sp.algebra, m_to_g(sp.split, x), m_to_g(sp.split, ax))
     named = {sp.algebra.labels[i]: c for i, c in enumerate(c_g) if c != 0}
     assert named == {"e_2_3": Fraction(-1)}
 
@@ -114,8 +115,8 @@ def test_proof_invariant_h_component_vanishes(space):
         a = metric.from_parameters(sp.decomp, params)
         x = lie_core.random_vector_of_len(sp.dim_m, rng)
         ax = mat_vec(matrix_of(a), x)
-        c_g = lie_core.bracket(sp.algebra, sp.split.m_to_g(x),
-                               sp.split.m_to_g(ax))
+        c_g = lie_core.bracket(sp.algebra, m_to_g(sp.split, x),
+                               m_to_g(sp.split, ax))
         assert linalg.vec_is_zero(
             decomp.project(sp.split, c_g, "h"))
 
@@ -1301,7 +1302,7 @@ def test_prop32_pair_witness_keeps_the_h_part_of_the_outside_component(
              for label in ("e_1_2", "e_1_3")]
     x, y, (w_m, w_h), outside = go._prop32_pair_witness(sp.action, *lines)
     # the g-oracle: bracket in g, split and projected densely
-    x_g, y_g = (split.m_to_g(linalg.dense(v, sp.dim_m)) for v in (x, y))
+    x_g, y_g = (m_to_g(split, linalg.dense(v, sp.dim_m)) for v in (x, y))
     w_g = lie_core.bracket(g, x_g, y_g)
     assert w_g == g.vector(("e_2_3", -1))
     g_norms = [g.gram[i][i] for i in range(g.dim)]

@@ -11,8 +11,8 @@ from go_metric_lab.isotropy import (commutant_sym_ops, decompose_isotypic,
                                     intertwiners, isotropy_action, restrict_op,
                                     split_ideals)
 from oracles import (columns, combine, dense_op, fraction_nullspace, gram_dot,
-                     identity, mat_add, norm_dot, rref, solve_consistent,
-                     sym_op_from_params, vec_add)
+                     identity, m_to_g, mat_add, norm_dot, rref,
+                     solve_consistent, sym_op_from_params, vec_add)
 
 
 def _sym_commutant_on(action, sub):
@@ -183,9 +183,9 @@ def test_split_ideals_center_commutes(space):
     sp = space(3, 2)
     ideals = split_ideals(sp.split, sp.decomp.s0.space)
     g = sp.algebra
-    z = sp.split.m_to_g(ideals.center.basis[0])
+    z = m_to_g(sp.split, ideals.center.basis[0])
     for v in sp.decomp.s0.space.basis:
-        assert linalg.vec_is_zero(lie_core.bracket(g, z, sp.split.m_to_g(v)))
+        assert linalg.vec_is_zero(lie_core.bracket(g, z, m_to_g(sp.split, v)))
 
 
 def test_simple_ideal_is_nonabelian_ideal(space):
@@ -193,8 +193,8 @@ def test_simple_ideal_is_nonabelian_ideal(space):
     ideals = split_ideals(sp.split, sp.decomp.s0.space)
     s = ideals.simples[0]
     g = sp.algebra
-    vecs = [sp.split.m_to_g(v) for v in s.basis]
-    s0_vecs = [sp.split.m_to_g(v) for v in sp.decomp.s0.space.basis]
+    vecs = [m_to_g(sp.split, v) for v in s.basis]
+    s0_vecs = [m_to_g(sp.split, v) for v in sp.decomp.s0.space.basis]
     nonzero = False
     for x in s0_vecs:
         for y in vecs:

@@ -16,7 +16,7 @@ import pytest
 from go_metric_lab import decomp as decomp_mod
 from go_metric_lab import go, isotropy, lie_core, linalg, metric, stiefel
 from go_metric_lab.isotropy import decompose_isotypic, isotropy_action
-from oracles import dense_op, inner, mat_vec, vec_add
+from oracles import dense_op, inner, m_to_g, mat_vec, vec_add
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def _label_coords(g, vec_g):
 
 
 def _g_basis_of(split, space):
-    return [split.m_to_g(v) for v in space.basis]
+    return [m_to_g(split, v) for v in space.basis]
 
 
 def _project_onto_space(g, basis_g, norms, w):
@@ -278,7 +278,7 @@ def _oracle_prop36(decomp, si, seed
             x_coords = member.space.coords_of(x_m, split.norms_m)
             if x_coords is None:
                 continue
-            x_g = split.m_to_g(x_m)
+            x_g = m_to_g(split, x_m)
             images = {}
             ok = True
             for m in range(r):
@@ -295,7 +295,7 @@ def _oracle_prop36(decomp, si, seed
                     for c, b in zip(phi_x, members[m].space.basis):
                         if c != 0:
                             img_m = vec_add(img_m, linalg.vec_scale(c, b))
-                    rem = perp_part(lie_core.bracket(g, x_g, split.m_to_g(img_m)))
+                    rem = perp_part(lie_core.bracket(g, x_g, m_to_g(split, img_m)))
                     rems.append(rem)
                 if linalg.rank(rems) != len(phis):
                     ok = False
@@ -319,7 +319,7 @@ def _oracle_prop36(decomp, si, seed
         if found is None:
             return None
         out.append({"member": l + 1,
-                    "x": _label_coords(g, split.m_to_g(found))})
+                    "x": _label_coords(g, m_to_g(split, found))})
     return out
 
 
