@@ -200,9 +200,9 @@ def cmd_check_go(args) -> int:
         raise InputError(f"bad --count: {exc}") from exc
     with _stage(args, "check"):
         if strategy == "family":
-            cert = stiefel.family_view(
-                stiefel.certify_family(space.family_data), a,
-                stiefel.witness_map(space, t), stiefel.family_samples(
+            data = space.family_data
+            cert, = stiefel.family_views(
+                data, stiefel.certify_family(data), [t], stiefel.family_samples(
                     space.dim_m, args.count, args.seed), args.seed)
         else:
             cert = go_mod.go_check(a, strategy=strategy, count=args.count,

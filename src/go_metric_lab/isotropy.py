@@ -191,10 +191,11 @@ def _equivariance_rows(ops_a: List[Columns], ops_b: List[Columns],
                        ) -> List[Dict[int, int]]:
     """Integer rows of phi ma - mb phi = 0 for every pair (ma, mb), phi the
     d_b x d_a map whose entry (r, c) is weight[r][c] times parameter
-    param[r][c].  Each pair is cleared of its denominators once."""
+    param[r][c].  Each pair is cleared once, ma is mb as one operator."""
     rows = []
     for ma, mb in zip(ops_a, ops_b):
-        a_cols, b_cols = linalg.cleared_columns([ma, mb])[1]
+        cols = linalg.cleared_columns([ma] if ma is mb else [ma, mb])[1]
+        a_cols, b_cols = cols[0], cols[-1]
         for r, b_row in enumerate(linalg.column_rows(b_cols, len(param))):
             p_r, w_r = param[r], weight[r]
             for c, a_col in enumerate(a_cols):

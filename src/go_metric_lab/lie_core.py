@@ -188,8 +188,9 @@ def build_un(n: int) -> MatrixLieAlgebra:
         kind, i, j = label.split("_")
         index[(kind, int(i) - 1, int(j) - 1)] = k
     structure: StructureConstants = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
+    for i in range(dim):    # j meets i's index set (in a row: Z^* = -Z)
+        for j in sorted({j for r, _ in entries[i] for c in range(n)
+                         for j in at.get((r, c), ()) if j > i}):
             coords: Dict[int, Fraction] = {}
             for (r, c), (re, im) in _sparse_commutator(entries[i],
                                                        entries[j]).items():

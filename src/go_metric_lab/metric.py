@@ -406,14 +406,15 @@ class FamilyOperators:
 
     def block_form(self, pairs: Sequence[Tuple[int, int]]) -> List[dict]:
         """sum_c v_c B^T N Op_c B (`block_forms`) at the values v_c = n / d
-        given as integer pairs, times the lcm L of the d, as sparse
-        {col: value} rows: positive definite iff G sum_c v_c Op_c is."""
+        given as integer pairs, zeros (0, 1) skipped, times the lcm L of the
+        d, as rows {col: value}: positive definite iff G sum_c v_c Op_c is."""
         size, forms = self.block_forms
-        lv = math.lcm(*{den for _, den in pairs})
+        nonzero = [(pair, form) for pair, form in zip(pairs, forms) if pair[0]]
+        lv = math.lcm(*{den for (_, den), _ in nonzero})
         rows: List[dict] = [{} for _ in range(size)]
-        for (num, den), param in zip(pairs, forms):
+        for (num, den), param in nonzero:
             w = num * (lv // den)
-            for r, j, c in param if w else ():
+            for r, j, c in param:
                 rows[r][j] = rows[r].get(j, 0) + w * c
         return rows
 

@@ -28,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -312,35 +312,37 @@ class FamilyProof:
                 "n_pairs": self.n_pairs, "first_failure": failure}
 
 
+def _terms(table: decomp_mod.BracketTable, calls: Sequence[tuple]
+           ) -> Dict[int, Tuple[dict, dict]]:
+    """c -> the nonzero (m, h) parts of sum over the integer calls (x, wx, ay)
+    of D [wx[a] + [a = 0] x, ay[b]], a + b = c, one contract per term."""
+    acc = [({}, {}) for _ in range(len(calls[0][1]) + len(calls[0][2]) - 1)]
+    for x, wx, ay in calls:
+        for a, w in enumerate(wx):
+            for b, y in enumerate(ay):
+                if y and (a == 0 or w):     # else the term is 0
+                    for part, new in zip(acc[a + b], table.contract(
+                            x if a == 0 else [], y, w)):
+                        for k, v in new.items():
+                            part[k] = part.get(k, 0) + v
+    pruned = ((c, tuple({k: v for k, v in p.items() if v} for p in parts))
+              for c, parts in enumerate(acc) if parts[0] or parts[1])
+    return {c: parts for c, parts in pruned if any(parts)}
+
+
 def certify_family(data: FamilyData) -> FamilyProof:
     """B_c(e_i, e_j) = sum_{a+b=c} [w_a(e_i) + [a = 0] e_i, A_b e_j] + (i <-> j)
-    for every coefficient c and pair i <= j, on integers: each term is one
-    `BracketTable.contract`, D dw da times the bracket, with A cleared to
-    da A and the witness and e_i together to dw w and dw e_i."""
+    for every coefficient c and pair i <= j, on integers (`_terms`): D dw da
+    times the bracket, A cleared to da A, w and e_i to dw w and dw e_i."""
     table, dim = data.decomp.action.split.bracket_table, data.decomp.dim
-    da, ys = linalg.cleared_columns(data.metric)       # da A_b e_j
-    dw, ws = linalg.cleared_columns(data.witness)      # dw w_a(e_i)
-    ws = ws or [[[]] * dim]                             # no witness: w = 0
-    n_coefficients = len(ys) + len(ws) - 1
-    nonzero = {}
-    for i, j in itertools.combinations_with_replacement(range(dim), 2):
-        for c in range(n_coefficients):
-            acc_m: dict = {}
-            acc_h: dict = {}
-            for p, q in ((i, j), (j, i)):
-                for a, w in enumerate(ws):
-                    b = c - a           # a term with a zero factor is 0
-                    if not (0 <= b < len(ys) and ys[b][q] and (a == 0 or w[p])):
-                        continue
-                    for acc, part in zip((acc_m, acc_h), table.contract(
-                            [(p, dw)] if a == 0 else [], ys[b][q], w[p])):
-                        for k, v in part.items():
-                            acc[k] = acc.get(k, 0) + v
-            parts = tuple({k: v for k, v in acc.items() if v}
-                          for acc in (acc_m, acc_h))
-            if any(parts):
-                nonzero[(c, i, j)] = parts
-    return FamilyProof(n_coefficients=n_coefficients,
+    dw, ws = linalg.cleared_columns(data.witness)   # no witness: w_0 = 0
+    ws, (da, ys) = ws or [[[]] * dim], linalg.cleared_columns(data.metric)
+    xw = [([(p, dw)], [w[p] for w in ws]) for p in range(dim)]
+    ay = [[y[q] for y in ys] for q in range(dim)]
+    pairs = itertools.combinations_with_replacement(range(dim), 2)
+    nonzero = {(c, i, j): parts for i, j in pairs for c, parts in _terms(
+        table, [(*xw[i], ay[j]), (*xw[j], ay[i])]).items()}
+    return FamilyProof(n_coefficients=len(ys) + len(ws) - 1,
                        n_pairs=dim * (dim + 1) // 2,
                        den=table.denominator * dw * da, nonzero=nonzero)
 
@@ -352,53 +354,57 @@ def family_samples(dim: int, n_samples: int, seed: int) -> List[Vec]:
     return [lie_core.random_vector_of_len(dim, rng) for _ in range(n_samples)]
 
 
-def family_view(proof: FamilyProof, a_t: MetricEndomorphism,
-                witness: Callable[[Vec], Vec], samples: List[Vec],
-                seed: int) -> go_mod.GOCertificate:
-    """The "family" certificate at one t, a view of the proof.
-
-    Probes: every m-basis vector, every pair sum, then the `family_samples`
-    drawn with `seed`, a cross-check by `go.go_residual_sq` at A_t.  A
-    verified proof gives the basis and pair residuals, 0; after a failed
-    one they are `go_residual_sq`'s too.  A probe the witness fails is
-    solved by least squares, and a positive minimum falsifies A_t.  Only a
-    verified proof with every cross-check zero is "verified-on-family".
-    """
-    dim, dim_h = a_t.dim, a_t.decomp.action.split.h.dim
-    probes = [(i, None) for i in range(dim)]
-    probes += itertools.combinations(range(dim), 2)
-    probes += samples
-    cert = go_mod.GOCertificate(
-        verdict="verified-on-family" if proof.verified else "passed-sampling",
-        strategy="family", count=len(probes), seed=seed)
-    images = [linalg.sparse(witness(linalg.unit_vec(dim, i))) for i in range(dim)]
-    for probe in probes:
-        if isinstance(probe, tuple):                 # e_i or e_i + e_j
-            (i, j), x = probe, linalg.unit_vec(dim, probe[0])
-            a_h = linalg.dense(images[i], dim_h)
-            if j is not None:
-                x[j] = ONE
-                for k, c in images[j]:
-                    a_h[k] += c
-            proved = proof.verified
-        else:                                        # the cross-check
-            x, a_h, proved = probe, witness(probe), False
-        w = go_mod.Witness(x, a_h, ZERO if proved
-                           else go_mod.go_residual_sq(a_t, x, a_h))
-        if w.residual_sq != 0:
-            w = go_mod.Witness(w.x_m, *go_mod.go_solve_at(a_t, w.x_m))
-            if w.residual_sq > 0:
-                cert.verdict, cert.falsifier = "falsified", w
-                return cert
-            cert.verdict = "passed-sampling"
-        cert.witnesses.append(w)
-    return cert
+def family_views(data: FamilyData, proof: FamilyProof, t_values: Sequence,
+                 samples: List[Vec], seed: int) -> List[go_mod.GOCertificate]:
+    """The "family" certificate at each t, a view of the proof: probes are
+    every m-basis vector, every pair sum, then the `family_samples` drawn
+    with `seed`, built once for all t.  A verified proof gives the basis
+    and pair residuals, 0.  Every other probe X is contracted once (`_terms`,
+    never the proof) to the Q_c of F_t(X) = sum_c t^c Q_c, read at each t
+    exactly; where F_t(X) != 0, X is solved by least squares at
+    `metric_at(t)`, and a positive minimum falsifies A_t.  Only a verified
+    proof with every cross-check zero is "verified-on-family"."""
+    split, dim = data.decomp.action.split, data.decomp.dim
+    dw, ws = linalg.cleared_columns(data.witness)
+    ws, (_, ys) = ws or [[[]] * dim], linalg.cleared_columns(data.metric)
+    units = [[(i, ONE)] for i in range(dim)]
+    probes = [(linalg.dense(xs, dim), xs, proof.verified) for xs in units + [
+        units[i] + units[j] for i, j in itertools.combinations(range(dim), 2)]]
+    probes += [(x, linalg.sparse(x), False) for x in samples]
+    verdict = "verified-on-family" if proof.verified else "passed-sampling"
+    live = views = [(t, data._at(data.witness, t), go_mod.GOCertificate(
+        verdict, "family", len(probes), seed)) for t in map(Fraction, t_values)]
+    metric_at, zero_h = cache(data.metric_at), [ZERO] * split.h.dim
+    for x, xs, proved in probes:
+        cs = [] if proved else linalg.cleared(xs)[1]
+        qs = {} if proved else _terms(split.bracket_table, [(
+            [(i, dw * c) for i, c in cs],
+            [linalg.sparse_mat_vec(w, cs) for w in ws],
+            [linalg.sparse_mat_vec(y, cs) for y in ys])])
+        for t, images, cert in live:
+            a_h = zero_h[:]                     # a_t(X), images[i] = a_t(e_i)
+            for i, c in xs:
+                for k, v in images[i]:
+                    a_h[k] += c * v
+            w = go_mod.Witness(x, a_h, ZERO)
+            if qs and any(linalg.combine_columns([t ** c for c in qs], [
+                    [p.items() for p in parts] for parts in qs.values()], 2)):
+                w = go_mod.Witness(x, *go_mod.go_solve_at(metric_at(t), x))
+                if w.residual_sq > 0:
+                    cert.verdict, cert.falsifier = "falsified", w
+                    continue
+                cert.verdict = "passed-sampling"
+            cert.witnesses.append(w)
+        live = [view for view in live if view[2].falsifier is None]
+        if not live:
+            break
+    return [cert for _, _, cert in views]
 
 
 def verify_family(space: StiefelSpace, t_values: Sequence,
                   n_samples: int = 100, seed: int = 0) -> dict:
-    """Certify [a_t + X, A_t X] = 0 for every t > 0 ("all_t"), view it at
-    each requested t ("certificates"), and report the identities; the t
+    """Check the identities, prove A_t positive definite and [a_t + X, A_t X]
+    = 0 for every t > 0 ("all_t"), viewed at each t ("certificates"); the t
     values and the sample count are checked before any exact work."""
     t_values = [Fraction(t) for t in t_values]
     if any(t <= 0 for t in t_values):
@@ -407,15 +413,16 @@ def verify_family(space: StiefelSpace, t_values: Sequence,
     identities = check_witness_identities(space)
     if not all(identities.values()):
         raise ArithmeticError(f"witness identities failed: {identities}")
-    proof, certs = certify_family(space.family_data), {}
+    data = space.family_data
+    ops = metric_mod.FamilyOperators(data.decomp, data.metric)
     for t in t_values:
-        a_t = metric_at(space, t)
-        if not a_t.is_pd:
+        if not linalg.sym_positive_definite(ops.block_form(
+                [(t ** c).as_integer_ratio() for c in range(len(data.metric))])):
             raise ArithmeticError(f"A_t is not positive definite at t={t}")
-        certs[str(t)] = family_view(proof, a_t, witness_map(space, t),
-                                    samples, seed)
-    return {"identities": identities, "certificates": certs,
-            "all_t": proof.to_json_dict()}
+    proof = certify_family(data)
+    views = family_views(data, proof, t_values, samples, seed)
+    return {"identities": identities, "all_t": proof.to_json_dict(),
+            "certificates": dict(zip(map(str, t_values), views))}
 
 
 # ---------------------------------------------------------------------------

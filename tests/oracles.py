@@ -19,15 +19,19 @@ the dense Krylov minimal polynomial and eigen-split, and the normalizer
 action over a whole basis of h (+) S0 (`whole_normalizer_ops`), and the
 deformation-line test on a metric's sparse columns (`is_deformation`),
 and the seeded full-cone draws of a scan with a `Fraction` per
-coordinate (`random_points`).
+coordinate (`random_points`), u(n)'s structure table with every pair of
+basis matrices bracketed (`all_pairs_structure`), and the per-t "family"
+certificate with every probe's residual by `go.go_residual_sq`
+(`reference_family_view`).
 The package keeps every operator on m as sparse columns; `columns` and
 `dense_op` convert between that form and dense row lists.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
-from go_metric_lab import decomp, isotropy, lie_core, linalg, metric
+from go_metric_lab import decomp, go, isotropy, lie_core, linalg, metric
 
 
 def gram_dot(gram, x, y):
@@ -657,3 +661,56 @@ def dense_eigen_split(op):
     if sum(len(b) for _, b in out) != n:
         return None
     return out
+
+
+def all_pairs_structure(n):
+    """u(n)'s structure constants with `lie_core.build_un`'s expansion of
+    the sparse commutator, over every pair i < j of basis matrices, also
+    those whose index sets are disjoint."""
+    labels, entries = lie_core._canonical_entries(n)
+    index = {}
+    for k, label in enumerate(labels):
+        kind, i, j = label.split("_")
+        index[(kind, int(i) - 1, int(j) - 1)] = k
+    structure = {}
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        coords = {}
+        for (r, c), (re, im) in lie_core._sparse_commutator(
+                entries[i], entries[j]).items():
+            if r < c:
+                coords[index[("e", r, c)]] = Fraction(re)
+                coords[index[("eb", r, c)]] = Fraction(im)
+            elif r == c:
+                coords[index[("eb", r, r)]] = Fraction(im, 2)
+        entry = {k: coords[k] for k in sorted(coords) if coords[k] != 0}
+        if entry:
+            structure[(i, j)] = entry
+            structure[(j, i)] = {k: -c for k, c in entry.items()}
+    return structure
+
+
+def reference_family_view(data, proved, t, samples, seed):
+    """The "family" certificate of `data` at t, probe by probe: every
+    m-basis vector, every pair sum, then the samples, each with a fresh
+    witness-map image and its residual by `go.go_residual_sq` at A_t (so
+    the proved probes are checked too), solved by `go.go_solve_at` where
+    the residual is not 0; the verdict starts from `proved`."""
+    a_t, witness = data.metric_at(t), data.witness_at(t)
+    dim = data.decomp.dim
+    basis = [linalg.unit_vec(dim, i) for i in range(dim)]
+    probes = basis + [vec_add(basis[i], basis[j])
+                      for i, j in itertools.combinations(range(dim), 2)]
+    probes += samples
+    cert = go.GOCertificate(
+        verdict="verified-on-family" if proved else "passed-sampling",
+        strategy="family", count=len(probes), seed=seed)
+    for x in probes:
+        w = go.Witness(x, witness(x), go.go_residual_sq(a_t, x, witness(x)))
+        if w.residual_sq != 0:
+            w = go.Witness(x, *go.go_solve_at(a_t, x))
+            if w.residual_sq > 0:
+                cert.verdict, cert.falsifier = "falsified", w
+                return cert
+            cert.verdict = "passed-sampling"
+        cert.witnesses.append(w)
+    return cert

@@ -165,10 +165,10 @@ def _family_data(sp, metric=None, witness=None):
 def _view(data, t, count=0, seed=0):
     """The "family" certificate of `data` at t, built the way
     `check-go --strategy family` builds it."""
-    t = Fraction(t)
-    return stiefel.family_view(
-        stiefel.certify_family(data), data.metric_at(t), data.witness_at(t),
+    cert, = stiefel.family_views(
+        data, stiefel.certify_family(data), [Fraction(t)],
         stiefel.family_samples(data.decomp.dim, count, seed), seed)
+    return cert
 
 
 def test_family_strategy_rejects_nonlinear_witness(space):
@@ -1130,20 +1130,29 @@ def _reference_family_witnesses(a, witness, count, seed):
 def test_family_view_matches_the_per_probe_reference(space, monkeypatch,
                                                      n, k):
     # the basis and pair residuals of a verified certificate are read off
-    # it; only the random cross-checks evaluate go_residual_sq
+    # it; the random cross-checks contract once per sample and term, for
+    # every t at once: as many contractions for one t as for four
     sp = space(n, k)
     t, count, seed = Fraction(5, 2), 7, 11
     a_t = stiefel.metric_at(sp, t)
     reference = _reference_family_witnesses(
         a_t, stiefel.witness_map(sp, t), count, seed)
+    data = sp.family_data
+    proof = stiefel.certify_family(data)
+    samples = stiefel.family_samples(sp.dim_m, count, seed)
     calls = []
-    real = go.go_residual_sq
-    monkeypatch.setattr(go, "go_residual_sq",
+    real = decomp.BracketTable.contract
+    monkeypatch.setattr(decomp.BracketTable, "contract",
                         lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for t_values in ([t], [Fraction(1, 3), 1, t, 7]):
+        del calls[:]
+        views = stiefel.family_views(data, proof, t_values, samples, seed)
+        assert all(v.verdict == "verified-on-family" for v in views)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= count
     cert = _view(sp.family_data, t, count, seed)
     d = sp.dim_m
-    assert len(calls) == count
-    assert [args[1] for args in calls] == [w.x_m for w in reference[-count:]]
     assert cert.verdict == "verified-on-family"
     assert cert.count == len(reference) == d + d * (d - 1) // 2 + count
     assert cert.witnesses == reference

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from go_metric_lab import lie_core, linalg
 from go_metric_lab.lie_core import bracket, build_un, validate_algebra
-from oracles import inner, vec_add
+from oracles import all_pairs_structure, inner, vec_add
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,13 @@ def test_closed_form_table_matches_matrix_commutators(n, un):
         assert all(type(c) is Fraction for c in g.structure[key].values())
     assert g.gram == gram
     assert all(type(c) is Fraction for row in g.gram for c in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structure_equals_the_all_pairs_table(n, un):
+    # build_un brackets only the basis matrices whose index sets meet
+    assert list(un(n).structure.items()) == list(
+        all_pairs_structure(n).items())
 
 
 # sha256 prefixes of the serialized u(n) built by expanding matrix commutators

@@ -12,7 +12,7 @@ from go_metric_lab.stiefel import (NotPositiveDefiniteError, build_stiefel,
                                    metric_at, tilde_map, verify_family)
 from oracles import (center_coefficient, columns, gram_dot, identity,
                      is_deformation, mat_add, matrix_of, projector,
-                     whole_normalizer_ops, vec_add)
+                     reference_family_view, whole_normalizer_ops, vec_add)
 
 
 def test_build_examples(space):
@@ -192,12 +192,18 @@ def test_verify_family_validates_before_any_exact_work(
 
 
 def test_verify_family_raises_on_a_non_pd_metric(space, monkeypatch):
-    # the PD precondition of the certificate survives python -O
+    # the PD precondition of the certificate survives python -O: A_t =
+    # A_0 - 2 t P_z, whose t^1 coefficient is negative on the center, is
+    # positive definite at t = 1/4 and not at t = 2
     sp = space(2, 1)
-    monkeypatch.setattr(stiefel, "metric_at", lambda space, t: metric.from_matrix(
-        space.decomp, linalg.mat_scale(Fraction(-1), identity(space.dim_m))))
-    with pytest.raises(ArithmeticError, match="not positive definite"):
-        verify_family(sp, [Fraction(2)])
+    data = sp.family_data
+    a0, p_z = data.metric
+    monkeypatch.setattr(sp, "family_data", _mutated(
+        data, metric=[linalg.combine_columns([1, 1], [a0, p_z], sp.dim_m),
+                      _scaled(-2, p_z)]))
+    assert verify_family(sp, [Fraction(1, 4)], n_samples=0)
+    with pytest.raises(ArithmeticError, match="not positive definite at t=2"):
+        verify_family(sp, [Fraction(1, 4), Fraction(2)])
 
 
 def test_witness_map_matches_center_coefficient(space):
@@ -484,10 +490,9 @@ def test_witness_right_at_three_t_but_not_affine_is_not_proved(space, n, k):
     proof = stiefel.certify_family(cubic)
     block = proof.to_json_dict()
     assert not block["verified"] and block["n_coefficients"] == 5
-    for t in (1, 2, 3):
-        view = stiefel.family_view(
-            proof, cubic.metric_at(t), cubic.witness_at(t),
-            stiefel.family_samples(sp.dim_m, 5, 0), 0)
+    for view in stiefel.family_views(cubic, proof, [1, 2, 3],
+                                     stiefel.family_samples(sp.dim_m, 5, 0),
+                                     0):
         assert all(w.residual_sq == 0 for w in view.witnesses)
         assert view.verdict == "passed-sampling"
     assert stiefel.certify_family(data).verified
@@ -501,6 +506,102 @@ def test_doubled_t1_witness_part_is_not_proved(space):
         _mutated(data, witness=[w0, _scaled(2, w1)]))
     assert not proof.to_json_dict()["verified"]
     assert len(_failing_pairs(proof)) == 18
+
+
+_VIEW_TS = [Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7)]
+
+
+def _failing_family(sp, which):
+    """A family whose proof fails: the witness times 7, the cubic witness
+    that is right at t = 1, 2, 3, the t^1 part doubled, or no witness on
+    the non-GO metric Id + P_S1."""
+    data = sp.family_data
+    w0, w1 = data.witness
+    if which == "witness x7":
+        return _mutated(data, witness=[_scaled(7, w0), _scaled(7, w1)])
+    if which == "cubic witness":
+        def plus(coeff, w):                     # w + coeff w0
+            return linalg.combine_columns([1, coeff], [w, w0], sp.dim_m)
+        return _mutated(data, witness=[plus(-6, w0), plus(11, w1),
+                                       _scaled(-6, w0), w0])
+    if which == "doubled t^1 part":
+        return _mutated(data, witness=[w0, _scaled(2, w1)])
+    p_s1 = projector(sp.s1.space, sp.action.norms, sp.dim_m)
+    return stiefel.FamilyData(decomp=sp.decomp, witness=[], metric=[
+        columns(mat_add(identity(sp.dim_m), p_s1))])
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 3), (6, 3)])
+def test_family_views_match_the_per_probe_reference(space, n, k):
+    # four t in one call: every witness (x, a_h, residual_sq) and verdict
+    # equals go_residual_sq's probe by probe, basis and pair probes too
+    sp = space(n, k)
+    data = sp.family_data
+    samples = stiefel.family_samples(sp.dim_m, 6, 11)
+    views = stiefel.family_views(data, stiefel.certify_family(data),
+                                 _VIEW_TS, samples, 11)
+    for t, view in zip(_VIEW_TS, views):
+        assert view == reference_family_view(data, True, t, samples, 11)
+        assert view.verdict == "verified-on-family"
+
+
+@pytest.mark.parametrize("which", ["witness x7", "cubic witness",
+                                   "doubled t^1 part", "no witness"])
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3)])
+def test_failing_family_views_match_the_per_probe_reference(space, n, k,
+                                                            which):
+    # after a failed proof every probe is a cross-check: each residual,
+    # each least-squares witness and the falsifier equal the reference's;
+    # without a witness the X term still counts, and falsifies Id + P_S1.
+    # At t = 2 the cubic witness is right though its Q_c are not 0
+    sp = space(n, k)
+    data = _failing_family(sp, which)
+    proof = stiefel.certify_family(data)
+    assert not proof.verified
+    samples = stiefel.family_samples(sp.dim_m, 4, 3)
+    ts = [*_VIEW_TS, Fraction(2)]
+    views = stiefel.family_views(data, proof, ts, samples, 3)
+    for t, view in zip(ts, views):
+        assert view == reference_family_view(data, False, t, samples, 3)
+    assert {v.verdict for v in views} == {
+        "falsified" if which == "no witness" else "passed-sampling"}
+    assert all((v.falsifier is None) == (which != "no witness")
+               for v in views)
+
+
+def test_views_solve_only_where_the_witness_fails(space, monkeypatch):
+    # the cubic witness is right at t = 1, 2, 3 though its Q_c are not 0:
+    # there no probe is solved and no A_t is built; at t = 1/3 it is wrong
+    sp = space(3, 2)
+    data = _failing_family(sp, "cubic witness")
+    proof = stiefel.certify_family(data)
+    samples = stiefel.family_samples(sp.dim_m, 5, 0)
+    solves = _count_calls(monkeypatch, go, "go_solve_at")
+    builds = _count_calls(monkeypatch, stiefel.FamilyData, "metric_at")
+    views = stiefel.family_views(data, proof, [1, 2, 3], samples, 0)
+    assert solves == builds == []
+    for t, view in zip([1, 2, 3], views):
+        a_of = data.witness_at(t)
+        assert all(w.a_h == a_of(w.x_m) and w.residual_sq == 0
+                   for w in view.witnesses)
+    stiefel.family_views(data, proof, [Fraction(1, 3)], samples, 0)
+    assert len(builds) == 1 and len(solves) > 0
+
+
+def test_a_proof_with_its_failures_cleared_is_caught_by_the_samples(space):
+    # the basis and pair probes read 0 off the lying proof; the samples
+    # contract at X and see the witness x7 fail wherever t != 1
+    sp = space(3, 2)
+    data = _failing_family(sp, "witness x7")
+    proof = stiefel.certify_family(data)
+    proof.nonzero.clear()
+    ts = [t for t in _VIEW_TS if t != 1]
+    views = stiefel.family_views(data, proof, ts, stiefel.family_samples(
+        sp.dim_m, 3, 0), 0)
+    for t, view in zip(ts, views):
+        assert view.verdict == "passed-sampling"
+        a_of = data.witness_at(t)           # every sample was solved
+        assert all(w.a_h != a_of(w.x_m) for w in view.witnesses[-3:])
 
 
 @pytest.mark.parametrize("which", ["twice the projector", "module projector",
