@@ -63,12 +63,12 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     structural fact that [X, AX] has no h-component.  Solves on integers:
     X is cleared to dx X per call and A to da A once per metric, so AX is
     da dx AX, `BracketTable.contract` gives D da dx^2 [X, AX], and the
-    table's isotropy columns give D da dx [h_i, AX].  The integer solution
-    y gives a = y / dx, and the residual is the integer one over
-    D_G (D da dx^2)^2, D_G the m-Gram's denominator.
+    table's isotropy columns give D da dx [h_i, AX].  With rhs [X, AX],
+    `least_squares`'s y / Delta and r / s give a = -y / (Delta dx) and the
+    residual r / (s D_G (D da dx^2)^2), D_G the m-Gram's denominator.
     """
     split = a_metric.decomp.action.split
-    table, dim = split.bracket_table, split.dim_m
+    table = split.bracket_table
     dx, xs = linalg.cleared(linalg.sparse(as_m_coords(split, x)))
     da, a_cols = a_metric.integer_columns
     ax = linalg.sparse_mat_vec(a_cols, xs)
@@ -76,13 +76,13 @@ def go_solve_at(a_metric: MetricEndomorphism, x: Vec) -> Tuple[Vec, Fraction]:
     if any(c_h.values()):
         raise ArithmeticError("[X, AX] acquired an h-component; "
                               "the metric is not symmetric-equivariant")
-    cols = [linalg.dense(linalg.sparse_mat_vec(ad, ax), dim)
-            for ad in table.integer_ad]
-    rhs = linalg.dense([(i, -c) for i, c in c_m.items()], dim)
     dg, gram = split.integer_gram_m
-    y, res = linalg.least_squares(cols, rhs, gram)
-    r = table.denominator * da * dx * dx
-    return [c / dx for c in y], res / (dg * r * r)
+    (y, delta), (r, s) = linalg.least_squares(
+        [dict(linalg.sparse_mat_vec(ad, ax)) for ad in table.integer_ad],
+        c_m, gram)
+    d = table.denominator * da * dx * dx
+    return ([Fraction(-c, delta * dx) for c in y],
+            Fraction(r, s * dg * d * d))
 
 
 def go_residual_sq(a_metric: MetricEndomorphism, x: Vec, a_h: Vec) -> Fraction:
@@ -584,7 +584,6 @@ class _ScanTensors:
     def __init__(self, ops: metric_mod.FamilyOperators, grid: Sequence = ()):
         self.ops = ops
         self.action = ops.decomp.action
-        self.dim = self.action.split.dim_m
         self.probes = ops.decomp.probes
         self._entries: List[Optional[Tuple[int, Callable, Dict]]] = []
         self.memo: Dict[Tuple, Tuple[int, int]] = {}
@@ -662,12 +661,12 @@ class _ScanTensors:
         i = self._ids.get(pair)
         return self._add(pair) if i is None else i
 
-    def _contract(self, rows, support: List[int], values: Sequence) -> Vec:
-        out = [0] * self.dim
+    def _contract(self, rows, support: List[int], values: Sequence) -> dict:
+        out: dict = {}
         for c, v in zip(support, values):
             if v:
                 for i, coef in rows[c]:
-                    out[i] += v * coef
+                    out[i] = out.get(i, 0) + v * coef
         return out
 
     def _residual(self, p: int, pairs: Sequence[Tuple[int, int]]
@@ -676,7 +675,7 @@ class _ScanTensors:
         supported values as integer pairs: they are g / L times a primitive
         tuple with a positive lead, so it is (g / L)^2 times that tuple's
         memo entry.  An entry solves the probe's rows (`probe.den` times
-        the tensors) against D G_m, which gives D probe.den^2 times it."""
+        the tensors, either sign) against D G_m: D probe.den^2 times it."""
         den = math.lcm(*[d for _, d in pairs])
         ints = [n * (den // d) for n, d in pairs]
         g = math.gcd(*ints)
@@ -688,13 +687,11 @@ class _ScanTensors:
         res = self.memo.get(key)
         if res is None:
             probe = self._probe(p)
-            defect = self._contract(probe.bx, probe.support, key[1])
-            cols = [self._contract(rows, probe.support, key[1])
-                    for rows in probe.hx]
+            *cols, defect = [self._contract(rows, probe.support, key[1])
+                             for rows in (*probe.hx, probe.bx)]
             dg, gram = self.action.split.integer_gram_m
-            _, r = linalg.least_squares(cols, [-c for c in defect], gram)
-            res = self.memo[key] = (r.numerator,
-                                    r.denominator * dg * probe.den ** 2)
+            _, (r, s) = linalg.least_squares(cols, defect, gram)
+            res = self.memo[key] = (r, s * dg * probe.den ** 2)
         num, den = res[0] * g * g, res[1] * den * den
         q = math.gcd(num, den)
         return num // q, den // q
@@ -840,7 +837,7 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
         # survived
         out = {"params": [tensors.strings[i] for i in ids]}
         if failure is not None:
-            x = ["0/1"] * tensors.dim
+            x = ["0/1"] * decomp.dim
             for i in tensors.probes[failure[0]]:
                 x[i] = "1/1"
             out.update(status="falsified", residual_sq=failure[1],

@@ -10,22 +10,21 @@ basis, for the diagonal form (norm vector) it records, as sparse vectors
 and cleared to integer rows; `make_subspace` (Gram-Schmidt) builds it,
 and `orthogonal_projection`, the one projection, splits a sparse vector
 along it on integers, one `Fraction` per output entry.  Dense row
-lists remain for matrix realizations, Gram matrices and linear systems:
-least squares takes a Gram matrix (the benchmark's tests call it with
-one) that it reads only at the entries the supports of its columns and
-right-hand side meet, so integer inputs stay Python integers.
+lists remain for matrix realizations, Gram matrices (the benchmark's tests
+call least squares with one) and linear systems.
 
-There is one elimination: `pivot_rows` clears each row to a primitive
-integer row and reduces fraction-free to the reduced echelon form.
-Nullspaces (sparse reduced-echelon bases), the normal equations of least
-squares, the Krylov dependences of `minimal_polynomial`, `rank`,
-`same_span` and `in_span` all read off its pivot rows;
-`sym_positive_definite` runs its elimination steps without pivoting.
+There are two fraction-free eliminations.  `pivot_rows` reduces primitive
+integer rows to the reduced echelon form: nullspaces, the Krylov
+dependences of `minimal_polynomial`, `rank`, `same_span` and `in_span`
+read off its pivot rows, and `sym_positive_definite` runs its steps
+without pivoting.  `least_squares` runs a symmetric Bareiss elimination
+on one PSD matrix and returns its solution and residual as integer pairs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -61,10 +60,7 @@ def vec_is_zero(x: Vec) -> bool:
 
 
 def dot(x: Vec, y: Vec):
-    s = x[0] * y[0] if x else ZERO
-    for a, b in zip(x[1:], y[1:]):
-        s += a * b
-    return s
+    return sum(map(operator.mul, x, y), ZERO)
 
 
 def zeros(nrows: int, ncols: int) -> Mat:
@@ -393,47 +389,54 @@ def same_span(basis_a: List[Vec], basis_b: List[Vec]) -> bool:
 # least squares w.r.t. a Gram matrix
 # ---------------------------------------------------------------------------
 
-def least_squares(columns: List[Vec], rhs: Vec, gram: Mat) -> Tuple[Vec, Fraction]:
-    """Minimize ||sum_j x_j col_j - rhs||^2 in the `gram` inner product,
-    for any symmetric positive definite Gram matrix.
-
-    Returns (x, residual_norm_sq), the free directions of x set to zero.
-    The normal equations N x = c, N_ij = <col_i, col_j> and c_i = <col_i,
-    rhs>, read the Gram only at (support x support) entries of the sparse
-    columns and rhs and skip its zeros, so int inputs sum in Python ints;
-    one `pivot_rows` on the rows [N | -c] solves them.  They hold exactly,
-    so the residual is <rhs, rhs> - sum_k x_k c_k, with no residual vector
-    formed.  The form stays a dense Gram matrix, not a norm vector, because
-    the benchmark's tests call `least_squares([], [1], [[1]])`.
-    """
-    p = len(columns)
-    supports = [sparse(col) for col in columns]
-    b = sparse(rhs)
-
-    def form(x: Sparse, y: Sparse):
-        s = 0
-        for i, xi in x:
-            row = gram[i]
-            for j, yj in y:
-                gij = row[j]
-                if gij:
-                    s += xi * gij * yj
-        return s
-
-    c = [form(col, b) for col in supports]
-    rows = [{p: -ci} for ci in c]
-    for i, col in enumerate(supports):
-        for j in range(i, p):
-            rows[i][j] = rows[j][i] = form(col, supports[j])
-    pivots = pivot_rows(rows)
-    if p in pivots:
-        raise ArithmeticError("normal equations inconsistent")
-    x = [ZERO] * p
-    res = Fraction(form(b, b))
-    for k, row in pivots.items():
-        x[k] = Fraction(-row.get(p, 0), row[k])
-        res -= x[k] * c[k]
-    return x, res
+def least_squares(columns: Sequence, rhs, gram: Mat
+                  ) -> Tuple[Tuple[List[int], int], Tuple[int, int]]:
+    """Minimize ||sum_j x_j col_j - rhs||^2 for a PSD Gram matrix, columns
+    and rhs dense lists or {index: value} dicts: ((y, D), (r, s)) in
+    integers, x = y / D (D > 0, x_j = 0 at free and zero columns) and the
+    squared residual r / s.  A symmetric Bareiss elimination (Math. Comp.
+    22, 1968) of M = [C | b]^T G [C | b], G read where supports meet and M
+    cleared by one lcm, divides each step by the previous pivot.  M is PSD:
+    a zero pivot's row is zero, and it is skipped with the divisor kept
+    (else, or at a negative pivot, ArithmeticError).  Over the pivots I,
+    r / s = det M_(I+b) / det M_I and D = det N_II."""
+    vecs = [[(i, c) for i, c in (v.items() if isinstance(v, dict)
+                                 else enumerate(v)) if c]
+            for v in (*columns, rhs)]
+    live = [j for j, v in enumerate(vecs) if v or j == len(columns)]
+    vecs, n = [vecs[j] for j in live], len(live)
+    m = [[0] * n for _ in vecs]
+    for k, x in enumerate(vecs):
+        for j in range(k, n):
+            s = 0
+            for i, xi in x:
+                grow = gram[i]
+                for l, yl in vecs[j]:
+                    s += xi * grow[l] * yl
+            m[k][j] = s
+    den = 1
+    if type(sum(map(sum, m))) is not int:               # a Fraction entry
+        den = denominator(c for row in m for c in row)
+        m = [[c.numerator * (den // c.denominator) for c in row] for row in m]
+    prev, pivots = 1, []
+    for k in range(n - 1):
+        mk, a = m[k], m[k][k]
+        if a <= 0:
+            if a or any(mk[k + 1:]):
+                raise ArithmeticError("the Gram matrix is not PSD")
+            continue
+        for i, f in enumerate(mk[k + 1:], k + 1):
+            m[i][i:] = [(a * u - f * v) // prev
+                        for u, v in zip(m[i][i:], mk[i:])]
+        prev = a
+        pivots.append(k)
+    if m[-1][-1] < 0:
+        raise ArithmeticError("the Gram matrix is not PSD")
+    y, z = [0] * len(columns), [0] * n          # z: y over the live columns
+    for k in reversed(pivots):
+        z[k] = y[live[k]] = (prev * m[k][-1] - sum(
+            map(operator.mul, m[k][k + 1:-1], z[k + 1:]))) // m[k][k]
+    return (y, prev), (m[-1][-1], prev * den)
 
 
 # ---------------------------------------------------------------------------

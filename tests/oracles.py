@@ -10,8 +10,10 @@ restriction and the bracket-table fill built on it), the g-coordinates
 of m-coordinates (`m_to_g`), the JSON forms of a
 split and a metric that the package reads, one solution of a linear system
 (`solve_consistent`) and the dense least squares built on both
-(`fraction_least_squares`), dense projectors and family operators built
-from the dense m-basis Gram, family coordinates by one dense solve, the
+(`fraction_least_squares`), which `linalg.least_squares`' integer pairs
+meet through `least_squares_fractions`, dense projectors and family
+operators built from the dense m-basis Gram, family coordinates by one
+dense solve, the
 bracket table contracted in `Fraction`s, commutant operators filled in
 from every parameter, dense Gauss-Jordan elimination (`rref`), sparse
 elimination, positive definiteness and the GO residual in `Fraction`s,
@@ -214,6 +216,15 @@ def fraction_least_squares(columns, rhs, gram):
         raise ArithmeticError("normal equations inconsistent")
     res = linalg.vec_sub(rhs, combine(x, columns, len(rhs)))
     return x, gram_dot(gram, res, res)
+
+
+def least_squares_fractions(solved):
+    """`linalg.least_squares`' ((y, D), (r, s)) as the (x, residual)
+    `Fraction`s of `fraction_least_squares`, x = y / D and r / s, after
+    checking that every entry is an int and D and s are positive."""
+    (y, d), (r, s) = solved
+    assert all(type(c) is int for c in (*y, d, r, s)) and d > 0 and s > 0
+    return [Fraction(c, d) for c in y], Fraction(r, s)
 
 
 def inner(g, x, y):

@@ -20,8 +20,10 @@ import pytest
 from go_metric_lab import (cli, decomp, go, isotropy, lie_core, linalg, metric,
                           stiefel)
 from oracles import (columns, dense_op, dense_orthogonal_projection,
-                     fraction_bracket, fraction_residual_sq, identity, inner,
-                     m_to_g, mat_vec, matrix_of, scan_residual_sq, vec_add)
+                     fraction_bracket, fraction_least_squares,
+                     fraction_residual_sq, identity, inner,
+                     least_squares_fractions, m_to_g, mat_vec, matrix_of,
+                     scan_residual_sq, vec_add)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +58,10 @@ def oracle_solve(a_metric, x_m):
     cols = [split.coords_in_m(lie_core.bracket(g, hv, ax_g))
             for hv in split.h.basis_coords]
     rhs = [-c for c in split.coords_in_m(c_g)]
-    return linalg.least_squares(cols, rhs, split.gram_m)
+    want = fraction_least_squares(cols, rhs, split.gram_m)
+    assert least_squares_fractions(
+        linalg.least_squares(cols, rhs, split.gram_m)) == want
+    return want
 
 
 def oracle_residual_sq(a_metric, x_m, a_h):

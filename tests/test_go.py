@@ -20,9 +20,9 @@ from oracles import (center_coefficient, columns, coords_in_family, dense_op,
                      dense_orthogonal_projection, dense_pd_check,
                      family_matrix, fraction_positive_definite,
                      fraction_bracket, fraction_least_squares, identity,
-                     identity_metric, inner, m_to_g, mat_add, mat_vec,
-                     matrix_of, projector, random_points, scan_residual_sq,
-                     vec_add)
+                     identity_metric, inner, least_squares_fractions,
+                     m_to_g, mat_add, mat_vec, matrix_of, projector,
+                     random_points, scan_residual_sq, vec_add)
 
 
 def _m_index(space, label):
@@ -885,9 +885,13 @@ def test_scan_solves_match_dense_least_squares(space, monkeypatch, n, k, cone):
     least_squares = linalg.least_squares
 
     def checked(cols, rhs, gram):
+        # the scan hands over {index: value} vectors; the oracle is dense
         got = least_squares(cols, rhs, gram)
-        assert got == fraction_least_squares(cols, rhs, gram)
-        residuals.append(got[1])
+        want = fraction_least_squares(
+            [linalg.dense(v.items(), len(gram)) for v in cols],
+            linalg.dense(rhs.items(), len(gram)), gram)
+        assert least_squares_fractions(got) == want
+        residuals.append(want[1])
         return got
 
     monkeypatch.setattr(linalg, "least_squares", checked)

@@ -1,17 +1,20 @@
 """Exact linear algebra kernels behind everything else."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from go_metric_lab import decomp, lie_core, linalg, stiefel
 
 from oracles import (columns, dense_eigen_split, dense_minimal_polynomial,
                      dense_op, fraction_least_squares, fraction_nullspace,
-                     fraction_positive_definite, gram_dot, identity, rref,
-                     rref_nullspace, rref_pivot_rows, rref_solve,
-                     solve_consistent, vec_add)
+                     fraction_positive_definite, gram_dot, identity,
+                     least_squares_fractions, rref, rref_nullspace,
+                     rref_pivot_rows, rref_solve, solve_consistent, vec_add)
 
 
 def frac_matrix(rows):
@@ -164,7 +167,8 @@ def test_every_exact_solve_reaches_the_one_pivot_routine(monkeypatch):
     assert count(linalg.nullspace, a, 3) == 1
     assert count(linalg.nullspace, [{0: 1, 2: 1}], 3) == 1
     assert count(decomp.subalgebra, g, identity(g.dim)) == 1
-    assert count(linalg.least_squares, a, [1, 0, 0], identity(3)) == 1
+    # least squares runs its own symmetric elimination, not `pivot_rows`
+    assert count(linalg.least_squares, a, [1, 0, 0], identity(3)) == 0
     assert count(linalg.minimal_polynomial, columns(a)) >= 1
 
 
@@ -190,7 +194,8 @@ def test_least_squares_exact_projection():
     cols = [[Fraction(1), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(1), Fraction(0)]]
     rhs = [Fraction(2), Fraction(3), Fraction(5)]
-    x, res_sq = linalg.least_squares(cols, rhs, gram)
+    x, res_sq = least_squares_fractions(
+        linalg.least_squares(cols, rhs, gram))
     assert x == [Fraction(2), Fraction(3)]
     assert res_sq == 25
 
@@ -199,7 +204,8 @@ def test_least_squares_weighted():
     gram = frac_matrix([[2, 0], [0, 4]])
     cols = [[Fraction(1), Fraction(1)]]
     rhs = [Fraction(1), Fraction(0)]
-    x, res_sq = linalg.least_squares(cols, rhs, gram)
+    x, res_sq = least_squares_fractions(
+        linalg.least_squares(cols, rhs, gram))
     # minimize 2(x-1)^2 + 4 x^2 -> x = 1/3, value 2(2/3)^2 + 4(1/3)^2 = 4/3
     assert x == [Fraction(1, 3)]
     assert res_sq == Fraction(4, 3)
@@ -225,9 +231,10 @@ def _random_gram(rng, kind, n, diagonal):
 
 
 def test_least_squares_matches_dense_fraction_oracle():
-    # the sparse kernel (normal equations over column supports, residual
-    # <b, b> - sum x_k c_k) against dense Fraction normal equations over
-    # full Gram rows and the residual vector's norm, exactly
+    # the symmetric fraction-free kernel (M = [C | b]^T G [C | b] over the
+    # column supports, residual det M_(I+b) / det M_I) against dense
+    # Fraction normal equations over full Gram rows and the residual
+    # vector's norm, exactly
     seen = {"diagonal": 0, "non-diagonal": 0, "zero column": 0,
             "repeated column": 0, "no columns": 0, "consistent": 0,
             "deficient": 0, "positive residual": 0}
@@ -257,9 +264,8 @@ def test_least_squares_matches_dense_fraction_oracle():
                    for i in range(n)]
         else:
             rhs = [_entry(rng, kind) for _ in range(n)]
-        x, res = linalg.least_squares(cols, rhs, gram)
+        x, res = least_squares_fractions(linalg.least_squares(cols, rhs, gram))
         assert (x, res) == fraction_least_squares(cols, rhs, gram)
-        assert type(res) is Fraction and all(type(c) is Fraction for c in x)
         seen["diagonal" if diagonal else "non-diagonal"] += 1
         seen["zero column"] += any(not any(c) for c in cols)
         seen["repeated column"] += any(cols[i] == cols[j] and any(cols[i])
@@ -274,8 +280,54 @@ def test_least_squares_matches_dense_fraction_oracle():
 
 
 def test_least_squares_without_columns():
-    assert linalg.least_squares([], [1], [[1]]) == ([], 1)
-    assert linalg.least_squares([], [3, 1], [[2, 1], [1, 2]]) == ([], 26)
+    assert linalg.least_squares([], [1], [[1]]) == (([], 1), (1, 1))
+    assert least_squares_fractions(
+        linalg.least_squares([], [3, 1], [[2, 1], [1, 2]])) == ([], 26)
+
+
+def _det(m):
+    """Leibniz's determinant of a small square matrix."""
+    return sum(math.prod(m[i][j] for i, j in enumerate(perm))
+               * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+               for perm in itertools.permutations(range(len(m))))
+
+
+def test_least_squares_skips_a_dependent_column_between_pivots():
+    # p = 4 over a non-diagonal Gram, so the pivots are minors other than
+    # 1: column 1 is 3 col_0, a zero pivot between two used ones, skipped
+    # with the divisor kept; D is det N_II over the pivots I = {0, 2, 3}.
+    # The same system in Fractions is cleared by one lcm, and a right-hand
+    # side in the span has residual 0
+    gram = [[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 4, 1], [0, 0, 1, 5]]
+    c0, c2, c3 = [1, 2, 0, 1], [0, 1, -1, 2], [1, 0, 2, -1]
+    cols = [c0, [3 * v for v in c0], c2, c3]
+    pivots = [c0, c2, c3]
+    normal = [[gram_dot(gram, a, b) for b in pivots] for a in pivots]
+    half = [[Fraction(v, 2) for v in row] for row in gram]
+    thirds = [[Fraction(v, 3) for v in col] for col in cols]
+    in_span = [a - 2 * b + 3 * c for a, b, c in zip(c0, c2, c3)]
+    for cols, rhs, gram in [(cols, [3, -1, 2, 5], gram),
+                            (thirds, [3, -1, 2, 5], half),
+                            (cols, in_span, gram)]:
+        (y, d), (r, s) = solved = linalg.least_squares(cols, rhs, gram)
+        x, res = least_squares_fractions(solved)
+        assert (x, res) == fraction_least_squares(cols, rhs, gram)
+        assert y[1] == 0 and x[0] and x[2] and x[3]
+        assert (res == 0) == (rhs is in_span)
+        if gram is not half:
+            assert d == _det(normal) > 1
+
+
+def test_least_squares_refuses_a_gram_that_is_not_psd():
+    # a negative first pivot, a zero pivot whose row is not zero, a
+    # negative residual and a negative second pivot
+    neg = [[1, 0], [0, -1]]
+    for cols, rhs, gram in [([[0, 1]], [1, 0], neg),
+                            ([[1, 0]], [0, 1], [[0, 1], [1, 0]]),
+                            ([], [0, 1], neg),
+                            ([[1, 0], [0, 1]], [1, 1], neg)]:
+        with pytest.raises(ArithmeticError):
+            linalg.least_squares(cols, rhs, gram)
 
 
 def test_gram_schmidt_orthogonalizes():
