@@ -11,7 +11,9 @@ differ and both exit codes.  It exits 1 when any command differs and 0
 when every report agrees.
 
 The commands: `decompose stiefel n k` for every 1 <= k < n <= 8,
-`reproduce-theorem` on (3,2) at the default grid, (4,3) at resolution 1
+`reproduce-theorem` on (3,1) at resolution 1 (k = 1: S0 has no simple
+ideal, so the diagonal and the reduced family number their scalar
+classes after none), (3,2) at the default grid, (4,3) at resolution 1
 with 100 off-diagonal samples, (6,3) at resolution 1 with 50, (8,4)
 at resolution 1 with 10 (the one command that solves against 16
 isotropy columns, so rank-deficient normal equations run at scale) and
@@ -84,6 +86,7 @@ def commands(metric_path: str, space_path: str, space_metric_path: str):
     for n in range(2, 9):
         for k in range(1, n):
             yield ["decompose", "stiefel", str(n), str(k)]
+    yield ["reproduce-theorem", "3", "1", "--resolution", "1"]
     yield ["reproduce-theorem", "3", "2"]
     yield ["reproduce-theorem", "4", "3", "--resolution", "1",
            "--offdiagonal-samples", "100"]

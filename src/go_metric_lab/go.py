@@ -30,7 +30,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -225,23 +225,35 @@ def _label_coords(split, x_m: Sparse, h_g: Sparse = ()) -> Dict[str, str]:
 
 def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
                   ) -> Tuple[MetricFamily, ReductionTrace]:
-    """Apply the reduction rules in order 3.4, 3.5, 3.6, 3.2."""
+    """Apply the reduction rules in order 3.4, 3.5, 3.6, 3.2 to the blocks
+    of `full_family`, and return the family they leave.  A new scalar
+    block's class is numbered by the blocks before it; rules 3.6 and 3.2
+    merge classes in a union-find whose roots name the returned classes."""
     split = decomp.action.split
-    family = metric_mod.full_family(decomp)
+    full = metric_mod.full_family(decomp)
+    scalars = list(full.scalar_blocks)
+    intertwiners = list(full.intertwiner_blocks)
+    parent: Dict[int, int] = {}
     trace = ReductionTrace()
 
+    def find(cid: int) -> int:
+        while parent.get(cid, cid) != cid:
+            cid = parent[cid]
+        return cid
+
+    def merge(c1: int, c2: int) -> bool:
+        r1, r2 = find(c1), find(c2)
+        if r1 != r2:
+            parent[max(r1, r2)] = min(r1, r2)
+        return r1 != r2
+
     # --- 3.4: bi-invariant form on the trivial summand -----------------
+    # S0's free operator gives way to the center's and the simple ideals'
     ideals = decomp.ideals
-    family.operator_blocks = [b for b in family.operator_blocks if b.label != "S0"]
-    next_class = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
-    if ideals.center.dim:
-        family.operator_blocks.append(metric_mod.OperatorBlock(
-            space=ideals.center, label="z(S0)"))
-    for i, s in enumerate(ideals.simples):
-        label = f"s{i + 1}"
-        family.scalar_blocks.append(metric_mod.ScalarBlock(
-            space=s, class_id=next_class, label=label))
-        next_class += 1
+    operators = [metric_mod.OperatorBlock(ideals.center, "z(S0)")
+                 ] if ideals.center.dim else []
+    scalars += [metric_mod.ScalarBlock(s, len(scalars) + i, f"s{i + 1}")
+                for i, s in enumerate(ideals.simples)]
     # recomputed facts backing the rule: S0 is the normalizer complement
     center_ok = not any(
         part for zc in ideals.center.sparse_basis
@@ -267,8 +279,7 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
             trace.steps.append(RuleApplication(
                 tag="3.5", rule="diagonalize-summand", target=label, fired=False))
             continue
-        family.intertwiner_blocks = [
-            b for b in family.intertwiner_blocks if b.summand_index != si]
+        intertwiners = [b for b in intertwiners if b.summand_index != si]
         h_basis = [linalg.sparse(v) for v in split.h.basis_coords]
         trace.steps.append(RuleApplication(
             tag="3.5", rule="diagonalize-summand", target=label, fired=True,
@@ -286,12 +297,11 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
             trace.steps.append(RuleApplication(
                 tag="3.6", rule="scalar-summand", target=label, fired=False))
             continue
-        family.intertwiner_blocks = [
-            b for b in family.intertwiner_blocks if b.summand_index != si]
-        member_classes = [b.class_id for b in family.scalar_blocks
+        intertwiners = [b for b in intertwiners if b.summand_index != si]
+        member_classes = [b.class_id for b in scalars
                           if b.label.startswith(label + ".")]
         for c in member_classes[1:]:
-            family.merge(member_classes[0], c)
+            merge(member_classes[0], c)
         trace.steps.append(RuleApplication(
             tag="3.6", rule="scalar-summand", target=label, fired=True,
             witnesses=result, details={"quantifier_certified": True}))
@@ -299,9 +309,8 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
     # --- 3.2: merge scalar classes through bracket projections ---------
     # candidate scalar subspaces: every scalar block plus 1-dim center
     nodes: List[Tuple[Subspace, Optional[int], str]] = [
-        (b.space, b.class_id, b.label) for b in family.scalar_blocks]
-    nodes += [(b.space, None, b.label) for b in family.operator_blocks
-              if b.space.dim == 1]
+        (b.space, b.class_id, b.label) for b in scalars]
+    nodes += [(b.space, None, b.label) for b in operators if b.space.dim == 1]
     edges = []
     merged_pairs = []
 
@@ -309,11 +318,9 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
         """A node's class; a 1-dim operator block turns into a scalar block."""
         space, cid, label = nodes[idx]
         if cid is None:
-            family.operator_blocks = [b for b in family.operator_blocks
-                                      if b.label != label]
-            cid = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
-            family.scalar_blocks.append(metric_mod.ScalarBlock(
-                space=space, class_id=cid, label=label))
+            operators[:] = [b for b in operators if b.label != label]
+            cid = len(scalars)
+            scalars.append(metric_mod.ScalarBlock(space, cid, label))
             nodes[idx] = (space, cid, label)
         return cid
 
@@ -328,7 +335,7 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
                       "y": _label_coords(split, y),
                       "bracket": _label_coords(split, *bracket),
                       "outside_component": _label_coords(split, *outside)})
-        if family.merge(class_of(i), class_of(j)):
+        if merge(class_of(i), class_of(j)):
             merged_pairs.append([nodes[i][2], nodes[j][2]])
     for i, j, k in itertools.permutations(range(len(nodes)), 3):
         if i > j:
@@ -344,13 +351,15 @@ def reduce_family(decomp: IsotypicalDecomposition, seed: int = 0
                       "bracket": _label_coords(split, *bracket)})
         ids = [class_of(idx) for idx in (i, j, k)]
         for other in ids[1:]:
-            if family.merge(ids[0], other):
+            if merge(ids[0], other):
                 merged_pairs.append([nodes[i][2], nodes[j][2], nodes[k][2]])
     trace.steps.append(RuleApplication(
         tag="3.2", rule="merge-eigenvalues", target="scalar classes",
         fired=bool(edges),
         witnesses=edges, details={"merged": merged_pairs}))
-    return family, trace
+    return MetricFamily(
+        decomp, tuple(replace(b, class_id=find(b.class_id)) for b in scalars),
+        tuple(operators), tuple(intertwiners)), trace
 
 
 def _prop35_witnesses(decomp: IsotypicalDecomposition, si: int, seed: int
@@ -828,7 +837,10 @@ def search_go(decomp: IsotypicalDecomposition, family: MetricFamily,
     """
     spec = spec or ScanSpec()
     check_sample_count("scan", spec.random_count)
-    tensors = _ScanTensors(family.operators(), spec.grid)
+    if spec.random_count and not spec.grid:
+        raise ValueError("draws need a nonempty grid to take their diagonal "
+                         "values from")
+    tensors = _ScanTensors(family.operators, spec.grid)
 
     def entry(ids: Sequence[int], failure: Optional[Tuple[int, str]],
               idx: Optional[int] = None) -> dict:

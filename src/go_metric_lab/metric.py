@@ -10,8 +10,10 @@ a scalar per member, intertwiner off-blocks), and the symmetric commutant
 basis that metric parameters refer to is derived from it by one exact
 elimination (`sym_commutant_basis`).  Families of metrics -- scalar
 classes on subspaces, a free symmetric operator on the trivial-summand
-center, off-diagonal intertwiner coordinates -- support the reduction
-rules and the parameter scans.
+center, off-diagonal intertwiner coordinates -- are values of frozen
+blocks, whose parameters and operators are derived on first use and
+kept: the reduction rules build a new, reduced family, and the parameter
+scans read it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import collections
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import isotropy, linalg
 from .isotropy import IsotypicalDecomposition, Subspace
@@ -162,28 +164,27 @@ class Parameter(NamedTuple):
     """One free parameter of a family (`MetricFamily.parameters`)."""
     label: str
     on_diagonal: bool                  # whether it scales a diagonal unit
-    build: Callable[[], Dict[int, dict]]   # its operator, an accumulator
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarBlock:
     space: Subspace
     class_id: int
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorBlock:
     space: Subspace
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntertwinerBlock:
     summand_index: int
     member_a: int
     member_b: int
-    phis: List[Columns]
+    phis: Tuple[Columns, ...]
     label: str
 
     @property
@@ -191,89 +192,67 @@ class IntertwinerBlock:
         return len(self.phis)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetricFamily:
-    """Linear family of candidate metrics with merged scalar classes.
-
-    Its free parameters are listed, in order, by `parameters()`, which
-    every reader of the layout reads.  Positivity of the scalars /
-    operator blocks bounds the parameter cone; instantiation reports
-    definiteness rather than enforcing it.
+    """Linear family of candidate metrics, a value: scalar blocks of one
+    `class_id` share a parameter.  A changed family is a new one
+    (`dataclasses.replace`), so `parameters` and `operators` are derived
+    once and kept.  Positivity of the scalars / operator blocks bounds the
+    parameter cone; instantiation reports definiteness rather than
+    enforcing it.
     """
 
     decomp: IsotypicalDecomposition
-    scalar_blocks: List[ScalarBlock] = field(default_factory=list)
-    operator_blocks: List[OperatorBlock] = field(default_factory=list)
-    intertwiner_blocks: List[IntertwinerBlock] = field(default_factory=list)
-    _parent: Dict[int, int] = field(default_factory=dict)
-    _kept: Optional[list] = field(default=None, repr=False, compare=False)
+    scalar_blocks: Tuple[ScalarBlock, ...] = ()
+    operator_blocks: Tuple[OperatorBlock, ...] = ()
+    intertwiner_blocks: Tuple[IntertwinerBlock, ...] = ()
 
+    def _layout(self) -> Iterator[Tuple[str, bool, Callable[[], dict]]]:
+        """(label, on_diagonal, builder of its operator as an accumulator)
+        per free parameter, in order: one scalar per class, which scales
+        the projector onto its subspaces; then per operator block its
+        symmetric units (i, j), i <= j, row by row (`_units`), of which
+        (i, i) scales a diagonal unit; then each intertwiner coordinate."""
+        norms = self.decomp.action.norms
+        for c in self.classes():
+            members = [b for b in self.scalar_blocks if b.class_id == c]
+            yield ("scalar[" + "+".join(b.label for b in members) + "]", True,
+                   partial(_units, [(b.space, i, i) for b in members
+                                    for i in range(b.space.dim)], norms))
+        for b in self.operator_blocks:
+            for i, j in itertools.combinations_with_replacement(
+                    range(b.space.dim), 2):
+                yield (f"op[{b.label}]({i},{j})", i == j,
+                       partial(_units, [(b.space, i, j)], norms))
+        for b in self.intertwiner_blocks:
+            for q, phi in enumerate(b.phis):
+                yield (f"mix[{b.label}]#{q}", False,
+                       partial(_intertwiner_pair_op, self.decomp, b, phi))
+
+    @cached_property
+    def parameters(self) -> Tuple[Parameter, ...]:
+        """The free parameters in order, which every reader of the layout
+        reads."""
+        return tuple(Parameter(label, diag)
+                     for label, diag, _ in self._layout())
+
+    @cached_property
     def operators(self) -> "FamilyOperators":
-        """The family's operators, built on first use, kept with `parameters()`."""
-        self.parameters()               # refreshes the slot
-        if self._kept[3] is None:
-            self._kept[3] = FamilyOperators(self.decomp, family_basis_ops(self))
-        return self._kept[3]
-
-    def find(self, cid: int) -> int:
-        while self._parent.get(cid, cid) != cid:
-            cid = self._parent.get(cid, cid)
-        return cid
-
-    def merge(self, c1: int, c2: int) -> bool:
-        r1, r2 = self.find(c1), self.find(c2)
-        if r1 == r2:
-            return False
-        self._parent[max(r1, r2)] = min(r1, r2)
-        return True
+        """The family's operators, built on first use."""
+        return FamilyOperators(self.decomp, family_basis_ops(self))
 
     def classes(self) -> List[int]:
-        return sorted({self.find(b.class_id) for b in self.scalar_blocks})
-
-    def parameters(self) -> Tuple[Parameter, ...]:
-        """The free parameters in order: one scalar per merged class, which
-        scales the projector onto its subspaces; then per operator block
-        its symmetric units (i, j), i <= j, row by row (`_units`), of which
-        (i, i) scales a diagonal unit; then each intertwiner coordinate.
-        Kept, with the operators once built, until a merge or a change of
-        blocks: the key is each scalar block's merged class, and the
-        decomposition and blocks as references compared by identity."""
-        blocks = (self.decomp, *self.scalar_blocks, None,
-                  *self.operator_blocks, None, *self.intertwiner_blocks)
-        classes = [self.find(b.class_id) for b in self.scalar_blocks]
-        kept = self._kept
-        if (kept is not None and kept[1] == classes
-                and list(map(id, kept[0])) == list(map(id, blocks))):
-            return kept[2]
-        norms = self.decomp.action.norms
-        params = []
-        for c in sorted(set(classes)):
-            members = [b for b, k in zip(self.scalar_blocks, classes) if k == c]
-            params.append(Parameter(
-                "scalar[" + "+".join(b.label for b in members) + "]", True,
-                partial(_units, [(b.space, i, i) for b in members
-                                 for i in range(b.space.dim)], norms)))
-        for b in self.operator_blocks:
-            params += [Parameter(f"op[{b.label}]({i},{j})", i == j,
-                                 partial(_units, [(b.space, i, j)], norms))
-                       for i, j in itertools.combinations_with_replacement(
-                           range(b.space.dim), 2)]
-        for b in self.intertwiner_blocks:
-            params += [Parameter(f"mix[{b.label}]#{q}", False,
-                                 partial(_intertwiner_pair_op, self.decomp, b, phi))
-                       for q, phi in enumerate(b.phis)]
-        self._kept = [blocks, classes, tuple(params), None]
-        return self._kept[2]
+        return sorted({b.class_id for b in self.scalar_blocks})
 
     @property
     def n_params(self) -> int:
-        return len(self.parameters())
+        return len(self.parameters)
 
     def on_diagonal(self) -> List[bool]:
-        return [p.on_diagonal for p in self.parameters()]
+        return [p.on_diagonal for p in self.parameters]
 
     def param_labels(self) -> List[str]:
-        return [p.label for p in self.parameters()]
+        return [p.label for p in self.parameters]
 
     def describe(self) -> dict:
         return {
@@ -281,9 +260,9 @@ class MetricFamily:
             "scalar_classes": [
                 {"class": c,
                  "subspaces": [b.label for b in self.scalar_blocks
-                               if self.find(b.class_id) == c],
+                               if b.class_id == c],
                  "dim": sum(b.space.dim for b in self.scalar_blocks
-                            if self.find(b.class_id) == c)}
+                            if b.class_id == c)}
                 for c in self.classes()],
             "operator_blocks": [{"label": b.label, "dim": b.space.dim}
                                 for b in self.operator_blocks],
@@ -352,7 +331,8 @@ def _intertwiner_pair_op(decomp: IsotypicalDecomposition,
 def family_basis_ops(family: MetricFamily) -> List[Columns]:
     """The operator multiplying each free parameter, in parameter order,
     as sparse columns."""
-    return [_finish(p.build(), family.decomp.dim) for p in family.parameters()]
+    return [_finish(build(), family.decomp.dim)
+            for _, _, build in family._layout()]
 
 
 class FamilyOperators:
@@ -423,7 +403,7 @@ def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
     """The family's metric at the values (converted to Fractions): sum_c
     values_c Op_c, with its commutant coordinates read at once, so a family
     outside the symmetric commutant raises NotEquivariantError here."""
-    ops = family.operators().columns
+    ops = family.operators.columns
     if len(values) != len(ops):
         raise ValueError(f"expected {len(ops)} parameter values, got {len(values)}")
     a = MetricEndomorphism(family.decomp, linalg.combine_columns(
@@ -435,24 +415,21 @@ def instantiate(family: MetricFamily, values: Sequence) -> MetricEndomorphism:
 def full_family(decomp: IsotypicalDecomposition) -> MetricFamily:
     """The unreduced candidate cone in per-summand block form: its
     operators span the symmetric commutant (see `sym_commutant_basis`)."""
-    family = MetricFamily(decomp=decomp)
-    family.operator_blocks.append(OperatorBlock(space=decomp.s0.space, label="S0"))
-    next_class = 0
-    for si, summand in enumerate(decomp.summands):
-        if summand is decomp.s0:
-            continue
-        for mi, member in enumerate(summand.members):
-            family.scalar_blocks.append(ScalarBlock(
-                space=member.space, class_id=next_class,
-                label=f"S{summand.class_id}.m{mi + 1}"))
-            next_class += 1
-        for (a, b) in itertools.combinations(range(len(summand.members)), 2):
-            phis = summand.intertwiner_bases.get((a, b), [])
-            if phis:
-                family.intertwiner_blocks.append(IntertwinerBlock(
-                    summand_index=si, member_a=a, member_b=b, phis=phis,
-                    label=f"S{summand.class_id}.m{a + 1}~m{b + 1}"))
-    return family
+    others = [(si, s) for si, s in enumerate(decomp.summands)
+              if s is not decomp.s0]
+    members = [(s, mi, m) for _, s in others for mi, m in enumerate(s.members)]
+    return MetricFamily(
+        decomp,
+        scalar_blocks=tuple(
+            ScalarBlock(m.space, c, f"S{s.class_id}.m{mi + 1}")
+            for c, (s, mi, m) in enumerate(members)),
+        operator_blocks=(OperatorBlock(decomp.s0.space, "S0"),),
+        intertwiner_blocks=tuple(
+            IntertwinerBlock(si, a, b, tuple(s.intertwiner_bases[a, b]),
+                             f"S{s.class_id}.m{a + 1}~m{b + 1}")
+            for si, s in others
+            for a, b in itertools.combinations(range(len(s.members)), 2)
+            if s.intertwiner_bases.get((a, b))))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +465,7 @@ def sym_commutant_basis(decomp: IsotypicalDecomposition) -> List[Columns]:
     if decomp in _COMMUTANTS:
         return _COMMUTANTS[decomp]
     d, action = decomp.dim, decomp.action
-    ops = [p.build() for p in full_family(decomp).parameters()]
+    ops = [build() for _, _, build in full_family(decomp)._layout()]
     upper = [(i, j) for i in range(d) for j in range(i, d)][::-1]
     index = {e: q for q, e in enumerate(upper)}
     pivots = linalg.pivot_rows(

@@ -228,11 +228,6 @@ def metric_at(space: StiefelSpace, t) -> MetricEndomorphism:
     return space.family_data.metric_at(t)
 
 
-def witness_map(space: StiefelSpace, t) -> Callable[[Vec], Vec]:
-    """X -> a_t = r (1 - t) sum_{i>k} eb_ii, r = <X, z0> / <z0, z0>."""
-    return space.family_data.witness_at(t)
-
-
 # ---------------------------------------------------------------------------
 # verification of the family: one certificate for every t, viewed at each t
 # ---------------------------------------------------------------------------
@@ -432,19 +427,14 @@ def verify_family(space: StiefelSpace, t_values: Sequence,
 def diagonal_family(space: StiefelSpace) -> MetricFamily:
     """The cone left after rules 3.4 and 3.5: center free, scalar per
     simple ideal and per module (the classes remain unmerged)."""
-    family = MetricFamily(decomp=space.decomp)
-    family.operator_blocks.append(metric_mod.OperatorBlock(
-        space=space.ideals.center, label="z(S0)"))
-    next_class = 0
-    for i, s in enumerate(space.ideals.simples):
-        family.scalar_blocks.append(metric_mod.ScalarBlock(
-            space=s, class_id=next_class, label=f"s{i + 1}"))
-        next_class += 1
-    for i, module in enumerate(space.modules):
-        family.scalar_blocks.append(metric_mod.ScalarBlock(
-            space=module, class_id=next_class, label=f"S1.m{i + 1}"))
-        next_class += 1
-    return family
+    scalars = [(s, f"s{i + 1}") for i, s in enumerate(space.ideals.simples)]
+    scalars += [(m, f"S1.m{i + 1}") for i, m in enumerate(space.modules)]
+    return MetricFamily(
+        space.decomp,
+        scalar_blocks=tuple(metric_mod.ScalarBlock(sub, c, label)
+                            for c, (sub, label) in enumerate(scalars)),
+        operator_blocks=(
+            metric_mod.OperatorBlock(space.ideals.center, "z(S0)"),))
 
 
 def _deformation_test(space: StiefelSpace, family: MetricFamily
@@ -457,7 +447,7 @@ def _deformation_test(space: StiefelSpace, family: MetricFamily
     y_0 A_0 + y_1 A_1 = 0 over the operators' entries proves both (its
     free columns must be y_0 and y_1) and gives c_0 and c_1 as -x; a point
     then costs O(p): lambda and mu read off two coordinates, all compared."""
-    ops = family.operators().columns
+    ops = family.operators.columns
     p, dim = len(ops), space.dim_m
     flat = [[(j * dim + i, x) for j, col in enumerate(op) for i, x in col]
             for op in ops + space.family_data.metric]

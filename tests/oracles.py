@@ -339,7 +339,7 @@ def dense_gram_family_ops(family):
     for c in family.classes():
         op = linalg.zeros(dim, dim)
         for b in family.scalar_blocks:
-            if family.find(b.class_id) == c:
+            if b.class_id == c:
                 op = mat_add(op, _dense_gram_projector(b.space, gram, dim))
         ops.append(op)
     for blk in family.operator_blocks:

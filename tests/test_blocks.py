@@ -2,6 +2,7 @@
 summand (`IsotypicalDecomposition.schur_bases`, `FamilyOperators.block_forms`),
 checked against the dense m x m form."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ def _verdicts(family, seed, count, monkeypatch):
     """The draws of `go._random_points` when every PD proof accepts, as
     values, and each proof's own verdict: the draw stream does not depend
     on the verdicts."""
-    tensors = go._ScanTensors(family.operators(), _GRID_32)
+    tensors = go._ScanTensors(family.operators, _GRID_32)
     verdicts = []
     prove = linalg.sym_positive_definite
 
@@ -81,7 +82,7 @@ def test_schur_bases_are_s0_and_the_commutant_orbit_of_v(space, two_torus,
         assert len(block) == len(orbit) == (r * d if r > 1 else 1)
         assert linalg.same_span(block, orbit)
     assert dec.schur_bases is bases
-    assert metric.full_family(dec).operators().block_forms[0] == sum(
+    assert metric.full_family(dec).operators.block_forms[0] == sum(
         map(len, bases))
 
 
@@ -107,7 +108,7 @@ def test_block_verdicts_match_dense_pd_oracle(space, two_torus, monkeypatch,
     full = metric.full_family(dec)
     if scale > 1:
         _scale_couplings(monkeypatch, full, scale)
-    ops = full.operators().columns
+    ops = full.operators.columns
     count = 30 if which == "8-4" else 60
     for seed in (0, 7):
         draws, verdicts = _verdicts(full, seed, count, monkeypatch)
@@ -125,12 +126,15 @@ def test_reduced_family_is_proved_on_the_commutant_blocks(space, monkeypatch):
     # commutant's, or the m2-m3 block, its coupling scaled by 4 to reject
     # draws, goes unproved
     sp = space(6, 3)
-    family = metric.full_family(sp.decomp)
-    family.intertwiner_blocks = [b for b in family.intertwiner_blocks
-                                 if (b.member_a, b.member_b) == (1, 2)]
-    family.merge(1, 2)
+    full = metric.full_family(sp.decomp)
+    family = replace(
+        full, intertwiner_blocks=tuple(
+            b for b in full.intertwiner_blocks
+            if (b.member_a, b.member_b) == (1, 2)),
+        scalar_blocks=tuple(replace(b, class_id=1) if b.class_id == 2 else b
+                            for b in full.scalar_blocks))
     _scale_couplings(monkeypatch, family, 4)
-    size, _ = family.operators().block_forms
+    size, _ = family.operators.block_forms
     assert size == sum(map(len, sp.decomp.schur_bases)) == 9 + 6
     rejected = 0
     for seed in range(4):
@@ -188,7 +192,7 @@ def test_skew_part_on_a_one_vector_block_is_refused(space, monkeypatch):
              plus_ad_z0)
     assert sum(map(len, sp.decomp.schur_bases)) < sp.dim_m
     with pytest.raises(metric.NotEquivariantError, match="not symmetric"):
-        full.operators().block_forms
+        full.operators.block_forms
 
 
 def test_family_off_the_commutant_is_proved_on_all_of_m(space, monkeypatch):
@@ -203,7 +207,7 @@ def test_family_off_the_commutant_is_proved_on_all_of_m(space, monkeypatch):
             entries[a][b] = entries[a].get(b, 0) + Fraction(1, 2)
 
     _with_op(monkeypatch, full, 0, bumped)
-    assert full.operators().block_forms[0] == sp.dim_m
+    assert full.operators.block_forms[0] == sp.dim_m
     draws, verdicts = _verdicts(full, 3, 40, monkeypatch)
     oracle = _dense_verdicts(full, draws)
     assert verdicts == oracle and False in oracle
@@ -215,11 +219,11 @@ def test_block_forms_are_built_once_per_family_on_first_draw(space):
     sp = space(4, 2)
     diag = stiefel.diagonal_family(sp)
     search_go(sp.decomp, diag, ScanSpec(grid=[1, 2], seed=1))
-    assert "block_forms" not in vars(diag.operators())
+    assert "block_forms" not in vars(diag.operators)
     full = metric.full_family(sp.decomp)
     spec = ScanSpec(grid=_GRID_32, seed=1, random_count=6)
     search_go(sp.decomp, full, spec, include_grid=False)
-    forms = vars(full.operators())["block_forms"]
+    forms = vars(full.operators)["block_forms"]
     search_go(sp.decomp, full, ScanSpec(grid=_GRID_32, seed=2,
                                         random_count=6), include_grid=False)
-    assert vars(full.operators())["block_forms"] is forms
+    assert vars(full.operators)["block_forms"] is forms

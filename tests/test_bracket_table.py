@@ -110,7 +110,7 @@ def test_scan_tensors_match_oracle(space, n, k, which):
             a, b = _summand_of(sp.decomp, i), _summand_of(sp.decomp, j)
             kinds.add("across" if a != b else a)
         assert kinds == {"across"} | {s.class_id for s in sp.decomp.summands}
-    tensors = go._ScanTensors(family.operators())
+    tensors = go._ScanTensors(family.operators)
     built = [tensors._probe(p) for p in picked]
     bx, hx = oracle_tensors(family, ops, [probes[p] for p in picked])
     assert [probe.bx for probe in built] == bx
@@ -257,7 +257,7 @@ def test_integer_residual_matches_oracle(space, n, k):
     xs += [lie_core.random_vector_of_len(sp.dim_m, rng) for _ in range(10)]
     for t in (Fraction(1, 2), Fraction(7, 3)):
         a_t = stiefel.metric_at(sp, t)
-        wmap = stiefel.witness_map(sp, t)
+        wmap = sp.family_data.witness_at(t)
         assert all(go.go_residual_sq(a_t, x, wmap(x)) == 0 for x in xs)
         assert _residual_matches_oracles(a_t, xs, wmap, rng) > 0
 
@@ -306,7 +306,7 @@ def test_integer_scan_residual_matches_oracles(space, monkeypatch, which):
     # multiple of it share one memo entry and one least-squares solve
     dec, full = _full_cone(space, which)
     ops = metric.family_basis_ops(full)
-    tensors = go._ScanTensors(full.operators())
+    tensors = go._ScanTensors(full.operators)
     rng = random.Random(f"integer-keys:{which}")
     solves = []
     least_squares = linalg.least_squares
@@ -440,7 +440,7 @@ def test_tensor_build_applies_only_the_operators_touching_the_probe(
     family = metric.full_family(sp.decomp)
     ops = metric.family_basis_ops(family)
     probes = go.basis_probe_vectors(sp.decomp)
-    tensors = go._ScanTensors(family.operators())
+    tensors = go._ScanTensors(family.operators)
     param_of = {id(cols): c for c, cols in enumerate(tensors.ops.integer[1])}
     applied = []
     sparse_mat_vec = linalg.sparse_mat_vec

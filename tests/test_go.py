@@ -1,6 +1,7 @@
 """Pointwise criterion, certificates, reduction rules, and scans."""
 
 import copy
+import dataclasses
 import gc
 import itertools
 import math
@@ -40,7 +41,7 @@ def test_worked_witness_example(space):
     x[_m_index(sp, "eb_1_1")] = Fraction(1)
     x[_m_index(sp, "e_1_2")] = Fraction(1)
     a_t = stiefel.metric_at(sp, 2)
-    witness = stiefel.witness_map(sp, 2)(x)
+    witness = sp.family_data.witness_at(2)(x)
     h_labels = []
     for v in sp.split.h.basis_coords:
         nz = [j for j, c in enumerate(v) if c != 0]
@@ -510,7 +511,7 @@ def test_scan_evaluates_each_probe_once_per_supported_values(space,
     sp = space(3, 2)
     diag = stiefel.diagonal_family(sp)
     probes = basis_probe_vectors(sp.decomp)
-    tensors = go._ScanTensors(diag.operators())
+    tensors = go._ScanTensors(diag.operators)
     support = [tensors._probe(p).support for p in range(len(probes))]
     calls, scans = [], set()
     residual = go._ScanTensors._residual
@@ -551,7 +552,7 @@ def test_table_strings_are_reduced_residuals(space, n, k):
     family = (stiefel.diagonal_family(sp) if n == 3
               else metric.full_family(sp.decomp))
     ops = metric.family_basis_ops(family)
-    tensors = go._ScanTensors(family.operators(), _GRID_32)
+    tensors = go._ScanTensors(family.operators, _GRID_32)
     if n == 3:
         points = itertools.product(range(len(_GRID_32)), repeat=len(ops))
     else:
@@ -785,41 +786,86 @@ def test_second_scan_of_a_family_builds_nothing_again(space, monkeypatch,
         sp.decomp, metric.full_family(sp.decomp), second, include_grid=False)
 
 
-def test_scan_after_a_change_of_the_family_equals_a_fresh_scan(space):
-    # the kept operators follow a merge, an appended scalar block and a
-    # reassigned block list, each made after a scan: the next scan equals
-    # that of a family built with the change
+def test_assigning_a_field_of_a_family_or_a_block_raises(space):
+    # a family and its blocks are values: their fields are fixed at
+    # construction, block lists are tuples, and a change is a new family
+    sp = space(4, 2)
+    full = metric.full_family(sp.decomp)
+    scalar, op, mix = (full.scalar_blocks[0], full.operator_blocks[0],
+                       full.intertwiner_blocks[0])
+    for obj, name, value in [
+            (full, "decomp", None), (full, "scalar_blocks", ()),
+            (full, "operator_blocks", ()), (full, "intertwiner_blocks", ()),
+            (full, "parameters", ()), (full, "operators", None),
+            (scalar, "class_id", 7), (scalar, "space", None),
+            (op, "label", "x"), (mix, "phis", ()), (mix, "member_b", 0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert all(type(blocks) is tuple for blocks in (
+        full.scalar_blocks, full.operator_blocks, full.intertwiner_blocks,
+        mix.phis))
+
+
+def test_scan_after_a_replace_of_the_family_equals_a_fresh_scan(space):
+    # a merge, an appended scalar block and a dropped block list, each
+    # made with `replace` after a scan: the new family keeps nothing of
+    # the scanned one's, scans as the same change of an unscanned family
+    # does, and leaves the scanned family's next scan as it was
     sp = space(4, 2)
     grid = ScanSpec(grid=[1, 2], seed=5, survivor_random_probes=2)
     draws = ScanSpec(grid=_GRID_32, seed=5, random_count=8,
                      survivor_random_probes=2)
+    last = stiefel.diagonal_family(sp).scalar_blocks[-1]
 
-    def merged(family, _):
-        family.merge(1, 2)
+    def merged(family):
+        return dataclasses.replace(family, scalar_blocks=tuple(
+            dataclasses.replace(b, class_id=1) if b.class_id == 2 else b
+            for b in family.scalar_blocks))
 
-    def appended(family, block):
-        family.scalar_blocks.append(block)
+    def appended(family):
+        return dataclasses.replace(
+            family, scalar_blocks=family.scalar_blocks + (last,))
 
-    def no_intertwiners(family, _):
-        family.intertwiner_blocks = []
+    def no_intertwiners(family):
+        return dataclasses.replace(family, intertwiner_blocks=())
 
     def diag_without_last():
         family = stiefel.diagonal_family(sp)
-        return family, family.scalar_blocks.pop()
+        return dataclasses.replace(family,
+                                   scalar_blocks=family.scalar_blocks[:-1])
 
     cases = [
-        (lambda: (stiefel.diagonal_family(sp), None), merged, grid, True),
+        (lambda: stiefel.diagonal_family(sp), merged, grid, True),
         (diag_without_last, appended, grid, True),
-        (lambda: (metric.full_family(sp.decomp), None), no_intertwiners,
-         draws, False)]
+        (lambda: metric.full_family(sp.decomp), no_intertwiners, draws, False)]
     for make, change, spec, include_grid in cases:
-        (family, arg), (fresh, fresh_arg) = make(), make()
+        family = make()
         before = search_go(sp.decomp, family, spec, include_grid=include_grid)
-        change(family, arg)
-        change(fresh, fresh_arg)
-        result = search_go(sp.decomp, family, spec, include_grid=include_grid)
+        changed = change(family)
+        assert not vars(changed).keys() & {"parameters", "operators"}
+        result = search_go(sp.decomp, changed, spec, include_grid=include_grid)
         assert result != before and result == search_go(
-            sp.decomp, fresh, spec, include_grid=include_grid)
+            sp.decomp, change(make()), spec, include_grid=include_grid)
+        assert search_go(sp.decomp, family, spec,
+                         include_grid=include_grid) == before
+
+
+def test_draws_from_an_empty_grid_are_refused_before_any_work(space,
+                                                              monkeypatch):
+    # draws take their diagonal values from the grid, so asking for draws
+    # with none raises ValueError before the family's operators are built
+    sp = space(3, 2)
+    full = metric.full_family(sp.decomp)
+    calls = _count_family_ops(monkeypatch)
+    for family, include_grid in ((full, False),
+                                 (stiefel.diagonal_family(sp), True)):
+        with pytest.raises(ValueError, match="nonempty grid"):
+            search_go(sp.decomp, family, ScanSpec(grid=[], random_count=3),
+                      include_grid=include_grid)
+    assert calls == []
+    result = search_go(sp.decomp, full, ScanSpec(grid=[], random_count=0),
+                       include_grid=False)
+    assert result.n_points == 0 and not result.falsified
 
 
 def test_mutating_what_a_caller_gets_changes_no_later_scan(space):
@@ -868,7 +914,7 @@ def test_family_keeps_one_structure_and_no_residual_memo(space, monkeypatch):
         solves.clear()
         search_go(sp.decomp, full, spec, include_grid=False)
         counts.append(len(solves))
-        kept.append(full.operators())
+        kept.append(full.operators)
     assert all(ops is kept[0] for ops in kept)
     assert counts[-1] == counts[0] > 0
     assert all(type(p) is go._Probe for p in kept[0].probes.values())
@@ -925,7 +971,7 @@ def test_random_points_match_dense_pd_oracle(space, monkeypatch, n, k):
     pd_check = linalg.sym_positive_definite
     for seed in (0, 5, 23):
         spec = ScanSpec(grid=_GRID_32, seed=seed, random_count=24)
-        tensors = go._ScanTensors(full.operators(), _GRID_32)
+        tensors = go._ScanTensors(full.operators, _GRID_32)
         accepted = _draw_values(tensors, go._random_points(full, spec,
                                                            tensors))
         verdicts = []
@@ -964,7 +1010,7 @@ def test_id_draws_match_fraction_oracle(space, monkeypatch, n, k):
         return dense_pd_check(family_matrix(ops, values, sp.dim_m), norms)
 
     def draws(spec):
-        tensors = go._ScanTensors(full.operators(), spec.grid)
+        tensors = go._ScanTensors(full.operators, spec.grid)
         return _draw_values(tensors, go._random_points(full, spec, tensors))
 
     for seed in (0, 5, 23):
@@ -1140,7 +1186,7 @@ def test_family_view_matches_the_per_probe_reference(space, monkeypatch,
     t, count, seed = Fraction(5, 2), 7, 11
     a_t = stiefel.metric_at(sp, t)
     reference = _reference_family_witnesses(
-        a_t, stiefel.witness_map(sp, t), count, seed)
+        a_t, sp.family_data.witness_at(t), count, seed)
     data = sp.family_data
     proof = stiefel.certify_family(data)
     samples = stiefel.family_samples(sp.dim_m, count, seed)

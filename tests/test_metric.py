@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -270,8 +271,8 @@ def test_a_dropped_intertwiner_block_is_caught(space, monkeypatch):
 
     def dropped(decomp):
         family = full(decomp)
-        del family.intertwiner_blocks[0]
-        return family
+        return replace(family,
+                       intertwiner_blocks=family.intertwiner_blocks[1:])
 
     monkeypatch.setattr(metric, "full_family", dropped)
     assert (metric.sym_commutant_basis(dec)
@@ -309,12 +310,13 @@ def test_the_commutation_check_needs_generators_of_h(space, monkeypatch):
 
     assert metric._commutes(extra, with_rows([center]))
     assert not metric._commutes(extra, with_rows(sp.action.generator_ops))
-    parameters = metric.MetricFamily.parameters
+    layout = metric.MetricFamily._layout
 
     def with_line(family):
-        return (*parameters(family), metric.Parameter("line", True, lambda: line))
+        yield from layout(family)
+        yield "line", True, lambda: line
 
-    monkeypatch.setattr(metric.MetricFamily, "parameters", with_line)
+    monkeypatch.setattr(metric.MetricFamily, "_layout", with_line)
     with pytest.raises(ArithmeticError, match="does not commute"):
         metric.sym_commutant_basis(dec)
 
@@ -363,10 +365,8 @@ def test_family_ops_match_the_dense_gram_construction(space, n, k):
 
 
 def _scalar_family(dec, sub):
-    family = metric.MetricFamily(decomp=dec)
-    family.scalar_blocks.append(metric.ScalarBlock(space=sub, class_id=0,
-                                                   label="x"))
-    return family
+    return metric.MetricFamily(dec, scalar_blocks=(
+        metric.ScalarBlock(space=sub, class_id=0, label="x"),))
 
 
 def _labelled_on_diagonal(family):
@@ -402,7 +402,7 @@ def _layout_oracle(family):
     merged class, each operator block's (i, j), i <= j, row by row, then
     each intertwiner coordinate."""
     layout = [("scalar[" + "+".join(
-        b.label for b in family.scalar_blocks if family.find(b.class_id) == c)
+        b.label for b in family.scalar_blocks if b.class_id == c)
         + "]", True) for c in family.classes()]
     for b in family.operator_blocks:
         d = b.space.dim
@@ -429,10 +429,12 @@ def test_parameters_match_an_independent_layout(space, two_torus, which):
         dec, families = sp.decomp, [stiefel.diagonal_family(sp)]
     families += [full_family(dec), reduce_family(dec)[0]]
     for family in families:
-        params = family.parameters()
+        params = family.parameters
         assert ([(p.label, p.on_diagonal) for p in params]
                 == _layout_oracle(family))
-        ops = [metric._finish(p.build(), dec.dim) for p in params]
+        layout = list(family._layout())
+        assert [(label, diag) for label, diag, _ in layout] == list(params)
+        ops = [metric._finish(build(), dec.dim) for _, _, build in layout]
         if which != "8-4" or family is not families[-2]:
             assert ([dense_op(op, dec.dim) for op in ops]
                     == dense_gram_family_ops(family))

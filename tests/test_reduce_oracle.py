@@ -45,19 +45,35 @@ def oracle_reduce_family(decomp, seed=0):
     """Apply the reduction rules in order 3.4, 3.5, 3.6, 3.2."""
     split = decomp.action.split
     g = split.algebra
-    family = metric.full_family(decomp)
+    full = metric.full_family(decomp)
+    scalar_blocks = list(full.scalar_blocks)
+    operator_blocks = list(full.operator_blocks)
+    intertwiner_blocks = list(full.intertwiner_blocks)
+    parent = {}
     trace = go.ReductionTrace()
+
+    def find(cid):
+        while parent.get(cid, cid) != cid:
+            cid = parent.get(cid, cid)
+        return cid
+
+    def merge(c1, c2):
+        r1, r2 = find(c1), find(c2)
+        if r1 == r2:
+            return False
+        parent[max(r1, r2)] = min(r1, r2)
+        return True
 
     # --- 3.4: bi-invariant form on the trivial summand -----------------
     ideals = isotropy.split_ideals(split, decomp.s0.space)
-    family.operator_blocks = [b for b in family.operator_blocks if b.label != "S0"]
-    next_class = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
+    operator_blocks = [b for b in operator_blocks if b.label != "S0"]
+    next_class = max((b.class_id for b in scalar_blocks), default=-1) + 1
     if ideals.center.dim:
-        family.operator_blocks.append(metric.OperatorBlock(
+        operator_blocks.append(metric.OperatorBlock(
             space=ideals.center, label="z(S0)"))
     for i, s in enumerate(ideals.simples):
         label = f"s{i + 1}"
-        family.scalar_blocks.append(metric.ScalarBlock(
+        scalar_blocks.append(metric.ScalarBlock(
             space=s, class_id=next_class, label=label))
         next_class += 1
     # recomputed facts backing the rule: S0 is the normalizer complement
@@ -85,8 +101,8 @@ def oracle_reduce_family(decomp, seed=0):
             trace.steps.append(go.RuleApplication(
                 tag="3.5", rule="diagonalize-summand", target=label, fired=False))
             continue
-        family.intertwiner_blocks = [
-            b for b in family.intertwiner_blocks if b.summand_index != si]
+        intertwiner_blocks = [
+            b for b in intertwiner_blocks if b.summand_index != si]
         trace.steps.append(go.RuleApplication(
             tag="3.5", rule="diagonalize-summand", target=label, fired=True,
             witnesses=[{"member": l + 1, "x": _label_coords(g, xg)}
@@ -102,12 +118,12 @@ def oracle_reduce_family(decomp, seed=0):
             trace.steps.append(go.RuleApplication(
                 tag="3.6", rule="scalar-summand", target=label, fired=False))
             continue
-        family.intertwiner_blocks = [
-            b for b in family.intertwiner_blocks if b.summand_index != si]
-        member_classes = [b.class_id for b in family.scalar_blocks
+        intertwiner_blocks = [
+            b for b in intertwiner_blocks if b.summand_index != si]
+        member_classes = [b.class_id for b in scalar_blocks
                           if b.label.startswith(label + ".")]
         for c in member_classes[1:]:
-            family.merge(member_classes[0], c)
+            merge(member_classes[0], c)
         trace.steps.append(go.RuleApplication(
             tag="3.6", rule="scalar-summand", target=label, fired=True,
             witnesses=result, details={"quantifier_certified": True}))
@@ -115,9 +131,9 @@ def oracle_reduce_family(decomp, seed=0):
     # --- 3.2: merge scalar classes through bracket projections ---------
     # candidate scalar subspaces: every scalar block plus 1-dim center
     nodes = []
-    for b in family.scalar_blocks:
+    for b in scalar_blocks:
         nodes.append((b.space, b.class_id, b.label))
-    for b in list(family.operator_blocks):
+    for b in list(operator_blocks):
         if b.space.dim == 1:
             nodes.append((b.space, None, b.label))
     edges = []
@@ -129,10 +145,9 @@ def oracle_reduce_family(decomp, seed=0):
     def promote_center(idx):
         """Turn a 1-dim operator block into a scalar block when merged."""
         space, _, label = nodes[idx]
-        family.operator_blocks = [b for b in family.operator_blocks
-                                  if b.label != label]
-        new_id = max((b.class_id for b in family.scalar_blocks), default=-1) + 1
-        family.scalar_blocks.append(metric.ScalarBlock(
+        operator_blocks[:] = [b for b in operator_blocks if b.label != label]
+        new_id = max((b.class_id for b in scalar_blocks), default=-1) + 1
+        scalar_blocks.append(metric.ScalarBlock(
             space=space, class_id=new_id, label=label))
         nodes[idx] = (space, new_id, label)
         return new_id
@@ -149,7 +164,7 @@ def oracle_reduce_family(decomp, seed=0):
                       "outside_component": _label_coords(g, w_perp)})
         ci = node_class(i) if node_class(i) is not None else promote_center(i)
         cj = node_class(j) if node_class(j) is not None else promote_center(j)
-        if family.merge(ci, cj):
+        if merge(ci, cj):
             merged_pairs.append([nodes[i][2], nodes[j][2]])
     for i, j, k in itertools.permutations(range(len(nodes)), 3):
         if i > j:
@@ -166,13 +181,19 @@ def oracle_reduce_family(decomp, seed=0):
             ids.append(node_class(idx) if node_class(idx) is not None
                        else promote_center(idx))
         for other in ids[1:]:
-            if family.merge(ids[0], other):
+            if merge(ids[0], other):
                 merged_pairs.append([nodes[i][2], nodes[j][2], nodes[k][2]])
     trace.steps.append(go.RuleApplication(
         tag="3.2", rule="merge-eigenvalues", target="scalar classes",
         fired=bool(edges),
         witnesses=edges, details={"merged": merged_pairs}))
-    return family, trace
+    return metric.MetricFamily(
+        decomp,
+        scalar_blocks=tuple(
+            metric.ScalarBlock(b.space, find(b.class_id), b.label)
+            for b in scalar_blocks),
+        operator_blocks=tuple(operator_blocks),
+        intertwiner_blocks=tuple(intertwiner_blocks)), trace
 
 
 def _oracle_prop35(decomp, si, seed
